@@ -30,7 +30,9 @@ from .killingfields import (
     DerivationField,
     Certificate,
     CertificateCheck,
+    CompiledCertificate,
     NotKillingError,
+    generator_degree,
     skew_derivation_basis,
     skew_derivations,
     validate_skew_derivation,
@@ -66,7 +68,8 @@ __all__ = [
     "MetricLieAlgebra", "KillingSpace",
     "AlmostAbelianAlgebra", "LayeredDecomposition", "KillingDiagnosis",
     "Metric", "LeftInvariant", "RightInvariant", "SkewDerivation",
-    "DerivationField", "Certificate", "CertificateCheck", "NotKillingError",
+    "DerivationField", "Certificate", "CertificateCheck", "CompiledCertificate",
+    "NotKillingError", "generator_degree",
     "skew_derivation_basis", "skew_derivations", "validate_skew_derivation",
     "omega_right", "omega_derivation", "omega_derivation_matrix",
     "omega_generator", "omega_tensor", "decompose", "decompose_ideal_tensor",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -272,11 +273,31 @@ def cmd_omega_sample(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    common.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    common.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
+    common.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
     common.add_argument("--order-floor", type=int, default=DEFAULT_ORDER_FLOOR,
                         dest="order_floor")
     common.add_argument("--json", action="store_true",

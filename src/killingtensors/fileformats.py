@@ -17,6 +17,7 @@ from .killingfields import (
     Metric,
     RightInvariant,
     SkewDerivation,
+    generator_degree,
 )
 from .liealgebra import KillingSpace, MetricLieAlgebra
 from .tensors import Endomorphism, SymTensor
@@ -232,6 +233,10 @@ def certificate_from_dict(doc, dim, where="certificate") -> Certificate:
             _generator_from_dict(f, dim, f"{w}.factors[{s}]")
             for s, f in enumerate(item.get("factors", []))
         )
+        degree = sum(generator_degree(g) for g in factors)
+        if degree != target.degree:
+            raise ParseError(f"{w}.factors: term has degree {degree} (metric 2, fields 1), "
+                             f"the target has degree {target.degree}")
         terms.append((coeff, factors))
     return Certificate(target=target, terms=tuple(terms))
 

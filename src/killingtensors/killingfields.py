@@ -27,7 +27,8 @@ from mpmath import mp
 from .almostabelian import AlmostAbelianAlgebra
 from .exactlinalg import nullspace, rref_span
 from .liealgebra import MetricLieAlgebra
-from .tensors import SymTensor, Endomorphism, apply_derivation, sum_of_squares
+from .tensors import (SymTensor, Endomorphism, apply_derivation, product_positions,
+                      sum_of_squares, sym_dimension)
 
 _ZERO = Fraction(0)
 
@@ -332,27 +333,126 @@ def omega_generator(alg: MetricLieAlgebra, gen, w, order=None, min_order: int = 
     raise TypeError(f"unknown generator {gen!r}")
 
 
-def omega_tensor(alg: MetricLieAlgebra, cert: Certificate, w,
-                 order=None, min_order: int = 0, cache=None) -> SymTensor:
-    """Pullback value of a certificate: per term, the symmetric product of the
-    factors' values, scaled and summed."""
-    numeric = _numeric_seq(w)
-    dim = alg.dim
-    total = SymTensor.zero(dim, cert.target.degree)
-    for coeff, factors in cert.terms:
-        acc = SymTensor.monomial(dim, (), _mpf_of(coeff) if numeric else coeff)
-        for gen in factors:
-            if cache is not None:
-                key = (mp.dps, w, gen)
-                val = cache.get(key)
-                if val is None:
-                    val = omega_generator(alg, gen, w, order, min_order)
-                    cache[key] = val
+def generator_degree(gen) -> int:
+    """Degree of a generator's pullback value: 2 for the metric, 1 for a field."""
+    if isinstance(gen, Metric):
+        return 2
+    if isinstance(gen, (LeftInvariant, RightInvariant, DerivationField)):
+        return 1
+    raise TypeError(f"unknown generator {gen!r}")
+
+
+class CompiledCertificate:
+    """A certificate arranged for evaluation by Horner's rule over its factors.
+
+    Factors commute, so each term's factors are sorted canonically (most
+    frequent generator first) and the terms are stored as a trie keyed by
+    factor; terms with the same factors merge.  A certificate
+    ``sum_t c_t prod g`` is then evaluated from the leaves up as
+    ``N(node) = sum_children g * N(child)``, with ``N(leaf)`` the merged
+    coefficient, so each product has the degree left below its node rather
+    than the degree of a whole term (Pena and Sauer, "On the multivariate
+    Horner scheme", SIAM J. Numer. Anal. 37, 2000).
+
+    A trie node is ``(size, edges)`` with one ``(generator index, product
+    table, child)`` edge per distinct next factor; a leaf is the index of its
+    coefficient.  Values are dense lists indexed by monomial position.
+    """
+
+    def __init__(self, cert: Certificate):
+        degree = cert.target.degree
+        gens = {}
+        for t, (_, factors) in enumerate(cert.terms):
+            d = sum(generator_degree(g) for g in factors)
+            if d != degree:
+                raise ValueError(f"certificate term {t} has degree {d}, "
+                                 f"the target has degree {degree}")
+            for g in dict.fromkeys(factors):
+                gens[g] = gens.get(g, 0) + 1
+        # most frequent first shares the longest prefixes; ties keep first appearance
+        order = sorted(gens, key=lambda g: -gens[g])
+        index = {g: i for i, g in enumerate(order)}
+        trie = {}
+        coeffs = []
+        for coeff, factors in cert.terms:
+            node = trie
+            for i in sorted(index[g] for g in factors):
+                node = node.setdefault(i, {})
+            if None in node:
+                coeffs[node[None]] += coeff
             else:
-                val = omega_generator(alg, gen, w, order, min_order)
-            acc = acc * val
-        total = total + acc
-    return total
+                node[None] = len(coeffs)
+                coeffs.append(Fraction(coeff) if isinstance(coeff, int) else coeff)
+        self.dim = cert.target.dim
+        self.degree = degree
+        self.generators = tuple(order)
+        self.coefficients = tuple(coeffs)
+        self._numeric_coefficients = {}
+        degrees = [generator_degree(g) for g in order]
+        self.root = self._freeze(trie, degree, degrees)
+
+    def _freeze(self, node, r, degrees):
+        if None in node:
+            return node[None]
+        return sym_dimension(self.dim, r), tuple(
+            (i, product_positions(self.dim, degrees[i], r - degrees[i]),
+             self._freeze(child, r - degrees[i], degrees))
+            for i, child in node.items())
+
+    def evaluate(self, values, numeric: bool) -> list:
+        """Dense value of the certificate, given the dense value of each
+        generator in ``generators`` order.  Numeric evaluation converts the
+        coefficients to mpf once per working precision."""
+        coeffs = self.coefficients
+        if numeric:
+            coeffs = self._numeric_coefficients.get(mp.prec)
+            if coeffs is None:
+                coeffs = self._numeric_coefficients[mp.prec] = tuple(
+                    _mpf_of(c) for c in self.coefficients)
+        return _horner(self.root, values, coeffs)
+
+
+def _horner(node, values, coeffs):
+    """Dense value ``N(node)`` of a trie node, from the leaves up."""
+    if isinstance(node, int):
+        return (coeffs[node],)
+    size, edges = node
+    out = [0] * size
+    for g, table, child in edges:
+        below = _horner(child, values, coeffs)
+        for a, row in zip(values[g], table):
+            if a:
+                for k, b in zip(row, below):
+                    if b:
+                        out[k] += a * b
+    return out
+
+
+def omega_tensor(alg: MetricLieAlgebra, cert, w,
+                 order=None, min_order: int = 0, cache=None) -> SymTensor:
+    """Pullback value of a certificate at ``w``: the polynomial in its
+    generators, evaluated by Horner's rule over the factor trie.
+
+    ``cert`` is a ``Certificate`` or, to evaluate one certificate at many
+    points, its ``CompiledCertificate``.  Each distinct generator is
+    evaluated once; ``cache``, when given, is a dict keyed by
+    ``(mp.dps, w, generator)`` holding generator values across calls.
+    """
+    compiled = cert if isinstance(cert, CompiledCertificate) else CompiledCertificate(cert)
+    if compiled.dim != alg.dim:
+        raise ValueError("dimension mismatch")
+    numeric = _numeric_seq(w)
+    values = []
+    for gen in compiled.generators:
+        if cache is not None:
+            key = (mp.dps, w, gen)
+            val = cache.get(key)
+            if val is None:
+                val = cache[key] = omega_generator(alg, gen, w, order, min_order)
+        else:
+            val = omega_generator(alg, gen, w, order, min_order)
+        values.append(val.dense())
+    return SymTensor.from_dense(compiled.dim, compiled.degree, compiled.evaluate(values, numeric))
 
 
 # ---------------------------------------------------------------------------
@@ -546,13 +646,28 @@ def _working_digits(cert: Certificate, m_norm: float, dim: int) -> int:
     return min(300, 10 * int(math.ceil(digits / 10)))
 
 
-def _max_abs_difference(value: SymTensor, target: SymTensor) -> float:
+def _max_abs_difference(value: SymTensor, target: dict) -> float:
+    """Largest coefficient deviation from ``target``, a monomial-to-mpf map."""
     dev = mp.mpf(0)
-    for mono in set(value.terms) | set(target.terms):
-        a = _mpf_of(value.terms.get(mono, 0))
-        b = _mpf_of(target.terms.get(mono, _ZERO))
-        dev = max(dev, abs(a - b))
+    for mono in set(value.terms) | set(target):
+        dev = max(dev, abs(value.terms.get(mono, 0) - target.get(mono, 0)))
     return float(dev)
+
+
+def _ad_one_norm(lie: MetricLieAlgebra, w) -> float:
+    """1-norm of ``ad_w`` at a float point, in double precision."""
+    n = lie.dim
+    rows = [[0.0] * n for _ in range(n)]
+    for i, wi in enumerate(w):
+        if wi == 0:
+            continue
+        plane = lie.structure[i]
+        for j in range(n):
+            for k in range(n):
+                c = plane[j][k]
+                if c != 0:
+                    rows[k][j] += wi * float(c)
+    return _one_norm(rows)
 
 
 def sample_points(dim: int, samples: int, seed: int):
@@ -566,28 +681,35 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
                        seed: int = DEFAULT_SEED, order_floor: int = DEFAULT_ORDER_FLOOR,
                        cache=None) -> CertificateCheck:
     """Check a certificate: exact equality at the origin plus sampled
-    constancy of the pullback within ``tol``.
+    constancy of the pullback within ``tol`` at ``samples >= 1`` points.
+
+    The certificate is compiled once (``CompiledCertificate``) and evaluated
+    at the origin and at every sample point.
 
     The series order at each sample is at least ``order_floor`` and at least
     the order making the crude tail bound ``||ad_w||^(N+1)/(N+1)!`` fall under
     ``tol/10``; on top of that the series is summed adaptively at a working
     precision sized to the certificate's product-amplification bound.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    compiled = CompiledCertificate(cert)
     dim = alg.dim
     zero = (_ZERO,) * dim
-    exact0 = omega_tensor(alg, cert, zero, order=0) == cert.target
+    exact0 = omega_tensor(alg, compiled, zero, order=0) == cert.target
     pts = sample_points(dim, samples, seed)
-    m_norm = 0.0
-    for w in pts:
-        m_norm = max(m_norm, _one_norm(_ad_rows(alg, w, True)))
+    m_norm = max(_ad_one_norm(alg, w) for w in pts)
     digits = _working_digits(cert, m_norm, dim)
     max_dev = 0.0
     with mp.workdps(digits):
         min_order = max(order_floor, _order_for_bound(m_norm, tol / 10.0))
+        target = {m: _mpf_of(c) for m, c in cert.target.terms.items()}
         for w in pts:
-            wm = _mp_vec(w)
-            value = omega_tensor(alg, cert, wm, order=None, min_order=min_order, cache=cache)
-            max_dev = max(max_dev, _max_abs_difference(value, cert.target))
+            value = omega_tensor(alg, compiled, _mp_vec(w), order=None, min_order=min_order,
+                                 cache=cache)
+            max_dev = max(max_dev, _max_abs_difference(value, target))
     return CertificateCheck(
         passed=bool(exact0 and max_dev < tol),
         exact_at_zero=bool(exact0),

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -41,6 +42,23 @@ def sym_dimension(dim: int, degree: int) -> int:
 def basis_monomials(dim: int, degree: int):
     """All sorted index tuples of the given length, in lexicographic order."""
     return list(combinations_with_replacement(range(dim), degree))
+
+
+@lru_cache(maxsize=None)
+def monomial_positions(dim: int, degree: int) -> dict:
+    """Position of each basis monomial in ``basis_monomials(dim, degree)``;
+    the keys iterate in that order.  Shared: do not modify."""
+    return {m: k for k, m in enumerate(combinations_with_replacement(range(dim), degree))}
+
+
+@lru_cache(maxsize=None)
+def product_positions(dim: int, d: int, e: int) -> tuple:
+    """``table[i][j]``: position of the product of the degree-``d`` monomial at
+    position ``i`` and the degree-``e`` monomial at position ``j`` among the
+    degree ``d + e`` monomials.  Built on first use per ``(dim, d, e)``."""
+    out = monomial_positions(dim, d + e)
+    return tuple(tuple(out[tuple(sorted(a + b))] for b in monomial_positions(dim, e))
+                 for a in monomial_positions(dim, d))
 
 
 @dataclass(frozen=True)
@@ -93,6 +111,21 @@ class SymTensor:
     def from_vector(cls, dim, components) -> "SymTensor":
         terms = {(i,): _coeff(c) for i, c in enumerate(components) if c != 0}
         return cls(dim, 1, terms)
+
+    @classmethod
+    def from_dense(cls, dim, degree, values) -> "SymTensor":
+        """Inverse of ``dense``: coefficients listed by monomial position."""
+        return cls(dim, degree, {m: c for m, c in zip(monomial_positions(dim, degree), values)
+                                 if c != 0})
+
+    def dense(self) -> list:
+        """Coefficients listed by monomial position (``monomial_positions``),
+        with 0 for absent monomials."""
+        out = [0] * sym_dimension(self.dim, self.degree)
+        positions = monomial_positions(self.dim, self.degree)
+        for m, c in self.terms.items():
+            out[positions[m]] = c
+        return out
 
     def coeff(self, indices):
         return self.terms.get(tuple(sorted(indices)), _ZERO)

@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from killingtensors import Endomorphism, SymTensor, basis_monomials
+from mpmath import mp
+
+from killingtensors import Endomorphism, SymTensor, basis_monomials, omega_generator
 from killingtensors.exactlinalg import dot
 
 DERIVATION_KINDS = ("skew", "symmetric", "nilpotent", "generic")
@@ -93,3 +95,18 @@ def koszul_oracle(alg, y, x):
                + dot(alg.bracket(z, y), x))
         comps.append(val / 2)
     return tuple(comps)
+
+
+def omega_tensor_oracle(alg, cert, w, order=None):
+    """Pullback value of a certificate by term-by-term expansion: per term,
+    the symmetric product of its factors' values, each evaluated afresh,
+    scaled by the coefficient and summed."""
+    numeric = any(not isinstance(x, (Fraction, int)) for x in w)
+    total = SymTensor.zero(alg.dim, cert.target.degree)
+    for coeff, factors in cert.terms:
+        c = mp.mpf(coeff.numerator) / coeff.denominator if numeric else coeff
+        acc = SymTensor.monomial(alg.dim, (), c)
+        for gen in factors:
+            acc = acc * omega_generator(alg, gen, w, order)
+        total = total + acc
+    return total

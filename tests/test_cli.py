@@ -96,7 +96,7 @@ class TestFileFormats:
             (Fraction(1, 2), (Metric(),)),
             (Fraction(-2), (LeftInvariant((Fraction(1), Fraction(0), Fraction(0))),
                             RightInvariant((Fraction(0), Fraction(1), Fraction(0))))),
-            (Fraction(3), (DerivationField(t),)),
+            (Fraction(3), (DerivationField(t), DerivationField(t))),
         ))
         doc = ff.certificate_to_dict(cert)
         assert ff.certificate_from_dict(doc, 3) == cert
@@ -202,6 +202,39 @@ class TestVerifyCommand:
                                     "--certificate", str(cert_path)])
         assert code == 0
         assert json.loads(out)["result"]["passed"] is True
+
+    # target e1^2 against right:1^2 on D = diag(1, 2): exact at the origin, wrong elsewhere
+    DIAG12 = {"n": 2, "D": [["1", "0"], ["0", "2"]]}
+    RIGHT1 = {"kind": "right", "vector": ["0", "1", "0"]}
+
+    def _e1_squared(self, tmp_path, factors):
+        alg = write(tmp_path, "diag12.json", self.DIAG12)
+        cert = write(tmp_path, "e1sq.cert.json", {
+            "target": {"degree": 2, "terms": [{"monomial": [1, 1], "coeff": "1"}]},
+            "terms": [{"coeff": "1", "factors": factors}]})
+        return ["verify", "--algebra", alg, "--certificate", cert]
+
+    def test_degree_mismatch_exits_2_with_position(self, tmp_path, capsys):
+        code, out, err = run(capsys, self._e1_squared(tmp_path, [self.RIGHT1]))
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "parse error"
+        assert doc["detail"].startswith("certificate.terms[0].factors: term has degree 1")
+
+    def test_wrong_away_from_origin_fails(self, tmp_path, capsys):
+        code, out, _ = run(capsys, self._e1_squared(tmp_path, [self.RIGHT1, self.RIGHT1]))
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["passed"] is False
+        assert result["verification"]["exact_at_zero"] is True
+
+    @pytest.mark.parametrize("flag", [["--samples", "0"], ["--samples", "-3"],
+                                      ["--tol", "inf"], ["--tol", "nan"], ["--tol", "0"]])
+    def test_vacuous_parameters_exit_2(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(self._e1_squared(tmp_path, [self.RIGHT1, self.RIGHT1]) + flag)
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 class TestCurvatureCommand:

@@ -3,11 +3,13 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from killingtensors import (
     AlmostAbelianAlgebra,
     Certificate,
+    CompiledCertificate,
     DerivationField,
     Endomorphism,
     LeftInvariant,
@@ -20,6 +22,7 @@ from killingtensors import (
     decompose,
     decompose_ideal_tensor,
     exp_action,
+    generator_degree,
     omega_derivation,
     omega_derivation_matrix,
     omega_right,
@@ -30,7 +33,7 @@ from killingtensors import (
     validate_skew_derivation,
     verify_certificate,
 )
-from conftest import derivation_suite, random_vector
+from conftest import derivation_suite, omega_tensor_oracle, random_vector
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
 DIAG = Endomorphism.diagonal([1, -1])
@@ -395,3 +398,140 @@ class TestTruncatedExactSeries:
         alg = AlmostAbelianAlgebra(DIAG)
         x = basis_vec(3, 2)
         assert omega_right(alg, x, (Fraction(1), Fraction(2), Fraction(3)), order=0) == x
+
+
+class TestVerifyParameters:
+    # target e1^2 against right:1^2 on D = diag(1, 2): exact at the origin, wrong elsewhere
+    ALG = AlmostAbelianAlgebra(Endomorphism.diagonal([1, 2]))
+    R1 = RightInvariant(basis_vec(3, 1))
+    CERT = Certificate(target=SymTensor.monomial(3, (1, 1)), terms=((Fraction(1), (R1, R1)),))
+
+    def test_sampled_check_rejects(self):
+        assert not verify_certificate(self.ALG, self.CERT, samples=3).passed
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_is_an_error(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            verify_certificate(self.ALG, self.CERT, samples=samples)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("inf"), float("nan")])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            verify_certificate(self.ALG, self.CERT, tol=tol)
+
+    def test_degree_mismatch_is_a_value_error(self):
+        cert = Certificate(target=SymTensor.monomial(3, (1, 1)),
+                           terms=((Fraction(1), (self.R1,)),))
+        with pytest.raises(ValueError, match="term 0 has degree 1, the target has degree 2"):
+            verify_certificate(self.ALG, cert)
+        with pytest.raises(ValueError, match="degree"):
+            omega_tensor(self.ALG, cert, (Fraction(0),) * 3, order=0)
+
+
+# ---------------------------------------------------------------------------
+# the compiled (Horner) evaluation against the term-by-term expansion
+# ---------------------------------------------------------------------------
+
+def _split(m):
+    """A skew derivation matrix of any algebra as split pieces."""
+    n = m.dim - 1
+    return SkewDerivation(tuple(m.entries[i + 1][0] for i in range(n)),
+                          Endomorphism(tuple(tuple(m.entries[i + 1][j + 1] for j in range(n))
+                                             for i in range(n))))
+
+
+def _so3():
+    c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        c[i][j][k] = Fraction(1)
+        c[j][i][k] = Fraction(-1)
+    return MetricLieAlgebra(c)
+
+
+def _almost_abelian(rows):
+    alg = AlmostAbelianAlgebra(Endomorphism.from_rows(rows))
+    return alg, skew_derivations(alg)
+
+
+_SO3 = _so3()
+# (algebra, skew derivations as split pieces): one general algebra and
+# almost abelian ones with and without skew derivations
+ORACLE_CASES = {
+    "so3": (_SO3, tuple(_split(m) for m in skew_derivation_basis(_SO3))),
+    "rotation": _almost_abelian([[0, -1], [1, 0]]),
+    "abelian": _almost_abelian([[0, 0], [0, 0]]),
+    "diag(1,2)": _almost_abelian([[1, 0], [0, 2]]),
+    "rotation+stretch": _almost_abelian([[0, -1, 0], [1, 0, 0], [0, 0, "1/2"]]),
+}
+_RATIONAL = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def certificates(draw):
+    """``(algebra, certificate)``: random terms over all four generator
+    kinds, drawn from a small pool so factors repeat, with the factors of
+    each term in random order; degree 0 gives terms without factors."""
+    alg, derivations = ORACLE_CASES[draw(st.sampled_from(sorted(ORACLE_CASES)))]
+    dim = alg.dim
+    vector = st.tuples(*[_RATIONAL] * dim)
+    pool = [Metric()]
+    for _ in range(draw(st.integers(1, 3))):
+        pool.append(draw(st.sampled_from([LeftInvariant, RightInvariant]))(draw(vector)))
+    pool.append(RightInvariant(basis_vec(dim, draw(st.integers(0, dim - 1)))))
+    if derivations:
+        pool.append(DerivationField(draw(st.sampled_from(derivations))))
+    degree = draw(st.integers(0, 3))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        factors = []
+        while sum(generator_degree(g) for g in factors) < degree:
+            left = degree - sum(generator_degree(g) for g in factors)
+            factors.append(draw(st.sampled_from([g for g in pool if generator_degree(g) <= left])))
+        terms.append((draw(_RATIONAL), tuple(draw(st.permutations(factors)))))
+    return alg, Certificate(target=SymTensor.zero(dim, degree), terms=tuple(terms))
+
+
+class TestHornerAgainstTermByTerm:
+    @settings(max_examples=150, deadline=None)
+    @given(certificates(), st.data())
+    def test_exact_points(self, case, data):
+        alg, cert = case
+        w = data.draw(st.tuples(*[_RATIONAL] * alg.dim))
+        order = data.draw(st.integers(0, 3))
+        assert omega_tensor(alg, cert, w, order=order) == omega_tensor_oracle(alg, cert, w, order)
+
+    @settings(max_examples=100, deadline=None)
+    @given(certificates(), st.data())
+    def test_mpf_points(self, case, data):
+        alg, cert = case
+        coords = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+        w = data.draw(st.tuples(*[coords] * alg.dim))
+        with mp.workdps(50):
+            wm = tuple(mp.mpf(x) for x in w)
+            got = omega_tensor(alg, cert, wm)
+            want = omega_tensor_oracle(alg, cert, wm)
+            scale = max([mp.mpf(1)] + [abs(c) for c in want.terms.values()])
+            for mono in set(got.terms) | set(want.terms):
+                diff = got.terms.get(mono, 0) - want.terms.get(mono, 0)
+                assert abs(diff) <= mp.mpf("1e-40") * scale
+
+    def test_merges_terms_with_reordered_factors(self):
+        alg, _ = ORACLE_CASES["diag(1,2)"]
+        a, b = RightInvariant(basis_vec(3, 1)), LeftInvariant(basis_vec(3, 0))
+        cert = Certificate(target=SymTensor.zero(3, 2),
+                           terms=((Fraction(1), (a, b)), (Fraction(2), (b, a))))
+        compiled = CompiledCertificate(cert)
+        assert compiled.coefficients == (Fraction(3),)
+        w = (Fraction(1, 2), Fraction(1), Fraction(-1))
+        assert omega_tensor(alg, compiled, w, order=3) == omega_tensor_oracle(alg, cert, w, 3)
+
+    def test_cache_holds_generator_values(self):
+        alg, _ = ORACLE_CASES["diag(1,2)"]
+        r = RightInvariant(basis_vec(3, 2))
+        cert = Certificate(target=SymTensor.monomial(3, (2, 2)), terms=((Fraction(1), (r, r)),))
+        cache = {}
+        with mp.workdps(30):
+            w = (mp.mpf("0.5"), mp.mpf(0), mp.mpf(1))
+            value = omega_tensor(alg, cert, w, cache=cache)
+            assert list(cache) == [(30, w, r)]
+            assert value == cache[(30, w, r)] * cache[(30, w, r)]
