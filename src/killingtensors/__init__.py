@@ -20,7 +20,7 @@ from .tensors import (
     basis_monomials,
     sym_dimension,
 )
-from .liealgebra import MetricLieAlgebra, KillingSpace
+from .liealgebra import MetricLieAlgebra, KillingSpace, SolverCapError
 from .almostabelian import AlmostAbelianAlgebra, LayeredDecomposition, KillingDiagnosis
 from .killingfields import (
     Metric,
@@ -65,7 +65,7 @@ __all__ = [
     "SymTensor", "Endomorphism", "sym_mul", "inner", "apply_derivation",
     "sym2_from_endo", "endo_from_sym2", "act_group", "exp_action",
     "sum_of_squares", "basis_monomials", "sym_dimension",
-    "MetricLieAlgebra", "KillingSpace",
+    "MetricLieAlgebra", "KillingSpace", "SolverCapError",
     "AlmostAbelianAlgebra", "LayeredDecomposition", "KillingDiagnosis",
     "Metric", "LeftInvariant", "RightInvariant", "SkewDerivation",
     "DerivationField", "Certificate", "CertificateCheck", "CompiledCertificate",

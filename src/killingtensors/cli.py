@@ -3,7 +3,8 @@
 Each run prints one JSON report to stdout containing the input file hashes,
 the effective parameters and the results; identical inputs and parameters
 produce byte-identical reports.  Exit codes: 0 success, 2 parse/validation
-error, 3 method or algebra-kind mismatch, 4 tensor not Killing.
+error or a request past the brute-force solver's size limits, 3 method or
+algebra-kind mismatch, 4 tensor not Killing.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from .killingfields import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     DEFAULT_TOL,
-    DerivationField,
     LeftInvariant,
     Metric,
     NotKillingError,
@@ -39,6 +39,7 @@ from .killingfields import (
     decompose,
     verify_certificate,
 )
+from .liealgebra import SolverCapError
 from .tensors import SymTensor
 
 EXIT_OK = 0
@@ -225,43 +226,44 @@ def _parse_point(text: str, dim: int):
             out.append(ff.parse_rational(p, f"--at[{i}]"))
         except ff.ParseError:
             try:
-                out.append(float(p))
+                value = float(p)
             except ValueError:
-                raise ff.ParseError(f"--at[{i}]: cannot parse {p!r} as rational or float")
+                value = math.nan
+            if not math.isfinite(value):
+                raise ff.ParseError(f"--at[{i}]: cannot parse {p!r} as a finite rational or float")
+            out.append(value)
     return tuple(out)
+
+
+def _generator_index(text: str, count: int, what: str) -> int:
+    try:
+        i = int(text)
+    except ValueError:
+        raise ff.ParseError(f"--generator: {what} must be an integer, got {text!r}") from None
+    if not 0 <= i < count:
+        raise ff.ParseError(f"--generator: {what} {i} out of range ({count} available)")
+    return i
 
 
 def cmd_omega_sample(args) -> int:
     alg = _load_algebra(args.algebra)
     w = _parse_point(args.at, alg.dim)
     spec = args.generator.strip()
+    kind, _, index = spec.partition(":")
     with mp.workdps(60):
         wm = _mp_vec(w)
         if spec == "metric":
             value = omega_generator(alg, Metric(), wm)
-        elif spec.startswith(("left:", "right:")):
-            kind, _, idx = spec.partition(":")
-            i = int(idx)
-            if not 0 <= i < alg.dim:
-                raise ff.ParseError(f"--generator: basis index {i} out of range")
+        elif kind in ("left", "right"):
+            i = _generator_index(index, alg.dim, "basis index")
             vec = tuple(Fraction(1 if t == i else 0) for t in range(alg.dim))
             gen = LeftInvariant(vec) if kind == "left" else RightInvariant(vec)
             value = omega_generator(alg, gen, wm, order=args.order)
-        elif spec.startswith("deriv:"):
-            i = int(spec.partition(":")[2])
-            if isinstance(alg, AlmostAbelianAlgebra):
-                basis = skew_derivations(alg)
-                if not 0 <= i < len(basis):
-                    raise ff.ParseError(f"--generator: derivation index {i} out of range "
-                                        f"(basis has {len(basis)} elements)")
-                value = omega_generator(alg, DerivationField(basis[i]), wm, order=args.order)
-            else:
-                basis = skew_derivation_basis(alg)
-                if not 0 <= i < len(basis):
-                    raise ff.ParseError(f"--generator: derivation index {i} out of range "
-                                        f"(basis has {len(basis)} elements)")
-                vecval = omega_derivation_matrix(alg, basis[i], wm, order=args.order)
-                value = SymTensor.from_vector(alg.dim, vecval)
+        elif kind == "deriv":
+            basis = skew_derivation_basis(alg)
+            i = _generator_index(index, len(basis), "derivation index")
+            value = SymTensor.from_vector(
+                alg.dim, omega_derivation_matrix(alg, basis[i], wm, order=args.order))
         else:
             raise ff.ParseError("--generator: expected metric | left:I | right:I | deriv:I")
         doc = ff.numeric_tensor_to_dict(value)
@@ -273,14 +275,17 @@ def cmd_omega_sample(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -297,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
-    common.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
+    common.add_argument("--samples", type=_int_at_least(1), default=DEFAULT_SAMPLES)
     common.add_argument("--order-floor", type=int, default=DEFAULT_ORDER_FLOOR,
                         dest="order_floor")
     common.add_argument("--json", action="store_true",
@@ -312,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("killing-basis", parents=[common],
                        help="basis of the Killing space of one degree")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_int_at_least(0), required=True)
     p.add_argument("--method", choices=["structured", "brute", "both"])
     p.set_defaults(func=cmd_killing_basis)
 
@@ -364,6 +369,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except ff.ParseError as exc:
         return _fail(EXIT_PARSE, "parse error", str(exc))
+    except SolverCapError as exc:
+        return _fail(EXIT_PARSE, "limit exceeded", exc.limits)
     except WrongAlgebraKind as exc:
         return _fail(EXIT_KIND, "method/algebra mismatch", str(exc))
     except NotKillingError as exc:

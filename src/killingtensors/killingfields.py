@@ -11,9 +11,12 @@ and for left-invariant generators it is constant.  A certificate is valid
 when the assembled value is constant equal to its target.
 
 Constancy is checked exactly at ``w = 0`` and numerically at seeded sample
-points.  Sampling runs in mpmath extended precision: the factor values grow
-like ``exp(|gamma| * ||D||)`` and cancel additively across monomials, which
-double precision cannot survive at the 1e-9 gate.
+points.  Sampling runs in extended precision: the factor values grow like
+``exp(|gamma| * ||D||)`` and cancel additively across monomials, which double
+precision cannot survive at the 1e-9 gate.  The series and the certificate
+polynomial are summed on Python ints scaled by a power of two, at mpmath's
+working precision plus guard bits; mpmath floats appear only at the public
+edges (the error bound is stated in ``_fixed_shift``).
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .almostabelian import AlmostAbelianAlgebra
 from .exactlinalg import nullspace, rref_span
@@ -111,7 +115,8 @@ class Certificate:
 
 
 # ---------------------------------------------------------------------------
-# scalar contexts: exact Fractions vs mpmath floats
+# scalar contexts: exact Fractions, mpmath floats at the public edges, and
+# fixed-point integers inside the sampled evaluation
 # ---------------------------------------------------------------------------
 
 def _numeric_seq(seq) -> bool:
@@ -132,22 +137,6 @@ def _matvec(rows, v):
     return tuple(sum(a * b for a, b in zip(row, v)) for row in rows)
 
 
-def _ad_rows(lie: MetricLieAlgebra, w, numeric: bool):
-    """Matrix of ``ad_w`` with entries in the requested scalar context."""
-    n = lie.dim
-    rows = [[_mpf_of(0) if numeric else _ZERO] * n for _ in range(n)]
-    for i, wi in enumerate(w):
-        if wi == 0:
-            continue
-        plane = lie.structure[i]
-        for j in range(n):
-            for k in range(n):
-                c = plane[j][k]
-                if c != 0:
-                    rows[k][j] = rows[k][j] + wi * (_mpf_of(c) if numeric else c)
-    return [tuple(r) for r in rows]
-
-
 def _one_norm(rows) -> float:
     n = len(rows)
     return max((sum(abs(float(rows[i][j])) for i in range(n)) for j in range(n)), default=0.0)
@@ -155,6 +144,137 @@ def _one_norm(rows) -> float:
 
 def _numeric_eps():
     return mp.mpf(10) ** (-(mp.dps - 5))
+
+
+_MAX_TERMS = 5000
+
+
+def _fixed_shift(dim: int) -> int:
+    """Scale ``P = mp.prec + G`` of the fixed-point sampled evaluation: values
+    are Python ints times ``2**-P``, and mpf values appear only at the public
+    edges.  Error bound in units ``u = 2**-P``, with ``n = dim``,
+    ``a = ||ad_w||_1`` and ``K <= _MAX_TERMS`` series terms:
+
+    * In: an int, a float or an mpf with ulp >= u converts exactly (sample
+      points do), anything else with error < u.  A product by a non-integer
+      rational is floored once (< u), so ``||ad_w^ - ad_w||_1 < n^2 u`` and
+      the start vector ``x`` (``T w`` for phi) is off by < n^2 u.
+    * Series: each term ``t_k = floor(-ad_w^ t_(k-1) / (k + s))`` adds
+      < n u.  An error entering at term j reaches term k times at most
+      ``a^(k-j) / (k-j)!``, so the partial sum is off by at most
+      ``u e^a (n K + n^2 (1 + e^a ||x||_1))``.
+    * Horner: each trie node floors each entry once (< u); an error is then
+      multiplied by the factor values above it, at most the amplification
+      bound that ``_working_digits`` covers with 35 digits to spare.
+    * Out: one rounding to working precision, relative ``2**-mp.prec``, as
+      any mpf result.
+
+    ``G = bit_length(n^2 K) + 8`` keeps ``n^2 K u`` under
+    ``2**-(mp.prec + 8)``: the floors add less than 1/256 of one
+    working-precision rounding, under the same ``e^a`` amplification that
+    rounding suffers in an mpf series.
+    """
+    return mp.prec + (dim * dim * _MAX_TERMS).bit_length() + 8
+
+
+def _to_fixed(x, shift: int) -> int:
+    """``x * 2**shift`` as an int: exact for an int, and for a float or mpf
+    whose ulp is at least ``2**-shift``; otherwise floored (truncated for a
+    negative mpf)."""
+    mpf = getattr(x, "_mpf_", None)
+    if mpf is not None:
+        sign, man, exp, _ = mpf
+        if not man and exp:
+            raise ValueError(f"non-finite value {x}")
+        exp += shift
+        man = man << exp if exp >= 0 else man >> -exp
+        return -man if sign else man
+    if isinstance(x, int):
+        return x << shift
+    num, den = x.as_integer_ratio()
+    return (num << shift) // den
+
+
+def _from_fixed(v: int, shift: int):
+    """The mpf nearest ``v * 2**-shift`` at working precision."""
+    return mp.make_mpf(from_man_exp(v, -shift, mp.prec, round_nearest))
+
+
+def _rational_times(c, v, shift):
+    """``c * v`` for a rational ``c``: exact, or floored once when ``v`` is
+    fixed-point and ``c`` not an integer."""
+    if shift is None:
+        return c * v
+    num, den = c.numerator, c.denominator
+    return v * num if den == 1 else v * num // den
+
+
+def _ad_rows(lie: MetricLieAlgebra, w, shift):
+    """Rows of ``ad_w`` as ``(column, entry)`` pairs of the nonzero entries,
+    exact or fixed-point at ``shift`` like ``w``."""
+    n = lie.dim
+    rows = [[0] * n for _ in range(n)]
+    for i, j, k, c in lie.nonzero_structure:
+        if w[i]:
+            rows[k][j] += _rational_times(c, w[i], shift)
+    return [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+
+
+def _ad_series(lie: MetricLieAlgebra, w, x, s: int, shift, order, min_order: int):
+    """Partial sum of ``sum_k (-ad_w)^k x / (k + s)!`` times ``s!``: with
+    ``s = 0`` it is ``exp(-ad_w) x``, with ``s = 1`` it is ``phi(-ad_w) x``
+    for ``phi(z) = (e^z - 1)/z``.
+
+    ``w`` and ``x`` are exact (``shift=None``) or fixed-point ints at
+    ``shift``.  ``order`` truncates after that many terms.  Otherwise an
+    exact series must terminate (it does when ``ad_w`` is nilpotent) and a
+    fixed-point one stops, once past ``min_order`` and the hump at
+    ``||ad_w||_1``, at the first term below ``10^-(dps-5)`` times the
+    largest partial sum entry (at least 1).
+    """
+    n = lie.dim
+    rows = _ad_rows(lie, w, shift)
+    acc = list(x)
+    term = list(x)
+    if shift is not None:
+        one = 1 << shift
+        eps = one // 10 ** (mp.dps - 5)
+        col = [0] * n
+        for row in rows:
+            for j, a in row:
+                col[j] += abs(a)
+        stop_from = max(min_order, (max(col) >> shift) + 2)
+    k = 1
+    while order is None or k <= order:
+        if shift is None:
+            term = [Fraction(-sum(a * term[j] for j, a in row), k + s) for row in rows]
+        else:
+            d = (k + s) << shift
+            term = [-sum(a * term[j] for j, a in row) // d for row in rows]
+        if not any(term):
+            break
+        acc = [p + q for p, q in zip(acc, term)]
+        if order is None:
+            if shift is None:
+                if k > n:
+                    raise ValueError("series does not terminate over exact arithmetic; "
+                                     "pass a truncation order")
+            elif k >= stop_from and max(map(abs, term)) << shift < eps * max(one, *map(abs, acc)):
+                break
+            elif k > _MAX_TERMS:
+                raise RuntimeError("omega series failed to converge")
+        k += 1
+    return acc
+
+
+def _scaled(seq, shift) -> list:
+    """``seq`` as fixed-point ints at ``shift``, or as is when exact."""
+    return list(seq) if shift is None else [_to_fixed(c, shift) for c in seq]
+
+
+def _unscaled(seq, shift) -> tuple:
+    """Inverse of ``_scaled``: fixed-point ints back to mpf values."""
+    return tuple(seq) if shift is None else tuple(_from_fixed(v, shift) for v in seq)
 
 
 # ---------------------------------------------------------------------------
@@ -167,38 +287,13 @@ def omega_right(lie: MetricLieAlgebra, x, w, order=None, min_order: int = 0):
 
     With rational inputs and ``order=None`` the series must terminate exactly
     (it does when ``ad_w`` is nilpotent, hence for any nilpotent derivation
-    matrix); numeric inputs are summed adaptively to working precision.
+    matrix); numeric inputs are summed adaptively to working precision in
+    fixed point.
     """
     numeric = _numeric_seq(w) or _numeric_seq(x)
-    if numeric:
-        x = _mp_vec(x)
-        w = _mp_vec(w)
-    adw = _ad_rows(lie, w, numeric)
-    acc = list(x)
-    term = tuple(x)
-    hump = int(_one_norm(adw)) + 2
-    eps = _numeric_eps() if numeric else None
-    k = 1
-    while True:
-        if order is not None and k > order:
-            break
-        term = tuple(-t / k for t in _matvec(adw, term))
-        if all(t == 0 for t in term):
-            break
-        acc = [a + t for a, t in zip(acc, term)]
-        if order is None:
-            if not numeric:
-                if k > lie.dim:
-                    raise ValueError("series does not terminate over exact arithmetic; "
-                                     "pass a truncation order")
-            else:
-                scale = max(1.0, max(abs(float(a)) for a in acc))
-                if k >= max(min_order, hump) and max(abs(t) for t in term) < eps * scale:
-                    break
-                if k > 5000:
-                    raise RuntimeError("omega series failed to converge")
-        k += 1
-    return tuple(acc)
+    shift = _fixed_shift(lie.dim) if numeric else None
+    acc = _ad_series(lie, _scaled(w, shift), _scaled(x, shift), 0, shift, order, min_order)
+    return _unscaled(acc, shift)
 
 
 def omega_derivation(alg: AlmostAbelianAlgebra, t: SkewDerivation, w,
@@ -271,45 +366,14 @@ def omega_derivation(alg: AlmostAbelianAlgebra, t: SkewDerivation, w,
 def omega_derivation_matrix(lie: MetricLieAlgebra, t_matrix: Endomorphism, w,
                             order=None, min_order: int = 0):
     """Pullback value of a derivation-induced field on any metric Lie algebra:
-    the series ``sum_k (-1)^k/(k+1)! ad_w^k (T w)``.  Independent of the
-    almost abelian closed form; used to cross-check it."""
-    numeric = _numeric_seq(w)
-    rows = t_matrix.entries
-    if numeric:
-        w = _mp_vec(w)
-        rows = [_mp_vec(r) for r in rows]
-    adw = _ad_rows(lie, w, numeric)
-    cur = _matvec(rows, w)
-    acc = list(cur)
-    hump = int(_one_norm(adw)) + 2
-    eps = _numeric_eps() if numeric else None
-    sign = 1
-    fact = 1
-    k = 1
-    while True:
-        if order is not None and k > order:
-            break
-        cur = _matvec(adw, cur)
-        if all(c == 0 for c in cur):
-            break
-        sign = -sign
-        fact *= k + 1
-        coeff = Fraction(sign, fact) if not numeric else mp.mpf(sign) / fact
-        term = [coeff * c for c in cur]
-        acc = [a + s for a, s in zip(acc, term)]
-        if order is None:
-            if not numeric:
-                if k > lie.dim:
-                    raise ValueError("series does not terminate over exact arithmetic; "
-                                     "pass a truncation order")
-            else:
-                scale = max(1.0, max(abs(float(a)) for a in acc))
-                if k >= max(min_order, hump) and max(abs(s) for s in term) < eps * scale:
-                    break
-                if k > 5000:
-                    raise RuntimeError("omega series failed to converge")
-        k += 1
-    return tuple(acc)
+    the series ``sum_k (-1)^k/(k+1)! ad_w^k (T w) = phi(-ad_w) T w``.
+    Independent of the almost abelian closed form ``omega_derivation``,
+    which cross-checks it."""
+    shift = _fixed_shift(lie.dim) if _numeric_seq(w) else None
+    wv = _scaled(w, shift)
+    tw = [sum(_rational_times(c, v, shift) for c, v in zip(row, wv) if c and v)
+          for row in t_matrix.entries]
+    return _unscaled(_ad_series(lie, wv, tw, 1, shift, order, min_order), shift)
 
 
 def omega_generator(alg: MetricLieAlgebra, gen, w, order=None, min_order: int = 0) -> SymTensor:
@@ -325,10 +389,7 @@ def omega_generator(alg: MetricLieAlgebra, gen, w, order=None, min_order: int = 
     if isinstance(gen, RightInvariant):
         return SymTensor.from_vector(dim, omega_right(alg, gen.vector, w, order, min_order))
     if isinstance(gen, DerivationField):
-        if isinstance(alg, AlmostAbelianAlgebra):
-            val = omega_derivation(alg, gen.derivation, w, order, min_order)
-        else:
-            val = omega_derivation_matrix(alg, gen.derivation.full_matrix(), w, order, min_order)
+        val = omega_derivation_matrix(alg, gen.derivation.full_matrix(), w, order, min_order)
         return SymTensor.from_vector(dim, val)
     raise TypeError(f"unknown generator {gen!r}")
 
@@ -387,7 +448,7 @@ class CompiledCertificate:
         self.degree = degree
         self.generators = tuple(order)
         self.coefficients = tuple(coeffs)
-        self._numeric_coefficients = {}
+        self._fixed_coefficients = {}
         degrees = [generator_degree(g) for g in order]
         self.root = self._freeze(trie, degree, degrees)
 
@@ -399,33 +460,34 @@ class CompiledCertificate:
              self._freeze(child, r - degrees[i], degrees))
             for i, child in node.items())
 
-    def evaluate(self, values, numeric: bool) -> list:
+    def evaluate(self, values, shift=None) -> list:
         """Dense value of the certificate, given the dense value of each
-        generator in ``generators`` order.  Numeric evaluation converts the
-        coefficients to mpf once per working precision."""
+        generator in ``generators`` order: exact, or fixed-point ints at
+        ``shift`` with the coefficients converted once per shift."""
         coeffs = self.coefficients
-        if numeric:
-            coeffs = self._numeric_coefficients.get(mp.prec)
+        if shift is not None:
+            coeffs = self._fixed_coefficients.get(shift)
             if coeffs is None:
-                coeffs = self._numeric_coefficients[mp.prec] = tuple(
-                    _mpf_of(c) for c in self.coefficients)
-        return _horner(self.root, values, coeffs)
+                coeffs = self._fixed_coefficients[shift] = tuple(
+                    _to_fixed(c, shift) for c in self.coefficients)
+        return _horner(self.root, values, coeffs, shift)
 
 
-def _horner(node, values, coeffs):
-    """Dense value ``N(node)`` of a trie node, from the leaves up."""
+def _horner(node, values, coeffs, shift):
+    """Dense value ``N(node)`` of a trie node, from the leaves up.  Fixed-point
+    products accumulate unshifted and each node shifts once."""
     if isinstance(node, int):
         return (coeffs[node],)
     size, edges = node
     out = [0] * size
     for g, table, child in edges:
-        below = _horner(child, values, coeffs)
+        below = _horner(child, values, coeffs, shift)
         for a, row in zip(values[g], table):
             if a:
                 for k, b in zip(row, below):
                     if b:
                         out[k] += a * b
-    return out
+    return out if shift is None else [v >> shift for v in out]
 
 
 def omega_tensor(alg: MetricLieAlgebra, cert, w,
@@ -436,12 +498,13 @@ def omega_tensor(alg: MetricLieAlgebra, cert, w,
     ``cert`` is a ``Certificate`` or, to evaluate one certificate at many
     points, its ``CompiledCertificate``.  Each distinct generator is
     evaluated once; ``cache``, when given, is a dict keyed by
-    ``(mp.dps, w, generator)`` holding generator values across calls.
+    ``(mp.dps, w, generator)`` holding generator values across calls.  At a
+    numeric point the polynomial is summed in fixed point and returned as mpf.
     """
     compiled = cert if isinstance(cert, CompiledCertificate) else CompiledCertificate(cert)
     if compiled.dim != alg.dim:
         raise ValueError("dimension mismatch")
-    numeric = _numeric_seq(w)
+    shift = _fixed_shift(alg.dim) if _numeric_seq(w) else None
     values = []
     for gen in compiled.generators:
         if cache is not None:
@@ -451,8 +514,9 @@ def omega_tensor(alg: MetricLieAlgebra, cert, w,
                 val = cache[key] = omega_generator(alg, gen, w, order, min_order)
         else:
             val = omega_generator(alg, gen, w, order, min_order)
-        values.append(val.dense())
-    return SymTensor.from_dense(compiled.dim, compiled.degree, compiled.evaluate(values, numeric))
+        values.append(_scaled(val.dense(), shift))
+    out = compiled.evaluate(values, shift)
+    return SymTensor.from_dense(compiled.dim, compiled.degree, _unscaled(out, shift))
 
 
 # ---------------------------------------------------------------------------
@@ -646,27 +710,14 @@ def _working_digits(cert: Certificate, m_norm: float, dim: int) -> int:
     return min(300, 10 * int(math.ceil(digits / 10)))
 
 
-def _max_abs_difference(value: SymTensor, target: dict) -> float:
-    """Largest coefficient deviation from ``target``, a monomial-to-mpf map."""
-    dev = mp.mpf(0)
-    for mono in set(value.terms) | set(target):
-        dev = max(dev, abs(value.terms.get(mono, 0) - target.get(mono, 0)))
-    return float(dev)
-
-
 def _ad_one_norm(lie: MetricLieAlgebra, w) -> float:
-    """1-norm of ``ad_w`` at a float point, in double precision."""
+    """1-norm of ``ad_w`` at a float point, in double precision; each entry
+    sums its terms in the order of ``i``."""
     n = lie.dim
     rows = [[0.0] * n for _ in range(n)]
-    for i, wi in enumerate(w):
-        if wi == 0:
-            continue
-        plane = lie.structure[i]
-        for j in range(n):
-            for k in range(n):
-                c = plane[j][k]
-                if c != 0:
-                    rows[k][j] += wi * float(c)
+    for i, j, k, c in lie.nonzero_structure:
+        if w[i] != 0:
+            rows[k][j] += w[i] * float(c)
     return _one_norm(rows)
 
 
@@ -684,7 +735,9 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     constancy of the pullback within ``tol`` at ``samples >= 1`` points.
 
     The certificate is compiled once (``CompiledCertificate``) and evaluated
-    at the origin and at every sample point.
+    at the origin and at every sample point.  Each sampled value is compared
+    in fixed point with the target, converted once; only the largest
+    deviation becomes a float.
 
     The series order at each sample is at least ``order_floor`` and at least
     the order making the crude tail bound ``||ad_w||^(N+1)/(N+1)!`` fall under
@@ -702,14 +755,15 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     pts = sample_points(dim, samples, seed)
     m_norm = max(_ad_one_norm(alg, w) for w in pts)
     digits = _working_digits(cert, m_norm, dim)
-    max_dev = 0.0
+    worst = 0
     with mp.workdps(digits):
         min_order = max(order_floor, _order_for_bound(m_norm, tol / 10.0))
-        target = {m: _mpf_of(c) for m, c in cert.target.terms.items()}
+        shift = _fixed_shift(dim)
+        target = _scaled(cert.target.dense(), shift)
         for w in pts:
-            value = omega_tensor(alg, compiled, _mp_vec(w), order=None, min_order=min_order,
-                                 cache=cache)
-            max_dev = max(max_dev, _max_abs_difference(value, target))
+            value = omega_tensor(alg, compiled, w, order=None, min_order=min_order, cache=cache)
+            worst = max(worst, *(abs(v - t) for v, t in zip(_scaled(value.dense(), shift), target)))
+    max_dev = worst / (1 << shift)
     return CertificateCheck(
         passed=bool(exact0 and max_dev < tol),
         exact_at_zero=bool(exact0),

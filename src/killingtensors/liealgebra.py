@@ -19,6 +19,15 @@ from .tensors import (
 _ZERO = Fraction(0)
 
 
+class SolverCapError(ValueError):
+    """A brute-force solve past its degree or dimension cap."""
+
+    def __init__(self, degree: int, dim: int, degree_cap: int, dim_cap: int):
+        self.limits = (f"degree {degree} / dimension {dim} exceed the brute-force caps "
+                       f"(degree {degree_cap}, dimension {dim_cap})")
+        super().__init__(self.limits + "; raise them explicitly if you mean it")
+
+
 @dataclass(frozen=True)
 class KillingSpace:
     """Space of Killing tensors of one degree, basis in reduced echelon form
@@ -48,6 +57,10 @@ class MetricLieAlgebra:
         self.structure = c
         self.dim = n
         self._validate()
+        # (i, j, k, c) for every nonzero c = structure[i][j][k], in the order i, j, k
+        self.nonzero_structure = tuple((i, j, k, x) for i, plane in enumerate(c)
+                                       for j, row in enumerate(plane)
+                                       for k, x in enumerate(row) if x != 0)
         self._ad_basis = None
         self._nabla_basis = None
 
@@ -79,7 +92,6 @@ class MetricLieAlgebra:
 
     @classmethod
     def abelian(cls, dim: int) -> "MetricLieAlgebra":
-        zero = ((_ZERO,) * dim,) * dim
         return cls(tuple(tuple(tuple(_ZERO for _ in range(dim)) for _ in range(dim))
                          for _ in range(dim)))
 
@@ -191,9 +203,7 @@ class MetricLieAlgebra:
         if p < 0:
             raise ValueError("degree must be nonnegative")
         if p > degree_cap or self.dim > dim_cap:
-            raise ValueError(
-                f"degree {p} / dimension {self.dim} exceed caps ({degree_cap}, {dim_cap}); "
-                "raise them explicitly if you mean it")
+            raise SolverCapError(p, self.dim, degree_cap, dim_cap)
         monos = basis_monomials(self.dim, p)
         if len(monos) > 100_000:
             warnings.warn(f"symmetric power has {len(monos)} monomials; this will be slow")

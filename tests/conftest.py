@@ -110,3 +110,56 @@ def omega_tensor_oracle(alg, cert, w, order=None):
             acc = acc * omega_generator(alg, gen, w, order)
         total = total + acc
     return total
+
+
+def _oracle_ad(lie, w, numeric):
+    n = lie.dim
+    zero = mp.mpf(0) if numeric else Fraction(0)
+    rows = [[zero] * n for _ in range(n)]
+    for i, wi in enumerate(w):
+        for j in range(n):
+            for k in range(n):
+                c = lie.structure[i][j][k]
+                if wi != 0 and c != 0:
+                    rows[k][j] += wi * (mp.mpf(c.numerator) / c.denominator if numeric else c)
+    return rows
+
+
+def omega_series_oracle(lie, x, w, phi=False, order=None, min_order=0):
+    """The adaptive series the fixed-point kernel replaced, summed term by
+    term on exact or mpf matrices: ``exp(-ad_w) x``, or ``phi(-ad_w) x``
+    with ``phi(z) = (e^z - 1)/z`` when ``phi`` is set.  Numeric inputs run
+    at working precision with the same stop rule as the kernel."""
+    numeric = any(not isinstance(v, (Fraction, int)) for v in tuple(w) + tuple(x))
+
+    def conv(v):
+        if not numeric:
+            return v
+        return mp.mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else mp.mpf(v)
+
+    w = [conv(v) for v in w]
+    x = [conv(v) for v in x]
+    adw = _oracle_ad(lie, w, numeric)
+    acc = list(x)
+    term = list(x)
+    hump = int(max(sum(abs(float(r[j])) for r in adw) for j in range(lie.dim))) + 2
+    eps = mp.mpf(10) ** (-(mp.dps - 5))
+    k = 1
+    while order is None or k <= order:
+        div = k + 1 if phi else k
+        term = [-sum((a * t for a, t in zip(row, term)), 0 * term[0]) / div for row in adw]
+        if all(t == 0 for t in term):
+            break
+        acc = [a + t for a, t in zip(acc, term)]
+        if order is None:
+            if not numeric:
+                if k > lie.dim:
+                    raise ValueError("series does not terminate over exact arithmetic")
+            else:
+                scale = max(1.0, max(abs(float(a)) for a in acc))
+                if k >= max(min_order, hump) and max(abs(t) for t in term) < eps * scale:
+                    break
+                if k > 5000:
+                    raise RuntimeError("omega series failed to converge")
+        k += 1
+    return tuple(acc)

@@ -124,6 +124,27 @@ class TestKillingBasisCommand:
         assert code == 0
         assert json.loads(out)["result"]["method"] == "brute"
 
+    def test_negative_degree_exits_2(self, tmp_path, capsys):
+        alg = write(tmp_path, "diag.json", DIAG)
+        with pytest.raises(SystemExit) as exc:
+            main(["killing-basis", "--algebra", alg, "--degree", "-1"])
+        assert exc.value.code == 2
+        assert "--degree: expected an integer >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, degree, method", [
+        ({"n": 2, "D": [["1", "0"], ["0", "2"]]}, "40", []),
+        ({"n": 6, "D": [["0"] * 6 for _ in range(6)]}, "1", []),
+        ({"n": 2, "D": [["1", "0"], ["0", "2"]]}, "9", ["--method", "brute"]),
+    ])
+    def test_past_the_brute_force_caps_exits_2(self, tmp_path, capsys, doc, degree, method):
+        alg = write(tmp_path, "alg.json", doc)
+        code, out, err = run(capsys, ["killing-basis", "--algebra", alg,
+                                      "--degree", degree] + method)
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "limit exceeded"
+        assert "exceed the brute-force caps (degree 8, dimension 6)" in error["detail"]
+
     def test_structured_on_general_exits_3(self, tmp_path, capsys):
         alg = write(tmp_path, "heis.json", HEISENBERG)
         code, _, err = run(capsys, ["killing-basis", "--algebra", alg,
@@ -313,6 +334,24 @@ class TestOmegaSampleCommand:
         code, _, _ = run(capsys, ["omega-sample", "--algebra", alg,
                                   "--generator", "bogus", "--at", "1,0,0"])
         assert code == 2
+
+    @pytest.mark.parametrize("at", ["inf,0,0", "1,nan,0", "1,0,x"])
+    def test_non_finite_point_exits_2(self, tmp_path, capsys, at):
+        alg = write(tmp_path, "rot.json", ROT)
+        code, out, err = run(capsys, ["omega-sample", "--algebra", alg,
+                                      "--generator", "right:1", "--at", at])
+        assert code == 2 and out == ""
+        assert "as a finite rational or float" in json.loads(err)["detail"]
+
+    @pytest.mark.parametrize("spec", ["right:x", "left:x", "deriv:x"])
+    def test_non_integer_generator_index_exits_2(self, tmp_path, capsys, spec):
+        alg = write(tmp_path, "rot.json", ROT)
+        code, out, err = run(capsys, ["omega-sample", "--algebra", alg,
+                                      "--generator", spec, "--at", "1,0,0"])
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "parse error"
+        assert "must be an integer, got 'x'" in error["detail"]
 
 
 class TestDeterminism:

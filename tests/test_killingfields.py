@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import factorial
@@ -25,6 +26,7 @@ from killingtensors import (
     generator_degree,
     omega_derivation,
     omega_derivation_matrix,
+    omega_generator,
     omega_right,
     omega_tensor,
     skew_derivation_basis,
@@ -33,7 +35,8 @@ from killingtensors import (
     validate_skew_derivation,
     verify_certificate,
 )
-from conftest import derivation_suite, omega_tensor_oracle, random_vector
+from conftest import (derivation_suite, omega_series_oracle, omega_tensor_oracle,
+                      random_derivation, random_vector)
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
 DIAG = Endomorphism.diagonal([1, -1])
@@ -535,3 +538,186 @@ class TestHornerAgainstTermByTerm:
             value = omega_tensor(alg, cert, w, cache=cache)
             assert list(cache) == [(30, w, r)]
             assert value == cache[(30, w, r)] * cache[(30, w, r)]
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point series kernel against independent references
+# ---------------------------------------------------------------------------
+
+def _heisenberg():
+    c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][1][2], c[1][0][2] = Fraction(1), Fraction(-1)
+    return MetricLieAlgebra(c)
+
+
+def _kernel_cases():
+    rng = random.Random(20251018)
+    cases = {"so3": _SO3, "heisenberg": _heisenberg()}
+    for n in (1, 2, 3):
+        for kind in ("skew", "symmetric", "nilpotent", "generic"):
+            cases[f"{kind} dim {n + 1}"] = AlmostAbelianAlgebra(random_derivation(rng, n, kind))
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+KERNEL_ORDER = 200  # past every tail: the tests compare arithmetic, not truncation
+MAX_TERMS = 5000
+
+
+def _ad_norm(alg, w):
+    n = alg.dim
+    return max(sum(abs(sum(float(w[i]) * float(alg.structure[i][j][k]) for i in range(n)))
+                   for k in range(n)) for j in range(n))
+
+
+def kernel_bound(alg, w, x):
+    """The error bound stated in ``killingfields``: fixed-point floors at
+    ``2^-P``, P = prec + bit_length(n^2 K) + 8, amplified by ``e^a``,
+    plus the final rounding of a value of size ``<= e^a ||x||_1``."""
+    n = alg.dim
+    u = 2.0 ** -(mp.prec + (n * n * MAX_TERMS).bit_length() + 8)
+    e = math.exp(_ad_norm(alg, w))
+    xn = sum(abs(float(c)) for c in x)
+    return u * e * (n * MAX_TERMS + n * n * (1 + e * xn)) + 2.0 ** -mp.prec * e * xn
+
+
+def _mpf(c):
+    return mp.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mp.mpf(c)
+
+
+def _expm_reference(alg, w, x, phi):
+    """``exp(-ad_w) x`` by ``mp.expm``, or ``phi(-ad_w) x`` as the top right
+    block of ``exp([[-ad_w, I], [0, 0]])`` (Van Loan 1978)."""
+    n = alg.dim
+    a = mp.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                c = alg.structure[i][j][k]
+                if c:
+                    a[k, j] -= _mpf(w[i]) * _mpf(c)
+    if not phi:
+        e = mp.expm(a)
+    else:
+        big = mp.matrix(2 * n, 2 * n)
+        for i in range(n):
+            big[i, n + i] = 1
+            for j in range(n):
+                big[i, j] = a[i, j]
+        e = mp.expm(big)[0:n, n:2 * n]
+    xv = mp.matrix([_mpf(c) for c in x])
+    return tuple((e * xv)[i] for i in range(n))
+
+
+def _assert_within(got, want, bound):
+    assert len(got) == len(want)
+    worst = max(abs(g - r) for g, r in zip(got, want))
+    assert worst <= bound, f"deviation {mp.nstr(worst, 5)} exceeds the bound {bound:.3e}"
+
+
+def _tw(t, w):
+    return tuple(sum(c * v for c, v in zip(row, w)) for row in t.entries)
+
+
+_COORD = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+_KERNEL_RATIONAL = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 7]))
+
+
+@st.composite
+def kernel_inputs(draw, exact=False):
+    """``(algebra, w, x, T)``: a float or rational point, a rational vector
+    and a rational matrix ``T`` for the phi series."""
+    alg = KERNEL_CASES[draw(st.sampled_from(sorted(KERNEL_CASES)))]
+    n = alg.dim
+    coord = _KERNEL_RATIONAL if exact else draw(st.sampled_from([_COORD, _KERNEL_RATIONAL]))
+    w = draw(st.tuples(*[coord] * n))
+    x = draw(st.tuples(*[_KERNEL_RATIONAL] * n))
+    t = Endomorphism.from_rows([[draw(_KERNEL_RATIONAL) for _ in range(n)] for _ in range(n)])
+    return alg, w, x, t
+
+
+class TestSeriesKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_inputs(exact=True), st.integers(0, 3))
+    def test_exact_truncations(self, case, order):
+        alg, w, x, t = case
+        assert omega_right(alg, x, w, order=order) == omega_series_oracle(alg, x, w, order=order)
+        assert omega_derivation_matrix(alg, t, w, order=order) == omega_series_oracle(
+            alg, _tw(t, w), w, phi=True, order=order)
+
+    def test_exact_terminating_series(self):
+        alg = KERNEL_CASES["heisenberg"]
+        w, x = (Fraction(3, 2), Fraction(-2), Fraction(5)), (Fraction(1), Fraction(2), Fraction(0))
+        t = Endomorphism.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+        assert omega_right(alg, x, w) == omega_series_oracle(alg, x, w)
+        assert omega_derivation_matrix(alg, t, w) == omega_series_oracle(alg, _tw(t, w), w, True)
+
+    def test_exact_non_terminating_phi_raises(self):
+        alg = KERNEL_CASES["so3"]
+        t = Endomorphism.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+        with pytest.raises(ValueError, match="does not terminate"):
+            omega_derivation_matrix(alg, t, (Fraction(1), Fraction(1), Fraction(0)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_inputs())
+    def test_exp_against_mpf_series_and_expm(self, case):
+        alg, w, x, _ = case
+        with mp.workdps(50):
+            # mpf entries in x make a rational point numeric as well
+            got = omega_right(alg, tuple(_mpf(c) for c in x), w, min_order=KERNEL_ORDER)
+            bound = kernel_bound(alg, w, x)
+            with mp.workdps(70):
+                series = omega_series_oracle(alg, tuple(_mpf(c) for c in x), w,
+                                             min_order=KERNEL_ORDER)
+                expm = _expm_reference(alg, w, x, phi=False)
+            _assert_within(got, series, bound)
+            _assert_within(got, expm, bound)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_inputs())
+    def test_phi_against_mpf_series_and_expm(self, case):
+        alg, w, _, t = case
+        w = tuple(float(c) for c in w)
+        with mp.workdps(50):
+            got = omega_derivation_matrix(alg, t, w, min_order=KERNEL_ORDER)
+            tw = _tw(t, tuple(Fraction(c) for c in w))
+            bound = kernel_bound(alg, w, tw)
+            with mp.workdps(70):
+                series = omega_series_oracle(alg, tw, w, phi=True, min_order=KERNEL_ORDER)
+                expm = _expm_reference(alg, w, tw, phi=True)
+            _assert_within(got, series, bound)
+            _assert_within(got, expm, bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(n for n, a in KERNEL_CASES.items()
+                                  if isinstance(a, AlmostAbelianAlgebra) and skew_derivations(a))),
+           st.data())
+    def test_phi_against_closed_form(self, name, data):
+        alg = KERNEL_CASES[name]
+        t = data.draw(st.sampled_from(skew_derivations(alg)))
+        w = data.draw(st.tuples(*[_COORD] * alg.dim))
+        with mp.workdps(50):
+            got = omega_generator(alg, DerivationField(t), w, min_order=KERNEL_ORDER)
+            bound = kernel_bound(alg, w, _tw(t.full_matrix(), tuple(Fraction(c) for c in w)))
+            with mp.workdps(70):
+                closed = omega_derivation(alg, t, tuple(mp.mpf(c) for c in w),
+                                          min_order=KERNEL_ORDER)
+            _assert_within(tuple(_mpf(got.coeff((i,))) for i in range(alg.dim)), closed, bound)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_large_norm_point(self, name):
+        alg = KERNEL_CASES[name]
+        w = (7.5, -6.25, 5.0, -4.5)[:alg.dim]
+        x = tuple(Fraction(1, i + 1) for i in range(alg.dim))
+        with mp.workdps(50):
+            got = omega_right(alg, x, w, min_order=KERNEL_ORDER)
+            bound = kernel_bound(alg, w, x)
+            with mp.workdps(70):
+                expm = _expm_reference(alg, w, x, phi=False)
+            _assert_within(got, expm, bound)
+
+    def test_term_cap(self):
+        # ||ad_w||_1 = 6000 puts the hump past the 5000-term cap
+        alg = AlmostAbelianAlgebra(Endomorphism.diagonal([2, 2]))
+        with mp.workdps(20), pytest.raises(RuntimeError, match="converge"):
+            omega_right(alg, basis_vec(3, 1), (3000.0, 0.0, 0.0))

@@ -7,6 +7,7 @@ from killingtensors import (
     AlmostAbelianAlgebra,
     Endomorphism,
     MetricLieAlgebra,
+    SolverCapError,
     SymTensor,
     apply_derivation,
     sum_of_squares,
@@ -204,3 +205,8 @@ class TestBruteForceSolver:
             MetricLieAlgebra.abelian(7).killing_space_bruteforce(1)
         # explicit override works
         assert MetricLieAlgebra.abelian(7).killing_space_bruteforce(1, dim_cap=7).dimension == 7
+
+    def test_cap_error_names_the_caps(self):
+        with pytest.raises(SolverCapError, match=r"degree 9 / dimension 2 exceed the "
+                                                 r"brute-force caps \(degree 8, dimension 6\)"):
+            MetricLieAlgebra.abelian(2).killing_space_bruteforce(9)
