@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Print Killing-space dimensions for a gallery of almost abelian algebras,
-cross-checked against the brute-force solver.
+cross-checked against the brute-force solver.  Exits 1 on a mismatch.
 
 Usage: python scripts/dimension_table.py [--max-degree P]
 """
 import argparse
+import sys
 
 from killingtensors import AlmostAbelianAlgebra, Endomorphism
 
@@ -29,6 +30,7 @@ def main():
     header = f"{'algebra':28s}" + "".join(f"  p={p}" for p in degrees) + "  oracle"
     print(header)
     print("-" * len(header))
+    mismatches = 0
     for name, deriv in GALLERY:
         alg = AlmostAbelianAlgebra(deriv)
         dims = [alg.killing_dimension(p) for p in degrees]
@@ -38,7 +40,9 @@ def main():
         )
         row = f"{name:28s}" + "".join(f"  {d:3d}" for d in dims)
         print(row + ("   ok" if agree else "   MISMATCH"))
+        mismatches += not agree
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -37,7 +37,6 @@ from .killingfields import (
     skew_derivations,
     validate_skew_derivation,
     omega_right,
-    omega_derivation,
     omega_derivation_matrix,
     omega_generator,
     omega_tensor,
@@ -71,7 +70,7 @@ __all__ = [
     "DerivationField", "Certificate", "CertificateCheck", "CompiledCertificate",
     "NotKillingError", "generator_degree",
     "skew_derivation_basis", "skew_derivations", "validate_skew_derivation",
-    "omega_right", "omega_derivation", "omega_derivation_matrix",
+    "omega_right", "omega_derivation_matrix",
     "omega_generator", "omega_tensor", "decompose", "decompose_ideal_tensor",
     "verify_certificate", "sample_points",
     "DEFAULT_SEED", "DEFAULT_TOL", "DEFAULT_SAMPLES", "DEFAULT_ORDER_FLOOR",

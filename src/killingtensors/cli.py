@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from mpmath import mp
@@ -22,6 +21,7 @@ from . import fileformats as ff
 from .almostabelian import AlmostAbelianAlgebra
 from .curvature import classify, flat_metric_certificate, left_invariant_killing_vectors, \
     metric_obstruction
+from .exactlinalg import basis_vec
 from .killingfields import (
     DEFAULT_ORDER_FLOOR,
     DEFAULT_SAMPLES,
@@ -256,7 +256,7 @@ def cmd_omega_sample(args) -> int:
             value = omega_generator(alg, Metric(), wm)
         elif kind in ("left", "right"):
             i = _generator_index(index, alg.dim, "basis index")
-            vec = tuple(Fraction(1 if t == i else 0) for t in range(alg.dim))
+            vec = basis_vec(alg.dim, i)
             gen = LeftInvariant(vec) if kind == "left" else RightInvariant(vec)
             value = omega_generator(alg, gen, wm, order=args.order)
         elif kind == "deriv":
@@ -303,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     common.add_argument("--samples", type=_int_at_least(1), default=DEFAULT_SAMPLES)
-    common.add_argument("--order-floor", type=int, default=DEFAULT_ORDER_FLOOR,
+    common.add_argument("--order-floor", type=_int_at_least(0), default=DEFAULT_ORDER_FLOOR,
                         dest="order_floor")
     common.add_argument("--json", action="store_true",
                         help="compact JSON report (default)")
@@ -349,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generator", required=True,
                    help="metric | left:I | right:I | deriv:I")
     p.add_argument("--at", required=True, help="comma-separated coordinates")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_int_at_least(0), default=None)
     p.set_defaults(func=cmd_omega_sample)
     return parser
 

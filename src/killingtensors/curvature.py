@@ -10,6 +10,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .almostabelian import AlmostAbelianAlgebra
+from .exactlinalg import basis_vec
 from .killingfields import (
     Certificate,
     LeftInvariant,
@@ -46,10 +47,6 @@ def classify(alg: AlmostAbelianAlgebra) -> CurvatureClass:
     return CurvatureClass("not_constant", None, None)
 
 
-def _basis_fraction(dim, i):
-    return tuple(Fraction(1 if t == i else 0) for t in range(dim))
-
-
 def flat_metric_certificate(alg: AlmostAbelianAlgebra) -> Certificate:
     """In the flat case the metric (times two) is the square of the
     left-invariant field of ``b`` plus the squares of the right-invariant
@@ -57,10 +54,10 @@ def flat_metric_certificate(alg: AlmostAbelianAlgebra) -> Certificate:
     if classify(alg).kind != "flat":
         raise ValueError("algebra is not flat")
     dim = alg.dim
-    b_field = LeftInvariant(_basis_fraction(dim, 0))
+    b_field = LeftInvariant(basis_vec(dim, 0))
     terms = [(Fraction(1), (b_field, b_field))]
     for i in range(1, dim):
-        xi = RightInvariant(_basis_fraction(dim, i))
+        xi = RightInvariant(basis_vec(dim, i))
         terms.append((Fraction(1), (xi, xi)))
     return Certificate(target=alg.twice_metric, terms=tuple(terms))
 
@@ -100,7 +97,7 @@ def metric_obstruction(alg: AlmostAbelianAlgebra) -> ObstructionReport:
     dim = alg.dim
     terms = []
     for i in range(1, dim):
-        xi = RightInvariant(_basis_fraction(dim, i))
+        xi = RightInvariant(basis_vec(dim, i))
         terms.append((Fraction(1), (xi, xi)))
     candidate = Certificate(target=ideal2, terms=tuple(terms))
     w = [1] + [0] * (dim - 1)

@@ -24,12 +24,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, round_nearest
 
 from .almostabelian import AlmostAbelianAlgebra
-from .exactlinalg import nullspace, rref_span
+from .exactlinalg import basis_vec, nullspace, rref_span
 from .liealgebra import MetricLieAlgebra
 from .tensors import (SymTensor, Endomorphism, apply_derivation, product_positions,
                       sum_of_squares, sym_dimension)
@@ -133,17 +134,9 @@ def _mp_vec(seq):
     return tuple(_mpf_of(x) for x in seq)
 
 
-def _matvec(rows, v):
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in rows)
-
-
 def _one_norm(rows) -> float:
     n = len(rows)
     return max((sum(abs(float(rows[i][j])) for i in range(n)) for j in range(n)), default=0.0)
-
-
-def _numeric_eps():
-    return mp.mpf(10) ** (-(mp.dps - 5))
 
 
 _MAX_TERMS = 5000
@@ -159,9 +152,9 @@ def _fixed_shift(dim: int) -> int:
       points do), anything else with error < u.  A product by a non-integer
       rational is floored once (< u), so ``||ad_w^ - ad_w||_1 < n^2 u`` and
       the start vector ``x`` (``T w`` for phi) is off by < n^2 u.
-    * Series: each term ``t_k = floor(-ad_w^ t_(k-1) / (k + s))`` adds
-      < n u.  An error entering at term j reaches term k times at most
-      ``a^(k-j) / (k-j)!``, so the partial sum is off by at most
+    * Series: each term ``t_k = trunc(-ad_w^ t_(k-1) / (k + s))``, rounded
+      toward zero, adds < n u.  An error entering at term j reaches term k
+      times at most ``a^(k-j) / (k-j)!``, so the partial sum is off by at most
       ``u e^a (n K + n^2 (1 + e^a ||x||_1))``.
     * Horner: each trie node floors each entry once (< u); an error is then
       multiplied by the factor values above it, at most the amplification
@@ -170,7 +163,7 @@ def _fixed_shift(dim: int) -> int:
       any mpf result.
 
     ``G = bit_length(n^2 K) + 8`` keeps ``n^2 K u`` under
-    ``2**-(mp.prec + 8)``: the floors add less than 1/256 of one
+    ``2**-(mp.prec + 8)``: these roundings add less than 1/256 of one
     working-precision rounding, under the same ``e^a`` amplification that
     rounding suffers in an mpf series.
     """
@@ -250,7 +243,10 @@ def _ad_series(lie: MetricLieAlgebra, w, x, s: int, shift, order, min_order: int
             term = [Fraction(-sum(a * term[j] for j, a in row), k + s) for row in rows]
         else:
             d = (k + s) << shift
-            term = [-sum(a * term[j] for j, a in row) // d for row in rows]
+            # rounded toward zero, which commutes with negation: values equal
+            # up to a signed permutation that commutes with ad_w stay so
+            term = [-(v // d) if v >= 0 else -v // d
+                    for v in (sum(a * term[j] for j, a in row) for row in rows)]
         if not any(term):
             break
         acc = [p + q for p, q in zip(acc, term)]
@@ -281,6 +277,32 @@ def _unscaled(seq, shift) -> tuple:
 # Omega evaluation
 # ---------------------------------------------------------------------------
 
+def _generator_value(alg: MetricLieAlgebra, gen, w, shift, order, min_order: int) -> list:
+    """Dense pullback value of ``gen`` at ``w``: exact when ``shift`` is None,
+    else fixed-point ints at ``shift``.  ``gen`` is a generator, or the
+    ``Endomorphism`` of a derivation standing for its induced field.
+
+    The metric is 1/2 on the squares, a left-invariant field its vector, a
+    right-invariant field of ``x`` is ``exp(-ad_w) x`` and the field of a
+    derivation ``T`` is ``phi(-ad_w) T w``.
+    """
+    if isinstance(gen, Metric):
+        half = Fraction(1, 2) if shift is None else 1 << (shift - 1)
+        return [half if c else 0 for c in sum_of_squares(alg.dim).dense()]
+    if isinstance(gen, LeftInvariant):
+        return _scaled(gen.vector, shift)
+    wv = _scaled(w, shift)
+    if isinstance(gen, RightInvariant):
+        return _ad_series(alg, wv, _scaled(gen.vector, shift), 0, shift, order, min_order)
+    if isinstance(gen, DerivationField):
+        gen = gen.derivation.full_matrix()
+    if isinstance(gen, Endomorphism):
+        tw = [sum(_rational_times(c, v, shift) for c, v in zip(row, wv) if c and v)
+              for row in gen.entries]
+        return _ad_series(alg, wv, tw, 1, shift, order, min_order)
+    raise TypeError(f"unknown generator {gen!r}")
+
+
 def omega_right(lie: MetricLieAlgebra, x, w, order=None, min_order: int = 0):
     """Pullback value of the right-invariant field of ``x`` at ``w``:
     ``exp(-ad_w) x``.
@@ -290,108 +312,24 @@ def omega_right(lie: MetricLieAlgebra, x, w, order=None, min_order: int = 0):
     matrix); numeric inputs are summed adaptively to working precision in
     fixed point.
     """
-    numeric = _numeric_seq(w) or _numeric_seq(x)
-    shift = _fixed_shift(lie.dim) if numeric else None
-    acc = _ad_series(lie, _scaled(w, shift), _scaled(x, shift), 0, shift, order, min_order)
-    return _unscaled(acc, shift)
-
-
-def omega_derivation(alg: AlmostAbelianAlgebra, t: SkewDerivation, w,
-                     order=None, min_order: int = 0):
-    """Pullback value of the field induced by a skew derivation, through the
-    almost abelian closed form
-
-    ``sum_{k>=0} (-1)^k/(k+1)! D^k(g^{k+1} v + g^k Th(h) + g^{k-1} <v,h> h)``
-
-    for ``w = g*b + h`` (the k = 0 term contributes ``-<v,h>`` along b).
-    """
-    numeric = _numeric_seq(w)
-    n = alg.ideal_dim
-    gamma, h = w[0], tuple(w[1:])
-    v = t.b_image
-    th = t.ideal_part.entries
-    drows = alg.derivation.entries
-    if numeric:
-        gamma = _mpf_of(gamma)
-        h = _mp_vec(h)
-        v = _mp_vec(v)
-        th = [_mp_vec(r) for r in th]
-        drows = [_mp_vec(r) for r in drows]
-    gvh = sum((a * b for a, b in zip(v, h)), _mpf_of(0) if numeric else _ZERO)
-    out_b = -gvh
-    dth = _matvec(th, h)
-    out_h = [gamma * a + b for a, b in zip(v, dth)]
-    dv, dh = tuple(v), tuple(h)
-    gamma_pow = _mpf_of(1) if numeric else Fraction(1)  # gamma^(k-1)
-    sign = 1
-    fact = 1  # (k+1)!
-    hump = int(abs(float(gamma)) * _one_norm(drows)) + 2 if n else 0
-    eps = _numeric_eps() if numeric else None
-    k = 1
-    while n:
-        if order is not None and k > order:
-            break
-        dv = _matvec(drows, dv)
-        dth = _matvec(drows, dth)
-        dh = _matvec(drows, dh)
-        sign = -sign
-        fact *= k + 1
-        coeff = Fraction(sign, fact) if not numeric else mp.mpf(sign) / fact
-        term = [coeff * (gamma * gamma * gamma_pow * a
-                         + gamma * gamma_pow * b
-                         + gamma_pow * gvh * c)
-                for a, b, c in zip(dv, dth, dh)]
-        out_h = [o + s for o, s in zip(out_h, term)]
-        gamma_pow = gamma_pow * gamma
-        if order is None:
-            if not numeric:
-                dead = gamma == 0 or (
-                    all(a == 0 for a in dv) and all(a == 0 for a in dth)
-                    and (gvh == 0 or all(a == 0 for a in dh)))
-                if dead:
-                    break
-                if k > n + 1:
-                    raise ValueError("series does not terminate over exact arithmetic; "
-                                     "pass a truncation order")
-            else:
-                scale = max(1.0, max(abs(float(a)) for a in out_h))
-                if k >= max(min_order, hump) and max(abs(s) for s in term) < eps * scale:
-                    break
-                if k > 5000:
-                    raise RuntimeError("omega series failed to converge")
-        k += 1
-    return (out_b, *out_h)
+    shift = _fixed_shift(lie.dim) if _numeric_seq(w) or _numeric_seq(x) else None
+    return _unscaled(_generator_value(lie, RightInvariant(tuple(x)), w, shift, order, min_order),
+                     shift)
 
 
 def omega_derivation_matrix(lie: MetricLieAlgebra, t_matrix: Endomorphism, w,
                             order=None, min_order: int = 0):
     """Pullback value of a derivation-induced field on any metric Lie algebra:
-    the series ``sum_k (-1)^k/(k+1)! ad_w^k (T w) = phi(-ad_w) T w``.
-    Independent of the almost abelian closed form ``omega_derivation``,
-    which cross-checks it."""
+    the series ``sum_k (-1)^k/(k+1)! ad_w^k (T w) = phi(-ad_w) T w``."""
     shift = _fixed_shift(lie.dim) if _numeric_seq(w) else None
-    wv = _scaled(w, shift)
-    tw = [sum(_rational_times(c, v, shift) for c, v in zip(row, wv) if c and v)
-          for row in t_matrix.entries]
-    return _unscaled(_ad_series(lie, wv, tw, 1, shift, order, min_order), shift)
+    return _unscaled(_generator_value(lie, t_matrix, w, shift, order, min_order), shift)
 
 
 def omega_generator(alg: MetricLieAlgebra, gen, w, order=None, min_order: int = 0) -> SymTensor:
     """Pullback value of one generator at ``w``, as a symmetric tensor."""
-    numeric = _numeric_seq(w)
-    dim = alg.dim
-    if isinstance(gen, Metric):
-        half = mp.mpf(1) / 2 if numeric else Fraction(1, 2)
-        return sum_of_squares(dim).map_coefficients(lambda c: half * (_mpf_of(c) if numeric else c))
-    if isinstance(gen, LeftInvariant):
-        vecval = _mp_vec(gen.vector) if numeric else gen.vector
-        return SymTensor.from_vector(dim, vecval)
-    if isinstance(gen, RightInvariant):
-        return SymTensor.from_vector(dim, omega_right(alg, gen.vector, w, order, min_order))
-    if isinstance(gen, DerivationField):
-        val = omega_derivation_matrix(alg, gen.derivation.full_matrix(), w, order, min_order)
-        return SymTensor.from_vector(dim, val)
-    raise TypeError(f"unknown generator {gen!r}")
+    shift = _fixed_shift(alg.dim) if _numeric_seq(w) else None
+    value = _generator_value(alg, gen, w, shift, order, min_order)
+    return SymTensor.from_dense(alg.dim, generator_degree(gen), _unscaled(value, shift))
 
 
 def generator_degree(gen) -> int:
@@ -490,31 +428,21 @@ def _horner(node, values, coeffs, shift):
     return out if shift is None else [v >> shift for v in out]
 
 
-def omega_tensor(alg: MetricLieAlgebra, cert, w,
-                 order=None, min_order: int = 0, cache=None) -> SymTensor:
+def omega_tensor(alg: MetricLieAlgebra, cert, w, order=None, min_order: int = 0) -> SymTensor:
     """Pullback value of a certificate at ``w``: the polynomial in its
     generators, evaluated by Horner's rule over the factor trie.
 
     ``cert`` is a ``Certificate`` or, to evaluate one certificate at many
     points, its ``CompiledCertificate``.  Each distinct generator is
-    evaluated once; ``cache``, when given, is a dict keyed by
-    ``(mp.dps, w, generator)`` holding generator values across calls.  At a
-    numeric point the polynomial is summed in fixed point and returned as mpf.
+    evaluated once.  At a numeric point the polynomial is summed in fixed
+    point and returned as mpf.
     """
     compiled = cert if isinstance(cert, CompiledCertificate) else CompiledCertificate(cert)
     if compiled.dim != alg.dim:
         raise ValueError("dimension mismatch")
     shift = _fixed_shift(alg.dim) if _numeric_seq(w) else None
-    values = []
-    for gen in compiled.generators:
-        if cache is not None:
-            key = (mp.dps, w, gen)
-            val = cache.get(key)
-            if val is None:
-                val = cache[key] = omega_generator(alg, gen, w, order, min_order)
-        else:
-            val = omega_generator(alg, gen, w, order, min_order)
-        values.append(_scaled(val.dense(), shift))
+    values = [_generator_value(alg, gen, w, shift, order, min_order)
+              for gen in compiled.generators]
     out = compiled.evaluate(values, shift)
     return SymTensor.from_dense(compiled.dim, compiled.degree, _unscaled(out, shift))
 
@@ -536,7 +464,7 @@ def skew_derivation_basis(lie: MetricLieAlgebra):
     n = lie.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     wedges = [_wedge(n, i, j) for i, j in pairs]
-    basis = [tuple(Fraction(1 if t == s else 0) for t in range(n)) for s in range(n)]
+    basis = [basis_vec(n, s) for s in range(n)]
     rows = []
     for a in range(n):
         for b in range(a + 1, n):
@@ -568,7 +496,7 @@ def validate_skew_derivation(alg: AlmostAbelianAlgebra, t: SkewDerivation):
     if not full.is_skew():
         raise ValueError("derivation matrix is not skew")
     n = alg.dim
-    basis = [tuple(Fraction(1 if s == i else 0) for s in range(n)) for i in range(n)]
+    basis = [basis_vec(n, i) for i in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
             lhs = full.apply(alg.bracket(basis[a], basis[b]))
@@ -623,8 +551,7 @@ def decompose_ideal_tensor(alg: AlmostAbelianAlgebra, k: SymTensor) -> Certifica
     if not apply_derivation(alg.derivation_full, k).is_zero():
         raise NotKillingError("tensor is not Killing on the ideal")
     dim = alg.dim
-    fields = [RightInvariant(tuple(Fraction(1 if t == i else 0) for t in range(dim)))
-              for i in range(dim)]
+    fields = [RightInvariant(basis_vec(dim, i)) for i in range(dim)]
     terms = []
     for mono in sorted(k.terms):
         terms.append((k.terms[mono], tuple(fields[i] for i in mono)))
@@ -643,7 +570,7 @@ def decompose(alg: AlmostAbelianAlgebra, k: SymTensor) -> Certificate:
     if not diag.is_killing:
         raise NotKillingError("; ".join(diag.failures), diagnosis=diag)
     dim = alg.dim
-    b_field = LeftInvariant(tuple(Fraction(1 if t == 0 else 0) for t in range(dim)))
+    b_field = LeftInvariant(basis_vec(dim, 0))
     terms = []
     for i, beta in enumerate(diag.layers.even):
         if beta.is_zero():
@@ -727,27 +654,46 @@ def sample_points(dim: int, samples: int, seed: int):
     return [tuple(rng.uniform(-2.0, 2.0) for _ in range(dim)) for _ in range(samples)]
 
 
+# Certificates verified on one algebra with the same samples share their
+# generator values at each point.  256 entries hold one algebra's batch (at
+# most 200 distinct keys on the certify-batch benchmark) while keeping the
+# memory of the big fixed-point ints bounded.
+_SAMPLED_VALUES = 256
+
+
+@lru_cache(maxsize=_SAMPLED_VALUES)
+def _sampled_value(alg: MetricLieAlgebra, gen, w, shift: int, dps: int, min_order: int) -> tuple:
+    """``_generator_value`` at a sample point, memoized on everything the
+    value depends on: the series stop rule reads ``mp.dps``, which must be
+    ``dps``.  Algebras compare by identity."""
+    return tuple(_generator_value(alg, gen, w, shift, None, min_order))
+
+
 def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
                        samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL,
-                       seed: int = DEFAULT_SEED, order_floor: int = DEFAULT_ORDER_FLOOR,
-                       cache=None) -> CertificateCheck:
+                       seed: int = DEFAULT_SEED,
+                       order_floor: int = DEFAULT_ORDER_FLOOR) -> CertificateCheck:
     """Check a certificate: exact equality at the origin plus sampled
     constancy of the pullback within ``tol`` at ``samples >= 1`` points.
 
     The certificate is compiled once (``CompiledCertificate``) and evaluated
-    at the origin and at every sample point.  Each sampled value is compared
-    in fixed point with the target, converted once; only the largest
-    deviation becomes a float.
+    exactly at the origin and in fixed point at every sample point, from
+    generator values memoized across calls.  Each sampled value is compared
+    with the target, converted once; only the largest deviation becomes a
+    float.
 
-    The series order at each sample is at least ``order_floor`` and at least
-    the order making the crude tail bound ``||ad_w||^(N+1)/(N+1)!`` fall under
-    ``tol/10``; on top of that the series is summed adaptively at a working
-    precision sized to the certificate's product-amplification bound.
+    The series order at each sample is at least ``order_floor >= 0`` and at
+    least the order making the crude tail bound ``||ad_w||^(N+1)/(N+1)!``
+    fall under ``tol/10``; on top of that the series is summed adaptively at
+    a working precision sized to the certificate's product-amplification
+    bound.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    if order_floor < 0:
+        raise ValueError(f"order_floor must be at least 0, got {order_floor}")
     compiled = CompiledCertificate(cert)
     dim = alg.dim
     zero = (_ZERO,) * dim
@@ -761,8 +707,10 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
         shift = _fixed_shift(dim)
         target = _scaled(cert.target.dense(), shift)
         for w in pts:
-            value = omega_tensor(alg, compiled, w, order=None, min_order=min_order, cache=cache)
-            worst = max(worst, *(abs(v - t) for v, t in zip(_scaled(value.dense(), shift), target)))
+            values = [_sampled_value(alg, gen, w, shift, mp.dps, min_order)
+                      for gen in compiled.generators]
+            value = compiled.evaluate(values, shift)
+            worst = max(worst, *(abs(v - t) for v, t in zip(value, target)))
     max_dev = worst / (1 << shift)
     return CertificateCheck(
         passed=bool(exact0 and max_dev < tol),

@@ -7,7 +7,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlinalg import frac, nullspace, rref_span
+from .exactlinalg import basis_vec, frac, nullspace, rref_span
 from .tensors import (
     SymTensor,
     Endomorphism,
@@ -75,7 +75,7 @@ class MetricLieAlgebra:
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    ei, ej, ek = (self._basis_tuple(t) for t in (i, j, k))
+                    ei, ej, ek = (basis_vec(n, t) for t in (i, j, k))
                     jac = tuple(
                         a + b + d
                         for a, b, d in zip(
@@ -86,9 +86,6 @@ class MetricLieAlgebra:
                     )
                     if any(x != 0 for x in jac):
                         raise ValueError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
-
-    def _basis_tuple(self, i):
-        return tuple(Fraction(1 if t == i else 0) for t in range(self.dim))
 
     @classmethod
     def abelian(cls, dim: int) -> "MetricLieAlgebra":
@@ -159,8 +156,8 @@ class MetricLieAlgebra:
         if self._nabla_basis is None:
             mats = []
             for t in range(self.dim):
-                et = self._basis_tuple(t)
-                cols = [self.nabla(et, self._basis_tuple(j)) for j in range(self.dim)]
+                et = basis_vec(self.dim, t)
+                cols = [self.nabla(et, basis_vec(self.dim, j)) for j in range(self.dim)]
                 rows = tuple(tuple(cols[j][k] for j in range(self.dim)) for k in range(self.dim))
                 mats.append(Endomorphism(rows))
             self._nabla_basis = tuple(mats)

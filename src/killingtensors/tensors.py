@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
-from .exactlinalg import determinant, frac
+from .exactlinalg import basis_vec, determinant, frac
 
 Monomial = tuple
 
@@ -230,7 +230,7 @@ class Endomorphism:
 
     @classmethod
     def identity(cls, n) -> "Endomorphism":
-        return cls(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
+        return cls(tuple(basis_vec(n, i) for i in range(n)))
 
     @classmethod
     def diagonal(cls, values) -> "Endomorphism":

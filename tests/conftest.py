@@ -163,3 +163,78 @@ def omega_series_oracle(lie, x, w, phi=False, order=None, min_order=0):
                     raise RuntimeError("omega series failed to converge")
         k += 1
     return tuple(acc)
+
+
+def _mpf_of(x):
+    return mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mp.mpf(x)
+
+
+def _matvec(rows, v):
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in rows)
+
+
+def omega_derivation(alg, t, w, order=None, min_order=0):
+    """Pullback value of the field induced by a skew derivation ``t`` of an
+    almost abelian algebra, through the closed form
+
+    ``sum_{k>=0} (-1)^k/(k+1)! D^k(g^{k+1} v + g^k Th(h) + g^{k-1} <v,h> h)``
+
+    for ``w = g*b + h`` (the k = 0 term contributes ``-<v,h>`` along b).
+    Independent of the series kernel: it never forms ``ad_w``."""
+    numeric = any(not isinstance(x, (Fraction, int)) for x in w)
+    n = alg.ideal_dim
+    gamma, h = w[0], tuple(w[1:])
+    v = t.b_image
+    th = t.ideal_part.entries
+    drows = alg.derivation.entries
+    if numeric:
+        gamma = _mpf_of(gamma)
+        h = tuple(_mpf_of(x) for x in h)
+        v = tuple(_mpf_of(x) for x in v)
+        th = [tuple(_mpf_of(x) for x in r) for r in th]
+        drows = [tuple(_mpf_of(x) for x in r) for r in drows]
+    gvh = sum((a * b for a, b in zip(v, h)), mp.mpf(0) if numeric else Fraction(0))
+    out_b = -gvh
+    dth = _matvec(th, h)
+    out_h = [gamma * a + b for a, b in zip(v, dth)]
+    dv, dh = tuple(v), tuple(h)
+    gamma_pow = mp.mpf(1) if numeric else Fraction(1)  # gamma^(k-1)
+    sign = 1
+    fact = 1  # (k+1)!
+    d_norm = max((sum(abs(float(r[j])) for r in drows) for j in range(n)), default=0.0)
+    hump = int(abs(float(gamma)) * d_norm) + 2 if n else 0
+    eps = mp.mpf(10) ** (-(mp.dps - 5)) if numeric else None
+    k = 1
+    while n:
+        if order is not None and k > order:
+            break
+        dv = _matvec(drows, dv)
+        dth = _matvec(drows, dth)
+        dh = _matvec(drows, dh)
+        sign = -sign
+        fact *= k + 1
+        coeff = Fraction(sign, fact) if not numeric else mp.mpf(sign) / fact
+        term = [coeff * (gamma * gamma * gamma_pow * a
+                         + gamma * gamma_pow * b
+                         + gamma_pow * gvh * c)
+                for a, b, c in zip(dv, dth, dh)]
+        out_h = [o + s for o, s in zip(out_h, term)]
+        gamma_pow = gamma_pow * gamma
+        if order is None:
+            if not numeric:
+                dead = gamma == 0 or (
+                    all(a == 0 for a in dv) and all(a == 0 for a in dth)
+                    and (gvh == 0 or all(a == 0 for a in dh)))
+                if dead:
+                    break
+                if k > n + 1:
+                    raise ValueError("series does not terminate over exact arithmetic; "
+                                     "pass a truncation order")
+            else:
+                scale = max(1.0, max(abs(float(a)) for a in out_h))
+                if k >= max(min_order, hump) and max(abs(s) for s in term) < eps * scale:
+                    break
+                if k > 5000:
+                    raise RuntimeError("omega series failed to converge")
+        k += 1
+    return (out_b, *out_h)

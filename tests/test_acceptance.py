@@ -183,7 +183,6 @@ def test_criterion_6_decomposability(suite, killing_spaces):
     worst = 0.0
     for idx, alg in enumerate(suite):
         skew = alg.derivation.is_skew()
-        cache = {}
         for p in range(MAX_DEGREE + 1):
             _, brute = spaces[(idx, p)]
             for k in brute.basis:
@@ -192,7 +191,7 @@ def test_criterion_6_decomposability(suite, killing_spaces):
                              for _, fs in cert.terms for g in fs)
                 assert skew or not uses_b, \
                     "left-invariant generator used with a non-skew derivation"
-                check = verify_certificate(alg, cert, cache=cache)
+                check = verify_certificate(alg, cert)
                 assert check.exact_at_zero, f"certificate wrong at origin (suite[{idx}], p={p})"
                 assert check.passed, (
                     f"sampled deviation {check.max_deviation:.3e} over tolerance "

@@ -250,7 +250,8 @@ class TestVerifyCommand:
         assert result["verification"]["exact_at_zero"] is True
 
     @pytest.mark.parametrize("flag", [["--samples", "0"], ["--samples", "-3"],
-                                      ["--tol", "inf"], ["--tol", "nan"], ["--tol", "0"]])
+                                      ["--tol", "inf"], ["--tol", "nan"], ["--tol", "0"],
+                                      ["--order-floor", "-3"]])
     def test_vacuous_parameters_exit_2(self, tmp_path, capsys, flag):
         with pytest.raises(SystemExit) as exc:
             main(self._e1_squared(tmp_path, [self.RIGHT1, self.RIGHT1]) + flag)
@@ -342,6 +343,14 @@ class TestOmegaSampleCommand:
                                       "--generator", "right:1", "--at", at])
         assert code == 2 and out == ""
         assert "as a finite rational or float" in json.loads(err)["detail"]
+
+    def test_negative_order_exits_2(self, tmp_path, capsys):
+        alg = write(tmp_path, "diag.json", {"n": 2, "D": [["1", "0"], ["0", "2"]]})
+        with pytest.raises(SystemExit) as exc:
+            main(["omega-sample", "--algebra", alg, "--generator", "right:1",
+                  "--at", "1,0,0", "--order", "-2"])
+        assert exc.value.code == 2
+        assert "--order" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", ["right:x", "left:x", "deriv:x"])
     def test_non_integer_generator_index_exits_2(self, tmp_path, capsys, spec):

@@ -126,6 +126,8 @@ class TestObstruction:
         alg = AlmostAbelianAlgebra(Endomorphism.identity(2) + J2)
         rep = metric_obstruction(alg)
         assert rep.derivative_of_ideal_squares == 2 * alg.ideal_twice_metric
+        # the rotated right-invariant fields cancel exactly in the cross term
+        assert set(rep.residual_coefficients) == {(1, 1), (2, 2)}
 
     def test_rejects_flat_and_nonconstant(self):
         with pytest.raises(ValueError):

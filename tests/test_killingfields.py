@@ -1,11 +1,17 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
+
+import killingtensors.killingfields as kf
 
 from killingtensors import (
     AlmostAbelianAlgebra,
@@ -24,7 +30,6 @@ from killingtensors import (
     decompose_ideal_tensor,
     exp_action,
     generator_degree,
-    omega_derivation,
     omega_derivation_matrix,
     omega_generator,
     omega_right,
@@ -35,8 +40,8 @@ from killingtensors import (
     validate_skew_derivation,
     verify_certificate,
 )
-from conftest import (derivation_suite, omega_series_oracle, omega_tensor_oracle,
-                      random_derivation, random_vector)
+from conftest import (derivation_suite, omega_derivation, omega_series_oracle,
+                      omega_tensor_oracle, random_derivation, random_vector)
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
 DIAG = Endomorphism.diagonal([1, -1])
@@ -305,10 +310,9 @@ class TestDecompose:
 class TestVerifyCertificate:
     def test_valid_certificates_pass(self):
         alg = AlmostAbelianAlgebra(DIAG)
-        cache = {}
         for p in (2, 3, 4):
             for k in alg.killing_space_bruteforce(p).basis:
-                check = verify_certificate(alg, decompose(alg, k), cache=cache)
+                check = verify_certificate(alg, decompose(alg, k))
                 assert check.passed and check.exact_at_zero
                 assert check.max_deviation < 1e-9
 
@@ -375,11 +379,10 @@ class TestPrecisionHostileCases:
         # eigenvalues +-2 make the factor values grow like e^(4|gamma|); the
         # additive cancellation across monomials needs extended precision
         alg = AlmostAbelianAlgebra(Endomorphism.from_rows([[0, 2], [2, 0]]))
-        cache = {}
         space = alg.killing_space_bruteforce(4)
         assert space.dimension >= 1
         for k in space.basis:
-            check = verify_certificate(alg, decompose(alg, k), cache=cache)
+            check = verify_certificate(alg, decompose(alg, k))
             assert check.passed
             assert check.max_deviation < 1e-9
 
@@ -412,10 +415,12 @@ class TestVerifyParameters:
     def test_sampled_check_rejects(self):
         assert not verify_certificate(self.ALG, self.CERT, samples=3).passed
 
-    @pytest.mark.parametrize("samples", [0, -3])
-    def test_no_samples_is_an_error(self, samples):
-        with pytest.raises(ValueError, match="samples"):
-            verify_certificate(self.ALG, self.CERT, samples=samples)
+    @pytest.mark.parametrize("kwargs", [pytest.param({"samples": 0}, id="0"),
+                                        pytest.param({"samples": -3}, id="-3"),
+                                        pytest.param({"order_floor": -1}, id="order_floor=-1")])
+    def test_no_samples_is_an_error(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            verify_certificate(self.ALG, self.CERT, **kwargs)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, float("inf"), float("nan")])
     def test_tolerance_must_be_finite_and_positive(self, tol):
@@ -528,16 +533,73 @@ class TestHornerAgainstTermByTerm:
         w = (Fraction(1, 2), Fraction(1), Fraction(-1))
         assert omega_tensor(alg, compiled, w, order=3) == omega_tensor_oracle(alg, cert, w, 3)
 
-    def test_cache_holds_generator_values(self):
-        alg, _ = ORACLE_CASES["diag(1,2)"]
-        r = RightInvariant(basis_vec(3, 2))
-        cert = Certificate(target=SymTensor.monomial(3, (2, 2)), terms=((Fraction(1), (r, r)),))
-        cache = {}
-        with mp.workdps(30):
-            w = (mp.mpf("0.5"), mp.mpf(0), mp.mpf(1))
-            value = omega_tensor(alg, cert, w, cache=cache)
-            assert list(cache) == [(30, w, r)]
-            assert value == cache[(30, w, r)] * cache[(30, w, r)]
+
+# ---------------------------------------------------------------------------
+# the memo of generator values at sample points
+# ---------------------------------------------------------------------------
+
+_FRESH_CHECK = """
+import sys
+from killingtensors import AlmostAbelianAlgebra, Endomorphism, decompose, verify_certificate
+alg = AlmostAbelianAlgebra(Endomorphism.from_rows([[0, -1], [1, 0]]))
+cert = decompose(alg, alg.killing_space_structured(2).basis[1])
+print(repr(verify_certificate(alg, cert, tol=float(sys.argv[1]))))
+"""
+
+
+class TestSampledValueMemo:
+    # target e1^2 against right:1^2: constant only when the derivation is zero
+    R1 = RightInvariant(basis_vec(3, 1))
+    CERT = Certificate(target=SymTensor.monomial(3, (1, 1)), terms=((Fraction(1), (R1, R1)),))
+
+    # D = 0 accepts the certificate; D = diag(-1, -2) has the ad_w norms of
+    # D = diag(1, 2), hence the same working digits and series order
+    @pytest.mark.parametrize("first", [[0, 0], [-1, -2]])
+    def test_values_of_another_algebra_are_not_reused(self, first):
+        other = AlmostAbelianAlgebra(Endomorphism.diagonal(first))
+        stretched = AlmostAbelianAlgebra(Endomorphism.diagonal([1, 2]))
+        kf._sampled_value.cache_clear()
+        alone = verify_certificate(stretched, self.CERT)
+        kf._sampled_value.cache_clear()
+        assert verify_certificate(other, self.CERT).passed == (first == [0, 0])
+        after = verify_certificate(stretched, self.CERT)
+        assert not after.passed
+        assert after.max_deviation == alone.max_deviation
+        assert after == alone
+
+    def test_shared_generators_are_summed_once(self, monkeypatch):
+        alg = AlmostAbelianAlgebra(Endomorphism.diagonal([1, 2]))
+        r2 = RightInvariant(basis_vec(3, 2))
+        other = Certificate(target=SymTensor.monomial(3, (1, 2)),
+                            terms=((Fraction(1), (self.R1, r2)),))
+        series = kf._ad_series
+        sampled = []
+
+        def counting(lie, w, x, s, shift, order, min_order):
+            if shift is not None:
+                sampled.append((tuple(w), tuple(x)))
+            return series(lie, w, x, s, shift, order, min_order)
+
+        monkeypatch.setattr(kf, "_ad_series", counting)
+        kf._sampled_value.cache_clear()
+        first = verify_certificate(alg, self.CERT, samples=5)
+        second = verify_certificate(alg, other, samples=5)
+        # same working precision and order, so right:1 repeats at every point
+        assert first.precision_digits == second.precision_digits
+        assert len(sampled) == len(set(sampled)) == 2 * 5
+
+    def test_two_tolerances_match_fresh_processes(self):
+        # tol 1e-9 and 1e-40 need the series to orders 21 and 50
+        alg = AlmostAbelianAlgebra(Endomorphism.from_rows([[0, -1], [1, 0]]))
+        cert = decompose(alg, alg.killing_space_structured(2).basis[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(kf.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        kf._sampled_value.cache_clear()
+        for tol in ("1e-9", "1e-40"):
+            here = repr(verify_certificate(alg, cert, tol=float(tol)))
+            fresh = subprocess.run([sys.executable, "-c", _FRESH_CHECK, tol], env=env,
+                                   capture_output=True, text=True, check=True).stdout.strip()
+            assert here == fresh
 
 
 # ---------------------------------------------------------------------------
