@@ -85,13 +85,8 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
 
     @property
     def derivation_full(self) -> Endomorphism:
-        """The derivation extended by zero on ``b``."""
-        n = self.ideal_dim
-        rows = [[_ZERO] * (n + 1) for _ in range(n + 1)]
-        for i in range(n):
-            for j in range(n):
-                rows[i + 1][j + 1] = self.derivation.entries[i][j]
-        return Endomorphism(tuple(tuple(r) for r in rows))
+        """The derivation extended by zero on ``b``: ``ad_b``."""
+        return self.ad_basis(0)
 
     @property
     def twice_metric(self) -> SymTensor:
@@ -218,23 +213,30 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
         kernel = nullspace(rows, len(monos))
         return [tensor_from_coordinates(self.dim, q, monos, v) for v in rref_span(kernel)]
 
-    def killing_space_structured(self, p: int) -> KillingSpace:
-        """Killing space assembled from the layer kernels: even layers always,
-        odd layers (times ``b``) only for a skew derivation."""
+    def _layer_kernels(self, p: int):
+        """``(i, odd, kernel)`` for each layer of a degree-p Killing tensor: the
+        even layer ``L^i * beta`` with ``beta`` in the derivation kernel of
+        degree ``p - 2i``, and, for a skew derivation only, the odd layer
+        ``L^i * b * alpha`` with ``alpha`` in the kernel of degree ``p - 2i - 1``."""
         if p < 0:
             raise ValueError("degree must be nonnegative")
         skew = self.derivation.is_skew()
+        for i in range(p // 2 + 1):
+            yield i, False, self.derivation_kernel(p - 2 * i)
+            if skew and p - 2 * i - 1 >= 0:
+                yield i, True, self.derivation_kernel(p - 2 * i - 1)
+
+    def killing_space_structured(self, p: int) -> KillingSpace:
+        """Killing space assembled from the layer kernels (``_layer_kernels``)."""
         metric2 = self.twice_metric
         b = self.b_tensor()
-        power = SymTensor.unit(self.dim)
+        powers = [SymTensor.unit(self.dim)]
         generated = []
-        for i in range(p // 2 + 1):
-            for beta in self.derivation_kernel(p - 2 * i):
-                generated.append(power * beta)
-            if skew and p - 2 * i - 1 >= 0:
-                for alpha in self.derivation_kernel(p - 2 * i - 1):
-                    generated.append(power * b * alpha)
-            power = power * metric2
+        for i, odd, kernel in self._layer_kernels(p):
+            if i == len(powers):
+                powers.append(powers[-1] * metric2)
+            factor = powers[i] * b if odd else powers[i]
+            generated.extend(factor * t for t in kernel)
         monos = basis_monomials(self.dim, p)
         vectors = [tuple(coordinates(t, monos)) for t in generated]
         basis = [tensor_from_coordinates(self.dim, p, monos, v) for v in rref_span(vectors)]
@@ -242,10 +244,4 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
 
     def killing_dimension(self, p: int) -> int:
         """Dimension of the degree-p Killing space from the layer kernels."""
-        skew = self.derivation.is_skew()
-        total = 0
-        for i in range(p // 2 + 1):
-            total += len(self.derivation_kernel(p - 2 * i))
-            if skew and p - 2 * i - 1 >= 0:
-                total += len(self.derivation_kernel(p - 2 * i - 1))
-        return total
+        return sum(len(kernel) for _, _, kernel in self._layer_kernels(p))

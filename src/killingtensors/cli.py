@@ -3,8 +3,8 @@
 Each run prints one JSON report to stdout containing the input file hashes,
 the effective parameters and the results; identical inputs and parameters
 produce byte-identical reports.  Exit codes: 0 success, 2 parse/validation
-error or a request past the brute-force solver's size limits, 3 method or
-algebra-kind mismatch, 4 tensor not Killing.
+error or a request past the brute-force solver's size limits or the series
+term cap, 3 method or algebra-kind mismatch, 4 tensor not Killing.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ from .killingfields import (
     Metric,
     NotKillingError,
     RightInvariant,
+    SeriesCapError,
     _mp_vec,
     omega_derivation_matrix,
     omega_generator,
@@ -369,7 +370,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ff.ParseError as exc:
         return _fail(EXIT_PARSE, "parse error", str(exc))
-    except SolverCapError as exc:
+    except (SolverCapError, SeriesCapError) as exc:
         return _fail(EXIT_PARSE, "limit exceeded", exc.limits)
     except WrongAlgebraKind as exc:
         return _fail(EXIT_KIND, "method/algebra mismatch", str(exc))

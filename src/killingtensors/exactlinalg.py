@@ -1,16 +1,14 @@
-"""Dense exact linear algebra over the rationals.
+"""Dense exact elimination over the rationals.
 
-Vectors are tuples of Fraction, matrices are tuples of row tuples.  Everything
-is plain Gauss-Jordan at desk scale; the point is exactness, not speed.  The
+Vectors are tuples of Fraction, matrices are sequences of rows; matrix
+arithmetic lives in ``tensors.Endomorphism``.  Everything is plain
+Gauss-Jordan at desk scale; the point is exactness, not speed.  The
 reduced row echelon form of a matrix is unique, so the canonical basis of a
 row space or nullspace does not depend on pivoting choices.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-
-Vec = tuple
-Mat = tuple
 
 
 def frac(x) -> Fraction:
@@ -22,56 +20,12 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-def vec(entries) -> Vec:
-    return tuple(frac(x) for x in entries)
-
-
-def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
-def basis_vec(n: int, i: int) -> Vec:
+def basis_vec(n: int, i: int) -> tuple:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
-def vec_add(u, v) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u) -> Vec:
-    return tuple(c * a for a in u)
 
 
 def dot(u, v):
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def mat(rows) -> Mat:
-    out = tuple(vec(r) for r in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ValueError("ragged matrix")
-    return out
-
-
-def identity(n: int) -> Mat:
-    return tuple(basis_vec(n, i) for i in range(n))
-
-
-def mat_vec(m, v) -> Vec:
-    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m)
-
-
-def mat_mul(a, b) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def transpose(m) -> Mat:
-    return tuple(zip(*m)) if m else ()
 
 
 def rref(rows):
@@ -97,10 +51,6 @@ def rref(rows):
         pivots.append(c)
         r += 1
     return [tuple(row) for row in m], pivots
-
-
-def rank(rows) -> int:
-    return len(rref(rows)[1])
 
 
 def nullspace(rows, ncols: int):

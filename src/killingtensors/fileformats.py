@@ -47,6 +47,18 @@ def format_rational(q: Fraction) -> str:
     return str(Fraction(q))
 
 
+def _object(doc, where) -> dict:
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected a JSON object")
+    return doc
+
+
+def _list(value, where) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a JSON list")
+    return value
+
+
 def _rational_matrix(rows, n, where):
     if not isinstance(rows, list) or len(rows) != n:
         raise ParseError(f"{where}: expected {n} rows")
@@ -72,8 +84,7 @@ def algebra_from_dict(doc) -> MetricLieAlgebra:
     """Almost abelian form {"n": ..., "D": ...} or general structure-constant
     form {"dim": ..., "structure": [[i, j, k, "p/q"], ...]} (missing entries
     filled by antisymmetry)."""
-    if not isinstance(doc, dict):
-        raise ParseError("algebra file: expected a JSON object")
+    _object(doc, "algebra file")
     if "D" in doc or "n" in doc:
         n = doc.get("n")
         if not isinstance(n, int) or n < 0:
@@ -85,7 +96,7 @@ def algebra_from_dict(doc) -> MetricLieAlgebra:
             raise ParseError("dim: expected a positive integer")
         c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
         seen = set()
-        for t, entry in enumerate(doc.get("structure", [])):
+        for t, entry in enumerate(_list(doc.get("structure", []), "structure")):
             where = f"structure[{t}]"
             if not isinstance(entry, list) or len(entry) != 4:
                 raise ParseError(f"{where}: expected [i, j, k, 'p/q']")
@@ -129,15 +140,14 @@ def algebra_to_dict(alg: MetricLieAlgebra) -> dict:
 # ---------------------------------------------------------------------------
 
 def tensor_from_dict(doc, dim, where="tensor") -> SymTensor:
-    if not isinstance(doc, dict):
-        raise ParseError(f"{where}: expected a JSON object")
+    _object(doc, where)
     degree = doc.get("degree")
     if not isinstance(degree, int) or degree < 0:
         raise ParseError(f"{where}.degree: expected a nonnegative integer")
     terms = {}
-    for t, item in enumerate(doc.get("terms", [])):
+    for t, item in enumerate(_list(doc.get("terms", []), f"{where}.terms")):
         w = f"{where}.terms[{t}]"
-        mono = item.get("monomial")
+        mono = _object(item, w).get("monomial")
         if (not isinstance(mono, list) or len(mono) != degree
                 or any(not isinstance(i, int) for i in mono)):
             raise ParseError(f"{w}.monomial: expected {degree} integer indices")
@@ -197,7 +207,7 @@ def _generator_to_dict(gen) -> dict:
 
 
 def _generator_from_dict(doc, dim, where) -> object:
-    kind = doc.get("kind")
+    kind = _object(doc, where).get("kind")
     if kind == "metric":
         return Metric()
     if kind in ("left", "right"):
@@ -222,16 +232,15 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def certificate_from_dict(doc, dim, where="certificate") -> Certificate:
-    if not isinstance(doc, dict):
-        raise ParseError(f"{where}: expected a JSON object")
+    _object(doc, where)
     target = tensor_from_dict(doc.get("target"), dim, f"{where}.target")
     terms = []
-    for t, item in enumerate(doc.get("terms", [])):
+    for t, item in enumerate(_list(doc.get("terms", []), f"{where}.terms")):
         w = f"{where}.terms[{t}]"
-        coeff = parse_rational(item.get("coeff"), f"{w}.coeff")
+        coeff = parse_rational(_object(item, w).get("coeff"), f"{w}.coeff")
         factors = tuple(
             _generator_from_dict(f, dim, f"{w}.factors[{s}]")
-            for s, f in enumerate(item.get("factors", []))
+            for s, f in enumerate(_list(item.get("factors", []), f"{w}.factors"))
         )
         degree = sum(generator_degree(g) for g in factors)
         if degree != target.degree:

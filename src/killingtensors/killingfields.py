@@ -134,12 +134,16 @@ def _mp_vec(seq):
     return tuple(_mpf_of(x) for x in seq)
 
 
-def _one_norm(rows) -> float:
-    n = len(rows)
-    return max((sum(abs(float(rows[i][j])) for i in range(n)) for j in range(n)), default=0.0)
-
-
 _MAX_TERMS = 5000
+
+
+class SeriesCapError(RuntimeError):
+    """A pullback series that needs more than ``_MAX_TERMS`` terms."""
+
+    def __init__(self, norm):
+        self.limits = (f"omega series failed to converge within the {_MAX_TERMS}-term cap "
+                       f"(||ad_w||_1 = {norm:.6g})")
+        super().__init__(self.limits)
 
 
 def _fixed_shift(dim: int) -> int:
@@ -213,6 +217,16 @@ def _ad_rows(lie: MetricLieAlgebra, w, shift):
     return [[(j, a) for j, a in enumerate(row) if a] for row in rows]
 
 
+def _one_norm(rows):
+    """1-norm of a matrix given as ``_ad_rows``: the largest ``sum`` of
+    absolute entries down a column, in row order and in the entries' type."""
+    cols = [[] for _ in rows]
+    for row in rows:
+        for j, a in row:
+            cols[j].append(abs(a))
+    return max(map(sum, cols), default=0)
+
+
 def _ad_series(lie: MetricLieAlgebra, w, x, s: int, shift, order, min_order: int):
     """Partial sum of ``sum_k (-ad_w)^k x / (k + s)!`` times ``s!``: with
     ``s = 0`` it is ``exp(-ad_w) x``, with ``s = 1`` it is ``phi(-ad_w) x``
@@ -223,7 +237,9 @@ def _ad_series(lie: MetricLieAlgebra, w, x, s: int, shift, order, min_order: int
     exact series must terminate (it does when ``ad_w`` is nilpotent) and a
     fixed-point one stops, once past ``min_order`` and the hump at
     ``||ad_w||_1``, at the first term below ``10^-(dps-5)`` times the
-    largest partial sum entry (at least 1).
+    largest partial sum entry (at least 1), or raises ``SeriesCapError``
+    after ``_MAX_TERMS`` terms.  A hump already past that cap leaves only a
+    series that vanishes within ``n`` terms, as for a nilpotent ``ad_w``.
     """
     n = lie.dim
     rows = _ad_rows(lie, w, shift)
@@ -232,11 +248,10 @@ def _ad_series(lie: MetricLieAlgebra, w, x, s: int, shift, order, min_order: int
     if shift is not None:
         one = 1 << shift
         eps = one // 10 ** (mp.dps - 5)
-        col = [0] * n
-        for row in rows:
-            for j, a in row:
-                col[j] += abs(a)
-        stop_from = max(min_order, (max(col) >> shift) + 2)
+        norm = _one_norm(rows)
+        hump = (norm >> shift) + 2
+        stop_from = max(min_order, hump)
+        cap = _MAX_TERMS if hump <= _MAX_TERMS else n
     k = 1
     while order is None or k <= order:
         if shift is None:
@@ -257,8 +272,8 @@ def _ad_series(lie: MetricLieAlgebra, w, x, s: int, shift, order, min_order: int
                                      "pass a truncation order")
             elif k >= stop_from and max(map(abs, term)) << shift < eps * max(one, *map(abs, acc)):
                 break
-            elif k > _MAX_TERMS:
-                raise RuntimeError("omega series failed to converge")
+            elif k > cap:
+                raise SeriesCapError(norm / one)
         k += 1
     return acc
 
@@ -604,14 +619,15 @@ class CertificateCheck:
 
 
 def _order_for_bound(m_norm: float, eps: float) -> int:
-    """Smallest N with ``m_norm^(N+1)/(N+1)! < eps``."""
+    """Smallest N with ``m_norm^(N+1)/(N+1)! < eps``, at most ``_MAX_TERMS``:
+    past it the series' own stop rule and term cap decide."""
     if m_norm <= 0:
         return 1
     log_eps = math.log(eps)
-    for n in range(1, 400):
+    for n in range(1, _MAX_TERMS):
         if (n + 1) * math.log(m_norm) - math.lgamma(n + 2) < log_eps:
             return n
-    return 400
+    return _MAX_TERMS
 
 
 def _factor_log10_bound(gen, m_norm: float, dim: int) -> float:
@@ -634,18 +650,7 @@ def _working_digits(cert: Certificate, m_norm: float, dim: int) -> int:
         worst = max(worst, t)
     worst += math.log10(len(cert.terms) + 1)
     digits = max(50, 35 + int(math.ceil(worst)))
-    return min(300, 10 * int(math.ceil(digits / 10)))
-
-
-def _ad_one_norm(lie: MetricLieAlgebra, w) -> float:
-    """1-norm of ``ad_w`` at a float point, in double precision; each entry
-    sums its terms in the order of ``i``."""
-    n = lie.dim
-    rows = [[0.0] * n for _ in range(n)]
-    for i, j, k, c in lie.nonzero_structure:
-        if w[i] != 0:
-            rows[k][j] += w[i] * float(c)
-    return _one_norm(rows)
+    return 10 * int(math.ceil(digits / 10))
 
 
 def sample_points(dim: int, samples: int, seed: int):
@@ -699,7 +704,7 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     zero = (_ZERO,) * dim
     exact0 = omega_tensor(alg, compiled, zero, order=0) == cert.target
     pts = sample_points(dim, samples, seed)
-    m_norm = max(_ad_one_norm(alg, w) for w in pts)
+    m_norm = max(_one_norm(_ad_rows(alg, w, None)) for w in pts)
     digits = _working_digits(cert, m_norm, dim)
     worst = 0
     with mp.workdps(digits):

@@ -111,31 +111,21 @@ class MetricLieAlgebra:
                         out[k] += f * cij[k]
         return tuple(out)
 
-    def ad_basis(self, i: int) -> Endomorphism:
-        if self._ad_basis is None:
-            ads = []
-            for t in range(self.dim):
-                rows = tuple(
-                    tuple(self.structure[t][j][k] for j in range(self.dim))
-                    for k in range(self.dim)
-                )
-                ads.append(Endomorphism(rows))
-            self._ad_basis = tuple(ads)
-        return self._ad_basis[i]
-
     def ad(self, x) -> Endomorphism:
-        """Adjoint map ``ad_x = [x, .]`` as a matrix."""
+        """Adjoint map ``ad_x = [x, .]`` as a matrix: entry ``(k, j)`` sums
+        ``x_i * c_ijk`` over the nonzero structure constants, in the order of i."""
         n = self.dim
         rows = [[_ZERO] * n for _ in range(n)]
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            ent = self.ad_basis(i).entries
-            for k in range(n):
-                for j in range(n):
-                    if ent[k][j] != 0:
-                        rows[k][j] += xi * ent[k][j]
+        for i, j, k, c in self.nonzero_structure:
+            if x[i]:
+                rows[k][j] += x[i] * c
         return Endomorphism(tuple(tuple(r) for r in rows))
+
+    def ad_basis(self, i: int) -> Endomorphism:
+        """``ad`` of the i-th basis vector, built once per algebra."""
+        if self._ad_basis is None:
+            self._ad_basis = tuple(self.ad(basis_vec(self.dim, t)) for t in range(self.dim))
+        return self._ad_basis[i]
 
     def ad_star(self, x) -> Endomorphism:
         """Metric adjoint of ``ad_x``; transpose in the orthonormal basis."""

@@ -149,10 +149,6 @@ class SymTensor:
             raise ValueError("vector() requires degree 1")
         return tuple(self.terms.get((i,), _ZERO) for i in range(self.dim))
 
-    def map_coefficients(self, fn) -> "SymTensor":
-        return SymTensor(self.dim, self.degree,
-                         {m: v for m, v in ((m, fn(c)) for m, c in self.terms.items()) if v != 0})
-
     def __add__(self, other):
         if not isinstance(other, SymTensor):
             return NotImplemented
@@ -284,9 +280,6 @@ class Endomorphism:
 
     def is_skew(self) -> bool:
         return self == -self.transpose()
-
-    def is_symmetric(self) -> bool:
-        return self == self.transpose()
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.entries for a in r)

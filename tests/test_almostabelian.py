@@ -30,7 +30,8 @@ class TestBuild:
         b = (Fraction(1), Fraction(0), Fraction(0))
         h1 = (Fraction(0), Fraction(1), Fraction(0))
         assert alg.bracket(b, h1) == (Fraction(0), Fraction(0), Fraction(1))
-        assert alg.ad(b) == alg.derivation_full
+        # J2 with a zero row and a zero column for b
+        assert alg.ad(b) == Endomorphism.from_rows([[0, 0, 0], [0, 0, -1], [0, 1, 0]])
 
     def test_ideal_is_abelian(self):
         rng = random.Random(1)
@@ -294,3 +295,10 @@ class TestDimensionFormula:
             alg = AlmostAbelianAlgebra(d)
             for p in range(4):
                 assert alg.killing_dimension(p) == alg.killing_space_bruteforce(p).dimension
+
+    @pytest.mark.parametrize("solve", ["killing_dimension", "killing_space_structured",
+                                       "killing_space_bruteforce"])
+    def test_negative_degree_rejected(self, solve):
+        alg = AlmostAbelianAlgebra(J2)
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            getattr(alg, solve)(-1)

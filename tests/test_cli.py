@@ -1,8 +1,10 @@
+import copy
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from killingtensors import (
     AlmostAbelianAlgebra,
@@ -416,3 +418,105 @@ class TestEdgeCases:
         assert code == 0
         value = json.loads(out)["result"]["value"]
         assert value["terms"] == [{"monomial": [0], "coeff": 1.0}]
+
+
+BIG = {"n": 2, "D": [["2000", "0"], ["0", "-2000"]]}
+MIXED = {"degree": 2, "terms": [{"monomial": [1, 2], "coeff": "1"}]}
+RIGHT_1, RIGHT_2 = ({"kind": "right", "vector": ["0", "1", "0"]},
+                    {"kind": "right", "vector": ["0", "0", "1"]})
+MIXED_CERT = {"target": MIXED, "terms": [{"coeff": "1", "factors": [RIGHT_1, RIGHT_2]}]}
+
+
+class TestSeriesTermCap:
+    # on D = diag(2000, -2000) the pullback series need more than 5000 terms;
+    # one sample keeps the failing run short
+    @pytest.mark.parametrize("command, files, extra", [
+        ("decompose", {"--tensor": MIXED}, ["--samples", "1"]),
+        ("verify", {"--certificate": MIXED_CERT}, ["--samples", "1"]),
+        ("omega-sample", {}, ["--generator", "right:1", "--at", "3,0,0"]),
+    ])
+    def test_exits_2_limit_exceeded(self, tmp_path, capsys, command, files, extra):
+        argv = [command, "--algebra", write(tmp_path, "big.json", BIG)] + extra
+        for flag, doc in files.items():
+            argv += [flag, write(tmp_path, "doc.json", doc)]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "limit exceeded"
+        assert "5000-term cap" in error["detail"]
+
+
+class TestJsonShapes:
+    @pytest.mark.parametrize("command, flag, doc, where, expected", [
+        ("decompose", "--tensor", {"degree": 2, "terms": [5]}, "tensor.terms[0]",
+         "a JSON object"),
+        ("decompose", "--tensor", {"degree": 2, "terms": 7}, "tensor.terms", "a JSON list"),
+        ("decompose", "--tensor", {"degree": 2, "terms": None}, "tensor.terms", "a JSON list"),
+        ("verify", "--certificate", {"target": MIXED, "terms": [5]}, "certificate.terms[0]",
+         "a JSON object"),
+        ("verify", "--certificate", {"target": MIXED, "terms": [{"coeff": "1", "factors": [5]}]},
+         "certificate.terms[0].factors[0]", "a JSON object"),
+        ("verify", "--certificate", {"target": MIXED, "terms": [{"coeff": "1", "factors": 7}]},
+         "certificate.terms[0].factors", "a JSON list"),
+        ("killing-basis", "--algebra", {"dim": 3, "structure": 5}, "structure", "a JSON list"),
+        ("killing-basis", "--algebra", {"dim": 3, "structure": None}, "structure",
+         "a JSON list"),
+    ])
+    def test_wrong_shape_exits_2_with_position(self, tmp_path, capsys, command, flag, doc,
+                                               where, expected):
+        argv = [command] + (["--degree", "1"] if command == "killing-basis" else [])
+        for name, value in {"--algebra": DIAG, flag: doc}.items():
+            argv += [name, write(tmp_path, name[2:] + ".json", value)]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["detail"] == f"{where}: expected {expected}"
+
+
+_KEYS = ["n", "D", "dim", "structure", "degree", "terms", "monomial", "coeff", "target",
+         "factors", "kind", "vector", "b_image", "ideal_block"]
+# numbers, strings, null, lists and objects, with small ints only
+_WRONG = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3)
+    | st.sampled_from(["", "x", "1", "-1/2", "metric", "left", "right", "deriv"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3),
+    max_leaves=8)
+
+
+def _container_paths(doc, path=()):
+    """Paths to every object and list in a JSON document, the root included."""
+    if isinstance(doc, (dict, list)):
+        yield path
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _container_paths(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    out = copy.deepcopy(doc)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+class TestJsonShapeFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["decompose", "verify"]), st.booleans(), st.data(), _WRONG)
+    def test_exit_code_and_no_traceback(self, tmp_path_factory, command, on_algebra, data,
+                                        value):
+        flag, doc = ("--tensor", MIXED) if command == "decompose" \
+            else ("--certificate", MIXED_CERT)
+        files = {"--algebra": DIAG, flag: doc}
+        name = "--algebra" if on_algebra else flag
+        path = data.draw(st.sampled_from(list(_container_paths(files[name]))))
+        files[name] = _replaced(files[name], path, value)
+        tmp = tmp_path_factory.mktemp("shape")
+        argv = [command, "--samples", "2"]
+        for option, content in files.items():
+            argv += [option, str(tmp / (option[2:] + ".json"))]
+            (tmp / (option[2:] + ".json")).write_text(json.dumps(content))
+        code = main(argv)
+        assert code in (0, 2, 3, 4)

@@ -386,6 +386,15 @@ class TestPrecisionHostileCases:
             assert check.passed
             assert check.max_deviation < 1e-9
 
+    def test_working_precision_is_not_capped(self):
+        # ||ad_w||_1 up to 800 at the default samples: the amplification bound
+        # asks for 1090 digits, and at 300 digits two of the three fail
+        alg = AlmostAbelianAlgebra(Endomorphism.diagonal([200, -200]))
+        checks = [verify_certificate(alg, decompose(alg, k))
+                  for k in alg.killing_space_structured(4).basis]
+        assert [c.passed for c in checks] == [True] * 3
+        assert max(c.precision_digits for c in checks) > 300
+
 
 class TestTruncatedExactSeries:
     def test_explicit_order_gives_rational_partial_sum(self):
@@ -783,3 +792,11 @@ class TestSeriesKernel:
         alg = AlmostAbelianAlgebra(Endomorphism.diagonal([2, 2]))
         with mp.workdps(20), pytest.raises(RuntimeError, match="converge"):
             omega_right(alg, basis_vec(3, 1), (3000.0, 0.0, 0.0))
+
+    def test_nilpotent_series_past_the_cap_terminates(self):
+        # ||ad_w||_1 = 6000 puts the hump past the cap, but ad_w^2 = 0: the
+        # series is x - ad_w x
+        alg = AlmostAbelianAlgebra(NILP)
+        with mp.workdps(20):
+            got = omega_right(alg, basis_vec(3, 2), (6000.0, 0.0, 0.0))
+        assert got == (0, -6000, 1)

@@ -13,7 +13,7 @@ from killingtensors import (
     sum_of_squares,
     sym2_from_endo,
 )
-from killingtensors.exactlinalg import dot
+from killingtensors.exactlinalg import basis_vec, dot
 from conftest import derivation_suite, koszul_oracle, random_tensor, random_vector
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
@@ -66,7 +66,8 @@ class TestAdjoint:
     def test_almost_abelian_ad_of_b(self):
         alg = AlmostAbelianAlgebra(DIAG)
         got = alg.ad((Fraction(1), Fraction(0), Fraction(0)))
-        assert got == alg.derivation_full
+        # D = diag(1, -1) with a zero row and a zero column for b
+        assert got == Endomorphism.diagonal([0, 1, -1])
 
     def test_almost_abelian_ad_of_ideal_vector(self):
         alg = AlmostAbelianAlgebra(DIAG)
@@ -90,6 +91,17 @@ class TestAdjoint:
         x, y = random_vector(rng, 3), random_vector(rng, 3)
         lhs = alg.ad(tuple(a + b for a, b in zip(x, y)))
         assert lhs == alg.ad(x) + alg.ad(y)
+
+    def test_ad_applies_the_bracket(self):
+        # bracket keeps its own loop over the structure constants
+        rng = random.Random(4)
+        algebras = [AlmostAbelianAlgebra(d) for d in derivation_suite(per_kind=1)]
+        for alg in algebras + [so3(), heisenberg3()]:
+            for _ in range(3):
+                x, y = random_vector(rng, alg.dim), random_vector(rng, alg.dim)
+                assert alg.ad(x).apply(y) == alg.bracket(x, y)
+            for i in range(alg.dim):
+                assert alg.ad_basis(i).apply(y) == alg.bracket(basis_vec(alg.dim, i), y)
 
 
 class TestConnection:
