@@ -185,15 +185,11 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
         dfull = self.derivation_full
         skew = self.derivation.is_skew()
         failures = []
-        for i, beta in enumerate(lay.even):
-            if not beta.is_zero() and not apply_derivation(dfull, beta).is_zero():
-                failures.append(f"even layer {i} not annihilated by the derivation")
-        if skew:
-            for i, alpha in enumerate(lay.odd):
-                if alpha is not None and not alpha.is_zero() \
-                        and not apply_derivation(dfull, alpha).is_zero():
-                    failures.append(f"odd layer {i} not annihilated by the derivation")
-        elif any(a is not None and not a.is_zero() for a in lay.odd):
+        for kind, layers in (("even", lay.even), ("odd", lay.odd if skew else ())):
+            for i, t in enumerate(layers):
+                if t is not None and not t.is_zero() and not apply_derivation(dfull, t).is_zero():
+                    failures.append(f"{kind} layer {i} not annihilated by the derivation")
+        if not skew and any(a is not None and not a.is_zero() for a in lay.odd):
             failures.append("odd part nonzero, derivation not skew")
         return KillingDiagnosis(not failures, tuple(failures), lay)
 

@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, round_nearest
@@ -85,15 +86,10 @@ class SkewDerivation:
     ideal_part: Endomorphism
 
     def full_matrix(self) -> Endomorphism:
-        n = self.ideal_part.dim
-        rows = [[_ZERO] * (n + 1) for _ in range(n + 1)]
-        for i, vi in enumerate(self.b_image):
-            rows[i + 1][0] = vi
-            rows[0][i + 1] = -vi
-        for i in range(n):
-            for j in range(n):
-                rows[i + 1][j + 1] = self.ideal_part.entries[i][j]
-        return Endomorphism(tuple(tuple(r) for r in rows))
+        """The derivation on ``b`` and the ideal: ``b -> b_image``, skew."""
+        top = (_ZERO,) + tuple(-v for v in self.b_image)
+        return Endomorphism((top,) + tuple((v,) + tuple(row) for v, row in
+                                           zip(self.b_image, self.ideal_part.entries)))
 
 
 @dataclass(frozen=True)
@@ -162,7 +158,8 @@ def _fixed_shift(dim: int) -> int:
       ``u e^a (n K + n^2 (1 + e^a ||x||_1))``.
     * Horner: each trie node floors each entry once (< u); an error is then
       multiplied by the factor values above it, at most the amplification
-      bound that ``_working_digits`` covers with 35 digits to spare.
+      bound that ``_working_digits`` covers with 35 digits to spare (``e^a``
+      is that of ``_series_log10_gain``, with ``K <= n + 1`` past the cap).
     * Out: one rounding to working precision, relative ``2**-mp.prec``, as
       any mpf result.
 
@@ -206,19 +203,8 @@ def _rational_times(c, v, shift):
     return v * num if den == 1 else v * num // den
 
 
-def _ad_rows(lie: MetricLieAlgebra, w, shift):
-    """Rows of ``ad_w`` as ``(column, entry)`` pairs of the nonzero entries,
-    exact or fixed-point at ``shift`` like ``w``."""
-    n = lie.dim
-    rows = [[0] * n for _ in range(n)]
-    for i, j, k, c in lie.nonzero_structure:
-        if w[i]:
-            rows[k][j] += _rational_times(c, w[i], shift)
-    return [[(j, a) for j, a in enumerate(row) if a] for row in rows]
-
-
 def _one_norm(rows):
-    """1-norm of a matrix given as ``_ad_rows``: the largest ``sum`` of
+    """1-norm of a matrix given as ``ad_rows``: the largest ``sum`` of
     absolute entries down a column, in row order and in the entries' type."""
     cols = [[] for _ in rows]
     for row in rows:
@@ -242,7 +228,7 @@ def _ad_series(lie: MetricLieAlgebra, w, x, s: int, shift, order, min_order: int
     series that vanishes within ``n`` terms, as for a nilpotent ``ad_w``.
     """
     n = lie.dim
-    rows = _ad_rows(lie, w, shift)
+    rows = lie.ad_rows(w, lambda c, v: _rational_times(c, v, shift))
     acc = list(x)
     term = list(x)
     if shift is not None:
@@ -630,23 +616,35 @@ def _order_for_bound(m_norm: float, eps: float) -> int:
     return _MAX_TERMS
 
 
-def _factor_log10_bound(gen, m_norm: float, dim: int) -> float:
+def _series_log10_gain(norm: float, dim: int) -> float:
+    """log10 of a bound on the gain of a pullback series at ``||ad_w||_1 =
+    norm``: ``e^norm`` below the term cap.  From ``norm >= _MAX_TERMS`` on the
+    hump is past the cap even after rounding, so ``_ad_series`` raises unless
+    the series vanishes within ``dim`` terms, with gain at most
+    ``sum_(k<=dim) norm^k/k! <= (dim + 1) norm^dim``: the working precision
+    stays finite however large the structure constants are."""
+    if norm < _MAX_TERMS:
+        return norm * _LOG10_E
+    return math.log10(dim + 1) + dim * math.log10(norm)
+
+
+def _factor_log10_bound(gen, gain: float, dim: int) -> float:
     if isinstance(gen, Metric):
         return 0.0
     if isinstance(gen, LeftInvariant):
         return math.log10(max(1.0, sum(abs(float(x)) for x in gen.vector)))
     if isinstance(gen, RightInvariant):
-        return m_norm * _LOG10_E + math.log10(max(1.0, sum(abs(float(x)) for x in gen.vector)))
+        return gain + math.log10(max(1.0, sum(abs(float(x)) for x in gen.vector)))
     tnorm = sum(abs(float(x)) for r in gen.derivation.full_matrix().entries for x in r)
-    return m_norm * _LOG10_E + math.log10(max(1.0, 2.0 * dim * tnorm))
+    return gain + math.log10(max(1.0, 2.0 * dim * tnorm))
 
 
-def _working_digits(cert: Certificate, m_norm: float, dim: int) -> int:
+def _working_digits(cert: Certificate, gain: float, dim: int) -> int:
     worst = 0.0
     for coeff, factors in cert.terms:
         t = math.log10(max(1.0, abs(float(coeff))))
         for gen in factors:
-            t += _factor_log10_bound(gen, m_norm, dim)
+            t += _factor_log10_bound(gen, gain, dim)
         worst = max(worst, t)
     worst += math.log10(len(cert.terms) + 1)
     digits = max(50, 35 + int(math.ceil(worst)))
@@ -704,8 +702,9 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     zero = (_ZERO,) * dim
     exact0 = omega_tensor(alg, compiled, zero, order=0) == cert.target
     pts = sample_points(dim, samples, seed)
-    m_norm = max(_one_norm(_ad_rows(alg, w, None)) for w in pts)
-    digits = _working_digits(cert, m_norm, dim)
+    norms = [_one_norm(alg.ad_rows(w, mul)) for w in pts]
+    m_norm = max(norms)
+    digits = _working_digits(cert, max(_series_log10_gain(a, dim) for a in norms), dim)
     worst = 0
     with mp.workdps(digits):
         min_order = max(order_floor, _order_for_bound(m_norm, tol / 10.0))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exactlinalg import basis_vec, frac, nullspace, rref_span
 from .tensors import (
@@ -111,15 +112,23 @@ class MetricLieAlgebra:
                         out[k] += f * cij[k]
         return tuple(out)
 
-    def ad(self, x) -> Endomorphism:
-        """Adjoint map ``ad_x = [x, .]`` as a matrix: entry ``(k, j)`` sums
-        ``x_i * c_ijk`` over the nonzero structure constants, in the order of i."""
+    def ad_rows(self, x, times) -> list:
+        """Rows of ``ad_x = [x, .]`` as ``(column, entry)`` pairs of the nonzero
+        entries: entry ``(k, j)`` sums ``times(c_ijk, x_i)`` over the nonzero
+        structure constants, in the order of i.  ``times`` is ``operator.mul``
+        for exact or float ``x``; the pullback series pass a fixed-point
+        product."""
         n = self.dim
-        rows = [[_ZERO] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for i, j, k, c in self.nonzero_structure:
             if x[i]:
-                rows[k][j] += x[i] * c
-        return Endomorphism(tuple(tuple(r) for r in rows))
+                rows[k][j] += times(c, x[i])
+        return [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+
+    def ad(self, x) -> Endomorphism:
+        """Adjoint map ``ad_x`` as a dense matrix, built from ``ad_rows``."""
+        return Endomorphism(tuple(tuple(dict(row).get(j, _ZERO) for j in range(self.dim))
+                                  for row in self.ad_rows(x, mul)))
 
     def ad_basis(self, i: int) -> Endomorphism:
         """``ad`` of the i-th basis vector, built once per algebra."""

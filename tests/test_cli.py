@@ -427,16 +427,24 @@ RIGHT_1, RIGHT_2 = ({"kind": "right", "vector": ["0", "1", "0"]},
 MIXED_CERT = {"target": MIXED, "terms": [{"coeff": "1", "factors": [RIGHT_1, RIGHT_2]}]}
 
 
+HUGE = {"n": 2, "D": [["100000000", "0"], ["0", "-100000000"]]}
+NILPOTENT_HUGE = {"n": 2, "D": [["0", "100000000"], ["0", "0"]]}
+E1_SQUARED = {"degree": 2, "terms": [{"monomial": [1, 1], "coeff": "1"}]}
+
+
 class TestSeriesTermCap:
     # on D = diag(2000, -2000) the pullback series need more than 5000 terms;
-    # one sample keeps the failing run short
+    # one sample keeps the failing run short.  On D = diag(10^8, -10^8) every
+    # hump is past the cap, so the series fail within n + 1 terms at a working
+    # precision of tens of digits, not the ~10^8 digits that e^||ad_w|| asks for
+    @pytest.mark.parametrize("algebra", [BIG, HUGE], ids=["diag-2000", "diag-1e8"])
     @pytest.mark.parametrize("command, files, extra", [
         ("decompose", {"--tensor": MIXED}, ["--samples", "1"]),
         ("verify", {"--certificate": MIXED_CERT}, ["--samples", "1"]),
         ("omega-sample", {}, ["--generator", "right:1", "--at", "3,0,0"]),
     ])
-    def test_exits_2_limit_exceeded(self, tmp_path, capsys, command, files, extra):
-        argv = [command, "--algebra", write(tmp_path, "big.json", BIG)] + extra
+    def test_exits_2_limit_exceeded(self, tmp_path, capsys, algebra, command, files, extra):
+        argv = [command, "--algebra", write(tmp_path, "big.json", algebra)] + extra
         for flag, doc in files.items():
             argv += [flag, write(tmp_path, "doc.json", doc)]
         code, out, err = run(capsys, argv)
@@ -444,6 +452,15 @@ class TestSeriesTermCap:
         error = json.loads(err)
         assert error["error"] == "limit exceeded"
         assert "5000-term cap" in error["detail"]
+
+    def test_nilpotent_with_huge_entries_verifies(self, tmp_path, capsys):
+        # the series vanish within n terms, so the gain is polynomial in ||ad_w||
+        code, out, _ = run(capsys, ["decompose",
+                                    "--algebra", write(tmp_path, "a.json", NILPOTENT_HUGE),
+                                    "--tensor", write(tmp_path, "t.json", E1_SQUARED)])
+        assert code == 0
+        check = json.loads(out)["result"]["verification"]
+        assert check["passed"] and check["precision_digits"] < 300
 
 
 class TestJsonShapes:
