@@ -672,6 +672,13 @@ def _sampled_value(alg: MetricLieAlgebra, gen, w, shift: int, dps: int, min_orde
     return tuple(_generator_value(alg, gen, w, shift, None, min_order))
 
 
+@lru_cache(maxsize=_SAMPLED_VALUES)
+def _point_norm(alg: MetricLieAlgebra, w) -> float:
+    """``||ad_w||_1`` at a sample point, which every certificate verified on
+    one algebra with the same samples asks for again."""
+    return _one_norm(alg.ad_rows(w, mul))
+
+
 def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
                        samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL,
                        seed: int = DEFAULT_SEED,
@@ -702,7 +709,7 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     zero = (_ZERO,) * dim
     exact0 = omega_tensor(alg, compiled, zero, order=0) == cert.target
     pts = sample_points(dim, samples, seed)
-    norms = [_one_norm(alg.ad_rows(w, mul)) for w in pts]
+    norms = [_point_norm(alg, w) for w in pts]
     m_norm = max(norms)
     digits = _working_digits(cert, max(_series_log10_gain(a, dim) for a in norms), dim)
     worst = 0

@@ -568,13 +568,27 @@ class TestSampledValueMemo:
         other = AlmostAbelianAlgebra(Endomorphism.diagonal(first))
         stretched = AlmostAbelianAlgebra(Endomorphism.diagonal([1, 2]))
         kf._sampled_value.cache_clear()
+        kf._point_norm.cache_clear()
         alone = verify_certificate(stretched, self.CERT)
         kf._sampled_value.cache_clear()
+        kf._point_norm.cache_clear()
         assert verify_certificate(other, self.CERT).passed == (first == [0, 0])
         after = verify_certificate(stretched, self.CERT)
         assert not after.passed
         assert after.max_deviation == alone.max_deviation
         assert after == alone
+
+    def test_norms_of_another_algebra_are_not_reused(self):
+        # the same sample points: ||ad_w||_1 is 0 on D = 0, and on diag(20, -20)
+        # it asks for more than the 50-digit floor
+        wide = AlmostAbelianAlgebra(Endomorphism.diagonal([20, -20]))
+        kf._point_norm.cache_clear()
+        alone = verify_certificate(wide, self.CERT, samples=3)
+        kf._point_norm.cache_clear()
+        verify_certificate(AlmostAbelianAlgebra(Endomorphism.diagonal([0, 0])), self.CERT,
+                           samples=3)
+        after = verify_certificate(wide, self.CERT, samples=3)
+        assert after.precision_digits == alone.precision_digits > 50
 
     def test_shared_generators_are_summed_once(self, monkeypatch):
         alg = AlmostAbelianAlgebra(Endomorphism.diagonal([1, 2]))
