@@ -32,6 +32,7 @@ from .killingfields import (
     CertificateCheck,
     CompiledCertificate,
     NotKillingError,
+    GeneratorError,
     SeriesCapError,
     generator_degree,
     skew_derivation_basis,
@@ -69,7 +70,7 @@ __all__ = [
     "AlmostAbelianAlgebra", "LayeredDecomposition", "KillingDiagnosis",
     "Metric", "LeftInvariant", "RightInvariant", "SkewDerivation",
     "DerivationField", "Certificate", "CertificateCheck", "CompiledCertificate",
-    "NotKillingError", "SeriesCapError", "generator_degree",
+    "NotKillingError", "GeneratorError", "SeriesCapError", "generator_degree",
     "skew_derivation_basis", "skew_derivations", "validate_skew_derivation",
     "omega_right", "omega_derivation_matrix",
     "omega_generator", "omega_tensor", "decompose", "decompose_ideal_tensor",

@@ -16,15 +16,7 @@ from itertools import combinations_with_replacement
 
 from .exactlinalg import nullspace, rref_span
 from .liealgebra import KillingSpace, MetricLieAlgebra
-from .tensors import (
-    SymTensor,
-    Endomorphism,
-    apply_derivation,
-    basis_monomials,
-    coordinates,
-    sum_of_squares,
-    tensor_from_coordinates,
-)
+from .tensors import SymTensor, Endomorphism, apply_derivation, sum_of_squares
 
 _ZERO = Fraction(0)
 
@@ -72,14 +64,16 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
         if not isinstance(derivation, Endomorphism):
             derivation = Endomorphism.from_rows(derivation)
         n = derivation.dim
-        dim = n + 1
-        c = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-        for j in range(1, dim):
-            col = derivation.column(j - 1)
-            for k in range(1, dim):
-                c[0][j][k] = col[k - 1]
-                c[j][0][k] = -col[k - 1]
-        super().__init__(c)
+        d = derivation.entries
+
+        def bracket(i, j, k):
+            # component k of [e_i, e_j]: only [b, h] = D h and [h, b] are nonzero
+            if k == 0 or (i == 0) == (j == 0):
+                return _ZERO
+            return d[k - 1][j - 1] if i == 0 else -d[k - 1][i - 1]
+
+        super().__init__([[[bracket(i, j, k) for k in range(n + 1)] for j in range(n + 1)]
+                          for i in range(n + 1)])
         self.derivation = derivation
         self.ideal_dim = n
 
@@ -198,16 +192,10 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
         degree-q symmetric power of the ideal."""
         if q < 0:
             return []
-        monos = list(combinations_with_replacement(range(1, self.dim), q))
         dfull = self.derivation_full
-        index = {m: r for r, m in enumerate(monos)}
-        rows = [[_ZERO] * len(monos) for _ in monos]
-        for cidx, mono in enumerate(monos):
-            img = apply_derivation(dfull, SymTensor.monomial(self.dim, mono))
-            for tm, cf in img.terms.items():
-                rows[index[tm]][cidx] = cf
-        kernel = nullspace(rows, len(monos))
-        return [tensor_from_coordinates(self.dim, q, monos, v) for v in rref_span(kernel)]
+        kernel = nullspace({m: apply_derivation(dfull, SymTensor.monomial(self.dim, m)).terms
+                            for m in combinations_with_replacement(range(1, self.dim), q)})
+        return [SymTensor(self.dim, q, v) for v in kernel]
 
     def _layer_kernels(self, p: int):
         """``(i, odd, kernel)`` for each layer of a degree-p Killing tensor: the
@@ -232,11 +220,8 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
             if i == len(powers):
                 powers.append(powers[-1] * metric2)
             factor = powers[i] * b if odd else powers[i]
-            generated.extend(factor * t for t in kernel)
-        monos = basis_monomials(self.dim, p)
-        vectors = [tuple(coordinates(t, monos)) for t in generated]
-        basis = [tensor_from_coordinates(self.dim, p, monos, v) for v in rref_span(vectors)]
-        return KillingSpace(p, tuple(basis))
+            generated.extend((factor * t).terms for t in kernel)
+        return KillingSpace(p, tuple(SymTensor(self.dim, p, v) for v in rref_span(generated)))
 
     def killing_dimension(self, p: int) -> int:
         """Dimension of the degree-p Killing space from the layer kernels."""

@@ -27,6 +27,7 @@ from .killingfields import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     DEFAULT_TOL,
+    GeneratorError,
     LeftInvariant,
     Metric,
     NotKillingError,
@@ -368,7 +369,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ff.ParseError as exc:
+    except (ff.ParseError, GeneratorError) as exc:
         return _fail(EXIT_PARSE, "parse error", str(exc))
     except (SolverCapError, SeriesCapError) as exc:
         return _fail(EXIT_PARSE, "limit exceeded", exc.limits)

@@ -1,14 +1,20 @@
-"""Dense exact elimination over the rationals.
+"""Exact elimination over the rationals.
 
-Vectors are tuples of Fraction, matrices are sequences of rows; matrix
-arithmetic lives in ``tensors.Endomorphism``.  Everything is plain
-Gauss-Jordan at desk scale; the point is exactness, not speed.  The
-reduced row echelon form of a matrix is unique, so the canonical basis of a
-row space or nullspace does not depend on pivoting choices.
+The solvers hand in sparse vectors: ``{key: Fraction}`` dicts that name only
+their nonzero entries.  ``nullspace`` takes the image of each unknown as one
+such column and ``rref_span`` takes the spanning vectors themselves.  Dense
+rows exist only here, built by ``_sparse_rref`` from the rows that carry a
+nonzero and reduced by ``rref``; matrix arithmetic lives in
+``tensors.Endomorphism``.  Everything is plain
+Gauss-Jordan at desk scale; the point is exactness, not speed.  The reduced
+row echelon form of a matrix is unique, so the canonical basis of a row
+space or nullspace does not depend on pivoting choices.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+
+_ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -53,53 +59,53 @@ def rref(rows):
     return [tuple(row) for row in m], pivots
 
 
-def nullspace(rows, ncols: int):
-    """Canonical basis of the kernel of the matrix with the given column count.
+def _sparse_rref(rows, keys: list):
+    """RREF of sparse rows over the columns ``keys``, in that order: the
+    nonzero reduced rows as sparse dicts, and the pivot keys."""
+    position = {k: c for c, k in enumerate(keys)}
+    dense = []
+    for row in rows:
+        if any(row.values()):
+            d = [Fraction(0)] * len(keys)
+            for k, x in row.items():
+                d[position[k]] = x
+            dense.append(d)
+    red, pivots = rref(dense)
+    return ([{keys[c]: x for c, x in enumerate(row) if x} for row in red[:len(pivots)]],
+            [keys[c] for c in pivots])
 
-    The basis vectors come from the free columns of the RREF with the free
-    coordinate set to 1; the result is deterministic.
+
+def nullspace(columns: dict) -> list:
+    """Canonical (RREF) basis of the kernel of a linear map, as sparse
+    ``{unknown: value}`` dicts.
+
+    ``columns`` maps each unknown, in echelon order, to its image as a sparse
+    ``{row key: value}`` dict; the row keys must sort, and the rows are
+    eliminated in sorted order.  The vector of each free unknown ``f`` (1 at
+    ``f``, minus the pivot rows' entries at ``f``) spans the kernel, and one
+    more reduction puts these vectors in echelon form.
     """
-    if ncols == 0:
-        return []
-    if not rows:
-        return [basis_vec(ncols, i) for i in range(ncols)]
-    red, pivots = rref(rows)
+    unknowns = list(columns)
+    rows = {}
+    for u, image in columns.items():
+        for r, x in image.items():
+            rows.setdefault(r, {})[u] = x
+    red, pivots = _sparse_rref([rows[r] for r in sorted(rows)], unknowns)
     pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for rowi, pc in enumerate(pivots):
-            v[pc] = -red[rowi][f]
-        basis.append(tuple(v))
-    return basis
+    kernel = []
+    for f in unknowns:
+        if f not in pivot_set:
+            v = {f: _ONE}
+            for row, p in zip(red, pivots):
+                if f in row:
+                    v[p] = -row[f]
+            kernel.append(v)
+    return _sparse_rref(kernel, unknowns)[0]
 
 
-def rref_span(vectors):
-    """Canonical (RREF) basis of the span of the given coordinate vectors."""
-    if not vectors:
-        return []
-    red, pivots = rref(vectors)
-    return [red[i] for i in range(len(pivots))]
-
-
-def determinant(rows) -> Fraction:
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
+def rref_span(vectors) -> list:
+    """Canonical (RREF) basis of the span of sparse ``{key: value}`` vectors,
+    with the columns in sorted key order (monomial tuples sort
+    lexicographically)."""
+    keys = sorted({k for v in vectors for k in v})
+    return _sparse_rref(vectors, keys)[0]

@@ -31,12 +31,13 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, round_nearest
 
 from .almostabelian import AlmostAbelianAlgebra
-from .exactlinalg import basis_vec, nullspace, rref_span
+from .exactlinalg import basis_vec, dot, nullspace
 from .liealgebra import MetricLieAlgebra
 from .tensors import (SymTensor, Endomorphism, apply_derivation, product_positions,
                       sum_of_squares, sym_dimension)
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 DEFAULT_SEED = 0x5EED
 DEFAULT_TOL = 1e-9
@@ -52,6 +53,10 @@ class NotKillingError(ValueError):
     def __init__(self, message, diagnosis=None):
         super().__init__(message)
         self.diagnosis = diagnosis
+
+
+class GeneratorError(ValueError):
+    """A certificate factor that is not a Killing field of the algebra."""
 
 
 # ---------------------------------------------------------------------------
@@ -452,42 +457,17 @@ def omega_tensor(alg: MetricLieAlgebra, cert, w, order=None, min_order: int = 0)
 # skew derivations: solver and validation
 # ---------------------------------------------------------------------------
 
-def _wedge(n: int, i: int, j: int) -> Endomorphism:
-    rows = [[_ZERO] * n for _ in range(n)]
-    rows[j][i] = Fraction(1)
-    rows[i][j] = Fraction(-1)
-    return Endomorphism(tuple(tuple(r) for r in rows))
-
-
 def skew_derivation_basis(lie: MetricLieAlgebra):
-    """Canonical basis of the skew-symmetric derivations of the algebra,
-    solved as an exact linear system over the wedge coordinates."""
+    """Canonical basis of the skew-symmetric derivations of the algebra: the
+    kernel of ``derivation_residual`` over the wedge coordinates, with
+    ``(i, j)`` for ``i < j`` standing for ``E_ji - E_ij``."""
     n = lie.dim
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    wedges = [_wedge(n, i, j) for i, j in pairs]
-    basis = [basis_vec(n, s) for s in range(n)]
-    rows = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            ea, eb = basis[a], basis[b]
-            bab = lie.bracket(ea, eb)
-            residuals = []
-            for m in wedges:
-                lhs = m.apply(bab)
-                rhs1 = lie.bracket(m.apply(ea), eb)
-                rhs2 = lie.bracket(ea, m.apply(eb))
-                residuals.append(tuple(p - q - r for p, q, r in zip(lhs, rhs1, rhs2)))
-            for comp in range(n):
-                rows.append([res[comp] for res in residuals])
-    kernel = nullspace(rows, len(pairs))
-    out = []
-    for coords in rref_span(kernel):
-        m = Endomorphism.zero(n)
-        for c, wmat in zip(coords, wedges):
-            if c != 0:
-                m = m + c * wmat
-        out.append(m)
-    return tuple(out)
+    kernel = nullspace({(i, j): lie.derivation_residual({(j, i): _ONE, (i, j): -_ONE})
+                        for i in range(n) for j in range(i + 1, n)})
+    # entry (r, s) of the sum of w_ij (E_ji - E_ij) is w_sr below the diagonal
+    return tuple(Endomorphism(tuple(
+        tuple(w.get((s, r), _ZERO) if s < r else -w.get((r, s), _ZERO) for s in range(n))
+        for r in range(n))) for w in kernel)
 
 
 def validate_skew_derivation(alg: AlmostAbelianAlgebra, t: SkewDerivation):
@@ -496,16 +476,10 @@ def validate_skew_derivation(alg: AlmostAbelianAlgebra, t: SkewDerivation):
     full = t.full_matrix()
     if not full.is_skew():
         raise ValueError("derivation matrix is not skew")
-    n = alg.dim
-    basis = [basis_vec(n, i) for i in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            lhs = full.apply(alg.bracket(basis[a], basis[b]))
-            rhs = tuple(p + q for p, q in zip(
-                alg.bracket(full.apply(basis[a]), basis[b]),
-                alg.bracket(basis[a], full.apply(basis[b]))))
-            if lhs != rhs:
-                raise ValueError(f"derivation identity fails on basis pair ({a},{b})")
+    residual = alg.derivation_residual(full.sparse())
+    if residual:
+        a, b, _ = min(residual)
+        raise ValueError(f"derivation identity fails on basis pair ({a},{b})")
     d = alg.derivation
     th = t.ideal_part
     if th @ d != d @ th:
@@ -514,11 +488,12 @@ def validate_skew_derivation(alg: AlmostAbelianAlgebra, t: SkewDerivation):
     for j in range(alg.ideal_dim):
         if sum((vi * ci for vi, ci in zip(v, d.column(j))), _ZERO) != 0:
             raise ValueError("image of the derivation not orthogonal to b-image")
-    if any(vi != 0 for vi in v):
-        for u in nullspace([list(v)], alg.ideal_dim):
-            if any(x != 0 for x in d.apply(u)):
-                raise ValueError("derivation does not vanish on the orthogonal complement "
-                                 "of the b-image")
+    # D vanishes on the complement of v exactly when D = (D v) v^T / <v, v>
+    vv, dv = dot(v, v), d.apply(v)
+    if vv and any(a * vv != dv[i] * v[j] for i, row in enumerate(d.entries)
+                  for j, a in enumerate(row)):
+        raise ValueError("derivation does not vanish on the orthogonal complement "
+                         "of the b-image")
 
 
 def skew_derivations(alg: AlmostAbelianAlgebra):
@@ -628,23 +603,36 @@ def _series_log10_gain(norm: float, dim: int) -> float:
     return math.log10(dim + 1) + dim * math.log10(norm)
 
 
+def _log10_at_least_one(q) -> float:
+    """``log10(max(1, |q|))`` for a rational ``q``, from its numerator and
+    denominator: finite however large ``q`` is."""
+    n, d = abs(q.numerator), q.denominator
+    return math.log10(n) - math.log10(d) if n > d else 0.0
+
+
 def _factor_log10_bound(gen, gain: float, dim: int) -> float:
     if isinstance(gen, Metric):
         return 0.0
     if isinstance(gen, LeftInvariant):
-        return math.log10(max(1.0, sum(abs(float(x)) for x in gen.vector)))
+        return _log10_at_least_one(sum(map(abs, gen.vector)))
     if isinstance(gen, RightInvariant):
-        return gain + math.log10(max(1.0, sum(abs(float(x)) for x in gen.vector)))
-    tnorm = sum(abs(float(x)) for r in gen.derivation.full_matrix().entries for x in r)
-    return gain + math.log10(max(1.0, 2.0 * dim * tnorm))
+        return gain + _log10_at_least_one(sum(map(abs, gen.vector)))
+    tnorm = sum(abs(x) for r in gen.derivation.full_matrix().entries for x in r)
+    return gain + _log10_at_least_one(2 * dim * tnorm)
 
 
 def _working_digits(cert: Certificate, gain: float, dim: int) -> int:
     worst = 0.0
+    # keyed by object: the terms share their generator objects, and an id
+    # costs less than hashing a tuple of Fractions
+    bounds = {}
     for coeff, factors in cert.terms:
-        t = math.log10(max(1.0, abs(float(coeff))))
+        t = _log10_at_least_one(coeff)
         for gen in factors:
-            t += _factor_log10_bound(gen, gain, dim)
+            bound = bounds.get(id(gen))
+            if bound is None:
+                bound = bounds[id(gen)] = _factor_log10_bound(gen, gain, dim)
+            t += bound
         worst = max(worst, t)
     worst += math.log10(len(cert.terms) + 1)
     digits = max(50, 35 + int(math.ceil(worst)))
@@ -672,6 +660,27 @@ def _sampled_value(alg: MetricLieAlgebra, gen, w, shift: int, dps: int, min_orde
     return tuple(_generator_value(alg, gen, w, shift, None, min_order))
 
 
+def _check_generators(alg: MetricLieAlgebra, cert: Certificate, generators):
+    """Raise ``GeneratorError``, naming the first factor that uses it, at a
+    generator that is not a Killing field of ``alg``: a left-invariant field
+    needs a vector ``x`` with skew ``ad_x``, a derivation field a skew
+    derivation.  ``generators`` are the certificate's distinct ones."""
+    for gen in generators:
+        fault = None
+        if isinstance(gen, LeftInvariant) and not alg.ad(gen.vector).is_skew():
+            fault = "left-invariant field of a vector whose ad is not skew"
+        elif isinstance(gen, DerivationField):
+            full = gen.derivation.full_matrix()
+            if not full.is_skew():
+                fault = "derivation matrix is not skew"
+            elif alg.derivation_residual(full.sparse()):
+                fault = "matrix is not a derivation of the algebra"
+        if fault:
+            t, s = next((t, s) for t, (_, factors) in enumerate(cert.terms)
+                        for s, g in enumerate(factors) if g == gen)
+            raise GeneratorError(f"certificate.terms[{t}].factors[{s}]: {fault}")
+
+
 @lru_cache(maxsize=_SAMPLED_VALUES)
 def _point_norm(alg: MetricLieAlgebra, w) -> float:
     """``||ad_w||_1`` at a sample point, which every certificate verified on
@@ -685,6 +694,9 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
                        order_floor: int = DEFAULT_ORDER_FLOOR) -> CertificateCheck:
     """Check a certificate: exact equality at the origin plus sampled
     constancy of the pullback within ``tol`` at ``samples >= 1`` points.
+    Every factor must be a Killing field: a left-invariant field of a vector
+    with skew ``ad``, or the field of a skew derivation, else
+    ``GeneratorError``.
 
     The certificate is compiled once (``CompiledCertificate``) and evaluated
     exactly at the origin and in fixed point at every sample point, from
@@ -708,6 +720,7 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     dim = alg.dim
     zero = (_ZERO,) * dim
     exact0 = omega_tensor(alg, compiled, zero, order=0) == cert.target
+    _check_generators(alg, cert, compiled.generators)
     pts = sample_points(dim, samples, seed)
     norms = [_point_norm(alg, w) for w in pts]
     m_norm = max(norms)
@@ -722,7 +735,10 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
                       for gen in compiled.generators]
             value = compiled.evaluate(values, shift)
             worst = max(worst, *(abs(v - t) for v, t in zip(value, target)))
-    max_dev = worst / (1 << shift)
+    try:
+        max_dev = worst / (1 << shift)
+    except OverflowError:  # a deviation past the float range
+        max_dev = math.inf
     return CertificateCheck(
         passed=bool(exact0 and max_dev < tol),
         exact_at_zero=bool(exact0),

@@ -4,18 +4,13 @@ serves as the oracle for all structured computations."""
 from __future__ import annotations
 
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .exactlinalg import basis_vec, frac, nullspace, rref_span
-from .tensors import (
-    SymTensor,
-    Endomorphism,
-    apply_derivation,
-    basis_monomials,
-    tensor_from_coordinates,
-)
+from .exactlinalg import basis_vec, frac, nullspace
+from .tensors import SymTensor, Endomorphism, apply_derivation, basis_monomials
 
 _ZERO = Fraction(0)
 
@@ -57,13 +52,13 @@ class MetricLieAlgebra:
             raise ValueError("structure constants must form an n*n*n array")
         self.structure = c
         self.dim = n
-        self._validate()
         # (i, j, k, c) for every nonzero c = structure[i][j][k], in the order i, j, k
         self.nonzero_structure = tuple((i, j, k, x) for i, plane in enumerate(c)
                                        for j, row in enumerate(plane)
                                        for k, x in enumerate(row) if x != 0)
         self._ad_basis = None
         self._nabla_basis = None
+        self._validate()
 
     def _validate(self):
         c = self.structure
@@ -73,20 +68,16 @@ class MetricLieAlgebra:
                 for k in range(n):
                     if c[i][j][k] != -c[j][i][k]:
                         raise ValueError(f"structure constants not antisymmetric at ({i},{j},{k})")
+        # Jacobi on (i, a, b) is the derivation identity of ad_{e_i} on (a, b);
+        # at the first failing i every failing triple has i as its least index
+        ad = [{} for _ in range(n)]
+        for i, j, k, x in self.nonzero_structure:
+            ad[i][k, j] = x
         for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    ei, ej, ek = (basis_vec(n, t) for t in (i, j, k))
-                    jac = tuple(
-                        a + b + d
-                        for a, b, d in zip(
-                            self.bracket(self.bracket(ei, ej), ek),
-                            self.bracket(self.bracket(ej, ek), ei),
-                            self.bracket(self.bracket(ek, ei), ej),
-                        )
-                    )
-                    if any(x != 0 for x in jac):
-                        raise ValueError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
+            residual = self.derivation_residual(ad[i])
+            if residual:
+                a, b, _ = min(residual)
+                raise ValueError(f"Jacobi identity fails on basis triple ({i},{a},{b})")
 
     @classmethod
     def abelian(cls, dim: int) -> "MetricLieAlgebra":
@@ -94,23 +85,33 @@ class MetricLieAlgebra:
                          for _ in range(dim)))
 
     def bracket(self, x, y):
-        c = self.structure
-        n = self.dim
-        out = [_ZERO] * n
-        for i in range(n):
-            xi = x[i]
-            if xi == 0:
-                continue
-            for j in range(n):
-                yj = y[j]
-                if yj == 0:
-                    continue
-                cij = c[i][j]
-                f = xi * yj
-                for k in range(n):
-                    if cij[k] != 0:
-                        out[k] += f * cij[k]
-        return tuple(out)
+        out = dict.fromkeys(range(self.dim), _ZERO)
+        for i, j, k, c in self.nonzero_structure:
+            out[k] += x[i] * y[j] * c
+        return tuple(out.values())
+
+    def derivation_residual(self, t: dict) -> dict:
+        """Nonzero entries of ``T[e_a,e_b] - [T e_a,e_b] - [e_a,T e_b]`` for
+        ``a < b``, keyed ``(a, b, k)`` by the component ``k``, summed over the
+        nonzero structure constants.  ``t`` maps ``(row, column)`` to the
+        nonzero entries of ``T``; ``T`` is a derivation exactly when the
+        result is empty."""
+        rows, cols = defaultdict(list), defaultdict(list)
+        for (r, s), x in t.items():
+            rows[r].append((s, x))
+            cols[s].append((r, x))
+        out = defaultdict(Fraction)
+        for i, j, k, c in self.nonzero_structure:
+            if i < j:  # T[e_i,e_j] takes c_ijk T e_k
+                for r, x in cols[k]:
+                    out[i, j, r] += c * x
+            for a, x in rows[i]:  # [T e_a,e_j] takes T_ia c_ijk e_k
+                if a < j:
+                    out[a, j, k] -= x * c
+            for b, x in rows[j]:  # [e_i,T e_b] takes T_jb c_ijk e_k
+                if i < b:
+                    out[i, b, k] -= x * c
+        return {key: v for key, v in out.items() if v}
 
     def ad_rows(self, x, times) -> list:
         """Rows of ``ad_x = [x, .]`` as ``(column, entry)`` pairs of the nonzero
@@ -192,9 +193,9 @@ class MetricLieAlgebra:
                                  dim_cap: int = 6) -> KillingSpace:
         """Exact nullspace of the Killing operator on the full symmetric power.
 
-        Assembles the operator matrix column by column over the monomial
-        basis and solves over the rationals.  Desk-scale guard rails: raise
-        past the caps, warn when the column count gets out of hand.
+        The operator's image of each monomial is one sparse column of the
+        exact solve.  Desk-scale guard rails: raise past the caps, warn when
+        the column count gets out of hand.
         """
         if p < 0:
             raise ValueError("degree must be nonnegative")
@@ -203,12 +204,6 @@ class MetricLieAlgebra:
         monos = basis_monomials(self.dim, p)
         if len(monos) > 100_000:
             warnings.warn(f"symmetric power has {len(monos)} monomials; this will be slow")
-        target_index = {m: r for r, m in enumerate(basis_monomials(self.dim, p + 1))}
-        rows = [[_ZERO] * len(monos) for _ in target_index]
-        for cidx, mono in enumerate(monos):
-            dk = self.killing_operator(SymTensor.monomial(self.dim, mono))
-            for tm, cf in dk.terms.items():
-                rows[target_index[tm]][cidx] = cf
-        kernel = nullspace(rows, len(monos))
-        basis = [tensor_from_coordinates(self.dim, p, monos, v) for v in rref_span(kernel)]
-        return KillingSpace(p, tuple(basis))
+        kernel = nullspace({m: self.killing_operator(SymTensor.monomial(self.dim, m)).terms
+                            for m in monos})
+        return KillingSpace(p, tuple(SymTensor(self.dim, p, v) for v in kernel))

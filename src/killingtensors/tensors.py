@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
-from .exactlinalg import basis_vec, determinant, frac
+from .exactlinalg import basis_vec, frac, rref
 
 Monomial = tuple
 
@@ -284,11 +284,13 @@ class Endomorphism:
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.entries for a in r)
 
-    def determinant(self) -> Fraction:
-        return determinant(self.entries)
-
     def is_invertible(self) -> bool:
-        return self.determinant() != 0
+        """Full rank, by ``rref``."""
+        return len(rref(self.entries)[1]) == self.dim
+
+    def sparse(self) -> dict:
+        """The nonzero entries, keyed ``(row, column)``."""
+        return {(i, j): a for i, row in enumerate(self.entries) for j, a in enumerate(row) if a}
 
 
 def sym_mul(a: SymTensor, b: SymTensor) -> SymTensor:
@@ -375,14 +377,8 @@ def endo_from_sym2(k: SymTensor) -> Endomorphism:
     if k.degree != 2:
         raise ValueError("degree must be 2")
     n = k.dim
-    rows = [[_ZERO] * n for _ in range(n)]
-    for (i, j), c in k.terms.items():
-        if i == j:
-            rows[i][i] += 2 * c
-        else:
-            rows[i][j] += c
-            rows[j][i] += c
-    return Endomorphism(tuple(tuple(r) for r in rows))
+    return Endomorphism(tuple(tuple(k.coeff((i, j)) * (2 if i == j else 1) for j in range(n))
+                              for i in range(n)))
 
 
 def act_group(a: Endomorphism, k: SymTensor) -> SymTensor:
@@ -435,12 +431,3 @@ def sum_of_squares(dim: int, indices=None) -> SymTensor:
     idx = range(dim) if indices is None else indices
     return SymTensor(dim, 2, {(i, i): Fraction(1) for i in idx})
 
-
-def coordinates(k: SymTensor, monomials) -> list:
-    """Coefficient vector of ``k`` relative to an explicit monomial list."""
-    return [k.terms.get(m, _ZERO) for m in monomials]
-
-
-def tensor_from_coordinates(dim, degree, monomials, coords) -> SymTensor:
-    return SymTensor(dim, degree,
-                     {m: c for m, c in zip(monomials, coords) if c != 0})

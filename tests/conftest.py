@@ -6,7 +6,7 @@ from itertools import permutations
 from mpmath import mp
 
 from killingtensors import Endomorphism, SymTensor, basis_monomials, omega_generator
-from killingtensors.exactlinalg import dot
+from killingtensors.exactlinalg import basis_vec, dot
 
 DERIVATION_KINDS = ("skew", "symmetric", "nilpotent", "generic")
 
@@ -238,3 +238,99 @@ def omega_derivation(alg, t, w, order=None, min_order=0):
                     raise RuntimeError("omega series failed to converge")
         k += 1
     return (out_b, *out_h)
+
+
+# ---------------------------------------------------------------------------
+# dense oracles for the exact solvers: Gauss-Jordan on dense rows, the dense
+# Jacobi triple loop and the wedge-by-wedge skew-derivation solve that the
+# sparse ``derivation_residual`` replaced
+# ---------------------------------------------------------------------------
+
+def gauss_jordan_oracle(rows, ncols):
+    """Reduced row echelon form of dense rows: (nonzero rows, pivot columns)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return [tuple(r) for r in m[:len(pivots)]], pivots
+
+
+def nullspace_oracle(rows, ncols):
+    """Reduced echelon basis of the kernel of dense rows, as dense tuples:
+    the free-column kernel vectors, reduced once more."""
+    red, pivots = gauss_jordan_oracle(rows, ncols)
+    kernel = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for row, pc in zip(red, pivots):
+                v[pc] = -row[f]
+            kernel.append(v)
+    return gauss_jordan_oracle(kernel, ncols)[0]
+
+
+def _structure_bracket(c, x, y):
+    n = len(c)
+    return tuple(sum((x[i] * y[j] * c[i][j][k] for i in range(n) for j in range(n)),
+                     Fraction(0)) for k in range(n))
+
+
+def jacobi_failure_oracle(structure):
+    """First basis triple ``(i, j, k)``, ``i < j < k``, on which the Jacobi
+    identity fails, by dense brackets; None when it holds."""
+    c = [[[Fraction(x) for x in row] for row in plane] for plane in structure]
+    n = len(c)
+    e = [basis_vec(n, t) for t in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                jac = [a + b + d for a, b, d in zip(
+                    _structure_bracket(c, _structure_bracket(c, e[i], e[j]), e[k]),
+                    _structure_bracket(c, _structure_bracket(c, e[j], e[k]), e[i]),
+                    _structure_bracket(c, _structure_bracket(c, e[k], e[i]), e[j]))]
+                if any(jac):
+                    return (i, j, k)
+    return None
+
+
+def skew_derivation_basis_oracle(lie):
+    """Canonical basis of the skew derivations, solved densely over the
+    wedge matrices ``E_ji - E_ij`` with three dense brackets per basis pair
+    and wedge, then summed back from the wedge coordinates."""
+    n = lie.dim
+    wedges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            rows[j][i] = Fraction(1)
+            rows[i][j] = Fraction(-1)
+            wedges.append(Endomorphism(tuple(tuple(r) for r in rows)))
+    c = lie.structure
+    e = [basis_vec(n, s) for s in range(n)]
+    rows = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            bab = _structure_bracket(c, e[a], e[b])
+            residuals = [tuple(p - q - r for p, q, r in zip(
+                m.apply(bab), _structure_bracket(c, m.apply(e[a]), e[b]),
+                _structure_bracket(c, e[a], m.apply(e[b])))) for m in wedges]
+            rows.extend([res[comp] for res in residuals] for comp in range(n))
+    out = []
+    for coords in nullspace_oracle(rows, len(wedges)):
+        m = Endomorphism.zero(n)
+        for c, wedge in zip(coords, wedges):
+            if c != 0:
+                m = m + c * wedge
+        out.append(m)
+    return tuple(out)

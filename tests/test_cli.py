@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import random
 from fractions import Fraction
@@ -27,6 +29,7 @@ ROT = {"n": 2, "D": [["0", "-1"], ["1", "0"]]}
 DIAG = {"n": 2, "D": [["1", "0"], ["0", "-1"]]}
 HYP = {"n": 2, "D": [["1", "0"], ["0", "1"]]}
 HEISENBERG = {"dim": 3, "structure": [[0, 1, 2, "1"]]}
+DIAG12 = {"n": 2, "D": [["1", "0"], ["0", "2"]]}
 
 
 def write(tmp_path, name, doc):
@@ -227,11 +230,10 @@ class TestVerifyCommand:
         assert json.loads(out)["result"]["passed"] is True
 
     # target e1^2 against right:1^2 on D = diag(1, 2): exact at the origin, wrong elsewhere
-    DIAG12 = {"n": 2, "D": [["1", "0"], ["0", "2"]]}
     RIGHT1 = {"kind": "right", "vector": ["0", "1", "0"]}
 
     def _e1_squared(self, tmp_path, factors):
-        alg = write(tmp_path, "diag12.json", self.DIAG12)
+        alg = write(tmp_path, "diag12.json", DIAG12)
         cert = write(tmp_path, "e1sq.cert.json", {
             "target": {"degree": 2, "terms": [{"monomial": [1, 1], "coeff": "1"}]},
             "terms": [{"coeff": "1", "factors": factors}]})
@@ -250,6 +252,43 @@ class TestVerifyCommand:
         result = json.loads(out)["result"]
         assert result["passed"] is False
         assert result["verification"]["exact_at_zero"] is True
+
+    LEFT1 = {"kind": "left", "vector": ["0", "1", "0"]}
+    # b -> e1, e1 -> -b: skew, but T[b,e1] = -b while [Tb,e1] + [b,Te1] = 0
+    NOT_A_DERIVATION = {"kind": "deriv", "b_image": ["1", "0"],
+                        "ideal_block": [["0", "0"], ["0", "0"]]}
+    E0 = {"degree": 1, "terms": [{"monomial": [0], "coeff": "1"}]}
+
+    @pytest.mark.parametrize("algebra, target, factors, fault", [
+        (DIAG12, None, [LEFT1, LEFT1], "ad is not skew"),
+        (HEISENBERG, E0, [{"kind": "left", "vector": ["1", "0", "0"]}], "ad is not skew"),
+        (DIAG12, {"degree": 1, "terms": []}, [NOT_A_DERIVATION], "not a derivation"),
+    ], ids=["left-e1-squared-diag12", "left-e0-heisenberg", "skew-non-derivation"])
+    def test_non_killing_generator_exits_2(self, tmp_path, capsys, algebra, target, factors,
+                                           fault):
+        target = target or {"degree": 2, "terms": [{"monomial": [1, 1], "coeff": "1"}]}
+        argv = ["verify", "--algebra", write(tmp_path, "alg.json", algebra), "--certificate",
+                write(tmp_path, "cert.json", {"target": target,
+                                              "terms": [{"coeff": "1", "factors": factors}]})]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "parse error"
+        assert doc["detail"].startswith("certificate.terms[0].factors[0]: ")
+        assert fault in doc["detail"]
+
+    def test_huge_coefficients_get_a_verdict(self, tmp_path, capsys):
+        big = str(10 ** 400)
+        cert = {"target": {"degree": 2, "terms": [{"monomial": [1, 1], "coeff": big}]},
+                "terms": [{"coeff": big, "factors": [self.RIGHT1, self.RIGHT1]}]}
+        code, out, err = run(capsys, ["verify", "--algebra", write(tmp_path, "rot.json", ROT),
+                                      "--certificate", write(tmp_path, "big.json", cert),
+                                      "--samples", "3"])
+        assert code == 0 and err == ""
+        result = json.loads(out)["result"]
+        assert result["passed"] is False
+        assert result["verification"]["exact_at_zero"] is True
+        assert result["verification"]["precision_digits"] > 400
 
     @pytest.mark.parametrize("flag", [["--samples", "0"], ["--samples", "-3"],
                                       ["--tol", "inf"], ["--tol", "nan"], ["--tol", "0"],
@@ -537,3 +576,100 @@ class TestJsonShapeFuzz:
             (tmp / (option[2:] + ".json")).write_text(json.dumps(content))
         code = main(argv)
         assert code in (0, 2, 3, 4)
+
+
+# ---------------------------------------------------------------------------
+# every command on a pool of small files, including the certificates that
+# must be turned away and one whose coefficients overflow a float
+# ---------------------------------------------------------------------------
+
+def _cert_doc(target, *terms):
+    return {"target": target,
+            "terms": [{"coeff": c, "factors": list(factors)} for c, factors in terms]}
+
+
+def _square(i, coeff="1"):
+    return {"degree": 2, "terms": [{"monomial": [i, i], "coeff": coeff}]}
+
+
+_LEFT = [{"kind": "left", "vector": v} for v in (["0", "1", "0"], ["1", "0", "0"])]
+_RIGHT = [{"kind": "right", "vector": ["1" if t == i else "0" for t in range(3)]}
+          for i in range(3)]
+_POOL_ALGEBRAS = {
+    "rot": ROT, "diag": DIAG, "diag12": DIAG12, "hyp": HYP, "heisenberg": HEISENBERG,
+    "so3": {"dim": 3, "structure": [[0, 1, 2, "1"], [1, 2, 0, "1"], [2, 0, 1, "1"]]},
+    "abelian4": {"dim": 4, "structure": []},
+    "mixed3": {"n": 3, "D": [["2", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]},
+    "rot3": {"n": 3, "D": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]]},
+    "not-jacobi": {"dim": 3, "structure": [[0, 1, 2, "1"], [1, 2, 1, "1"]]},
+}
+_POOL_TENSORS = {
+    "e1sq": _square(1), "e3sq": _square(3), "e0": {"degree": 1, "terms": [
+        {"monomial": [0], "coeff": "1"}]},
+    "metric": {"degree": 2, "terms": [{"monomial": [i, i], "coeff": "1"} for i in range(3)]},
+    "mixed": MIXED, "cubic": {"degree": 3, "terms": [{"monomial": [0, 1, 2], "coeff": "-1/2"}]},
+}
+_POOL_CERTS = {
+    "left-e1sq": _cert_doc(_square(1), ("1", [_LEFT[0], _LEFT[0]])),
+    "left-e0": _cert_doc(_POOL_TENSORS["e0"], ("1", [_LEFT[1]])),
+    "not-derivation": _cert_doc({"degree": 1, "terms": []}, ("1", [
+        {"kind": "deriv", "b_image": ["1", "0"], "ideal_block": [["0", "0"], ["0", "0"]]}])),
+    "lone-deriv": _cert_doc({"degree": 1, "terms": []}, ("1", [
+        {"kind": "deriv", "b_image": ["0", "0"], "ideal_block": [["0", "-1"], ["1", "0"]]}])),
+    "right-e1sq": _cert_doc(_square(1), ("1", [_RIGHT[1], _RIGHT[1]])),
+    "right-squares": _cert_doc(_POOL_TENSORS["metric"],
+                               *[("1", [r, r]) for r in _RIGHT]),
+    "huge": _cert_doc(_square(1, str(10 ** 400)), (str(10 ** 400), [_RIGHT[1], _RIGHT[1]])),
+    "metric": _cert_doc(_POOL_TENSORS["metric"], ("2", [{"kind": "metric"}])),
+}
+_POINT_ENTRIES = ["0", "1", "-1/2", "0.25", "-2", "1e300", "x"]
+
+
+@pytest.fixture(scope="module")
+def argv_pool(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("argv")
+    pool = {kind: {name: write(tmp, f"{kind}-{name}.json", doc) for name, doc in docs.items()}
+            for kind, docs in (("algebra", _POOL_ALGEBRAS), ("tensor", _POOL_TENSORS),
+                               ("certificate", _POOL_CERTS))}
+    pool["algebra"]["broken"] = str(tmp / "broken.json")
+    (tmp / "broken.json").write_text("{")
+    pool["out"] = str(tmp / "out.cert.json")
+    return pool
+
+
+class TestArgvFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_exit_code_and_one_json_error_line(self, argv_pool, data):
+        draw = data.draw
+        command = draw(st.sampled_from(["killing-basis", "decompose", "verify", "curvature",
+                                        "derivations", "omega-sample"]))
+        argv = [command, "--algebra", draw(st.sampled_from(sorted(argv_pool["algebra"].values()))),
+                "--samples", str(draw(st.integers(1, 3))), "--seed", str(draw(st.integers(0, 9))),
+                "--tol", draw(st.sampled_from(["1e-9", "1e-3"]))]
+        if command == "killing-basis":
+            argv += ["--degree", str(draw(st.integers(0, 3)))]
+            method = draw(st.sampled_from([None, "structured", "brute", "both"]))
+            argv += ["--method", method] if method else []
+        elif command == "decompose":
+            argv += ["--tensor", draw(st.sampled_from(sorted(argv_pool["tensor"].values()))),
+                     "--certificate-out", argv_pool["out"]]
+        elif command == "verify":
+            argv += ["--certificate",
+                     draw(st.sampled_from(sorted(argv_pool["certificate"].values())))]
+        elif command == "omega-sample":
+            kind = draw(st.sampled_from(["metric", "left:", "right:", "deriv:", "bogus:"]))
+            argv += ["--generator", kind + (str(draw(st.integers(0, 4))) if ":" in kind else "")]
+            point = draw(st.lists(st.sampled_from(_POINT_ENTRIES), min_size=2, max_size=4))
+            argv += ["--at=" + ",".join(point)]
+            if draw(st.booleans()):
+                argv += ["--order", str(draw(st.integers(0, 5)))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert err.getvalue() == "" and json.loads(out.getvalue())["command"] == command
+        else:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and set(json.loads(lines[0])) >= {"error", "detail"}

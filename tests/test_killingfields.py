@@ -40,8 +40,9 @@ from killingtensors import (
     validate_skew_derivation,
     verify_certificate,
 )
-from conftest import (derivation_suite, omega_derivation, omega_series_oracle,
-                      omega_tensor_oracle, random_derivation, random_vector)
+from conftest import (DERIVATION_KINDS, derivation_suite, omega_derivation,
+                      omega_series_oracle, omega_tensor_oracle, random_derivation, random_vector,
+                      skew_derivation_basis_oracle)
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
 DIAG = Endomorphism.diagonal([1, -1])
@@ -93,6 +94,35 @@ class TestSkewDerivations:
         bad = SkewDerivation((Fraction(0), Fraction(0)), J2)
         with pytest.raises(ValueError):
             validate_skew_derivation(alg, bad)
+
+
+# the benchmark's gallery of almost abelian derivations, and two general algebras
+GALLERY = [
+    [[0, 0], [0, 0]], [[0, -1], [1, 0]], [[1, 0], [0, -1]], [[0, 1], [0, 0]],
+    [[1, 0], [0, 1]], [[1, -1], [1, 1]], [[0, -1, 0], [1, 0, 0], [0, 0, 0]],
+    [[2, 0, 0], [0, -1, 0], [0, 0, -1]],
+]
+SO3 = MetricLieAlgebra([[[0, 0, 0], [0, 0, 1], [0, -1, 0]], [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
+                        [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]])
+HEISENBERG = MetricLieAlgebra([[[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+                               [[0, 0, -1], [0, 0, 0], [0, 0, 0]], [[0] * 3] * 3])
+
+
+class TestSkewDerivationBasisOracle:
+    """The sparse residual solve against the dense wedge-by-wedge solve."""
+
+    @pytest.mark.parametrize("alg", [SO3, HEISENBERG, MetricLieAlgebra.abelian(4)]
+                             + [AlmostAbelianAlgebra(Endomorphism.from_rows(d)) for d in GALLERY]
+                             + [AlmostAbelianAlgebra(d)
+                                for d in derivation_suite(sizes=(1, 2, 3, 4))])
+    def test_equals_dense_oracle(self, alg):
+        assert skew_derivation_basis(alg) == skew_derivation_basis_oracle(alg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 4), st.sampled_from(DERIVATION_KINDS))
+    def test_random_almost_abelian(self, seed, n, kind):
+        alg = AlmostAbelianAlgebra(random_derivation(random.Random(seed), n, kind))
+        assert skew_derivation_basis(alg) == skew_derivation_basis_oracle(alg)
 
 
 class TestOmegaRight:

@@ -1,7 +1,9 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from killingtensors import (
     AlmostAbelianAlgebra,
@@ -14,7 +16,8 @@ from killingtensors import (
     sym2_from_endo,
 )
 from killingtensors.exactlinalg import basis_vec, dot
-from conftest import derivation_suite, koszul_oracle, random_tensor, random_vector
+from conftest import (derivation_suite, jacobi_failure_oracle, koszul_oracle, random_tensor,
+                      random_vector)
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
 DIAG = Endomorphism.diagonal([1, -1])
@@ -56,6 +59,26 @@ class TestConstruction:
         heisenberg3()
         so3()
         MetricLieAlgebra.abelian(4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_jacobi_check_matches_dense_oracle(self, data):
+        n = data.draw(st.integers(1, 4))
+        entry = st.sampled_from([Fraction(0)] * 6 + [Fraction(1), Fraction(-1), Fraction(1, 2)])
+        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(n):
+                    c[i][j][k] = data.draw(entry)
+                    c[j][i][k] = -c[i][j][k]
+        failure = jacobi_failure_oracle(c)
+        if failure is None:
+            MetricLieAlgebra(c)
+        else:
+            triple = "(" + ",".join(map(str, failure)) + ")"
+            with pytest.raises(ValueError, match=re.escape(f"Jacobi identity fails on basis "
+                                                           f"triple {triple}")):
+                MetricLieAlgebra(c)
 
 
 class TestAdjoint:
