@@ -34,6 +34,8 @@ from .killingfields import (
     NotKillingError,
     GeneratorError,
     SeriesCapError,
+    DerivationCapError,
+    DERIVATION_DIM_CAP,
     generator_degree,
     skew_derivation_basis,
     skew_derivations,
@@ -70,7 +72,8 @@ __all__ = [
     "AlmostAbelianAlgebra", "LayeredDecomposition", "KillingDiagnosis",
     "Metric", "LeftInvariant", "RightInvariant", "SkewDerivation",
     "DerivationField", "Certificate", "CertificateCheck", "CompiledCertificate",
-    "NotKillingError", "GeneratorError", "SeriesCapError", "generator_degree",
+    "NotKillingError", "GeneratorError", "SeriesCapError", "DerivationCapError",
+    "DERIVATION_DIM_CAP", "generator_degree",
     "skew_derivation_basis", "skew_derivations", "validate_skew_derivation",
     "omega_right", "omega_derivation_matrix",
     "omega_generator", "omega_tensor", "decompose", "decompose_ideal_tensor",

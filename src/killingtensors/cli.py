@@ -27,6 +27,7 @@ from .killingfields import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     DEFAULT_TOL,
+    DerivationCapError,
     GeneratorError,
     LeftInvariant,
     Metric,
@@ -371,7 +372,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ff.ParseError, GeneratorError) as exc:
         return _fail(EXIT_PARSE, "parse error", str(exc))
-    except (SolverCapError, SeriesCapError) as exc:
+    except (SolverCapError, SeriesCapError, DerivationCapError) as exc:
         return _fail(EXIT_PARSE, "limit exceeded", exc.limits)
     except WrongAlgebraKind as exc:
         return _fail(EXIT_KIND, "method/algebra mismatch", str(exc))

@@ -2,17 +2,16 @@
 
 The solvers hand in sparse vectors: ``{key: Fraction}`` dicts that name only
 their nonzero entries.  ``nullspace`` takes the image of each unknown as one
-such column and ``rref_span`` takes the spanning vectors themselves.  Dense
-rows exist only here, built by ``_sparse_rref`` from the rows that carry a
-nonzero and reduced by ``rref``; matrix arithmetic lives in
-``tensors.Endomorphism``.  Everything is plain
-Gauss-Jordan at desk scale; the point is exactness, not speed.  The reduced
-row echelon form of a matrix is unique, so the canonical basis of a row
-space or nullspace does not depend on pivoting choices.
+such column and ``rref_span`` takes the spanning vectors themselves; both
+reduce in ``_sparse_rref``, a sparse fraction-free elimination, and matrix
+arithmetic lives in ``tensors.Endomorphism``.  The reduced row echelon form
+of a matrix is unique, so the canonical basis of a row space or nullspace
+depends neither on how it is eliminated nor on the choice of pivot rows.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 _ONE = Fraction(1)
 
@@ -34,45 +33,72 @@ def dot(u, v):
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return [tuple(row) for row in m], pivots
+def _primitive(row: dict) -> dict:
+    """An integer row divided by its content, the gcd of its entries."""
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
+
+
+def _eliminate(r: dict, p: dict, c: int) -> dict:
+    """``a r - b p`` for the pivot row ``p`` with ``a = p[c]`` and ``b = r[c]``
+    made coprime: column ``c`` of ``r`` cleared, content divided out."""
+    g = gcd(p[c], r[c])
+    a, b = p[c] // g, r[c] // g
+    out = {j: a * x for j, x in r.items()} if a != 1 else dict(r)
+    for j, y in p.items():
+        v = out.get(j, 0) - b * y
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    return _primitive(out)
 
 
 def _sparse_rref(rows, keys: list):
     """RREF of sparse rows over the columns ``keys``, in that order: the
-    nonzero reduced rows as sparse dicts, and the pivot keys."""
+    nonzero reduced rows as sparse dicts, and the pivot keys.
+
+    Fraction-free, in the spirit of Bareiss (Math. Comp. 22, 1968): each row
+    is cleared of denominators once and kept as a sparse ``{column: int}``
+    dict, and rows are combined by integer cross-multiplication with their
+    content divided out.  Forward elimination takes the columns in order,
+    pivots on the sparsest active row that carries the column and clears it
+    from the other active rows, so every active row starts past the columns
+    done.  Back-substitution runs from the last pivot up and clears each
+    pivot row at the later pivot columns with the rows already reduced.
+    Only then does each row become ``Fraction``s, divided by its pivot.
+    """
     position = {k: c for c, k in enumerate(keys)}
-    dense = []
+    active = []
     for row in rows:
         if any(row.values()):
-            d = [Fraction(0)] * len(keys)
-            for k, x in row.items():
-                d[position[k]] = x
-            dense.append(d)
-    red, pivots = rref(dense)
-    return ([{keys[c]: x for c, x in enumerate(row) if x} for row in red[:len(pivots)]],
-            [keys[c] for c in pivots])
+            scale = lcm(*(x.denominator for x in row.values()))
+            active.append(_primitive({position[k]: x.numerator * (scale // x.denominator)
+                                      for k, x in row.items() if x}))
+    pivots, reduced = [], {}
+    for c in range(len(keys)):
+        if not active:
+            break
+        hits = [r for r in active if c in r]
+        if not hits:
+            continue
+        p = min(hits, key=len)
+        active = [r for r in active if c not in r]
+        active.extend(row for row in (_eliminate(r, p, c) for r in hits if r is not p) if row)
+        pivots.append(c)
+        reduced[c] = p
+    # a pivot row starts at its own column, so its other pivot columns are later ones
+    for c in reversed(pivots):
+        p = reduced[c]
+        for j in sorted(j for j in p if j in reduced and j != c):
+            p = _eliminate(p, reduced[j], j)
+        reduced[c] = p
+    out = []
+    for c in pivots:
+        row = reduced.pop(c)
+        lead = row[c]
+        out.append({keys[j]: Fraction(v, lead) for j, v in sorted(row.items())})
+    return out, [keys[c] for c in pivots]
 
 
 def nullspace(columns: dict) -> list:
@@ -80,8 +106,7 @@ def nullspace(columns: dict) -> list:
     ``{unknown: value}`` dicts.
 
     ``columns`` maps each unknown, in echelon order, to its image as a sparse
-    ``{row key: value}`` dict; the row keys must sort, and the rows are
-    eliminated in sorted order.  The vector of each free unknown ``f`` (1 at
+    ``{row key: value}`` dict.  The vector of each free unknown ``f`` (1 at
     ``f``, minus the pivot rows' entries at ``f``) spans the kernel, and one
     more reduction puts these vectors in echelon form.
     """
@@ -90,7 +115,7 @@ def nullspace(columns: dict) -> list:
     for u, image in columns.items():
         for r, x in image.items():
             rows.setdefault(r, {})[u] = x
-    red, pivots = _sparse_rref([rows[r] for r in sorted(rows)], unknowns)
+    red, pivots = _sparse_rref(list(rows.values()), unknowns)
     pivot_set = set(pivots)
     kernel = []
     for f in unknowns:

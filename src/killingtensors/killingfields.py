@@ -59,6 +59,21 @@ class GeneratorError(ValueError):
     """A certificate factor that is not a Killing field of the algebra."""
 
 
+# ``skew_derivation_basis`` solves C(n,2) unknowns against about n^3/2
+# equations, and its time grows about as n^7 on a generic algebra (README,
+# "Exact solvers"), so larger algebras are refused.
+DERIVATION_DIM_CAP = 24
+
+
+class DerivationCapError(ValueError):
+    """A skew-derivation solve past ``DERIVATION_DIM_CAP``."""
+
+    def __init__(self, dim: int):
+        self.limits = (f"dimension {dim} exceeds the skew-derivation cap "
+                       f"(dimension {DERIVATION_DIM_CAP})")
+        super().__init__(self.limits)
+
+
 # ---------------------------------------------------------------------------
 # generators and certificates
 # ---------------------------------------------------------------------------
@@ -229,8 +244,9 @@ def _ad_series(lie: MetricLieAlgebra, w, x, s: int, shift, order, min_order: int
     fixed-point one stops, once past ``min_order`` and the hump at
     ``||ad_w||_1``, at the first term below ``10^-(dps-5)`` times the
     largest partial sum entry (at least 1), or raises ``SeriesCapError``
-    after ``_MAX_TERMS`` terms.  A hump already past that cap leaves only a
-    series that vanishes within ``n`` terms, as for a nilpotent ``ad_w``.
+    after ``_MAX_TERMS`` terms.  A hump or a ``min_order`` already at that
+    cap leaves the stop rule no room, so it raises after ``n`` terms: only a
+    series that vanishes within them passes, as for a nilpotent ``ad_w``.
     """
     n = lie.dim
     rows = lie.ad_rows(w, lambda c, v: _rational_times(c, v, shift))
@@ -242,7 +258,7 @@ def _ad_series(lie: MetricLieAlgebra, w, x, s: int, shift, order, min_order: int
         norm = _one_norm(rows)
         hump = (norm >> shift) + 2
         stop_from = max(min_order, hump)
-        cap = _MAX_TERMS if hump <= _MAX_TERMS else n
+        cap = _MAX_TERMS if hump <= _MAX_TERMS and min_order < _MAX_TERMS else n
     k = 1
     while order is None or k <= order:
         if shift is None:
@@ -460,8 +476,11 @@ def omega_tensor(alg: MetricLieAlgebra, cert, w, order=None, min_order: int = 0)
 def skew_derivation_basis(lie: MetricLieAlgebra):
     """Canonical basis of the skew-symmetric derivations of the algebra: the
     kernel of ``derivation_residual`` over the wedge coordinates, with
-    ``(i, j)`` for ``i < j`` standing for ``E_ji - E_ij``."""
+    ``(i, j)`` for ``i < j`` standing for ``E_ji - E_ij``.  Past
+    ``DERIVATION_DIM_CAP`` it raises ``DerivationCapError`` before solving."""
     n = lie.dim
+    if n > DERIVATION_DIM_CAP:
+        raise DerivationCapError(n)
     kernel = nullspace({(i, j): lie.derivation_residual({(j, i): _ONE, (i, j): -_ONE})
                         for i in range(n) for j in range(i + 1, n)})
     # entry (r, s) of the sum of w_ij (E_ji - E_ij) is w_sr below the diagonal
@@ -580,8 +599,9 @@ class CertificateCheck:
 
 
 def _order_for_bound(m_norm: float, eps: float) -> int:
-    """Smallest N with ``m_norm^(N+1)/(N+1)! < eps``, at most ``_MAX_TERMS``:
-    past it the series' own stop rule and term cap decide."""
+    """Smallest N with ``m_norm^(N+1)/(N+1)! < eps``, else ``_MAX_TERMS``,
+    at which ``_ad_series`` passes only a series that vanishes within ``dim``
+    terms."""
     if m_norm <= 0:
         return 1
     log_eps = math.log(eps)

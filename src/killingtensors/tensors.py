@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
-from .exactlinalg import basis_vec, frac, rref
+from .exactlinalg import basis_vec, frac, rref_span
 
 Monomial = tuple
 
@@ -285,8 +285,9 @@ class Endomorphism:
         return all(a == 0 for r in self.entries for a in r)
 
     def is_invertible(self) -> bool:
-        """Full rank, by ``rref``."""
-        return len(rref(self.entries)[1]) == self.dim
+        """Full rank: the rows span a space of dimension ``dim``."""
+        return len(rref_span([{j: a for j, a in enumerate(row) if a}
+                              for row in self.entries])) == self.dim
 
     def sparse(self) -> dict:
         """The nonzero entries, keyed ``(row, column)``."""

@@ -281,9 +281,11 @@ def nullspace_oracle(rows, ncols):
 
 
 def _structure_bracket(c, x, y):
+    # the products with a zero coordinate of x or y add nothing and are skipped
     n = len(c)
-    return tuple(sum((x[i] * y[j] * c[i][j][k] for i in range(n) for j in range(n)),
-                     Fraction(0)) for k in range(n))
+    pairs = [(i, j) for i in range(n) if x[i] for j in range(n) if y[j]]
+    return tuple(sum((x[i] * y[j] * c[i][j][k] for i, j in pairs), Fraction(0))
+                 for k in range(n))
 
 
 def jacobi_failure_oracle(structure):

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from killingtensors import (
+    DERIVATION_DIM_CAP,
     AlmostAbelianAlgebra,
     Certificate,
     DerivationField,
@@ -22,7 +24,7 @@ from killingtensors import (
     sum_of_squares,
 )
 from killingtensors.cli import main
-from killingtensors import fileformats as ff
+from killingtensors import exactlinalg, fileformats as ff
 from conftest import random_tensor
 
 ROT = {"n": 2, "D": [["0", "-1"], ["1", "0"]]}
@@ -350,6 +352,28 @@ class TestDerivationsCommand:
         result = json.loads(out)["result"]
         assert all("matrix" in item for item in result["basis"])
 
+    @pytest.mark.parametrize("doc", [
+        {"dim": DERIVATION_DIM_CAP + 1, "structure": []},
+        {"n": DERIVATION_DIM_CAP, "D": [["0"] * DERIVATION_DIM_CAP] * DERIVATION_DIM_CAP},
+    ], ids=["general", "almost-abelian"])
+    def test_past_the_cap_exits_2_before_any_elimination(self, tmp_path, capsys,
+                                                         monkeypatch, doc):
+        def no_elimination(*args):
+            raise AssertionError("elimination ran past the cap")
+
+        monkeypatch.setattr(exactlinalg, "_sparse_rref", no_elimination)
+        code, out, err = run(capsys, ["derivations", "--algebra", write(tmp_path, "a.json", doc)])
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "limit exceeded"
+        assert f"dimension {DERIVATION_DIM_CAP + 1} exceeds" in error["detail"]
+
+    def test_at_the_cap_solves(self, tmp_path, capsys):
+        doc = {"dim": DERIVATION_DIM_CAP, "structure": []}
+        code, out, _ = run(capsys, ["derivations", "--algebra", write(tmp_path, "a.json", doc)])
+        assert code == 0
+        assert json.loads(out)["result"]["dimension"] == math.comb(DERIVATION_DIM_CAP, 2)
+
 
 class TestOmegaSampleCommand:
     def test_rotation_cosine(self, tmp_path, capsys):
@@ -468,6 +492,7 @@ MIXED_CERT = {"target": MIXED, "terms": [{"coeff": "1", "factors": [RIGHT_1, RIG
 
 HUGE = {"n": 2, "D": [["100000000", "0"], ["0", "-100000000"]]}
 NILPOTENT_HUGE = {"n": 2, "D": [["0", "100000000"], ["0", "0"]]}
+NILPOTENT_BIG = {"n": 2, "D": [["0", "2000"], ["0", "0"]]}
 E1_SQUARED = {"degree": 2, "terms": [{"monomial": [1, 1], "coeff": "1"}]}
 
 
@@ -481,6 +506,9 @@ class TestSeriesTermCap:
         ("decompose", {"--tensor": MIXED}, ["--samples", "1"]),
         ("verify", {"--certificate": MIXED_CERT}, ["--samples", "1"]),
         ("omega-sample", {}, ["--generator", "right:1", "--at", "3,0,0"]),
+        # at ||ad_w||_1 in the thousands no series order fits under the cap, so
+        # each series fails within n + 1 terms and all 20 samples stay short too
+        ("verify", {"--certificate": MIXED_CERT}, []),
     ])
     def test_exits_2_limit_exceeded(self, tmp_path, capsys, algebra, command, files, extra):
         argv = [command, "--algebra", write(tmp_path, "big.json", algebra)] + extra
@@ -491,6 +519,13 @@ class TestSeriesTermCap:
         error = json.loads(err)
         assert error["error"] == "limit exceeded"
         assert "5000-term cap" in error["detail"]
+
+    def test_nilpotent_with_the_same_norm_verifies(self, tmp_path, capsys):
+        code, out, _ = run(capsys, ["decompose",
+                                    "--algebra", write(tmp_path, "a.json", NILPOTENT_BIG),
+                                    "--tensor", write(tmp_path, "t.json", E1_SQUARED)])
+        assert code == 0
+        assert json.loads(out)["result"]["verification"]["passed"]
 
     def test_nilpotent_with_huge_entries_verifies(self, tmp_path, capsys):
         # the series vanish within n terms, so the gain is polynomial in ||ad_w||

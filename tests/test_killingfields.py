@@ -114,7 +114,10 @@ class TestSkewDerivationBasisOracle:
     @pytest.mark.parametrize("alg", [SO3, HEISENBERG, MetricLieAlgebra.abelian(4)]
                              + [AlmostAbelianAlgebra(Endomorphism.from_rows(d)) for d in GALLERY]
                              + [AlmostAbelianAlgebra(d)
-                                for d in derivation_suite(sizes=(1, 2, 3, 4))])
+                                for d in derivation_suite(sizes=(1, 2, 3, 4))]
+                             # dim 10: 45 wedge unknowns, 394 residual rows, a 4-dim kernel
+                             + [AlmostAbelianAlgebra(random_derivation(random.Random(10), 9,
+                                                                       "skew"))])
     def test_equals_dense_oracle(self, alg):
         assert skew_derivation_basis(alg) == skew_derivation_basis_oracle(alg)
 
@@ -154,6 +157,16 @@ class TestOmegaRight:
         alg = AlmostAbelianAlgebra(DIAG)
         with pytest.raises(ValueError):
             omega_right(alg, basis_vec(3, 1), basis_vec(3, 0))
+
+    def test_no_room_under_the_term_cap_passes_only_vanishing_series(self):
+        # a min_order at the cap leaves the stop rule no room: a converging
+        # series is refused after n terms, a nilpotent one is summed as usual
+        w = (mp.mpf(1), mp.mpf(0), mp.mpf(0))
+        with pytest.raises(kf.SeriesCapError):
+            omega_right(AlmostAbelianAlgebra(DIAG), basis_vec(3, 1), w, min_order=kf._MAX_TERMS)
+        alg = AlmostAbelianAlgebra(NILP)
+        assert (omega_right(alg, basis_vec(3, 2), w, min_order=kf._MAX_TERMS)
+                == omega_right(alg, basis_vec(3, 2), w))
 
     def test_matches_exp_action_on_ideal_vectors(self):
         # along pure b directions the value is the exponentiated derivation
