@@ -40,8 +40,6 @@ from .killingfields import (
     skew_derivation_basis,
     skew_derivations,
     validate_skew_derivation,
-    omega_right,
-    omega_derivation_matrix,
     omega_generator,
     omega_tensor,
     decompose,
@@ -75,7 +73,6 @@ __all__ = [
     "NotKillingError", "GeneratorError", "SeriesCapError", "DerivationCapError",
     "DERIVATION_DIM_CAP", "generator_degree",
     "skew_derivation_basis", "skew_derivations", "validate_skew_derivation",
-    "omega_right", "omega_derivation_matrix",
     "omega_generator", "omega_tensor", "decompose", "decompose_ideal_tensor",
     "verify_certificate", "sample_points",
     "DEFAULT_SEED", "DEFAULT_TOL", "DEFAULT_SAMPLES", "DEFAULT_ORDER_FLOOR",

@@ -28,14 +28,15 @@ from .killingfields import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     DerivationCapError,
+    DerivationField,
     GeneratorError,
     LeftInvariant,
     Metric,
     NotKillingError,
     RightInvariant,
     SeriesCapError,
+    SkewDerivation,
     _mp_vec,
-    omega_derivation_matrix,
     omega_generator,
     skew_derivation_basis,
     skew_derivations,
@@ -43,7 +44,6 @@ from .killingfields import (
     verify_certificate,
 )
 from .liealgebra import SolverCapError
-from .tensors import SymTensor
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -226,15 +226,16 @@ def _parse_point(text: str, dim: int):
     out = []
     for i, p in enumerate(parts):
         try:
-            out.append(ff.parse_rational(p, f"--at[{i}]"))
-        except ff.ParseError:
+            value = ff.parse_rational(p, f"--at[{i}]")
+            float(value)  # the report shows the point as floats: overflows past their range
+        except (ff.ParseError, OverflowError):
             try:
                 value = float(p)
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
                 raise ff.ParseError(f"--at[{i}]: cannot parse {p!r} as a finite rational or float")
-            out.append(value)
+        out.append(value)
     return tuple(out)
 
 
@@ -254,21 +255,19 @@ def cmd_omega_sample(args) -> int:
     spec = args.generator.strip()
     kind, _, index = spec.partition(":")
     with mp.workdps(60):
-        wm = _mp_vec(w)
         if spec == "metric":
-            value = omega_generator(alg, Metric(), wm)
+            gen = Metric()
         elif kind in ("left", "right"):
             i = _generator_index(index, alg.dim, "basis index")
             vec = basis_vec(alg.dim, i)
             gen = LeftInvariant(vec) if kind == "left" else RightInvariant(vec)
-            value = omega_generator(alg, gen, wm, order=args.order)
         elif kind == "deriv":
             basis = skew_derivation_basis(alg)
             i = _generator_index(index, len(basis), "derivation index")
-            value = SymTensor.from_vector(
-                alg.dim, omega_derivation_matrix(alg, basis[i], wm, order=args.order))
+            gen = DerivationField(SkewDerivation.from_matrix(basis[i]))
         else:
             raise ff.ParseError("--generator: expected metric | left:I | right:I | deriv:I")
+        value = omega_generator(alg, gen, _mp_vec(w), order=args.order)
         doc = ff.numeric_tensor_to_dict(value)
     result = {"generator": spec, "at": [float(x) for x in w], "value": doc}
     return _emit(args, _report(args, "omega-sample", {"algebra": args.algebra}, result))

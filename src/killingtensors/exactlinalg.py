@@ -2,8 +2,8 @@
 
 The solvers hand in sparse vectors: ``{key: Fraction}`` dicts that name only
 their nonzero entries.  ``nullspace`` takes the image of each unknown as one
-such column and ``rref_span`` takes the spanning vectors themselves; both
-reduce in ``_sparse_rref``, a sparse fraction-free elimination, and matrix
+such column and ``rref_span`` takes the spanning vectors themselves; each
+reduces once in ``_sparse_rref``, a sparse fraction-free elimination, and matrix
 arithmetic lives in ``tensors.Endomorphism``.  The reduced row echelon form
 of a matrix is unique, so the canonical basis of a row space or nullspace
 depends neither on how it is eliminated nor on the choice of pivot rows.
@@ -103,29 +103,32 @@ def _sparse_rref(rows, keys: list):
 
 def nullspace(columns: dict) -> list:
     """Canonical (RREF) basis of the kernel of a linear map, as sparse
-    ``{unknown: value}`` dicts.
+    ``{unknown: value}`` dicts, in one elimination.
 
     ``columns`` maps each unknown, in echelon order, to its image as a sparse
-    ``{row key: value}`` dict.  The vector of each free unknown ``f`` (1 at
-    ``f``, minus the pivot rows' entries at ``f``) spans the kernel, and one
-    more reduction puts these vectors in echelon form.
+    ``{row key: value}`` dict.  The rows are reduced with the unknowns in
+    reverse order, so a reduced row holds, beside its pivot, only free
+    unknowns that come before the pivot.  The vector of a free unknown ``f``
+    (1 at ``f``, minus the pivot rows' entries at ``f``) thus leads at ``f``
+    and is 0 at every other free unknown: these vectors, in the order of
+    their free unknowns, are already the RREF basis of the kernel.
     """
     unknowns = list(columns)
     rows = {}
     for u, image in columns.items():
         for r, x in image.items():
             rows.setdefault(r, {})[u] = x
-    red, pivots = _sparse_rref(list(rows.values()), unknowns)
+    red, pivots = _sparse_rref(list(rows.values()), unknowns[::-1])
     pivot_set = set(pivots)
     kernel = []
     for f in unknowns:
         if f not in pivot_set:
             v = {f: _ONE}
-            for row, p in zip(red, pivots):
+            for p, row in zip(reversed(pivots), reversed(red)):  # in echelon order
                 if f in row:
                     v[p] = -row[f]
             kernel.append(v)
-    return _sparse_rref(kernel, unknowns)[0]
+    return kernel
 
 
 def rref_span(vectors) -> list:

@@ -5,10 +5,12 @@ rewritten as a polynomial in the metric and in left-/right-invariant Killing
 vector fields.  This module produces that rewriting as a ``Certificate`` (a
 formal polynomial over symbolic generators) and checks it by evaluating the
 pullback function of each generator along the exponential map: for a
-right-invariant field of ``x`` this is ``exp(-ad_w) x``, for a field induced
-by a skew derivation it is the series ``sum_k (-1)^k/(k+1)! ad_w^k T(w)``,
+right-invariant field of ``x`` this is ``exp(-ad_w) x``, for the field of a
+skew derivation ``T`` it is the series ``sum_k (-1)^k/(k+1)! ad_w^k T(w)``,
 and for left-invariant generators it is constant.  A certificate is valid
-when the assembled value is constant equal to its target.
+when the assembled value is constant equal to its target.  ``omega_generator``
+(one generator) and ``omega_tensor`` (a certificate) are the two entry
+points, and the point ``w`` alone decides between exact and sampled values.
 
 Constancy is checked exactly at ``w = 0`` and numerically at seeded sample
 points.  Sampling runs in extended precision: the factor values grow like
@@ -23,9 +25,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from decimal import Context
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, round_nearest
@@ -105,6 +107,13 @@ class SkewDerivation:
     b_image: tuple
     ideal_part: Endomorphism
 
+    @classmethod
+    def from_matrix(cls, m: Endomorphism) -> "SkewDerivation":
+        """The split pieces of a full skew matrix: column 0 below ``b``, and
+        the block on the ideal."""
+        rows = m.entries[1:]
+        return cls(tuple(r[0] for r in rows), Endomorphism(tuple(r[1:] for r in rows)))
+
     def full_matrix(self) -> Endomorphism:
         """The derivation on ``b`` and the ideal: ``b -> b_image``, skew."""
         top = (_ZERO,) + tuple(-v for v in self.b_image)
@@ -154,11 +163,16 @@ _MAX_TERMS = 5000
 
 
 class SeriesCapError(RuntimeError):
-    """A pullback series that needs more than ``_MAX_TERMS`` terms."""
+    """A pullback series that needs more than ``_MAX_TERMS`` terms, at the
+    rational norm ``||ad_w||_1`` (shown by decimal division past floats)."""
 
-    def __init__(self, norm):
+    def __init__(self, norm: Fraction):
+        try:
+            shown = f"{float(norm):.6g}"
+        except OverflowError:
+            shown = f"{Context(prec=6).divide(norm.numerator, norm.denominator).normalize():g}"
         self.limits = (f"omega series failed to converge within the {_MAX_TERMS}-term cap "
-                       f"(||ad_w||_1 = {norm:.6g})")
+                       f"(||ad_w||_1 = {shown})")
         super().__init__(self.limits)
 
 
@@ -280,7 +294,7 @@ def _ad_series(lie: MetricLieAlgebra, w, x, s: int, shift, order, min_order: int
             elif k >= stop_from and max(map(abs, term)) << shift < eps * max(one, *map(abs, acc)):
                 break
             elif k > cap:
-                raise SeriesCapError(norm / one)
+                raise SeriesCapError(Fraction(norm, one))
         k += 1
     return acc
 
@@ -300,9 +314,8 @@ def _unscaled(seq, shift) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _generator_value(alg: MetricLieAlgebra, gen, w, shift, order, min_order: int) -> list:
-    """Dense pullback value of ``gen`` at ``w``: exact when ``shift`` is None,
-    else fixed-point ints at ``shift``.  ``gen`` is a generator, or the
-    ``Endomorphism`` of a derivation standing for its induced field.
+    """Dense pullback value of the generator ``gen`` at ``w``: exact when
+    ``shift`` is None, else fixed-point ints at ``shift``.
 
     The metric is 1/2 on the squares, a left-invariant field its vector, a
     right-invariant field of ``x`` is ``exp(-ad_w) x`` and the field of a
@@ -317,38 +330,19 @@ def _generator_value(alg: MetricLieAlgebra, gen, w, shift, order, min_order: int
     if isinstance(gen, RightInvariant):
         return _ad_series(alg, wv, _scaled(gen.vector, shift), 0, shift, order, min_order)
     if isinstance(gen, DerivationField):
-        gen = gen.derivation.full_matrix()
-    if isinstance(gen, Endomorphism):
         tw = [sum(_rational_times(c, v, shift) for c, v in zip(row, wv) if c and v)
-              for row in gen.entries]
+              for row in gen.derivation.full_matrix().entries]
         return _ad_series(alg, wv, tw, 1, shift, order, min_order)
     raise TypeError(f"unknown generator {gen!r}")
 
 
-def omega_right(lie: MetricLieAlgebra, x, w, order=None, min_order: int = 0):
-    """Pullback value of the right-invariant field of ``x`` at ``w``:
-    ``exp(-ad_w) x``.
-
-    With rational inputs and ``order=None`` the series must terminate exactly
-    (it does when ``ad_w`` is nilpotent, hence for any nilpotent derivation
-    matrix); numeric inputs are summed adaptively to working precision in
-    fixed point.
-    """
-    shift = _fixed_shift(lie.dim) if _numeric_seq(w) or _numeric_seq(x) else None
-    return _unscaled(_generator_value(lie, RightInvariant(tuple(x)), w, shift, order, min_order),
-                     shift)
-
-
-def omega_derivation_matrix(lie: MetricLieAlgebra, t_matrix: Endomorphism, w,
-                            order=None, min_order: int = 0):
-    """Pullback value of a derivation-induced field on any metric Lie algebra:
-    the series ``sum_k (-1)^k/(k+1)! ad_w^k (T w) = phi(-ad_w) T w``."""
-    shift = _fixed_shift(lie.dim) if _numeric_seq(w) else None
-    return _unscaled(_generator_value(lie, t_matrix, w, shift, order, min_order), shift)
-
-
 def omega_generator(alg: MetricLieAlgebra, gen, w, order=None, min_order: int = 0) -> SymTensor:
-    """Pullback value of one generator at ``w``, as a symmetric tensor."""
+    """Pullback value of one generator at ``w``, as a symmetric tensor.
+
+    At a point of rationals the value is exact, and a series must terminate
+    (as for a nilpotent ``ad_w``) unless ``order`` truncates it; a point
+    with a float or mpf entry is summed adaptively in fixed point to mpf.
+    """
     shift = _fixed_shift(alg.dim) if _numeric_seq(w) else None
     value = _generator_value(alg, gen, w, shift, order, min_order)
     return SymTensor.from_dense(alg.dim, generator_degree(gen), _unscaled(value, shift))
@@ -517,16 +511,10 @@ def validate_skew_derivation(alg: AlmostAbelianAlgebra, t: SkewDerivation):
 
 def skew_derivations(alg: AlmostAbelianAlgebra):
     """Skew derivations of an almost abelian algebra, as split pieces."""
-    out = []
-    n = alg.ideal_dim
-    for m in skew_derivation_basis(alg):
-        v = tuple(m.entries[i + 1][0] for i in range(n))
-        block = Endomorphism(tuple(tuple(m.entries[i + 1][j + 1] for j in range(n))
-                                   for i in range(n)))
-        t = SkewDerivation(v, block)
+    out = tuple(SkewDerivation.from_matrix(m) for m in skew_derivation_basis(alg))
+    for t in out:
         validate_skew_derivation(alg, t)
-        out.append(t)
-    return tuple(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -598,20 +586,20 @@ class CertificateCheck:
     precision_digits: int
 
 
-def _order_for_bound(m_norm: float, eps: float) -> int:
-    """Smallest N with ``m_norm^(N+1)/(N+1)! < eps``, else ``_MAX_TERMS``,
-    at which ``_ad_series`` passes only a series that vanishes within ``dim``
-    terms."""
-    if m_norm <= 0:
+def _order_for_bound(log_norm: float, eps: float) -> int:
+    """Smallest N with ``m^(N+1)/(N+1)! < eps`` for ``log_norm = ln m``, else
+    ``_MAX_TERMS``, at which ``_ad_series`` passes only a series that
+    vanishes within ``dim`` terms."""
+    if log_norm == -math.inf:
         return 1
     log_eps = math.log(eps)
     for n in range(1, _MAX_TERMS):
-        if (n + 1) * math.log(m_norm) - math.lgamma(n + 2) < log_eps:
+        if (n + 1) * log_norm - math.lgamma(n + 2) < log_eps:
             return n
     return _MAX_TERMS
 
 
-def _series_log10_gain(norm: float, dim: int) -> float:
+def _series_log10_gain(norm: Fraction, dim: int) -> float:
     """log10 of a bound on the gain of a pullback series at ``||ad_w||_1 =
     norm``: ``e^norm`` below the term cap.  From ``norm >= _MAX_TERMS`` on the
     hump is past the cap even after rounding, so ``_ad_series`` raises unless
@@ -620,7 +608,7 @@ def _series_log10_gain(norm: float, dim: int) -> float:
     stays finite however large the structure constants are."""
     if norm < _MAX_TERMS:
         return norm * _LOG10_E
-    return math.log10(dim + 1) + dim * math.log10(norm)
+    return math.log10(dim + 1) + dim * _log10_at_least_one(norm)
 
 
 def _log10_at_least_one(q) -> float:
@@ -702,10 +690,21 @@ def _check_generators(alg: MetricLieAlgebra, cert: Certificate, generators):
 
 
 @lru_cache(maxsize=_SAMPLED_VALUES)
-def _point_norm(alg: MetricLieAlgebra, w) -> float:
-    """``||ad_w||_1`` at a sample point, which every certificate verified on
-    one algebra with the same samples asks for again."""
-    return _one_norm(alg.ad_rows(w, mul))
+def _point_bounds(alg: MetricLieAlgebra, w) -> tuple:
+    """``ln ||ad_w||_1`` (``-inf`` at 0) and ``_series_log10_gain`` at a
+    sample point, which every certificate verified on one algebra with the
+    same samples asks for again.  The norm is exact, summed on ints over one
+    denominator of the point (floats are exact rationals) and of the
+    structure constants, so no float product can overflow."""
+    ratios = [x.as_integer_ratio() for x in w]
+    den = math.lcm(*(q for _, q in ratios))
+    scale = math.lcm(*(c.denominator for *_, c in alg.nonzero_structure))
+    point = [p * (den // q) for p, q in ratios]
+    norm = _one_norm(alg.ad_rows(point, lambda c, x: c.numerator * (scale // c.denominator) * x))
+    if not norm:
+        return -math.inf, 0.0
+    norm = Fraction(norm, scale * den)
+    return math.log(norm.numerator) - math.log(norm.denominator), _series_log10_gain(norm, alg.dim)
 
 
 def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
@@ -742,12 +741,11 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     exact0 = omega_tensor(alg, compiled, zero, order=0) == cert.target
     _check_generators(alg, cert, compiled.generators)
     pts = sample_points(dim, samples, seed)
-    norms = [_point_norm(alg, w) for w in pts]
-    m_norm = max(norms)
-    digits = _working_digits(cert, max(_series_log10_gain(a, dim) for a in norms), dim)
+    log_norms, gains = zip(*(_point_bounds(alg, w) for w in pts))
+    digits = _working_digits(cert, max(gains), dim)
     worst = 0
     with mp.workdps(digits):
-        min_order = max(order_floor, _order_for_bound(m_norm, tol / 10.0))
+        min_order = max(order_floor, _order_for_bound(max(log_norms), tol / 10.0))
         shift = _fixed_shift(dim)
         target = _scaled(cert.target.dense(), shift)
         for w in pts:

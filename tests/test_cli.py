@@ -401,7 +401,8 @@ class TestOmegaSampleCommand:
                                   "--generator", "bogus", "--at", "1,0,0"])
         assert code == 2
 
-    @pytest.mark.parametrize("at", ["inf,0,0", "1,nan,0", "1,0,x"])
+    @pytest.mark.parametrize("at", ["inf,0,0", "1,nan,0", "1,0,x",
+                                    pytest.param("1" + "0" * 400 + ",0,0", id="past-float")])
     def test_non_finite_point_exits_2(self, tmp_path, capsys, at):
         alg = write(tmp_path, "rot.json", ROT)
         code, out, err = run(capsys, ["omega-sample", "--algebra", alg,
@@ -494,6 +495,9 @@ HUGE = {"n": 2, "D": [["100000000", "0"], ["0", "-100000000"]]}
 NILPOTENT_HUGE = {"n": 2, "D": [["0", "100000000"], ["0", "0"]]}
 NILPOTENT_BIG = {"n": 2, "D": [["0", "2000"], ["0", "0"]]}
 E1_SQUARED = {"degree": 2, "terms": [{"monomial": [1, 1], "coeff": "1"}]}
+# a rotation by 10^400, written out in digits: no structure constant is a float
+PAST_FLOAT = {"n": 2, "D": [["0", "-1" + "0" * 400], ["1" + "0" * 400, "0"]]}
+IDEAL_SQUARES = {"degree": 2, "terms": [{"monomial": [i, i], "coeff": "1"} for i in (1, 2)]}
 
 
 class TestSeriesTermCap:
@@ -519,6 +523,26 @@ class TestSeriesTermCap:
         error = json.loads(err)
         assert error["error"] == "limit exceeded"
         assert "5000-term cap" in error["detail"]
+
+    @pytest.mark.parametrize("command, files, extra", [
+        ("decompose", {"--tensor": IDEAL_SQUARES}, []),
+        ("verify", {"--certificate": MIXED_CERT}, []),
+        ("curvature", {}, []),
+        ("omega-sample", {}, ["--generator", "right:1", "--at", "1,0,0"]),
+    ])
+    def test_structure_constants_past_the_float_range(self, tmp_path, capsys, command, files,
+                                                       extra):
+        algebra = write(tmp_path, "past-float.json", PAST_FLOAT)
+        argv = [command, "--algebra", algebra] + extra
+        for flag, doc in files.items():
+            argv += [flag, write(tmp_path, "doc.json", doc)]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "limit exceeded"
+        assert "5000-term cap" in error["detail"] and "e+400" in error["detail"]
+        code, out, _ = run(capsys, ["killing-basis", "--algebra", algebra, "--degree", "2"])
+        assert code == 0 and json.loads(out)["result"]["dimension"] == 2
 
     def test_nilpotent_with_the_same_norm_verifies(self, tmp_path, capsys):
         code, out, _ = run(capsys, ["decompose",
@@ -637,6 +661,7 @@ _POOL_ALGEBRAS = {
     "mixed3": {"n": 3, "D": [["2", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]},
     "rot3": {"n": 3, "D": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]]},
     "not-jacobi": {"dim": 3, "structure": [[0, 1, 2, "1"], [1, 2, 1, "1"]]},
+    "past-float": PAST_FLOAT,
 }
 _POOL_TENSORS = {
     "e1sq": _square(1), "e3sq": _square(3), "e0": {"degree": 1, "terms": [
@@ -657,7 +682,7 @@ _POOL_CERTS = {
     "huge": _cert_doc(_square(1, str(10 ** 400)), (str(10 ** 400), [_RIGHT[1], _RIGHT[1]])),
     "metric": _cert_doc(_POOL_TENSORS["metric"], ("2", [{"kind": "metric"}])),
 }
-_POINT_ENTRIES = ["0", "1", "-1/2", "0.25", "-2", "1e300", "x"]
+_POINT_ENTRIES = ["0", "1", "-1/2", "0.25", "-2", "1e300", "1" + "0" * 400, "x"]
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
+import killingtensors.exactlinalg as el
 from killingtensors.exactlinalg import nullspace, rref_span
 from killingtensors.tensors import Endomorphism
 from conftest import gauss_jordan_oracle, nullspace_oracle
@@ -49,6 +50,22 @@ class TestAgainstDenseOracle:
         got = nullspace(_columns(rows, ncols, lambda j: -j))
         assert ([tuple(v.get(-j, 0) for j in range(ncols)) for v in got]
                 == nullspace_oracle(rows, ncols))
+
+    def test_nullspace_eliminates_once(self, monkeypatch):
+        # a 2 x 4 map of rank 2: its two free unknowns span the kernel
+        calls = []
+        rref = el._sparse_rref
+
+        def counting(rows, keys):
+            calls.append(keys)
+            return rref(rows, keys)
+
+        monkeypatch.setattr(el, "_sparse_rref", counting)
+        rows = [[Fraction(1), Fraction(2), Fraction(0), Fraction(-1)],
+                [Fraction(0), Fraction(1), Fraction(3), Fraction(1, 2)]]
+        got = nullspace(_columns(rows, 4, lambda j: j))
+        assert len(calls) == 1
+        assert [tuple(v.get(j, 0) for j in range(4)) for v in got] == nullspace_oracle(rows, 4)
 
     @settings(max_examples=300, deadline=None)
     @given(dense_matrices())

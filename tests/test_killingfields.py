@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import factorial
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -30,10 +31,9 @@ from killingtensors import (
     decompose_ideal_tensor,
     exp_action,
     generator_degree,
-    omega_derivation_matrix,
     omega_generator,
-    omega_right,
     omega_tensor,
+    sample_points,
     skew_derivation_basis,
     skew_derivations,
     sum_of_squares,
@@ -95,6 +95,12 @@ class TestSkewDerivations:
         with pytest.raises(ValueError):
             validate_skew_derivation(alg, bad)
 
+    def test_split_of_a_skew_matrix_round_trips(self):
+        algebras = [SO3, HEISENBERG, MetricLieAlgebra.abelian(4), AlmostAbelianAlgebra(NILP)]
+        for alg in algebras:
+            for m in skew_derivation_basis(alg):
+                assert SkewDerivation.from_matrix(m).full_matrix() == m
+
 
 # the benchmark's gallery of almost abelian derivations, and two general algebras
 GALLERY = [
@@ -128,13 +134,17 @@ class TestSkewDerivationBasisOracle:
         assert skew_derivation_basis(alg) == skew_derivation_basis_oracle(alg)
 
 
+def _right(i, dim=3):
+    return RightInvariant(basis_vec(dim, i))
+
+
 class TestOmegaRight:
     def test_rotation_closed_form(self):
         alg = AlmostAbelianAlgebra(J2)
         with mp.workdps(40):
             for gamma in (0.3, -1.2, 2.0):
                 w = (mp.mpf(gamma), mp.mpf(0), mp.mpf(0))
-                got = omega_right(alg, basis_vec(3, 1), w)
+                got = omega_generator(alg, _right(1), w).dense()
                 assert abs(got[1] - mp.cos(gamma)) < 1e-12
                 assert abs(got[2] + mp.sin(gamma)) < 1e-12
                 assert abs(got[0]) < 1e-12
@@ -145,28 +155,28 @@ class TestOmegaRight:
             alg = AlmostAbelianAlgebra(d)
             x = (Fraction(0), *random_vector(rng, alg.ideal_dim))
             w = (Fraction(0), *random_vector(rng, alg.ideal_dim))
-            assert omega_right(alg, x, w) == x
+            assert omega_generator(alg, RightInvariant(x), w) == SymTensor.from_vector(alg.dim, x)
 
     def test_nilpotent_exact(self):
         # e^{-ad_b} h2 = h2 - h1, a terminating two-term series
         alg = AlmostAbelianAlgebra(NILP)
-        got = omega_right(alg, basis_vec(3, 2), basis_vec(3, 0))
-        assert got == (Fraction(0), Fraction(-1), Fraction(1))
+        got = omega_generator(alg, _right(2), basis_vec(3, 0))
+        assert got == SymTensor.from_vector(3, (0, -1, 1))
 
     def test_exact_mode_raises_for_nonterminating(self):
         alg = AlmostAbelianAlgebra(DIAG)
         with pytest.raises(ValueError):
-            omega_right(alg, basis_vec(3, 1), basis_vec(3, 0))
+            omega_generator(alg, _right(1), basis_vec(3, 0))
 
     def test_no_room_under_the_term_cap_passes_only_vanishing_series(self):
         # a min_order at the cap leaves the stop rule no room: a converging
         # series is refused after n terms, a nilpotent one is summed as usual
         w = (mp.mpf(1), mp.mpf(0), mp.mpf(0))
         with pytest.raises(kf.SeriesCapError):
-            omega_right(AlmostAbelianAlgebra(DIAG), basis_vec(3, 1), w, min_order=kf._MAX_TERMS)
+            omega_generator(AlmostAbelianAlgebra(DIAG), _right(1), w, min_order=kf._MAX_TERMS)
         alg = AlmostAbelianAlgebra(NILP)
-        assert (omega_right(alg, basis_vec(3, 2), w, min_order=kf._MAX_TERMS)
-                == omega_right(alg, basis_vec(3, 2), w))
+        assert (omega_generator(alg, _right(2), w, min_order=kf._MAX_TERMS)
+                == omega_generator(alg, _right(2), w))
 
     def test_matches_exp_action_on_ideal_vectors(self):
         # along pure b directions the value is the exponentiated derivation
@@ -174,9 +184,9 @@ class TestOmegaRight:
         gamma = Fraction(3, 2)
         w = (gamma, Fraction(0), Fraction(0))
         for i in (1, 2):
-            got = omega_right(alg, basis_vec(3, i), w)
+            got = omega_generator(alg, _right(i), w)
             expected = exp_action(alg.derivation_full, gamma, SymTensor.basis(3, i))
-            assert SymTensor.from_vector(3, got) == expected
+            assert got == expected
 
     def test_b_series_closed_form(self):
         # the value on b is b + sum_{k>=1} (-gamma)^(k-1)/k! D^k(h)
@@ -185,12 +195,12 @@ class TestOmegaRight:
         gamma = Fraction(2)
         h = (Fraction(1), Fraction(1), Fraction(3))
         w = (gamma, *h)
-        got = omega_right(alg, basis_vec(4, 0), w)
+        got = omega_generator(alg, _right(0, 4), w)
         dh = alg.derivation.apply(h)
         d2h = alg.derivation.apply(dh)  # D^3 = 0
         expected = (Fraction(1),) + tuple(
             a - gamma * b / 2 for a, b in zip(dh, d2h))
-        assert got == expected
+        assert got == SymTensor.from_vector(4, expected)
 
 
 class TestOmegaDerivation:
@@ -224,7 +234,7 @@ class TestOmegaDerivation:
                     for _ in range(3):
                         w = tuple(mp.mpf(rng.uniform(-2, 2)) for _ in range(alg.dim))
                         closed = omega_derivation(alg, t, w)
-                        series = omega_derivation_matrix(alg, t.full_matrix(), w)
+                        series = omega_generator(alg, DerivationField(t), w).dense()
                         dev = max(abs(a - b) for a, b in zip(closed, series))
                         assert dev < mp.mpf(10) ** (-30)
 
@@ -236,8 +246,8 @@ class TestOmegaDerivation:
         t = candidates[0]
         w = (Fraction(1), Fraction(2), Fraction(3))
         closed = omega_derivation(alg, t, w)
-        series = omega_derivation_matrix(alg, t.full_matrix(), w)
-        assert closed == series  # nilpotent: both terminate exactly
+        series = omega_generator(alg, DerivationField(t), w)
+        assert SymTensor.from_vector(3, closed) == series  # nilpotent: both terminate exactly
 
 
 class TestOmegaTensor:
@@ -446,16 +456,65 @@ class TestTruncatedExactSeries:
         x = basis_vec(3, 1)
         gamma = Fraction(1, 2)
         w = (gamma, Fraction(0), Fraction(0))
-        got = omega_right(alg, x, w, order=3)
+        got = omega_generator(alg, RightInvariant(x), w, order=3)
         # ad_w h1 = (gamma) h1 under diag(1,-1), so the value is the partial
         # exponential sum in -gamma
         partial = sum((-gamma) ** k / factorial(k) for k in range(4))
-        assert got == (Fraction(0), partial, Fraction(0))
+        assert got == SymTensor.from_vector(3, (0, partial, 0))
 
     def test_order_zero_returns_argument(self):
         alg = AlmostAbelianAlgebra(DIAG)
         x = basis_vec(3, 2)
-        assert omega_right(alg, x, (Fraction(1), Fraction(2), Fraction(3)), order=0) == x
+        w = (Fraction(1), Fraction(2), Fraction(3))
+        assert omega_generator(alg, RightInvariant(x), w, order=0) == SymTensor.from_vector(3, x)
+
+
+class TestMatrixIsNotAGenerator:
+    """A derivation field is always a ``DerivationField``: a bare matrix is
+    refused wherever a generator is expected, so no certificate carries a
+    matrix that the generator check never sees."""
+
+    ALG = AlmostAbelianAlgebra(J2)
+    T = skew_derivation_basis(ALG)[0]
+
+    def test_certificate_with_a_matrix_factor_is_rejected(self):
+        cert = Certificate(target=SymTensor.zero(3, 1), terms=((Fraction(1), (self.T,)),))
+        with pytest.raises(TypeError, match="unknown generator"):
+            generator_degree(self.T)
+        with pytest.raises(TypeError, match="unknown generator"):
+            CompiledCertificate(cert)
+        with pytest.raises(TypeError, match="unknown generator"):
+            verify_certificate(self.ALG, cert)
+
+    def test_pullback_of_a_matrix_is_refused(self):
+        with pytest.raises(TypeError, match="unknown generator"):
+            omega_generator(self.ALG, self.T, (Fraction(1), Fraction(0), Fraction(0)))
+
+
+class TestStructureConstantsPastTheFloatRange:
+    BIG = 10 ** 400
+    ALG = AlmostAbelianAlgebra(Endomorphism.from_rows([[0, -BIG], [BIG, 0]]))
+
+    def test_point_norm_is_exact(self):
+        for alg in (self.ALG, AlmostAbelianAlgebra(DIAG), SO3):
+            for w in sample_points(3, 5, 1):
+                norm = kf._one_norm(alg.ad_rows(tuple(map(Fraction, w)), mul))
+                log_norm = math.log(norm.numerator) - math.log(norm.denominator)
+                assert kf._point_bounds(alg, w) == (log_norm, kf._series_log10_gain(norm, 3))
+        assert kf._point_bounds(MetricLieAlgebra.abelian(3), (1.5, 0.0, -2.0)) == (-math.inf, 0)
+
+    def test_cap_message(self):
+        assert str(kf.SeriesCapError(Fraction(6000))).endswith("(||ad_w||_1 = 6000)")
+        assert str(kf.SeriesCapError(Fraction(4, 3))).endswith("(||ad_w||_1 = 1.33333)")
+        assert str(kf.SeriesCapError(Fraction(self.BIG))).endswith("(||ad_w||_1 = 1e+400)")
+        assert str(kf.SeriesCapError(Fraction(3 * self.BIG, 7))).endswith("= 4.28571e+399)")
+
+    def test_verify_reaches_the_series_cap(self):
+        r1, r2 = RightInvariant(basis_vec(3, 1)), RightInvariant(basis_vec(3, 2))
+        cert = Certificate(target=SymTensor.build(3, 2, [((1, 1), 1), ((2, 2), 1)]),
+                           terms=((Fraction(1), (r1, r1)), (Fraction(1), (r2, r2))))
+        with pytest.raises(kf.SeriesCapError, match="e\\+400"):
+            verify_certificate(self.ALG, cert, samples=2)
 
 
 class TestVerifyParameters:
@@ -492,14 +551,6 @@ class TestVerifyParameters:
 # the compiled (Horner) evaluation against the term-by-term expansion
 # ---------------------------------------------------------------------------
 
-def _split(m):
-    """A skew derivation matrix of any algebra as split pieces."""
-    n = m.dim - 1
-    return SkewDerivation(tuple(m.entries[i + 1][0] for i in range(n)),
-                          Endomorphism(tuple(tuple(m.entries[i + 1][j + 1] for j in range(n))
-                                             for i in range(n))))
-
-
 def _so3():
     c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -517,7 +568,7 @@ _SO3 = _so3()
 # (algebra, skew derivations as split pieces): one general algebra and
 # almost abelian ones with and without skew derivations
 ORACLE_CASES = {
-    "so3": (_SO3, tuple(_split(m) for m in skew_derivation_basis(_SO3))),
+    "so3": (_SO3, tuple(SkewDerivation.from_matrix(m) for m in skew_derivation_basis(_SO3))),
     "rotation": _almost_abelian([[0, -1], [1, 0]]),
     "abelian": _almost_abelian([[0, 0], [0, 0]]),
     "diag(1,2)": _almost_abelian([[1, 0], [0, 2]]),
@@ -611,10 +662,10 @@ class TestSampledValueMemo:
         other = AlmostAbelianAlgebra(Endomorphism.diagonal(first))
         stretched = AlmostAbelianAlgebra(Endomorphism.diagonal([1, 2]))
         kf._sampled_value.cache_clear()
-        kf._point_norm.cache_clear()
+        kf._point_bounds.cache_clear()
         alone = verify_certificate(stretched, self.CERT)
         kf._sampled_value.cache_clear()
-        kf._point_norm.cache_clear()
+        kf._point_bounds.cache_clear()
         assert verify_certificate(other, self.CERT).passed == (first == [0, 0])
         after = verify_certificate(stretched, self.CERT)
         assert not after.passed
@@ -625,9 +676,9 @@ class TestSampledValueMemo:
         # the same sample points: ||ad_w||_1 is 0 on D = 0, and on diag(20, -20)
         # it asks for more than the 50-digit floor
         wide = AlmostAbelianAlgebra(Endomorphism.diagonal([20, -20]))
-        kf._point_norm.cache_clear()
+        kf._point_bounds.cache_clear()
         alone = verify_certificate(wide, self.CERT, samples=3)
-        kf._point_norm.cache_clear()
+        kf._point_bounds.cache_clear()
         verify_certificate(AlmostAbelianAlgebra(Endomorphism.diagonal([0, 0])), self.CERT,
                            samples=3)
         after = verify_certificate(wide, self.CERT, samples=3)
@@ -747,6 +798,15 @@ def _tw(t, w):
     return tuple(sum(c * v for c, v in zip(row, w)) for row in t.entries)
 
 
+def _phi(alg, t, w, order=None, min_order=0):
+    """``phi(-ad_w) T w`` for any matrix ``T``, skew or not, from the series
+    kernel; a ``DerivationField`` reaches it only with a skew ``T``."""
+    shift = kf._fixed_shift(alg.dim) if kf._numeric_seq(w) else None
+    wv = kf._scaled(w, shift)
+    tw = [sum(kf._rational_times(c, v, shift) for c, v in zip(row, wv)) for row in t.entries]
+    return kf._unscaled(kf._ad_series(alg, wv, tw, 1, shift, order, min_order), shift)
+
+
 _COORD = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
 _KERNEL_RATIONAL = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 7]))
 
@@ -769,34 +829,38 @@ class TestSeriesKernel:
     @given(kernel_inputs(exact=True), st.integers(0, 3))
     def test_exact_truncations(self, case, order):
         alg, w, x, t = case
-        assert omega_right(alg, x, w, order=order) == omega_series_oracle(alg, x, w, order=order)
-        assert omega_derivation_matrix(alg, t, w, order=order) == omega_series_oracle(
+        got = omega_generator(alg, RightInvariant(x), w, order=order)
+        assert tuple(got.dense()) == omega_series_oracle(alg, x, w, order=order)
+        assert _phi(alg, t, w, order=order) == omega_series_oracle(
             alg, _tw(t, w), w, phi=True, order=order)
 
     def test_exact_terminating_series(self):
         alg = KERNEL_CASES["heisenberg"]
         w, x = (Fraction(3, 2), Fraction(-2), Fraction(5)), (Fraction(1), Fraction(2), Fraction(0))
         t = Endomorphism.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-        assert omega_right(alg, x, w) == omega_series_oracle(alg, x, w)
-        assert omega_derivation_matrix(alg, t, w) == omega_series_oracle(alg, _tw(t, w), w, True)
+        got = omega_generator(alg, RightInvariant(x), w)
+        assert tuple(got.dense()) == omega_series_oracle(alg, x, w)
+        got = omega_generator(alg, DerivationField(SkewDerivation.from_matrix(t)), w)
+        assert tuple(got.dense()) == omega_series_oracle(alg, _tw(t, w), w, True)
 
     def test_exact_non_terminating_phi_raises(self):
         alg = KERNEL_CASES["so3"]
         t = Endomorphism.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+        field = DerivationField(SkewDerivation.from_matrix(t))
         with pytest.raises(ValueError, match="does not terminate"):
-            omega_derivation_matrix(alg, t, (Fraction(1), Fraction(1), Fraction(0)))
+            omega_generator(alg, field, (Fraction(1), Fraction(1), Fraction(0)))
 
     @settings(max_examples=100, deadline=None)
     @given(kernel_inputs())
     def test_exp_against_mpf_series_and_expm(self, case):
         alg, w, x, _ = case
         with mp.workdps(50):
-            # mpf entries in x make a rational point numeric as well
-            got = omega_right(alg, tuple(_mpf(c) for c in x), w, min_order=KERNEL_ORDER)
+            # an mpf point: a rational one is summed in fixed point as well
+            w = tuple(_mpf(c) for c in w)
+            got = omega_generator(alg, RightInvariant(x), w, min_order=KERNEL_ORDER).dense()
             bound = kernel_bound(alg, w, x)
             with mp.workdps(70):
-                series = omega_series_oracle(alg, tuple(_mpf(c) for c in x), w,
-                                             min_order=KERNEL_ORDER)
+                series = omega_series_oracle(alg, x, w, min_order=KERNEL_ORDER)
                 expm = _expm_reference(alg, w, x, phi=False)
             _assert_within(got, series, bound)
             _assert_within(got, expm, bound)
@@ -807,7 +871,7 @@ class TestSeriesKernel:
         alg, w, _, t = case
         w = tuple(float(c) for c in w)
         with mp.workdps(50):
-            got = omega_derivation_matrix(alg, t, w, min_order=KERNEL_ORDER)
+            got = _phi(alg, t, w, min_order=KERNEL_ORDER)
             tw = _tw(t, tuple(Fraction(c) for c in w))
             bound = kernel_bound(alg, w, tw)
             with mp.workdps(70):
@@ -838,7 +902,7 @@ class TestSeriesKernel:
         w = (7.5, -6.25, 5.0, -4.5)[:alg.dim]
         x = tuple(Fraction(1, i + 1) for i in range(alg.dim))
         with mp.workdps(50):
-            got = omega_right(alg, x, w, min_order=KERNEL_ORDER)
+            got = omega_generator(alg, RightInvariant(x), w, min_order=KERNEL_ORDER).dense()
             bound = kernel_bound(alg, w, x)
             with mp.workdps(70):
                 expm = _expm_reference(alg, w, x, phi=False)
@@ -848,12 +912,12 @@ class TestSeriesKernel:
         # ||ad_w||_1 = 6000 puts the hump past the 5000-term cap
         alg = AlmostAbelianAlgebra(Endomorphism.diagonal([2, 2]))
         with mp.workdps(20), pytest.raises(RuntimeError, match="converge"):
-            omega_right(alg, basis_vec(3, 1), (3000.0, 0.0, 0.0))
+            omega_generator(alg, _right(1), (3000.0, 0.0, 0.0))
 
     def test_nilpotent_series_past_the_cap_terminates(self):
         # ||ad_w||_1 = 6000 puts the hump past the cap, but ad_w^2 = 0: the
         # series is x - ad_w x
         alg = AlmostAbelianAlgebra(NILP)
         with mp.workdps(20):
-            got = omega_right(alg, basis_vec(3, 2), (6000.0, 0.0, 0.0))
-        assert got == (0, -6000, 1)
+            got = omega_generator(alg, _right(2), (6000.0, 0.0, 0.0))
+        assert got == SymTensor.from_vector(3, (0, -6000, 1))

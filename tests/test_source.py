@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import killingtensors
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "killingtensors"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -22,3 +24,9 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(_imported_names(tree)) - used) == []
+
+
+def test_every_exported_name_resolves_once():
+    names = killingtensors.__all__
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []
+    assert [n for n in names if not hasattr(killingtensors, n)] == []
