@@ -16,7 +16,8 @@ from itertools import combinations_with_replacement
 
 from .exactlinalg import nullspace, rref_span
 from .liealgebra import KillingSpace, MetricLieAlgebra
-from .tensors import SymTensor, Endomorphism, apply_derivation, sum_of_squares
+from .tensors import (SymTensor, Endomorphism, apply_derivation, replace_factor,
+                      sum_of_squares)
 
 _ZERO = Fraction(0)
 
@@ -189,11 +190,13 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
 
     def derivation_kernel(self, q: int):
         """Canonical basis of the kernel of the derivation action on the
-        degree-q symmetric power of the ideal."""
+        degree-q symmetric power of the ideal.  The columns are those of
+        ``ad_b``, the entries of ``int_structure`` with ``i = 0``: integers,
+        ``denominator`` times the action, with the same kernel."""
         if q < 0:
             return []
-        dfull = self.derivation_full
-        kernel = nullspace({m: apply_derivation(dfull, SymTensor.monomial(self.dim, m)).terms
+        subs = [[((k,), x) for (i, k), x in pairs if i == 0] for pairs in self.int_structure]
+        kernel = nullspace({m: replace_factor({m: 1}, subs)
                             for m in combinations_with_replacement(range(1, self.dim), q)})
         return [SymTensor(self.dim, q, v) for v in kernel]
 

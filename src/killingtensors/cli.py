@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 from mpmath import mp
@@ -300,7 +301,10 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept: ``parse_args``
+    does not change it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
@@ -365,8 +369,7 @@ def _fail(code: int, kind: str, detail: str, diagnosis=None) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ff.ParseError, GeneratorError) as exc:

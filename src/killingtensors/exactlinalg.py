@@ -1,10 +1,11 @@
 """Exact elimination over the rationals.
 
-The solvers hand in sparse vectors: ``{key: Fraction}`` dicts that name only
-their nonzero entries.  ``nullspace`` takes the image of each unknown as one
-such column and ``rref_span`` takes the spanning vectors themselves; each
-reduces once in ``_sparse_rref``, a sparse fraction-free elimination, and matrix
-arithmetic lives in ``tensors.Endomorphism``.  The reduced row echelon form
+The solvers hand in sparse vectors: ``{key: value}`` dicts of ``Fraction``s
+or ints that name only their nonzero entries.  ``nullspace`` takes the image
+of each unknown as one such column and ``rref_span`` takes the spanning
+vectors themselves; each reduces once in ``_sparse_rref``, a sparse
+fraction-free elimination, and matrix arithmetic lives in
+``tensors.Endomorphism``.  The reduced row echelon form
 of a matrix is unique, so the canonical basis of a row space or nullspace
 depends neither on how it is eliminated nor on the choice of pivot rows.
 """

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Context
 from fractions import Fraction
 from functools import lru_cache
@@ -80,6 +80,16 @@ class DerivationCapError(ValueError):
 # generators and certificates
 # ---------------------------------------------------------------------------
 
+def _hash_once(gen) -> int:
+    """The dataclass hash of a generator's fields, computed on first use and
+    kept: generators key the sampled-value memo, and their tuples of
+    ``Fraction``s are slow to hash again on every lookup."""
+    h = gen.__dict__.get("_hash")
+    if h is None:
+        h = gen.__dict__["_hash"] = hash(tuple(getattr(gen, f.name) for f in fields(gen)))
+    return h
+
+
 @dataclass(frozen=True)
 class Metric:
     """The invariant metric; its pullback value is constant."""
@@ -91,12 +101,16 @@ class LeftInvariant:
 
     vector: tuple
 
+    __hash__ = _hash_once
+
 
 @dataclass(frozen=True)
 class RightInvariant:
     """Right-invariant field generated by right translations of a vector."""
 
     vector: tuple
+
+    __hash__ = _hash_once
 
 
 @dataclass(frozen=True)
@@ -126,6 +140,8 @@ class DerivationField:
     """Killing field induced by a skew derivation."""
 
     derivation: SkewDerivation
+
+    __hash__ = _hash_once
 
 
 @dataclass(frozen=True)
@@ -698,7 +714,7 @@ def _point_bounds(alg: MetricLieAlgebra, w) -> tuple:
     structure constants, so no float product can overflow."""
     ratios = [x.as_integer_ratio() for x in w]
     den = math.lcm(*(q for _, q in ratios))
-    scale = math.lcm(*(c.denominator for *_, c in alg.nonzero_structure))
+    scale = alg.denominator
     point = [p * (den // q) for p, q in ratios]
     norm = _one_norm(alg.ad_rows(point, lambda c, x: c.numerator * (scale // c.denominator) * x))
     if not norm:

@@ -1,16 +1,24 @@
 """Metric Lie algebras: structure constants, the Levi-Civita connection, the
 algebraic Killing operator, and the brute-force Killing-space solver that
-serves as the oracle for all structured computations."""
+serves as the oracle for all structured computations.
+
+The nonzero structure constants are kept once more as integers over their
+common denominator (``int_structure``, ``denominator``).  The Killing
+operator and both exact solvers feed them to ``tensors.replace_factor``, so
+a solver's columns are integer dicts built without ``SymTensor`` products or
+``Fraction`` arithmetic."""
 from __future__ import annotations
 
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .exactlinalg import basis_vec, frac, nullspace
-from .tensors import SymTensor, Endomorphism, apply_derivation, basis_monomials
+from .tensors import (SymTensor, Endomorphism, apply_derivation, basis_monomials,
+                      replace_factor)
 
 _ZERO = Fraction(0)
 
@@ -56,6 +64,13 @@ class MetricLieAlgebra:
         self.nonzero_structure = tuple((i, j, k, x) for i, plane in enumerate(c)
                                        for j, row in enumerate(plane)
                                        for k, x in enumerate(row) if x != 0)
+        # the same constants as ints over their common denominator, keyed by
+        # the factor e_j they replace: int_structure[j] lists ((i, k), denominator * c_ijk)
+        den = self.denominator = lcm(*(x.denominator for *_, x in self.nonzero_structure))
+        subs = [[] for _ in range(n)]
+        for i, j, k, x in self.nonzero_structure:
+            subs[j].append(((i, k), x.numerator * (den // x.denominator)))
+        self.int_structure = tuple(map(tuple, subs))
         self._ad_basis = None
         self._nabla_basis = None
         self._validate()
@@ -164,16 +179,15 @@ class MetricLieAlgebra:
         return self._nabla_basis[i]
 
     def killing_operator(self, k: SymTensor) -> SymTensor:
-        """Algebraic Killing operator ``sum_j e_j * ad_{e_j}(k)``; a tensor is
-        Killing exactly when this vanishes."""
+        """Algebraic Killing operator ``sum_i e_i * ad_{e_i}(k)``; a tensor is
+        Killing exactly when this vanishes.  Each factor ``e_j`` goes to
+        ``sum c_ijk e_i e_k`` (``replace_factor`` over ``int_structure``),
+        divided once by ``denominator``."""
         if k.dim != self.dim:
             raise ValueError("dimension mismatch")
-        out = SymTensor.zero(self.dim, k.degree + 1)
-        for j in range(self.dim):
-            t = apply_derivation(self.ad_basis(j), k)
-            if not t.is_zero():
-                out = out + SymTensor.basis(self.dim, j) * t
-        return out
+        inv = Fraction(1, self.denominator)
+        out = replace_factor(k.terms, self.int_structure)
+        return SymTensor(self.dim, k.degree + 1, {m: v * inv for m, v in out.items()})
 
     def killing_operator_via_nabla(self, k: SymTensor) -> SymTensor:
         """Same operator through the connection, ``sum_i e_i * nabla_{e_i} k``.
@@ -193,9 +207,10 @@ class MetricLieAlgebra:
                                  dim_cap: int = 6) -> KillingSpace:
         """Exact nullspace of the Killing operator on the full symmetric power.
 
-        The operator's image of each monomial is one sparse column of the
-        exact solve.  Desk-scale guard rails: raise past the caps, warn when
-        the column count gets out of hand.
+        The operator's image of each monomial, times ``denominator`` (which
+        leaves the kernel alone), is one sparse integer column of the exact
+        solve.  Desk-scale guard rails: raise past the caps, warn when the
+        column count gets out of hand.
         """
         if p < 0:
             raise ValueError("degree must be nonnegative")
@@ -204,6 +219,5 @@ class MetricLieAlgebra:
         monos = basis_monomials(self.dim, p)
         if len(monos) > 100_000:
             warnings.warn(f"symmetric power has {len(monos)} monomials; this will be slow")
-        kernel = nullspace({m: self.killing_operator(SymTensor.monomial(self.dim, m)).terms
-                            for m in monos})
+        kernel = nullspace({m: replace_factor({m: 1}, self.int_structure) for m in monos})
         return KillingSpace(p, tuple(SymTensor(self.dim, p, v) for v in kernel))

@@ -8,6 +8,11 @@ polynomial multiplication; the symmetrization convention only surfaces in
 the extended inner product, where a monomial with index multiplicities
 ``m_i`` has squared norm ``prod_i m_i!``.
 
+Every derivation-type map is one loop, ``replace_factor``, on plain
+``{monomial: coefficient}`` dicts: the action of a matrix
+(``apply_derivation``), the Killing operator and the columns of both exact
+solvers.
+
 Coefficients are exact ``Fraction`` values throughout the core.  The same
 container also carries float/mpf coefficients on the numeric sampling paths
 (the arithmetic is coefficient-agnostic); exactness guarantees apply to the
@@ -15,7 +20,6 @@ rational case only.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -333,27 +337,43 @@ def inner(a: SymTensor, b: SymTensor):
     return total
 
 
+def replace_factor(terms: dict, subs) -> dict:
+    """The derivation-type map that sends each factor ``e_a`` of a monomial,
+    one at a time, to ``sum c * e_extra`` over the ``(extra, c)`` pairs of
+    ``subs[a]`` (``extra`` a tuple of indices): the nonzero terms of the image
+    of ``terms``, a ``{monomial: coefficient}`` map.  A factor of
+    multiplicity ``m`` is replaced once and the result counted ``m`` times.
+
+    ``extra = (i,)`` gives the action of a matrix; ``extra = (i, k)`` with the
+    structure constants ``c_iak`` gives the Killing operator.  The
+    coefficients may be ints, ``Fraction``s or floats alike.
+    """
+    out = {}
+    for mono, c in terms.items():
+        for pos, a in enumerate(mono):
+            if (pos and mono[pos - 1] == a) or not subs[a]:
+                continue  # monomials are sorted: the first of a run stands for all
+            base = mono[:pos] + mono[pos + 1:]
+            cm = c * mono.count(a)
+            for extra, x in subs[a]:
+                key = tuple(sorted(base + extra))
+                out[key] = out.get(key, 0) + cm * x
+    return {m: v for m, v in out.items() if v}
+
+
 def apply_derivation(e: Endomorphism, k: SymTensor) -> SymTensor:
-    """Derivation action of an endomorphism: replace one factor at a time.
+    """Derivation action of an endomorphism (``replace_factor`` with
+    ``e_j -> E(e_j)``).
 
     Degree is preserved; the action is zero on degree 0 and satisfies the
     Leibniz rule with respect to the symmetric product.
     """
     if e.dim != k.dim:
         raise ValueError("dimension mismatch")
-    ent = e.entries
-    out = {}
-    for mono, c in k.terms.items():
-        for j, m in Counter(mono).items():
-            pos = mono.index(j)
-            base = mono[:pos] + mono[pos + 1:]
-            cm = c * m
-            for i in range(k.dim):
-                a = ent[i][j]
-                if a != 0:
-                    key = tuple(sorted(base + (i,)))
-                    out[key] = out.get(key, _ZERO) + cm * a
-    return SymTensor(k.dim, k.degree, {m: v for m, v in out.items() if v != 0})
+    subs = [[] for _ in range(e.dim)]
+    for (i, j), a in e.sparse().items():
+        subs[j].append(((i,), a))
+    return SymTensor(k.dim, k.degree, replace_factor(k.terms, subs))
 
 
 def sym2_from_endo(e: Endomorphism) -> SymTensor:

@@ -241,6 +241,38 @@ def omega_derivation(alg, t, w, order=None, min_order=0):
 
 
 # ---------------------------------------------------------------------------
+# oracles for the factor-replacement kernel: the derivation action position by
+# position, and the Killing operator over the dense structure array
+# ---------------------------------------------------------------------------
+
+def derivation_action_oracle(rows, k):
+    """Derivation action of the dense matrix ``rows`` (``E(e_j) = sum_i
+    rows[i][j] e_i``) on ``k``: every position of every monomial is replaced
+    in turn, repeated indices included, with no multiplicity shortcut."""
+    n = len(rows)
+    items = []
+    for mono, c in k.terms.items():
+        for pos, j in enumerate(mono):
+            for i in range(n):
+                if rows[i][j] != 0:
+                    items.append((mono[:pos] + (i,) + mono[pos + 1:], c * rows[i][j]))
+    return SymTensor.build(k.dim, k.degree, items)
+
+
+def killing_operator_oracle(alg, k):
+    """``sum_j e_j * ad_{e_j}(k)`` with ``ad_{e_j}`` read densely off
+    ``alg.structure`` and applied by ``derivation_action_oracle``."""
+    n = alg.dim
+    c = alg.structure
+    items = []
+    for j in range(n):
+        ad_j = [[c[j][a][r] for a in range(n)] for r in range(n)]
+        items += [((j,) + mono, x)
+                  for mono, x in derivation_action_oracle(ad_j, k).terms.items()]
+    return SymTensor.build(n, k.degree + 1, items)
+
+
+# ---------------------------------------------------------------------------
 # dense oracles for the exact solvers: Gauss-Jordan on dense rows, the dense
 # Jacobi triple loop and the wedge-by-wedge skew-derivation solve that the
 # sparse ``derivation_residual`` replaced

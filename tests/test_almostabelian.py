@@ -268,11 +268,13 @@ class TestStructuredSpace:
         assert alg.killing_space_structured(1).dimension == 3
 
     def test_matches_bruteforce_random(self):
-        for d in derivation_suite(per_kind=1):
-            alg = AlmostAbelianAlgebra(d)
-            for p in range(4):
-                assert alg.killing_space_structured(p).basis == \
-                    alg.killing_space_bruteforce(p).basis
+        # ideal sizes up to 5, dimension 6: the brute-force dim_cap
+        for sizes, degrees in (((1, 2, 3), range(4)), ((4, 5), range(5))):
+            for d in derivation_suite(per_kind=1, sizes=sizes):
+                alg = AlmostAbelianAlgebra(d)
+                for p in degrees:
+                    assert alg.killing_space_structured(p).basis == \
+                        alg.killing_space_bruteforce(p).basis
 
 
 class TestDimensionFormula:

@@ -3,8 +3,12 @@ import copy
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +27,7 @@ from killingtensors import (
     decompose,
     sum_of_squares,
 )
+import killingtensors
 from killingtensors.cli import main
 from killingtensors import exactlinalg, fileformats as ff
 from conftest import random_tensor
@@ -429,7 +434,47 @@ class TestOmegaSampleCommand:
         assert "must be an integer, got 'x'" in error["detail"]
 
 
+_COMMANDS_IN_TURN = """
+import contextlib, io, json, sys
+from killingtensors.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def in_one_process(commands):
+    """``main`` on each argv in turn in one fresh interpreter: the exit code,
+    stdout and stderr of each."""
+    env = dict(os.environ, PYTHONPATH=str(Path(killingtensors.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", _COMMANDS_IN_TURN, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
 class TestDeterminism:
+    def test_commands_in_one_process_print_what_they_print_alone(self, tmp_path):
+        # the parser is built once per process; a usage error must not leave
+        # anything behind for the commands after it
+        alg = write(tmp_path, "diag.json", DIAG)
+        metric = {"degree": 2, "terms": [{"monomial": [i, i], "coeff": "1"} for i in range(3)]}
+        terms = [{"coeff": "2", "factors": [{"kind": "metric"}]}]
+        cert = write(tmp_path, "c.json", {"target": metric, "terms": terms})
+        commands = [["killing-basis", "--algebra", alg, "--degree", "-1"],
+                    ["verify", "--algebra", alg, "--certificate", cert, "--samples", "2"],
+                    ["killing-basis", "--algebra", alg, "--degree", "2", "--method", "both"]]
+        together = in_one_process(commands)
+        assert [code for code, _, _ in together] == [2, 0, 0]
+        assert "--degree" in together[0][2] and together[0][1] == ""
+        assert together == [in_one_process([argv])[0] for argv in commands]
+
     def test_reports_byte_identical(self, tmp_path, capsys):
         alg = write(tmp_path, "rot.json", ROT)
         argv = ["killing-basis", "--algebra", alg, "--degree", "2", "--method", "both"]

@@ -16,8 +16,10 @@ from killingtensors import (
     sym2_from_endo,
 )
 from killingtensors.exactlinalg import basis_vec, dot
-from conftest import (derivation_suite, jacobi_failure_oracle, koszul_oracle, random_tensor,
-                      random_vector)
+from killingtensors.tensors import basis_monomials
+from conftest import (derivation_action_oracle, derivation_suite, jacobi_failure_oracle,
+                      killing_operator_oracle, koszul_oracle, nullspace_oracle, random_derivation,
+                      random_tensor, random_vector)
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
 DIAG = Endomorphism.diagonal([1, -1])
@@ -36,6 +38,23 @@ def so3():
         c[i][j][k] = Fraction(1)
         c[j][i][k] = Fraction(-1)
     return MetricLieAlgebra(c)
+
+
+def rotation_type(a, b, c):
+    """``[e0,e1] = a e2``, ``[e1,e2] = b e0``, ``[e2,e0] = c e1``; the Jacobi
+    identity holds for every a, b, c (so(3) at 1, 1, 1)."""
+    s = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+    for (i, j, k), x in (((0, 1, 2), a), ((1, 2, 0), b), ((2, 0, 1), c)):
+        s[i][j][k] = x
+        s[j][i][k] = -x
+    return MetricLieAlgebra(s)
+
+
+def wide_algebras():
+    """Structure constants with denominators 2, 3 and 7 and 40-digit numerators."""
+    a, b, c = (Fraction(10 ** 39 + 1, 2), Fraction(-4 * 10 ** 39 - 3, 3),
+               Fraction(7 * 10 ** 39 + 5, 7))
+    return [rotation_type(a, b, c), AlmostAbelianAlgebra(Endomorphism.from_rows([[a, b], [c, 0]]))]
 
 
 class TestConstruction:
@@ -204,6 +223,52 @@ class TestKillingOperator:
         for alg in algebras:
             k = random_tensor(rng, alg.dim, rng.randint(0, 3))
             assert alg.killing_operator(k) == alg.killing_operator_via_nabla(k)
+
+
+class TestFactorReplacementOracles:
+    """``apply_derivation``, both Killing operators and the brute-force
+    columns share ``tensors.replace_factor``; the oracles in ``conftest``
+    share nothing with it."""
+
+    @staticmethod
+    def _check_operators(alg, rng, degrees=range(5)):
+        for p in degrees:
+            k = random_tensor(rng, alg.dim, p, nterms=6)
+            expected = killing_operator_oracle(alg, k)
+            assert alg.killing_operator(k) == expected
+            assert alg.killing_operator_via_nabla(k) == expected
+
+    def test_derivation_action(self):
+        rng = random.Random(41)
+        for d in derivation_suite(per_kind=1):
+            alg = AlmostAbelianAlgebra(d)
+            for e in (alg.derivation_full, random_derivation(rng, alg.dim, "generic")):
+                for p in range(5):
+                    k = random_tensor(rng, alg.dim, p, nterms=6)
+                    assert apply_derivation(e, k) == derivation_action_oracle(e.entries, k)
+
+    def test_operators(self):
+        rng = random.Random(43)
+        for alg in [AlmostAbelianAlgebra(d) for d in derivation_suite(per_kind=1)] \
+                + [so3(), heisenberg3()]:
+            self._check_operators(alg, rng, range(4))
+
+    def test_operators_on_wide_constants(self):
+        rng = random.Random(47)
+        for alg in wide_algebras():
+            assert {x.denominator for *_, x in alg.nonzero_structure} == {2, 3, 7}
+            self._check_operators(alg, rng)
+
+    def test_bruteforce_matches_dense_nullspace(self):
+        algebras = [AlmostAbelianAlgebra(d) for d in derivation_suite(per_kind=1, sizes=(1, 2))]
+        for alg in algebras + [so3(), heisenberg3()] + wide_algebras():
+            for p in range(4):
+                images = [killing_operator_oracle(alg, SymTensor.monomial(alg.dim, m)).dense()
+                          for m in basis_monomials(alg.dim, p)]
+                rows = [list(row) for row in zip(*images)]
+                expected = nullspace_oracle(rows, len(images))
+                assert [tuple(t.dense()) for t in alg.killing_space_bruteforce(p).basis] == \
+                    expected
 
 
 class TestBruteForceSolver:

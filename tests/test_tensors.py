@@ -19,6 +19,7 @@ from killingtensors import (
     sym_mul,
     basis_monomials,
 )
+from killingtensors.tensors import replace_factor
 from conftest import inner_oracle
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
@@ -129,6 +130,13 @@ class TestDerivation:
 
     def test_rotation_kills_sum_of_squares(self):
         assert apply_derivation(J2, sum_of_squares(2)).is_zero()
+
+    def test_replace_factor_counts_multiplicity_and_drops_zeros(self):
+        # e0 -> 2 e1*e2 on 5 e0^3 e1: the factor e0 counts three times
+        assert replace_factor({(0, 0, 0, 1): 5}, [[((1, 2), 2)], [], []]) == \
+            {(0, 0, 1, 1, 2): 30}
+        # the rotation e0 -> e1, e1 -> -e0 on e0^2 + e1^2: 2 e0*e1 - 2 e0*e1
+        assert replace_factor({(0, 0): 1, (1, 1): 1}, [[((1,), 1)], [((0,), -1)]]) == {}
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(1, 3), st.data())
