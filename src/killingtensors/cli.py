@@ -103,9 +103,9 @@ def _report(args, command: str, inputs: dict, result) -> dict:
 
 def _emit(args, report: dict) -> int:
     if args.pretty:
-        text = json.dumps(report, sort_keys=True, indent=2)
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     else:
-        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False)
     print(text)
     return EXIT_OK
 

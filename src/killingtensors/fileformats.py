@@ -5,6 +5,7 @@ parse errors carry the JSON path of the offending entry.
 """
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -174,12 +175,21 @@ def tensor_to_dict(t: SymTensor) -> dict:
     }
 
 
+def _json_float(x):
+    """``float(x)``, or the string ``"inf"`` / ``"-inf"`` for a value past
+    the float range: strict JSON has no infinities."""
+    f = float(x)
+    if math.isinf(f):
+        return "inf" if f > 0 else "-inf"
+    return f
+
+
 def numeric_tensor_to_dict(t: SymTensor) -> dict:
     """Same layout with float coefficients, for sampled values."""
     return {
         "degree": t.degree,
         "terms": [
-            {"monomial": list(mono), "coeff": float(t.terms[mono])}
+            {"monomial": list(mono), "coeff": _json_float(t.terms[mono])}
             for mono in sorted(t.terms)
         ],
     }
@@ -266,7 +276,7 @@ def check_to_dict(check: CertificateCheck) -> dict:
     return {
         "passed": check.passed,
         "exact_at_zero": check.exact_at_zero,
-        "max_deviation": check.max_deviation,
+        "max_deviation": _json_float(check.max_deviation),
         "samples": check.samples,
         "tol": check.tol,
         "seed": check.seed,

@@ -27,7 +27,9 @@ import random
 from dataclasses import dataclass, fields
 from decimal import Context
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import mul
+from typing import NamedTuple
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, round_nearest
@@ -203,9 +205,12 @@ def _fixed_shift(dim: int) -> int:
       rational is floored once (< u), so ``||ad_w^ - ad_w||_1 < n^2 u`` and
       the start vector ``x`` (``T w`` for phi) is off by < n^2 u.
     * Series: each term ``t_k = trunc(-ad_w^ t_(k-1) / (k + s))``, rounded
-      toward zero, adds < n u.  An error entering at term j reaches term k
-      times at most ``a^(k-j) / (k-j)!``, so the partial sum is off by at most
-      ``u e^a (n K + n^2 (1 + e^a ||x||_1))``.
+      toward zero, adds < n u.  ``_fixed_series`` sums each row exactly on
+      ints and divides ``|v|`` by a shift and then ``// (k + s)``; since
+      ``floor(floor(v/2^P)/m) = floor(v/(m 2^P))``, that is the same single
+      rounding of the exact row sum.  An error entering at term j reaches
+      term k times at most ``a^(k-j) / (k-j)!``, so the partial sum is off
+      by at most ``u e^a (n K + n^2 (1 + e^a ||x||_1))``.
     * Horner: each trie node floors each entry once (< u); an error is then
       multiplied by the factor values above it, at most the amplification
       bound that ``_working_digits`` covers with 35 digits to spare (``e^a``
@@ -263,53 +268,99 @@ def _one_norm(rows):
     return max(map(sum, cols), default=0)
 
 
-def _ad_series(lie: MetricLieAlgebra, w, x, s: int, shift, order, min_order: int):
-    """Partial sum of ``sum_k (-ad_w)^k x / (k + s)!`` times ``s!``: with
-    ``s = 0`` it is ``exp(-ad_w) x``, with ``s = 1`` it is ``phi(-ad_w) x``
-    for ``phi(z) = (e^z - 1)/z``.
+class _Point(NamedTuple):
+    """A point ``w`` prepared once for every pullback series at it.
 
-    ``w`` and ``x`` are exact (``shift=None``) or fixed-point ints at
-    ``shift``.  ``order`` truncates after that many terms.  Otherwise an
-    exact series must terminate (it does when ``ad_w`` is nilpotent) and a
-    fixed-point one stops, once past ``min_order`` and the hump at
+    Exact (``shift`` None): ``w`` as given, ``rows`` the ``ad_rows`` of
+    ``ad_w`` and no ``norm``.  Fixed point: ``w`` as ints at ``shift``,
+    ``rows`` the nonzero rows of ``ad_w`` as ``(row, columns, entries)`` int
+    tuples, and ``norm`` its 1-norm at ``shift``."""
+
+    shift: int | None
+    w: tuple
+    rows: list | tuple
+    norm: int | None
+
+
+def _point(alg: MetricLieAlgebra, w, shift) -> _Point:
+    """``w`` prepared for the series: exact when ``shift`` is None."""
+    if shift is None:
+        return _Point(None, tuple(w), alg.ad_rows(w, mul), None)
+    wv = tuple(_to_fixed(c, shift) for c in w)
+    rows = alg.ad_rows(wv, lambda c, v: _rational_times(c, v, shift))
+    compiled = tuple((r, *map(tuple, zip(*row))) for r, row in enumerate(rows) if row)
+    return _Point(shift, wv, compiled, _one_norm(rows))
+
+
+# Both series give the partial sum of ``sum_k (-ad_w)^k x / (k + s)!`` times
+# ``s!``: with ``s = 0`` it is ``exp(-ad_w) x``, with ``s = 1`` it is
+# ``phi(-ad_w) x`` for ``phi(z) = (e^z - 1)/z``.  ``order`` truncates after
+# that many terms.
+
+def _exact_series(rows, x, s: int, order) -> list:
+    """The series over exact ``x`` and ``ad_rows``: untruncated, it must
+    terminate within ``n`` terms, as it does when ``ad_w`` is nilpotent."""
+    acc = list(x)
+    term = list(x)
+    k = 1
+    while order is None or k <= order:
+        term = [Fraction(-sum(a * term[j] for j, a in row), k + s) for row in rows]
+        if not any(term):
+            break
+        acc = [p + q for p, q in zip(acc, term)]
+        if order is None and k > len(rows):
+            raise ValueError("series does not terminate over exact arithmetic; "
+                             "pass a truncation order")
+        k += 1
+    return acc
+
+
+def _fixed_series(point: _Point, x, s: int, order, min_order: int) -> list:
+    """The series over fixed-point ``x`` at a prepared fixed-point point.
+
+    Untruncated, it stops, once past ``min_order`` and the hump at
     ``||ad_w||_1``, at the first term below ``10^-(dps-5)`` times the
     largest partial sum entry (at least 1), or raises ``SeriesCapError``
     after ``_MAX_TERMS`` terms.  A hump or a ``min_order`` already at that
     cap leaves the stop rule no room, so it raises after ``n`` terms: only a
     series that vanishes within them passes, as for a nilpotent ``ad_w``.
+
+    Entry ``r`` of term ``k`` is ``-(row_r . t_(k-1)) / ((k + s) 2^shift)``
+    rounded toward zero, which commutes with negation: values equal up to a
+    signed permutation that commutes with ``ad_w`` stay so.  The division of
+    ``|v|`` is a shift and then ``// (k + s)``, the same rounding (see
+    ``_fixed_shift``).  Each row is one ``sum(map(mul, ...))`` and only
+    nonzero entries touch ``acc``.
     """
-    n = lie.dim
-    rows = lie.ad_rows(w, lambda c, v: _rational_times(c, v, shift))
+    shift, rows, norm = point.shift, point.rows, point.norm
+    n = len(x)
+    one = 1 << shift
+    eps = one // 10 ** (mp.dps - 5)
+    hump = (norm >> shift) + 2
+    stop_from = max(min_order, hump)
+    cap = _MAX_TERMS if hump <= _MAX_TERMS and min_order < _MAX_TERMS else n
     acc = list(x)
     term = list(x)
-    if shift is not None:
-        one = 1 << shift
-        eps = one // 10 ** (mp.dps - 5)
-        norm = _one_norm(rows)
-        hump = (norm >> shift) + 2
-        stop_from = max(min_order, hump)
-        cap = _MAX_TERMS if hump <= _MAX_TERMS and min_order < _MAX_TERMS else n
     k = 1
     while order is None or k <= order:
-        if shift is None:
-            term = [Fraction(-sum(a * term[j] for j, a in row), k + s) for row in rows]
-        else:
-            d = (k + s) << shift
-            # rounded toward zero, which commutes with negation: values equal
-            # up to a signed permutation that commutes with ad_w stay so
-            term = [-(v // d) if v >= 0 else -v // d
-                    for v in (sum(a * term[j] for j, a in row) for row in rows)]
-        if not any(term):
+        m = k + s
+        new = [0] * n
+        zero = True
+        for r, columns, entries in rows:
+            v = sum(map(mul, entries, map(term.__getitem__, columns)))
+            if v:
+                t = -((v >> shift) // m) if v > 0 else (-v >> shift) // m
+                if t:
+                    new[r] = t
+                    acc[r] += t
+                    zero = False
+        if zero:
             break
-        acc = [p + q for p, q in zip(acc, term)]
+        term = new
         if order is None:
-            if shift is None:
-                if k > n:
-                    raise ValueError("series does not terminate over exact arithmetic; "
-                                     "pass a truncation order")
-            elif k >= stop_from and max(map(abs, term)) << shift < eps * max(one, *map(abs, acc)):
+            if k >= stop_from and max(map(abs, term)) << shift < eps * max(one, *map(abs, acc)):
                 break
-            elif k > cap:
+            if k > cap:
                 raise SeriesCapError(Fraction(norm, one))
         k += 1
     return acc
@@ -329,9 +380,10 @@ def _unscaled(seq, shift) -> tuple:
 # Omega evaluation
 # ---------------------------------------------------------------------------
 
-def _generator_value(alg: MetricLieAlgebra, gen, w, shift, order, min_order: int) -> list:
-    """Dense pullback value of the generator ``gen`` at ``w``: exact when
-    ``shift`` is None, else fixed-point ints at ``shift``.
+def _generator_value(alg: MetricLieAlgebra, gen, shift, prepare, order, min_order: int) -> list:
+    """Dense pullback value of the generator ``gen``: exact when ``shift`` is
+    None, else fixed-point ints at ``shift``.  ``prepare()`` returns the
+    point prepared by ``_point``; only the two series ask for it.
 
     The metric is 1/2 on the squares, a left-invariant field its vector, a
     right-invariant field of ``x`` is ``exp(-ad_w) x`` and the field of a
@@ -342,14 +394,18 @@ def _generator_value(alg: MetricLieAlgebra, gen, w, shift, order, min_order: int
         return [half if c else 0 for c in sum_of_squares(alg.dim).dense()]
     if isinstance(gen, LeftInvariant):
         return _scaled(gen.vector, shift)
-    wv = _scaled(w, shift)
+    point = prepare()
     if isinstance(gen, RightInvariant):
-        return _ad_series(alg, wv, _scaled(gen.vector, shift), 0, shift, order, min_order)
-    if isinstance(gen, DerivationField):
-        tw = [sum(_rational_times(c, v, shift) for c, v in zip(row, wv) if c and v)
-              for row in gen.derivation.full_matrix().entries]
-        return _ad_series(alg, wv, tw, 1, shift, order, min_order)
-    raise TypeError(f"unknown generator {gen!r}")
+        x, s = _scaled(gen.vector, shift), 0
+    elif isinstance(gen, DerivationField):
+        x = [sum(_rational_times(c, v, shift) for c, v in zip(row, point.w) if c and v)
+             for row in gen.derivation.full_matrix().entries]
+        s = 1
+    else:
+        raise TypeError(f"unknown generator {gen!r}")
+    if shift is None:
+        return _exact_series(point.rows, x, s, order)
+    return _fixed_series(point, x, s, order, min_order)
 
 
 def omega_generator(alg: MetricLieAlgebra, gen, w, order=None, min_order: int = 0) -> SymTensor:
@@ -360,7 +416,7 @@ def omega_generator(alg: MetricLieAlgebra, gen, w, order=None, min_order: int = 
     with a float or mpf entry is summed adaptively in fixed point to mpf.
     """
     shift = _fixed_shift(alg.dim) if _numeric_seq(w) else None
-    value = _generator_value(alg, gen, w, shift, order, min_order)
+    value = _generator_value(alg, gen, shift, partial(_point, alg, w, shift), order, min_order)
     return SymTensor.from_dense(alg.dim, generator_degree(gen), _unscaled(value, shift))
 
 
@@ -473,7 +529,14 @@ def omega_tensor(alg: MetricLieAlgebra, cert, w, order=None, min_order: int = 0)
     if compiled.dim != alg.dim:
         raise ValueError("dimension mismatch")
     shift = _fixed_shift(alg.dim) if _numeric_seq(w) else None
-    values = [_generator_value(alg, gen, w, shift, order, min_order)
+    prepared = []
+
+    def prepare():  # at most once, and only for a series
+        if not prepared:
+            prepared.append(_point(alg, w, shift))
+        return prepared[0]
+
+    values = [_generator_value(alg, gen, shift, prepare, order, min_order)
               for gen in compiled.generators]
     out = compiled.evaluate(values, shift)
     return SymTensor.from_dense(compiled.dim, compiled.degree, _unscaled(out, shift))
@@ -672,8 +735,13 @@ def sample_points(dim: int, samples: int, seed: int):
 # Certificates verified on one algebra with the same samples share their
 # generator values at each point.  256 entries hold one algebra's batch (at
 # most 200 distinct keys on the certify-batch benchmark) while keeping the
-# memory of the big fixed-point ints bounded.
+# memory of the big fixed-point ints bounded.  The generators at one point
+# share its preparation, keyed by point and scale: 64 entries hold the 20
+# default samples at three working precisions, and fewer entries keep fewer
+# algebras of past calls alive.
 _SAMPLED_VALUES = 256
+_SAMPLED_POINTS = 64
+_sampled_point = lru_cache(maxsize=_SAMPLED_POINTS)(_point)
 
 
 @lru_cache(maxsize=_SAMPLED_VALUES)
@@ -681,7 +749,8 @@ def _sampled_value(alg: MetricLieAlgebra, gen, w, shift: int, dps: int, min_orde
     """``_generator_value`` at a sample point, memoized on everything the
     value depends on: the series stop rule reads ``mp.dps``, which must be
     ``dps``.  Algebras compare by identity."""
-    return tuple(_generator_value(alg, gen, w, shift, None, min_order))
+    return tuple(_generator_value(alg, gen, shift, partial(_sampled_point, alg, w, shift),
+                                  None, min_order))
 
 
 def _check_generators(alg: MetricLieAlgebra, cert: Certificate, generators):

@@ -7,6 +7,9 @@ from mpmath import mp
 
 from killingtensors import Endomorphism, SymTensor, basis_monomials, omega_generator
 from killingtensors.exactlinalg import basis_vec, dot
+from killingtensors.killingfields import SeriesCapError
+
+SERIES_TERM_CAP = 5000
 
 DERIVATION_KINDS = ("skew", "symmetric", "nilpotent", "generic")
 
@@ -163,6 +166,43 @@ def omega_series_oracle(lie, x, w, phi=False, order=None, min_order=0):
                     raise RuntimeError("omega series failed to converge")
         k += 1
     return tuple(acc)
+
+
+def fixed_series_oracle(lie, w, x, s, shift, order=None, min_order=0):
+    """A per-entry reference for the fixed-point series kernel: ``w`` and
+    ``x`` are ints at ``shift``, each term entry is a generator sum over
+    ``(column, entry)`` pairs divided once by ``(k + s) 2^shift`` and rounded
+    toward zero, and the partial sum is rebuilt every term.  The kernel must
+    return the same ints and raise the same ``SeriesCapError``."""
+    n = lie.dim
+    rows = lie.ad_rows(w, lambda c, v: v * c.numerator // c.denominator)
+    cols = [0] * n
+    for row in rows:
+        for j, a in row:
+            cols[j] += abs(a)
+    norm = max(cols)
+    one = 1 << shift
+    eps = one // 10 ** (mp.dps - 5)
+    hump = (norm >> shift) + 2
+    stop_from = max(min_order, hump)
+    cap = SERIES_TERM_CAP if hump <= SERIES_TERM_CAP and min_order < SERIES_TERM_CAP else n
+    acc = list(x)
+    term = list(x)
+    k = 1
+    while order is None or k <= order:
+        d = (k + s) << shift
+        term = [-(v // d) if v >= 0 else -v // d
+                for v in (sum(a * term[j] for j, a in row) for row in rows)]
+        if not any(term):
+            break
+        acc = [p + q for p, q in zip(acc, term)]
+        if order is None:
+            if k >= stop_from and max(map(abs, term)) << shift < eps * max(one, *map(abs, acc)):
+                break
+            if k > cap:
+                raise SeriesCapError(Fraction(norm, one))
+        k += 1
+    return acc
 
 
 def _mpf_of(x):

@@ -545,6 +545,43 @@ PAST_FLOAT = {"n": 2, "D": [["0", "-1" + "0" * 400], ["1" + "0" * 400, "0"]]}
 IDEAL_SQUARES = {"degree": 2, "terms": [{"monomial": [i, i], "coeff": "1"} for i in (1, 2)]}
 
 
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    # values past the float range are written as the strings "inf" and "-inf"
+    def test_deviation_past_the_float_range(self, tmp_path, capsys):
+        big = str(10 ** 400)
+        cert = {"target": {"degree": 2, "terms": [{"monomial": [1, 1], "coeff": big}]},
+                "terms": [{"coeff": big, "factors": [_RIGHT[1], _RIGHT[1]]}]}
+        for style in ([], ["--pretty"]):
+            code, out, err = run(capsys, ["verify", "--algebra", write(tmp_path, "a.json", DIAG12),
+                                          "--certificate", write(tmp_path, "c.json", cert)]
+                                 + style)
+            assert code == 0 and err == ""
+            result = _strict_json(out)["result"]
+            assert result["verification"]["max_deviation"] == "inf"
+            assert result["passed"] is False
+
+    def test_sampled_value_past_the_float_range(self, tmp_path, capsys):
+        code, out, err = run(capsys, ["omega-sample",
+                                      "--algebra", write(tmp_path, "a.json", PAST_FLOAT),
+                                      "--generator", "right:1", "--at", "1,0,0", "--order", "2"])
+        assert code == 0 and err == ""
+        coeffs = [t["coeff"] for t in _strict_json(out)["result"]["value"]["terms"]]
+        assert "-inf" in coeffs
+
+    def test_finite_reports_keep_their_numbers(self, tmp_path, capsys):
+        code, out, _ = run(capsys, ["omega-sample", "--algebra", write(tmp_path, "a.json", ROT),
+                                    "--generator", "right:1", "--at", "1,0,0"])
+        assert code == 0
+        coeffs = [t["coeff"] for t in _strict_json(out)["result"]["value"]["terms"]]
+        assert coeffs and all(isinstance(c, float) for c in coeffs)
+
+
 class TestSeriesTermCap:
     # on D = diag(2000, -2000) the pullback series need more than 5000 terms;
     # one sample keeps the failing run short.  On D = diag(10^8, -10^8) every

@@ -30,6 +30,7 @@ from killingtensors import (
     decompose,
     decompose_ideal_tensor,
     exp_action,
+    flat_metric_certificate,
     generator_degree,
     omega_generator,
     omega_tensor,
@@ -40,9 +41,9 @@ from killingtensors import (
     validate_skew_derivation,
     verify_certificate,
 )
-from conftest import (DERIVATION_KINDS, derivation_suite, omega_derivation,
-                      omega_series_oracle, omega_tensor_oracle, random_derivation, random_vector,
-                      skew_derivation_basis_oracle)
+from conftest import (DERIVATION_KINDS, derivation_suite, fixed_series_oracle,
+                      omega_derivation, omega_series_oracle, omega_tensor_oracle,
+                      random_derivation, random_vector, skew_derivation_basis_oracle)
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
 DIAG = Endomorphism.diagonal([1, -1])
@@ -413,6 +414,54 @@ class TestVerifyCertificate:
         assert a.max_deviation != b.max_deviation
 
 
+def _rotation3_flat_certificate():
+    alg = AlmostAbelianAlgebra(Endomorphism.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 0]]))
+    return alg, flat_metric_certificate(alg)
+
+
+def _basis_certificate(d, p, t):
+    alg = AlmostAbelianAlgebra(d)
+    return alg, decompose(alg, alg.killing_space_structured(p).basis[t])
+
+
+def _moved_square_certificate():
+    alg = AlmostAbelianAlgebra(DIAG)
+    r1 = RightInvariant(basis_vec(3, 1))
+    return alg, Certificate(target=SymTensor.monomial(3, (1, 1)),
+                            terms=((Fraction(1), (r1, r1)),))
+
+
+def _derivation_difference_certificate():
+    # 3 phi(-ad_w) T w - phi(-ad_w) (3T) w vanishes up to the rounding of the
+    # two phi series, whose start vectors differ by the factor 3
+    alg = AlmostAbelianAlgebra(J2)
+    t = skew_derivations(alg)[0]
+    t3 = SkewDerivation.from_matrix(Endomorphism(tuple(
+        tuple(3 * x for x in row) for row in t.full_matrix().entries)))
+    return alg, Certificate(target=SymTensor.zero(3, 1), terms=(
+        (Fraction(3), (DerivationField(t),)), (Fraction(-1), (DerivationField(t3),))))
+
+
+class TestPinnedRounding:
+    # deviations of real certificates, recorded before the series kernel took
+    # its current form: the fixed-point arithmetic must keep every bit of them
+    @pytest.mark.parametrize("build, passed, deviation", [
+        (lambda: _basis_certificate(J2, 2, 0), True, "0x1.9d4f3a31e0000p-155"),
+        (lambda: _basis_certificate(J2, 2, 1), True, "0x1.9d4f3a31e4000p-155"),
+        (_rotation3_flat_certificate, True, "0x1.234a5a3285000p-154"),
+        (lambda: _basis_certificate(DIAG, 2, 1), True, "0x1.897612dc2c000p-153"),
+        (_derivation_difference_certificate, True, "0x1.c8e104a114000p-155"),
+        (_moved_square_certificate, False, "0x1.20f07268359bep+5"),
+    ], ids=["rotation p=2 t=0", "rotation p=2 t=1", "rotation3 flat metric",
+            "stretch p=2 t=1", "rotation derivation fields", "stretch moved square"])
+    def test_deviation_and_digits(self, build, passed, deviation):
+        alg, cert = build()
+        check = verify_certificate(alg, cert)
+        assert check.passed is passed and check.exact_at_zero
+        assert check.max_deviation.hex() == deviation
+        assert check.precision_digits == 50
+
+
 class TestDerivationFieldCertificates:
     def test_exact_at_origin_but_not_constant(self):
         # every derivation-induced field vanishes at the identity, so a
@@ -689,15 +738,14 @@ class TestSampledValueMemo:
         r2 = RightInvariant(basis_vec(3, 2))
         other = Certificate(target=SymTensor.monomial(3, (1, 2)),
                             terms=((Fraction(1), (self.R1, r2)),))
-        series = kf._ad_series
+        series = kf._fixed_series
         sampled = []
 
-        def counting(lie, w, x, s, shift, order, min_order):
-            if shift is not None:
-                sampled.append((tuple(w), tuple(x)))
-            return series(lie, w, x, s, shift, order, min_order)
+        def counting(point, x, s, order, min_order):
+            sampled.append((tuple(point.w), tuple(x)))
+            return series(point, x, s, order, min_order)
 
-        monkeypatch.setattr(kf, "_ad_series", counting)
+        monkeypatch.setattr(kf, "_fixed_series", counting)
         kf._sampled_value.cache_clear()
         first = verify_certificate(alg, self.CERT, samples=5)
         second = verify_certificate(alg, other, samples=5)
@@ -802,9 +850,11 @@ def _phi(alg, t, w, order=None, min_order=0):
     """``phi(-ad_w) T w`` for any matrix ``T``, skew or not, from the series
     kernel; a ``DerivationField`` reaches it only with a skew ``T``."""
     shift = kf._fixed_shift(alg.dim) if kf._numeric_seq(w) else None
-    wv = kf._scaled(w, shift)
-    tw = [sum(kf._rational_times(c, v, shift) for c, v in zip(row, wv)) for row in t.entries]
-    return kf._unscaled(kf._ad_series(alg, wv, tw, 1, shift, order, min_order), shift)
+    point = kf._point(alg, w, shift)
+    tw = [sum(kf._rational_times(c, v, shift) for c, v in zip(row, point.w)) for row in t.entries]
+    value = (kf._exact_series(point.rows, tw, 1, order) if shift is None
+             else kf._fixed_series(point, tw, 1, order, min_order))
+    return kf._unscaled(value, shift)
 
 
 _COORD = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
@@ -824,7 +874,55 @@ def kernel_inputs(draw, exact=False):
     return alg, w, x, t
 
 
+def _same_fixed_series(alg, w, x, s, order, min_order):
+    """The kernel against ``fixed_series_oracle``: equal ints, or the same
+    ``SeriesCapError``.  Returns the oracle's outcome."""
+    shift = kf._fixed_shift(alg.dim)
+    wv, xv = kf._scaled(w, shift), kf._scaled(x, shift)
+    point = kf._point(alg, w, shift)
+    try:
+        want = fixed_series_oracle(alg, wv, xv, s, shift, order, min_order)
+    except kf.SeriesCapError as exc:
+        with pytest.raises(kf.SeriesCapError) as got:
+            kf._fixed_series(point, xv, s, order, min_order)
+        assert str(got.value) == str(exc)
+        return exc
+    assert kf._fixed_series(point, xv, s, order, min_order) == want
+    return want
+
+
 class TestSeriesKernel:
+    @settings(max_examples=150, deadline=None)
+    # min_order up to 80 reaches past the stop rule's own point and, before
+    # the terms round to zero, moves where the sum stops
+    @given(kernel_inputs(), st.sampled_from([0, 1]), st.one_of(st.none(), st.integers(0, 9)),
+           st.one_of(st.integers(0, 80), st.just(MAX_TERMS)), st.sampled_from([15, 50]))
+    def test_fixed_series_matches_the_per_entry_loop(self, case, s, order, min_order, dps):
+        alg, w, x, _ = case
+        with mp.workdps(dps):
+            _same_fixed_series(alg, w, x, s, order, min_order)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_fixed_series_stops_where_the_per_entry_loop_does(self, name):
+        # every min_order from the hump to past the last nonzero term, where
+        # the stop rule, the hump and the zero term each decide the stop
+        alg = KERNEL_CASES[name]
+        w = (1.25, -0.75, 0.5, -1.5)[:alg.dim]
+        x = tuple(Fraction(i + 1, 3) for i in range(alg.dim))
+        for dps in (15, 50):
+            with mp.workdps(dps):
+                for s in (0, 1):
+                    for min_order in range(0, 72):
+                        _same_fixed_series(alg, w, x, s, None, min_order)
+
+    def test_fixed_series_cap_matches_the_per_entry_loop(self):
+        # the point of test_term_cap: ||ad_w||_1 = 6000 puts the hump past the cap
+        alg = AlmostAbelianAlgebra(Endomorphism.diagonal([2, 2]))
+        with mp.workdps(20):
+            for s in (0, 1):
+                got = _same_fixed_series(alg, (3000.0, 0.0, 0.0), (0, 1, 0), s, None, 0)
+                assert isinstance(got, kf.SeriesCapError)
+
     @settings(max_examples=100, deadline=None)
     @given(kernel_inputs(exact=True), st.integers(0, 3))
     def test_exact_truncations(self, case, order):
