@@ -70,6 +70,17 @@ def _load_json(path: str):
     except json.JSONDecodeError as exc:
         raise ff.ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
                             f"{exc.msg}") from exc
+    except ValueError:  # an integer literal past the int-string conversion limit
+        return json.loads(text, parse_int=_int_or_digits)
+
+
+def _int_or_digits(text: str):
+    """``parse_int`` hook: an int, or the literal's digits where it is too
+    long to convert, which the reader then rejects with its JSON path."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def _load_algebra(path: str):
@@ -142,7 +153,10 @@ def cmd_decompose(args) -> int:
                                seed=args.seed, order_floor=args.order_floor)
     cert_doc = ff.certificate_to_dict(cert)
     out_path = args.certificate_out or (str(Path(args.tensor).with_suffix("")) + ".cert.json")
-    Path(out_path).write_text(json.dumps(cert_doc, sort_keys=True, indent=2) + "\n")
+    try:
+        Path(out_path).write_text(json.dumps(cert_doc, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        raise ff.ParseError(f"cannot write the certificate to {out_path}: {exc.strerror}") from exc
     result = {
         "certificate": cert_doc,
         "certificate_path": out_path,

@@ -35,13 +35,14 @@ def parse_rational(value, where="value") -> Fraction:
         return Fraction(value)
     if not isinstance(value, str) or not _RATIONAL.match(value.strip()):
         raise ParseError(f"{where}: expected a rational 'p/q' string, got {value!r}")
-    s = value.strip()
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise ParseError(f"{where}: zero denominator in {value!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    num, _, den = value.strip().partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:  # past the interpreter's limit on int-string conversion
+        raise ParseError(f"{where}: {exc}") from None
+    if den == 0:
+        raise ParseError(f"{where}: zero denominator in {value!r}")
+    return Fraction(num, den)
 
 
 def format_rational(q: Fraction) -> str:

@@ -258,16 +258,6 @@ def _rational_times(c, v, shift):
     return v * num if den == 1 else v * num // den
 
 
-def _one_norm(rows):
-    """1-norm of a matrix given as ``ad_rows``: the largest ``sum`` of
-    absolute entries down a column, in row order and in the entries' type."""
-    cols = [[] for _ in rows]
-    for row in rows:
-        for j, a in row:
-            cols[j].append(abs(a))
-    return max(map(sum, cols), default=0)
-
-
 class _Point(NamedTuple):
     """A point ``w`` prepared once for every pullback series at it.
 
@@ -282,14 +272,29 @@ class _Point(NamedTuple):
     norm: int | None
 
 
+def _ad_walk(alg: MetricLieAlgebra, v, den: int) -> tuple:
+    """``ad_v`` at an int point ``v``, in one pass over ``alg.ad_forms``: the
+    nonzero rows as ``(row, columns, entries)`` int tuples, and their 1-norm.
+    Entry ``(k, j)`` is ``sum floor(C·v_i / den)`` over the form's pairs
+    ``(i, C = L·c_ijk)``, each product floored on its own.  With ``den = L``
+    that is ``floor(c_ijk·v_i)``, as ``floor(C·v/L) = floor(num·v/q)`` when
+    ``C/L = num/q``; with ``den = 1`` it is ``L`` times ``ad_v``, exactly."""
+    rows, norms = [], [0] * alg.dim
+    for r, entries in alg.ad_forms:
+        row = [(j, a) for j, form in entries if (a := sum([c * v[i] // den for i, c in form]))]
+        if row:
+            rows.append((r, *zip(*row)))
+            for j, a in row:
+                norms[j] += abs(a)
+    return tuple(rows), max(norms, default=0)
+
+
 def _point(alg: MetricLieAlgebra, w, shift) -> _Point:
     """``w`` prepared for the series: exact when ``shift`` is None."""
     if shift is None:
-        return _Point(None, tuple(w), alg.ad_rows(w, mul), None)
+        return _Point(None, tuple(w), alg.ad_rows(w), None)
     wv = tuple(_to_fixed(c, shift) for c in w)
-    rows = alg.ad_rows(wv, lambda c, v: _rational_times(c, v, shift))
-    compiled = tuple((r, *map(tuple, zip(*row))) for r, row in enumerate(rows) if row)
-    return _Point(shift, wv, compiled, _one_norm(rows))
+    return _Point(shift, wv, *_ad_walk(alg, wv, alg.denominator))
 
 
 # Both series give the partial sum of ``sum_k (-ad_w)^k x / (k + s)!`` times
@@ -612,12 +617,14 @@ def decompose_ideal_tensor(alg: AlmostAbelianAlgebra, k: SymTensor) -> Certifica
         raise ValueError("tensor must be supported on the abelian ideal")
     if not apply_derivation(alg.derivation_full, k).is_zero():
         raise NotKillingError("tensor is not Killing on the ideal")
-    dim = alg.dim
+    return Certificate(target=k, terms=_ideal_terms(alg.dim, k))
+
+
+def _ideal_terms(dim: int, k: SymTensor) -> tuple:
+    """The terms of ``decompose_ideal_tensor``, unchecked: one right-invariant
+    field per factor of each monomial, in sorted monomial order."""
     fields = [RightInvariant(basis_vec(dim, i)) for i in range(dim)]
-    terms = []
-    for mono in sorted(k.terms):
-        terms.append((k.terms[mono], tuple(fields[i] for i in mono)))
-    return Certificate(target=k, terms=tuple(terms))
+    return tuple((k.terms[mono], tuple(fields[i] for i in mono)) for mono in sorted(k.terms))
 
 
 def decompose(alg: AlmostAbelianAlgebra, k: SymTensor) -> Certificate:
@@ -626,7 +633,9 @@ def decompose(alg: AlmostAbelianAlgebra, k: SymTensor) -> Certificate:
     Layers are rewritten on the ideal; each power of the basis-squares tensor
     contributes metric generators (with a factor 2 each), and odd layers pick
     up the left-invariant field of ``b``, which is Killing exactly when the
-    defining derivation is skew -- otherwise the odd part is zero.
+    defining derivation is skew -- otherwise the odd part is zero.  The
+    layers passed ``is_killing_structured``, so they are rewritten without
+    the checks of ``decompose_ideal_tensor``.
     """
     diag = alg.is_killing_structured(k)
     if not diag.is_killing:
@@ -638,13 +647,13 @@ def decompose(alg: AlmostAbelianAlgebra, k: SymTensor) -> Certificate:
         if beta.is_zero():
             continue
         scale = Fraction(2) ** i
-        for c, fs in decompose_ideal_tensor(alg, beta).terms:
+        for c, fs in _ideal_terms(dim, beta):
             terms.append((c * scale, (Metric(),) * i + fs))
     for i, alpha in enumerate(diag.layers.odd):
         if alpha is None or alpha.is_zero():
             continue
         scale = Fraction(2) ** i
-        for c, fs in decompose_ideal_tensor(alg, alpha).terms:
+        for c, fs in _ideal_terms(dim, alpha):
             terms.append((c * scale, (Metric(),) * i + (b_field,) + fs))
     return Certificate(target=k, terms=tuple(terms))
 
@@ -726,10 +735,13 @@ def _working_digits(cert: Certificate, gain: float, dim: int) -> int:
     return 10 * int(math.ceil(digits / 10))
 
 
-def sample_points(dim: int, samples: int, seed: int):
-    """Seeded sample points, entries uniform in [-2, 2]."""
+@lru_cache(maxsize=32)
+def sample_points(dim: int, samples: int, seed: int) -> tuple:
+    """Seeded sample points, entries uniform in [-2, 2], as a tuple of
+    tuples.  Memoized: every verification with the same ``samples`` and
+    ``seed`` on algebras of one dimension draws the same points."""
     rng = random.Random(seed)
-    return [tuple(rng.uniform(-2.0, 2.0) for _ in range(dim)) for _ in range(samples)]
+    return tuple(tuple(rng.uniform(-2.0, 2.0) for _ in range(dim)) for _ in range(samples))
 
 
 # Certificates verified on one algebra with the same samples share their
@@ -778,17 +790,16 @@ def _check_generators(alg: MetricLieAlgebra, cert: Certificate, generators):
 def _point_bounds(alg: MetricLieAlgebra, w) -> tuple:
     """``ln ||ad_w||_1`` (``-inf`` at 0) and ``_series_log10_gain`` at a
     sample point, which every certificate verified on one algebra with the
-    same samples asks for again.  The norm is exact, summed on ints over one
-    denominator of the point (floats are exact rationals) and of the
-    structure constants, so no float product can overflow."""
+    same samples asks for again.  The norm is exact: ``_ad_walk`` sums it on
+    ints at one denominator of the point (floats are exact rationals), and
+    ``ad_forms`` carries that of the structure constants, so no float
+    product can overflow."""
     ratios = [x.as_integer_ratio() for x in w]
     den = math.lcm(*(q for _, q in ratios))
-    scale = alg.denominator
-    point = [p * (den // q) for p, q in ratios]
-    norm = _one_norm(alg.ad_rows(point, lambda c, x: c.numerator * (scale // c.denominator) * x))
+    norm = _ad_walk(alg, [p * (den // q) for p, q in ratios], 1)[1]
     if not norm:
         return -math.inf, 0.0
-    norm = Fraction(norm, scale * den)
+    norm = Fraction(norm, alg.denominator * den)
     return math.log(norm.numerator) - math.log(norm.denominator), _series_log10_gain(norm, alg.dim)
 
 

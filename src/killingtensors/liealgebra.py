@@ -6,7 +6,9 @@ The nonzero structure constants are kept once more as integers over their
 common denominator (``int_structure``, ``denominator``).  The Killing
 operator and both exact solvers feed them to ``tensors.replace_factor``, so
 a solver's columns are integer dicts built without ``SymTensor`` products or
-``Fraction`` arithmetic."""
+``Fraction`` arithmetic.  The same integers, grouped by entry of ``ad_w``
+(``ad_forms``), give the sampled pullback its ``ad_w`` in one integer pass
+per point."""
 from __future__ import annotations
 
 import warnings
@@ -14,7 +16,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 from .exactlinalg import basis_vec, frac, nullspace
 from .tensors import (SymTensor, Endomorphism, apply_derivation, basis_monomials,
@@ -67,22 +68,34 @@ class MetricLieAlgebra:
         # the same constants as ints over their common denominator, keyed by
         # the factor e_j they replace: int_structure[j] lists ((i, k), denominator * c_ijk)
         den = self.denominator = lcm(*(x.denominator for *_, x in self.nonzero_structure))
+        # entry (k, j) of L·ad_w is the integer linear form sum C·w_i over the
+        # pairs (i, C = L·c_ijk): ad_forms lists, for each row k that has one,
+        # (k, ((j, ((i, C), ...)), ...)) with the columns j in order
         subs = [[] for _ in range(n)]
+        forms = {}
         for i, j, k, x in self.nonzero_structure:
-            subs[j].append(((i, k), x.numerator * (den // x.denominator)))
+            scaled = x.numerator * (den // x.denominator)
+            subs[j].append(((i, k), scaled))
+            forms.setdefault(k, {}).setdefault(j, []).append((i, scaled))
         self.int_structure = tuple(map(tuple, subs))
+        self.ad_forms = tuple((k, tuple((j, tuple(forms[k][j])) for j in sorted(forms[k])))
+                              for k in sorted(forms))
         self._ad_basis = None
         self._nabla_basis = None
         self._validate()
 
     def _validate(self):
-        c = self.structure
+        """Antisymmetry, then the Jacobi identity, exactly.  Antisymmetry is
+        checked over ``nonzero_structure`` alone: each entry looks up its
+        mirror ``c_jik``, and a failure at ``(i, j, k)`` or ``(j, i, k)`` is
+        reported as the triple with ``i <= j``, the least one of all."""
+        c = {(i, j, k): x for i, j, k, x in self.nonzero_structure}
+        bad = [(min(i, j), max(i, j), k) for (i, j, k), x in c.items()
+               if c.get((j, i, k), 0) != -x]
+        if bad:
+            i, j, k = min(bad)
+            raise ValueError(f"structure constants not antisymmetric at ({i},{j},{k})")
         n = self.dim
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(n):
-                    if c[i][j][k] != -c[j][i][k]:
-                        raise ValueError(f"structure constants not antisymmetric at ({i},{j},{k})")
         # Jacobi on (i, a, b) is the derivation identity of ad_{e_i} on (a, b);
         # at the first failing i every failing triple has i as its least index
         ad = [{} for _ in range(n)]
@@ -128,23 +141,21 @@ class MetricLieAlgebra:
                     out[i, b, k] -= x * c
         return {key: v for key, v in out.items() if v}
 
-    def ad_rows(self, x, times) -> list:
+    def ad_rows(self, x) -> list:
         """Rows of ``ad_x = [x, .]`` as ``(column, entry)`` pairs of the nonzero
-        entries: entry ``(k, j)`` sums ``times(c_ijk, x_i)`` over the nonzero
-        structure constants, in the order of i.  ``times`` is ``operator.mul``
-        for exact or float ``x``; the pullback series pass a fixed-point
-        product."""
+        entries: entry ``(k, j)`` sums ``c_ijk x_i`` over the nonzero structure
+        constants, in the order of i.  Fixed-point points take ``ad_forms``."""
         n = self.dim
         rows = [[0] * n for _ in range(n)]
         for i, j, k, c in self.nonzero_structure:
             if x[i]:
-                rows[k][j] += times(c, x[i])
+                rows[k][j] += c * x[i]
         return [[(j, a) for j, a in enumerate(row) if a] for row in rows]
 
     def ad(self, x) -> Endomorphism:
         """Adjoint map ``ad_x`` as a dense matrix, built from ``ad_rows``."""
         return Endomorphism(tuple(tuple(dict(row).get(j, _ZERO) for j in range(self.dim))
-                                  for row in self.ad_rows(x, mul)))
+                                  for row in self.ad_rows(x)))
 
     def ad_basis(self, i: int) -> Endomorphism:
         """``ad`` of the i-th basis vector, built once per algebra."""

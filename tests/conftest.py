@@ -1,11 +1,13 @@
 """Shared randomized-suite builders and independent oracles for the tests."""
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
 
 from mpmath import mp
 
-from killingtensors import Endomorphism, SymTensor, basis_monomials, omega_generator
+from killingtensors import (AlmostAbelianAlgebra, Endomorphism, MetricLieAlgebra, SymTensor,
+                            basis_monomials, omega_generator)
 from killingtensors.exactlinalg import basis_vec, dot
 from killingtensors.killingfields import SeriesCapError
 
@@ -55,6 +57,23 @@ def derivation_suite(seed=20250809, per_kind=5, sizes=(1, 2, 3)):
             for _ in range(per_kind):
                 out.append(random_derivation(rng, n, kind))
     return out
+
+
+def rotation_type(a, b, c):
+    """``[e0,e1] = a e2``, ``[e1,e2] = b e0``, ``[e2,e0] = c e1``; the Jacobi
+    identity holds for every a, b, c (so(3) at 1, 1, 1)."""
+    s = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+    for (i, j, k), x in (((0, 1, 2), a), ((1, 2, 0), b), ((2, 0, 1), c)):
+        s[i][j][k] = x
+        s[j][i][k] = -x
+    return MetricLieAlgebra(s)
+
+
+def wide_algebras():
+    """Structure constants with denominators 2, 3 and 7 and 40-digit numerators."""
+    a, b, c = (Fraction(10 ** 39 + 1, 2), Fraction(-4 * 10 ** 39 - 3, 3),
+               Fraction(7 * 10 ** 39 + 5, 7))
+    return [rotation_type(a, b, c), AlmostAbelianAlgebra(Endomorphism.from_rows([[a, b], [c, 0]]))]
 
 
 def random_tensor(rng, dim, degree, nterms=4, span=3):
@@ -168,19 +187,31 @@ def omega_series_oracle(lie, x, w, phi=False, order=None, min_order=0):
     return tuple(acc)
 
 
+def point_oracle(lie, v, floor=True):
+    """Dense rows of ``ad_v`` read off the dense ``structure`` array, and
+    their 1-norm (the largest column sum of absolute entries).  Entry
+    ``(k, j)`` sums ``c_ijk v_i`` over every ``i``; with ``floor`` (``v``
+    fixed-point ints) each product is floored on its own, otherwise it is
+    exact."""
+    n = lie.dim
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                product = lie.structure[i][j][k] * v[i]
+                rows[k][j] += math.floor(product) if floor else product
+    return rows, max(sum(abs(row[j]) for row in rows) for j in range(n))
+
+
 def fixed_series_oracle(lie, w, x, s, shift, order=None, min_order=0):
     """A per-entry reference for the fixed-point series kernel: ``w`` and
-    ``x`` are ints at ``shift``, each term entry is a generator sum over
-    ``(column, entry)`` pairs divided once by ``(k + s) 2^shift`` and rounded
-    toward zero, and the partial sum is rebuilt every term.  The kernel must
-    return the same ints and raise the same ``SeriesCapError``."""
+    ``x`` are ints at ``shift``, ``ad_w`` comes from ``point_oracle``, each
+    term entry is a generator sum over a dense row divided once by
+    ``(k + s) 2^shift`` and rounded toward zero, and the partial sum is
+    rebuilt every term.  The kernel must return the same ints and raise the
+    same ``SeriesCapError``."""
     n = lie.dim
-    rows = lie.ad_rows(w, lambda c, v: v * c.numerator // c.denominator)
-    cols = [0] * n
-    for row in rows:
-        for j, a in row:
-            cols[j] += abs(a)
-    norm = max(cols)
+    rows, norm = point_oracle(lie, w)
     one = 1 << shift
     eps = one // 10 ** (mp.dps - 5)
     hump = (norm >> shift) + 2
@@ -192,7 +223,7 @@ def fixed_series_oracle(lie, w, x, s, shift, order=None, min_order=0):
     while order is None or k <= order:
         d = (k + s) << shift
         term = [-(v // d) if v >= 0 else -v // d
-                for v in (sum(a * term[j] for j, a in row) for row in rows)]
+                for v in (sum(a * t for a, t in zip(row, term)) for row in rows)]
         if not any(term):
             break
         acc = [p + q for p, q in zip(acc, term)]

@@ -14,6 +14,7 @@ from killingtensors import (
     sym2_from_endo,
     sym_dimension,
 )
+from killingtensors import tensors
 from conftest import derivation_suite, random_derivation, random_tensor, random_vector
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
@@ -275,6 +276,17 @@ class TestStructuredSpace:
                 for p in degrees:
                     assert alg.killing_space_structured(p).basis == \
                         alg.killing_space_bruteforce(p).basis
+
+    def test_assembly_makes_no_symtensor_product(self, monkeypatch):
+        # the layers are assembled on int vectors over monomial positions
+        calls = []
+        real = tensors.sym_mul
+        monkeypatch.setattr(tensors, "sym_mul", lambda a, b: calls.append(1) or real(a, b))
+        for d in derivation_suite(per_kind=1, sizes=(1, 2, 3)):
+            alg = AlmostAbelianAlgebra(d)
+            for p in range(5):
+                alg.killing_space_structured(p)
+        assert SymTensor.basis(2, 0) * SymTensor.basis(2, 1) and calls == [1]
 
 
 class TestDimensionFormula:

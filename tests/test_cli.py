@@ -1,10 +1,12 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
 import os
 import random
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -222,6 +224,69 @@ class TestDecomposeCommand:
         doc = json.loads(err)
         assert doc["error"] == "not a Killing tensor"
         assert any("odd part nonzero" in d for d in doc["diagnosis"])
+
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_certificate_out_exits_2(self, tmp_path, capsys, where):
+        alg = write(tmp_path, "diag.json", DIAG)
+        tensor = write(tmp_path, "t.json", MIXED)
+        out_path = str(tmp_path if where == "directory" else tmp_path / "missing" / "c.json")
+        code, out, err = run(capsys, ["decompose", "--algebra", alg, "--tensor", tensor,
+                                      "--certificate-out", out_path])
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "parse error" and out_path in doc["detail"]
+
+
+# a literal past the interpreter's limit on int-string conversion (4300 digits
+# by default); a Python without the limit reads it as a number
+LONG = "1" * 5000
+_HAS_INT_LIMIT = hasattr(sys, "get_int_max_str_digits")
+
+
+@pytest.mark.skipif(not _HAS_INT_LIMIT, reason="no int-string conversion limit")
+class TestLongLiterals:
+    @pytest.mark.parametrize("text", [
+        json.dumps({"n": 2, "D": [["0", "-" + LONG], [LONG, "0"]]}),
+        '{"n": 2, "D": [["0", -%s], [%s, "0"]]}' % (LONG, LONG),
+    ], ids=["string", "json integer"])
+    def test_algebra_entry_exits_2_with_position(self, tmp_path, capsys, text):
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        code, out, err = run(capsys, ["killing-basis", "--algebra", str(path), "--degree", "1"])
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "parse error" and doc["detail"].startswith("D[0][1]: ")
+
+    @pytest.mark.parametrize("coeff", ['"%s"' % LONG, LONG], ids=["string", "json integer"])
+    def test_tensor_coefficient_exits_2_with_position(self, tmp_path, capsys, coeff):
+        alg = write(tmp_path, "rot.json", ROT)
+        path = tmp_path / "t.json"
+        path.write_text('{"degree": 2, "terms": [{"monomial": [1, 1], "coeff": %s}]}' % coeff)
+        code, out, err = run(capsys, ["decompose", "--algebra", alg, "--tensor", str(path),
+                                      "--certificate-out", str(tmp_path / "c.json")])
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert json.loads(line)["detail"].startswith("tensor.terms[0].coeff: ")
+
+    def test_json_integer_where_an_index_belongs_exits_2_with_position(self, tmp_path, capsys):
+        alg = write(tmp_path, "rot.json", ROT)
+        path = tmp_path / "t.json"
+        path.write_text('{"degree": 1, "terms": [{"monomial": [%s], "coeff": "1"}]}' % LONG)
+        code, _, err = run(capsys, ["decompose", "--algebra", alg, "--tensor", str(path)])
+        assert code == 2
+        assert json.loads(err)["detail"].startswith("tensor.terms[0].monomial: ")
+
+    @pytest.mark.parametrize("entry", [LONG, "1/" + LONG], ids=["integer", "denominator"])
+    def test_point_entry_exits_2_with_position(self, tmp_path, capsys, entry):
+        alg = write(tmp_path, "rot.json", ROT)
+        code, out, err = run(capsys, ["omega-sample", "--algebra", alg, "--generator", "right:1",
+                                      "--at", "1,0," + entry])
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert json.loads(line)["detail"].startswith("--at[2]: ")
 
 
 class TestVerifyCommand:
@@ -764,7 +829,9 @@ _POOL_CERTS = {
     "huge": _cert_doc(_square(1, str(10 ** 400)), (str(10 ** 400), [_RIGHT[1], _RIGHT[1]])),
     "metric": _cert_doc(_POOL_TENSORS["metric"], ("2", [{"kind": "metric"}])),
 }
-_POINT_ENTRIES = ["0", "1", "-1/2", "0.25", "-2", "1e300", "1" + "0" * 400, "x"]
+_POOL_ALGEBRAS["long"] = {"n": 2, "D": [["0", "-" + LONG], [LONG, "0"]]}
+_POOL_TENSORS["long"] = _square(1, LONG)
+_POINT_ENTRIES = ["0", "1", "-1/2", "0.25", "-2", "1e300", "1" + "0" * 400, "x", LONG]
 
 
 @pytest.fixture(scope="module")
@@ -775,7 +842,10 @@ def argv_pool(tmp_path_factory):
                                ("certificate", _POOL_CERTS))}
     pool["algebra"]["broken"] = str(tmp / "broken.json")
     (tmp / "broken.json").write_text("{")
-    pool["out"] = str(tmp / "out.cert.json")
+    pool["algebra"]["long-int"] = str(tmp / "long-int.json")
+    (tmp / "long-int.json").write_text('{"n": 2, "D": [["0", -%s], [%s, "0"]]}' % (LONG, LONG))
+    # writable, a directory, and a path under a missing directory
+    pool["out"] = [str(tmp / "out.cert.json"), str(tmp), str(tmp / "missing" / "out.cert.json")]
     return pool
 
 
@@ -795,7 +865,7 @@ class TestArgvFuzz:
             argv += ["--method", method] if method else []
         elif command == "decompose":
             argv += ["--tensor", draw(st.sampled_from(sorted(argv_pool["tensor"].values()))),
-                     "--certificate-out", argv_pool["out"]]
+                     "--certificate-out", draw(st.sampled_from(argv_pool["out"]))]
         elif command == "verify":
             argv += ["--certificate",
                      draw(st.sampled_from(sorted(argv_pool["certificate"].values())))]
@@ -815,3 +885,55 @@ class TestArgvFuzz:
         else:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and set(json.loads(lines[0])) >= {"error", "detail"}
+
+
+# ---------------------------------------------------------------------------
+# whole reports, byte for byte: one digest over every report of a session on
+# the scripts/dimension_table.py gallery, recorded before the integer point
+# walk and the integer structured assembly replaced their predecessors
+# ---------------------------------------------------------------------------
+
+_GALLERY = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "dimension_table.py"))
+REPORT_DIGEST = "7adf01e10662ca53ff6df70e2d443603bd9922206ebdf084a7c988565803f519"
+
+
+def _session_digest():
+    """Run the session in the working directory, with relative paths, and
+    return the sha256 of every call's exit code, stdout and stderr."""
+    digest = hashlib.sha256()
+
+    def call(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        digest.update(f"{code}\n{out.getvalue()}{err.getvalue()}".encode())
+        return code, out.getvalue()
+
+    for a, (_, deriv) in enumerate(_GALLERY["GALLERY"]):
+        alg = AlmostAbelianAlgebra(deriv)
+        n = alg.dim
+        algebra = f"a{a}.json"
+        Path(algebra).write_text(json.dumps(ff.algebra_to_dict(alg)))
+        for p in (2, 3):
+            code, out = call(["killing-basis", "--algebra", algebra, "--degree", str(p)])
+            assert code == 0
+            for t, doc in enumerate(json.loads(out)["result"]["basis"]):
+                tensor = f"a{a}-p{p}-t{t}.json"
+                Path(tensor).write_text(json.dumps(doc))
+                assert call(["decompose", "--algebra", algebra, "--tensor", tensor])[0] == 0
+                call(["verify", "--algebra", algebra, "--certificate", f"a{a}-p{p}-t{t}.cert.json"])
+        # e1^2 against right:1^2, constant only where e1 is fixed by the flow
+        right1 = {"kind": "right", "vector": ["1" if i == 1 else "0" for i in range(n)]}
+        moved = f"a{a}-moved.json"
+        Path(moved).write_text(json.dumps(_cert_doc(_square(1), ("1", [right1, right1]))))
+        call(["verify", "--algebra", algebra, "--certificate", moved])
+        at = ",".join(["0.75", "-1.25", "0.5", "2"][:n])
+        for generator in ("right:1", "deriv:0"):
+            call(["omega-sample", "--algebra", algebra, "--generator", generator, "--at", at])
+    return digest.hexdigest()
+
+
+class TestReportDigest:
+    def test_gallery_session_is_byte_identical(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert _session_digest() == REPORT_DIGEST

@@ -5,11 +5,10 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import factorial
-from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 import killingtensors.killingfields as kf
@@ -42,8 +41,9 @@ from killingtensors import (
     verify_certificate,
 )
 from conftest import (DERIVATION_KINDS, derivation_suite, fixed_series_oracle,
-                      omega_derivation, omega_series_oracle, omega_tensor_oracle,
-                      random_derivation, random_vector, skew_derivation_basis_oracle)
+                      omega_derivation, omega_series_oracle, omega_tensor_oracle, point_oracle,
+                      random_derivation, random_vector, skew_derivation_basis_oracle,
+                      wide_algebras)
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
 DIAG = Endomorphism.diagonal([1, -1])
@@ -547,7 +547,7 @@ class TestStructureConstantsPastTheFloatRange:
     def test_point_norm_is_exact(self):
         for alg in (self.ALG, AlmostAbelianAlgebra(DIAG), SO3):
             for w in sample_points(3, 5, 1):
-                norm = kf._one_norm(alg.ad_rows(tuple(map(Fraction, w)), mul))
+                norm = point_oracle(alg, tuple(map(Fraction, w)), floor=False)[1]
                 log_norm = math.log(norm.numerator) - math.log(norm.denominator)
                 assert kf._point_bounds(alg, w) == (log_norm, kf._series_log10_gain(norm, 3))
         assert kf._point_bounds(MetricLieAlgebra.abelian(3), (1.5, 0.0, -2.0)) == (-math.inf, 0)
@@ -697,6 +697,48 @@ alg = AlmostAbelianAlgebra(Endomorphism.from_rows([[0, -1], [1, 0]]))
 cert = decompose(alg, alg.killing_space_structured(2).basis[1])
 print(repr(verify_certificate(alg, cert, tol=float(sys.argv[1]))))
 """
+
+
+_WALK_ALGEBRAS = ([AlmostAbelianAlgebra(d) for d in derivation_suite()]
+                  + [SO3, HEISENBERG] + wide_algebras())
+_WALK_FLOATS = st.tuples(*[st.floats(-2, 2, allow_nan=False)] * 4)
+_WALK_RATIONALS = st.tuples(*[st.builds(Fraction, st.integers(-40, 40),
+                                        st.sampled_from([1, 2, 3, 7, 10 ** 20 + 1]))] * 4)
+
+
+class TestPointWalk:
+    """``_point`` and ``_point_bounds`` walk ``ad_forms``; ``point_oracle``
+    reads the dense structure array and floors each product on its own."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(range(len(_WALK_ALGEBRAS))), st.integers(50, 90),
+           st.sampled_from(["float", "mpf", "rational"]), _WALK_FLOATS, _WALK_RATIONALS)
+    # two products with fractional parts 1/2 and 2/3 in one entry of the
+    # 40-digit almost abelian algebra: flooring their sum gains 1
+    @example(len(_WALK_ALGEBRAS) - 1, 50, "rational", (0.0,) * 4,
+             (Fraction(0), Fraction(-4, 3), Fraction(-2, 7), Fraction(0)))
+    def test_walk_matches_the_dense_oracle(self, which, dps, kind, floats, rationals):
+        alg = _WALK_ALGEBRAS[which]
+        with mp.workdps(dps):
+            # the mpf entries carry the full working precision
+            w = {"float": floats, "mpf": tuple(mp.mpf(c) / 3 for c in floats),
+                 "rational": rationals}[kind][:alg.dim]
+            shift = kf._fixed_shift(alg.dim)
+            point = kf._point(alg, w, shift)
+        wv = tuple(kf._to_fixed(c, shift) for c in w)
+        rows, norm = point_oracle(alg, wv)
+        assert point.w == wv
+        assert point.rows == tuple((r, tuple(j for j, a in enumerate(row) if a),
+                                    tuple(a for a in row if a))
+                                   for r, row in enumerate(rows) if any(row))
+        assert point.norm == norm
+        if kind != "mpf":  # sample points are floats
+            exact = point_oracle(alg, tuple(map(Fraction, w)), floor=False)[1]
+            want = (-math.inf, 0.0) if not exact else (
+                math.log(exact.numerator) - math.log(exact.denominator),
+                kf._series_log10_gain(exact, alg.dim))
+            got = kf._point_bounds.__wrapped__(alg, w)
+            assert [float.hex(x) for x in got] == [float.hex(x) for x in want]
 
 
 class TestSampledValueMemo:

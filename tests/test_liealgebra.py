@@ -19,7 +19,7 @@ from killingtensors.exactlinalg import basis_vec, dot
 from killingtensors.tensors import basis_monomials
 from conftest import (derivation_action_oracle, derivation_suite, jacobi_failure_oracle,
                       killing_operator_oracle, koszul_oracle, nullspace_oracle, random_derivation,
-                      random_tensor, random_vector)
+                      random_tensor, random_vector, wide_algebras)
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
 DIAG = Endomorphism.diagonal([1, -1])
@@ -40,23 +40,6 @@ def so3():
     return MetricLieAlgebra(c)
 
 
-def rotation_type(a, b, c):
-    """``[e0,e1] = a e2``, ``[e1,e2] = b e0``, ``[e2,e0] = c e1``; the Jacobi
-    identity holds for every a, b, c (so(3) at 1, 1, 1)."""
-    s = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-    for (i, j, k), x in (((0, 1, 2), a), ((1, 2, 0), b), ((2, 0, 1), c)):
-        s[i][j][k] = x
-        s[j][i][k] = -x
-    return MetricLieAlgebra(s)
-
-
-def wide_algebras():
-    """Structure constants with denominators 2, 3 and 7 and 40-digit numerators."""
-    a, b, c = (Fraction(10 ** 39 + 1, 2), Fraction(-4 * 10 ** 39 - 3, 3),
-               Fraction(7 * 10 ** 39 + 5, 7))
-    return [rotation_type(a, b, c), AlmostAbelianAlgebra(Endomorphism.from_rows([[a, b], [c, 0]]))]
-
-
 class TestConstruction:
     def test_jacobi_violation_rejected(self):
         c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
@@ -73,6 +56,22 @@ class TestConstruction:
         c[1][0][0] = Fraction(1)
         with pytest.raises(ValueError, match="antisymmetric"):
             MetricLieAlgebra(c)
+
+    # the first failing triple (i, j, k), i <= j, of a scan in that order;
+    # the last case hides a one-sided entry and a diagonal one among valid pairs
+    @pytest.mark.parametrize("entries, triple", [
+        ({(1, 1, 2): 1}, "(1,1,2)"),
+        ({(2, 0, 1): 1}, "(0,2,1)"),
+        ({(0, 1, 2): 1, (1, 0, 2): 1}, "(0,1,2)"),
+        ({(0, 1, 2): 1, (1, 0, 2): -1, (2, 2, 1): 3, (2, 1, 0): Fraction(1, 2)}, "(1,2,0)"),
+    ], ids=["nonzero diagonal", "one-sided", "wrong-sign pair", "mixed"])
+    def test_antisymmetry_message_names_the_first_failing_triple(self, entries, triple):
+        c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+        for (i, j, k), x in entries.items():
+            c[i][j][k] = Fraction(x)
+        with pytest.raises(ValueError) as exc:
+            MetricLieAlgebra(c)
+        assert str(exc.value) == f"structure constants not antisymmetric at {triple}"
 
     def test_valid_algebras_accepted(self):
         heisenberg3()
