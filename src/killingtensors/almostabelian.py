@@ -16,22 +16,21 @@ from math import lcm
 
 from .exactlinalg import nullspace, rref_span
 from .liealgebra import KillingSpace, MetricLieAlgebra
-from .tensors import (SymTensor, Endomorphism, apply_derivation, monomial_positions,
-                      product_positions, replace_factor, sum_of_squares)
+from .tensors import (SymTensor, Endomorphism, apply_derivation, replace_factor,
+                      sum_of_squares)
 
 _ZERO = Fraction(0)
 
 
-def _int_product(a: dict, b: dict, table) -> dict:
-    """Product of two int vectors over monomial positions, ``table`` their
-    ``product_positions``: the nonzero coefficients by position."""
+def _int_product(a: dict, b: dict) -> dict:
+    """Product of two symmetric tensors given as int coefficients keyed by
+    sorted monomial: the nonzero coefficients, over the nonzero terms only."""
     out = {}
-    for i, x in a.items():
-        row = table[i]
-        for j, y in b.items():
-            k = row[j]
-            out[k] = out.get(k, 0) + x * y
-    return {k: v for k, v in out.items() if v}
+    for ma, x in a.items():
+        for mb, y in b.items():
+            m = tuple(sorted(ma + mb))
+            out[m] = out.get(m, 0) + x * y
+    return {m: v for m, v in out.items() if v}
 
 
 @dataclass(frozen=True)
@@ -227,35 +226,24 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
 
     def killing_space_structured(self, p: int) -> KillingSpace:
         """Killing space assembled from the layer kernels (``_layer_kernels``),
-        on ints.  Each layer factor ``L^i * b^odd`` is an int vector over
-        ``monomial_positions``, each kernel vector is scaled to ints (which
-        leaves the span alone), and their product goes through
-        ``product_positions``.  ``rref_span`` reduces over the positions,
-        whose order is that of the monomials, so no ``SymTensor`` product
-        and no ``Fraction`` product is formed."""
-        dim = self.dim
-        squares = {monomial_positions(dim, 2)[i, i]: 1 for i in range(dim)}
-        b = {0: 1}  # e_0 is the first degree-1 monomial
-        powers = [{0: 1}]
+        on ints.  Each layer factor ``L^i * b^odd`` has int coefficients, each
+        kernel vector is scaled to ints (which leaves the span alone), and
+        their product runs over the nonzero terms keyed by monomial, so no
+        ``SymTensor`` product and no ``Fraction`` product is formed before
+        ``rref_span``."""
+        squares = {(i, i): 1 for i in range(self.dim)}
+        b = {(0,): 1}
+        powers = [{(): 1}]
         generated = []
         for i, odd, kernel in self._layer_kernels(p):
             if i == len(powers):
-                powers.append(_int_product(powers[-1], squares,
-                                           product_positions(dim, 2 * i - 2, 2)))
-            factor = powers[i]
-            if odd:
-                factor = _int_product(factor, b, product_positions(dim, 2 * i, 1))
-            q = p - 2 * i - odd
-            table = product_positions(dim, p - q, q)
-            positions = monomial_positions(dim, q)
+                powers.append(_int_product(powers[-1], squares))
+            factor = _int_product(powers[i], b) if odd else powers[i]
             for t in kernel:
                 scale = lcm(*(x.denominator for x in t.terms.values()))
-                vector = {positions[m]: x.numerator * (scale // x.denominator)
-                          for m, x in t.terms.items()}
-                generated.append(_int_product(factor, vector, table))
-        monos = list(monomial_positions(dim, p))
-        return KillingSpace(p, tuple(SymTensor(dim, p, {monos[k]: x for k, x in v.items()})
-                                     for v in rref_span(generated)))
+                generated.append(_int_product(factor, {
+                    m: x.numerator * (scale // x.denominator) for m, x in t.terms.items()}))
+        return KillingSpace(p, tuple(SymTensor(self.dim, p, v) for v in rref_span(generated)))
 
     def killing_dimension(self, p: int) -> int:
         """Dimension of the degree-p Killing space from the layer kernels."""

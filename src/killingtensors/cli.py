@@ -66,12 +66,10 @@ def _load_json(path: str):
     except OSError as exc:
         raise ff.ParseError(f"{path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_int_or_digits)
     except json.JSONDecodeError as exc:
         raise ff.ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
                             f"{exc.msg}") from exc
-    except ValueError:  # an integer literal past the int-string conversion limit
-        return json.loads(text, parse_int=_int_or_digits)
 
 
 def _int_or_digits(text: str):

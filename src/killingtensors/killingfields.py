@@ -735,13 +735,10 @@ def _working_digits(cert: Certificate, gain: float, dim: int) -> int:
     return 10 * int(math.ceil(digits / 10))
 
 
-@lru_cache(maxsize=32)
-def sample_points(dim: int, samples: int, seed: int) -> tuple:
-    """Seeded sample points, entries uniform in [-2, 2], as a tuple of
-    tuples.  Memoized: every verification with the same ``samples`` and
-    ``seed`` on algebras of one dimension draws the same points."""
+def sample_points(dim: int, samples: int, seed: int):
+    """Seeded sample points, entries uniform in [-2, 2]."""
     rng = random.Random(seed)
-    return tuple(tuple(rng.uniform(-2.0, 2.0) for _ in range(dim)) for _ in range(samples))
+    return [tuple(rng.uniform(-2.0, 2.0) for _ in range(dim)) for _ in range(samples)]
 
 
 # Certificates verified on one algebra with the same samples share their

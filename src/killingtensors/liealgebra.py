@@ -7,8 +7,8 @@ common denominator (``int_structure``, ``denominator``).  The Killing
 operator and both exact solvers feed them to ``tensors.replace_factor``, so
 a solver's columns are integer dicts built without ``SymTensor`` products or
 ``Fraction`` arithmetic.  The same integers, grouped by entry of ``ad_w``
-(``ad_forms``), give the sampled pullback its ``ad_w`` in one integer pass
-per point."""
+(``ad_forms``), give ``ad_w`` in one integer pass per point, both exact
+(``ad_rows``) and in the fixed point of the sampled pullback."""
 from __future__ import annotations
 
 import warnings
@@ -142,15 +142,15 @@ class MetricLieAlgebra:
         return {key: v for key, v in out.items() if v}
 
     def ad_rows(self, x) -> list:
-        """Rows of ``ad_x = [x, .]`` as ``(column, entry)`` pairs of the nonzero
-        entries: entry ``(k, j)`` sums ``c_ijk x_i`` over the nonzero structure
-        constants, in the order of i.  Fixed-point points take ``ad_forms``."""
-        n = self.dim
-        rows = [[0] * n for _ in range(n)]
-        for i, j, k, c in self.nonzero_structure:
-            if x[i]:
-                rows[k][j] += c * x[i]
-        return [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+        """Rows of ``ad_x = [x, .]`` at an exact point (ints or Fractions) as
+        ``(column, entry)`` pairs of the nonzero entries: entry ``(k, j)`` is
+        its ``ad_forms`` form ``sum C x_i`` over ``denominator``, exactly."""
+        rows = [[] for _ in range(self.dim)]
+        den = self.denominator
+        for k, entries in self.ad_forms:
+            rows[k] = [(j, Fraction(a, den)) for j, form in entries
+                       if (a := sum([C * x[i] for i, C in form if x[i]]))]
+        return rows
 
     def ad(self, x) -> Endomorphism:
         """Adjoint map ``ad_x`` as a dense matrix, built from ``ad_rows``."""

@@ -260,6 +260,15 @@ class TestLongLiterals:
         doc = json.loads(line)
         assert doc["error"] == "parse error" and doc["detail"].startswith("D[0][1]: ")
 
+    def test_truncated_file_with_long_integer_exits_2_as_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "cut.json"
+        path.write_text('{"n": 2, "D": [[%s, ' % LONG)
+        code, out, err = run(capsys, ["killing-basis", "--algebra", str(path), "--degree", "1"])
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "parse error" and "invalid JSON" in doc["detail"]
+
     @pytest.mark.parametrize("coeff", ['"%s"' % LONG, LONG], ids=["string", "json integer"])
     def test_tensor_coefficient_exits_2_with_position(self, tmp_path, capsys, coeff):
         alg = write(tmp_path, "rot.json", ROT)
