@@ -4,33 +4,25 @@ acting on an abelian ideal through a derivation matrix.
 Basis convention: index 0 is ``b``, indices ``1..n`` span the ideal.  The
 layer decomposition writes any symmetric tensor uniquely as
 ``sum_i L^i * (odd_i * b + even_i)`` with the layers supported on the ideal,
-where ``L`` is the sum of basis squares; the structured Killing solver and
-the dimension formula work layer by layer.
+where ``L`` is the sum of basis squares, in closed form from the powers of
+``b``; the structured Killing test, the structured solver and the dimension
+formula work layer by layer.  The Killing test of a layer and the
+derivation kernel apply ``ad_b`` in one way: ``replace_factor`` over its
+integer substitutions ``int_ad_b``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
+from math import comb, lcm
 
 from .exactlinalg import nullspace, rref_span
 from .liealgebra import KillingSpace, MetricLieAlgebra
-from .tensors import (SymTensor, Endomorphism, apply_derivation, replace_factor,
-                      sum_of_squares)
+from .tensors import (SymTensor, Endomorphism, apply_derivation, multiply_terms,
+                      replace_factor, sum_of_squares)
 
 _ZERO = Fraction(0)
-
-
-def _int_product(a: dict, b: dict) -> dict:
-    """Product of two symmetric tensors given as int coefficients keyed by
-    sorted monomial: the nonzero coefficients, over the nonzero terms only."""
-    out = {}
-    for ma, x in a.items():
-        for mb, y in b.items():
-            m = tuple(sorted(ma + mb))
-            out[m] = out.get(m, 0) + x * y
-    return {m: v for m, v in out.items() if v}
 
 
 @dataclass(frozen=True)
@@ -76,18 +68,19 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
         if not isinstance(derivation, Endomorphism):
             derivation = Endomorphism.from_rows(derivation)
         n = derivation.dim
-        d = derivation.entries
-
-        def bracket(i, j, k):
-            # component k of [e_i, e_j]: only [b, h] = D h and [h, b] are nonzero
-            if k == 0 or (i == 0) == (j == 0):
-                return _ZERO
-            return d[k - 1][j - 1] if i == 0 else -d[k - 1][i - 1]
-
-        super().__init__([[[bracket(i, j, k) for k in range(n + 1)] for j in range(n + 1)]
-                          for i in range(n + 1)])
+        # only [b, h] = D h and [h, b] are nonzero: c_0jk = D_kj = -c_j0k
+        c = [[[_ZERO] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
+        for k, row in enumerate(derivation.entries, 1):
+            for j, x in enumerate(row, 1):
+                c[0][j][k] = x
+                c[j][0][k] = -x
+        super().__init__(c)
         self.derivation = derivation
         self.ideal_dim = n
+        # int_ad_b[j] lists ((k,), L·c_0jk), the int_structure entries with
+        # i = 0: replace_factor over them is L times the action of ad_b
+        self.int_ad_b = tuple(tuple(((k,), x) for (i, k), x in pairs if i == 0)
+                              for pairs in self.int_structure)
 
     @property
     def derivation_full(self) -> Endomorphism:
@@ -120,54 +113,35 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
             raise ValueError("tensor touches the distinguished direction")
         return self.b_tensor() * apply_derivation(self.derivation_full, k)
 
-    def _b_components(self, k: SymTensor):
-        """Split into ``{m: c_m}`` with ``k = sum_m b^m * c_m`` and the ``c_m``
-        supported on the ideal (monomials are sorted, so leading zeros count
-        the power of b)."""
-        comps = {}
-        for mono, c in k.terms.items():
-            m = 0
-            while m < len(mono) and mono[m] == 0:
-                m += 1
-            comps.setdefault(m, {})[mono[m:]] = c
-        return {
-            m: SymTensor(self.dim, k.degree - m, terms)
-            for m, terms in comps.items()
-        }
-
-    def _divide_once(self, k: SymTensor):
-        """Write ``k = L*quotient + (alpha*b + beta)`` with alpha, beta on the
-        ideal; quotient is None when the degree drops below zero."""
-        p = k.degree
-        work = self._b_components(k)
-        b = self.b_tensor()
-        lh = self.ideal_twice_metric
-        quotient = SymTensor.zero(self.dim, p - 2) if p >= 2 else None
-        for m in range(p, 1, -1):
-            c = work.get(m)
-            if c is None or c.is_zero():
-                continue
-            quotient = quotient + (b ** (m - 2)) * c
-            low = work.get(m - 2, SymTensor.zero(self.dim, p - m + 2))
-            work[m - 2] = low - lh * c
-            del work[m]
-        alpha = work.get(1, SymTensor.zero(self.dim, p - 1)) if p >= 1 else None
-        beta = work.get(0, SymTensor.zero(self.dim, p))
-        return quotient, alpha, beta
-
     def layer_decomposition(self, k: SymTensor) -> LayeredDecomposition:
-        """Unique layers with ``k = sum_i L^i * (odd_i*b + even_i)``; the
-        division happens in the polynomial ring over the ideal, treating the
-        degree-2 relation ``b^2 = L - L_ideal`` as the divisor."""
+        """Unique layers with ``k = sum_i L^i * (odd_i*b + even_i)``, in one
+        pass over the components ``b^m * c`` of ``k`` (``c`` on the ideal).
+        With ``b^2 = L - L_h`` (``L_h`` the ideal squares) and ``m = 2j + e``,
+
+            ``b^m * c = sum_i C(j, i) * L^i * b^e * (-L_h)^(j-i) * c``,
+
+        so the component adds ``C(j, i) * (-L_h)^(j-i) * c`` to the odd (``e =
+        1``) or even (``e = 0``) layer ``i`` for each ``i <= j``."""
         if k.dim != self.dim:
             raise ValueError("dimension mismatch")
         p = k.degree
-        odd, even = [], []
-        cur = k
-        for _ in range(p // 2 + 1):
-            cur, alpha, beta = self._divide_once(cur)
-            odd.append(alpha)
-            even.append(beta)
+        components = {}
+        for mono, c in k.terms.items():
+            m = mono.count(0)  # monomials are sorted: the factors b lead
+            components.setdefault(m, {})[mono[m:]] = c
+        minus_lh = {(h, h): -1 for h in range(1, self.dim)}
+        layers = ([{} for _ in range(p // 2 + 1)], [{} for _ in range((p + 1) // 2)])
+        for m, c in components.items():
+            j, e = divmod(m, 2)
+            for i in range(j, -1, -1):  # here c is (-L_h)^(j-i) times the component
+                layer = layers[e][i]
+                for mono, x in c.items():
+                    layer[mono] = layer.get(mono, 0) + comb(j, i) * x
+                if i:
+                    c = multiply_terms(c, minus_lh)
+        even, odd = ([SymTensor(self.dim, p - 2 * i - e, {m: x for m, x in t.items() if x})
+                      for i, t in enumerate(layers[e])] for e in (0, 1))
+        odd += [None] * (len(even) - len(odd))
         return LayeredDecomposition(p, tuple(odd), tuple(even))
 
     def split_odd_even(self, k: SymTensor):
@@ -188,12 +162,11 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
         the derivation is skew, and must vanish outright otherwise.
         """
         lay = self.layer_decomposition(k)
-        dfull = self.derivation_full
         skew = self.derivation.is_skew()
         failures = []
         for kind, layers in (("even", lay.even), ("odd", lay.odd if skew else ())):
             for i, t in enumerate(layers):
-                if t is not None and not t.is_zero() and not apply_derivation(dfull, t).is_zero():
+                if t is not None and replace_factor(t.terms, self.int_ad_b):
                     failures.append(f"{kind} layer {i} not annihilated by the derivation")
         if not skew and any(a is not None and not a.is_zero() for a in lay.odd):
             failures.append("odd part nonzero, derivation not skew")
@@ -202,12 +175,11 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
     def derivation_kernel(self, q: int):
         """Canonical basis of the kernel of the derivation action on the
         degree-q symmetric power of the ideal.  The columns are those of
-        ``ad_b``, the entries of ``int_structure`` with ``i = 0``: integers,
-        ``denominator`` times the action, with the same kernel."""
+        ``int_ad_b``: integers, ``denominator`` times the action, with the
+        same kernel."""
         if q < 0:
             return []
-        subs = [[((k,), x) for (i, k), x in pairs if i == 0] for pairs in self.int_structure]
-        kernel = nullspace({m: replace_factor({m: 1}, subs)
+        kernel = nullspace({m: replace_factor({m: 1}, self.int_ad_b)
                             for m in combinations_with_replacement(range(1, self.dim), q)})
         return [SymTensor(self.dim, q, v) for v in kernel]
 
@@ -237,11 +209,11 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
         generated = []
         for i, odd, kernel in self._layer_kernels(p):
             if i == len(powers):
-                powers.append(_int_product(powers[-1], squares))
-            factor = _int_product(powers[i], b) if odd else powers[i]
+                powers.append(multiply_terms(powers[-1], squares))
+            factor = multiply_terms(powers[i], b) if odd else powers[i]
             for t in kernel:
                 scale = lcm(*(x.denominator for x in t.terms.values()))
-                generated.append(_int_product(factor, {
+                generated.append(multiply_terms(factor, {
                     m: x.numerator * (scale // x.denominator) for m, x in t.terms.items()}))
         return KillingSpace(p, tuple(SymTensor(self.dim, p, v) for v in rref_span(generated)))
 

@@ -147,8 +147,7 @@ def cmd_decompose(args) -> int:
     alg = _require_almost_abelian(_load_algebra(args.algebra), "decompose")
     tensor = ff.tensor_from_dict(_load_json(args.tensor), alg.dim)
     cert = decompose(alg, tensor)
-    check = verify_certificate(alg, cert, samples=args.samples, tol=args.tol,
-                               seed=args.seed, order_floor=args.order_floor)
+    check = verify_certificate(alg, cert, **_params(args))
     cert_doc = ff.certificate_to_dict(cert)
     out_path = args.certificate_out or (str(Path(args.tensor).with_suffix("")) + ".cert.json")
     try:
@@ -167,8 +166,7 @@ def cmd_decompose(args) -> int:
 def cmd_verify(args) -> int:
     alg = _load_algebra(args.algebra)
     cert = ff.certificate_from_dict(_load_json(args.certificate), alg.dim)
-    check = verify_certificate(alg, cert, samples=args.samples, tol=args.tol,
-                               seed=args.seed, order_floor=args.order_floor)
+    check = verify_certificate(alg, cert, **_params(args))
     result = {"verification": ff.check_to_dict(check), "passed": check.passed}
     return _emit(args, _report(args, "verify",
                                {"algebra": args.algebra, "certificate": args.certificate},
@@ -180,8 +178,7 @@ def cmd_curvature(args) -> int:
     cls = classify(alg)
     if cls.kind == "flat":
         cert = flat_metric_certificate(alg)
-        check = verify_certificate(alg, cert, samples=args.samples, tol=args.tol,
-                                   seed=args.seed, order_floor=args.order_floor)
+        check = verify_certificate(alg, cert, **_params(args))
         result = {
             "class": "flat",
             "certificate": ff.certificate_to_dict(cert),
@@ -214,15 +211,7 @@ def cmd_curvature(args) -> int:
 def cmd_derivations(args) -> int:
     alg = _load_algebra(args.algebra)
     if isinstance(alg, AlmostAbelianAlgebra):
-        basis = skew_derivations(alg)
-        items = [
-            {
-                "b_image": [ff.format_rational(x) for x in t.b_image],
-                "ideal_block": [[ff.format_rational(x) for x in row]
-                                for row in t.ideal_part.entries],
-            }
-            for t in basis
-        ]
+        items = [ff.skew_derivation_to_dict(t) for t in skew_derivations(alg)]
     else:
         items = [
             {"matrix": [[ff.format_rational(x) for x in row] for row in m.entries]}
@@ -247,7 +236,8 @@ def _parse_point(text: str, dim: int):
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
-                raise ff.ParseError(f"--at[{i}]: cannot parse {p!r} as a finite rational or float")
+                raise ff.ParseError(f"--at[{i}]: cannot parse {ff.shown(p)} as a finite rational "
+                                    "or float")
         out.append(value)
     return tuple(out)
 
@@ -256,7 +246,8 @@ def _generator_index(text: str, count: int, what: str) -> int:
     try:
         i = int(text)
     except ValueError:
-        raise ff.ParseError(f"--generator: {what} must be an integer, got {text!r}") from None
+        raise ff.ParseError(
+            f"--generator: {what} must be an integer, got {ff.shown(text)}") from None
     if not 0 <= i < count:
         raise ff.ParseError(f"--generator: {what} {i} out of range ({count} available)")
     return i

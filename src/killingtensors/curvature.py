@@ -14,7 +14,7 @@ from .exactlinalg import basis_vec
 from .killingfields import (
     Certificate,
     LeftInvariant,
-    RightInvariant,
+    _ideal_terms,
     _mp_vec,
     _mpf_of,
     omega_tensor,
@@ -53,13 +53,9 @@ def flat_metric_certificate(alg: AlmostAbelianAlgebra) -> Certificate:
     fields of the ideal basis; no metric generator appears."""
     if classify(alg).kind != "flat":
         raise ValueError("algebra is not flat")
-    dim = alg.dim
-    b_field = LeftInvariant(basis_vec(dim, 0))
-    terms = [(Fraction(1), (b_field, b_field))]
-    for i in range(1, dim):
-        xi = RightInvariant(basis_vec(dim, i))
-        terms.append((Fraction(1), (xi, xi)))
-    return Certificate(target=alg.twice_metric, terms=tuple(terms))
+    b_field = LeftInvariant(basis_vec(alg.dim, 0))
+    terms = ((Fraction(1), (b_field, b_field)),) + _ideal_terms(alg.dim, alg.ideal_twice_metric)
+    return Certificate(target=alg.twice_metric, terms=terms)
 
 
 def left_invariant_killing_vectors(alg: AlmostAbelianAlgebra) -> KillingSpace:
@@ -94,13 +90,8 @@ def metric_obstruction(alg: AlmostAbelianAlgebra) -> ObstructionReport:
     eigen = 2 * lam
     if derived != ideal2 * eigen:
         raise AssertionError("ideal squares are not an eigenvector of the derivation action")
-    dim = alg.dim
-    terms = []
-    for i in range(1, dim):
-        xi = RightInvariant(basis_vec(dim, i))
-        terms.append((Fraction(1), (xi, xi)))
-    candidate = Certificate(target=ideal2, terms=tuple(terms))
-    w = [1] + [0] * (dim - 1)
+    candidate = Certificate(target=ideal2, terms=_ideal_terms(alg.dim, ideal2))
+    w = [1] + [0] * (alg.dim - 1)
     residual = {}
     with mp.workdps(60):
         value = omega_tensor(alg, candidate, _mp_vec(w), order=None, min_order=30)

@@ -30,18 +30,33 @@ class ParseError(ValueError):
     pass
 
 
+# a parse error shows at most this many characters of the offending value
+_SHOWN = 40
+
+
+def shown(value) -> str:
+    """``repr`` of an offending value for a parse error: past ``_SHOWN``
+    characters (of a string, else of its ``repr``), the first ``_SHOWN``
+    and ``...``, so one error line stays short whatever the input."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= _SHOWN else f"{value[:_SHOWN]!r}..."
+    text = repr(value)
+    return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}..."
+
+
 def parse_rational(value, where="value") -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if not isinstance(value, str) or not _RATIONAL.match(value.strip()):
-        raise ParseError(f"{where}: expected a rational 'p/q' string, got {value!r}")
+        raise ParseError(f"{where}: expected a rational 'p/q' string, got {shown(value)}")
     num, _, den = value.strip().partition("/")
     try:
         num, den = int(num), int(den or 1)
-    except ValueError as exc:  # past the interpreter's limit on int-string conversion
-        raise ParseError(f"{where}: {exc}") from None
+    except ValueError:  # past the interpreter's limit on int-string conversion
+        raise ParseError(f"{where}: {shown(value)} has more digits than int-string "
+                         "conversion allows") from None
     if den == 0:
-        raise ParseError(f"{where}: zero denominator in {value!r}")
+        raise ParseError(f"{where}: zero denominator in {shown(value)}")
     return Fraction(num, den)
 
 
@@ -208,13 +223,17 @@ def _generator_to_dict(gen) -> dict:
     if isinstance(gen, RightInvariant):
         return {"kind": "right", "vector": [format_rational(x) for x in gen.vector]}
     if isinstance(gen, DerivationField):
-        t = gen.derivation
-        return {
-            "kind": "deriv",
-            "b_image": [format_rational(x) for x in t.b_image],
-            "ideal_block": [[format_rational(x) for x in row] for row in t.ideal_part.entries],
-        }
+        return {"kind": "deriv", **skew_derivation_to_dict(gen.derivation)}
     raise TypeError(f"unknown generator {gen!r}")
+
+
+def skew_derivation_to_dict(t: SkewDerivation) -> dict:
+    """The split pieces of a skew derivation, as in a ``deriv`` generator
+    and in the ``derivations`` report."""
+    return {
+        "b_image": [format_rational(x) for x in t.b_image],
+        "ideal_block": [[format_rational(x) for x in row] for row in t.ideal_part.entries],
+    }
 
 
 def _generator_from_dict(doc, dim, where) -> object:

@@ -259,42 +259,28 @@ def _rational_times(c, v, shift):
 
 
 class _Point(NamedTuple):
-    """A point ``w`` prepared once for every pullback series at it.
+    """A point ``w`` prepared once for every pullback series at it: ``rows``
+    are the nonzero rows of ``scale·ad_w`` as ``(row, columns, entries)`` int
+    tuples and ``norm`` their 1-norm, from ``MetricLieAlgebra.ad_walk``.
 
-    Exact (``shift`` None): ``w`` as given, ``rows`` the ``ad_rows`` of
-    ``ad_w`` and no ``norm``.  Fixed point: ``w`` as ints at ``shift``,
-    ``rows`` the nonzero rows of ``ad_w`` as ``(row, columns, entries)`` int
-    tuples, and ``norm`` its 1-norm at ``shift``."""
+    Exact (``shift`` None): ``w`` as given and ``rows`` exact
+    (``ad_exact``).  Fixed point: ``w`` as ints at ``shift``, ``scale =
+    2**shift`` and each product of ``rows`` floored on its own."""
 
     shift: int | None
+    scale: int
     w: tuple
-    rows: list | tuple
-    norm: int | None
-
-
-def _ad_walk(alg: MetricLieAlgebra, v, den: int) -> tuple:
-    """``ad_v`` at an int point ``v``, in one pass over ``alg.ad_forms``: the
-    nonzero rows as ``(row, columns, entries)`` int tuples, and their 1-norm.
-    Entry ``(k, j)`` is ``sum floor(C·v_i / den)`` over the form's pairs
-    ``(i, C = L·c_ijk)``, each product floored on its own.  With ``den = L``
-    that is ``floor(c_ijk·v_i)``, as ``floor(C·v/L) = floor(num·v/q)`` when
-    ``C/L = num/q``; with ``den = 1`` it is ``L`` times ``ad_v``, exactly."""
-    rows, norms = [], [0] * alg.dim
-    for r, entries in alg.ad_forms:
-        row = [(j, a) for j, form in entries if (a := sum([c * v[i] // den for i, c in form]))]
-        if row:
-            rows.append((r, *zip(*row)))
-            for j, a in row:
-                norms[j] += abs(a)
-    return tuple(rows), max(norms, default=0)
+    rows: tuple
+    norm: int
 
 
 def _point(alg: MetricLieAlgebra, w, shift) -> _Point:
     """``w`` prepared for the series: exact when ``shift`` is None."""
     if shift is None:
-        return _Point(None, tuple(w), alg.ad_rows(w), None)
+        scale, rows, norm = alg.ad_exact(w)
+        return _Point(None, scale, tuple(w), rows, norm)
     wv = tuple(_to_fixed(c, shift) for c in w)
-    return _Point(shift, wv, *_ad_walk(alg, wv, alg.denominator))
+    return _Point(shift, 1 << shift, wv, *alg.ad_walk(wv, alg.denominator))
 
 
 # Both series give the partial sum of ``sum_k (-ad_w)^k x / (k + s)!`` times
@@ -302,18 +288,24 @@ def _point(alg: MetricLieAlgebra, w, shift) -> _Point:
 # ``phi(-ad_w) x`` for ``phi(z) = (e^z - 1)/z``.  ``order`` truncates after
 # that many terms.
 
-def _exact_series(rows, x, s: int, order) -> list:
-    """The series over exact ``x`` and ``ad_rows``: untruncated, it must
-    terminate within ``n`` terms, as it does when ``ad_w`` is nilpotent."""
+def _exact_series(point: _Point, x, s: int, order) -> list:
+    """The series over exact ``x`` at a prepared exact point: untruncated,
+    it must terminate within ``n`` terms, as it does when ``ad_w`` is
+    nilpotent.  Entry ``r`` of term ``k`` is ``-(row_r . t_(k-1)) / ((k +
+    s)·scale)``."""
+    n = len(x)
     acc = list(x)
     term = list(x)
     k = 1
     while order is None or k <= order:
-        term = [Fraction(-sum(a * term[j] for j, a in row), k + s) for row in rows]
+        m = (k + s) * point.scale
+        term, old = [_ZERO] * n, term
+        for r, columns, entries in point.rows:
+            term[r] = Fraction(-sum(map(mul, entries, map(old.__getitem__, columns))), m)
         if not any(term):
             break
         acc = [p + q for p, q in zip(acc, term)]
-        if order is None and k > len(rows):
+        if order is None and k > n:
             raise ValueError("series does not terminate over exact arithmetic; "
                              "pass a truncation order")
         k += 1
@@ -409,7 +401,7 @@ def _generator_value(alg: MetricLieAlgebra, gen, shift, prepare, order, min_orde
     else:
         raise TypeError(f"unknown generator {gen!r}")
     if shift is None:
-        return _exact_series(point.rows, x, s, order)
+        return _exact_series(point, x, s, order)
     return _fixed_series(point, x, s, order, min_order)
 
 
@@ -643,18 +635,13 @@ def decompose(alg: AlmostAbelianAlgebra, k: SymTensor) -> Certificate:
     dim = alg.dim
     b_field = LeftInvariant(basis_vec(dim, 0))
     terms = []
-    for i, beta in enumerate(diag.layers.even):
-        if beta.is_zero():
-            continue
-        scale = Fraction(2) ** i
-        for c, fs in _ideal_terms(dim, beta):
-            terms.append((c * scale, (Metric(),) * i + fs))
-    for i, alpha in enumerate(diag.layers.odd):
-        if alpha is None or alpha.is_zero():
-            continue
-        scale = Fraction(2) ** i
-        for c, fs in _ideal_terms(dim, alpha):
-            terms.append((c * scale, (Metric(),) * i + (b_field,) + fs))
+    for layers, lead in ((diag.layers.even, ()), (diag.layers.odd, (b_field,))):
+        for i, t in enumerate(layers):
+            if t is None or t.is_zero():
+                continue
+            scale = Fraction(2) ** i
+            for c, fs in _ideal_terms(dim, t):
+                terms.append((c * scale, (Metric(),) * i + lead + fs))
     return Certificate(target=k, terms=tuple(terms))
 
 
@@ -787,16 +774,12 @@ def _check_generators(alg: MetricLieAlgebra, cert: Certificate, generators):
 def _point_bounds(alg: MetricLieAlgebra, w) -> tuple:
     """``ln ||ad_w||_1`` (``-inf`` at 0) and ``_series_log10_gain`` at a
     sample point, which every certificate verified on one algebra with the
-    same samples asks for again.  The norm is exact: ``_ad_walk`` sums it on
-    ints at one denominator of the point (floats are exact rationals), and
-    ``ad_forms`` carries that of the structure constants, so no float
-    product can overflow."""
-    ratios = [x.as_integer_ratio() for x in w]
-    den = math.lcm(*(q for _, q in ratios))
-    norm = _ad_walk(alg, [p * (den // q) for p, q in ratios], 1)[1]
+    same samples asks for again.  The norm is exact (``ad_exact``: floats
+    are exact rationals), so no float product can overflow."""
+    scale, _, norm = alg.ad_exact(w)
     if not norm:
         return -math.inf, 0.0
-    norm = Fraction(norm, alg.denominator * den)
+    norm = Fraction(norm, scale)
     return math.log(norm.numerator) - math.log(norm.denominator), _series_log10_gain(norm, alg.dim)
 
 

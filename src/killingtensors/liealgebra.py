@@ -7,8 +7,9 @@ common denominator (``int_structure``, ``denominator``).  The Killing
 operator and both exact solvers feed them to ``tensors.replace_factor``, so
 a solver's columns are integer dicts built without ``SymTensor`` products or
 ``Fraction`` arithmetic.  The same integers, grouped by entry of ``ad_w``
-(``ad_forms``), give ``ad_w`` in one integer pass per point, both exact
-(``ad_rows``) and in the fixed point of the sampled pullback."""
+(``ad_forms``), give ``ad_w`` in one integer pass per point, ``ad_walk``:
+exactly at a point scaled to ints (``ad_exact``, which serves ``ad`` and the
+exact pullback), and in the fixed point of the sampled pullback."""
 from __future__ import annotations
 
 import warnings
@@ -141,21 +142,41 @@ class MetricLieAlgebra:
                     out[i, b, k] -= x * c
         return {key: v for key, v in out.items() if v}
 
-    def ad_rows(self, x) -> list:
-        """Rows of ``ad_x = [x, .]`` at an exact point (ints or Fractions) as
-        ``(column, entry)`` pairs of the nonzero entries: entry ``(k, j)`` is
-        its ``ad_forms`` form ``sum C x_i`` over ``denominator``, exactly."""
-        rows = [[] for _ in range(self.dim)]
-        den = self.denominator
-        for k, entries in self.ad_forms:
-            rows[k] = [(j, Fraction(a, den)) for j, form in entries
-                       if (a := sum([C * x[i] for i, C in form if x[i]]))]
-        return rows
+    def ad_walk(self, v, den: int = 1) -> tuple:
+        """``ad_v`` at an int point ``v``, in one pass over ``ad_forms``: the
+        nonzero rows as ``(row, columns, entries)`` int tuples, and their
+        1-norm.  Entry ``(k, j)`` is ``sum floor(C·v_i / den)`` over the
+        form's pairs ``(i, C = L·c_ijk)``, each product floored on its own.
+        With ``den = L`` that is ``floor(c_ijk·v_i)``, as ``floor(C·v/L) =
+        floor(num·v/q)`` when ``C/L = num/q``; with ``den = 1`` it is ``L``
+        times ``ad_v``, exactly."""
+        rows, norms = [], [0] * self.dim
+        for r, entries in self.ad_forms:
+            row = [(j, a) for j, form in entries if (a := sum([c * v[i] // den for i, c in form]))]
+            if row:
+                rows.append((r, *zip(*row)))
+                for j, a in row:
+                    norms[j] += abs(a)
+        return tuple(rows), max(norms, default=0)
+
+    def ad_exact(self, x) -> tuple:
+        """``(scale, rows, norm)`` of ``ad_x`` at an exact point (ints,
+        ``Fraction``s or floats, each an exact rational): ``ad_walk`` with
+        ``den = 1`` over ``x`` scaled to ints by the lcm ``q`` of its
+        denominators, so ``rows`` and ``norm`` are ``scale = L·q`` times
+        those of ``ad_x``."""
+        ratios = [c.as_integer_ratio() for c in x]
+        q = lcm(*(d for _, d in ratios))
+        return (self.denominator * q, *self.ad_walk([a * (q // d) for a, d in ratios]))
 
     def ad(self, x) -> Endomorphism:
-        """Adjoint map ``ad_x`` as a dense matrix, built from ``ad_rows``."""
-        return Endomorphism(tuple(tuple(dict(row).get(j, _ZERO) for j in range(self.dim))
-                                  for row in self.ad_rows(x)))
+        """Adjoint map ``ad_x`` as a dense matrix, from ``ad_exact``."""
+        scale, rows, _ = self.ad_exact(x)
+        out = [[_ZERO] * self.dim for _ in range(self.dim)]
+        for r, columns, entries in rows:
+            for j, a in zip(columns, entries):
+                out[r][j] = Fraction(a, scale)
+        return Endomorphism(tuple(map(tuple, out)))
 
     def ad_basis(self, i: int) -> Endomorphism:
         """``ad`` of the i-th basis vector, built once per algebra."""

@@ -11,7 +11,9 @@ the extended inner product, where a monomial with index multiplicities
 Every derivation-type map is one loop, ``replace_factor``, on plain
 ``{monomial: coefficient}`` dicts: the action of a matrix
 (``apply_derivation``), the Killing operator and the columns of both exact
-solvers.
+solvers.  Every product is one loop too, ``multiply_terms`` on the same
+dicts: ``sym_mul`` and the integer products of the structured solver and of
+the layer decomposition.
 
 Coefficients are exact ``Fraction`` values throughout the core.  The same
 container also carries float/mpf coefficients on the numeric sampling paths
@@ -298,17 +300,24 @@ class Endomorphism:
         return {(i, j): a for i, row in enumerate(self.entries) for j, a in enumerate(row) if a}
 
 
+def multiply_terms(a: dict, b: dict) -> dict:
+    """Product of two ``{monomial: coefficient}`` maps, over their nonzero
+    terms: monomials merge as multisets and only nonzero coefficients stay.
+    The coefficients may be ints (which stay ints), ``Fraction``s, floats or
+    mpf values."""
+    out = {}
+    for ma, x in a.items():
+        for mb, y in b.items():
+            m = tuple(sorted(ma + mb))
+            out[m] = out.get(m, 0) + x * y
+    return {m: v for m, v in out.items() if v}
+
+
 def sym_mul(a: SymTensor, b: SymTensor) -> SymTensor:
-    """Symmetric (commutative) product; monomials merge as multisets."""
+    """Symmetric (commutative) product, ``multiply_terms`` of the terms."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    out = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            key = tuple(sorted(ma + mb))
-            s = out.get(key, _ZERO) + ca * cb
-            out[key] = s
-    return SymTensor(a.dim, a.degree + b.degree, {k: v for k, v in out.items() if v != 0})
+    return SymTensor(a.dim, a.degree + b.degree, multiply_terms(a.terms, b.terms))
 
 
 def monomial_norm(mono) -> int:

@@ -9,6 +9,8 @@ from killingtensors import (
     Endomorphism,
     MetricLieAlgebra,
     SymTensor,
+    apply_derivation,
+    basis_monomials,
     endo_from_sym2,
     sum_of_squares,
     sym2_from_endo,
@@ -112,14 +114,28 @@ class TestLayerDecomposition:
         assert lay.odd[0] == -alg.ideal_twice_metric
         assert lay.even[0].is_zero() and lay.even[1].is_zero()
 
+    def test_b_fifth(self):
+        # b^5 = b (L - L_h)^2 = L^2 b - 2 L b L_h + b L_h^2
+        alg = AlmostAbelianAlgebra(DIAG)
+        lay = alg.layer_decomposition(alg.b_tensor() ** 5)
+        lh = alg.ideal_twice_metric
+        assert lay.odd[2] == SymTensor.unit(3)
+        assert lay.odd[1] == -2 * lh
+        assert lay.odd[0] == lh * lh
+        assert all(t.is_zero() for t in lay.even)
+
     def test_round_trip_random(self):
         rng = random.Random(41)
-        for _ in range(60):
+        for _ in range(80):
             n = rng.randint(1, 3)
             alg = AlmostAbelianAlgebra(random_derivation(rng, n, rng.choice(
                 ("skew", "symmetric", "nilpotent", "generic"))))
-            p = rng.randint(0, 5)
-            k = random_tensor(rng, alg.dim, p, nterms=5)
+            p = rng.randint(0, 8)
+            # random monomials and a term b^m * (ideal monomial) for every
+            # m <= p, so that every layer index of the closed form runs
+            k = random_tensor(rng, alg.dim, p, nterms=5) + SymTensor.build(alg.dim, p, [
+                ((0,) * m + tuple(rng.choices(range(1, alg.dim), k=p - m)),
+                 Fraction(rng.randint(1, 3), rng.choice((1, 2)))) for m in range(p + 1)])
             lay = alg.layer_decomposition(k)
             assert lay.reassemble() == k
             for i, beta in enumerate(lay.even):
@@ -219,12 +235,41 @@ class TestStructuredKilling:
         diag = alg.is_killing_structured(alg.b_tensor() * Fraction(3, 2))
         assert diag.is_killing
 
+    @staticmethod
+    def _judge(alg, k):
+        """``is_killing_structured`` against the Killing operator, and its
+        failures against the layers the dense action of ``ad_b`` moves."""
+        diag = alg.is_killing_structured(k)
+        assert diag.is_killing == alg.killing_operator(k).is_zero()
+        lay = alg.layer_decomposition(k)
+        skew = alg.derivation.is_skew()
+        moved = [f"{kind} layer {i} not annihilated by the derivation"
+                 for kind, layers in (("even", lay.even), ("odd", lay.odd if skew else ()))
+                 for i, t in enumerate(layers)
+                 if t is not None and not apply_derivation(alg.derivation_full, t).is_zero()]
+        odd = [] if skew or all(t is None or t.is_zero() for t in lay.odd) else [
+            "odd part nonzero, derivation not skew"]
+        assert diag.failures == tuple(moved + odd)
+        return diag.is_killing
+
     def test_agrees_with_operator(self):
+        # random tensors, which are almost never Killing; then every Killing
+        # basis tensor of degree 0-5, and each with one coefficient moved,
+        # which mostly makes it fail in some layers
         rng = random.Random(59)
         for d in derivation_suite(per_kind=2):
             alg = AlmostAbelianAlgebra(d)
-            k = random_tensor(rng, alg.dim, rng.randint(0, 4), nterms=5)
-            assert alg.is_killing_structured(k).is_killing == alg.killing_operator(k).is_zero()
+            self._judge(alg, random_tensor(rng, alg.dim, rng.randint(0, 4), nterms=5))
+        failing = 0
+        for d in derivation_suite():
+            alg = AlmostAbelianAlgebra(d)
+            for p in range(6):
+                monos = basis_monomials(alg.dim, p)
+                for k in alg.killing_space_structured(p).basis:
+                    assert self._judge(alg, k)
+                    moved = k + SymTensor.monomial(alg.dim, rng.choice(monos), Fraction(1, 3))
+                    failing += not self._judge(alg, moved)
+        assert failing > 0
 
     def test_degree_two_characterization(self):
         # Killing iff the vector layer is in the kernel and the derivation

@@ -67,6 +67,19 @@ class TestFileFormats:
         with pytest.raises(ff.ParseError):
             ff.parse_rational("1.5", "x")
 
+    # a value past 40 characters shows its first 40 and "..."; shorter ones in full
+    @pytest.mark.parametrize("value, detail", [
+        ("1.5", "x: expected a rational 'p/q' string, got '1.5'"),
+        ("y" * 40, f"x: expected a rational 'p/q' string, got '{'y' * 40}'"),
+        ("y" * 41, f"x: expected a rational 'p/q' string, got '{'y' * 40}'..."),
+        ([1] * 30, f"x: expected a rational 'p/q' string, got {str([1] * 30)[:40]}..."),
+        ("1/" + "0" * 50, f"x: zero denominator in '1/{'0' * 38}'..."),
+    ])
+    def test_parse_error_shows_at_most_40_characters(self, value, detail):
+        with pytest.raises(ff.ParseError) as exc:
+            ff.parse_rational(value, "x")
+        assert str(exc.value) == detail
+
     def test_algebra_round_trip_almost_abelian(self):
         alg = AlmostAbelianAlgebra(Endomorphism.from_rows([["1/2", 0], [-2, 1]]))
         doc = ff.algebra_to_dict(alg)
@@ -259,6 +272,7 @@ class TestLongLiterals:
         [line] = err.splitlines()
         doc = json.loads(line)
         assert doc["error"] == "parse error" and doc["detail"].startswith("D[0][1]: ")
+        assert len(line.encode()) < 200
 
     def test_truncated_file_with_long_integer_exits_2_as_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "cut.json"
@@ -269,7 +283,9 @@ class TestLongLiterals:
         doc = json.loads(line)
         assert doc["error"] == "parse error" and "invalid JSON" in doc["detail"]
 
-    @pytest.mark.parametrize("coeff", ['"%s"' % LONG, LONG], ids=["string", "json integer"])
+    @pytest.mark.parametrize("coeff", ['"%s"' % LONG, LONG, '"%s"' % ("x" * 3000),
+                                       '"1/%s"' % ("0" * 3000)],
+                             ids=["string", "json integer", "not a rational", "zero denominator"])
     def test_tensor_coefficient_exits_2_with_position(self, tmp_path, capsys, coeff):
         alg = write(tmp_path, "rot.json", ROT)
         path = tmp_path / "t.json"
@@ -279,6 +295,7 @@ class TestLongLiterals:
         assert code == 2 and out == ""
         [line] = err.splitlines()
         assert json.loads(line)["detail"].startswith("tensor.terms[0].coeff: ")
+        assert len(line.encode()) < 200
 
     def test_json_integer_where_an_index_belongs_exits_2_with_position(self, tmp_path, capsys):
         alg = write(tmp_path, "rot.json", ROT)
@@ -288,7 +305,8 @@ class TestLongLiterals:
         assert code == 2
         assert json.loads(err)["detail"].startswith("tensor.terms[0].monomial: ")
 
-    @pytest.mark.parametrize("entry", [LONG, "1/" + LONG], ids=["integer", "denominator"])
+    @pytest.mark.parametrize("entry", [LONG, "1/" + LONG, "x" * 5000],
+                             ids=["integer", "denominator", "not a number"])
     def test_point_entry_exits_2_with_position(self, tmp_path, capsys, entry):
         alg = write(tmp_path, "rot.json", ROT)
         code, out, err = run(capsys, ["omega-sample", "--algebra", alg, "--generator", "right:1",
@@ -296,6 +314,16 @@ class TestLongLiterals:
         assert code == 2 and out == ""
         [line] = err.splitlines()
         assert json.loads(line)["detail"].startswith("--at[2]: ")
+        assert len(line.encode()) < 200
+
+    def test_generator_index_exits_2_with_a_short_line(self, tmp_path, capsys):
+        alg = write(tmp_path, "rot.json", ROT)
+        code, out, err = run(capsys, ["omega-sample", "--algebra", alg, "--generator",
+                                      "right:" + "x" * 5000, "--at", "1,0,0"])
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert json.loads(line)["detail"].startswith("--generator: ")
+        assert len(line.encode()) < 200
 
 
 class TestVerifyCommand:
@@ -840,7 +868,9 @@ _POOL_CERTS = {
 }
 _POOL_ALGEBRAS["long"] = {"n": 2, "D": [["0", "-" + LONG], [LONG, "0"]]}
 _POOL_TENSORS["long"] = _square(1, LONG)
-_POINT_ENTRIES = ["0", "1", "-1/2", "0.25", "-2", "1e300", "1" + "0" * 400, "x", LONG]
+_POOL_TENSORS["long-text"] = _square(1, "x" * 3000)
+_POINT_ENTRIES = ["0", "1", "-1/2", "0.25", "-2", "1e300", "1" + "0" * 400, "x", LONG,
+                  "x" * 3000]
 
 
 @pytest.fixture(scope="module")
@@ -879,7 +909,8 @@ class TestArgvFuzz:
             argv += ["--certificate",
                      draw(st.sampled_from(sorted(argv_pool["certificate"].values())))]
         elif command == "omega-sample":
-            kind = draw(st.sampled_from(["metric", "left:", "right:", "deriv:", "bogus:"]))
+            kind = draw(st.sampled_from(["metric", "left:", "right:", "deriv:", "bogus:",
+                                         "right:" + "x" * 3000]))
             argv += ["--generator", kind + (str(draw(st.integers(0, 4))) if ":" in kind else "")]
             point = draw(st.lists(st.sampled_from(_POINT_ENTRIES), min_size=2, max_size=4))
             argv += ["--at=" + ",".join(point)]
@@ -894,6 +925,9 @@ class TestArgvFuzz:
         else:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and set(json.loads(lines[0])) >= {"error", "detail"}
+            if code == 2:  # a short excerpt of the input, beside the file path it may name
+                named = max((len(a) for a in argv if a in lines[0]), default=0)
+                assert len(lines[0].encode()) < 200 + named
 
 
 # ---------------------------------------------------------------------------

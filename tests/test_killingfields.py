@@ -894,7 +894,7 @@ def _phi(alg, t, w, order=None, min_order=0):
     shift = kf._fixed_shift(alg.dim) if kf._numeric_seq(w) else None
     point = kf._point(alg, w, shift)
     tw = [sum(kf._rational_times(c, v, shift) for c, v in zip(row, point.w)) for row in t.entries]
-    value = (kf._exact_series(point.rows, tw, 1, order) if shift is None
+    value = (kf._exact_series(point, tw, 1, order) if shift is None
              else kf._fixed_series(point, tw, 1, order, min_order))
     return kf._unscaled(value, shift)
 
