@@ -6,9 +6,9 @@ layer decomposition writes any symmetric tensor uniquely as
 ``sum_i L^i * (odd_i * b + even_i)`` with the layers supported on the ideal,
 where ``L`` is the sum of basis squares, in closed form from the powers of
 ``b``; the structured Killing test, the structured solver and the dimension
-formula work layer by layer.  The Killing test of a layer and the
-derivation kernel apply ``ad_b`` in one way: ``replace_factor`` over its
-integer substitutions ``int_ad_b``.
+formula work layer by layer.  ``ad_b`` is applied in one way, by the
+Killing test of a layer, the derivation kernel and every other exact caller:
+``replace_factor`` over its integer substitutions ``int_ad_b``.
 """
 from __future__ import annotations
 
@@ -17,10 +17,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, lcm
 
-from .exactlinalg import nullspace, rref_span
+from .exactlinalg import basis_vec, nullspace, rref_span
 from .liealgebra import KillingSpace, MetricLieAlgebra
-from .tensors import (SymTensor, Endomorphism, apply_derivation, multiply_terms,
-                      replace_factor, sum_of_squares)
+from .tensors import SymTensor, Endomorphism, multiply_terms, replace_factor, sum_of_squares
 
 _ZERO = Fraction(0)
 
@@ -84,8 +83,9 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
 
     @property
     def derivation_full(self) -> Endomorphism:
-        """The derivation extended by zero on ``b``: ``ad_b``."""
-        return self.ad_basis(0)
+        """The derivation extended by zero on ``b``: ``ad_b`` as a dense
+        matrix, for the tests; the exact routes apply ``int_ad_b``."""
+        return self.ad(basis_vec(self.dim, 0))
 
     @property
     def twice_metric(self) -> SymTensor:
@@ -105,13 +105,12 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
     # ------------------------------------------------------------------
 
     def d_on_ideal(self, k: SymTensor) -> SymTensor:
-        """Killing operator of an ideal-supported tensor: ``b * derivation(k)``.
-
-        Vanishes exactly when the derivation annihilates the tensor.
-        """
+        """Killing operator of an ideal-supported tensor: ``b * derivation(k)``,
+        as the ideal is abelian.  Vanishes exactly when the derivation
+        annihilates the tensor."""
         if 0 in k.support():
             raise ValueError("tensor touches the distinguished direction")
-        return self.b_tensor() * apply_derivation(self.derivation_full, k)
+        return self.killing_operator(k)
 
     def layer_decomposition(self, k: SymTensor) -> LayeredDecomposition:
         """Unique layers with ``k = sum_i L^i * (odd_i*b + even_i)``, in one

@@ -281,27 +281,23 @@ def cmd_omega_sample(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
+def _typed(convert, accept, expected: str):
+    """An argparse ``type``: ``convert(text)`` where ``accept`` takes it,
+    else an error that shows the value through ``ff.shown``."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {ff.shown(text)}")
         return value
 
     return parse
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    return _typed(int, lambda value: value >= low, f"an integer >= {low}")
 
 
 @cache
@@ -309,8 +305,10 @@ def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept: ``parse_args``
     does not change it."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
+    common.add_argument("--seed", type=_typed(int, lambda value: True, "an integer"),
+                        default=DEFAULT_SEED)
+    common.add_argument("--tol", default=DEFAULT_TOL, type=_typed(
+        float, lambda value: math.isfinite(value) and value > 0, "a finite number > 0"))
     common.add_argument("--samples", type=_int_at_least(1), default=DEFAULT_SAMPLES)
     common.add_argument("--order-floor", type=_int_at_least(0), default=DEFAULT_ORDER_FLOOR,
                         dest="order_floor")

@@ -20,7 +20,7 @@ from .killingfields import (
     omega_tensor,
 )
 from .liealgebra import KillingSpace
-from .tensors import Endomorphism, SymTensor, apply_derivation
+from .tensors import Endomorphism, SymTensor, replace_factor
 
 _ZERO = Fraction(0)
 
@@ -81,12 +81,15 @@ class ObstructionReport:
 
 
 def metric_obstruction(alg: AlmostAbelianAlgebra) -> ObstructionReport:
+    """The obstruction of a constant-negative algebra.  ``D`` acts on the
+    ideal squares through ``int_ad_b``, divided once by ``denominator``."""
     cls = classify(alg)
     if cls.kind != "constant_negative":
         raise ValueError("obstruction report applies to constant nonzero curvature only")
     lam = cls.curvature_scale
     ideal2 = alg.ideal_twice_metric
-    derived = apply_derivation(alg.derivation_full, ideal2)
+    derived = SymTensor(alg.dim, 2, replace_factor(ideal2.terms, alg.int_ad_b))
+    derived = derived.scale(Fraction(1, alg.denominator))
     eigen = 2 * lam
     if derived != ideal2 * eigen:
         raise AssertionError("ideal squares are not an eigenvector of the derivation action")

@@ -45,7 +45,7 @@ def shown(value) -> str:
 
 
 def parse_rational(value, where="value") -> Fraction:
-    if isinstance(value, int):
+    if type(value) is int:  # a JSON integer; true and false read as the subclass bool
         return Fraction(value)
     if not isinstance(value, str) or not _RATIONAL.match(value.strip()):
         raise ParseError(f"{where}: expected a rational 'p/q' string, got {shown(value)}")
@@ -104,12 +104,12 @@ def algebra_from_dict(doc) -> MetricLieAlgebra:
     _object(doc, "algebra file")
     if "D" in doc or "n" in doc:
         n = doc.get("n")
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ParseError("n: expected a nonnegative integer")
         return AlmostAbelianAlgebra(Endomorphism(_rational_matrix(doc.get("D"), n, "D")))
     if "structure" in doc or "dim" in doc:
         dim = doc.get("dim")
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:
             raise ParseError("dim: expected a positive integer")
         c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
         seen = set()
@@ -118,7 +118,7 @@ def algebra_from_dict(doc) -> MetricLieAlgebra:
             if not isinstance(entry, list) or len(entry) != 4:
                 raise ParseError(f"{where}: expected [i, j, k, 'p/q']")
             i, j, k = entry[0], entry[1], entry[2]
-            if not all(isinstance(x, int) and 0 <= x < dim for x in (i, j, k)):
+            if not all(type(x) is int and 0 <= x < dim for x in (i, j, k)):
                 raise ParseError(f"{where}: indices out of range for dim {dim}")
             val = parse_rational(entry[3], f"{where}[3]")
             if (i, j, k) in seen:
@@ -159,14 +159,14 @@ def algebra_to_dict(alg: MetricLieAlgebra) -> dict:
 def tensor_from_dict(doc, dim, where="tensor") -> SymTensor:
     _object(doc, where)
     degree = doc.get("degree")
-    if not isinstance(degree, int) or degree < 0:
+    if type(degree) is not int or degree < 0:
         raise ParseError(f"{where}.degree: expected a nonnegative integer")
     terms = {}
     for t, item in enumerate(_list(doc.get("terms", []), f"{where}.terms")):
         w = f"{where}.terms[{t}]"
         mono = _object(item, w).get("monomial")
         if (not isinstance(mono, list) or len(mono) != degree
-                or any(not isinstance(i, int) for i in mono)):
+                or any(type(i) is not int for i in mono)):
             raise ParseError(f"{w}.monomial: expected {degree} integer indices")
         if any(not (0 <= i < dim) for i in mono):
             raise ParseError(f"{w}.monomial: index out of range for dimension {dim}")

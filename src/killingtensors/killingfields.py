@@ -37,7 +37,7 @@ from mpmath.libmp import from_man_exp, round_nearest
 from .almostabelian import AlmostAbelianAlgebra
 from .exactlinalg import basis_vec, dot, nullspace
 from .liealgebra import MetricLieAlgebra
-from .tensors import (SymTensor, Endomorphism, apply_derivation, product_positions,
+from .tensors import (SymTensor, Endomorphism, product_positions, replace_factor,
                       sum_of_squares, sym_dimension)
 
 _ZERO = Fraction(0)
@@ -607,7 +607,7 @@ def decompose_ideal_tensor(alg: AlmostAbelianAlgebra, k: SymTensor) -> Certifica
     """
     if 0 in k.support():
         raise ValueError("tensor must be supported on the abelian ideal")
-    if not apply_derivation(alg.derivation_full, k).is_zero():
+    if replace_factor(k.terms, alg.int_ad_b):
         raise NotKillingError("tensor is not Killing on the ideal")
     return Certificate(target=k, terms=_ideal_terms(alg.dim, k))
 

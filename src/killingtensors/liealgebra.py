@@ -2,11 +2,12 @@
 algebraic Killing operator, and the brute-force Killing-space solver that
 serves as the oracle for all structured computations.
 
-The nonzero structure constants are kept once more as integers over their
-common denominator (``int_structure``, ``denominator``).  The Killing
-operator and both exact solvers feed them to ``tensors.replace_factor``, so
-a solver's columns are integer dicts built without ``SymTensor`` products or
-``Fraction`` arithmetic.  The same integers, grouped by entry of ``ad_w``
+Beside the dense ``structure``, the nonzero structure constants are kept
+once, as integers over their common denominator (``int_structure``,
+``denominator``).  Validation, ``bracket``, ``derivation_residual``, the
+Killing operator and both exact solvers read them (the solvers through
+``tensors.replace_factor``) and divide by the denominator once at the end,
+if at all.  The same integers, grouped by entry of ``ad_w``
 (``ad_forms``), give ``ad_w`` in one integer pass per point, ``ad_walk``:
 exactly at a point scaled to ints (``ad_exact``, which serves ``ad`` and the
 exact pullback), and in the fixed point of the sampled pullback."""
@@ -62,48 +63,44 @@ class MetricLieAlgebra:
             raise ValueError("structure constants must form an n*n*n array")
         self.structure = c
         self.dim = n
-        # (i, j, k, c) for every nonzero c = structure[i][j][k], in the order i, j, k
-        self.nonzero_structure = tuple((i, j, k, x) for i, plane in enumerate(c)
-                                       for j, row in enumerate(plane)
-                                       for k, x in enumerate(row) if x != 0)
-        # the same constants as ints over their common denominator, keyed by
-        # the factor e_j they replace: int_structure[j] lists ((i, k), denominator * c_ijk)
-        den = self.denominator = lcm(*(x.denominator for *_, x in self.nonzero_structure))
+        nonzero = [(i, j, k, x) for i, plane in enumerate(c) for j, row in enumerate(plane)
+                   for k, x in enumerate(row) if x != 0]
+        # the constants as ints over their common denominator, keyed by the
+        # factor e_j they replace: int_structure[j] lists ((i, k), denominator * c_ijk)
+        den = self.denominator = lcm(*(x.denominator for *_, x in nonzero))
         # entry (k, j) of L·ad_w is the integer linear form sum C·w_i over the
         # pairs (i, C = L·c_ijk): ad_forms lists, for each row k that has one,
         # (k, ((j, ((i, C), ...)), ...)) with the columns j in order
         subs = [[] for _ in range(n)]
         forms = {}
-        for i, j, k, x in self.nonzero_structure:
+        for i, j, k, x in nonzero:
             scaled = x.numerator * (den // x.denominator)
             subs[j].append(((i, k), scaled))
             forms.setdefault(k, {}).setdefault(j, []).append((i, scaled))
         self.int_structure = tuple(map(tuple, subs))
         self.ad_forms = tuple((k, tuple((j, tuple(forms[k][j])) for j in sorted(forms[k])))
                               for k in sorted(forms))
-        self._ad_basis = None
         self._nabla_basis = None
         self._validate()
 
     def _validate(self):
-        """Antisymmetry, then the Jacobi identity, exactly.  Antisymmetry is
-        checked over ``nonzero_structure`` alone: each entry looks up its
-        mirror ``c_jik``, and a failure at ``(i, j, k)`` or ``(j, i, k)`` is
-        reported as the triple with ``i <= j``, the least one of all."""
-        c = {(i, j, k): x for i, j, k, x in self.nonzero_structure}
+        """Antisymmetry, then the Jacobi identity, exactly, on the ints of
+        ``int_structure``.  Each entry looks up its mirror ``C_jik``, and a
+        failure at ``(i, j, k)`` or ``(j, i, k)`` is reported as the triple
+        with ``i <= j``, the least one of all."""
+        c = {(i, j, k): x for j, pairs in enumerate(self.int_structure) for (i, k), x in pairs}
         bad = [(min(i, j), max(i, j), k) for (i, j, k), x in c.items()
                if c.get((j, i, k), 0) != -x]
         if bad:
             i, j, k = min(bad)
             raise ValueError(f"structure constants not antisymmetric at ({i},{j},{k})")
-        n = self.dim
-        # Jacobi on (i, a, b) is the derivation identity of ad_{e_i} on (a, b);
-        # at the first failing i every failing triple has i as its least index
-        ad = [{} for _ in range(n)]
-        for i, j, k, x in self.nonzero_structure:
+        # Jacobi on (i, a, b) is the derivation identity of ad_{e_i} (here times
+        # L) on (a, b); at the first failing i each failing triple has i least
+        ad = [{} for _ in range(self.dim)]
+        for (i, j, k), x in c.items():
             ad[i][k, j] = x
-        for i in range(n):
-            residual = self.derivation_residual(ad[i])
+        for i, t in enumerate(ad):
+            residual = self.derivation_residual(t)
             if residual:
                 a, b, _ = min(residual)
                 raise ValueError(f"Jacobi identity fails on basis triple ({i},{a},{b})")
@@ -114,33 +111,35 @@ class MetricLieAlgebra:
                          for _ in range(dim)))
 
     def bracket(self, x, y):
-        out = dict.fromkeys(range(self.dim), _ZERO)
-        for i, j, k, c in self.nonzero_structure:
-            out[k] += x[i] * y[j] * c
-        return tuple(out.values())
+        out = [0] * self.dim
+        for j, pairs in enumerate(self.int_structure):
+            for (i, k), c in pairs:
+                out[k] += x[i] * y[j] * c
+        return tuple(Fraction(v, self.denominator) for v in out)
 
     def derivation_residual(self, t: dict) -> dict:
         """Nonzero entries of ``T[e_a,e_b] - [T e_a,e_b] - [e_a,T e_b]`` for
-        ``a < b``, keyed ``(a, b, k)`` by the component ``k``, summed over the
-        nonzero structure constants.  ``t`` maps ``(row, column)`` to the
-        nonzero entries of ``T``; ``T`` is a derivation exactly when the
-        result is empty."""
+        ``a < b``, keyed ``(a, b, k)`` by the component ``k``: summed over the
+        ints of ``int_structure`` and divided once by ``denominator`` at the
+        end.  ``t`` maps ``(row, column)`` to the nonzero entries of ``T``;
+        ``T`` is a derivation exactly when the result is empty."""
         rows, cols = defaultdict(list), defaultdict(list)
         for (r, s), x in t.items():
             rows[r].append((s, x))
             cols[s].append((r, x))
-        out = defaultdict(Fraction)
-        for i, j, k, c in self.nonzero_structure:
-            if i < j:  # T[e_i,e_j] takes c_ijk T e_k
-                for r, x in cols[k]:
-                    out[i, j, r] += c * x
-            for a, x in rows[i]:  # [T e_a,e_j] takes T_ia c_ijk e_k
-                if a < j:
-                    out[a, j, k] -= x * c
-            for b, x in rows[j]:  # [e_i,T e_b] takes T_jb c_ijk e_k
-                if i < b:
-                    out[i, b, k] -= x * c
-        return {key: v for key, v in out.items() if v}
+        out = defaultdict(int)
+        for j, pairs in enumerate(self.int_structure):
+            for (i, k), c in pairs:
+                if i < j:  # T[e_i,e_j] takes c_ijk T e_k
+                    for r, x in cols[k]:
+                        out[i, j, r] += c * x
+                for a, x in rows[i]:  # [T e_a,e_j] takes T_ia c_ijk e_k
+                    if a < j:
+                        out[a, j, k] -= x * c
+                for b, x in rows[j]:  # [e_i,T e_b] takes T_jb c_ijk e_k
+                    if i < b:
+                        out[i, b, k] -= x * c
+        return {key: Fraction(v, self.denominator) for key, v in out.items() if v}
 
     def ad_walk(self, v, den: int = 1) -> tuple:
         """``ad_v`` at an int point ``v``, in one pass over ``ad_forms``: the
@@ -178,12 +177,6 @@ class MetricLieAlgebra:
                 out[r][j] = Fraction(a, scale)
         return Endomorphism(tuple(map(tuple, out)))
 
-    def ad_basis(self, i: int) -> Endomorphism:
-        """``ad`` of the i-th basis vector, built once per algebra."""
-        if self._ad_basis is None:
-            self._ad_basis = tuple(self.ad(basis_vec(self.dim, t)) for t in range(self.dim))
-        return self._ad_basis[i]
-
     def ad_star(self, x) -> Endomorphism:
         """Metric adjoint of ``ad_x``; transpose in the orthonormal basis."""
         return self.ad(x).transpose()
@@ -217,9 +210,8 @@ class MetricLieAlgebra:
         divided once by ``denominator``."""
         if k.dim != self.dim:
             raise ValueError("dimension mismatch")
-        inv = Fraction(1, self.denominator)
-        out = replace_factor(k.terms, self.int_structure)
-        return SymTensor(self.dim, k.degree + 1, {m: v * inv for m, v in out.items()})
+        out = SymTensor(self.dim, k.degree + 1, replace_factor(k.terms, self.int_structure))
+        return out.scale(Fraction(1, self.denominator))
 
     def killing_operator_via_nabla(self, k: SymTensor) -> SymTensor:
         """Same operator through the connection, ``sum_i e_i * nabla_{e_i} k``.

@@ -391,6 +391,23 @@ def _structure_bracket(c, x, y):
                  for k in range(n))
 
 
+def derivation_residual_oracle(lie, m):
+    """Nonzero entries of ``T[e_a,e_b] - [Te_a,e_b] - [e_a,Te_b]`` for
+    ``a < b``, keyed ``(a, b, k)``, by three dense brackets per basis pair;
+    ``m`` is ``T`` as an ``Endomorphism``."""
+    c = lie.structure
+    e = [basis_vec(lie.dim, s) for s in range(lie.dim)]
+    out = {}
+    for a in range(lie.dim):
+        for b in range(a + 1, lie.dim):
+            residual = (p - q - r for p, q, r in zip(
+                m.apply(_structure_bracket(c, e[a], e[b])),
+                _structure_bracket(c, m.apply(e[a]), e[b]),
+                _structure_bracket(c, e[a], m.apply(e[b]))))
+            out.update({(a, b, k): v for k, v in enumerate(residual) if v})
+    return out
+
+
 def jacobi_failure_oracle(structure):
     """First basis triple ``(i, j, k)``, ``i < j < k``, on which the Jacobi
     identity fails, by dense brackets; None when it holds."""

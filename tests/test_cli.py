@@ -74,11 +74,30 @@ class TestFileFormats:
         ("y" * 41, f"x: expected a rational 'p/q' string, got '{'y' * 40}'..."),
         ([1] * 30, f"x: expected a rational 'p/q' string, got {str([1] * 30)[:40]}..."),
         ("1/" + "0" * 50, f"x: zero denominator in '1/{'0' * 38}'..."),
+        (True, "x: expected a rational 'p/q' string, got True"),
+        (False, "x: expected a rational 'p/q' string, got False"),
     ])
     def test_parse_error_shows_at_most_40_characters(self, value, detail):
         with pytest.raises(ff.ParseError) as exc:
             ff.parse_rational(value, "x")
         assert str(exc.value) == detail
+
+    # JSON true/false read as the int subclass bool; none stands for an integer
+    @pytest.mark.parametrize("doc, where", [
+        ({"n": True, "D": [["2"]]}, "n"),
+        ({"dim": True, "structure": []}, "dim"),
+        ({"dim": 3, "structure": [[0, True, 2, "1"], [True, 2, 0, "1"], [2, 0, True, "1"]]},
+         "structure[0]"),
+        ({"n": 1, "D": [[True]]}, "D[0][0]"),
+        ({"degree": True, "terms": [{"monomial": [True], "coeff": "1"}]}, "tensor.degree"),
+        ({"degree": 1, "terms": [{"monomial": [True], "coeff": "1"}]},
+         "tensor.terms[0].monomial"),
+        ({"degree": 1, "terms": [{"monomial": [1], "coeff": True}]}, "tensor.terms[0].coeff"),
+    ], ids=["n", "dim", "structure index", "D entry", "degree", "monomial index", "coeff"])
+    def test_json_booleans_are_not_integers(self, doc, where):
+        with pytest.raises(ff.ParseError) as exc:
+            ff.algebra_from_dict(doc) if where[0] != "t" else ff.tensor_from_dict(doc, 3)
+        assert str(exc.value).startswith(f"{where}: ")
 
     def test_algebra_round_trip_almost_abelian(self):
         alg = AlmostAbelianAlgebra(Endomorphism.from_rows([["1/2", 0], [-2, 1]]))
@@ -171,6 +190,17 @@ class TestKillingBasisCommand:
         error = json.loads(err)
         assert error["error"] == "limit exceeded"
         assert "exceed the brute-force caps (degree 8, dimension 6)" in error["detail"]
+
+    # argparse prints usage and the error; the value shows through ff.shown
+    @pytest.mark.parametrize("option", ["--degree", "--seed", "--tol", "--samples",
+                                        "--order-floor"])
+    def test_long_option_value_gives_a_short_error(self, tmp_path, capsys, option):
+        argv = ["killing-basis", "--algebra", write(tmp_path, "diag.json", DIAG), "--degree", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, "x" * 3000])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument {option}: " in err and len(err.encode()) < 600
 
     def test_structured_on_general_exits_3(self, tmp_path, capsys):
         alg = write(tmp_path, "heis.json", HEISENBERG)
@@ -760,6 +790,11 @@ class TestJsonShapes:
         ("killing-basis", "--algebra", {"dim": 3, "structure": 5}, "structure", "a JSON list"),
         ("killing-basis", "--algebra", {"dim": 3, "structure": None}, "structure",
          "a JSON list"),
+        ("killing-basis", "--algebra", {"n": True, "D": [["2"]]}, "n", "a nonnegative integer"),
+        ("decompose", "--tensor", {"degree": True, "terms": []}, "tensor.degree",
+         "a nonnegative integer"),
+        ("decompose", "--tensor", {"degree": 1, "terms": [{"monomial": [True], "coeff": "1"}]},
+         "tensor.terms[0].monomial", "1 integer indices"),
     ])
     def test_wrong_shape_exits_2_with_position(self, tmp_path, capsys, command, flag, doc,
                                                where, expected):
@@ -846,12 +881,17 @@ _POOL_ALGEBRAS = {
     "rot3": {"n": 3, "D": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]]},
     "not-jacobi": {"dim": 3, "structure": [[0, 1, 2, "1"], [1, 2, 1, "1"]]},
     "past-float": PAST_FLOAT,
+    "bool-n": {"n": True, "D": [["2"]]},
+    "bool-index": {"dim": 3, "structure": [[0, True, 2, "1"], [True, 2, 0, "1"],
+                                           [2, 0, True, "1"]]},
 }
 _POOL_TENSORS = {
     "e1sq": _square(1), "e3sq": _square(3), "e0": {"degree": 1, "terms": [
         {"monomial": [0], "coeff": "1"}]},
     "metric": {"degree": 2, "terms": [{"monomial": [i, i], "coeff": "1"} for i in range(3)]},
     "mixed": MIXED, "cubic": {"degree": 3, "terms": [{"monomial": [0, 1, 2], "coeff": "-1/2"}]},
+    "bool-degree": {"degree": True, "terms": [{"monomial": [True], "coeff": "1"}]},
+    "bool-coeff": _square(1, True),
 }
 _POOL_CERTS = {
     "left-e1sq": _cert_doc(_square(1), ("1", [_LEFT[0], _LEFT[0]])),
@@ -865,6 +905,7 @@ _POOL_CERTS = {
                                *[("1", [r, r]) for r in _RIGHT]),
     "huge": _cert_doc(_square(1, str(10 ** 400)), (str(10 ** 400), [_RIGHT[1], _RIGHT[1]])),
     "metric": _cert_doc(_POOL_TENSORS["metric"], ("2", [{"kind": "metric"}])),
+    "bool-coeff": _cert_doc(_square(1), (True, [_RIGHT[1], _RIGHT[1]])),
 }
 _POOL_ALGEBRAS["long"] = {"n": 2, "D": [["0", "-" + LONG], [LONG, "0"]]}
 _POOL_TENSORS["long"] = _square(1, LONG)

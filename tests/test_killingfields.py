@@ -124,7 +124,8 @@ class TestSkewDerivationBasisOracle:
                                 for d in derivation_suite(sizes=(1, 2, 3, 4))]
                              # dim 10: 45 wedge unknowns, 394 residual rows, a 4-dim kernel
                              + [AlmostAbelianAlgebra(random_derivation(random.Random(10), 9,
-                                                                       "skew"))])
+                                                                       "skew"))]
+                             + wide_algebras())
     def test_equals_dense_oracle(self, alg):
         assert skew_derivation_basis(alg) == skew_derivation_basis_oracle(alg)
 

@@ -17,9 +17,10 @@ from killingtensors import (
 )
 from killingtensors.exactlinalg import basis_vec, dot
 from killingtensors.tensors import basis_monomials
-from conftest import (derivation_action_oracle, derivation_suite, jacobi_failure_oracle,
-                      killing_operator_oracle, koszul_oracle, nullspace_oracle, random_derivation,
-                      random_tensor, random_vector, wide_algebras)
+from conftest import (_structure_bracket, derivation_action_oracle, derivation_residual_oracle,
+                      derivation_suite, jacobi_failure_oracle, killing_operator_oracle,
+                      koszul_oracle, nullspace_oracle, random_derivation, random_tensor,
+                      random_vector, wide_algebras)
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
 DIAG = Endomorphism.diagonal([1, -1])
@@ -58,13 +59,17 @@ class TestConstruction:
             MetricLieAlgebra(c)
 
     # the first failing triple (i, j, k), i <= j, of a scan in that order;
-    # the last case hides a one-sided entry and a diagonal one among valid pairs
+    # "mixed" hides a one-sided entry and a diagonal one among valid pairs, and
+    # "mixed denominators" a pair off by its denominator among valid ones
     @pytest.mark.parametrize("entries, triple", [
         ({(1, 1, 2): 1}, "(1,1,2)"),
         ({(2, 0, 1): 1}, "(0,2,1)"),
         ({(0, 1, 2): 1, (1, 0, 2): 1}, "(0,1,2)"),
         ({(0, 1, 2): 1, (1, 0, 2): -1, (2, 2, 1): 3, (2, 1, 0): Fraction(1, 2)}, "(1,2,0)"),
-    ], ids=["nonzero diagonal", "one-sided", "wrong-sign pair", "mixed"])
+        ({(0, 1, 2): Fraction(1, 3), (1, 0, 2): Fraction(-1, 3), (0, 2, 1): Fraction(2, 7),
+          (2, 0, 1): Fraction(-2, 3), (1, 2, 0): Fraction(10 ** 39 + 2, 7),
+          (2, 1, 0): Fraction(-10 ** 39 - 2, 7)}, "(0,2,1)"),
+    ], ids=["nonzero diagonal", "one-sided", "wrong-sign pair", "mixed", "mixed denominators"])
     def test_antisymmetry_message_names_the_first_failing_triple(self, entries, triple):
         c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
         for (i, j, k), x in entries.items():
@@ -82,7 +87,9 @@ class TestConstruction:
     @given(st.data())
     def test_jacobi_check_matches_dense_oracle(self, data):
         n = data.draw(st.integers(1, 4))
-        entry = st.sampled_from([Fraction(0)] * 6 + [Fraction(1), Fraction(-1), Fraction(1, 2)])
+        entry = st.sampled_from([Fraction(0)] * 6 + [Fraction(1), Fraction(-1), Fraction(1, 2),
+                                                     Fraction(1, 3), Fraction(-2, 7),
+                                                     Fraction(10 ** 39 + 2, 7)])
         c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
@@ -142,7 +149,34 @@ class TestAdjoint:
                 x, y = random_vector(rng, alg.dim), random_vector(rng, alg.dim)
                 assert alg.ad(x).apply(y) == alg.bracket(x, y)
             for i in range(alg.dim):
-                assert alg.ad_basis(i).apply(y) == alg.bracket(basis_vec(alg.dim, i), y)
+                assert alg.ad(basis_vec(alg.dim, i)).apply(y) == \
+                    alg.bracket(basis_vec(alg.dim, i), y)
+
+
+class TestIntStructureAgainstDenseOracle:
+    """``bracket`` and ``derivation_residual`` sum over ``int_structure`` and
+    divide once by ``denominator``; the dense oracles read ``structure``."""
+
+    @staticmethod
+    def _algebras():
+        return [AlmostAbelianAlgebra(d) for d in derivation_suite()] \
+            + [so3(), heisenberg3()] + wide_algebras()
+
+    def test_bracket(self):
+        rng = random.Random(53)
+        for alg in self._algebras():
+            wide = tuple(Fraction(rng.randint(-10 ** 40, 10 ** 40), rng.choice((1, 3, 7)))
+                         for _ in range(alg.dim))
+            for x, y in ((random_vector(rng, alg.dim), random_vector(rng, alg.dim)),
+                         (wide, random_vector(rng, alg.dim))):
+                assert alg.bracket(x, y) == _structure_bracket(alg.structure, x, y)
+
+    def test_derivation_residual(self):
+        rng = random.Random(59)
+        for alg in self._algebras():
+            for m in (alg.ad(basis_vec(alg.dim, 0)), random_derivation(rng, alg.dim, "skew"),
+                      random_derivation(rng, alg.dim, "generic")):
+                assert alg.derivation_residual(m.sparse()) == derivation_residual_oracle(alg, m)
 
 
 class TestConnection:
@@ -255,7 +289,8 @@ class TestFactorReplacementOracles:
     def test_operators_on_wide_constants(self):
         rng = random.Random(47)
         for alg in wide_algebras():
-            assert {x.denominator for *_, x in alg.nonzero_structure} == {2, 3, 7}
+            assert {x.denominator for plane in alg.structure for row in plane
+                    for x in row if x} == {2, 3, 7}
             self._check_operators(alg, rng)
 
     def test_bruteforce_matches_dense_nullspace(self):
