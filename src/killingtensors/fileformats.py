@@ -118,7 +118,10 @@ def algebra_from_dict(doc) -> MetricLieAlgebra:
             if not isinstance(entry, list) or len(entry) != 4:
                 raise ParseError(f"{where}: expected [i, j, k, 'p/q']")
             i, j, k = entry[0], entry[1], entry[2]
-            if not all(type(x) is int and 0 <= x < dim for x in (i, j, k)):
+            bad = [x for x in (i, j, k) if type(x) is not int]
+            if bad:
+                raise ParseError(f"{where}: expected integer indices, got {shown(bad[0])}")
+            if not all(0 <= x < dim for x in (i, j, k)):
                 raise ParseError(f"{where}: indices out of range for dim {dim}")
             val = parse_rational(entry[3], f"{where}[3]")
             if (i, j, k) in seen:

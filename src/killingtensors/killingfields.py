@@ -16,9 +16,9 @@ Constancy is checked exactly at ``w = 0`` and numerically at seeded sample
 points.  Sampling runs in extended precision: the factor values grow like
 ``exp(|gamma| * ||D||)`` and cancel additively across monomials, which double
 precision cannot survive at the 1e-9 gate.  The series and the certificate
-polynomial are summed on Python ints scaled by a power of two, at mpmath's
-working precision plus guard bits; mpmath floats appear only at the public
-edges (the error bound is stated in ``_fixed_shift``).
+polynomial are summed on Python ints scaled by ``2**shift``, guard bits over
+a working precision that ``verify_certificate`` sizes per certificate and
+``omega_tensor`` reads from ``mp.prec`` (error bound in ``_fixed_shift``).
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from operator import mul
 from typing import NamedTuple
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import dps_to_prec, from_man_exp, prec_to_dps, round_nearest
 
 from .almostabelian import AlmostAbelianAlgebra
 from .exactlinalg import basis_vec, dot, nullspace
@@ -194,10 +194,10 @@ class SeriesCapError(RuntimeError):
         super().__init__(self.limits)
 
 
-def _fixed_shift(dim: int) -> int:
-    """Scale ``P = mp.prec + G`` of the fixed-point sampled evaluation: values
-    are Python ints times ``2**-P``, and mpf values appear only at the public
-    edges.  Error bound in units ``u = 2**-P``, with ``n = dim``,
+def _fixed_shift(dim: int, prec: int) -> int:
+    """Scale ``P = prec + G`` of the fixed-point evaluation at ``prec`` working
+    bits, the one precision value it carries: values are Python ints times
+    ``2**-P``.  Error bound in units ``u = 2**-P``, with ``n = dim``,
     ``a = ||ad_w||_1`` and ``K <= _MAX_TERMS`` series terms:
 
     * In: an int, a float or an mpf with ulp >= u converts exactly (sample
@@ -215,15 +215,15 @@ def _fixed_shift(dim: int) -> int:
       multiplied by the factor values above it, at most the amplification
       bound that ``_working_digits`` covers with 35 digits to spare (``e^a``
       is that of ``_series_log10_gain``, with ``K <= n + 1`` past the cap).
-    * Out: one rounding to working precision, relative ``2**-mp.prec``, as
+    * Out: one rounding to working precision, relative ``2**-prec``, as
       any mpf result.
 
     ``G = bit_length(n^2 K) + 8`` keeps ``n^2 K u`` under
-    ``2**-(mp.prec + 8)``: these roundings add less than 1/256 of one
+    ``2**-(prec + 8)``: these roundings add less than 1/256 of one
     working-precision rounding, under the same ``e^a`` amplification that
-    rounding suffers in an mpf series.
+    rounding suffers in an mpf series.  ``_fixed_shift(dim, 0)`` is ``G``.
     """
-    return mp.prec + (dim * dim * _MAX_TERMS).bit_length() + 8
+    return prec + (dim * dim * _MAX_TERMS).bit_length() + 8
 
 
 def _to_fixed(x, shift: int) -> int:
@@ -317,7 +317,8 @@ def _fixed_series(point: _Point, x, s: int, order, min_order: int) -> list:
 
     Untruncated, it stops, once past ``min_order`` and the hump at
     ``||ad_w||_1``, at the first term below ``10^-(dps-5)`` times the
-    largest partial sum entry (at least 1), or raises ``SeriesCapError``
+    largest partial sum entry (at least 1), for the ``dps`` digits of the
+    working bits ``shift - G`` (``_fixed_shift``), or raises ``SeriesCapError``
     after ``_MAX_TERMS`` terms.  A hump or a ``min_order`` already at that
     cap leaves the stop rule no room, so it raises after ``n`` terms: only a
     series that vanishes within them passes, as for a nilpotent ``ad_w``.
@@ -332,7 +333,7 @@ def _fixed_series(point: _Point, x, s: int, order, min_order: int) -> list:
     shift, rows, norm = point.shift, point.rows, point.norm
     n = len(x)
     one = 1 << shift
-    eps = one // 10 ** (mp.dps - 5)
+    eps = one // 10 ** (prec_to_dps(shift - _fixed_shift(n, 0)) - 5)
     hump = (norm >> shift) + 2
     stop_from = max(min_order, hump)
     cap = _MAX_TERMS if hump <= _MAX_TERMS and min_order < _MAX_TERMS else n
@@ -406,15 +407,14 @@ def _generator_value(alg: MetricLieAlgebra, gen, shift, prepare, order, min_orde
 
 
 def omega_generator(alg: MetricLieAlgebra, gen, w, order=None, min_order: int = 0) -> SymTensor:
-    """Pullback value of one generator at ``w``, as a symmetric tensor.
+    """Pullback value of ``gen`` at ``w``: ``omega_tensor`` of ``1 * gen``.
 
     At a point of rationals the value is exact, and a series must terminate
     (as for a nilpotent ``ad_w``) unless ``order`` truncates it; a point
     with a float or mpf entry is summed adaptively in fixed point to mpf.
     """
-    shift = _fixed_shift(alg.dim) if _numeric_seq(w) else None
-    value = _generator_value(alg, gen, shift, partial(_point, alg, w, shift), order, min_order)
-    return SymTensor.from_dense(alg.dim, generator_degree(gen), _unscaled(value, shift))
+    cert = Certificate(SymTensor.zero(alg.dim, generator_degree(gen)), ((1, (gen,)),))
+    return omega_tensor(alg, cert, w, order, min_order)
 
 
 def generator_degree(gen) -> int:
@@ -520,12 +520,12 @@ def omega_tensor(alg: MetricLieAlgebra, cert, w, order=None, min_order: int = 0)
     ``cert`` is a ``Certificate`` or, to evaluate one certificate at many
     points, its ``CompiledCertificate``.  Each distinct generator is
     evaluated once.  At a numeric point the polynomial is summed in fixed
-    point and returned as mpf.
+    point at mpmath's ``mp.prec``, read once here, and returned as mpf.
     """
     compiled = cert if isinstance(cert, CompiledCertificate) else CompiledCertificate(cert)
     if compiled.dim != alg.dim:
         raise ValueError("dimension mismatch")
-    shift = _fixed_shift(alg.dim) if _numeric_seq(w) else None
+    shift = _fixed_shift(alg.dim, mp.prec) if _numeric_seq(w) else None
     prepared = []
 
     def prepare():  # at most once, and only for a series
@@ -704,7 +704,10 @@ def _factor_log10_bound(gen, gain: float, dim: int) -> float:
     return gain + _log10_at_least_one(2 * dim * tnorm)
 
 
-def _working_digits(cert: Certificate, gain: float, dim: int) -> int:
+def _working_digits(cert: Certificate, gain: float, dim: int, tol: float) -> int:
+    """Working digits for sampling ``cert``: 35 past the log10 of its
+    amplification bound and 10 past that of the bound over ``tol``, at least
+    50, rounded up to a multiple of 10.  ``tol`` decides only below 1e-25."""
     worst = 0.0
     # keyed by object: the terms share their generator objects, and an id
     # costs less than hashing a tuple of Fractions
@@ -717,8 +720,8 @@ def _working_digits(cert: Certificate, gain: float, dim: int) -> int:
                 bound = bounds[id(gen)] = _factor_log10_bound(gen, gain, dim)
             t += bound
         worst = max(worst, t)
-    worst += math.log10(len(cert.terms) + 1)
-    digits = max(50, 35 + int(math.ceil(worst)))
+    worst = math.ceil(worst + math.log10(len(cert.terms) + 1))
+    digits = max(50, 35 + worst, worst + math.ceil(-math.log10(tol)) + 10)
     return 10 * int(math.ceil(digits / 10))
 
 
@@ -741,10 +744,10 @@ _sampled_point = lru_cache(maxsize=_SAMPLED_POINTS)(_point)
 
 
 @lru_cache(maxsize=_SAMPLED_VALUES)
-def _sampled_value(alg: MetricLieAlgebra, gen, w, shift: int, dps: int, min_order: int) -> tuple:
+def _sampled_value(alg: MetricLieAlgebra, gen, w, shift: int, min_order: int) -> tuple:
     """``_generator_value`` at a sample point, memoized on everything the
-    value depends on: the series stop rule reads ``mp.dps``, which must be
-    ``dps``.  Algebras compare by identity."""
+    value depends on: ``shift`` fixes the working precision, the series stop
+    rule included.  Algebras compare by identity."""
     return tuple(_generator_value(alg, gen, shift, partial(_sampled_point, alg, w, shift),
                                   None, min_order))
 
@@ -803,7 +806,8 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     least the order making the crude tail bound ``||ad_w||^(N+1)/(N+1)!``
     fall under ``tol/10``; on top of that the series is summed adaptively at
     a working precision sized to the certificate's product-amplification
-    bound.
+    bound and to ``tol``, passed down as the fixed-point scale: no mpmath
+    state is read or set, so threads may verify concurrently.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -818,17 +822,15 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     _check_generators(alg, cert, compiled.generators)
     pts = sample_points(dim, samples, seed)
     log_norms, gains = zip(*(_point_bounds(alg, w) for w in pts))
-    digits = _working_digits(cert, max(gains), dim)
+    digits = _working_digits(cert, max(gains), dim, tol)
+    min_order = max(order_floor, _order_for_bound(max(log_norms), tol / 10.0))
+    shift = _fixed_shift(dim, dps_to_prec(digits))
+    target = _scaled(cert.target.dense(), shift)
     worst = 0
-    with mp.workdps(digits):
-        min_order = max(order_floor, _order_for_bound(max(log_norms), tol / 10.0))
-        shift = _fixed_shift(dim)
-        target = _scaled(cert.target.dense(), shift)
-        for w in pts:
-            values = [_sampled_value(alg, gen, w, shift, mp.dps, min_order)
-                      for gen in compiled.generators]
-            value = compiled.evaluate(values, shift)
-            worst = max(worst, *(abs(v - t) for v, t in zip(value, target)))
+    for w in pts:
+        values = [_sampled_value(alg, gen, w, shift, min_order) for gen in compiled.generators]
+        value = compiled.evaluate(values, shift)
+        worst = max(worst, *(abs(v - t) for v, t in zip(value, target)))
     try:
         max_dev = worst / (1 << shift)
     except OverflowError:  # a deviation past the float range

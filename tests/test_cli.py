@@ -99,6 +99,21 @@ class TestFileFormats:
             ff.algebra_from_dict(doc) if where[0] != "t" else ff.tensor_from_dict(doc, 3)
         assert str(exc.value).startswith(f"{where}: ")
 
+    # so(3) with one index written otherwise: a non-integer is a type fault,
+    # an integer outside 0..dim-1 a range fault
+    @pytest.mark.parametrize("index, detail", [
+        (True, "expected integer indices, got True"),
+        ("1", "expected integer indices, got '1'"),
+        (1.0, "expected integer indices, got 1.0"),
+        (5, "indices out of range for dim 3"),
+        (-1, "indices out of range for dim 3"),
+    ])
+    def test_structure_index_detail(self, index, detail):
+        doc = {"dim": 3, "structure": [[0, index, 2, "1"], [1, 2, 0, "1"], [2, 0, 1, "1"]]}
+        with pytest.raises(ff.ParseError) as exc:
+            ff.algebra_from_dict(doc)
+        assert str(exc.value) == f"structure[0]: {detail}"
+
     def test_algebra_round_trip_almost_abelian(self):
         alg = AlmostAbelianAlgebra(Endomorphism.from_rows([["1/2", 0], [-2, 1]]))
         doc = ff.algebra_to_dict(alg)

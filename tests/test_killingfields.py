@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -596,6 +597,24 @@ class TestVerifyParameters:
         with pytest.raises(ValueError, match="degree"):
             omega_tensor(self.ALG, cert, (Fraction(0),) * 3, order=0)
 
+    @pytest.mark.parametrize("tol", [1e-60, 1e-200])
+    def test_working_digits_cover_the_tolerance(self, tol):
+        # e1^2 + e2^2 on the rotation is valid, but summed at 50 digits it
+        # deviates by about 5e-58
+        alg = AlmostAbelianAlgebra(J2)
+        cert = decompose(alg, SymTensor.monomial(3, (1, 1)) + SymTensor.monomial(3, (2, 2)))
+        check = verify_certificate(alg, cert, tol=tol)
+        assert check.passed and check.max_deviation < tol
+        assert not verify_certificate(self.ALG, self.CERT, tol=tol).passed
+
+    @pytest.mark.parametrize("d, p, t, digits", [(J2, 2, 0, 50),
+                                                 (Endomorphism.diagonal([3, -3]), 4, 0, 60),
+                                                 (Endomorphism.diagonal([20, -20]), 2, 1, 90)])
+    def test_tolerances_down_to_1e_25_keep_the_digits(self, d, p, t, digits):
+        alg, cert = _basis_certificate(d, p, t)
+        assert {verify_certificate(alg, cert, tol=tol).precision_digits
+                for tol in (1e-9, 1e-25)} == {digits}
+
 
 # ---------------------------------------------------------------------------
 # the compiled (Horner) evaluation against the term-by-term expansion
@@ -724,7 +743,7 @@ class TestPointWalk:
             # the mpf entries carry the full working precision
             w = {"float": floats, "mpf": tuple(mp.mpf(c) / 3 for c in floats),
                  "rational": rationals}[kind][:alg.dim]
-            shift = kf._fixed_shift(alg.dim)
+            shift = kf._fixed_shift(alg.dim, mp.prec)
             point = kf._point(alg, w, shift)
         wv = tuple(kf._to_fixed(c, shift) for c in w)
         rows, norm = point_oracle(alg, wv)
@@ -810,6 +829,39 @@ class TestSampledValueMemo:
             assert here == fresh
 
 
+class TestConcurrentChecks:
+    REPEATS = 40
+
+    def test_threads_at_different_digits_match_the_sequential_checks(self):
+        # the degree-4 basis of diag(3, -3) is checked at 60 and 50 digits
+        # and the degree-2 basis of the rotation at 50; a short switch interval
+        # interleaves the two threads' checks many times over
+        jobs = []
+        for d, p in ((Endomorphism.diagonal([3, -3]), 4), (J2, 2)):
+            alg = AlmostAbelianAlgebra(d)
+            jobs.append((alg, [decompose(alg, k) for k in alg.killing_space_structured(p).basis]))
+        want = [[verify_certificate(alg, cert) for cert in certs] for alg, certs in jobs]
+        assert [{c.precision_digits for c in checks} for checks in want] == [{50, 60}, {50}]
+        got = ([], [])
+
+        def run(i):
+            alg, certs = jobs[i]
+            for _ in range(self.REPEATS):
+                got[i].append([verify_certificate(alg, cert) for cert in certs])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert list(got) == [[checks] * self.REPEATS for checks in want]
+
+
 # ---------------------------------------------------------------------------
 # the fixed-point series kernel against independent references
 # ---------------------------------------------------------------------------
@@ -892,7 +944,7 @@ def _tw(t, w):
 def _phi(alg, t, w, order=None, min_order=0):
     """``phi(-ad_w) T w`` for any matrix ``T``, skew or not, from the series
     kernel; a ``DerivationField`` reaches it only with a skew ``T``."""
-    shift = kf._fixed_shift(alg.dim) if kf._numeric_seq(w) else None
+    shift = kf._fixed_shift(alg.dim, mp.prec) if kf._numeric_seq(w) else None
     point = kf._point(alg, w, shift)
     tw = [sum(kf._rational_times(c, v, shift) for c, v in zip(row, point.w)) for row in t.entries]
     value = (kf._exact_series(point, tw, 1, order) if shift is None
@@ -920,7 +972,7 @@ def kernel_inputs(draw, exact=False):
 def _same_fixed_series(alg, w, x, s, order, min_order):
     """The kernel against ``fixed_series_oracle``: equal ints, or the same
     ``SeriesCapError``.  Returns the oracle's outcome."""
-    shift = kf._fixed_shift(alg.dim)
+    shift = kf._fixed_shift(alg.dim, mp.prec)
     wv, xv = kf._scaled(w, shift), kf._scaled(x, shift)
     point = kf._point(alg, w, shift)
     try:
