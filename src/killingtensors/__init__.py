@@ -36,6 +36,8 @@ from .killingfields import (
     SeriesCapError,
     DerivationCapError,
     DERIVATION_DIM_CAP,
+    EvaluationCapError,
+    MAX_EVALUATION_INDICES,
     generator_degree,
     skew_derivation_basis,
     skew_derivations,
@@ -71,7 +73,7 @@ __all__ = [
     "Metric", "LeftInvariant", "RightInvariant", "SkewDerivation",
     "DerivationField", "Certificate", "CertificateCheck", "CompiledCertificate",
     "NotKillingError", "GeneratorError", "SeriesCapError", "DerivationCapError",
-    "DERIVATION_DIM_CAP", "generator_degree",
+    "DERIVATION_DIM_CAP", "EvaluationCapError", "MAX_EVALUATION_INDICES", "generator_degree",
     "skew_derivation_basis", "skew_derivations", "validate_skew_derivation",
     "omega_generator", "omega_tensor", "decompose", "decompose_ideal_tensor",
     "verify_certificate", "sample_points",

@@ -13,15 +13,12 @@ Killing test of a layer, the derivation kernel and every other exact caller:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, lcm
 
 from .exactlinalg import basis_vec, nullspace, rref_span
 from .liealgebra import KillingSpace, MetricLieAlgebra
 from .tensors import SymTensor, Endomorphism, multiply_terms, replace_factor, sum_of_squares
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -68,12 +65,12 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
             derivation = Endomorphism.from_rows(derivation)
         n = derivation.dim
         # only [b, h] = D h and [h, b] are nonzero: c_0jk = D_kj = -c_j0k
-        c = [[[_ZERO] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
+        c = {}
         for k, row in enumerate(derivation.entries, 1):
             for j, x in enumerate(row, 1):
-                c[0][j][k] = x
-                c[j][0][k] = -x
-        super().__init__(c)
+                c[0, j, k] = x
+                c[j, 0, k] = -x
+        super().__init__(n + 1, c)
         self.derivation = derivation
         self.ideal_dim = n
         # int_ad_b[j] lists ((k,), L·c_0jk), the int_structure entries with

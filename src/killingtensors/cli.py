@@ -30,6 +30,7 @@ from .killingfields import (
     DEFAULT_TOL,
     DerivationCapError,
     DerivationField,
+    EvaluationCapError,
     GeneratorError,
     LeftInvariant,
     Metric,
@@ -375,7 +376,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ff.ParseError, GeneratorError) as exc:
         return _fail(EXIT_PARSE, "parse error", str(exc))
-    except (SolverCapError, SeriesCapError, DerivationCapError) as exc:
+    except (SolverCapError, SeriesCapError, DerivationCapError, EvaluationCapError) as exc:
         return _fail(EXIT_PARSE, "limit exceeded", exc.limits)
     except WrongAlgebraKind as exc:
         return _fail(EXIT_KIND, "method/algebra mismatch", str(exc))

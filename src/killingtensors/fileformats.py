@@ -5,6 +5,7 @@ parse errors carry the JSON path of the offending entry.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -111,7 +112,7 @@ def algebra_from_dict(doc) -> MetricLieAlgebra:
         dim = doc.get("dim")
         if type(dim) is not int or dim < 1:
             raise ParseError("dim: expected a positive integer")
-        c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        c = {}
         seen = set()
         for t, entry in enumerate(_list(doc.get("structure", []), "structure")):
             where = f"structure[{t}]"
@@ -128,13 +129,13 @@ def algebra_from_dict(doc) -> MetricLieAlgebra:
                 raise ParseError(f"{where}: duplicate entry ({i},{j},{k})")
             seen.add((i, j, k))
             if (j, i, k) in seen:
-                if c[j][i][k] != -val:
+                if c.get((j, i, k), 0) != -val:
                     raise ParseError(f"{where}: conflicts with antisymmetry of ({j},{i},{k})")
             else:
-                c[j][i][k] = -val
-            c[i][j][k] = val
+                c[j, i, k] = -val
+            c[i, j, k] = val
         try:
-            return MetricLieAlgebra(c)
+            return MetricLieAlgebra(dim, c)
         except ValueError as exc:
             raise ParseError(f"structure: {exc}") from exc
     raise ParseError("algebra file: expected keys 'n'/'D' or 'dim'/'structure'")
@@ -146,12 +147,8 @@ def algebra_to_dict(alg: MetricLieAlgebra) -> dict:
             "n": alg.ideal_dim,
             "D": [[format_rational(x) for x in row] for row in alg.derivation.entries],
         }
-    entries = []
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            for k in range(alg.dim):
-                if alg.structure[i][j][k] != 0:
-                    entries.append([i, j, k, format_rational(alg.structure[i][j][k])])
+    entries = sorted([i, j, k, format_rational(Fraction(x, alg.denominator))]
+                     for j, pairs in enumerate(alg.int_structure) for (i, k), x in pairs if i < j)
     return {"dim": alg.dim, "structure": entries}
 
 
@@ -184,14 +181,19 @@ def tensor_from_dict(doc, dim, where="tensor") -> SymTensor:
     return SymTensor(dim, degree, terms)
 
 
-def tensor_to_dict(t: SymTensor) -> dict:
+def _tensor_dict(t: SymTensor, coeff) -> dict:
+    """The layout of a tensor, with each coefficient written by ``coeff``."""
     return {
         "degree": t.degree,
         "terms": [
-            {"monomial": list(mono), "coeff": format_rational(t.terms[mono])}
+            {"monomial": list(mono), "coeff": coeff(t.terms[mono])}
             for mono in sorted(t.terms)
         ],
     }
+
+
+def tensor_to_dict(t: SymTensor) -> dict:
+    return _tensor_dict(t, format_rational)
 
 
 def _json_float(x):
@@ -205,13 +207,7 @@ def _json_float(x):
 
 def numeric_tensor_to_dict(t: SymTensor) -> dict:
     """Same layout with float coefficients, for sampled values."""
-    return {
-        "degree": t.degree,
-        "terms": [
-            {"monomial": list(mono), "coeff": _json_float(t.terms[mono])}
-            for mono in sorted(t.terms)
-        ],
-    }
+    return _tensor_dict(t, _json_float)
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +292,4 @@ def killing_space_to_dict(space: KillingSpace) -> dict:
 
 
 def check_to_dict(check: CertificateCheck) -> dict:
-    return {
-        "passed": check.passed,
-        "exact_at_zero": check.exact_at_zero,
-        "max_deviation": _json_float(check.max_deviation),
-        "samples": check.samples,
-        "tol": check.tol,
-        "seed": check.seed,
-        "order_floor": check.order_floor,
-        "precision_digits": check.precision_digits,
-    }
+    return {**dataclasses.asdict(check), "max_deviation": _json_float(check.max_deviation)}

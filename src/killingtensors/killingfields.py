@@ -78,6 +78,25 @@ class DerivationCapError(ValueError):
         super().__init__(self.limits)
 
 
+# A certificate of degree p on n dimensions is evaluated as dense values over
+# its C(n+p-1, p) monomials, whose positions are kept as p-tuples for the
+# process (``tensors.monomial_positions``) with product tables over them.
+# Bounding p times that count, the indices those tuples hold, before anything
+# is allocated keeps this memory under about 100 MiB (degree 10 on ten
+# dimensions, 923780 indices, takes 76 MiB with metric and field factors);
+# degree 3000 on three dimensions, 1.4e10 indices, ends in a MemoryError.
+MAX_EVALUATION_INDICES = 10 ** 6
+
+
+class EvaluationCapError(ValueError):
+    """A certificate whose monomial indices pass ``MAX_EVALUATION_INDICES``."""
+
+    def __init__(self, dim: int, degree: int, indices: int):
+        self.limits = (f"degree {degree} in dimension {dim} needs {indices} monomial indices "
+                       f"(cap {MAX_EVALUATION_INDICES})")
+        super().__init__(self.limits)
+
+
 # ---------------------------------------------------------------------------
 # generators and certificates
 # ---------------------------------------------------------------------------
@@ -291,8 +310,10 @@ def _point(alg: MetricLieAlgebra, w, shift) -> _Point:
 def _exact_series(point: _Point, x, s: int, order) -> list:
     """The series over exact ``x`` at a prepared exact point: untruncated,
     it must terminate within ``n`` terms, as it does when ``ad_w`` is
-    nilpotent.  Entry ``r`` of term ``k`` is ``-(row_r . t_(k-1)) / ((k +
-    s)·scale)``."""
+    nilpotent.  A term still nonzero past ``n`` terms has a part that no
+    power of ``ad_w`` annihilates, so truncated past ``_MAX_TERMS`` terms
+    the series raises ``SeriesCapError`` there.  Entry ``r`` of term ``k``
+    is ``-(row_r . t_(k-1)) / ((k + s)·scale)``."""
     n = len(x)
     acc = list(x)
     term = list(x)
@@ -308,6 +329,8 @@ def _exact_series(point: _Point, x, s: int, order) -> list:
         if order is None and k > n:
             raise ValueError("series does not terminate over exact arithmetic; "
                              "pass a truncation order")
+        if k > n and order > _MAX_TERMS:
+            raise SeriesCapError(Fraction(point.norm, point.scale))
         k += 1
     return acc
 
@@ -322,6 +345,8 @@ def _fixed_series(point: _Point, x, s: int, order, min_order: int) -> list:
     after ``_MAX_TERMS`` terms.  A hump or a ``min_order`` already at that
     cap leaves the stop rule no room, so it raises after ``n`` terms: only a
     series that vanishes within them passes, as for a nilpotent ``ad_w``.
+    Truncated past the cap, at ``order > _MAX_TERMS``, it raises at the
+    same terms; truncated within it, it never raises.
 
     Entry ``r`` of term ``k`` is ``-(row_r . t_(k-1)) / ((k + s) 2^shift)``
     rounded toward zero, which commutes with negation: values equal up to a
@@ -337,6 +362,7 @@ def _fixed_series(point: _Point, x, s: int, order, min_order: int) -> list:
     hump = (norm >> shift) + 2
     stop_from = max(min_order, hump)
     cap = _MAX_TERMS if hump <= _MAX_TERMS and min_order < _MAX_TERMS else n
+    capped = order is None or order > _MAX_TERMS
     acc = list(x)
     term = list(x)
     k = 1
@@ -355,11 +381,11 @@ def _fixed_series(point: _Point, x, s: int, order, min_order: int) -> list:
         if zero:
             break
         term = new
-        if order is None:
-            if k >= stop_from and max(map(abs, term)) << shift < eps * max(one, *map(abs, acc)):
-                break
-            if k > cap:
-                raise SeriesCapError(Fraction(norm, one))
+        if (order is None and k >= stop_from
+                and max(map(abs, term)) << shift < eps * max(one, *map(abs, acc))):
+            break
+        if capped and k > cap:
+            raise SeriesCapError(Fraction(norm, one))
         k += 1
     return acc
 
@@ -440,11 +466,15 @@ class CompiledCertificate:
 
     A trie node is ``(size, edges)`` with one ``(generator index, product
     table, child)`` edge per distinct next factor; a leaf is the index of its
-    coefficient.  Values are dense lists indexed by monomial position.
+    coefficient.  Values are dense lists indexed by monomial position, so a
+    certificate past ``MAX_EVALUATION_INDICES`` raises ``EvaluationCapError``.
     """
 
     def __init__(self, cert: Certificate):
-        degree = cert.target.degree
+        dim, degree = cert.target.dim, cert.target.degree
+        indices = degree * sym_dimension(dim, degree)
+        if indices > MAX_EVALUATION_INDICES:
+            raise EvaluationCapError(dim, degree, indices)
         gens = {}
         for t, (_, factors) in enumerate(cert.terms):
             d = sum(generator_degree(g) for g in factors)
@@ -467,7 +497,7 @@ class CompiledCertificate:
             else:
                 node[None] = len(coeffs)
                 coeffs.append(Fraction(coeff) if isinstance(coeff, int) else coeff)
-        self.dim = cert.target.dim
+        self.dim = dim
         self.degree = degree
         self.generators = tuple(order)
         self.coefficients = tuple(coeffs)

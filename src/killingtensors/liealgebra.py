@@ -2,9 +2,9 @@
 algebraic Killing operator, and the brute-force Killing-space solver that
 serves as the oracle for all structured computations.
 
-Beside the dense ``structure``, the nonzero structure constants are kept
-once, as integers over their common denominator (``int_structure``,
-``denominator``).  Validation, ``bracket``, ``derivation_residual``, the
+The nonzero structure constants are kept once, as integers over their
+common denominator (``int_structure``, ``denominator``); ``structure`` is
+a dense view of them.  Validation, ``bracket``, ``derivation_residual``, the
 Killing operator and both exact solvers read them (the solvers through
 ``tensors.replace_factor``) and divide by the denominator once at the end,
 if at all.  The same integers, grouped by entry of ``ad_w``
@@ -16,6 +16,7 @@ from __future__ import annotations
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -51,27 +52,25 @@ class KillingSpace:
 class MetricLieAlgebra:
     """Lie algebra with structure constants in a declared orthonormal basis.
 
-    ``structure[i][j][k]`` is the coefficient of ``e_k`` in ``[e_i, e_j]``.
-    Antisymmetry and the Jacobi identity are validated exactly at
-    construction.  Instances are immutable; all operations are pure.
+    ``constants`` maps ``(i, j, k)`` to the coefficient of ``e_k`` in
+    ``[e_i, e_j]``, absent keys to 0; antisymmetry and the Jacobi identity
+    are validated exactly.  Instances are immutable; all operations are pure.
     """
 
-    def __init__(self, structure):
-        c = tuple(tuple(tuple(frac(x) for x in row) for row in plane) for plane in structure)
-        n = len(c)
-        if any(len(plane) != n or any(len(row) != n for row in plane) for plane in c):
-            raise ValueError("structure constants must form an n*n*n array")
-        self.structure = c
-        self.dim = n
-        nonzero = [(i, j, k, x) for i, plane in enumerate(c) for j, row in enumerate(plane)
-                   for k, x in enumerate(row) if x != 0]
+    def __init__(self, dim: int, constants: dict):
+        for key in constants:
+            if not (type(key) is tuple and len(key) == 3
+                    and all(type(i) is int and 0 <= i < dim for i in key)):
+                raise ValueError(f"key {key!r} is not a triple of indices in range({dim})")
+        self.dim = dim
+        nonzero = [(*key, x) for key, v in sorted(constants.items()) if (x := frac(v))]
         # the constants as ints over their common denominator, keyed by the
         # factor e_j they replace: int_structure[j] lists ((i, k), denominator * c_ijk)
         den = self.denominator = lcm(*(x.denominator for *_, x in nonzero))
         # entry (k, j) of L·ad_w is the integer linear form sum C·w_i over the
         # pairs (i, C = L·c_ijk): ad_forms lists, for each row k that has one,
         # (k, ((j, ((i, C), ...)), ...)) with the columns j in order
-        subs = [[] for _ in range(n)]
+        subs = [[] for _ in range(dim)]
         forms = {}
         for i, j, k, x in nonzero:
             scaled = x.numerator * (den // x.denominator)
@@ -107,8 +106,15 @@ class MetricLieAlgebra:
 
     @classmethod
     def abelian(cls, dim: int) -> "MetricLieAlgebra":
-        return cls(tuple(tuple(tuple(_ZERO for _ in range(dim)) for _ in range(dim))
-                         for _ in range(dim)))
+        return cls(dim, {})
+
+    @cached_property
+    def structure(self) -> tuple:
+        """Dense view ``structure[i][j][k] = c_ijk``, built on first access."""
+        c = {(i, j, k): Fraction(x, self.denominator)
+             for j, pairs in enumerate(self.int_structure) for (i, k), x in pairs}
+        r = range(self.dim)
+        return tuple(tuple(tuple(c.get((i, j, k), _ZERO) for k in r) for j in r) for i in r)
 
     def bracket(self, x, y):
         out = [0] * self.dim

@@ -62,11 +62,9 @@ def derivation_suite(seed=20250809, per_kind=5, sizes=(1, 2, 3)):
 def rotation_type(a, b, c):
     """``[e0,e1] = a e2``, ``[e1,e2] = b e0``, ``[e2,e0] = c e1``; the Jacobi
     identity holds for every a, b, c (so(3) at 1, 1, 1)."""
-    s = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-    for (i, j, k), x in (((0, 1, 2), a), ((1, 2, 0), b), ((2, 0, 1), c)):
-        s[i][j][k] = x
-        s[j][i][k] = -x
-    return MetricLieAlgebra(s)
+    triples = (((0, 1, 2), a), ((1, 2, 0), b), ((2, 0, 1), c))
+    return MetricLieAlgebra(3, {key: y for (i, j, k), x in triples
+                                for key, y in (((i, j, k), x), ((j, i, k), -x))})
 
 
 def wide_algebras():
@@ -230,8 +228,9 @@ def fixed_series_oracle(lie, w, x, s, shift, order=None, min_order=0):
         if order is None:
             if k >= stop_from and max(map(abs, term)) << shift < eps * max(one, *map(abs, acc)):
                 break
-            if k > cap:
-                raise SeriesCapError(Fraction(norm, one))
+        # an order past the cap is capped as no order is
+        if (order is None or order > SERIES_TERM_CAP) and k > cap:
+            raise SeriesCapError(Fraction(norm, one))
         k += 1
     return acc
 

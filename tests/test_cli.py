@@ -9,6 +9,7 @@ import random
 import runpy
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from killingtensors import (
 import killingtensors
 from killingtensors.cli import main
 from killingtensors import exactlinalg, fileformats as ff
-from conftest import random_tensor
+from conftest import random_tensor, rotation_type, wide_algebras
 
 ROT = {"n": 2, "D": [["0", "-1"], ["1", "0"]]}
 DIAG = {"n": 2, "D": [["1", "0"], ["0", "-1"]]}
@@ -125,6 +126,33 @@ class TestFileFormats:
         alg = ff.algebra_from_dict(HEISENBERG)
         doc = ff.algebra_to_dict(alg)
         assert ff.algebra_from_dict(doc).structure == alg.structure
+
+    @pytest.mark.parametrize("alg, text", [
+        (rotation_type(1, 1, 1),
+         '{"dim": 3, "structure": [[0, 1, 2, "1"], [0, 2, 1, "-1"], [1, 2, 0, "1"]]}'),
+        (ff.algebra_from_dict(HEISENBERG), '{"dim": 3, "structure": [[0, 1, 2, "1"]]}'),
+        (wide_algebras()[0],
+         '{"dim": 3, "structure": [[0, 1, 2, "1000000000000000000000000000000000000001/2"], '
+         '[0, 2, 1, "-7000000000000000000000000000000000000005/7"], '
+         '[1, 2, 0, "-4000000000000000000000000000000000000003/3"]]}'),
+    ], ids=["so3", "heisenberg", "wide rotation type"])
+    def test_general_algebra_bytes(self, alg, text):
+        assert json.dumps(ff.algebra_to_dict(alg), sort_keys=True) == text
+
+    @pytest.mark.parametrize("entries, detail", [
+        ([[0, 1, 2, "1"], [1, 0, 2, "1"]], "structure[1]: conflicts with antisymmetry of (0,1,2)"),
+        ([[1, 1, 0, "1"]], "structure[0]: conflicts with antisymmetry of (1,1,0)"),
+        ([[0, 1, 2, "1"], [1, 0, 2, "-1"], [0, 1, 2, "1"]],
+         "structure[2]: duplicate entry (0,1,2)"),
+    ])
+    def test_general_form_entry_details(self, entries, detail):
+        with pytest.raises(ff.ParseError) as exc:
+            ff.algebra_from_dict({"dim": 3, "structure": entries})
+        assert str(exc.value) == detail
+
+    def test_general_form_takes_a_zero_diagonal_and_a_mirrored_pair(self):
+        doc = {"dim": 3, "structure": [[1, 1, 0, "0"], [1, 0, 2, "-1"], [0, 1, 2, "1"]]}
+        assert ff.algebra_to_dict(ff.algebra_from_dict(doc)) == HEISENBERG
 
     def test_general_form_rejects_jacobi_violation(self):
         bad = {"dim": 3, "structure": [[0, 1, 2, "1"], [1, 2, 1, "1"]]}
@@ -773,6 +801,16 @@ class TestSeriesTermCap:
         code, out, _ = run(capsys, ["killing-basis", "--algebra", algebra, "--degree", "2"])
         assert code == 0 and json.loads(out)["result"]["dimension"] == 2
 
+    def test_explicit_order_past_the_cap_exits_at_once(self, tmp_path, capsys):
+        argv = ["omega-sample", "--algebra", write(tmp_path, "rot.json", ROT),
+                "--generator", "right:1", "--at", "1e30,0,0", "--order", "6000"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "limit exceeded", "detail": (
+            "omega series failed to converge within the 5000-term cap (||ad_w||_1 = 1e+30)")}
+
     def test_nilpotent_with_the_same_norm_verifies(self, tmp_path, capsys):
         code, out, _ = run(capsys, ["decompose",
                                     "--algebra", write(tmp_path, "a.json", NILPOTENT_BIG),
@@ -788,6 +826,31 @@ class TestSeriesTermCap:
         assert code == 0
         check = json.loads(out)["result"]["verification"]
         assert check["passed"] and check["precision_digits"] < 300
+
+
+class TestEvaluationCap:
+    """A certificate of degree 3000 on three dimensions has 1.4e10 monomial
+    indices: refused at once, exit 2, before its values are allocated."""
+
+    BIG = {"degree": 3000, "terms": []}
+    DETAIL = "degree 3000 in dimension 3 needs 13513503000 monomial indices (cap 1000000)"
+
+    def test_decompose_exits_2_at_once(self, tmp_path, capsys):
+        cert = tmp_path / "big.cert.json"
+        argv = ["decompose", "--algebra", write(tmp_path, "rot.json", ROT),
+                "--tensor", write(tmp_path, "big.json", self.BIG), "--certificate-out", str(cert)]
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and not cert.exists()
+        assert json.loads(err) == {"error": "limit exceeded", "detail": self.DETAIL}
+
+    def test_verify_exits_2(self, tmp_path, capsys):
+        argv = ["verify", "--algebra", write(tmp_path, "rot.json", ROT), "--certificate",
+                write(tmp_path, "c.json", {"target": self.BIG, "terms": []})]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "limit exceeded", "detail": self.DETAIL}
 
 
 class TestJsonShapes:

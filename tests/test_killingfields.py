@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 import killingtensors.killingfields as kf
+from killingtensors.tensors import monomial_positions
 
 from killingtensors import (
     AlmostAbelianAlgebra,
@@ -20,7 +22,9 @@ from killingtensors import (
     CompiledCertificate,
     DerivationField,
     Endomorphism,
+    EvaluationCapError,
     LeftInvariant,
+    MAX_EVALUATION_INDICES,
     Metric,
     MetricLieAlgebra,
     NotKillingError,
@@ -38,6 +42,7 @@ from killingtensors import (
     skew_derivation_basis,
     skew_derivations,
     sum_of_squares,
+    sym_dimension,
     validate_skew_derivation,
     verify_certificate,
 )
@@ -110,10 +115,9 @@ GALLERY = [
     [[1, 0], [0, 1]], [[1, -1], [1, 1]], [[0, -1, 0], [1, 0, 0], [0, 0, 0]],
     [[2, 0, 0], [0, -1, 0], [0, 0, -1]],
 ]
-SO3 = MetricLieAlgebra([[[0, 0, 0], [0, 0, 1], [0, -1, 0]], [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
-                        [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]])
-HEISENBERG = MetricLieAlgebra([[[0, 0, 0], [0, 0, 1], [0, 0, 0]],
-                               [[0, 0, -1], [0, 0, 0], [0, 0, 0]], [[0] * 3] * 3])
+SO3 = MetricLieAlgebra(3, {(0, 1, 2): 1, (0, 2, 1): -1, (1, 0, 2): -1, (1, 2, 0): 1,
+                           (2, 0, 1): 1, (2, 1, 0): -1})
+HEISENBERG = MetricLieAlgebra(3, {(0, 1, 2): 1, (1, 0, 2): -1})
 
 
 class TestSkewDerivationBasisOracle:
@@ -520,6 +524,76 @@ class TestTruncatedExactSeries:
         assert omega_generator(alg, RightInvariant(x), w, order=0) == SymTensor.from_vector(3, x)
 
 
+class TestExplicitOrderPastTheCap:
+    """An explicit ``order`` past the term cap is capped as no order is: a
+    series still nonzero past ``_MAX_TERMS`` terms raises, one that
+    vanishes earlier keeps its value, and an order within the cap never
+    raises."""
+
+    ORDER = kf._MAX_TERMS + 1000
+    ROT = AlmostAbelianAlgebra(J2)
+
+    @pytest.mark.parametrize("w", [(mp.mpf(10) ** 30, 1.0, 0.0), (Fraction(10 ** 30), 1, 0),
+                                   (Fraction(1), 1, 0)], ids=["1e30", "exact 1e30", "exact 1"])
+    def test_series_still_nonzero_raises_at_once(self, w):
+        start = time.perf_counter()
+        with pytest.raises(kf.SeriesCapError, match="5000-term cap"):
+            omega_generator(self.ROT, _right(1), w, order=self.ORDER)
+        with pytest.raises(kf.SeriesCapError, match="5000-term cap"):
+            omega_generator(self.ROT, DerivationField(skew_derivations(self.ROT)[0]), w,
+                            order=self.ORDER)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("alg, w", [
+        (AlmostAbelianAlgebra(NILP), (mp.mpf(3), mp.mpf(1), mp.mpf(-2))),
+        (AlmostAbelianAlgebra(NILP), (Fraction(3), Fraction(1), Fraction(-2))),
+        (ROT, (mp.mpf(0),) * 3),
+        (ROT, (Fraction(0),) * 3),
+    ], ids=["nilpotent", "exact nilpotent", "zero", "exact zero"])
+    def test_vanishing_series_keeps_its_value(self, alg, w):
+        for i in range(3):
+            assert (omega_generator(alg, _right(i), w, order=self.ORDER)
+                    == omega_generator(alg, _right(i), w))
+
+    def test_series_that_rounds_to_zero_keeps_its_value(self):
+        with mp.workdps(30):
+            w = (mp.mpf(1), mp.mpf(0), mp.mpf(0))
+            got = omega_generator(self.ROT, _right(1), w, order=self.ORDER).dense()
+            assert abs(got[1] - mp.cos(1)) < 1e-25 and abs(got[2] + mp.sin(1)) < 1e-25
+
+    def test_order_within_the_cap_does_not_raise(self):
+        w = (mp.mpf(10) ** 30, mp.mpf(0), mp.mpf(0))
+        assert omega_generator(self.ROT, _right(1), w, order=20).degree == 1
+
+
+class TestEvaluationCap:
+    """A certificate of degree p on n dimensions is refused when p times its
+    C(n+p-1, p) monomials passes ``MAX_EVALUATION_INDICES``, before any of
+    them is listed."""
+
+    ALG = AlmostAbelianAlgebra(J2)
+
+    def test_the_bound_falls_between_degrees_124_and_125_on_three_dimensions(self):
+        assert 124 * sym_dimension(3, 124) <= MAX_EVALUATION_INDICES < 125 * sym_dimension(3, 125)
+
+    def test_just_under_the_bound_verifies(self):
+        check = verify_certificate(self.ALG, Certificate(SymTensor.zero(3, 124), ()))
+        assert check.passed and check.exact_at_zero
+
+    @pytest.mark.parametrize("p", [125, 3000, 10 ** 9])
+    def test_past_the_bound_raises_before_allocating(self, p):
+        cert = Certificate(SymTensor.zero(3, p), ())
+        listed = monomial_positions.cache_info().misses
+        start = time.perf_counter()
+        with pytest.raises(EvaluationCapError, match=f"^degree {p} in dimension 3 needs "
+                                                     f"{p * sym_dimension(3, p)} monomial"):
+            verify_certificate(self.ALG, cert)
+        with pytest.raises(EvaluationCapError):
+            omega_tensor(self.ALG, cert, (0.5, 0.0, 0.0))
+        assert time.perf_counter() - start < 1
+        assert monomial_positions.cache_info().misses == listed
+
+
 class TestMatrixIsNotAGenerator:
     """A derivation field is always a ``DerivationField``: a bare matrix is
     refused wherever a generator is expected, so no certificate carries a
@@ -621,11 +695,8 @@ class TestVerifyParameters:
 # ---------------------------------------------------------------------------
 
 def _so3():
-    c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        c[i][j][k] = Fraction(1)
-        c[j][i][k] = Fraction(-1)
-    return MetricLieAlgebra(c)
+    return MetricLieAlgebra(3, {key: x for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+                                for key, x in (((i, j, k), 1), ((j, i, k), -1))})
 
 
 def _almost_abelian(rows):
@@ -867,9 +938,7 @@ class TestConcurrentChecks:
 # ---------------------------------------------------------------------------
 
 def _heisenberg():
-    c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-    c[0][1][2], c[1][0][2] = Fraction(1), Fraction(-1)
-    return MetricLieAlgebra(c)
+    return MetricLieAlgebra(3, {(0, 1, 2): 1, (1, 0, 2): -1})
 
 
 def _kernel_cases():
@@ -990,7 +1059,8 @@ class TestSeriesKernel:
     @settings(max_examples=150, deadline=None)
     # min_order up to 80 reaches past the stop rule's own point and, before
     # the terms round to zero, moves where the sum stops
-    @given(kernel_inputs(), st.sampled_from([0, 1]), st.one_of(st.none(), st.integers(0, 9)),
+    @given(kernel_inputs(), st.sampled_from([0, 1]),
+           st.one_of(st.none(), st.integers(0, 9), st.just(MAX_TERMS + 1)),
            st.one_of(st.integers(0, 80), st.just(MAX_TERMS)), st.sampled_from([15, 50]))
     def test_fixed_series_matches_the_per_entry_loop(self, case, s, order, min_order, dps):
         alg, w, x, _ = case

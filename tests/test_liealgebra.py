@@ -26,37 +26,26 @@ J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
 DIAG = Endomorphism.diagonal([1, -1])
 
 
+HEISENBERG = {(0, 1, 2): 1, (1, 0, 2): -1}
+SO3 = {(0, 1, 2): 1, (1, 0, 2): -1, (1, 2, 0): 1, (2, 1, 0): -1, (2, 0, 1): 1, (0, 2, 1): -1}
+
+
 def heisenberg3():
-    c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-    c[0][1][2] = Fraction(1)
-    c[1][0][2] = Fraction(-1)
-    return MetricLieAlgebra(c)
+    return MetricLieAlgebra(3, HEISENBERG)
 
 
 def so3():
-    c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        c[i][j][k] = Fraction(1)
-        c[j][i][k] = Fraction(-1)
-    return MetricLieAlgebra(c)
+    return MetricLieAlgebra(3, SO3)
 
 
 class TestConstruction:
     def test_jacobi_violation_rejected(self):
-        c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-        c[0][1][2] = Fraction(1)
-        c[1][0][2] = Fraction(-1)
-        c[1][2][1] = Fraction(1)
-        c[2][1][1] = Fraction(-1)
         with pytest.raises(ValueError, match="Jacobi"):
-            MetricLieAlgebra(c)
+            MetricLieAlgebra(3, {(0, 1, 2): 1, (1, 0, 2): -1, (1, 2, 1): 1, (2, 1, 1): -1})
 
     def test_antisymmetry_violation_rejected(self):
-        c = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
-        c[0][1][0] = Fraction(1)
-        c[1][0][0] = Fraction(1)
         with pytest.raises(ValueError, match="antisymmetric"):
-            MetricLieAlgebra(c)
+            MetricLieAlgebra(2, {(0, 1, 0): 1, (1, 0, 0): 1})
 
     # the first failing triple (i, j, k), i <= j, of a scan in that order;
     # "mixed" hides a one-sided entry and a diagonal one among valid pairs, and
@@ -71,11 +60,8 @@ class TestConstruction:
           (2, 1, 0): Fraction(-10 ** 39 - 2, 7)}, "(0,2,1)"),
     ], ids=["nonzero diagonal", "one-sided", "wrong-sign pair", "mixed", "mixed denominators"])
     def test_antisymmetry_message_names_the_first_failing_triple(self, entries, triple):
-        c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-        for (i, j, k), x in entries.items():
-            c[i][j][k] = Fraction(x)
         with pytest.raises(ValueError) as exc:
-            MetricLieAlgebra(c)
+            MetricLieAlgebra(3, entries)
         assert str(exc.value) == f"structure constants not antisymmetric at {triple}"
 
     def test_valid_algebras_accepted(self):
@@ -97,13 +83,81 @@ class TestConstruction:
                     c[i][j][k] = data.draw(entry)
                     c[j][i][k] = -c[i][j][k]
         failure = jacobi_failure_oracle(c)
+        constants = {(i, j, k): x for i, plane in enumerate(c) for j, row in enumerate(plane)
+                     for k, x in enumerate(row) if x}
         if failure is None:
-            MetricLieAlgebra(c)
+            MetricLieAlgebra(n, constants)
         else:
             triple = "(" + ",".join(map(str, failure)) + ")"
             with pytest.raises(ValueError, match=re.escape(f"Jacobi identity fails on basis "
                                                            f"triple {triple}")):
-                MetricLieAlgebra(c)
+                MetricLieAlgebra(n, constants)
+
+
+class TestConstants:
+    """``structure`` is a view built from ``int_structure``, and the dense
+    oracles read it; so the view is pinned here to the constants given to
+    the constructor, and the tables to the order of the keys."""
+
+    WIDE = (Fraction(10 ** 39 + 1, 2), Fraction(-4 * 10 ** 39 - 3, 3),
+            Fraction(7 * 10 ** 39 + 5, 7))  # wide_algebras()'s a, b, c
+
+    @staticmethod
+    def _rotation_type(a, b, c):
+        return {(0, 1, 2): a, (1, 0, 2): -a, (1, 2, 0): b, (2, 1, 0): -b,
+                (2, 0, 1): c, (0, 2, 1): -c}
+
+    def _general(self):
+        return [(so3(), SO3), (heisenberg3(), HEISENBERG), (MetricLieAlgebra.abelian(3), {}),
+                (wide_algebras()[0], self._rotation_type(*self.WIDE))]
+
+    def test_view_of_a_general_algebra_is_its_constants(self):
+        for alg, constants in self._general():
+            assert alg.structure == tuple(
+                tuple(tuple(Fraction(constants.get((i, j, k), 0)) for k in range(3))
+                      for j in range(3)) for i in range(3))
+            assert all(type(x) is Fraction for plane in alg.structure for row in plane
+                       for x in row)
+
+    @pytest.mark.parametrize("alg", [AlmostAbelianAlgebra(d) for d in derivation_suite()]
+                             + [wide_algebras()[1]])
+    def test_view_of_an_almost_abelian_algebra_is_its_derivation(self, alg):
+        d, n = alg.derivation.entries, alg.dim
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    want = (d[k - 1][j - 1] if i == 0 < j and k else
+                            -d[k - 1][i - 1] if j == 0 < i and k else 0)
+                    assert alg.structure[i][j][k] == want
+
+    def test_so3_tables_in_key_order(self):
+        alg = so3()
+        assert alg.int_structure == ((((1, 2), -1), ((2, 1), 1)), (((0, 2), 1), ((2, 0), -1)),
+                                     (((0, 1), -1), ((1, 0), 1)))
+        assert alg.ad_forms == ((0, ((1, ((2, -1),)), (2, ((1, 1),)))),
+                                (1, ((0, ((2, 1),)), (2, ((0, -1),)))),
+                                (2, ((0, ((1, -1),)), (1, ((0, 1),)))))
+
+    @pytest.mark.parametrize("alg", [AlmostAbelianAlgebra(d)
+                                     for d in derivation_suite(per_kind=1)] + wide_algebras())
+    def test_tables_do_not_depend_on_the_order_of_the_constants(self, alg):
+        constants = {(i, j, k): x for i, plane in enumerate(alg.structure)
+                     for j, row in enumerate(plane) for k, x in enumerate(row) if x}
+        again = MetricLieAlgebra(alg.dim, dict(reversed(constants.items())))
+        assert (again.int_structure, again.denominator, again.ad_forms) == \
+            (alg.int_structure, alg.denominator, alg.ad_forms)
+
+    def test_zero_constants_are_dropped(self):
+        alg = MetricLieAlgebra(3, {(0, 1, 2): 0, (1, 0, 2): "0", (2, 0, 1): Fraction(0)})
+        assert alg.int_structure == ((), (), ()) and alg.denominator == 1
+        assert alg.structure == MetricLieAlgebra.abelian(3).structure
+
+    @pytest.mark.parametrize("key", [(0, 1, 3), (-1, 0, 1), (0, 1), (0, 1, 2, 0), "012",
+                                     (0, 1, True), (0, 1.0, 2), 0])
+    def test_key_not_a_triple_of_indices_is_rejected(self, key):
+        with pytest.raises(ValueError, match=re.escape(
+                f"key {key!r} is not a triple of indices in range(3)")):
+            MetricLieAlgebra(3, {key: 1})
 
 
 class TestAdjoint:
