@@ -21,7 +21,8 @@ from .tensors import (
     sym_dimension,
 )
 from .liealgebra import MetricLieAlgebra, KillingSpace, SolverCapError
-from .almostabelian import AlmostAbelianAlgebra, LayeredDecomposition, KillingDiagnosis
+from .almostabelian import (AlmostAbelianAlgebra, LayeredDecomposition, KillingDiagnosis,
+                            StructuredCapError, MAX_STRUCTURED_MONOMIALS)
 from .killingfields import (
     Metric,
     LeftInvariant,
@@ -38,6 +39,8 @@ from .killingfields import (
     DERIVATION_DIM_CAP,
     EvaluationCapError,
     MAX_EVALUATION_INDICES,
+    SampleCapError,
+    MAX_SAMPLES,
     generator_degree,
     skew_derivation_basis,
     skew_derivations,
@@ -70,10 +73,12 @@ __all__ = [
     "sum_of_squares", "basis_monomials", "sym_dimension",
     "MetricLieAlgebra", "KillingSpace", "SolverCapError",
     "AlmostAbelianAlgebra", "LayeredDecomposition", "KillingDiagnosis",
+    "StructuredCapError", "MAX_STRUCTURED_MONOMIALS",
     "Metric", "LeftInvariant", "RightInvariant", "SkewDerivation",
     "DerivationField", "Certificate", "CertificateCheck", "CompiledCertificate",
     "NotKillingError", "GeneratorError", "SeriesCapError", "DerivationCapError",
-    "DERIVATION_DIM_CAP", "EvaluationCapError", "MAX_EVALUATION_INDICES", "generator_degree",
+    "DERIVATION_DIM_CAP", "EvaluationCapError", "MAX_EVALUATION_INDICES",
+    "SampleCapError", "MAX_SAMPLES", "generator_degree",
     "skew_derivation_basis", "skew_derivations", "validate_skew_derivation",
     "omega_generator", "omega_tensor", "decompose", "decompose_ideal_tensor",
     "verify_certificate", "sample_points",

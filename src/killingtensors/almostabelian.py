@@ -18,7 +18,26 @@ from math import comb, lcm
 
 from .exactlinalg import basis_vec, nullspace, rref_span
 from .liealgebra import KillingSpace, MetricLieAlgebra
-from .tensors import SymTensor, Endomorphism, multiply_terms, replace_factor, sum_of_squares
+from .tensors import (SymTensor, Endomorphism, multiply_terms, replace_factor, sum_of_squares,
+                      sym_dimension)
+
+# The structured solver's time grows faster than the square of the C(n+p-1, p)
+# monomials of degree p in dimension n, and more steeply in higher
+# dimensions: the rotation algebra (n = 3) took 2.1 s at degree 100 (5151
+# monomials) and 8.9 s at degree 140 (10011), a random dimension-8 algebra
+# 9-42 s at degree 6 (1716).  Past 10^4 monomials a request is refused
+# before any layer is built; degree 3000 on three dimensions, 4.5e6
+# monomials, would otherwise run for days.
+MAX_STRUCTURED_MONOMIALS = 10 ** 4
+
+
+class StructuredCapError(ValueError):
+    """A structured solve past ``MAX_STRUCTURED_MONOMIALS``."""
+
+    def __init__(self, dim: int, degree: int, monomials: int):
+        self.limits = (f"degree {degree} in dimension {dim} has {monomials} monomials "
+                       f"(structured solver cap {MAX_STRUCTURED_MONOMIALS})")
+        super().__init__(self.limits)
 
 
 @dataclass(frozen=True)
@@ -183,9 +202,14 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
         """``(i, odd, kernel)`` for each layer of a degree-p Killing tensor: the
         even layer ``L^i * beta`` with ``beta`` in the derivation kernel of
         degree ``p - 2i``, and, for a skew derivation only, the odd layer
-        ``L^i * b * alpha`` with ``alpha`` in the kernel of degree ``p - 2i - 1``."""
+        ``L^i * b * alpha`` with ``alpha`` in the kernel of degree ``p - 2i - 1``.
+        Past ``MAX_STRUCTURED_MONOMIALS`` it raises ``StructuredCapError``
+        before the first layer."""
         if p < 0:
             raise ValueError("degree must be nonnegative")
+        monomials = sym_dimension(self.dim, p)
+        if monomials > MAX_STRUCTURED_MONOMIALS:
+            raise StructuredCapError(self.dim, p, monomials)
         skew = self.derivation.is_skew()
         for i in range(p // 2 + 1):
             yield i, False, self.derivation_kernel(p - 2 * i)

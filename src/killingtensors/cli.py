@@ -3,8 +3,10 @@
 Each run prints one JSON report to stdout containing the input file hashes,
 the effective parameters and the results; identical inputs and parameters
 produce byte-identical reports.  Exit codes: 0 success, 2 parse/validation
-error or a request past the brute-force solver's size limits or the series
-term cap, 3 method or algebra-kind mismatch, 4 tensor not Killing.
+error or a request past a size limit (the brute-force and structured
+solvers, the series term cap, the skew-derivation solve, the certificate
+size and the sample count), 3 method or algebra-kind mismatch, 4 tensor not
+Killing.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from pathlib import Path
 from mpmath import mp
 
 from . import fileformats as ff
-from .almostabelian import AlmostAbelianAlgebra
+from .almostabelian import AlmostAbelianAlgebra, StructuredCapError
 from .curvature import classify, flat_metric_certificate, left_invariant_killing_vectors, \
     metric_obstruction
 from .exactlinalg import basis_vec
@@ -36,6 +38,7 @@ from .killingfields import (
     Metric,
     NotKillingError,
     RightInvariant,
+    SampleCapError,
     SeriesCapError,
     SkewDerivation,
     _mp_vec,
@@ -376,7 +379,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ff.ParseError, GeneratorError) as exc:
         return _fail(EXIT_PARSE, "parse error", str(exc))
-    except (SolverCapError, SeriesCapError, DerivationCapError, EvaluationCapError) as exc:
+    except (SolverCapError, StructuredCapError, SeriesCapError, DerivationCapError,
+            EvaluationCapError, SampleCapError) as exc:
         return _fail(EXIT_PARSE, "limit exceeded", exc.limits)
     except WrongAlgebraKind as exc:
         return _fail(EXIT_KIND, "method/algebra mismatch", str(exc))

@@ -12,22 +12,29 @@ when the assembled value is constant equal to its target.  ``omega_generator``
 (one generator) and ``omega_tensor`` (a certificate) are the two entry
 points, and the point ``w`` alone decides between exact and sampled values.
 
-Constancy is checked exactly at ``w = 0`` and numerically at seeded sample
-points.  Sampling runs in extended precision: the factor values grow like
-``exp(|gamma| * ||D||)`` and cancel additively across monomials, which double
-precision cannot survive at the 1e-9 gate.  The series and the certificate
-polynomial are summed on Python ints scaled by ``2**shift``, guard bits over
-a working precision that ``verify_certificate`` sizes per certificate and
-``omega_tensor`` reads from ``mp.prec`` (error bound in ``_fixed_shift``).
+Constancy is checked exactly at ``w = 0``, on ints (``_exact_at_zero``), and
+numerically at seeded sample points.  Sampling runs in extended precision:
+the factor values grow like ``exp(|gamma| * ||D||)`` and cancel additively
+across monomials, which double precision cannot survive at the 1e-9 gate.
+The series and the certificate polynomial are summed on Python ints scaled
+by ``2**shift``, guard bits over a working precision that
+``verify_certificate`` sizes per certificate and ``omega_tensor`` reads from
+``mp.prec`` (error bound in ``_fixed_shift``).  ``verify_certificate`` works
+generator-major: each series generator gets one column of values over the
+sample points from a bounded memo (``_SampleMemo``) that certificates on
+one algebra share, and the constant metric and left-invariant fields are
+valued once.
 """
 from __future__ import annotations
 
 import math
 import random
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 from decimal import Context
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, partial
 from operator import mul
 from typing import NamedTuple
 
@@ -37,8 +44,8 @@ from mpmath.libmp import dps_to_prec, from_man_exp, prec_to_dps, round_nearest
 from .almostabelian import AlmostAbelianAlgebra
 from .exactlinalg import basis_vec, dot, nullspace
 from .liealgebra import MetricLieAlgebra
-from .tensors import (SymTensor, Endomorphism, product_positions, replace_factor,
-                      sum_of_squares, sym_dimension)
+from .tensors import (SymTensor, Endomorphism, monomial_positions, product_positions,
+                      replace_factor, sym_dimension)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -94,6 +101,23 @@ class EvaluationCapError(ValueError):
     def __init__(self, dim: int, degree: int, indices: int):
         self.limits = (f"degree {degree} in dimension {dim} needs {indices} monomial indices "
                        f"(cap {MAX_EVALUATION_INDICES})")
+        super().__init__(self.limits)
+
+
+# The sampled check sums every series generator at each of its points, and
+# the point list is drawn in full before the first one is checked.  10^4
+# points, 500 times the default, keep a check of a small certificate to
+# seconds (the rotation algebra's e1^2 + e2^2 took 2 s at 5000 points); a
+# larger count adds little to a seeded check and could run for days.  The
+# bound also caps the point list a sample set of the memo draws.
+MAX_SAMPLES = 10 ** 4
+
+
+class SampleCapError(ValueError):
+    """A sampled check asked for more than ``MAX_SAMPLES`` points."""
+
+    def __init__(self, samples: int):
+        self.limits = f"{samples} samples exceed the sampled-check cap ({MAX_SAMPLES})"
         super().__init__(self.limits)
 
 
@@ -404,32 +428,43 @@ def _unscaled(seq, shift) -> tuple:
 # Omega evaluation
 # ---------------------------------------------------------------------------
 
-def _generator_value(alg: MetricLieAlgebra, gen, shift, prepare, order, min_order: int) -> list:
-    """Dense pullback value of the generator ``gen``: exact when ``shift`` is
-    None, else fixed-point ints at ``shift``.  ``prepare()`` returns the
-    point prepared by ``_point``; only the two series ask for it.
+def _metric_value(dim: int, half) -> list:
+    """Dense value of the metric, ``half`` on each square ``e_i e_i``: 1/2,
+    or 1/2 at a scale."""
+    out = [0] * sym_dimension(dim, 2)
+    positions = monomial_positions(dim, 2)
+    for i in range(dim):
+        out[positions[i, i]] = half
+    return out
 
-    The metric is 1/2 on the squares, a left-invariant field its vector, a
+
+def _generator_values(alg: MetricLieAlgebra, gen, shift, points, order, min_order: int) -> list:
+    """Dense pullback values of the generator ``gen`` at each of ``points``,
+    prepared by ``_point``: exact when ``shift`` is None, else fixed-point
+    ints at ``shift``.
+
+    The metric is 1/2 on the squares and a left-invariant field its vector
+    at every point, so they are valued once and the points are not read.  A
     right-invariant field of ``x`` is ``exp(-ad_w) x`` and the field of a
-    derivation ``T`` is ``phi(-ad_w) T w``.
+    derivation ``T`` is ``phi(-ad_w) T w``, one series per point.
     """
     if isinstance(gen, Metric):
         half = Fraction(1, 2) if shift is None else 1 << (shift - 1)
-        return [half if c else 0 for c in sum_of_squares(alg.dim).dense()]
+        return [_metric_value(alg.dim, half)] * len(points)
     if isinstance(gen, LeftInvariant):
-        return _scaled(gen.vector, shift)
-    point = prepare()
+        return [_scaled(gen.vector, shift)] * len(points)
     if isinstance(gen, RightInvariant):
-        x, s = _scaled(gen.vector, shift), 0
+        x = _scaled(gen.vector, shift)
+        starts = ((point, x, 0) for point in points)
     elif isinstance(gen, DerivationField):
-        x = [sum(_rational_times(c, v, shift) for c, v in zip(row, point.w) if c and v)
-             for row in gen.derivation.full_matrix().entries]
-        s = 1
+        rows = gen.derivation.full_matrix().entries
+        starts = ((point, [sum(_rational_times(c, v, shift) for c, v in zip(row, point.w)
+                               if c and v) for row in rows], 1) for point in points)
     else:
         raise TypeError(f"unknown generator {gen!r}")
     if shift is None:
-        return _exact_series(point, x, s, order)
-    return _fixed_series(point, x, s, order, min_order)
+        return [_exact_series(point, x, s, order) for point, x, s in starts]
+    return [_fixed_series(point, x, s, order, min_order) for point, x, s in starts]
 
 
 def omega_generator(alg: MetricLieAlgebra, gen, w, order=None, min_order: int = 0) -> SymTensor:
@@ -556,14 +591,10 @@ def omega_tensor(alg: MetricLieAlgebra, cert, w, order=None, min_order: int = 0)
     if compiled.dim != alg.dim:
         raise ValueError("dimension mismatch")
     shift = _fixed_shift(alg.dim, mp.prec) if _numeric_seq(w) else None
-    prepared = []
-
-    def prepare():  # at most once, and only for a series
-        if not prepared:
-            prepared.append(_point(alg, w, shift))
-        return prepared[0]
-
-    values = [_generator_value(alg, gen, shift, prepare, order, min_order)
+    # only a series reads the prepared point
+    series = any(isinstance(g, (RightInvariant, DerivationField)) for g in compiled.generators)
+    points = (_point(alg, w, shift) if series else None,)
+    values = [_generator_values(alg, gen, shift, points, order, min_order)[0]
               for gen in compiled.generators]
     out = compiled.evaluate(values, shift)
     return SymTensor.from_dense(compiled.dim, compiled.degree, _unscaled(out, shift))
@@ -761,25 +792,152 @@ def sample_points(dim: int, samples: int, seed: int):
     return [tuple(rng.uniform(-2.0, 2.0) for _ in range(dim)) for _ in range(samples)]
 
 
+def _series_bounds(alg: MetricLieAlgebra, w) -> tuple:
+    """``ln ||ad_w||_1`` (``-inf`` at 0) and ``_series_log10_gain`` at a
+    sample point.  The norm is exact (``ad_exact``: floats are exact
+    rationals), so no float product can overflow."""
+    scale, _, norm = alg.ad_exact(w)
+    if not norm:
+        return -math.inf, 0.0
+    norm = Fraction(norm, scale)
+    return math.log(norm.numerator) - math.log(norm.denominator), _series_log10_gain(norm, alg.dim)
+
+
+class _LRU:
+    """A thread-safe map that keeps its most recently used entries while
+    their weights sum to at most ``budget``.  A missing value is made
+    outside the lock, so two threads may make one entry twice, equal both
+    times."""
+
+    def __init__(self, budget: int, weigh):
+        self.budget = budget
+        self.weigh = weigh
+        self.size = 0
+        self.entries = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, make):
+        with self._lock:
+            value = self.entries.get(key)
+            if value is not None:
+                self.entries.move_to_end(key)
+                return value
+        value = make()
+        with self._lock:
+            if key not in self.entries:
+                self.entries[key] = value
+                self.size += self.weigh(value)
+                while self.size > self.budget:
+                    self.size -= self.weigh(self.entries.popitem(last=False)[1])
+        return value
+
+    def clear(self):
+        with self._lock:
+            self.entries.clear()
+            self.size = 0
+
+
 # Certificates verified on one algebra with the same samples share their
-# generator values at each point.  256 entries hold one algebra's batch (at
-# most 200 distinct keys on the certify-batch benchmark) while keeping the
-# memory of the big fixed-point ints bounded.  The generators at one point
-# share its preparation, keyed by point and scale: 64 entries hold the 20
-# default samples at three working precisions, and fewer entries keep fewer
-# algebras of past calls alive.
-_SAMPLED_VALUES = 256
-_SAMPLED_POINTS = 64
-_sampled_point = lru_cache(maxsize=_SAMPLED_POINTS)(_point)
+# sample points and generator values.  The memo keeps, with algebras compared
+# by identity:
+#
+# * per sample set ``(algebra, samples, seed)``, the largest ``ln ||ad_w||_1``
+#   and series gain over its points, which size the working precision; 64
+#   sets, and no points: those are drawn again on a miss;
+# * per block of at most ``_BLOCK`` of a set's points and per scale, the
+#   points prepared by ``_point``, which every generator's series shares; 64
+#   prepared points hold the 20 default samples at three working precisions;
+# * per block, generator, scale and series order floor, one column: the
+#   generator's values at the block's points.  256 values hold one algebra's
+#   batch (at most 200 on the certify-batch benchmark) while bounding the
+#   memory of the big fixed-point ints.
+#
+# A column or a prepared block holds at most ``_BLOCK`` points, so the memo
+# keeps no more than 256 values and 64 prepared points whatever ``samples``
+# is.  The metric and left-invariant fields are constant and are not kept.
+_BLOCK = 32
+_MEMO_SETS = 64
+_MEMO_POINTS = 64
+_MEMO_VALUES = 256
 
 
-@lru_cache(maxsize=_SAMPLED_VALUES)
-def _sampled_value(alg: MetricLieAlgebra, gen, w, shift: int, min_order: int) -> tuple:
-    """``_generator_value`` at a sample point, memoized on everything the
-    value depends on: ``shift`` fixes the working precision, the series stop
-    rule included.  Algebras compare by identity."""
-    return tuple(_generator_value(alg, gen, shift, partial(_sampled_point, alg, w, shift),
-                                  None, min_order))
+class _SampleMemo:
+    """The sampled check's memo, generator-major: a certificate looks up
+    each distinct generator once per block of points, not once per point."""
+
+    def __init__(self):
+        self.sets = _LRU(_MEMO_SETS, lambda bounds: 1)
+        self.prepared = _LRU(_MEMO_POINTS, len)
+        self.columns = _LRU(_MEMO_VALUES, len)
+
+    def clear(self):
+        for table in (self.sets, self.prepared, self.columns):
+            table.clear()
+
+    def bounds(self, alg: MetricLieAlgebra, samples: int, seed: int, points) -> tuple:
+        """The largest ``_series_bounds`` over the sample set; ``points()``
+        draws its points."""
+        def make():
+            log_norms, gains = zip(*(_series_bounds(alg, w) for w in points()))
+            return max(log_norms), max(gains)
+
+        return self.sets.get((alg, samples, seed), make)
+
+    def values(self, alg: MetricLieAlgebra, generators, samples: int, seed: int, points,
+               shift: int, min_order: int):
+        """The fixed-point values of ``generators`` at each sample point, one
+        point after another, from a column per generator and block.
+        ``points()`` draws the points, and is called only on a miss."""
+        constant = {g: _generator_values(alg, g, shift, (None,), None, min_order)[0]
+                    for g in generators if isinstance(g, (Metric, LeftInvariant))}
+        for start in range(0, samples, _BLOCK):
+            n = min(samples - start, _BLOCK)
+            block = (alg, samples, seed, start)
+
+            def prepare():  # the block's points at this scale, shared by its series
+                return self.prepared.get(block + (shift,), lambda: tuple(
+                    _point(alg, w, shift) for w in points()[start:start + n]))
+
+            def column(g):
+                if g in constant:
+                    return (constant[g],) * n
+                return self.columns.get(block + (g, shift, min_order), lambda: tuple(
+                    map(tuple, _generator_values(alg, g, shift, prepare(), None, min_order))))
+
+            columns = [column(g) for g in generators]
+            for i in range(n):
+                yield [c[i] for c in columns]
+
+
+_MEMO = _SampleMemo()
+
+
+def _exact_at_zero(compiled: CompiledCertificate, target: SymTensor) -> bool:
+    """Whether the certificate equals ``target`` at ``w = 0``, on ints:
+    ``omega_tensor(alg, cert, 0, order=0) == target`` for a target that lists
+    no zero coefficient (as ``SymTensor.build`` and the file reader make it).
+
+    At 0 a left- or right-invariant field is its vector, a derivation field
+    0 and the metric 1/2 on the squares.  With ``S = lcm(2, vector
+    denominators)`` each field is scaled by ``S`` and the metric by ``S^2``,
+    and the coefficients by their common denominator ``C``: one Horner pass
+    over ints gives ``C S^p`` times the value, for the degree ``p``."""
+    dim = compiled.dim
+    s = math.lcm(2, *(c.denominator for g in compiled.generators
+                      if isinstance(g, (LeftInvariant, RightInvariant)) for c in g.vector))
+    values = []
+    for g in compiled.generators:
+        if isinstance(g, Metric):
+            values.append(_metric_value(dim, s * s // 2))
+        elif isinstance(g, DerivationField):
+            values.append([0] * dim)
+        else:
+            values.append([c.numerator * (s // c.denominator) for c in g.vector])
+    den = math.lcm(*(c.denominator for c in compiled.coefficients))
+    coeffs = [c.numerator * (den // c.denominator) for c in compiled.coefficients]
+    got = _horner(compiled.root, values, coeffs, None)
+    scale = den * s ** compiled.degree
+    return all(v * t.denominator == t.numerator * scale for v, t in zip(got, target.dense()))
 
 
 def _check_generators(alg: MetricLieAlgebra, cert: Certificate, generators):
@@ -803,34 +961,22 @@ def _check_generators(alg: MetricLieAlgebra, cert: Certificate, generators):
             raise GeneratorError(f"certificate.terms[{t}].factors[{s}]: {fault}")
 
 
-@lru_cache(maxsize=_SAMPLED_VALUES)
-def _point_bounds(alg: MetricLieAlgebra, w) -> tuple:
-    """``ln ||ad_w||_1`` (``-inf`` at 0) and ``_series_log10_gain`` at a
-    sample point, which every certificate verified on one algebra with the
-    same samples asks for again.  The norm is exact (``ad_exact``: floats
-    are exact rationals), so no float product can overflow."""
-    scale, _, norm = alg.ad_exact(w)
-    if not norm:
-        return -math.inf, 0.0
-    norm = Fraction(norm, scale)
-    return math.log(norm.numerator) - math.log(norm.denominator), _series_log10_gain(norm, alg.dim)
-
-
 def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
                        samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL,
                        seed: int = DEFAULT_SEED,
                        order_floor: int = DEFAULT_ORDER_FLOOR) -> CertificateCheck:
     """Check a certificate: exact equality at the origin plus sampled
-    constancy of the pullback within ``tol`` at ``samples >= 1`` points.
-    Every factor must be a Killing field: a left-invariant field of a vector
-    with skew ``ad``, or the field of a skew derivation, else
+    constancy of the pullback within ``tol`` at ``samples`` points, from 1
+    to ``MAX_SAMPLES`` (past it ``SampleCapError``, before any point is
+    drawn).  Every factor must be a Killing field: a left-invariant field of
+    a vector with skew ``ad``, or the field of a skew derivation, else
     ``GeneratorError``.
 
     The certificate is compiled once (``CompiledCertificate``) and evaluated
-    exactly at the origin and in fixed point at every sample point, from
-    generator values memoized across calls.  Each sampled value is compared
-    with the target, converted once; only the largest deviation becomes a
-    float.
+    on ints at the origin (``_exact_at_zero``) and in fixed point at every
+    sample point, from generator columns memoized across calls
+    (``_SampleMemo``).  Each sampled value is compared with the target,
+    converted once; only the largest deviation becomes a float.
 
     The series order at each sample is at least ``order_floor >= 0`` and at
     least the order making the crude tail bound ``||ad_w||^(N+1)/(N+1)!``
@@ -841,24 +987,26 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise SampleCapError(samples)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if order_floor < 0:
         raise ValueError(f"order_floor must be at least 0, got {order_floor}")
     compiled = CompiledCertificate(cert)
     dim = alg.dim
-    zero = (_ZERO,) * dim
-    exact0 = omega_tensor(alg, compiled, zero, order=0) == cert.target
+    if compiled.dim != dim:
+        raise ValueError("dimension mismatch")
+    exact0 = _exact_at_zero(compiled, cert.target)
     _check_generators(alg, cert, compiled.generators)
-    pts = sample_points(dim, samples, seed)
-    log_norms, gains = zip(*(_point_bounds(alg, w) for w in pts))
-    digits = _working_digits(cert, max(gains), dim, tol)
-    min_order = max(order_floor, _order_for_bound(max(log_norms), tol / 10.0))
+    points = cache(partial(sample_points, dim, samples, seed))  # drawn on a memo miss only
+    log_norm, gain = _MEMO.bounds(alg, samples, seed, points)
+    digits = _working_digits(cert, gain, dim, tol)
+    min_order = max(order_floor, _order_for_bound(log_norm, tol / 10.0))
     shift = _fixed_shift(dim, dps_to_prec(digits))
     target = _scaled(cert.target.dense(), shift)
     worst = 0
-    for w in pts:
-        values = [_sampled_value(alg, gen, w, shift, min_order) for gen in compiled.generators]
+    for values in _MEMO.values(alg, compiled.generators, samples, seed, points, shift, min_order):
         value = compiled.evaluate(values, shift)
         worst = max(worst, *(abs(v - t) for v, t in zip(value, target)))
     try:

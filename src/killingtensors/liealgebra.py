@@ -94,11 +94,12 @@ class MetricLieAlgebra:
             i, j, k = min(bad)
             raise ValueError(f"structure constants not antisymmetric at ({i},{j},{k})")
         # Jacobi on (i, a, b) is the derivation identity of ad_{e_i} (here times
-        # L) on (a, b); at the first failing i each failing triple has i least
-        ad = [{} for _ in range(self.dim)]
+        # L) on (a, b); at the first failing i each failing triple has i least.
+        # Only the i with a nonzero ad_{e_i} are walked: a zero map has none.
+        ad = {}
         for (i, j, k), x in c.items():
-            ad[i][k, j] = x
-        for i, t in enumerate(ad):
+            ad.setdefault(i, {})[k, j] = x
+        for i, t in sorted(ad.items()):
             residual = self.derivation_residual(t)
             if residual:
                 a, b, _ = min(residual)

@@ -5,8 +5,10 @@ from itertools import combinations_with_replacement
 import pytest
 
 from killingtensors import (
+    MAX_STRUCTURED_MONOMIALS,
     AlmostAbelianAlgebra,
     Endomorphism,
+    StructuredCapError,
     MetricLieAlgebra,
     SymTensor,
     apply_derivation,
@@ -334,6 +336,34 @@ class TestStructuredSpace:
             for p in range(5):
                 alg.killing_space_structured(p)
         assert SymTensor.basis(2, 0) * SymTensor.basis(2, 1) and calls == [1]
+
+
+class TestStructuredBudget:
+    """Both structured solvers refuse a degree whose monomials pass
+    ``MAX_STRUCTURED_MONOMIALS`` before they build any layer."""
+
+    def test_budget_admits_the_rotation_algebra_to_degree_139(self):
+        assert sym_dimension(3, 139) <= MAX_STRUCTURED_MONOMIALS < sym_dimension(3, 140)
+
+    @pytest.mark.parametrize("solve", ["killing_dimension", "killing_space_structured"])
+    @pytest.mark.parametrize("p", [140, 3000])
+    def test_refused_before_any_layer(self, monkeypatch, solve, p):
+        alg = AlmostAbelianAlgebra(J2)
+        kernels = []
+        monkeypatch.setattr(alg, "derivation_kernel", lambda q: kernels.append(q) or [])
+        with pytest.raises(StructuredCapError, match=(
+                f"^degree {p} in dimension 3 has {sym_dimension(3, p)} monomials "
+                f"\\(structured solver cap {MAX_STRUCTURED_MONOMIALS}\\)$")):
+            getattr(alg, solve)(p)
+        assert kernels == []
+
+    def test_degrees_in_use_are_admitted(self, monkeypatch):
+        # the degrees of the CI solver-agreement step and the example scripts
+        alg = AlmostAbelianAlgebra(Endomorphism.zero(5))
+        monkeypatch.setattr(alg, "derivation_kernel", lambda q: [])
+        for p in range(9):
+            assert alg.killing_dimension(p) == 0
+            assert alg.killing_space_structured(p).dimension == 0
 
 
 class TestDimensionFormula:

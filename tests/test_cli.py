@@ -853,6 +853,45 @@ class TestEvaluationCap:
         assert json.loads(err) == {"error": "limit exceeded", "detail": self.DETAIL}
 
 
+class TestSampleAndSolverCaps:
+    """``--samples`` past ``MAX_SAMPLES`` and a structured solve past
+    ``MAX_STRUCTURED_MONOMIALS`` exit 2 at once, "limit exceeded"."""
+
+    ZERO_CERT = {"target": {"degree": 1, "terms": []}, "terms": []}
+
+    @pytest.mark.parametrize("samples", [killingtensors.MAX_SAMPLES + 1, 10 ** 9])
+    def test_samples_past_the_cap(self, tmp_path, capsys, samples):
+        argv = ["verify", "--algebra", write(tmp_path, "rot.json", ROT), "--certificate",
+                write(tmp_path, "c.json", self.ZERO_CERT), "--samples", str(samples)]
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "limit exceeded", "detail": (
+            f"{samples} samples exceed the sampled-check cap ({killingtensors.MAX_SAMPLES})")}
+
+    def test_samples_at_the_cap(self, tmp_path, capsys):
+        argv = ["verify", "--algebra", write(tmp_path, "rot.json", ROT), "--certificate",
+                write(tmp_path, "c.json", self.ZERO_CERT),
+                "--samples", str(killingtensors.MAX_SAMPLES)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and json.loads(out)["result"]["passed"]
+
+    @pytest.mark.parametrize("method", ["structured", "both"])
+    def test_structured_degree_past_the_budget(self, tmp_path, capsys, method):
+        argv = ["killing-basis", "--algebra", write(tmp_path, "rot.json", ROT),
+                "--degree", "3000", "--method", method]
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        # --method both meets the brute-force caps first
+        assert json.loads(err)["error"] == "limit exceeded"
+        if method == "structured":
+            assert json.loads(err)["detail"] == ("degree 3000 in dimension 3 has 4504501 "
+                                                 "monomials (structured solver cap 10000)")
+
+
 class TestJsonShapes:
     @pytest.mark.parametrize("command, flag, doc, where, expected", [
         ("decompose", "--tensor", {"degree": 2, "terms": [5]}, "tensor.terms[0]",

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 import killingtensors.killingfields as kf
-from killingtensors.tensors import monomial_positions
+from killingtensors.tensors import basis_monomials, monomial_positions
 
 from killingtensors import (
     AlmostAbelianAlgebra,
@@ -26,9 +26,11 @@ from killingtensors import (
     LeftInvariant,
     MAX_EVALUATION_INDICES,
     Metric,
+    MAX_SAMPLES,
     MetricLieAlgebra,
     NotKillingError,
     RightInvariant,
+    SampleCapError,
     SkewDerivation,
     SymTensor,
     decompose,
@@ -625,8 +627,8 @@ class TestStructureConstantsPastTheFloatRange:
             for w in sample_points(3, 5, 1):
                 norm = point_oracle(alg, tuple(map(Fraction, w)), floor=False)[1]
                 log_norm = math.log(norm.numerator) - math.log(norm.denominator)
-                assert kf._point_bounds(alg, w) == (log_norm, kf._series_log10_gain(norm, 3))
-        assert kf._point_bounds(MetricLieAlgebra.abelian(3), (1.5, 0.0, -2.0)) == (-math.inf, 0)
+                assert kf._series_bounds(alg, w) == (log_norm, kf._series_log10_gain(norm, 3))
+        assert kf._series_bounds(MetricLieAlgebra.abelian(3), (1.5, 0.0, -2.0)) == (-math.inf, 0)
 
     def test_cap_message(self):
         assert str(kf.SeriesCapError(Fraction(6000))).endswith("(||ad_w||_1 = 6000)")
@@ -657,6 +659,12 @@ class TestVerifyParameters:
     def test_no_samples_is_an_error(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             verify_certificate(self.ALG, self.CERT, **kwargs)
+
+    def test_samples_past_the_cap_are_refused_before_any_point_is_drawn(self, monkeypatch):
+        monkeypatch.setattr(kf, "sample_points", lambda *args: pytest.fail("points drawn"))
+        with pytest.raises(SampleCapError, match=f"^{MAX_SAMPLES + 1} samples exceed the "
+                                                 f"sampled-check cap \\({MAX_SAMPLES}\\)$"):
+            verify_certificate(self.ALG, self.CERT, samples=MAX_SAMPLES + 1)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, float("inf"), float("nan")])
     def test_tolerance_must_be_finite_and_positive(self, tol):
@@ -777,6 +785,36 @@ class TestHornerAgainstTermByTerm:
         assert omega_tensor(alg, compiled, w, order=3) == omega_tensor_oracle(alg, cert, w, 3)
 
 
+class TestExactAtZeroOnInts:
+    @settings(max_examples=200, deadline=None)
+    @given(certificates(), st.data())
+    def test_matches_the_fraction_route(self, case, data):
+        # the target is the value at 0, or that value moved at one monomial
+        # by a drawn rational, down to 1e-30
+        alg, cert = case
+        zero = (Fraction(0),) * alg.dim
+        value = omega_tensor(alg, cert, zero, order=0)
+        items = list(value.terms.items())
+        moved = data.draw(st.booleans())
+        if moved:
+            mono = data.draw(st.sampled_from(basis_monomials(alg.dim, value.degree)))
+            items.append((mono, data.draw(st.one_of(
+                _RATIONAL.filter(bool), st.just(Fraction(1, 10 ** 30))))))
+        cert = Certificate(SymTensor.build(alg.dim, value.degree, items), cert.terms)
+        want = omega_tensor(alg, cert, zero, order=0) == cert.target
+        assert want is not moved
+        assert kf._exact_at_zero(CompiledCertificate(cert), cert.target) is want
+
+    def test_verify_reports_it(self):
+        # right:1^2 against e1^2 with one coefficient off by 1e-30
+        alg = AlmostAbelianAlgebra(Endomorphism.zero(2))
+        r1 = RightInvariant((Fraction(0), Fraction(1, 3), Fraction(0)))
+        for coeff, exact in ((Fraction(9), True), (Fraction(9) + Fraction(1, 10 ** 30), False)):
+            cert = Certificate(SymTensor.monomial(3, (1, 1)), ((coeff, (r1, r1)),))
+            check = verify_certificate(alg, cert, samples=2)
+            assert check.exact_at_zero is exact and check.passed is exact
+
+
 # ---------------------------------------------------------------------------
 # the memo of generator values at sample points
 # ---------------------------------------------------------------------------
@@ -798,7 +836,7 @@ _WALK_RATIONALS = st.tuples(*[st.builds(Fraction, st.integers(-40, 40),
 
 
 class TestPointWalk:
-    """``_point`` and ``_point_bounds`` walk ``ad_forms``; ``point_oracle``
+    """``_point`` and ``_series_bounds`` walk ``ad_forms``; ``point_oracle``
     reads the dense structure array and floors each product on its own."""
 
     @settings(max_examples=200, deadline=None)
@@ -828,7 +866,7 @@ class TestPointWalk:
             want = (-math.inf, 0.0) if not exact else (
                 math.log(exact.numerator) - math.log(exact.denominator),
                 kf._series_log10_gain(exact, alg.dim))
-            got = kf._point_bounds.__wrapped__(alg, w)
+            got = kf._series_bounds(alg, w)
             assert [float.hex(x) for x in got] == [float.hex(x) for x in want]
 
 
@@ -843,11 +881,9 @@ class TestSampledValueMemo:
     def test_values_of_another_algebra_are_not_reused(self, first):
         other = AlmostAbelianAlgebra(Endomorphism.diagonal(first))
         stretched = AlmostAbelianAlgebra(Endomorphism.diagonal([1, 2]))
-        kf._sampled_value.cache_clear()
-        kf._point_bounds.cache_clear()
+        kf._MEMO.clear()
         alone = verify_certificate(stretched, self.CERT)
-        kf._sampled_value.cache_clear()
-        kf._point_bounds.cache_clear()
+        kf._MEMO.clear()
         assert verify_certificate(other, self.CERT).passed == (first == [0, 0])
         after = verify_certificate(stretched, self.CERT)
         assert not after.passed
@@ -858,9 +894,9 @@ class TestSampledValueMemo:
         # the same sample points: ||ad_w||_1 is 0 on D = 0, and on diag(20, -20)
         # it asks for more than the 50-digit floor
         wide = AlmostAbelianAlgebra(Endomorphism.diagonal([20, -20]))
-        kf._point_bounds.cache_clear()
+        kf._MEMO.clear()
         alone = verify_certificate(wide, self.CERT, samples=3)
-        kf._point_bounds.cache_clear()
+        kf._MEMO.clear()
         verify_certificate(AlmostAbelianAlgebra(Endomorphism.diagonal([0, 0])), self.CERT,
                            samples=3)
         after = verify_certificate(wide, self.CERT, samples=3)
@@ -879,12 +915,70 @@ class TestSampledValueMemo:
             return series(point, x, s, order, min_order)
 
         monkeypatch.setattr(kf, "_fixed_series", counting)
-        kf._sampled_value.cache_clear()
+        kf._MEMO.clear()
         first = verify_certificate(alg, self.CERT, samples=5)
         second = verify_certificate(alg, other, samples=5)
         # same working precision and order, so right:1 repeats at every point
         assert first.precision_digits == second.precision_digits
         assert len(sampled) == len(set(sampled)) == 2 * 5
+
+    def test_columns_of_another_order_floor_are_not_reused(self):
+        # summed to order 300, past where the stop rule ends the default
+        # series, the low bits of the deviation differ
+        alg = AlmostAbelianAlgebra(J2)
+        cert = decompose(alg, alg.killing_space_structured(2).basis[1])
+        kf._MEMO.clear()
+        alone = verify_certificate(alg, cert, order_floor=300)
+        kf._MEMO.clear()
+        assert verify_certificate(alg, cert).max_deviation != alone.max_deviation
+        assert verify_certificate(alg, cert, order_floor=300) == alone
+
+    def test_constant_generators_are_valued_once_per_call(self, monkeypatch):
+        # on the rotation the metric, left:0 and right:1, right:2 verify
+        # 1/2 (e0^2 + e1^2 + e2^2) + e0^2 + e1^2 + e2^2
+        alg = AlmostAbelianAlgebra(J2)
+        left, r1, r2 = (f(basis_vec(3, i)) for f, i in ((LeftInvariant, 0), (RightInvariant, 1),
+                                                        (RightInvariant, 2)))
+        target = SymTensor.build(3, 2, [((0, 0), Fraction(3, 2)), ((1, 1), Fraction(3, 2)),
+                                        ((2, 2), Fraction(3, 2))])
+        cert = Certificate(target, tuple((Fraction(1), fs) for fs in
+                                         ((Metric(),), (left, left), (r1, r1), (r2, r2))))
+        real = kf._generator_values
+        calls = []
+
+        def counting(alg, gen, shift, points, order, min_order):
+            calls.append((type(gen).__name__, len(points)))
+            return real(alg, gen, shift, points, order, min_order)
+
+        monkeypatch.setattr(kf, "_generator_values", counting)
+        kf._MEMO.clear()
+        for samples in (1, 20, 100):
+            calls.clear()
+            assert verify_certificate(alg, cert, samples=samples).passed
+            constant = sorted(c for c in calls if c[0] != "RightInvariant")
+            assert constant == [("LeftInvariant", 1), ("Metric", 1)]
+            # a series generator is valued per point, once per block of points
+            right = [n for kind, n in calls if kind == "RightInvariant"]
+            assert sum(right) == 2 * samples and max(right) <= kf._BLOCK
+            calls.clear()
+            assert verify_certificate(alg, cert, samples=samples).passed
+            assert sorted(calls) == constant
+
+    def test_memo_stays_bounded_at_max_samples(self):
+        # on the abelian algebra every series stops after one term, so a
+        # check at the cap is quick
+        alg = AlmostAbelianAlgebra(Endomorphism.zero(2))
+        r1, r2 = RightInvariant(basis_vec(3, 1)), RightInvariant(basis_vec(3, 2))
+        cert = Certificate(SymTensor.monomial(3, (1, 2)), ((Fraction(1), (r1, r2)),))
+        kf._MEMO.clear()
+        assert verify_certificate(alg, cert, samples=MAX_SAMPLES).passed
+        memo = kf._MEMO
+        columns, prepared = memo.columns.entries.values(), memo.prepared.entries.values()
+        assert memo.columns.size == sum(map(len, columns)) <= 256
+        assert memo.prepared.size == sum(map(len, prepared)) <= 64
+        assert max(map(len, columns)) == max(map(len, prepared)) == kf._BLOCK
+        # a sample set keeps its two bounds, not its points
+        assert list(memo.sets.entries.values()) == [(-math.inf, 0.0)]
 
     def test_two_tolerances_match_fresh_processes(self):
         # tol 1e-9 and 1e-40 need the series to orders 21 and 50
@@ -892,12 +986,39 @@ class TestSampledValueMemo:
         cert = decompose(alg, alg.killing_space_structured(2).basis[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(kf.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        kf._sampled_value.cache_clear()
+        kf._MEMO.clear()
         for tol in ("1e-9", "1e-40"):
             here = repr(verify_certificate(alg, cert, tol=float(tol)))
             fresh = subprocess.run([sys.executable, "-c", _FRESH_CHECK, tol], env=env,
                                    capture_output=True, text=True, check=True).stdout.strip()
             assert here == fresh
+
+
+    def test_memo_table_keeps_its_weight_under_contention(self):
+        # four threads fill one small table with entries of weight 1 to 3:
+        # a lost update would leave its size off the sum of its weights
+        table = kf._LRU(10, len)
+        errors = []
+
+        def run(t):
+            rng = random.Random(t)
+            for _ in range(2000):
+                key = rng.randrange(12)
+                if table.get(key, lambda: (key,) * (1 + key % 3)) != (key,) * (1 + key % 3):
+                    errors.append(key)
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert table.size == sum(map(len, table.entries.values())) <= 10
 
 
 class TestConcurrentChecks:

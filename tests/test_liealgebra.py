@@ -69,6 +69,26 @@ class TestConstruction:
         so3()
         MetricLieAlgebra.abelian(4)
 
+    @pytest.mark.parametrize("dim, constants, walked", [
+        (4000, {}, []), (3, HEISENBERG, [0, 1]), (3, SO3, [0, 1, 2]),
+        (50, {(40, 7, 9): 1, (7, 40, 9): -1}, [7, 40])])
+    def test_validation_walks_only_nonzero_adjoint_maps(self, monkeypatch, dim, constants,
+                                                        walked):
+        # ad_{e_i} = 0 has no Jacobi residual, so validation costs follow the
+        # nonzero constants, not the dimension
+        seen = []
+        real = MetricLieAlgebra.derivation_residual
+
+        def counting(self, t):
+            seen.append(sorted(t))
+            return real(self, t)
+
+        monkeypatch.setattr(MetricLieAlgebra, "derivation_residual", counting)
+        alg = MetricLieAlgebra(dim, constants)
+        assert len(seen) == len(walked)
+        assert [sorted((k, j) for (i, j, k) in constants if i == w) for w in walked] == seen
+        assert alg.dim == dim
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_jacobi_check_matches_dense_oracle(self, data):
