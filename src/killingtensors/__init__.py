@@ -20,9 +20,13 @@ from .tensors import (
     basis_monomials,
     sym_dimension,
 )
-from .liealgebra import MetricLieAlgebra, KillingSpace, SolverCapError
-from .almostabelian import (AlmostAbelianAlgebra, LayeredDecomposition, KillingDiagnosis,
-                            StructuredCapError, MAX_STRUCTURED_MONOMIALS)
+from .limits import (LimitError, DimensionCapError, MAX_DIMENSION, SolverCapError,
+                     BRUTE_FORCE_MAX_DEGREE, BRUTE_FORCE_MAX_DIM, StructuredCapError,
+                     MAX_STRUCTURED_MONOMIALS, DerivationCapError, DERIVATION_DIM_CAP,
+                     EvaluationCapError, MAX_EVALUATION_INDICES, SampleCapError, MAX_SAMPLES,
+                     SeriesCapError)
+from .liealgebra import MetricLieAlgebra, KillingSpace
+from .almostabelian import AlmostAbelianAlgebra, LayeredDecomposition, KillingDiagnosis
 from .killingfields import (
     Metric,
     LeftInvariant,
@@ -34,13 +38,6 @@ from .killingfields import (
     CompiledCertificate,
     NotKillingError,
     GeneratorError,
-    SeriesCapError,
-    DerivationCapError,
-    DERIVATION_DIM_CAP,
-    EvaluationCapError,
-    MAX_EVALUATION_INDICES,
-    SampleCapError,
-    MAX_SAMPLES,
     generator_degree,
     skew_derivation_basis,
     skew_derivations,
@@ -71,14 +68,16 @@ __all__ = [
     "SymTensor", "Endomorphism", "sym_mul", "inner", "apply_derivation",
     "sym2_from_endo", "endo_from_sym2", "act_group", "exp_action",
     "sum_of_squares", "basis_monomials", "sym_dimension",
-    "MetricLieAlgebra", "KillingSpace", "SolverCapError",
+    "LimitError", "DimensionCapError", "MAX_DIMENSION", "SolverCapError",
+    "BRUTE_FORCE_MAX_DEGREE", "BRUTE_FORCE_MAX_DIM", "StructuredCapError",
+    "MAX_STRUCTURED_MONOMIALS", "DerivationCapError", "DERIVATION_DIM_CAP",
+    "EvaluationCapError", "MAX_EVALUATION_INDICES", "SampleCapError", "MAX_SAMPLES",
+    "SeriesCapError",
+    "MetricLieAlgebra", "KillingSpace",
     "AlmostAbelianAlgebra", "LayeredDecomposition", "KillingDiagnosis",
-    "StructuredCapError", "MAX_STRUCTURED_MONOMIALS",
     "Metric", "LeftInvariant", "RightInvariant", "SkewDerivation",
     "DerivationField", "Certificate", "CertificateCheck", "CompiledCertificate",
-    "NotKillingError", "GeneratorError", "SeriesCapError", "DerivationCapError",
-    "DERIVATION_DIM_CAP", "EvaluationCapError", "MAX_EVALUATION_INDICES",
-    "SampleCapError", "MAX_SAMPLES", "generator_degree",
+    "NotKillingError", "GeneratorError", "generator_degree",
     "skew_derivation_basis", "skew_derivations", "validate_skew_derivation",
     "omega_generator", "omega_tensor", "decompose", "decompose_ideal_tensor",
     "verify_certificate", "sample_points",

@@ -18,26 +18,9 @@ from math import comb, lcm
 
 from .exactlinalg import basis_vec, nullspace, rref_span
 from .liealgebra import KillingSpace, MetricLieAlgebra
+from .limits import MAX_STRUCTURED_MONOMIALS, StructuredCapError
 from .tensors import (SymTensor, Endomorphism, multiply_terms, replace_factor, sum_of_squares,
                       sym_dimension)
-
-# The structured solver's time grows faster than the square of the C(n+p-1, p)
-# monomials of degree p in dimension n, and more steeply in higher
-# dimensions: the rotation algebra (n = 3) took 2.1 s at degree 100 (5151
-# monomials) and 8.9 s at degree 140 (10011), a random dimension-8 algebra
-# 9-42 s at degree 6 (1716).  Past 10^4 monomials a request is refused
-# before any layer is built; degree 3000 on three dimensions, 4.5e6
-# monomials, would otherwise run for days.
-MAX_STRUCTURED_MONOMIALS = 10 ** 4
-
-
-class StructuredCapError(ValueError):
-    """A structured solve past ``MAX_STRUCTURED_MONOMIALS``."""
-
-    def __init__(self, dim: int, degree: int, monomials: int):
-        self.limits = (f"degree {degree} in dimension {dim} has {monomials} monomials "
-                       f"(structured solver cap {MAX_STRUCTURED_MONOMIALS})")
-        super().__init__(self.limits)
 
 
 @dataclass(frozen=True)
@@ -154,8 +137,8 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
                     layer[mono] = layer.get(mono, 0) + comb(j, i) * x
                 if i:
                     c = multiply_terms(c, minus_lh)
-        even, odd = ([SymTensor(self.dim, p - 2 * i - e, {m: x for m, x in t.items() if x})
-                      for i, t in enumerate(layers[e])] for e in (0, 1))
+        even, odd = ([SymTensor(self.dim, p - 2 * i - e, t) for i, t in enumerate(layers[e])]
+                     for e in (0, 1))
         odd += [None] * (len(even) - len(odd))
         return LayeredDecomposition(p, tuple(odd), tuple(even))
 

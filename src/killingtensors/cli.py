@@ -3,10 +3,10 @@
 Each run prints one JSON report to stdout containing the input file hashes,
 the effective parameters and the results; identical inputs and parameters
 produce byte-identical reports.  Exit codes: 0 success, 2 parse/validation
-error or a request past a size limit (the brute-force and structured
-solvers, the series term cap, the skew-derivation solve, the certificate
-size and the sample count), 3 method or algebra-kind mismatch, 4 tensor not
-Killing.
+error or a request past a size limit (any ``limits.LimitError``: the algebra
+dimension, the brute-force and structured solvers, the series term cap, the
+skew-derivation solve, the certificate size and the sample count), 3 method
+or algebra-kind mismatch, 4 tensor not Killing.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from pathlib import Path
 from mpmath import mp
 
 from . import fileformats as ff
-from .almostabelian import AlmostAbelianAlgebra, StructuredCapError
+from .almostabelian import AlmostAbelianAlgebra
 from .curvature import classify, flat_metric_certificate, left_invariant_killing_vectors, \
     metric_obstruction
 from .exactlinalg import basis_vec
@@ -30,16 +30,12 @@ from .killingfields import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     DEFAULT_TOL,
-    DerivationCapError,
     DerivationField,
-    EvaluationCapError,
     GeneratorError,
     LeftInvariant,
     Metric,
     NotKillingError,
     RightInvariant,
-    SampleCapError,
-    SeriesCapError,
     SkewDerivation,
     _mp_vec,
     omega_generator,
@@ -48,7 +44,7 @@ from .killingfields import (
     decompose,
     verify_certificate,
 )
-from .liealgebra import SolverCapError
+from .limits import LimitError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -379,8 +375,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ff.ParseError, GeneratorError) as exc:
         return _fail(EXIT_PARSE, "parse error", str(exc))
-    except (SolverCapError, StructuredCapError, SeriesCapError, DerivationCapError,
-            EvaluationCapError, SampleCapError) as exc:
+    except LimitError as exc:
         return _fail(EXIT_PARSE, "limit exceeded", exc.limits)
     except WrongAlgebraKind as exc:
         return _fail(EXIT_KIND, "method/algebra mismatch", str(exc))

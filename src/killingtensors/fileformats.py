@@ -22,6 +22,7 @@ from .killingfields import (
     generator_degree,
 )
 from .liealgebra import KillingSpace, MetricLieAlgebra
+from .limits import LimitError
 from .tensors import Endomorphism, SymTensor
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -136,6 +137,8 @@ def algebra_from_dict(doc) -> MetricLieAlgebra:
             c[i, j, k] = val
         try:
             return MetricLieAlgebra(dim, c)
+        except LimitError:
+            raise
         except ValueError as exc:
             raise ParseError(f"structure: {exc}") from exc
     raise ParseError("algebra file: expected keys 'n'/'D' or 'dim'/'structure'")

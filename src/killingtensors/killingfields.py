@@ -32,7 +32,6 @@ import random
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from decimal import Context
 from fractions import Fraction
 from functools import cache, partial
 from operator import mul
@@ -44,6 +43,8 @@ from mpmath.libmp import dps_to_prec, from_man_exp, prec_to_dps, round_nearest
 from .almostabelian import AlmostAbelianAlgebra
 from .exactlinalg import basis_vec, dot, nullspace
 from .liealgebra import MetricLieAlgebra
+from .limits import (_MAX_TERMS, DERIVATION_DIM_CAP, MAX_EVALUATION_INDICES, MAX_SAMPLES,
+                     DerivationCapError, EvaluationCapError, SampleCapError, SeriesCapError)
 from .tensors import (SymTensor, Endomorphism, monomial_positions, product_positions,
                       replace_factor, sym_dimension)
 
@@ -68,57 +69,6 @@ class NotKillingError(ValueError):
 
 class GeneratorError(ValueError):
     """A certificate factor that is not a Killing field of the algebra."""
-
-
-# ``skew_derivation_basis`` solves C(n,2) unknowns against about n^3/2
-# equations, and its time grows about as n^7 on a generic algebra (README,
-# "Exact solvers"), so larger algebras are refused.
-DERIVATION_DIM_CAP = 24
-
-
-class DerivationCapError(ValueError):
-    """A skew-derivation solve past ``DERIVATION_DIM_CAP``."""
-
-    def __init__(self, dim: int):
-        self.limits = (f"dimension {dim} exceeds the skew-derivation cap "
-                       f"(dimension {DERIVATION_DIM_CAP})")
-        super().__init__(self.limits)
-
-
-# A certificate of degree p on n dimensions is evaluated as dense values over
-# its C(n+p-1, p) monomials, whose positions are kept as p-tuples for the
-# process (``tensors.monomial_positions``) with product tables over them.
-# Bounding p times that count, the indices those tuples hold, before anything
-# is allocated keeps this memory under about 100 MiB (degree 10 on ten
-# dimensions, 923780 indices, takes 76 MiB with metric and field factors);
-# degree 3000 on three dimensions, 1.4e10 indices, ends in a MemoryError.
-MAX_EVALUATION_INDICES = 10 ** 6
-
-
-class EvaluationCapError(ValueError):
-    """A certificate whose monomial indices pass ``MAX_EVALUATION_INDICES``."""
-
-    def __init__(self, dim: int, degree: int, indices: int):
-        self.limits = (f"degree {degree} in dimension {dim} needs {indices} monomial indices "
-                       f"(cap {MAX_EVALUATION_INDICES})")
-        super().__init__(self.limits)
-
-
-# The sampled check sums every series generator at each of its points, and
-# the point list is drawn in full before the first one is checked.  10^4
-# points, 500 times the default, keep a check of a small certificate to
-# seconds (the rotation algebra's e1^2 + e2^2 took 2 s at 5000 points); a
-# larger count adds little to a seeded check and could run for days.  The
-# bound also caps the point list a sample set of the memo draws.
-MAX_SAMPLES = 10 ** 4
-
-
-class SampleCapError(ValueError):
-    """A sampled check asked for more than ``MAX_SAMPLES`` points."""
-
-    def __init__(self, samples: int):
-        self.limits = f"{samples} samples exceed the sampled-check cap ({MAX_SAMPLES})"
-        super().__init__(self.limits)
 
 
 # ---------------------------------------------------------------------------
@@ -218,23 +168,6 @@ def _mpf_of(x):
 
 def _mp_vec(seq):
     return tuple(_mpf_of(x) for x in seq)
-
-
-_MAX_TERMS = 5000
-
-
-class SeriesCapError(RuntimeError):
-    """A pullback series that needs more than ``_MAX_TERMS`` terms, at the
-    rational norm ``||ad_w||_1`` (shown by decimal division past floats)."""
-
-    def __init__(self, norm: Fraction):
-        try:
-            shown = f"{float(norm):.6g}"
-        except OverflowError:
-            shown = f"{Context(prec=6).divide(norm.numerator, norm.denominator).normalize():g}"
-        self.limits = (f"omega series failed to converge within the {_MAX_TERMS}-term cap "
-                       f"(||ad_w||_1 = {shown})")
-        super().__init__(self.limits)
 
 
 def _fixed_shift(dim: int, prec: int) -> int:
@@ -724,7 +657,7 @@ class CertificateCheck:
 
 def _order_for_bound(log_norm: float, eps: float) -> int:
     """Smallest N with ``m^(N+1)/(N+1)! < eps`` for ``log_norm = ln m``, else
-    ``_MAX_TERMS``, at which ``_ad_series`` passes only a series that
+    ``_MAX_TERMS``, at which ``_fixed_series`` passes only a series that
     vanishes within ``dim`` terms."""
     if log_norm == -math.inf:
         return 1
@@ -738,7 +671,7 @@ def _order_for_bound(log_norm: float, eps: float) -> int:
 def _series_log10_gain(norm: Fraction, dim: int) -> float:
     """log10 of a bound on the gain of a pullback series at ``||ad_w||_1 =
     norm``: ``e^norm`` below the term cap.  From ``norm >= _MAX_TERMS`` on the
-    hump is past the cap even after rounding, so ``_ad_series`` raises unless
+    hump is past the cap even after rounding, so ``_fixed_series`` raises unless
     the series vanishes within ``dim`` terms, with gain at most
     ``sum_(k<=dim) norm^k/k! <= (dim + 1) norm^dim``: the working precision
     stays finite however large the structure constants are."""
@@ -914,8 +847,7 @@ _MEMO = _SampleMemo()
 
 def _exact_at_zero(compiled: CompiledCertificate, target: SymTensor) -> bool:
     """Whether the certificate equals ``target`` at ``w = 0``, on ints:
-    ``omega_tensor(alg, cert, 0, order=0) == target`` for a target that lists
-    no zero coefficient (as ``SymTensor.build`` and the file reader make it).
+    ``omega_tensor(alg, cert, 0, order=0) == target``.
 
     At 0 a left- or right-invariant field is its vector, a derivation field
     0 and the metric 1/2 on the squares.  With ``S = lcm(2, vector

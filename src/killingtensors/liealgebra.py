@@ -13,7 +13,6 @@ exactly at a point scaled to ints (``ad_exact``, which serves ``ad`` and the
 exact pullback), and in the fixed point of the sampled pullback."""
 from __future__ import annotations
 
-import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,19 +20,12 @@ from fractions import Fraction
 from math import lcm
 
 from .exactlinalg import basis_vec, frac, nullspace
+from .limits import (BRUTE_FORCE_MAX_DEGREE, BRUTE_FORCE_MAX_DIM, MAX_DIMENSION,
+                     DimensionCapError, SolverCapError)
 from .tensors import (SymTensor, Endomorphism, apply_derivation, basis_monomials,
                       replace_factor)
 
 _ZERO = Fraction(0)
-
-
-class SolverCapError(ValueError):
-    """A brute-force solve past its degree or dimension cap."""
-
-    def __init__(self, degree: int, dim: int, degree_cap: int, dim_cap: int):
-        self.limits = (f"degree {degree} / dimension {dim} exceed the brute-force caps "
-                       f"(degree {degree_cap}, dimension {dim_cap})")
-        super().__init__(self.limits + "; raise them explicitly if you mean it")
 
 
 @dataclass(frozen=True)
@@ -53,11 +45,14 @@ class MetricLieAlgebra:
     """Lie algebra with structure constants in a declared orthonormal basis.
 
     ``constants`` maps ``(i, j, k)`` to the coefficient of ``e_k`` in
-    ``[e_i, e_j]``, absent keys to 0; antisymmetry and the Jacobi identity
-    are validated exactly.  Instances are immutable; all operations are pure.
+    ``[e_i, e_j]``, absent keys to 0; past ``MAX_DIMENSION`` it raises
+    ``DimensionCapError``, and antisymmetry and the Jacobi identity are
+    validated exactly.  Instances are immutable; all operations are pure.
     """
 
     def __init__(self, dim: int, constants: dict):
+        if dim > MAX_DIMENSION:
+            raise DimensionCapError(dim)
         for key in constants:
             if not (type(key) is tuple and len(key) == 3
                     and all(type(i) is int and 0 <= i < dim for i in key)):
@@ -234,21 +229,18 @@ class MetricLieAlgebra:
                 out = out + SymTensor.basis(self.dim, i) * t
         return out
 
-    def killing_space_bruteforce(self, p: int, *, degree_cap: int = 8,
-                                 dim_cap: int = 6) -> KillingSpace:
+    def killing_space_bruteforce(self, p: int) -> KillingSpace:
         """Exact nullspace of the Killing operator on the full symmetric power.
 
         The operator's image of each monomial, times ``denominator`` (which
         leaves the kernel alone), is one sparse integer column of the exact
-        solve.  Desk-scale guard rails: raise past the caps, warn when the
-        column count gets out of hand.
+        solve.  Past ``BRUTE_FORCE_MAX_DEGREE`` or ``BRUTE_FORCE_MAX_DIM`` it
+        raises ``SolverCapError`` before building a column.
         """
         if p < 0:
             raise ValueError("degree must be nonnegative")
-        if p > degree_cap or self.dim > dim_cap:
-            raise SolverCapError(p, self.dim, degree_cap, dim_cap)
-        monos = basis_monomials(self.dim, p)
-        if len(monos) > 100_000:
-            warnings.warn(f"symmetric power has {len(monos)} monomials; this will be slow")
-        kernel = nullspace({m: replace_factor({m: 1}, self.int_structure) for m in monos})
+        if p > BRUTE_FORCE_MAX_DEGREE or self.dim > BRUTE_FORCE_MAX_DIM:
+            raise SolverCapError(p, self.dim)
+        kernel = nullspace({m: replace_factor({m: 1}, self.int_structure)
+                            for m in basis_monomials(self.dim, p)})
         return KillingSpace(p, tuple(SymTensor(self.dim, p, v) for v in kernel))

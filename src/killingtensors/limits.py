@@ -1,0 +1,124 @@
+"""Every size bound of the package with the reason for its value, and the
+``LimitError`` of each, raised before the work the bound guards begins; the
+CLI prints its ``limits`` text with exit code 2, ``"limit exceeded"``."""
+from __future__ import annotations
+
+from decimal import Context
+from fractions import Fraction
+
+# An algebra keeps one list of structure constants per basis vector, and the
+# sampled check and the solvers walk every dimension at least once: a zero
+# degree-1 certificate on {"dim": 10^6, "structure": []} took 2.8 s and
+# 425 MB to verify at one sample, 7.3 s and 790 MB at 10^7, and at 10^8
+# ``killing-basis`` was killed for memory before any other bound was
+# checked.  At 10^4 every command finishes within half a second; the
+# largest algebra the tests build has dimension 4000.
+MAX_DIMENSION = 10 ** 4
+
+# The brute-force solver (the structured solver's oracle) eliminates over all
+# C(n+p-1, p) monomials: on the dimension-6 test algebra it took 0.26 / 0.74 /
+# 2.5 s at degree 6 / 7 / 8, on a random dimension-7 one 5.1 s at degree 6.
+BRUTE_FORCE_MAX_DEGREE = 8
+BRUTE_FORCE_MAX_DIM = 6
+
+# The structured solver's time grows faster than the square of the C(n+p-1, p)
+# monomials of degree p in dimension n, and more steeply in higher
+# dimensions: the rotation algebra (n = 3) took 2.1 s at degree 100 (5151
+# monomials) and 8.9 s at degree 140 (10011), a random dimension-8 algebra
+# 9-42 s at degree 6 (1716).  Past 10^4 monomials a request is refused
+# before any layer is built; degree 3000 on three dimensions, 4.5e6
+# monomials, would otherwise run for days.
+MAX_STRUCTURED_MONOMIALS = 10 ** 4
+
+# ``skew_derivation_basis`` solves C(n,2) unknowns against about n^3/2
+# equations, and its time grows about as n^7 on a generic algebra (README,
+# "Exact solvers"), so larger algebras are refused.
+DERIVATION_DIM_CAP = 24
+
+# A certificate of degree p on n dimensions is evaluated as dense values over
+# its C(n+p-1, p) monomials, whose positions are kept as p-tuples for the
+# process (``tensors.monomial_positions``) with product tables over them.
+# Bounding p times that count, the indices those tuples hold, before anything
+# is allocated keeps this memory under about 100 MiB (degree 10 on ten
+# dimensions, 923780 indices, takes 76 MiB with metric and field factors);
+# degree 3000 on three dimensions, 1.4e10 indices, ends in a MemoryError.
+MAX_EVALUATION_INDICES = 10 ** 6
+
+# The sampled check sums every series generator at each of its points, and
+# the point list is drawn in full before the first one is checked.  10^4
+# points, 500 times the default, keep a check of a small certificate to
+# seconds (the rotation algebra's e1^2 + e2^2 took 2 s at 5000 points); a
+# larger count adds little to a seeded check and could run for days.  The
+# bound also caps the point list a sample set of the memo draws.
+MAX_SAMPLES = 10 ** 4
+
+# A pullback series at a = ||ad_w||_1 needs more than e·a terms, each a
+# product with ad_w at a precision that grows with a: past 5000 it is refused.
+_MAX_TERMS = 5000
+
+
+class LimitError(ValueError):
+    """A request past a bound above; ``limits``, the message, names both."""
+
+    def __init__(self, limits: str):
+        self.limits = limits
+        super().__init__(limits)
+
+
+class DimensionCapError(LimitError):
+    """An algebra of dimension above ``MAX_DIMENSION``."""
+
+    def __init__(self, dim: int):
+        super().__init__(f"dimension {dim} exceeds the algebra cap (dimension {MAX_DIMENSION})")
+
+
+class SolverCapError(LimitError):
+    """A brute-force solve past its degree or dimension cap."""
+
+    def __init__(self, degree: int, dim: int):
+        super().__init__(f"degree {degree} / dimension {dim} exceed the brute-force caps "
+                         f"(degree {BRUTE_FORCE_MAX_DEGREE}, dimension {BRUTE_FORCE_MAX_DIM})")
+
+
+class StructuredCapError(LimitError):
+    """A structured solve past ``MAX_STRUCTURED_MONOMIALS``."""
+
+    def __init__(self, dim: int, degree: int, monomials: int):
+        super().__init__(f"degree {degree} in dimension {dim} has {monomials} monomials "
+                         f"(structured solver cap {MAX_STRUCTURED_MONOMIALS})")
+
+
+class DerivationCapError(LimitError):
+    """A skew-derivation solve past ``DERIVATION_DIM_CAP``."""
+
+    def __init__(self, dim: int):
+        super().__init__(f"dimension {dim} exceeds the skew-derivation cap "
+                         f"(dimension {DERIVATION_DIM_CAP})")
+
+
+class EvaluationCapError(LimitError):
+    """A certificate whose monomial indices pass ``MAX_EVALUATION_INDICES``."""
+
+    def __init__(self, dim: int, degree: int, indices: int):
+        super().__init__(f"degree {degree} in dimension {dim} needs {indices} monomial indices "
+                         f"(cap {MAX_EVALUATION_INDICES})")
+
+
+class SampleCapError(LimitError):
+    """A sampled check asked for more than ``MAX_SAMPLES`` points."""
+
+    def __init__(self, samples: int):
+        super().__init__(f"{samples} samples exceed the sampled-check cap ({MAX_SAMPLES})")
+
+
+class SeriesCapError(LimitError, RuntimeError):
+    """A pullback series that needs more than ``_MAX_TERMS`` terms, at the
+    rational norm ``||ad_w||_1`` (shown by decimal division past floats)."""
+
+    def __init__(self, norm: Fraction):
+        try:
+            shown = f"{float(norm):.6g}"
+        except OverflowError:
+            shown = f"{Context(prec=6).divide(norm.numerator, norm.denominator).normalize():g}"
+        super().__init__(f"omega series failed to converge within the {_MAX_TERMS}-term cap "
+                         f"(||ad_w||_1 = {shown})")

@@ -69,7 +69,8 @@ def product_positions(dim: int, d: int, e: int) -> tuple:
 
 @dataclass(frozen=True)
 class SymTensor:
-    """Homogeneous symmetric tensor: sparse monomial-to-coefficient map."""
+    """Homogeneous symmetric tensor: sparse monomial-to-coefficient map.
+    Zero coefficients are dropped, so equal tensors have equal ``terms``."""
 
     dim: int
     degree: int
@@ -83,6 +84,8 @@ class SymTensor:
                 raise ValueError(f"monomial {mono} out of range for dim {self.dim}")
             if tuple(sorted(mono)) != mono:
                 raise ValueError(f"monomial {mono} not sorted")
+        if not all(self.terms.values()):
+            object.__setattr__(self, "terms", {m: c for m, c in self.terms.items() if c})
 
     @classmethod
     def build(cls, dim, degree, items) -> "SymTensor":
@@ -92,7 +95,7 @@ class SymTensor:
         for mono, c in pairs:
             key = tuple(sorted(mono))
             acc[key] = acc.get(key, _ZERO) + _coeff(c)
-        return cls(dim, degree, {k: v for k, v in acc.items() if v != 0})
+        return cls(dim, degree, acc)
 
     @classmethod
     def zero(cls, dim, degree) -> "SymTensor":
@@ -109,20 +112,17 @@ class SymTensor:
 
     @classmethod
     def monomial(cls, dim, indices, coefficient=1) -> "SymTensor":
-        c = _coeff(coefficient)
         key = tuple(sorted(indices))
-        return cls(dim, len(key), {key: c} if c != 0 else {})
+        return cls(dim, len(key), {key: _coeff(coefficient)})
 
     @classmethod
     def from_vector(cls, dim, components) -> "SymTensor":
-        terms = {(i,): _coeff(c) for i, c in enumerate(components) if c != 0}
-        return cls(dim, 1, terms)
+        return cls(dim, 1, {(i,): _coeff(c) for i, c in enumerate(components)})
 
     @classmethod
     def from_dense(cls, dim, degree, values) -> "SymTensor":
         """Inverse of ``dense``: coefficients listed by monomial position."""
-        return cls(dim, degree, {m: c for m, c in zip(monomial_positions(dim, degree), values)
-                                 if c != 0})
+        return cls(dim, degree, dict(zip(monomial_positions(dim, degree), values)))
 
     def dense(self) -> list:
         """Coefficients listed by monomial position (``monomial_positions``),
@@ -164,11 +164,7 @@ class SymTensor:
             raise ValueError("degree mismatch")
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            s = out.get(mono, _ZERO) + c
-            if s != 0:
-                out[mono] = s
-            elif mono in out:
-                del out[mono]
+            out[mono] = out.get(mono, _ZERO) + c
         return SymTensor(self.dim, self.degree, out)
 
     def __sub__(self, other):
@@ -179,8 +175,6 @@ class SymTensor:
 
     def scale(self, c):
         c = _coeff(c)
-        if c == 0:
-            return SymTensor.zero(self.dim, self.degree)
         return SymTensor(self.dim, self.degree, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -398,7 +392,7 @@ def sym2_from_endo(e: Endomorphism) -> SymTensor:
             if a != 0:
                 key = (i, j) if i <= j else (j, i)
                 out[key] = out.get(key, _ZERO) + a / 2
-    return SymTensor(n, 2, {m: v for m, v in out.items() if v != 0})
+    return SymTensor(n, 2, out)
 
 
 def endo_from_sym2(k: SymTensor) -> Endomorphism:

@@ -318,7 +318,7 @@ class TestStructuredSpace:
         assert alg.killing_space_structured(1).dimension == 3
 
     def test_matches_bruteforce_random(self):
-        # ideal sizes up to 5, dimension 6: the brute-force dim_cap
+        # ideal sizes up to 5, dimension 6: BRUTE_FORCE_MAX_DIM
         for sizes, degrees in (((1, 2, 3), range(4)), ((4, 5), range(5))):
             for d in derivation_suite(per_kind=1, sizes=sizes):
                 alg = AlmostAbelianAlgebra(d)

@@ -31,6 +31,7 @@ from killingtensors import (
     sum_of_squares,
 )
 import killingtensors
+from killingtensors import LimitError, cli
 from killingtensors.cli import main
 from killingtensors import exactlinalg, fileformats as ff
 from conftest import random_tensor, rotation_type, wide_algebras
@@ -890,6 +891,50 @@ class TestSampleAndSolverCaps:
         if method == "structured":
             assert json.loads(err)["detail"] == ("degree 3000 in dimension 3 has 4504501 "
                                                  "monomials (structured solver cap 10000)")
+
+
+# one instance of each limit error, with arguments as the code that raises it passes
+LIMIT_EXAMPLES = {
+    killingtensors.DimensionCapError: (10 ** 8,),
+    killingtensors.SolverCapError: (9, 3),
+    killingtensors.StructuredCapError: (3, 3000, 4504501),
+    killingtensors.DerivationCapError: (25,),
+    killingtensors.EvaluationCapError: (3, 3000, 3000 * 4504501),
+    killingtensors.SampleCapError: (10 ** 9,),
+    killingtensors.SeriesCapError: (Fraction(6000),),
+}
+
+
+class TestLimits:
+    @pytest.mark.parametrize("cls", LimitError.__subclasses__(), ids=lambda c: c.__name__)
+    def test_every_limit_error_exits_2(self, capsys, monkeypatch, cls):
+        exc = cls(*LIMIT_EXAMPLES[cls])
+
+        def refuse(path):
+            raise exc
+
+        monkeypatch.setattr(cli, "_load_algebra", refuse)
+        code, out, err = run(capsys, ["killing-basis", "--algebra", "a.json", "--degree", "1"])
+        assert code == 2 and out == "" and str(exc) == exc.limits
+        assert json.loads(err) == {"error": "limit exceeded", "detail": exc.limits}
+
+    def test_small_file_past_the_dimension_bound_exits_2_at_once(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"dim": 100000000, "structure": []}')
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["killing-basis", "--algebra", str(path), "--degree", "0"])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "limit exceeded", "detail": (
+            f"dimension 100000000 exceeds the algebra cap "
+            f"(dimension {killingtensors.MAX_DIMENSION})")}
+
+    def test_verify_at_the_dimension_bound(self, tmp_path, capsys):
+        argv = ["verify", "--samples", "1", "--algebra",
+                write(tmp_path, "a.json", {"dim": killingtensors.MAX_DIMENSION, "structure": []}),
+                "--certificate", write(tmp_path, "c.json", TestSampleAndSolverCaps.ZERO_CERT)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and json.loads(out)["result"]["passed"]
 
 
 class TestJsonShapes:

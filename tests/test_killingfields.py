@@ -805,6 +805,13 @@ class TestExactAtZeroOnInts:
         assert want is not moved
         assert kf._exact_at_zero(CompiledCertificate(cert), cert.target) is want
 
+    def test_target_listing_a_zero_coefficient(self):
+        # the direct constructor drops the zero, so both routes read it as 0
+        alg = AlmostAbelianAlgebra(Endomorphism.zero(2))
+        cert = Certificate(SymTensor(3, 1, {(1,): Fraction(0)}), ())
+        assert omega_tensor(alg, cert, (Fraction(0),) * 3, order=0) == cert.target
+        assert verify_certificate(alg, cert, samples=2).exact_at_zero
+
     def test_verify_reports_it(self):
         # right:1^2 against e1^2 with one coefficient off by 1e-30
         alg = AlmostAbelianAlgebra(Endomorphism.zero(2))

@@ -1,12 +1,15 @@
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from killingtensors import (
+    MAX_DIMENSION,
     AlmostAbelianAlgebra,
+    DimensionCapError,
     Endomorphism,
     MetricLieAlgebra,
     SolverCapError,
@@ -63,6 +66,17 @@ class TestConstruction:
         with pytest.raises(ValueError) as exc:
             MetricLieAlgebra(3, entries)
         assert str(exc.value) == f"structure constants not antisymmetric at {triple}"
+
+    def test_at_the_dimension_bound_constructs(self):
+        assert MetricLieAlgebra(MAX_DIMENSION, {}).dim == MAX_DIMENSION
+
+    def test_past_the_dimension_bound_raises_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(DimensionCapError, match=(
+                f"^dimension {MAX_DIMENSION + 1} exceeds the algebra cap "
+                f"\\(dimension {MAX_DIMENSION}\\)$")):
+            MetricLieAlgebra(MAX_DIMENSION + 1, {})
+        assert time.perf_counter() - start < 0.1
 
     def test_valid_algebras_accepted(self):
         heisenberg3()
@@ -411,8 +425,6 @@ class TestBruteForceSolver:
             alg.killing_space_bruteforce(9)
         with pytest.raises(ValueError):
             MetricLieAlgebra.abelian(7).killing_space_bruteforce(1)
-        # explicit override works
-        assert MetricLieAlgebra.abelian(7).killing_space_bruteforce(1, dim_cap=7).dimension == 7
 
     def test_cap_error_names_the_caps(self):
         with pytest.raises(SolverCapError, match=r"degree 9 / dimension 2 exceed the "

@@ -274,6 +274,10 @@ class TestContainers:
     def test_zero_coefficients_pruned(self):
         t = SymTensor.build(2, 1, [((0,), 1), ((0,), -1), ((1,), 2)])
         assert t.terms == {(1,): Fraction(2)}
+        # the direct constructor too, so a listed zero changes no equality
+        assert SymTensor(3, 1, {(1,): Fraction(0), (2,): Fraction(3)}).terms == {(2,): Fraction(3)}
+        zero = SymTensor(3, 1, {(1,): Fraction(0)})
+        assert zero.is_zero() and not zero and zero == SymTensor.zero(3, 1)
 
     def test_unsorted_monomial_rejected(self):
         with pytest.raises(ValueError):
