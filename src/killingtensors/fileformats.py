@@ -165,6 +165,7 @@ def tensor_from_dict(doc, dim, where="tensor") -> SymTensor:
     if type(degree) is not int or degree < 0:
         raise ParseError(f"{where}.degree: expected a nonnegative integer")
     terms = {}
+    seen = set()  # ``terms`` keeps no zero coefficient, so it cannot tell
     for t, item in enumerate(_list(doc.get("terms", []), f"{where}.terms")):
         w = f"{where}.terms[{t}]"
         mono = _object(item, w).get("monomial")
@@ -176,8 +177,9 @@ def tensor_from_dict(doc, dim, where="tensor") -> SymTensor:
         if sorted(mono) != mono:
             raise ParseError(f"{w}.monomial: indices must be sorted")
         key = tuple(mono)
-        if key in terms:
+        if key in seen:
             raise ParseError(f"{w}.monomial: duplicate monomial")
+        seen.add(key)
         coeff = parse_rational(item.get("coeff"), f"{w}.coeff")
         if coeff != 0:
             terms[key] = coeff

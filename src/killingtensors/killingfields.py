@@ -20,10 +20,11 @@ The series and the certificate polynomial are summed on Python ints scaled
 by ``2**shift``, guard bits over a working precision that
 ``verify_certificate`` sizes per certificate and ``omega_tensor`` reads from
 ``mp.prec`` (error bound in ``_fixed_shift``).  ``verify_certificate`` works
-generator-major: each series generator gets one column of values over the
-sample points from a bounded memo (``_SampleMemo``) that certificates on
-one algebra share, and the constant metric and left-invariant fields are
-valued once.
+a block of sample points at a time: each series generator gets one column
+of values over the block from a bounded memo (``_SampleMemo``) that
+certificates on one algebra share, the constant metric and left-invariant
+fields are valued once, and the certificate is summed once per block with
+one lane per point (``_horner_lanes``), which every evaluation shares.
 """
 from __future__ import annotations
 
@@ -34,7 +35,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, partial
-from operator import mul
+from itertools import repeat
+from operator import add, mul, rshift, sub
 from typing import NamedTuple
 
 from mpmath import mp
@@ -434,8 +436,10 @@ class CompiledCertificate:
 
     A trie node is ``(size, edges)`` with one ``(generator index, product
     table, child)`` edge per distinct next factor; a leaf is the index of its
-    coefficient.  Values are dense lists indexed by monomial position, so a
+    coefficient.  Values are dense, indexed by monomial position, so a
     certificate past ``MAX_EVALUATION_INDICES`` raises ``EvaluationCapError``.
+    ``_horner_lanes`` walks the trie at a block of points at once, one lane
+    per point; ``evaluate`` is its one-lane case.
     """
 
     def __init__(self, cert: Certificate):
@@ -481,34 +485,66 @@ class CompiledCertificate:
              self._freeze(child, r - degrees[i], degrees))
             for i, child in node.items())
 
+    def fixed_coefficients(self, shift: int) -> tuple:
+        """The coefficients as fixed-point ints at ``shift``, converted once
+        per shift."""
+        coeffs = self._fixed_coefficients.get(shift)
+        if coeffs is None:
+            coeffs = self._fixed_coefficients[shift] = tuple(
+                _to_fixed(c, shift) for c in self.coefficients)
+        return coeffs
+
     def evaluate(self, values, shift=None) -> list:
         """Dense value of the certificate, given the dense value of each
         generator in ``generators`` order: exact, or fixed-point ints at
-        ``shift`` with the coefficients converted once per shift."""
-        coeffs = self.coefficients
-        if shift is not None:
-            coeffs = self._fixed_coefficients.get(shift)
-            if coeffs is None:
-                coeffs = self._fixed_coefficients[shift] = tuple(
-                    _to_fixed(c, shift) for c in self.coefficients)
-        return _horner(self.root, values, coeffs, shift)
+        ``shift`` with the coefficients converted once per shift.  One lane
+        of ``_horner_lanes``."""
+        coeffs = self.coefficients if shift is None else self.fixed_coefficients(shift)
+        return _one_lane(self.root, values, coeffs, shift)
 
 
-def _horner(node, values, coeffs, shift):
-    """Dense value ``N(node)`` of a trie node, from the leaves up.  Fixed-point
-    products accumulate unshifted and each node shifts once."""
+def _horner_lanes(node, values, coeffs, shift, lanes: int) -> list:
+    """Dense value ``N(node)`` of a trie node at ``lanes`` points at once,
+    from the leaves up.  Each position holds a tuple of values, one per lane
+    (point), or None when it is zero in every lane; ``values[g]`` holds the
+    generator's in that layout, and zero positions are skipped.  Each
+    product is lane-wise, a node sums its products exactly on each lane, and
+    in fixed point shifts each sum once: lane by lane, the same ints as one
+    point at a time."""
     if isinstance(node, int):
-        return (coeffs[node],)
+        c = coeffs[node]
+        return [(c,) * lanes if c else None]
     size, edges = node
-    out = [0] * size
+    out = [None] * size
     for g, table, child in edges:
-        below = _horner(child, values, coeffs, shift)
+        below = [(j, b) for j, b in enumerate(_horner_lanes(child, values, coeffs, shift, lanes))
+                 if b is not None]
         for a, row in zip(values[g], table):
-            if a:
-                for k, b in zip(row, below):
-                    if b:
-                        out[k] += a * b
-    return out if shift is None else [v >> shift for v in out]
+            if a is not None:
+                for j, b in below:
+                    k = row[j]
+                    acc = out[k]
+                    out[k] = (tuple(map(mul, a, b)) if acc is None
+                              else tuple(map(add, acc, map(mul, a, b))))
+    for k, v in enumerate(out):
+        if v is not None:
+            if shift is not None:
+                v = out[k] = tuple(map(rshift, v, repeat(shift)))
+            if not any(v):
+                out[k] = None
+    return out
+
+
+def _lanes(columns) -> list:
+    """Generator values in the layout of ``_horner_lanes``, from one column
+    per generator: its dense value at each point of a block."""
+    return [[v if any(v) else None for v in zip(*column)] for column in columns]
+
+
+def _one_lane(node, values, coeffs, shift) -> list:
+    """``_horner_lanes`` at one point, from and to dense lists of values."""
+    out = _horner_lanes(node, _lanes((v,) for v in values), coeffs, shift, 1)
+    return [0 if v is None else v[0] for v in out]
 
 
 def omega_tensor(alg: MetricLieAlgebra, cert, w, order=None, min_order: int = 0) -> SymTensor:
@@ -816,11 +852,12 @@ class _SampleMemo:
 
         return self.sets.get((alg, samples, seed), make)
 
-    def values(self, alg: MetricLieAlgebra, generators, samples: int, seed: int, points,
+    def blocks(self, alg: MetricLieAlgebra, generators, samples: int, seed: int, points,
                shift: int, min_order: int):
-        """The fixed-point values of ``generators`` at each sample point, one
-        point after another, from a column per generator and block.
-        ``points()`` draws the points, and is called only on a miss."""
+        """The fixed-point values of ``generators`` at the sample points, one
+        block after another: the block's number of points and one column per
+        generator, its dense value at each of them.  ``points()`` draws the
+        points, and is called only on a miss."""
         constant = {g: _generator_values(alg, g, shift, (None,), None, min_order)[0]
                     for g in generators if isinstance(g, (Metric, LeftInvariant))}
         for start in range(0, samples, _BLOCK):
@@ -837,9 +874,7 @@ class _SampleMemo:
                 return self.columns.get(block + (g, shift, min_order), lambda: tuple(
                     map(tuple, _generator_values(alg, g, shift, prepare(), None, min_order))))
 
-            columns = [column(g) for g in generators]
-            for i in range(n):
-                yield [c[i] for c in columns]
+            yield n, [column(g) for g in generators]
 
 
 _MEMO = _SampleMemo()
@@ -853,7 +888,8 @@ def _exact_at_zero(compiled: CompiledCertificate, target: SymTensor) -> bool:
     0 and the metric 1/2 on the squares.  With ``S = lcm(2, vector
     denominators)`` each field is scaled by ``S`` and the metric by ``S^2``,
     and the coefficients by their common denominator ``C``: one Horner pass
-    over ints gives ``C S^p`` times the value, for the degree ``p``."""
+    over ints, a single lane, gives ``C S^p`` times the value, for the
+    degree ``p``."""
     dim = compiled.dim
     s = math.lcm(2, *(c.denominator for g in compiled.generators
                       if isinstance(g, (LeftInvariant, RightInvariant)) for c in g.vector))
@@ -867,7 +903,7 @@ def _exact_at_zero(compiled: CompiledCertificate, target: SymTensor) -> bool:
             values.append([c.numerator * (s // c.denominator) for c in g.vector])
     den = math.lcm(*(c.denominator for c in compiled.coefficients))
     coeffs = [c.numerator * (den // c.denominator) for c in compiled.coefficients]
-    got = _horner(compiled.root, values, coeffs, None)
+    got = _one_lane(compiled.root, values, coeffs, None)
     scale = den * s ** compiled.degree
     return all(v * t.denominator == t.numerator * scale for v, t in zip(got, target.dense()))
 
@@ -905,10 +941,13 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     ``GeneratorError``.
 
     The certificate is compiled once (``CompiledCertificate``) and evaluated
-    on ints at the origin (``_exact_at_zero``) and in fixed point at every
-    sample point, from generator columns memoized across calls
-    (``_SampleMemo``).  Each sampled value is compared with the target,
-    converted once; only the largest deviation becomes a float.
+    on ints at the origin (``_exact_at_zero``) and in fixed point at the
+    sample points, a block of at most ``_BLOCK`` at a time: the generator
+    columns of the block, memoized across calls (``_SampleMemo``), are
+    turned into lanes, one per point, and the trie is walked once for the
+    block (``_horner_lanes``).  Each value is compared with the target,
+    converted once, lane by lane; only the largest deviation becomes a
+    float.
 
     The series order at each sample is at least ``order_floor >= 0`` and at
     least the order making the crude tail bound ``||ad_w||^(N+1)/(N+1)!``
@@ -937,10 +976,14 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     min_order = max(order_floor, _order_for_bound(log_norm, tol / 10.0))
     shift = _fixed_shift(dim, dps_to_prec(digits))
     target = _scaled(cert.target.dense(), shift)
+    coeffs = compiled.fixed_coefficients(shift)
     worst = 0
-    for values in _MEMO.values(alg, compiled.generators, samples, seed, points, shift, min_order):
-        value = compiled.evaluate(values, shift)
-        worst = max(worst, *(abs(v - t) for v, t in zip(value, target)))
+    for n, columns in _MEMO.blocks(alg, compiled.generators, samples, seed, points, shift,
+                                   min_order):
+        out = _horner_lanes(compiled.root, _lanes(columns), coeffs, shift, n)
+        for lanes, t in zip(out, target):
+            worst = max(worst, abs(t) if lanes is None
+                        else max(map(abs, map(sub, lanes, repeat(t)))))
     try:
         max_dev = worst / (1 << shift)
     except OverflowError:  # a deviation past the float range

@@ -132,6 +132,25 @@ def omega_tensor_oracle(alg, cert, w, order=None):
     return total
 
 
+def horner_oracle(node, values, coeffs, shift):
+    """Dense value ``N(node)`` of a ``CompiledCertificate`` trie node at one
+    point, from the leaves up: the per-point Horner pass the lane-wise one
+    replaced.  Fixed-point products accumulate unshifted and each node
+    shifts once."""
+    if isinstance(node, int):
+        return (coeffs[node],)
+    size, edges = node
+    out = [0] * size
+    for g, table, child in edges:
+        below = horner_oracle(child, values, coeffs, shift)
+        for a, row in zip(values[g], table):
+            if a:
+                for k, b in zip(row, below):
+                    if b:
+                        out[k] += a * b
+    return out if shift is None else [v >> shift for v in out]
+
+
 def _oracle_ad(lie, w, numeric):
     n = lie.dim
     zero = mp.mpf(0) if numeric else Fraction(0)

@@ -178,6 +178,17 @@ class TestFileFormats:
         with pytest.raises(ff.ParseError, match="range"):
             ff.tensor_from_dict({"degree": 1, "terms": [{"monomial": [5], "coeff": "1"}]}, 3)
 
+    @pytest.mark.parametrize("coeffs", [("0", "1"), ("1", "0")])
+    def test_duplicate_monomial_in_either_order(self, coeffs):
+        # a zero coefficient is not stored, but its monomial still counts
+        tensor = {"degree": 1, "terms": [{"monomial": [1], "coeff": c} for c in coeffs]}
+        with pytest.raises(ff.ParseError) as exc:
+            ff.tensor_from_dict(tensor, 3)
+        assert str(exc.value) == "tensor.terms[1].monomial: duplicate monomial"
+        with pytest.raises(ff.ParseError) as exc:
+            ff.certificate_from_dict({"target": tensor, "terms": []}, 3)
+        assert str(exc.value) == "certificate.target.terms[1].monomial: duplicate monomial"
+
     def test_certificate_round_trip(self):
         alg = AlmostAbelianAlgebra(Endomorphism.from_rows([[0, 1], [0, 0]]))
         target = SymTensor.monomial(3, (1, 1))
@@ -1183,3 +1194,14 @@ class TestReportDigest:
     def test_gallery_session_is_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert _session_digest() == REPORT_DIGEST
+
+    def test_sampled_check_across_blocks_is_byte_identical(self, capsys, monkeypatch):
+        # 100 samples are four blocks of points, the last of four; the report
+        # was recorded when each point was summed on its own
+        root = Path(__file__).parents[1]
+        monkeypatch.chdir(root)
+        code, out, _ = run(capsys, ["verify", "--algebra", "tests/data/aa6.json",
+                                    "--certificate", "tests/data/aa6.cert.json",
+                                    "--samples", "100"])
+        assert code == 0
+        assert out == (root / "tests/data/aa6.verify100.out").read_text()

@@ -48,7 +48,7 @@ from killingtensors import (
     validate_skew_derivation,
     verify_certificate,
 )
-from conftest import (DERIVATION_KINDS, derivation_suite, fixed_series_oracle,
+from conftest import (DERIVATION_KINDS, derivation_suite, fixed_series_oracle, horner_oracle,
                       omega_derivation, omega_series_oracle, omega_tensor_oracle, point_oracle,
                       random_derivation, random_vector, skew_derivation_basis_oracle,
                       wide_algebras)
@@ -469,6 +469,29 @@ class TestPinnedRounding:
         assert check.max_deviation.hex() == deviation
         assert check.precision_digits == 50
 
+    # the same certificates over two and four blocks of sample points,
+    # recorded when each point was summed on its own
+    @pytest.mark.parametrize("build, passed, at33, at100", [
+        (lambda: _basis_certificate(J2, 2, 0), True,
+         "0x1.2e09771b4c000p-154", "0x1.2e09771b4c000p-154"),
+        (lambda: _basis_certificate(J2, 2, 1), True,
+         "0x1.2e09771b4e000p-154", "0x1.2e09771b4e000p-154"),
+        (_rotation3_flat_certificate, True, "0x1.7bc730362c000p-154", "0x1.7bc730362c000p-154"),
+        (lambda: _basis_certificate(DIAG, 2, 1), True,
+         "0x1.897612dc2c000p-153", "0x1.b73c797065000p-153"),
+        (_derivation_difference_certificate, True,
+         "0x1.c8e104a114000p-155", "0x1.3771b33a7a000p-154"),
+        (_moved_square_certificate, False, "0x1.20f07268359bep+5", "0x1.3fa1a945c0c48p+5"),
+    ], ids=["rotation p=2 t=0", "rotation p=2 t=1", "rotation3 flat metric",
+            "stretch p=2 t=1", "rotation derivation fields", "stretch moved square"])
+    def test_deviation_and_digits_across_blocks(self, build, passed, at33, at100):
+        alg, cert = build()
+        for samples, deviation in ((33, at33), (100, at100)):
+            check = verify_certificate(alg, cert, samples=samples)
+            assert check.passed is passed and check.exact_at_zero
+            assert check.max_deviation.hex() == deviation
+            assert check.precision_digits == 50
+
 
 class TestDerivationFieldCertificates:
     def test_exact_at_origin_but_not_constant(self):
@@ -783,6 +806,56 @@ class TestHornerAgainstTermByTerm:
         assert compiled.coefficients == (Fraction(3),)
         w = (Fraction(1, 2), Fraction(1), Fraction(-1))
         assert omega_tensor(alg, compiled, w, order=3) == omega_tensor_oracle(alg, cert, w, 3)
+
+
+class TestHornerLanes:
+    """``_horner_lanes`` over a block of fixed-point points against
+    ``horner_oracle`` at each point alone, int for int."""
+
+    @staticmethod
+    def _check(alg, cert, lanes, seed):
+        compiled = CompiledCertificate(cert)
+        shift = kf._fixed_shift(alg.dim, 170)
+        ws = sample_points(alg.dim, lanes, seed)
+        # the origin in one lane, where a derivation field is 0 and others not
+        ws[seed % lanes] = (0.0,) * alg.dim
+        points = [kf._point(alg, w, shift) for w in ws]
+        columns = [kf._generator_values(alg, g, shift, points, None, 0)
+                   for g in compiled.generators]
+        coeffs = compiled.fixed_coefficients(shift)
+        values = kf._lanes(columns)
+        got = kf._horner_lanes(compiled.root, values, coeffs, shift, lanes)
+        assert all(v is None or (len(v) == lanes and any(v)) for v in got)
+        for i in range(lanes):
+            want = horner_oracle(compiled.root, [c[i] for c in columns], coeffs, shift)
+            assert [0 if v is None else v[i] for v in got] == list(want)
+        return values, got
+
+    @settings(max_examples=150, deadline=None)
+    @given(certificates(), st.sampled_from([1, 31, 32, 33, 70]), st.integers(0, 2 ** 32))
+    # zero in every lane: the abelian algebra moves nothing, and a
+    # right-invariant field of the ideal has no component along b
+    @example((ORACLE_CASES["abelian"][0], Certificate(SymTensor.zero(3, 2), (
+        (Fraction(1), (RightInvariant(basis_vec(3, 1)), RightInvariant(basis_vec(3, 1)))),
+        (Fraction(-1, 2), (Metric(),))))), 33, 0)
+    @example((ORACLE_CASES["rotation"][0], Certificate(SymTensor.zero(3, 2), (
+        (Fraction(2), (RightInvariant(basis_vec(3, 1)), LeftInvariant(basis_vec(3, 0)))),))),
+        70, 1)
+    # the origin in lane 0, where the derivation field is 0
+    @example((ORACLE_CASES["rotation"][0], Certificate(SymTensor.zero(3, 2), (
+        (Fraction(1), (DerivationField(ORACLE_CASES["rotation"][1][0]),
+                       RightInvariant(basis_vec(3, 1)))),))), 31, 0)
+    def test_each_lane_matches_the_oracle(self, case, lanes, seed):
+        alg, cert = case
+        self._check(alg, cert, lanes, seed)
+
+    def test_positions_zero_in_every_lane_are_none(self):
+        r1 = RightInvariant(basis_vec(3, 1))
+        cert = Certificate(SymTensor.zero(3, 2), ((Fraction(1), (r1, r1)),))
+        values, got = self._check(ORACLE_CASES["rotation"][0], cert, 32, 2)
+        assert values[0][0] is None and None not in values[0][1:]
+        # e0^2, e0 e1 and e0 e2
+        assert got[:3] == [None] * 3 and None not in got[3:]
 
 
 class TestExactAtZeroOnInts:
