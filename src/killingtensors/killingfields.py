@@ -19,12 +19,14 @@ across monomials, which double precision cannot survive at the 1e-9 gate.
 The series and the certificate polynomial are summed on Python ints scaled
 by ``2**shift``, guard bits over a working precision that
 ``verify_certificate`` sizes per certificate and ``omega_tensor`` reads from
-``mp.prec`` (error bound in ``_fixed_shift``).  ``verify_certificate`` works
-a block of sample points at a time: each series generator gets one column
-of values over the block from a bounded memo (``_SampleMemo``) that
-certificates on one algebra share, the constant metric and left-invariant
-fields are valued once, and the certificate is summed once per block with
-one lane per point (``_horner_lanes``), which every evaluation shares.
+``mp.prec`` (error bound in ``_fixed_shift``); each series by a function
+compiled once per sparsity pattern of ``ad_w`` (``_series_kernel``).
+``verify_certificate`` works a block of sample points at a time: each
+series generator gets one column of values over the block from a bounded
+memo (``_SampleMemo``) that certificates on one algebra share, the constant
+metric and left-invariant fields are valued once, and the certificate is
+summed once per block with one lane per point (``_horner_lanes``), which
+every evaluation shares.
 """
 from __future__ import annotations
 
@@ -126,10 +128,15 @@ class SkewDerivation:
         return cls(tuple(r[0] for r in rows), Endomorphism(tuple(r[1:] for r in rows)))
 
     def full_matrix(self) -> Endomorphism:
-        """The derivation on ``b`` and the ideal: ``b -> b_image``, skew."""
-        top = (_ZERO,) + tuple(-v for v in self.b_image)
-        return Endomorphism((top,) + tuple((v,) + tuple(row) for v, row in
-                                           zip(self.b_image, self.ideal_part.entries)))
+        """The derivation on ``b`` and the ideal: ``b -> b_image``, skew.
+        Built on first use and kept beside the fields, which alone decide
+        equality, hashing and the file format."""
+        full = self.__dict__.get("_full")
+        if full is None:
+            top = (_ZERO,) + tuple(-v for v in self.b_image)
+            full = self.__dict__["_full"] = Endomorphism((top,) + tuple(
+                (v,) + tuple(row) for v, row in zip(self.b_image, self.ideal_part.entries)))
+        return full
 
 
 @dataclass(frozen=True)
@@ -243,13 +250,16 @@ class _Point(NamedTuple):
 
     Exact (``shift`` None): ``w`` as given and ``rows`` exact
     (``ad_exact``).  Fixed point: ``w`` as ints at ``shift``, ``scale =
-    2**shift`` and each product of ``rows`` floored on its own."""
+    2**shift``, each product of ``rows`` floored on its own, and
+    ``kernel`` the series compiled for the sparsity pattern of ``rows``
+    (``_series_kernel``), which takes ``rows`` as its entries."""
 
     shift: int | None
     scale: int
     w: tuple
     rows: tuple
     norm: int
+    kernel: object = None
 
 
 def _point(alg: MetricLieAlgebra, w, shift) -> _Point:
@@ -258,7 +268,10 @@ def _point(alg: MetricLieAlgebra, w, shift) -> _Point:
         scale, rows, norm = alg.ad_exact(w)
         return _Point(None, scale, tuple(w), rows, norm)
     wv = tuple(_to_fixed(c, shift) for c in w)
-    return _Point(shift, 1 << shift, wv, *alg.ad_walk(wv, alg.denominator))
+    rows, norm = alg.ad_walk(wv, alg.denominator)
+    pattern = (alg.dim, tuple([(r, columns) for r, columns, _ in rows]))
+    return _Point(shift, 1 << shift, wv, rows, norm,
+                  _MEMO.kernels.get(pattern, partial(_series_kernel, pattern)))
 
 
 # Both series give the partial sum of ``sum_k (-ad_w)^k x / (k + s)!`` times
@@ -311,42 +324,122 @@ def _fixed_series(point: _Point, x, s: int, order, min_order: int) -> list:
     rounded toward zero, which commutes with negation: values equal up to a
     signed permutation that commutes with ``ad_w`` stay so.  The division of
     ``|v|`` is a shift and then ``// (k + s)``, the same rounding (see
-    ``_fixed_shift``).  Each row is one ``sum(map(mul, ...))`` and only
-    nonzero entries touch ``acc``.
+    ``_fixed_shift``).  The terms are summed by the point's kernel, one
+    compiled function per sparsity pattern of ``ad_w`` (``_series_kernel``);
+    here the stop rule and the cap become the term numbers it compares
+    ``k`` with.
     """
-    shift, rows, norm = point.shift, point.rows, point.norm
+    shift, norm = point.shift, point.norm
     n = len(x)
     one = 1 << shift
-    eps = one // 10 ** (prec_to_dps(shift - _fixed_shift(n, 0)) - 5)
     hump = (norm >> shift) + 2
-    stop_from = max(min_order, hump)
     cap = _MAX_TERMS if hump <= _MAX_TERMS and min_order < _MAX_TERMS else n
-    capped = order is None or order > _MAX_TERMS
-    acc = list(x)
-    term = list(x)
-    k = 1
-    while order is None or k <= order:
-        m = k + s
-        new = [0] * n
-        zero = True
-        for r, columns, entries in rows:
-            v = sum(map(mul, entries, map(term.__getitem__, columns)))
-            if v:
-                t = -((v >> shift) // m) if v > 0 else (-v >> shift) // m
-                if t:
-                    new[r] = t
-                    acc[r] += t
-                    zero = False
-        if zero:
-            break
-        term = new
-        if (order is None and k >= stop_from
-                and max(map(abs, term)) << shift < eps * max(one, *map(abs, acc))):
-            break
-        if capped and k > cap:
-            raise SeriesCapError(Fraction(norm, one))
-        k += 1
+    if order is None:  # the stop rule or the cap ends the series
+        eps = one // 10 ** (prec_to_dps(shift - _fixed_shift(n, 0)) - 5)
+        stop_from, last = max(min_order, hump), cap + 1
+    elif order:  # truncated: no stop rule, and within the cap no cap either
+        eps, stop_from, last = 0, order + 1, order
+        if order <= _MAX_TERMS:
+            cap = order
+    else:
+        return list(x)
+    acc = point.kernel(point.rows, x, s, shift, one, eps, stop_from, cap, last)
+    if acc is None:
+        raise SeriesCapError(Fraction(norm, one))
     return acc
+
+
+# Products per statement of a generated row sum: ``a*b + c*d + ...`` nests
+# one level per product, and CPython's compiler overflows its recursion
+# limit on a few thousand of them.
+_KERNEL_WIDTH = 64
+
+
+def _series_kernel(pattern):
+    """The series of ``_fixed_series`` for one sparsity pattern ``(n,
+    ((row, columns), ...))`` of ``ad_w``, generated as straight-line Python
+    and compiled once: ``series(rows, x, s, shift, one, eps, stop_from, cap,
+    last)`` returns the partial sum after the last term, or None at the cap,
+    where ``_fixed_series`` raises ``SeriesCapError``.
+
+    The source is built from the pattern's indices alone: the ``(row,
+    columns, entries)`` rows of the pattern, whose entries it unpacks, and
+    ``x`` are arguments, so no structure constant and no input text is
+    compiled.  Its loop follows the nonzeros, not ``n``: a row's partial
+    sum and term are locals, a row sum is one unrolled sum of products
+    (``_KERNEL_WIDTH`` per statement), rows and columns the pattern never
+    touches get no locals, and a column that is no row is read from ``x`` by
+    the first term only, as every later term is zero there.  Each term is
+    rounded toward zero as ``_fixed_series`` states, so the rounding
+    argument of ``_fixed_shift`` holds unchanged.  After term ``k`` the
+    kernel ends on a zero term, then at ``k >= stop_from`` by the stop rule
+    at ``eps``, then at ``k > cap`` with None, and before term ``k > last``.
+
+    Compiling takes about 0.7 ms at 12 nonzeros, 1.2 ms at 30 and 6 ms at
+    289 (CPython 3.11, one core of a shared 2-core machine).  ``_MEMO``
+    keeps the kernels, weighed by their nonzeros within ``_MEMO_KERNELS``,
+    so a process pays it about once per pattern.
+    """
+    n, rows = pattern
+    head = "def series(rows, x, s, shift, one, eps, stop_from, cap, last):"
+    if not rows:
+        return _compiled([head, "    return list(x)"], 0)
+    sums, i = [], 0  # per row, its (entry, column) pairs
+    for r, columns in rows:
+        sums.append((r, list(enumerate(columns, i))))
+        i += len(columns)
+    touched = {r for r, _ in rows}
+
+    def term(read):
+        """The statements of one term: row sums ``v`` over the previous
+        term, whose entry at a column ``read`` names (None where it is
+        zero), then the rounded entries ``u``."""
+        out, rounded = [], []
+        for r, pairs in sums:
+            products = [f"e{j} * {read(c)}" for j, c in pairs if read(c)]
+            for p in range(0, len(products), _KERNEL_WIDTH):
+                out.append(f"v{r} {'+=' if p else '='} "
+                           + " + ".join(products[p:p + _KERNEL_WIDTH]))
+            rounded.append(f"u{r} = -((v{r} >> shift) // m) if v{r} > 0 else (-v{r} >> shift) // m"
+                           if products else f"u{r} = 0")
+        return out + rounded
+
+    def largest(names):
+        return names[0] if len(names) == 1 else f"max({', '.join(names)})"
+
+    rs = [r for r, _ in rows]
+    unpack = ", ".join(f"(_, _, ({', '.join(f'e{j}' for j, _ in pairs)},))" for _, pairs in sums)
+    body = [head, f"    {unpack}, = rows", "    m = 1 + s"]
+    body += ["    " + line for line in term(lambda c: f"x[{c}]")]
+    body += [f"    a{r} = x[{r}]" for r in rs]
+    # the partial sum outside the rows keeps its start value
+    body += ["    b = " + largest(["one"] + [f"abs(x[{c}])" for c in range(n) if c not in touched]),
+             "    k = 1",
+             f"    while {' or '.join(f'u{r}' for r in rs)}:"]
+    body += [f"        a{r} += u{r}" for r in rs]
+    body += [f"        if k >= stop_from and {largest([f'abs(u{r})' for r in rs])} << shift"
+             f" < eps * {largest(['b'] + [f'abs(a{r})' for r in rs])}:",
+             "            break",
+             "        if k > cap:",
+             "            return None",
+             "        k += 1",
+             "        if k > last:",
+             "            break",
+             "        m = k + s"]
+    body += ["        " + line for line in term(lambda c: f"u{c}" if c in touched else None)]
+    out = ", ".join(f"a{c}" if c in touched else f"x[{c}]" for c in range(n))
+    body.append(f"    return [{out}]")
+    return _compiled(body, i)
+
+
+def _compiled(lines, nonzeros: int):
+    """The function ``series`` that ``lines`` define, with the number of
+    ``nonzeros`` of its pattern, which weighs it in the kernel table."""
+    namespace = {}
+    exec(compile("\n".join(lines), "<series kernel>", "exec"), namespace)
+    series = namespace["series"]
+    series.nonzeros = nonzeros
+    return series
 
 
 def _scaled(seq, shift) -> list:
@@ -824,10 +917,19 @@ class _LRU:
 # A column or a prepared block holds at most ``_BLOCK`` points, so the memo
 # keeps no more than 256 values and 64 prepared points whatever ``samples``
 # is.  The metric and left-invariant fields are constant and are not kept.
+#
+# Beside them, keyed by sparsity pattern and shared by every algebra, the
+# compiled series kernels (``_series_kernel``).  A kernel takes about 2 KB
+# plus 130 to 280 bytes per nonzero of its pattern (CPython 3.11), so it
+# weighs its nonzeros plus 16, and 2^13 of that keep the table under about
+# 2.5 MB: some 300 patterns of dimension 4, or 40 of 200 nonzeros.  A
+# verification meets one pattern per algebra, and 24 algebras of the
+# certify-batch benchmark make 14.
 _BLOCK = 32
 _MEMO_SETS = 64
 _MEMO_POINTS = 64
 _MEMO_VALUES = 256
+_MEMO_KERNELS = 1 << 13
 
 
 class _SampleMemo:
@@ -838,9 +940,10 @@ class _SampleMemo:
         self.sets = _LRU(_MEMO_SETS, lambda bounds: 1)
         self.prepared = _LRU(_MEMO_POINTS, len)
         self.columns = _LRU(_MEMO_VALUES, len)
+        self.kernels = _LRU(_MEMO_KERNELS, lambda kernel: kernel.nonzeros + 16)
 
     def clear(self):
-        for table in (self.sets, self.prepared, self.columns):
+        for table in (self.sets, self.prepared, self.columns, self.kernels):
             table.clear()
 
     def bounds(self, alg: MetricLieAlgebra, samples: int, seed: int, points) -> tuple:

@@ -220,15 +220,16 @@ def point_oracle(lie, v, floor=True):
     return rows, max(sum(abs(row[j]) for row in rows) for j in range(n))
 
 
-def fixed_series_oracle(lie, w, x, s, shift, order=None, min_order=0):
-    """A per-entry reference for the fixed-point series kernel: ``w`` and
-    ``x`` are ints at ``shift``, ``ad_w`` comes from ``point_oracle``, each
-    term entry is a generator sum over a dense row divided once by
-    ``(k + s) 2^shift`` and rounded toward zero, and the partial sum is
-    rebuilt every term.  The kernel must return the same ints and raise the
-    same ``SeriesCapError``."""
-    n = lie.dim
-    rows, norm = point_oracle(lie, w)
+def fixed_series_oracle(rows, norm, x, s, shift, order=None, min_order=0):
+    """A per-entry reference for the fixed-point series kernel: ``x`` is
+    ints at ``shift`` and ``rows`` the ``(row, columns, entries)`` of
+    ``2^shift ad_w``, with ``norm`` their 1-norm, as a prepared point holds
+    them or as ``dense_rows`` makes them from ``point_oracle``.  Each term
+    entry is a generator sum over its row divided once by ``(k + s) 2^shift``
+    and rounded toward zero, and the term and the partial sum are rebuilt
+    every term.  The kernel must return the same ints and raise the same
+    ``SeriesCapError``."""
+    n = len(x)
     one = 1 << shift
     eps = one // 10 ** (mp.dps - 5)
     hump = (norm >> shift) + 2
@@ -239,8 +240,9 @@ def fixed_series_oracle(lie, w, x, s, shift, order=None, min_order=0):
     k = 1
     while order is None or k <= order:
         d = (k + s) << shift
-        term = [-(v // d) if v >= 0 else -v // d
-                for v in (sum(a * t for a, t in zip(row, term)) for row in rows)]
+        sums = {r: sum(a * term[c] for c, a in zip(columns, entries))
+                for r, columns, entries in rows}
+        term = [-(v // d) if v >= 0 else -v // d for v in (sums.get(r, 0) for r in range(n))]
         if not any(term):
             break
         acc = [p + q for p, q in zip(acc, term)]
@@ -252,6 +254,12 @@ def fixed_series_oracle(lie, w, x, s, shift, order=None, min_order=0):
             raise SeriesCapError(Fraction(norm, one))
         k += 1
     return acc
+
+
+def dense_rows(rows):
+    """Dense rows, as ``point_oracle`` returns them, in the layout of
+    ``fixed_series_oracle``: every entry, zero or not."""
+    return [(r, range(len(row)), row) for r, row in enumerate(rows)]
 
 
 def _mpf_of(x):

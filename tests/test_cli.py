@@ -1190,10 +1190,41 @@ def _session_digest():
     return digest.hexdigest()
 
 
+# the curvature reports of the gallery and its omega-sample reports at
+# explicit orders, which _session_digest never reaches; recorded when each
+# series was summed by a per-row loop
+SERIES_REPORT_DIGEST = "255991ad904310feb517286541ceb489474647cdf5289a72aaefc5fc621ad7c2"
+
+
+def _series_session_digest():
+    digest = hashlib.sha256()
+    for a, (_, deriv) in enumerate(_GALLERY["GALLERY"]):
+        alg = AlmostAbelianAlgebra(deriv)
+        algebra = f"a{a}.json"
+        Path(algebra).write_text(json.dumps(ff.algebra_to_dict(alg)))
+        calls = [["curvature", "--algebra", algebra]]
+        at = ",".join(["0.75", "-1.25", "0.5", "2"][:alg.dim])
+        for order in ("0", "3", "40"):
+            for generator in ("right:1", "deriv:0"):
+                calls.append(["omega-sample", "--algebra", algebra, "--generator", generator,
+                              "--at", at, "--order", order])
+        for argv in calls:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            digest.update(f"{code}\n{out.getvalue()}{err.getvalue()}".encode())
+    return digest.hexdigest()
+
+
 class TestReportDigest:
     def test_gallery_session_is_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert _session_digest() == REPORT_DIGEST
+
+    def test_curvature_and_ordered_series_reports_are_byte_identical(self, tmp_path,
+                                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert _series_session_digest() == SERIES_REPORT_DIGEST
 
     def test_sampled_check_across_blocks_is_byte_identical(self, capsys, monkeypatch):
         # 100 samples are four blocks of points, the last of four; the report

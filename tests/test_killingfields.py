@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
+import killingtensors.fileformats as ff
 import killingtensors.killingfields as kf
 from killingtensors.tensors import basis_monomials, monomial_positions
 
@@ -48,10 +50,10 @@ from killingtensors import (
     validate_skew_derivation,
     verify_certificate,
 )
-from conftest import (DERIVATION_KINDS, derivation_suite, fixed_series_oracle, horner_oracle,
-                      omega_derivation, omega_series_oracle, omega_tensor_oracle, point_oracle,
-                      random_derivation, random_vector, skew_derivation_basis_oracle,
-                      wide_algebras)
+from conftest import (DERIVATION_KINDS, dense_rows, derivation_suite, fixed_series_oracle,
+                      horner_oracle, omega_derivation, omega_series_oracle, omega_tensor_oracle,
+                      point_oracle, random_derivation, random_vector,
+                      skew_derivation_basis_oracle, wide_algebras)
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
 DIAG = Endomorphism.diagonal([1, -1])
@@ -1239,21 +1241,46 @@ def kernel_inputs(draw, exact=False):
     return alg, w, x, t
 
 
-def _same_fixed_series(alg, w, x, s, order, min_order):
-    """The kernel against ``fixed_series_oracle``: equal ints, or the same
-    ``SeriesCapError``.  Returns the oracle's outcome."""
-    shift = kf._fixed_shift(alg.dim, mp.prec)
-    wv, xv = kf._scaled(w, shift), kf._scaled(x, shift)
-    point = kf._point(alg, w, shift)
+def _same_series(point, x, s, order, min_order, rows, norm):
+    """The kernel at a prepared point against ``fixed_series_oracle`` over
+    ``rows`` and ``norm``: equal ints, or the same ``SeriesCapError``.
+    Returns the oracle's outcome."""
     try:
-        want = fixed_series_oracle(alg, wv, xv, s, shift, order, min_order)
+        want = fixed_series_oracle(rows, norm, x, s, point.shift, order, min_order)
     except kf.SeriesCapError as exc:
         with pytest.raises(kf.SeriesCapError) as got:
-            kf._fixed_series(point, xv, s, order, min_order)
+            kf._fixed_series(point, x, s, order, min_order)
         assert str(got.value) == str(exc)
         return exc
-    assert kf._fixed_series(point, xv, s, order, min_order) == want
+    assert kf._fixed_series(point, x, s, order, min_order) == want
     return want
+
+
+def _same_fixed_series(alg, w, x, s, order, min_order):
+    """``_same_series`` at ``w`` prepared by ``_point``, the oracle on the
+    dense rows of ``point_oracle``."""
+    shift = kf._fixed_shift(alg.dim, mp.prec)
+    wv, xv = kf._scaled(w, shift), kf._scaled(x, shift)
+    rows, norm = point_oracle(alg, wv)
+    return _same_series(kf._point(alg, w, shift), xv, s, order, min_order, dense_rows(rows), norm)
+
+
+def _synthetic_point(n, rows, shift):
+    """A prepared fixed-point point of ``n`` dimensions whose ``2^shift
+    ad_w`` has the given ``(row, columns, entries)`` rows, with no algebra
+    behind it: the kernel is compiled for its pattern directly."""
+    norms = [0] * n
+    for _, columns, entries in rows:
+        for c, a in zip(columns, entries):
+            norms[c] += abs(a)
+    kernel = kf._series_kernel((n, tuple((r, columns) for r, columns, _ in rows)))
+    return kf._Point(shift, 1 << shift, (), rows, max(norms), kernel)
+
+
+# the explicit orders: none, the identity, a few terms, at and past the cap
+ORDERS = (None, 0, 3, MAX_TERMS, MAX_TERMS + 1)
+AA16 = ff.algebra_from_dict(json.loads(
+    (Path(__file__).parent / "data" / "aa16.json").read_text()))
 
 
 class TestSeriesKernel:
@@ -1288,6 +1315,114 @@ class TestSeriesKernel:
             for s in (0, 1):
                 got = _same_fixed_series(alg, (3000.0, 0.0, 0.0), (0, 1, 0), s, None, 0)
                 assert isinstance(got, kf.SeriesCapError)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_zero_pattern(self, order):
+        # an abelian algebra: no row, and the kernel returns x
+        alg = AlmostAbelianAlgebra(Endomorphism.zero(2))
+        x = (Fraction(1, 3), Fraction(-2), Fraction(5, 7))
+        with mp.workdps(15):
+            assert kf._point(alg, (1.5, -0.25, 2.0), 60).rows == ()
+            for s in (0, 1):
+                for min_order in (0, MAX_TERMS):
+                    got = _same_fixed_series(alg, (1.5, -0.25, 2.0), x, s, order, min_order)
+                    assert got == kf._scaled(x, kf._fixed_shift(3, mp.prec))
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("name", ["heisenberg", "nilpotent dim 4"])
+    def test_nilpotent_series_stops_on_a_zero_term(self, name, order):
+        # a min_order at the cap leaves the stop rule no room and caps the
+        # series at n terms: only a zero term ends it without SeriesCapError
+        alg = KERNEL_CASES[name]
+        x = tuple(Fraction(i + 2, 3) for i in range(alg.dim))
+        with mp.workdps(50):
+            for w in sample_points(alg.dim, 4, 7):
+                for s in (0, 1):
+                    got = _same_fixed_series(alg, w, x, s, order, MAX_TERMS)
+                    assert not isinstance(got, kf.SeriesCapError)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_sixteen_dimensions(self, order):
+        # 15 rows of 9 to 16 entries, 200 nonzeros
+        x = tuple(Fraction((-1) ** i * (i + 1), 4) for i in range(AA16.dim))
+        with mp.workdps(15):
+            for w in sample_points(AA16.dim, 2, 16):
+                shift = kf._fixed_shift(AA16.dim, mp.prec)
+                lengths = [len(c) for _, c, _ in kf._point(AA16, w, shift).rows]
+                assert len(lengths) == 15 and max(lengths) == 16 and sum(lengths) == 200
+                for s in (0, 1):
+                    _same_fixed_series(AA16, w, x, s, order, 0)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_a_row_of_3001_nonzeros(self, order):
+        # one product per entry in a single row overflows the compiler's
+        # recursion limit unless the row sum is split; the row reads itself,
+        # so the series runs past its second term, and the last entry, no
+        # row and never read, is the largest partial sum the stop rule sees
+        rng = random.Random(3001)
+        n = 3002
+        with mp.workdps(15):
+            shift = kf._fixed_shift(n, mp.prec)
+            one = 1 << shift
+            entries = (one // 2,) + tuple(rng.randrange(-one, one) // 3001 or 1
+                                          for _ in range(3000))
+            point = _synthetic_point(n, ((0, tuple(range(3001)), entries),), shift)
+            x = [rng.randrange(-one, one) for _ in range(n - 1)] + [10 ** 12 << shift]
+            for s in (0, 1):
+                for min_order in (0, 40):
+                    _same_series(point, x, s, order, min_order, point.rows, point.norm)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_cap_is_raised_at_the_same_term(self, order):
+        # ad_w = I and a min_order at the cap: from x = (v, 0, -v) units of
+        # 2^-shift the terms are v/(k + s)! rounded toward zero, and the
+        # series raises exactly when term n + 1 = 4 is still nonzero: from
+        # v = 4! on for s = 0, from 5! on for s = 1
+        with mp.workdps(15):
+            shift = kf._fixed_shift(3, mp.prec)
+            one = 1 << shift
+            point = _synthetic_point(3, tuple((r, (r,), (one,)) for r in range(3)), shift)
+            for s in (0, 1):
+                raised = [isinstance(_same_series(point, [v, 0, -v], s, order,
+                                                  MAX_TERMS, point.rows, point.norm),
+                                     kf.SeriesCapError) for v in range(150)]
+                if order in (None, MAX_TERMS + 1):
+                    assert raised == [v >= (24, 120)[s] for v in range(150)]
+                else:
+                    assert not any(raised)
+
+    def test_threads_compile_one_new_pattern(self):
+        # eight threads make the first use of one pattern at once: each gets
+        # the oracle's ints, and the table keeps the sum of its weights
+        alg = AlmostAbelianAlgebra(random_derivation(random.Random(8), 4, "generic"))
+        w = (0.5, 0.0, -1.25, 0.75, 1.5)
+        x = tuple(Fraction(i - 2, 5) for i in range(alg.dim))
+        with mp.workdps(30):
+            shift = kf._fixed_shift(alg.dim, mp.prec)
+            xv = kf._scaled(x, shift)
+            rows, norm = point_oracle(alg, kf._scaled(w, shift))
+            want = fixed_series_oracle(dense_rows(rows), norm, xv, 1, shift)
+        kf._MEMO.kernels.clear()
+        got = []
+
+        def run():
+            got.append(kf._fixed_series(kf._point(alg, w, shift), xv, 1, None, 0))
+
+        threads = [threading.Thread(target=run) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 8
+        table = kf._MEMO.kernels
+        assert len(table.entries) == 1
+        assert table.size == sum(map(table.weigh, table.entries.values()))
 
     @settings(max_examples=100, deadline=None)
     @given(kernel_inputs(exact=True), st.integers(0, 3))
