@@ -13,9 +13,6 @@ from .tensors import (
     inner,
     apply_derivation,
     sym2_from_endo,
-    endo_from_sym2,
-    act_group,
-    exp_action,
     sum_of_squares,
     basis_monomials,
     sym_dimension,
@@ -45,7 +42,6 @@ from .killingfields import (
     omega_generator,
     omega_tensor,
     decompose,
-    decompose_ideal_tensor,
     verify_certificate,
     sample_points,
     DEFAULT_SEED,
@@ -66,8 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SymTensor", "Endomorphism", "sym_mul", "inner", "apply_derivation",
-    "sym2_from_endo", "endo_from_sym2", "act_group", "exp_action",
-    "sum_of_squares", "basis_monomials", "sym_dimension",
+    "sym2_from_endo", "sum_of_squares", "basis_monomials", "sym_dimension",
     "LimitError", "DimensionCapError", "MAX_DIMENSION", "SolverCapError",
     "BRUTE_FORCE_MAX_DEGREE", "BRUTE_FORCE_MAX_DIM", "StructuredCapError",
     "MAX_STRUCTURED_MONOMIALS", "DerivationCapError", "DERIVATION_DIM_CAP",
@@ -79,8 +74,7 @@ __all__ = [
     "DerivationField", "Certificate", "CertificateCheck", "CompiledCertificate",
     "NotKillingError", "GeneratorError", "generator_degree",
     "skew_derivation_basis", "skew_derivations", "validate_skew_derivation",
-    "omega_generator", "omega_tensor", "decompose", "decompose_ideal_tensor",
-    "verify_certificate", "sample_points",
+    "omega_generator", "omega_tensor", "decompose", "verify_certificate", "sample_points",
     "DEFAULT_SEED", "DEFAULT_TOL", "DEFAULT_SAMPLES", "DEFAULT_ORDER_FLOOR",
     "CurvatureClass", "ObstructionReport", "classify",
     "flat_metric_certificate", "left_invariant_killing_vectors",

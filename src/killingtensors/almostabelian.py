@@ -103,14 +103,6 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
     # structure
     # ------------------------------------------------------------------
 
-    def d_on_ideal(self, k: SymTensor) -> SymTensor:
-        """Killing operator of an ideal-supported tensor: ``b * derivation(k)``,
-        as the ideal is abelian.  Vanishes exactly when the derivation
-        annihilates the tensor."""
-        if 0 in k.support():
-            raise ValueError("tensor touches the distinguished direction")
-        return self.killing_operator(k)
-
     def layer_decomposition(self, k: SymTensor) -> LayeredDecomposition:
         """Unique layers with ``k = sum_i L^i * (odd_i*b + even_i)``, in one
         pass over the components ``b^m * c`` of ``k`` (``c`` on the ideal).

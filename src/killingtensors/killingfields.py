@@ -50,7 +50,7 @@ from .liealgebra import MetricLieAlgebra
 from .limits import (_MAX_TERMS, DERIVATION_DIM_CAP, MAX_EVALUATION_INDICES, MAX_SAMPLES,
                      DerivationCapError, EvaluationCapError, SampleCapError, SeriesCapError)
 from .tensors import (SymTensor, Endomorphism, monomial_positions, product_positions,
-                      replace_factor, sym_dimension)
+                      sym_dimension)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -515,6 +515,14 @@ def generator_degree(gen) -> int:
     raise TypeError(f"unknown generator {gen!r}")
 
 
+def _check_evaluation_size(dim: int, degree: int):
+    """``EvaluationCapError`` for a certificate of ``degree`` on ``dim``
+    dimensions past ``MAX_EVALUATION_INDICES``, before a monomial is listed."""
+    indices = degree * sym_dimension(dim, degree)
+    if indices > MAX_EVALUATION_INDICES:
+        raise EvaluationCapError(dim, degree, indices)
+
+
 class CompiledCertificate:
     """A certificate arranged for evaluation by Horner's rule over its factors.
 
@@ -537,9 +545,7 @@ class CompiledCertificate:
 
     def __init__(self, cert: Certificate):
         dim, degree = cert.target.dim, cert.target.degree
-        indices = degree * sym_dimension(dim, degree)
-        if indices > MAX_EVALUATION_INDICES:
-            raise EvaluationCapError(dim, degree, indices)
+        _check_evaluation_size(dim, degree)
         gens = {}
         for t, (_, factors) in enumerate(cert.terms):
             d = sum(generator_degree(g) for g in factors)
@@ -720,24 +726,12 @@ def skew_derivations(alg: AlmostAbelianAlgebra):
 # decomposition
 # ---------------------------------------------------------------------------
 
-def decompose_ideal_tensor(alg: AlmostAbelianAlgebra, k: SymTensor) -> Certificate:
-    """Certificate for a Killing tensor supported on the ideal: substitute the
-    right-invariant field of each basis vector into the monomials of ``k``.
-
-    The multilinear components of ``k`` divided by p!, regrouped over sorted
-    monomials, reproduce exactly the monomial coefficients, so the rewriting
-    is coefficient-for-coefficient.
-    """
-    if 0 in k.support():
-        raise ValueError("tensor must be supported on the abelian ideal")
-    if replace_factor(k.terms, alg.int_ad_b):
-        raise NotKillingError("tensor is not Killing on the ideal")
-    return Certificate(target=k, terms=_ideal_terms(alg.dim, k))
-
-
 def _ideal_terms(dim: int, k: SymTensor) -> tuple:
-    """The terms of ``decompose_ideal_tensor``, unchecked: one right-invariant
-    field per factor of each monomial, in sorted monomial order."""
+    """The certificate terms of a tensor ``k`` supported on the ideal: one
+    right-invariant field per factor of each monomial, in sorted monomial
+    order.  The multilinear components of ``k`` divided by p!, regrouped
+    over sorted monomials, reproduce exactly the monomial coefficients, so
+    the rewriting is coefficient-for-coefficient."""
     fields = [RightInvariant(basis_vec(dim, i)) for i in range(dim)]
     return tuple((k.terms[mono], tuple(fields[i] for i in mono)) for mono in sorted(k.terms))
 
@@ -749,9 +743,12 @@ def decompose(alg: AlmostAbelianAlgebra, k: SymTensor) -> Certificate:
     contributes metric generators (with a factor 2 each), and odd layers pick
     up the left-invariant field of ``b``, which is Killing exactly when the
     defining derivation is skew -- otherwise the odd part is zero.  The
-    layers passed ``is_killing_structured``, so they are rewritten without
-    the checks of ``decompose_ideal_tensor``.
+    layers passed ``is_killing_structured``, so each is rewritten by
+    ``_ideal_terms`` without a check of its own.  A target too large to
+    evaluate raises ``EvaluationCapError`` before the layers are built, as
+    its certificate could never be verified.
     """
+    _check_evaluation_size(k.dim, k.degree)
     diag = alg.is_killing_structured(k)
     if not diag.is_killing:
         raise NotKillingError("; ".join(diag.failures), diagnosis=diag)

@@ -4,8 +4,8 @@ serves as the oracle for all structured computations.
 
 The nonzero structure constants are kept once, as integers over their
 common denominator (``int_structure``, ``denominator``); ``structure`` is
-a dense view of them.  Validation, ``bracket``, ``derivation_residual``, the
-Killing operator and both exact solvers read them (the solvers through
+a dense view of them.  Validation, ``derivation_residual``, the Killing
+operator and both exact solvers read them (the solvers through
 ``tensors.replace_factor``) and divide by the denominator once at the end,
 if at all.  The same integers, grouped by entry of ``ad_w``
 (``ad_forms``), give ``ad_w`` in one integer pass per point, ``ad_walk``:
@@ -112,13 +112,6 @@ class MetricLieAlgebra:
         r = range(self.dim)
         return tuple(tuple(tuple(c.get((i, j, k), _ZERO) for k in r) for j in r) for i in r)
 
-    def bracket(self, x, y):
-        out = [0] * self.dim
-        for j, pairs in enumerate(self.int_structure):
-            for (i, k), c in pairs:
-                out[k] += x[i] * y[j] * c
-        return tuple(Fraction(v, self.denominator) for v in out)
-
     def derivation_residual(self, t: dict) -> dict:
         """Nonzero entries of ``T[e_a,e_b] - [T e_a,e_b] - [e_a,T e_b]`` for
         ``a < b``, keyed ``(a, b, k)`` by the component ``k``: summed over the
@@ -178,10 +171,6 @@ class MetricLieAlgebra:
             for j, a in zip(columns, entries):
                 out[r][j] = Fraction(a, scale)
         return Endomorphism(tuple(map(tuple, out)))
-
-    def ad_star(self, x) -> Endomorphism:
-        """Metric adjoint of ``ad_x``; transpose in the orthonormal basis."""
-        return self.ad(x).transpose()
 
     def nabla(self, y, x):
         """Levi-Civita connection of the left-invariant metric:

@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
-from .exactlinalg import basis_vec, frac, rref_span
+from .exactlinalg import basis_vec, frac
 
 Monomial = tuple
 
@@ -141,13 +141,6 @@ class SymTensor:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def support(self):
-        """Set of basis indices that appear in some monomial."""
-        out = set()
-        for mono in self.terms:
-            out.update(mono)
-        return out
 
     def vector(self):
         """Components of a degree-1 tensor."""
@@ -284,11 +277,6 @@ class Endomorphism:
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.entries for a in r)
 
-    def is_invertible(self) -> bool:
-        """Full rank: the rows span a space of dimension ``dim``."""
-        return len(rref_span([{j: a for j, a in enumerate(row) if a}
-                              for row in self.entries])) == self.dim
-
     def sparse(self) -> dict:
         """The nonzero entries, keyed ``(row, column)``."""
         return {(i, j): a for i, row in enumerate(self.entries) for j, a in enumerate(row) if a}
@@ -393,58 +381,6 @@ def sym2_from_endo(e: Endomorphism) -> SymTensor:
                 key = (i, j) if i <= j else (j, i)
                 out[key] = out.get(key, _ZERO) + a / 2
     return SymTensor(n, 2, out)
-
-
-def endo_from_sym2(k: SymTensor) -> Endomorphism:
-    """Inverse of ``sym2_from_endo`` on symmetric matrices: the monomial
-    ``e_i*e_j`` maps to ``x -> g(x,e_i) e_j + g(x,e_j) e_i``."""
-    if k.degree != 2:
-        raise ValueError("degree must be 2")
-    n = k.dim
-    return Endomorphism(tuple(tuple(k.coeff((i, j)) * (2 if i == j else 1) for j in range(n))
-                              for i in range(n)))
-
-
-def act_group(a: Endomorphism, k: SymTensor) -> SymTensor:
-    """Multiplicative action of an invertible map: apply it to every factor."""
-    if a.dim != k.dim:
-        raise ValueError("dimension mismatch")
-    if not a.is_invertible():
-        raise ValueError("matrix is singular")
-    cols = [SymTensor.from_vector(a.dim, a.column(j)) for j in range(a.dim)]
-    total = SymTensor.zero(k.dim, k.degree)
-    for mono, c in k.terms.items():
-        acc = SymTensor.monomial(k.dim, (), c)
-        for idx in mono:
-            acc = acc * cols[idx]
-        total = total + acc
-    return total
-
-
-def exp_action(d: Endomorphism, gamma, k: SymTensor, order=None) -> SymTensor:
-    """Exponentiated derivation ``sum_j (-gamma)^j / j! d^j(k)``.
-
-    With ``order=None`` the series must terminate exactly (it does whenever d
-    is nilpotent); otherwise it is truncated after ``order`` terms.  Equals
-    the multiplicative action of the matrix exponential of ``-gamma*d``.
-    """
-    gamma = _coeff(gamma)
-    acc = k
-    term = k
-    # if the series has not terminated within the Krylov dimension it never will
-    cap = sym_dimension(k.dim, k.degree) + 1
-    j = 1
-    while True:
-        if order is not None and j > order:
-            break
-        term = apply_derivation(d, term) * (Fraction(-1, j) * gamma)
-        if term.is_zero():
-            break
-        if order is None and j > cap:
-            raise ValueError("derivation series does not terminate; pass a truncation order")
-        acc = acc + term
-        j += 1
-    return acc
 
 
 def sum_of_squares(dim: int, indices=None) -> SymTensor:

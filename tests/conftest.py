@@ -106,13 +106,13 @@ def inner_oracle(a, b):
 def koszul_oracle(alg, y, x):
     """Connection components via the three-bracket Koszul identity
     ``2<nabla_y x, z> = <[y,x],z> - <[x,z],y> + <[z,y],x>``."""
-    n = alg.dim
+    n, c = alg.dim, alg.structure
     basis = [tuple(Fraction(1 if t == i else 0) for t in range(n)) for i in range(n)]
     comps = []
     for z in basis:
-        val = (dot(alg.bracket(y, x), z)
-               - dot(alg.bracket(x, z), y)
-               + dot(alg.bracket(z, y), x))
+        val = (dot(_structure_bracket(c, y, x), z)
+               - dot(_structure_bracket(c, x, z), y)
+               + dot(_structure_bracket(c, z, y), x))
         comps.append(val / 2)
     return tuple(comps)
 

@@ -842,20 +842,27 @@ class TestSeriesTermCap:
 
 class TestEvaluationCap:
     """A certificate of degree 3000 on three dimensions has 1.4e10 monomial
-    indices: refused at once, exit 2, before its values are allocated."""
+    indices: refused at once, exit 2, before its values are allocated.
+    ``decompose`` refuses the tensor before its layers are built, so a
+    40-byte file of degree 10^7 costs no more than one of degree 3000."""
 
     BIG = {"degree": 3000, "terms": []}
     DETAIL = "degree 3000 in dimension 3 needs 13513503000 monomial indices (cap 1000000)"
+    HUGE_DETAIL = ("degree 10000000 in dimension 3 needs 500000150000010000000 monomial "
+                   "indices (cap 1000000)")
 
-    def test_decompose_exits_2_at_once(self, tmp_path, capsys):
+    @pytest.mark.parametrize("tensor, detail", [(BIG, DETAIL),
+                                                ({"degree": 10 ** 7, "terms": []}, HUGE_DETAIL)],
+                             ids=["3000", "10^7"])
+    def test_decompose_exits_2_at_once(self, tmp_path, capsys, tensor, detail):
         cert = tmp_path / "big.cert.json"
         argv = ["decompose", "--algebra", write(tmp_path, "rot.json", ROT),
-                "--tensor", write(tmp_path, "big.json", self.BIG), "--certificate-out", str(cert)]
+                "--tensor", write(tmp_path, "big.json", tensor), "--certificate-out", str(cert)]
         start = time.perf_counter()
         code, out, err = run(capsys, argv)
         assert time.perf_counter() - start < 1
         assert code == 2 and out == "" and not cert.exists()
-        assert json.loads(err) == {"error": "limit exceeded", "detail": self.DETAIL}
+        assert json.loads(err) == {"error": "limit exceeded", "detail": detail}
 
     def test_verify_exits_2(self, tmp_path, capsys):
         argv = ["verify", "--algebra", write(tmp_path, "rot.json", ROT), "--certificate",

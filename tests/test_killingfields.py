@@ -36,8 +36,6 @@ from killingtensors import (
     SkewDerivation,
     SymTensor,
     decompose,
-    decompose_ideal_tensor,
-    exp_action,
     flat_metric_certificate,
     generator_degree,
     omega_generator,
@@ -189,15 +187,14 @@ class TestOmegaRight:
         assert (omega_generator(alg, _right(2), w, min_order=kf._MAX_TERMS)
                 == omega_generator(alg, _right(2), w))
 
-    def test_matches_exp_action_on_ideal_vectors(self):
-        # along pure b directions the value is the exponentiated derivation
+    def test_matches_the_series_oracle_on_ideal_vectors(self):
+        # along pure b directions the series terminates, and exactly
         alg = AlmostAbelianAlgebra(NILP)
         gamma = Fraction(3, 2)
         w = (gamma, Fraction(0), Fraction(0))
         for i in (1, 2):
             got = omega_generator(alg, _right(i), w)
-            expected = exp_action(alg.derivation_full, gamma, SymTensor.basis(3, i))
-            assert got == expected
+            assert got == SymTensor.from_vector(3, omega_series_oracle(alg, basis_vec(3, i), w))
 
     def test_b_series_closed_form(self):
         # the value on b is b + sum_{k>=1} (-gamma)^(k-1)/k! D^k(h)
@@ -292,32 +289,39 @@ class TestOmegaTensor:
 
 
 class TestDecomposeIdeal:
+    """A Killing tensor supported on the ideal is one layer: its certificate
+    puts one right-invariant field in place of each factor."""
+
     def test_mixed_monomial(self):
         alg = AlmostAbelianAlgebra(DIAG)
-        cert = decompose_ideal_tensor(alg, SymTensor.monomial(3, (1, 2)))
+        cert = decompose(alg, SymTensor.monomial(3, (1, 2)))
         assert cert.terms == ((Fraction(1), (RightInvariant(basis_vec(3, 1)),
                                              RightInvariant(basis_vec(3, 2)))),)
+        assert verify_certificate(alg, cert).passed
 
     def test_ideal_squares_for_rotation(self):
         alg = AlmostAbelianAlgebra(J2)
-        cert = decompose_ideal_tensor(alg, alg.ideal_twice_metric)
+        cert = decompose(alg, alg.ideal_twice_metric)
         assert len(cert.terms) == 2
         assert all(len(fs) == 2 and fs[0] == fs[1] for _, fs in cert.terms)
+        assert verify_certificate(alg, cert).passed
 
     def test_scalar(self):
         alg = AlmostAbelianAlgebra(DIAG)
-        cert = decompose_ideal_tensor(alg, SymTensor.monomial(3, (), Fraction(7, 2)))
+        cert = decompose(alg, SymTensor.monomial(3, (), Fraction(7, 2)))
         assert cert.terms == ((Fraction(7, 2), ()),)
+        assert verify_certificate(alg, cert).passed
 
-    def test_rejects_b_support(self):
+    def test_rejects_b_times_an_ideal_vector_without_skew(self):
+        # b*h1 is an odd layer, Killing only for a skew derivation
         alg = AlmostAbelianAlgebra(DIAG)
-        with pytest.raises(ValueError):
-            decompose_ideal_tensor(alg, SymTensor.monomial(3, (0, 1)))
+        with pytest.raises(NotKillingError):
+            decompose(alg, SymTensor.monomial(3, (0, 1)))
 
     def test_rejects_non_killing(self):
         alg = AlmostAbelianAlgebra(DIAG)
         with pytest.raises(NotKillingError):
-            decompose_ideal_tensor(alg, SymTensor.monomial(3, (1, 1)))
+            decompose(alg, SymTensor.monomial(3, (1, 1)))
 
 
 class TestDecompose:
@@ -617,8 +621,15 @@ class TestEvaluationCap:
             verify_certificate(self.ALG, cert)
         with pytest.raises(EvaluationCapError):
             omega_tensor(self.ALG, cert, (0.5, 0.0, 0.0))
+        with pytest.raises(EvaluationCapError):  # before the p/2 + 1 layers are built
+            decompose(self.ALG, cert.target)
         assert time.perf_counter() - start < 1
         assert monomial_positions.cache_info().misses == listed
+
+    def test_decompose_checks_the_bound_before_the_killing_test(self):
+        # e1^125 is not Killing for the rotation, and past the bound
+        with pytest.raises(EvaluationCapError):
+            decompose(self.ALG, SymTensor.monomial(3, (1,) * 125))
 
 
 class TestMatrixIsNotAGenerator:

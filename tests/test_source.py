@@ -1,4 +1,6 @@
 import ast
+import doctest
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,44 @@ def test_no_size_bound_outside_limits(path):
                for t in node.targets if isinstance(t, ast.Name)]
     defined += [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
     assert [n for n in defined if "MAX_" in n or n.endswith(("_CAP", "CapError"))] == []
+
+
+ROOT = SRC.parent.parent
+# where a route of the package counts as used: the package itself, the
+# scripts, the benchmark, the README example and the acceptance suite
+USERS = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+         ROOT / "tests" / "test_acceptance.py"]
+
+
+def _names(tree):
+    """Every name and attribute a tree reads or writes, with repeats."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def _public_routes(tree):
+    """``(qualified name, node)`` of each public module-level function and
+    class and of each public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{m.name}", m) for m in node.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+
+
+def test_every_public_route_has_a_user_outside_the_unit_tests():
+    readme = doctest.DocTestParser().get_examples((ROOT / "README.md").read_text())
+    trees = [ast.parse(p.read_text()) for p in USERS]
+    trees += [ast.parse(example.source) for example in readme]
+    uses = Counter(name for tree in trees for name in _names(tree))
+    unused = []
+    for path in MODULES:
+        for qualified, node in _public_routes(ast.parse(path.read_text())):
+            # a route's own body (a recursive call) does not count as a use
+            if uses[node.name] <= Counter(_names(node))[node.name]:
+                unused.append(f"{path.stem}.{qualified}")
+    assert sorted(unused) == []

@@ -1,18 +1,12 @@
-import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm
 
 from killingtensors import (
     SymTensor,
     Endomorphism,
-    act_group,
     apply_derivation,
-    endo_from_sym2,
-    exp_action,
     inner,
     sum_of_squares,
     sym2_from_endo,
@@ -176,98 +170,19 @@ class TestSym2Conversions:
         want = SymTensor.build(2, 2, {(0, 0): Fraction(1, 2), (1, 1): Fraction(-1, 2)})
         assert got == want
 
-    def test_endo_from_mixed_monomial(self):
-        e = endo_from_sym2(SymTensor.monomial(2, (0, 1)))
-        assert e.entries[0][1] == 1 and e.entries[1][0] == 1
-        assert e.entries[0][0] == 0 and e.entries[1][1] == 0
-
-    def test_endo_from_square_monomial(self):
-        e = endo_from_sym2(SymTensor.monomial(2, (0, 0)))
-        assert e.entries[0][0] == 2 and all(
-            e.entries[i][j] == 0 for i in range(2) for j in range(2) if (i, j) != (0, 0))
-
-    def test_half_squares_round_trips_to_identity(self):
-        assert endo_from_sym2(sum_of_squares(3) * Fraction(1, 2)) == Endomorphism.identity(3)
-
     @settings(deadline=None, max_examples=40)
     @given(st.integers(1, 3), st.data())
-    def test_round_trip_on_symmetric(self, dim, data):
+    def test_coefficients_are_the_symmetric_entries(self, dim, data):
+        # e_i*e_j (i < j) carries f_ij, and e_i*e_i carries f_ii / 2
         f = Endomorphism.from_rows(
             [[data.draw(rationals) for _ in range(dim)] for _ in range(dim)]).symmetric_part()
-        assert endo_from_sym2(sym2_from_endo(f)) == f
-        k = data.draw(tensors(dim, 2))
-        assert sym2_from_endo(endo_from_sym2(k)) == k
+        k = sym2_from_endo(f)
+        assert all(k.coeff((i, j)) * (1 + (i == j)) == f.entries[i][j]
+                   for i in range(dim) for j in range(dim))
 
     def test_depends_on_symmetric_part_only(self):
         e = Endomorphism.from_rows([[1, 5], [-2, 3]])
         assert sym2_from_endo(e) == sym2_from_endo(e.symmetric_part())
-
-
-class TestGroupAction:
-    def test_identity(self):
-        k = SymTensor.build(2, 2, {(0, 1): 3, (1, 1): -2})
-        assert act_group(Endomorphism.identity(2), k) == k
-
-    def test_diagonal_scaling(self):
-        got = act_group(Endomorphism.diagonal([2, 3]), SymTensor.monomial(2, (0, 1)))
-        assert got == SymTensor.monomial(2, (0, 1), 6)
-
-    def test_rotation_of_square(self):
-        assert act_group(J2, SymTensor.monomial(2, (0, 0))) == SymTensor.monomial(2, (1, 1))
-
-    def test_singular_rejected(self):
-        with pytest.raises(ValueError):
-            act_group(Endomorphism.zero(2), SymTensor.basis(2, 0))
-
-    @settings(deadline=None, max_examples=30)
-    @given(st.integers(1, 3), st.data())
-    def test_multiplicative(self, dim, data):
-        rows = [[data.draw(rationals) for _ in range(dim)] for _ in range(dim)]
-        a = Endomorphism.from_rows(rows) + Endomorphism.identity(dim) * 4  # keep it invertible
-        if not a.is_invertible():
-            return
-        k1 = data.draw(tensors(dim, data.draw(st.integers(0, 2))))
-        k2 = data.draw(tensors(dim, data.draw(st.integers(0, 2))))
-        assert act_group(a, k1 * k2) == act_group(a, k1) * act_group(a, k2)
-
-
-class TestExpAction:
-    def test_nilpotent_two_term_series(self):
-        d = Endomorphism.from_rows([[0, 1], [0, 0]])
-        got = exp_action(d, 1, SymTensor.basis(2, 1))
-        assert got == SymTensor.basis(2, 1) - SymTensor.basis(2, 0)
-
-    def test_gamma_zero(self):
-        k = SymTensor.build(2, 2, {(0, 0): 2, (0, 1): -1})
-        assert exp_action(Endomorphism.diagonal([1, 2]), 0, k) == k
-
-    def test_series_collapses_on_annihilated_tensor(self):
-        d = Endomorphism.diagonal([1, -1])
-        k = SymTensor.monomial(2, (0, 1))
-        assert exp_action(d, 1, k) == k
-
-    def test_nonterminating_exact_mode_raises(self):
-        with pytest.raises(ValueError):
-            exp_action(Endomorphism.diagonal([1, 2]), 1, SymTensor.basis(2, 0))
-
-    def test_matches_numeric_matrix_exponential(self):
-        rng = random.Random(4821)
-        for _ in range(12):
-            n = rng.randint(1, 3)
-            rows = [[Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(n)]
-                    for _ in range(n)]
-            d = Endomorphism.from_rows(rows)
-            norm = max((sum(abs(float(x)) for x in col) for col in zip(*rows)), default=0.0)
-            gamma = Fraction(1) if norm <= 2 else Fraction(2, int(norm) + 1)
-            target = expm(-float(gamma) * np.array([[float(x) for x in r] for r in rows]))
-            a = Endomorphism.from_rows([[Fraction(v) for v in row] for row in target.tolist()])
-            k = SymTensor.build(n, 2, {
-                tuple(sorted((rng.randrange(n), rng.randrange(n)))): rng.randint(-3, 3)
-                for _ in range(3)})
-            lhs = exp_action(d, gamma, k, order=30)
-            rhs = act_group(a, k)
-            for mono in set(lhs.terms) | set(rhs.terms):
-                assert abs(float(lhs.terms.get(mono, 0)) - float(rhs.terms.get(mono, 0))) < 1e-9
 
 
 class TestContainers:
