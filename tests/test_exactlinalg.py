@@ -136,6 +136,15 @@ class TestFractionFreeElimination:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda n: big_matrices(rows=st.just(n), cols=st.just(n))))
     @example(([[Fraction(1), Fraction(2)], [Fraction(1, 2), Fraction(1)]], 2))
+    def test_is_invertible_is_full_oracle_rank(self, matrix):
+        # a square matrix is invertible exactly when its kernel is zero
+        rows, n = matrix
+        assert ((nullspace(_columns(rows, n, lambda j: j)) == [])
+                == (len(gauss_jordan_oracle(rows, n)[1]) == n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: big_matrices(rows=st.just(n), cols=st.just(n))))
+    @example(([[Fraction(1), Fraction(2)], [Fraction(1, 2), Fraction(1)]], 2))
     def test_span_rank_is_the_oracle_rank(self, matrix):
         rows, n = matrix
         assert (len(rref_span([{j: a for j, a in enumerate(row) if a} for row in rows]))

@@ -187,8 +187,9 @@ class TestOmegaRight:
         assert (omega_generator(alg, _right(2), w, min_order=kf._MAX_TERMS)
                 == omega_generator(alg, _right(2), w))
 
-    def test_matches_the_series_oracle_on_ideal_vectors(self):
-        # along pure b directions the series terminates, and exactly
+    def test_matches_exp_action_on_ideal_vectors(self):
+        # along pure b directions the value is the exponentiated derivation,
+        # a series that terminates for a nilpotent one
         alg = AlmostAbelianAlgebra(NILP)
         gamma = Fraction(3, 2)
         w = (gamma, Fraction(0), Fraction(0))
@@ -312,7 +313,7 @@ class TestDecomposeIdeal:
         assert cert.terms == ((Fraction(7, 2), ()),)
         assert verify_certificate(alg, cert).passed
 
-    def test_rejects_b_times_an_ideal_vector_without_skew(self):
+    def test_rejects_b_support(self):
         # b*h1 is an odd layer, Killing only for a skew derivation
         alg = AlmostAbelianAlgebra(DIAG)
         with pytest.raises(NotKillingError):

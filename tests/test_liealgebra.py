@@ -214,6 +214,16 @@ class TestAdjoint:
         assert got.column(1) == (Fraction(0),) * 3
         assert got.column(2) == (Fraction(0),) * 3
 
+    def test_ad_star_is_transpose(self):
+        # the metric adjoint, <[x, y], z> = <y, ad*_x z>, is the transpose of
+        # ad_x in the orthonormal basis; the judge brackets densely
+        rng = random.Random(2)
+        for d in derivation_suite(per_kind=1):
+            alg = AlmostAbelianAlgebra(d)
+            x, y, z = (random_vector(rng, alg.dim) for _ in range(3))
+            assert (dot(y, alg.ad(x).transpose().apply(z))
+                    == dot(_structure_bracket(alg.structure, x, y), z))
+
     def test_ad_linear_in_argument(self):
         alg = so3()
         rng = random.Random(3)
@@ -243,7 +253,8 @@ class TestIntStructureAgainstDenseOracle:
         return [AlmostAbelianAlgebra(d) for d in derivation_suite()] \
             + [so3(), heisenberg3()] + wide_algebras()
 
-    def test_ad(self):
+    def test_bracket(self):
+        # ad(x).apply(y) is the bracket [x, y]
         rng = random.Random(53)
         for alg in self._algebras():
             wide = tuple(Fraction(rng.randint(-10 ** 40, 10 ** 40), rng.choice((1, 3, 7)))

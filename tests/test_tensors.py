@@ -1,12 +1,20 @@
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from killingtensors import (
+    AlmostAbelianAlgebra,
+    Certificate,
+    RightInvariant,
     SymTensor,
     Endomorphism,
     apply_derivation,
+    omega_tensor,
     inner,
     sum_of_squares,
     sym2_from_endo,
@@ -45,6 +53,34 @@ def endo_and_tensor(draw, max_dim=3, max_degree=3):
 def endos(dim):
     return st.lists(st.lists(rationals, min_size=dim, max_size=dim),
                     min_size=dim, max_size=dim).map(Endomorphism.from_rows)
+
+
+def _symmetric_matrix(k):
+    """The symmetric matrix of a 2-tensor: entry (i, j) is the coefficient
+    of e_i*e_j, entry (i, i) twice that of e_i*e_i."""
+    n = range(k.dim)
+    return Endomorphism.from_rows([[k.coeff((i, j)) * (1 + (i == j)) for j in n] for i in n])
+
+
+def _flow(d, gamma, k, order=None):
+    """``exp(-gamma*d)`` acting on ``k`` as the package sums it: the pullback
+    at ``(gamma, 0, ..., 0)`` of ``k`` written in right-invariant fields of
+    the almost abelian algebra of ``d``, whose ideal carries ``k``'s indices
+    shifted by one.  Exact at a point of rationals, mpf at a float point."""
+    n = d.dim
+    fields = [RightInvariant(tuple(Fraction(int(j == i + 1)) for j in range(n + 1)))
+              for i in range(n)]
+    lifted = SymTensor(n + 1, k.degree, {tuple(i + 1 for i in m): c for m, c in k.terms.items()})
+    cert = Certificate(lifted, tuple((c, tuple(fields[i] for i in m))
+                                     for m, c in k.terms.items()))
+    value = omega_tensor(AlmostAbelianAlgebra(d), cert, (gamma,) + (0,) * n, order)
+    assert all(0 not in m for m in value.terms)  # the ideal is invariant
+    return SymTensor(n, k.degree, {tuple(i - 1 for i in m): c for m, c in value.terms.items()})
+
+
+def _close(a, b, tol=1e-9):
+    return all(abs(float(a.coeff(m)) - float(b.coeff(m))) < tol
+               for m in set(a.terms) | set(b.terms))
 
 
 class TestProduct:
@@ -170,19 +206,111 @@ class TestSym2Conversions:
         want = SymTensor.build(2, 2, {(0, 0): Fraction(1, 2), (1, 1): Fraction(-1, 2)})
         assert got == want
 
+    def test_endo_from_mixed_monomial(self):
+        e = Endomorphism.from_rows([[0, 1], [1, 0]])
+        assert sym2_from_endo(e) == SymTensor.monomial(2, (0, 1))
+        assert _symmetric_matrix(SymTensor.monomial(2, (0, 1))) == e
+
+    def test_endo_from_square_monomial(self):
+        e = Endomorphism.diagonal([2, 0])
+        assert sym2_from_endo(e) == SymTensor.monomial(2, (0, 0))
+        assert _symmetric_matrix(SymTensor.monomial(2, (0, 0))) == e
+
+    def test_half_squares_round_trips_to_identity(self):
+        half = sum_of_squares(3) * Fraction(1, 2)
+        assert _symmetric_matrix(half) == Endomorphism.identity(3)
+        assert sym2_from_endo(_symmetric_matrix(half)) == half
+
     @settings(deadline=None, max_examples=40)
     @given(st.integers(1, 3), st.data())
-    def test_coefficients_are_the_symmetric_entries(self, dim, data):
+    def test_round_trip_on_symmetric(self, dim, data):
         # e_i*e_j (i < j) carries f_ij, and e_i*e_i carries f_ii / 2
         f = Endomorphism.from_rows(
             [[data.draw(rationals) for _ in range(dim)] for _ in range(dim)]).symmetric_part()
-        k = sym2_from_endo(f)
-        assert all(k.coeff((i, j)) * (1 + (i == j)) == f.entries[i][j]
-                   for i in range(dim) for j in range(dim))
+        assert _symmetric_matrix(sym2_from_endo(f)) == f
+        k = data.draw(tensors(dim, 2))
+        assert sym2_from_endo(_symmetric_matrix(k)) == k
 
     def test_depends_on_symmetric_part_only(self):
         e = Endomorphism.from_rows([[1, 5], [-2, 3]])
         assert sym2_from_endo(e) == sym2_from_endo(e.symmetric_part())
+
+
+class TestGroupAction:
+    """The action of ``exp(-gamma*d)`` on tensors, through ``_flow``."""
+
+    def test_identity(self):
+        k = SymTensor.build(2, 2, {(0, 1): 3, (1, 1): -2})
+        assert _flow(Endomorphism.zero(2), Fraction(5), k) == k
+
+    def test_diagonal_scaling(self):
+        # diag(2, 3) = exp(-d) for d = -diag(ln 2, ln 3)
+        d = Endomorphism.diagonal([-math.log(2), -math.log(3)])
+        got = _flow(d, 1.0, SymTensor.monomial(2, (0, 1)))
+        assert _close(got, SymTensor.monomial(2, (0, 1), 6))
+
+    def test_rotation_of_square(self):
+        # exp(pi/2 * J2) is the quarter turn J2
+        got = _flow(J2, -math.pi / 2, SymTensor.monomial(2, (0, 0)))
+        assert _close(got, SymTensor.monomial(2, (1, 1)))
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(1, 3), st.data())
+    def test_multiplicative(self, dim, data):
+        # strictly upper triangular, so the series terminate and all is exact
+        d = Endomorphism.from_rows([[data.draw(rationals) if j > i else 0 for j in range(dim)]
+                                    for i in range(dim)])
+        gamma = data.draw(rationals)
+        k1 = data.draw(tensors(dim, data.draw(st.integers(0, 2))))
+        k2 = data.draw(tensors(dim, data.draw(st.integers(0, 2))))
+        assert _flow(d, gamma, k1 * k2) == _flow(d, gamma, k1) * _flow(d, gamma, k2)
+
+
+class TestExpAction:
+    def test_nilpotent_two_term_series(self):
+        d = Endomorphism.from_rows([[0, 1], [0, 0]])
+        got = _flow(d, 1, SymTensor.basis(2, 1))
+        assert got == SymTensor.basis(2, 1) - SymTensor.basis(2, 0)
+
+    def test_gamma_zero(self):
+        k = SymTensor.build(2, 2, {(0, 0): 2, (0, 1): -1})
+        assert _flow(Endomorphism.diagonal([1, 2]), 0, k) == k
+
+    def test_series_collapses_on_annihilated_tensor(self):
+        # d kills e0: its series stops after one term, exactly
+        d = Endomorphism.from_rows([[0, 1], [0, 0]])
+        k = SymTensor.monomial(2, (0, 0), 3)
+        assert _flow(d, Fraction(7, 2), k) == k
+        # diag(1, -1) kills e0*e1 though not its factors: the factors'
+        # series, summed in floats, cancel in the product
+        assert _close(_flow(Endomorphism.diagonal([1, -1]), 1.0, SymTensor.monomial(2, (0, 1))),
+                      SymTensor.monomial(2, (0, 1)))
+
+    def test_nonterminating_exact_mode_raises(self):
+        with pytest.raises(ValueError):
+            _flow(Endomorphism.diagonal([1, 2]), 1, SymTensor.basis(2, 0))
+
+    def test_matches_numeric_matrix_exponential(self):
+        # a 2-tensor with symmetric matrix S goes to the one of A S A^T
+        rng = random.Random(4821)
+        for _ in range(12):
+            n = rng.randint(1, 3)
+            rows = [[Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(n)]
+                    for _ in range(n)]
+            d = Endomorphism.from_rows(rows)
+            norm = max((sum(abs(float(x)) for x in col) for col in zip(*rows)), default=0.0)
+            gamma = Fraction(1) if norm <= 2 else Fraction(2, int(norm) + 1)
+            a = expm(-float(gamma) * np.array([[float(x) for x in r] for r in rows]))
+            k = SymTensor.build(n, 2, {
+                tuple(sorted((rng.randrange(n), rng.randrange(n)))): rng.randint(-3, 3)
+                for _ in range(3)})
+            s = np.array([[float(x) for x in r] for r in _symmetric_matrix(k).entries])
+            image = a @ s @ a.T
+            want = {(i, j): image[i, j] * (1 if i < j else 0.5)
+                    for i in range(n) for j in range(i, n)}
+            got = _flow(d, gamma, k, order=30)
+            assert all(abs(float(got.coeff(m)) - want[m]) < 1e-9 for m in want)
+            assert all(m in want for m in got.terms)
 
 
 class TestContainers:
