@@ -26,26 +26,20 @@ from .tensors import (SymTensor, Endomorphism, multiply_terms, replace_factor, s
 @dataclass(frozen=True)
 class LayeredDecomposition:
     """Unique layers of a symmetric tensor relative to powers of the sum of
-    squares.  ``odd[i]`` (degree p-2i-1, or None when that is negative) is the
-    coefficient of ``b`` in layer i; ``even[i]`` (degree p-2i) is the rest.
-    All layers are supported on the ideal."""
+    squares, all supported on the ideal.  Layer i is ``odd_i * b + even_i``,
+    with ``odd_i`` of degree p-2i-1 and ``even_i`` of degree p-2i; a
+    degree-p tensor has about p of them, and ``nonzero`` keeps only the
+    nonzero ones, ``odd_i`` at ``(1, i)`` and ``even_i`` at ``(0, i)``."""
 
+    dim: int
     degree: int
-    odd: tuple
-    even: tuple
+    nonzero: dict
 
     def reassemble(self) -> SymTensor:
-        dim = self.even[0].dim
-        metric2 = sum_of_squares(dim)
-        b = SymTensor.basis(dim, 0)
-        power = SymTensor.unit(dim)
-        total = SymTensor.zero(dim, self.degree)
-        for i in range(len(self.even)):
-            layer = self.even[i]
-            if self.odd[i] is not None:
-                layer = layer + self.odd[i] * b
-            total = total + power * layer
-            power = power * metric2
+        b = SymTensor.basis(self.dim, 0)
+        total = SymTensor.zero(self.dim, self.degree)
+        for (e, i), layer in self.nonzero.items():
+            total = total + sum_of_squares(self.dim) ** i * b ** e * layer
         return total
 
 
@@ -120,19 +114,17 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
             m = mono.count(0)  # monomials are sorted: the factors b lead
             components.setdefault(m, {})[mono[m:]] = c
         minus_lh = {(h, h): -1 for h in range(1, self.dim)}
-        layers = ([{} for _ in range(p // 2 + 1)], [{} for _ in range((p + 1) // 2)])
+        layers = {}
         for m, c in components.items():
             j, e = divmod(m, 2)
             for i in range(j, -1, -1):  # here c is (-L_h)^(j-i) times the component
-                layer = layers[e][i]
+                layer = layers.setdefault((e, i), {})
                 for mono, x in c.items():
                     layer[mono] = layer.get(mono, 0) + comb(j, i) * x
                 if i:
                     c = multiply_terms(c, minus_lh)
-        even, odd = ([SymTensor(self.dim, p - 2 * i - e, t) for i, t in enumerate(layers[e])]
-                     for e in (0, 1))
-        odd += [None] * (len(even) - len(odd))
-        return LayeredDecomposition(p, tuple(odd), tuple(even))
+        layers = {(e, i): SymTensor(self.dim, p - 2 * i - e, t) for (e, i), t in layers.items()}
+        return LayeredDecomposition(self.dim, p, {key: t for key, t in layers.items() if t})
 
     def split_odd_even(self, k: SymTensor):
         """Parts of the tensor with odd resp. even degree in ``b``."""
@@ -153,12 +145,10 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
         """
         lay = self.layer_decomposition(k)
         skew = self.derivation.is_skew()
-        failures = []
-        for kind, layers in (("even", lay.even), ("odd", lay.odd if skew else ())):
-            for i, t in enumerate(layers):
-                if t is not None and replace_factor(t.terms, self.int_ad_b):
-                    failures.append(f"{kind} layer {i} not annihilated by the derivation")
-        if not skew and any(a is not None and not a.is_zero() for a in lay.odd):
+        failures = [f"{('even', 'odd')[e]} layer {i} not annihilated by the derivation"
+                    for (e, i), t in sorted(lay.nonzero.items())
+                    if (skew or not e) and replace_factor(t.terms, self.int_ad_b)]
+        if not skew and any(e for e, _ in lay.nonzero):
             failures.append("odd part nonzero, derivation not skew")
         return KillingDiagnosis(not failures, tuple(failures), lay)
 

@@ -18,8 +18,6 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from mpmath import mp
-
 from . import fileformats as ff
 from .almostabelian import AlmostAbelianAlgebra
 from .curvature import classify, flat_metric_certificate, left_invariant_killing_vectors, \
@@ -35,9 +33,9 @@ from .killingfields import (
     LeftInvariant,
     Metric,
     NotKillingError,
+    REPORT_PREC,
     RightInvariant,
     SkewDerivation,
-    _mp_vec,
     omega_generator,
     skew_derivation_basis,
     skew_derivations,
@@ -258,21 +256,20 @@ def cmd_omega_sample(args) -> int:
     w = _parse_point(args.at, alg.dim)
     spec = args.generator.strip()
     kind, _, index = spec.partition(":")
-    with mp.workdps(60):
-        if spec == "metric":
-            gen = Metric()
-        elif kind in ("left", "right"):
-            i = _generator_index(index, alg.dim, "basis index")
-            vec = basis_vec(alg.dim, i)
-            gen = LeftInvariant(vec) if kind == "left" else RightInvariant(vec)
-        elif kind == "deriv":
-            basis = skew_derivation_basis(alg)
-            i = _generator_index(index, len(basis), "derivation index")
-            gen = DerivationField(SkewDerivation.from_matrix(basis[i]))
-        else:
-            raise ff.ParseError("--generator: expected metric | left:I | right:I | deriv:I")
-        value = omega_generator(alg, gen, _mp_vec(w), order=args.order)
-        doc = ff.numeric_tensor_to_dict(value)
+    if spec == "metric":
+        gen = Metric()
+    elif kind in ("left", "right"):
+        i = _generator_index(index, alg.dim, "basis index")
+        vec = basis_vec(alg.dim, i)
+        gen = LeftInvariant(vec) if kind == "left" else RightInvariant(vec)
+    elif kind == "deriv":
+        basis = skew_derivation_basis(alg)
+        i = _generator_index(index, len(basis), "derivation index")
+        gen = DerivationField(SkewDerivation.from_matrix(basis[i]))
+    else:
+        raise ff.ParseError("--generator: expected metric | left:I | right:I | deriv:I")
+    value = omega_generator(alg, gen, w, order=args.order, prec=REPORT_PREC)
+    doc = ff.numeric_tensor_to_dict(value)
     result = {"generator": spec, "at": [float(x) for x in w], "value": doc}
     return _emit(args, _report(args, "omega-sample", {"algebra": args.algebra}, result))
 

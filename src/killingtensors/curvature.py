@@ -7,16 +7,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
-
 from .almostabelian import AlmostAbelianAlgebra
 from .exactlinalg import basis_vec
 from .killingfields import (
     Certificate,
     LeftInvariant,
+    REPORT_PREC,
     _ideal_terms,
-    _mp_vec,
-    _mpf_of,
+    _nearest,
     omega_tensor,
 )
 from .liealgebra import KillingSpace
@@ -96,12 +94,11 @@ def metric_obstruction(alg: AlmostAbelianAlgebra) -> ObstructionReport:
     candidate = Certificate(target=ideal2, terms=_ideal_terms(alg.dim, ideal2))
     w = [1] + [0] * (alg.dim - 1)
     residual = {}
-    with mp.workdps(60):
-        value = omega_tensor(alg, candidate, _mp_vec(w), order=None, min_order=30)
-        for mono in set(value.terms) | set(ideal2.terms):
-            a = _mpf_of(value.terms.get(mono, 0))
-            b = _mpf_of(ideal2.terms.get(mono, _ZERO))
-            residual[mono] = float(a - b)
+    value = omega_tensor(alg, candidate, w, order=None, min_order=30, prec=REPORT_PREC)
+    for mono in set(value.terms) | set(ideal2.terms):
+        # the difference at the working precision; ideal2's coefficients, all 1, are exact
+        d = value.terms.get(mono, _ZERO) - ideal2.terms.get(mono, _ZERO)
+        residual[mono] = float(_nearest(d.numerator, d.denominator, REPORT_PREC))
     residual_max = max((abs(x) for x in residual.values()), default=0.0)
     return ObstructionReport(
         curvature_scale=lam,

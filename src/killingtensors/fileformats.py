@@ -204,10 +204,11 @@ def tensor_to_dict(t: SymTensor) -> dict:
 def _json_float(x):
     """``float(x)``, or the string ``"inf"`` / ``"-inf"`` for a value past
     the float range: strict JSON has no infinities."""
-    f = float(x)
-    if math.isinf(f):
-        return "inf" if f > 0 else "-inf"
-    return f
+    try:
+        f = float(x)
+    except OverflowError:  # a Fraction past the float range
+        f = math.inf if x > 0 else -math.inf
+    return ("inf" if f > 0 else "-inf") if math.isinf(f) else f
 
 
 def numeric_tensor_to_dict(t: SymTensor) -> dict:

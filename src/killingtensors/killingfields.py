@@ -10,7 +10,7 @@ skew derivation ``T`` it is the series ``sum_k (-1)^k/(k+1)! ad_w^k T(w)``,
 and for left-invariant generators it is constant.  A certificate is valid
 when the assembled value is constant equal to its target.  ``omega_generator``
 (one generator) and ``omega_tensor`` (a certificate) are the two entry
-points, and the point ``w`` alone decides between exact and sampled values.
+points: exact values by default, or values in fixed point at ``prec`` bits.
 
 Constancy is checked exactly at ``w = 0``, on ints (``_exact_at_zero``), and
 numerically at seeded sample points.  Sampling runs in extended precision:
@@ -18,9 +18,11 @@ the factor values grow like ``exp(|gamma| * ||D||)`` and cancel additively
 across monomials, which double precision cannot survive at the 1e-9 gate.
 The series and the certificate polynomial are summed on Python ints scaled
 by ``2**shift``, guard bits over a working precision that
-``verify_certificate`` sizes per certificate and ``omega_tensor`` reads from
-``mp.prec`` (error bound in ``_fixed_shift``); each series by a function
-compiled once per sparsity pattern of ``ad_w`` (``_series_kernel``).
+``verify_certificate`` sizes per certificate and ``omega_tensor`` takes as
+``prec`` (error bound in ``_fixed_shift``); each series by a function
+compiled once per sparsity pattern of ``ad_w`` (``_series_kernel``).  Every
+value is an exact ``Fraction`` or a fixed-point int, and no code reads or
+writes process-wide numeric state.
 ``verify_certificate`` works a block of sample points at a time: each
 series generator gets one column of values over the block from a bounded
 memo (``_SampleMemo``) that certificates on one algebra share, the constant
@@ -41,9 +43,6 @@ from itertools import repeat
 from operator import add, mul, rshift, sub
 from typing import NamedTuple
 
-from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_man_exp, prec_to_dps, round_nearest
-
 from .almostabelian import AlmostAbelianAlgebra
 from .exactlinalg import basis_vec, dot, nullspace
 from .liealgebra import MetricLieAlgebra
@@ -61,6 +60,20 @@ DEFAULT_SAMPLES = 20
 DEFAULT_ORDER_FLOOR = 12
 
 _LOG10_E = math.log10(math.e)
+
+
+# mpmath's conversions between decimal digits and bits (``libmp.libmpf``,
+# mpmath 1.3), by which the working precision has always been sized
+def _prec_to_dps(n: int) -> int:
+    return max(1, int(round(int(n) / 3.3219280948873626) - 1))
+
+
+def _dps_to_prec(n: int) -> int:
+    return max(1, int(round((int(n) + 1) * 3.3219280948873626)))
+
+
+# the working precision of the omega-sample and curvature reports, 60 digits
+REPORT_PREC = _dps_to_prec(60)
 
 
 class NotKillingError(ValueError):
@@ -161,22 +174,35 @@ class Certificate:
 
 
 # ---------------------------------------------------------------------------
-# scalar contexts: exact Fractions, mpmath floats at the public edges, and
-# fixed-point integers inside the sampled evaluation
+# scalar contexts: exact Fractions, and fixed-point integers rounded at
+# ``prec`` bits where they come in and go out
 # ---------------------------------------------------------------------------
 
-def _numeric_seq(seq) -> bool:
-    return any(not isinstance(v, (Fraction, int)) for v in seq)
+def _nearest(num: int, den: int, prec: int) -> Fraction:
+    """``num/den`` (``den > 0``) rounded to ``prec`` significant bits, to
+    nearest with ties to even, as mpmath rounds an ``mpf``.  ``m`` is the
+    quotient at ``prec + 1`` or ``prec + 2`` bits, ``low`` its bits past
+    ``prec`` and ``r`` the remainder."""
+    if not num:
+        return _ZERO
+    s = prec + 1 - num.bit_length() + den.bit_length()
+    m, r = divmod(abs(num) << s, den) if s >= 0 else divmod(abs(num), den << -s)
+    extra = m.bit_length() - prec
+    m, low, half = m >> extra, m & ((1 << extra) - 1), 1 << (extra - 1)
+    if low > half or low == half and (r or m & 1):
+        m += 1
+    m, e = -m if num < 0 else m, extra - s
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
-def _mpf_of(x):
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
-
-
-def _mp_vec(seq):
-    return tuple(_mpf_of(x) for x in seq)
+def _fixed_entry(x, prec: int, shift: int) -> int:
+    """A point's entry ``x`` (an int, a float or a ``Fraction``) in fixed
+    point at ``shift``: rounded at ``prec`` bits as mpmath's
+    ``mpf(numerator) / denominator`` (the numerator, then the quotient), and
+    truncated toward zero."""
+    num, den = x.as_integer_ratio()
+    q = _nearest(num, 1, prec)
+    return int(_nearest(q.numerator, q.denominator * den, prec) * (1 << shift))
 
 
 def _fixed_shift(dim: int, prec: int) -> int:
@@ -185,8 +211,8 @@ def _fixed_shift(dim: int, prec: int) -> int:
     ``2**-P``.  Error bound in units ``u = 2**-P``, with ``n = dim``,
     ``a = ||ad_w||_1`` and ``K <= _MAX_TERMS`` series terms:
 
-    * In: an int, a float or an mpf with ulp >= u converts exactly (sample
-      points do), anything else with error < u.  A product by a non-integer
+    * In: an int or a float with ulp >= u converts exactly (sample points
+      do), anything else with error < u.  A product by a non-integer
       rational is floored once (< u), so ``||ad_w^ - ad_w||_1 < n^2 u`` and
       the start vector ``x`` (``T w`` for phi) is off by < n^2 u.
     * Series: each term ``t_k = trunc(-ad_w^ t_(k-1) / (k + s))``, rounded
@@ -200,38 +226,24 @@ def _fixed_shift(dim: int, prec: int) -> int:
       multiplied by the factor values above it, at most the amplification
       bound that ``_working_digits`` covers with 35 digits to spare (``e^a``
       is that of ``_series_log10_gain``, with ``K <= n + 1`` past the cap).
-    * Out: one rounding to working precision, relative ``2**-prec``, as
-      any mpf result.
+    * Out: one rounding to working precision, relative ``2**-prec``
+      (``_nearest``).
 
     ``G = bit_length(n^2 K) + 8`` keeps ``n^2 K u`` under
     ``2**-(prec + 8)``: these roundings add less than 1/256 of one
     working-precision rounding, under the same ``e^a`` amplification that
-    rounding suffers in an mpf series.  ``_fixed_shift(dim, 0)`` is ``G``.
+    rounding suffers in a floating-point series at ``prec`` bits.
+    ``_fixed_shift(dim, 0)`` is ``G``.
     """
     return prec + (dim * dim * _MAX_TERMS).bit_length() + 8
 
 
 def _to_fixed(x, shift: int) -> int:
-    """``x * 2**shift`` as an int: exact for an int, and for a float or mpf
-    whose ulp is at least ``2**-shift``; otherwise floored (truncated for a
-    negative mpf)."""
-    mpf = getattr(x, "_mpf_", None)
-    if mpf is not None:
-        sign, man, exp, _ = mpf
-        if not man and exp:
-            raise ValueError(f"non-finite value {x}")
-        exp += shift
-        man = man << exp if exp >= 0 else man >> -exp
-        return -man if sign else man
-    if isinstance(x, int):
-        return x << shift
+    """``x * 2**shift`` as an int for a rational ``x``: exact for an int,
+    and for a float whose ulp is at least ``2**-shift``; otherwise
+    floored."""
     num, den = x.as_integer_ratio()
     return (num << shift) // den
-
-
-def _from_fixed(v: int, shift: int):
-    """The mpf nearest ``v * 2**-shift`` at working precision."""
-    return mp.make_mpf(from_man_exp(v, -shift, mp.prec, round_nearest))
 
 
 def _rational_times(c, v, shift):
@@ -263,14 +275,13 @@ class _Point(NamedTuple):
 
 
 def _point(alg: MetricLieAlgebra, w, shift) -> _Point:
-    """``w`` prepared for the series: exact when ``shift`` is None."""
+    """``w``, exact or fixed-point ints at ``shift``, prepared for the series."""
     if shift is None:
         scale, rows, norm = alg.ad_exact(w)
         return _Point(None, scale, tuple(w), rows, norm)
-    wv = tuple(_to_fixed(c, shift) for c in w)
-    rows, norm = alg.ad_walk(wv, alg.denominator)
+    rows, norm = alg.ad_walk(w, alg.denominator)
     pattern = (alg.dim, tuple([(r, columns) for r, columns, _ in rows]))
-    return _Point(shift, 1 << shift, wv, rows, norm,
+    return _Point(shift, 1 << shift, tuple(w), rows, norm,
                   _MEMO.kernels.get(pattern, partial(_series_kernel, pattern)))
 
 
@@ -335,7 +346,7 @@ def _fixed_series(point: _Point, x, s: int, order, min_order: int) -> list:
     hump = (norm >> shift) + 2
     cap = _MAX_TERMS if hump <= _MAX_TERMS and min_order < _MAX_TERMS else n
     if order is None:  # the stop rule or the cap ends the series
-        eps = one // 10 ** (prec_to_dps(shift - _fixed_shift(n, 0)) - 5)
+        eps = one // 10 ** (_prec_to_dps(shift - _fixed_shift(n, 0)) - 5)
         stop_from, last = max(min_order, hump), cap + 1
     elif order:  # truncated: no stop rule, and within the cap no cap either
         eps, stop_from, last = 0, order + 1, order
@@ -447,11 +458,6 @@ def _scaled(seq, shift) -> list:
     return list(seq) if shift is None else [_to_fixed(c, shift) for c in seq]
 
 
-def _unscaled(seq, shift) -> tuple:
-    """Inverse of ``_scaled``: fixed-point ints back to mpf values."""
-    return tuple(seq) if shift is None else tuple(_from_fixed(v, shift) for v in seq)
-
-
 # ---------------------------------------------------------------------------
 # Omega evaluation
 # ---------------------------------------------------------------------------
@@ -495,15 +501,11 @@ def _generator_values(alg: MetricLieAlgebra, gen, shift, points, order, min_orde
     return [_fixed_series(point, x, s, order, min_order) for point, x, s in starts]
 
 
-def omega_generator(alg: MetricLieAlgebra, gen, w, order=None, min_order: int = 0) -> SymTensor:
-    """Pullback value of ``gen`` at ``w``: ``omega_tensor`` of ``1 * gen``.
-
-    At a point of rationals the value is exact, and a series must terminate
-    (as for a nilpotent ``ad_w``) unless ``order`` truncates it; a point
-    with a float or mpf entry is summed adaptively in fixed point to mpf.
-    """
+def omega_generator(alg: MetricLieAlgebra, gen, w, order=None, min_order: int = 0,
+                    prec=None) -> SymTensor:
+    """Pullback value of ``gen`` at ``w``: ``omega_tensor`` of ``1 * gen``."""
     cert = Certificate(SymTensor.zero(alg.dim, generator_degree(gen)), ((1, (gen,)),))
-    return omega_tensor(alg, cert, w, order, min_order)
+    return omega_tensor(alg, cert, w, order, min_order, prec)
 
 
 def generator_degree(gen) -> int:
@@ -540,7 +542,7 @@ class CompiledCertificate:
     coefficient.  Values are dense, indexed by monomial position, so a
     certificate past ``MAX_EVALUATION_INDICES`` raises ``EvaluationCapError``.
     ``_horner_lanes`` walks the trie at a block of points at once, one lane
-    per point; ``evaluate`` is its one-lane case.
+    per point.
     """
 
     def __init__(self, cert: Certificate):
@@ -593,14 +595,6 @@ class CompiledCertificate:
                 _to_fixed(c, shift) for c in self.coefficients)
         return coeffs
 
-    def evaluate(self, values, shift=None) -> list:
-        """Dense value of the certificate, given the dense value of each
-        generator in ``generators`` order: exact, or fixed-point ints at
-        ``shift`` with the coefficients converted once per shift.  One lane
-        of ``_horner_lanes``."""
-        coeffs = self.coefficients if shift is None else self.fixed_coefficients(shift)
-        return _one_lane(self.root, values, coeffs, shift)
-
 
 def _horner_lanes(node, values, coeffs, shift, lanes: int) -> list:
     """Dense value ``N(node)`` of a trie node at ``lanes`` points at once,
@@ -646,26 +640,39 @@ def _one_lane(node, values, coeffs, shift) -> list:
     return [0 if v is None else v[0] for v in out]
 
 
-def omega_tensor(alg: MetricLieAlgebra, cert, w, order=None, min_order: int = 0) -> SymTensor:
-    """Pullback value of a certificate at ``w``: the polynomial in its
-    generators, evaluated by Horner's rule over the factor trie.
+def omega_tensor(alg: MetricLieAlgebra, cert, w, order=None, min_order: int = 0,
+                 prec=None) -> SymTensor:
+    """Pullback value of a certificate at ``w``, a point of ints, floats or
+    ``Fraction``s: the polynomial in its generators, evaluated by Horner's
+    rule over the factor trie.
 
     ``cert`` is a ``Certificate`` or, to evaluate one certificate at many
     points, its ``CompiledCertificate``.  Each distinct generator is
-    evaluated once.  At a numeric point the polynomial is summed in fixed
-    point at mpmath's ``mp.prec``, read once here, and returned as mpf.
+    evaluated once.  With ``prec`` None the value is exact, and a series
+    must terminate (as for a nilpotent ``ad_w``) unless ``order`` truncates
+    it.  With ``prec`` bits each entry of ``w`` is rounded to ``prec`` bits
+    and truncated toward zero at the fixed-point scale, the series is summed
+    adaptively in fixed point, and each coefficient is rounded to ``prec``
+    bits: an exact dyadic ``Fraction``, as an mpf at ``prec`` bits would be.
     """
     compiled = cert if isinstance(cert, CompiledCertificate) else CompiledCertificate(cert)
     if compiled.dim != alg.dim:
         raise ValueError("dimension mismatch")
-    shift = _fixed_shift(alg.dim, mp.prec) if _numeric_seq(w) else None
+    if prec is None:
+        shift, w = None, tuple(map(Fraction, w))
+    else:
+        shift = _fixed_shift(alg.dim, prec)
+        w = tuple(_fixed_entry(c, prec, shift) for c in w)
     # only a series reads the prepared point
     series = any(isinstance(g, (RightInvariant, DerivationField)) for g in compiled.generators)
     points = (_point(alg, w, shift) if series else None,)
     values = [_generator_values(alg, gen, shift, points, order, min_order)[0]
               for gen in compiled.generators]
-    out = compiled.evaluate(values, shift)
-    return SymTensor.from_dense(compiled.dim, compiled.degree, _unscaled(out, shift))
+    coeffs = compiled.coefficients if shift is None else compiled.fixed_coefficients(shift)
+    out = _one_lane(compiled.root, values, coeffs, shift)
+    if shift is not None:
+        out = [_nearest(v, 1 << shift, prec) for v in out]
+    return SymTensor.from_dense(compiled.dim, compiled.degree, out)
 
 
 # ---------------------------------------------------------------------------
@@ -755,13 +762,10 @@ def decompose(alg: AlmostAbelianAlgebra, k: SymTensor) -> Certificate:
     dim = alg.dim
     b_field = LeftInvariant(basis_vec(dim, 0))
     terms = []
-    for layers, lead in ((diag.layers.even, ()), (diag.layers.odd, (b_field,))):
-        for i, t in enumerate(layers):
-            if t is None or t.is_zero():
-                continue
-            scale = Fraction(2) ** i
-            for c, fs in _ideal_terms(dim, t):
-                terms.append((c * scale, (Metric(),) * i + lead + fs))
+    for (e, i), t in sorted(diag.layers.nonzero.items()):  # the even layers first
+        scale = Fraction(2) ** i
+        for c, fs in _ideal_terms(dim, t):
+            terms.append((c * scale, (Metric(),) * i + (b_field,) * e + fs))
     return Certificate(target=k, terms=tuple(terms))
 
 
@@ -966,7 +970,7 @@ class _SampleMemo:
 
             def prepare():  # the block's points at this scale, shared by its series
                 return self.prepared.get(block + (shift,), lambda: tuple(
-                    _point(alg, w, shift) for w in points()[start:start + n]))
+                    _point(alg, _scaled(w, shift), shift) for w in points()[start:start + n]))
 
             def column(g):
                 if g in constant:
@@ -1053,8 +1057,7 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     least the order making the crude tail bound ``||ad_w||^(N+1)/(N+1)!``
     fall under ``tol/10``; on top of that the series is summed adaptively at
     a working precision sized to the certificate's product-amplification
-    bound and to ``tol``, passed down as the fixed-point scale: no mpmath
-    state is read or set, so threads may verify concurrently.
+    bound and to ``tol``, passed down as the fixed-point scale.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -1074,7 +1077,7 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     log_norm, gain = _MEMO.bounds(alg, samples, seed, points)
     digits = _working_digits(cert, gain, dim, tol)
     min_order = max(order_floor, _order_for_bound(log_norm, tol / 10.0))
-    shift = _fixed_shift(dim, dps_to_prec(digits))
+    shift = _fixed_shift(dim, _dps_to_prec(digits))
     target = _scaled(cert.target.dense(), shift)
     coeffs = compiled.fixed_coefficients(shift)
     worst = 0

@@ -44,6 +44,14 @@ DERIVATION_DIM_CAP = 24
 # degree 3000 on three dimensions, 1.4e10 indices, ends in a MemoryError.
 MAX_EVALUATION_INDICES = 10 ** 6
 
+# The position maps and product tables over those monomials are kept per
+# shape, (n, p) and (n, d, e).  Unbounded, a long-lived process kept every
+# shape it met, each up to 18 MiB within the bound above (degree 10 on ten
+# dimensions).  32 of each, least recently used first, hold the 2p tables
+# and p + 1 maps of a certificate up to degree 16, and the 19 and 15 of a
+# whole certify-batch benchmark round.
+MAX_POSITION_TABLES = 32
+
 # The sampled check sums every series generator at each of its points, and
 # the point list is drawn in full before the first one is checked.  10^4
 # points, 500 times the default, keep a check of a small certificate to

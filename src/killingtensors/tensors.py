@@ -15,10 +15,10 @@ solvers.  Every product is one loop too, ``multiply_terms`` on the same
 dicts: ``sym_mul`` and the integer products of the structured solver and of
 the layer decomposition.
 
-Coefficients are exact ``Fraction`` values throughout the core.  The same
-container also carries float/mpf coefficients on the numeric sampling paths
-(the arithmetic is coefficient-agnostic); exactness guarantees apply to the
-rational case only.
+Coefficients are exact ``Fraction`` values throughout, sampled values
+included: a value summed in fixed point comes back as the dyadic
+``Fraction`` it was rounded to.  The arithmetic is coefficient-agnostic,
+so other number types pass through; exactness holds for rationals only.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .exactlinalg import basis_vec, frac
+from .limits import MAX_POSITION_TABLES
 
 Monomial = tuple
 
@@ -36,7 +37,7 @@ _ZERO = Fraction(0)
 
 
 def _coeff(x):
-    # ints become exact; Fractions stay; floats/mpf pass through for sampling
+    # ints become exact; Fractions and any other numbers stay
     return Fraction(x) if isinstance(x, int) else x
 
 
@@ -50,14 +51,14 @@ def basis_monomials(dim: int, degree: int):
     return list(combinations_with_replacement(range(dim), degree))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_POSITION_TABLES)
 def monomial_positions(dim: int, degree: int) -> dict:
     """Position of each basis monomial in ``basis_monomials(dim, degree)``;
     the keys iterate in that order.  Shared: do not modify."""
     return {m: k for k, m in enumerate(combinations_with_replacement(range(dim), degree))}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_POSITION_TABLES)
 def product_positions(dim: int, d: int, e: int) -> tuple:
     """``table[i][j]``: position of the product of the degree-``d`` monomial at
     position ``i`` and the degree-``e`` monomial at position ``j`` among the
@@ -285,8 +286,8 @@ class Endomorphism:
 def multiply_terms(a: dict, b: dict) -> dict:
     """Product of two ``{monomial: coefficient}`` maps, over their nonzero
     terms: monomials merge as multisets and only nonzero coefficients stay.
-    The coefficients may be ints (which stay ints), ``Fraction``s, floats or
-    mpf values."""
+    The coefficients may be ints (which stay ints), ``Fraction``s or any
+    other numbers."""
     out = {}
     for ma, x in a.items():
         for mb, y in b.items():

@@ -117,19 +117,32 @@ def koszul_oracle(alg, y, x):
     return tuple(comps)
 
 
-def omega_tensor_oracle(alg, cert, w, order=None):
+def omega_tensor_oracle(alg, cert, w, order=None, prec=None):
     """Pullback value of a certificate by term-by-term expansion: per term,
     the symmetric product of its factors' values, each evaluated afresh,
-    scaled by the coefficient and summed."""
-    numeric = any(not isinstance(x, (Fraction, int)) for x in w)
+    scaled by the coefficient and summed; exact, or in mpf at the working
+    precision from factor values at ``prec`` bits."""
     total = SymTensor.zero(alg.dim, cert.target.degree)
     for coeff, factors in cert.terms:
-        c = mp.mpf(coeff.numerator) / coeff.denominator if numeric else coeff
-        acc = SymTensor.monomial(alg.dim, (), c)
+        acc = SymTensor.monomial(alg.dim, (), coeff if prec is None else _mpf_of(coeff))
         for gen in factors:
-            acc = acc * omega_generator(alg, gen, w, order)
+            value = omega_generator(alg, gen, w, order, prec=prec)
+            if prec is not None:
+                value = SymTensor(value.dim, value.degree,
+                                  {m: _mpf_of(c) for m, c in value.terms.items()})
+            acc = acc * value
         total = total + acc
     return total
+
+
+def listed_layers(lay, e):
+    """Every layer of a ``LayeredDecomposition`` by index, zero ones
+    included: the even ones (``e = 0``, degree p-2i) or the odd ones (``e =
+    1``, degree p-2i-1, None where that is negative)."""
+    p = lay.degree
+    return tuple(None if p - 2 * i - e < 0
+                 else lay.nonzero.get((e, i), SymTensor.zero(lay.dim, p - 2 * i - e))
+                 for i in range(p // 2 + 1))
 
 
 def horner_oracle(node, values, coeffs, shift):

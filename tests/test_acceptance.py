@@ -31,6 +31,7 @@ from killingtensors import (
 from conftest import (
     derivation_suite,
     inner_oracle,
+    listed_layers,
     random_derivation,
     random_tensor,
     random_vector,
@@ -115,9 +116,9 @@ def test_criterion_3_layer_division(suite):
             for m in basis_monomials(alg.dim, 2) if 0 not in m])
         k = lam * alg.b_tensor() ** 2 + SymTensor.from_vector(alg.dim, v) * alg.b_tensor() + quad
         lay = alg.layer_decomposition(k)
-        assert lay.even[1] == SymTensor.monomial(alg.dim, (), lam)
-        assert lay.odd[0] == SymTensor.from_vector(alg.dim, v)
-        assert lay.even[0] == quad - lam * alg.ideal_twice_metric
+        assert listed_layers(lay, 0)[1] == SymTensor.monomial(alg.dim, (), lam)
+        assert listed_layers(lay, 1)[0] == SymTensor.from_vector(alg.dim, v)
+        assert listed_layers(lay, 0)[0] == quad - lam * alg.ideal_twice_metric
     _report(3, "layer division", "- 200 random round trips + degree-2 worked formula")
 
 

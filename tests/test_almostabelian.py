@@ -18,8 +18,8 @@ from killingtensors import (
     sym_dimension,
 )
 from killingtensors import tensors
-from conftest import (_structure_bracket, derivation_suite, random_derivation, random_tensor,
-                      random_vector, wide_algebras)
+from conftest import (_structure_bracket, derivation_suite, listed_layers, random_derivation,
+                      random_tensor, random_vector, wide_algebras)
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
 DIAG = Endomorphism.diagonal([1, -1])
@@ -110,35 +110,35 @@ class TestLayerDecomposition:
             vb = SymTensor.from_vector(alg.dim, (Fraction(0), *v)) * alg.b_tensor()
             k = lam * alg.b_tensor() * alg.b_tensor() + vb + quad
             lay = alg.layer_decomposition(k)
-            assert lay.even[1] == SymTensor.monomial(alg.dim, (), lam)
-            assert lay.odd[0] == SymTensor.from_vector(alg.dim, (Fraction(0), *v))
+            assert listed_layers(lay, 0)[1] == SymTensor.monomial(alg.dim, (), lam)
+            assert listed_layers(lay, 1)[0] == SymTensor.from_vector(alg.dim, (Fraction(0), *v))
             # beta_0 subtracts lam off each ideal square
             expected = quad - lam * alg.ideal_twice_metric
-            assert lay.even[0] == expected
+            assert listed_layers(lay, 0)[0] == expected
 
     def test_basis_squares_live_in_top_layer(self):
         alg = AlmostAbelianAlgebra(DIAG)
         lay = alg.layer_decomposition(alg.twice_metric)
-        assert lay.even[1] == SymTensor.unit(3)
-        assert lay.even[0].is_zero()
-        assert lay.odd[0].is_zero() and lay.odd[1] is None
+        assert listed_layers(lay, 0)[1] == SymTensor.unit(3)
+        assert listed_layers(lay, 0)[0].is_zero()
+        assert listed_layers(lay, 1)[0].is_zero() and listed_layers(lay, 1)[1] is None
 
     def test_b_cubed(self):
         alg = AlmostAbelianAlgebra(DIAG)
         lay = alg.layer_decomposition(alg.b_tensor() ** 3)
-        assert lay.odd[1] == SymTensor.unit(3)
-        assert lay.odd[0] == -alg.ideal_twice_metric
-        assert lay.even[0].is_zero() and lay.even[1].is_zero()
+        assert listed_layers(lay, 1)[1] == SymTensor.unit(3)
+        assert listed_layers(lay, 1)[0] == -alg.ideal_twice_metric
+        assert listed_layers(lay, 0)[0].is_zero() and listed_layers(lay, 0)[1].is_zero()
 
     def test_b_fifth(self):
         # b^5 = b (L - L_h)^2 = L^2 b - 2 L b L_h + b L_h^2
         alg = AlmostAbelianAlgebra(DIAG)
         lay = alg.layer_decomposition(alg.b_tensor() ** 5)
         lh = alg.ideal_twice_metric
-        assert lay.odd[2] == SymTensor.unit(3)
-        assert lay.odd[1] == -2 * lh
-        assert lay.odd[0] == lh * lh
-        assert all(t.is_zero() for t in lay.even)
+        assert listed_layers(lay, 1)[2] == SymTensor.unit(3)
+        assert listed_layers(lay, 1)[1] == -2 * lh
+        assert listed_layers(lay, 1)[0] == lh * lh
+        assert all(t.is_zero() for t in listed_layers(lay, 0))
 
     def test_round_trip_random(self):
         rng = random.Random(41)
@@ -154,10 +154,10 @@ class TestLayerDecomposition:
                  Fraction(rng.randint(1, 3), rng.choice((1, 2)))) for m in range(p + 1)])
             lay = alg.layer_decomposition(k)
             assert lay.reassemble() == k
-            for i, beta in enumerate(lay.even):
+            for i, beta in enumerate(listed_layers(lay, 0)):
                 assert beta.degree == p - 2 * i
                 assert all(0 not in m for m in beta.terms)
-            for i, alpha in enumerate(lay.odd):
+            for i, alpha in enumerate(listed_layers(lay, 1)):
                 if p - 2 * i - 1 < 0:
                     assert alpha is None
                 else:
@@ -181,11 +181,11 @@ class TestLayerDecomposition:
         k = alg.twice_metric * quotient + alpha0 * alg.b_tensor() + beta0
         lay = alg.layer_decomposition(k)
         q_lay = alg.layer_decomposition(quotient)
-        assert lay.odd[0] == alpha0
-        assert lay.even[0] == beta0
-        assert lay.even[1] == q_lay.even[0]
-        assert lay.odd[1] == q_lay.odd[0]
-        assert lay.even[2] == q_lay.even[1]
+        assert listed_layers(lay, 1)[0] == alpha0
+        assert listed_layers(lay, 0)[0] == beta0
+        assert listed_layers(lay, 0)[1] == listed_layers(q_lay, 0)[0]
+        assert listed_layers(lay, 1)[1] == listed_layers(q_lay, 1)[0]
+        assert listed_layers(lay, 0)[2] == listed_layers(q_lay, 0)[1]
 
 
 class TestOddEvenSplit:
@@ -224,10 +224,10 @@ class TestOddEvenSplit:
         power = SymTensor.unit(3)
         odd_sum = SymTensor.zero(3, 4)
         even_sum = SymTensor.zero(3, 4)
-        for i in range(len(lay.even)):
-            even_sum = even_sum + power * lay.even[i]
-            if lay.odd[i] is not None:
-                odd_sum = odd_sum + power * b * lay.odd[i]
+        for i in range(len(listed_layers(lay, 0))):
+            even_sum = even_sum + power * listed_layers(lay, 0)[i]
+            if listed_layers(lay, 1)[i] is not None:
+                odd_sum = odd_sum + power * b * listed_layers(lay, 1)[i]
             power = power * metric2
         assert odd_sum == odd and even_sum == even
 
@@ -260,10 +260,10 @@ class TestStructuredKilling:
         lay = alg.layer_decomposition(k)
         skew = alg.derivation.is_skew()
         moved = [f"{kind} layer {i} not annihilated by the derivation"
-                 for kind, layers in (("even", lay.even), ("odd", lay.odd if skew else ()))
+                 for kind, layers in (("even", listed_layers(lay, 0)), ("odd", listed_layers(lay, 1) if skew else ()))
                  for i, t in enumerate(layers)
                  if t is not None and not apply_derivation(alg.derivation_full, t).is_zero()]
-        odd = [] if skew or all(t is None or t.is_zero() for t in lay.odd) else [
+        odd = [] if skew or all(t is None or t.is_zero() for t in listed_layers(lay, 1)) else [
             "odd part nonzero, derivation not skew"]
         assert diag.failures == tuple(moved + odd)
         return diag.is_killing
@@ -295,8 +295,8 @@ class TestStructuredKilling:
             alg = AlmostAbelianAlgebra(d)
             k = random_tensor(rng, alg.dim, 2, nterms=5)
             lay = alg.layer_decomposition(k)
-            alpha0 = tuple(lay.odd[0].vector()[1:])
-            beta0 = lay.even[0]
+            alpha0 = tuple(listed_layers(lay, 1)[0].vector()[1:])
+            beta0 = listed_layers(lay, 0)[0]
             # the symmetric matrix of beta0 on the ideal: entry (i, j) is the
             # coefficient of e_i*e_j, entry (i, i) twice that of e_i*e_i
             ideal = range(1, alg.dim)

@@ -9,6 +9,7 @@ import random
 import runpy
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -28,6 +29,8 @@ from killingtensors import (
     SkewDerivation,
     SymTensor,
     decompose,
+    metric_obstruction,
+    omega_generator,
     sum_of_squares,
 )
 import killingtensors
@@ -662,6 +665,48 @@ class TestDeterminism:
         assert "--degree" in together[0][2] and together[0][1] == ""
         assert together == [in_one_process([argv])[0] for argv in commands]
 
+    def test_reports_beside_a_53_bit_evaluation_in_another_thread(self, monkeypatch):
+        # omega-sample and the obstruction work at 60 digits in one thread
+        # (stdout is the process's), three others at 53 bits: none may see
+        # another's precision
+        root = Path(__file__).parents[1]
+        monkeypatch.chdir(root)
+        argv = ["omega-sample", "--algebra", "tests/data/cneg4.json",
+                "--generator", "deriv:0", "--at=0.3,-1/3,1e-75,2"]
+        alg = ff.algebra_from_dict(json.loads((root / "tests/data/cneg4.json").read_text()))
+        gen = RightInvariant((Fraction(0), Fraction(1), Fraction(0), Fraction(0)))
+        w = (Fraction(1, 3), Fraction(-2, 7), 0.1, Fraction(5, 11))
+
+        def reports():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+            return out.getvalue(), metric_obstruction(alg).residual_coefficients
+
+        def values():
+            return omega_generator(alg, gen, w, prec=53)
+
+        want = [reports(), values()]
+        got = [[] for _ in range(4)]
+
+        def loop(i, f):
+            got[i].extend(f() for _ in range(20))
+
+        threads = [threading.Thread(target=loop, args=(i, f))
+                   for i, f in enumerate([reports] + [values] * 3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[want[0]] * 20] + [[want[1]] * 20] * 3
+        assert want[0][0] == (root / "tests/data/cneg4.omega-sample.out").read_text()
+
     def test_reports_byte_identical(self, tmp_path, capsys):
         alg = write(tmp_path, "rot.json", ROT)
         argv = ["killing-basis", "--algebra", alg, "--degree", "2", "--method", "both"]
@@ -868,6 +913,20 @@ class TestEvaluationCap:
     def test_decompose_of_degree_10_7_exits_2_at_once(self, tmp_path, capsys):
         self._decompose_exits_2_at_once(tmp_path, capsys, {"degree": 10 ** 7, "terms": []},
                                         self.HUGE_DETAIL)
+
+    def test_zero_tensor_of_degree_999999_builds_no_layer(self, tmp_path, capsys):
+        # within every bound on one dimension; only nonzero layers are built
+        # and tested, so none of the 10^6 empty ones costs anything
+        cert = tmp_path / "zero.cert.json"
+        argv = ["decompose", "--algebra", write(tmp_path, "one.json", {"n": 0, "D": []}),
+                "--tensor", write(tmp_path, "zero.json", {"degree": 999999, "terms": []}),
+                "--certificate-out", str(cert)]
+        start = time.perf_counter()
+        code, out, _ = run(capsys, argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 0 and json.loads(out)["result"]["verification"]["passed"] is True
+        assert cert.read_text() == ('{\n  "target": {\n    "degree": 999999,\n    "terms": []\n'
+                                    '  },\n  "terms": []\n}\n')
 
     def test_verify_exits_2(self, tmp_path, capsys):
         argv = ["verify", "--algebra", write(tmp_path, "rot.json", ROT), "--certificate",
@@ -1226,6 +1285,45 @@ def _series_session_digest():
                 code = main(argv)
             digest.update(f"{code}\n{out.getvalue()}{err.getvalue()}".encode())
     return digest.hexdigest()
+
+
+# omega-sample reports on the dimension-6 algebra at points with entries
+# below the fixed-point scale (1e-80) and rationals whose numerators pass the
+# 203 working bits: each entry is rounded at 203 bits and then truncated
+# toward zero, as when the points were converted through mpmath, in which
+# form these reports were recorded
+_LONG = ("123456789012345678901234567890123456789012345678901234567890123456789/"
+         "987654321098765432109876543210987654321098765432109876543210987654321")
+TINY_POINTS = ["-1e-80,0,0,0,0,0", "-1e-80,2.5e-75,-3e-72,0,1/3,-7/5",
+               f"{_LONG},0,-1e-78,0,0,-1/3", f"0.3,-{_LONG},0,1/7,0,5e-90"]
+TINY_GENERATORS = ["metric", "left:0", "right:0", "right:1", "right:2", "right:3", "right:4",
+                   "right:5", "deriv:0", "deriv:1"]
+
+
+class TestRecordedReports:
+    def test_points_rounded_as_recorded(self, monkeypatch):
+        root = Path(__file__).parents[1]
+        monkeypatch.chdir(root)
+        calls = []
+        for at in TINY_POINTS:
+            calls += [["--generator", g, f"--at={at}"] for g in TINY_GENERATORS]
+            calls.append(["--generator", "right:1", f"--at={at}", "--order", "3"])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            for argv in calls:
+                assert main(["omega-sample", "--algebra", "tests/data/aa6.json", *argv]) == 0
+        assert out.getvalue() == (root / "tests/data/aa6.omega-tiny.out").read_text()
+
+    @pytest.mark.parametrize("name, argv", [
+        ("curvature", []),
+        ("omega-sample", ["--generator", "deriv:0", "--at=0.3,-1/3,1e-75,2"])])
+    def test_constant_negative_reports(self, monkeypatch, capsys, name, argv):
+        # the residual's entries of 1e-68 and 5e-58 are roundings at 203 bits
+        root = Path(__file__).parents[1]
+        monkeypatch.chdir(root)
+        code, out, _ = run(capsys, [name, "--algebra", "tests/data/cneg4.json", *argv])
+        assert code == 0
+        assert out == (root / f"tests/data/cneg4.{name}.out").read_text()
 
 
 class TestReportDigest:

@@ -147,13 +147,18 @@ def _right(i, dim=3):
     return RightInvariant(basis_vec(dim, i))
 
 
+def _mpf(c):
+    """An exact value, or an mpf, as an mpf at the working precision."""
+    return mp.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mp.mpf(c)
+
+
 class TestOmegaRight:
     def test_rotation_closed_form(self):
         alg = AlmostAbelianAlgebra(J2)
         with mp.workdps(40):
             for gamma in (0.3, -1.2, 2.0):
-                w = (mp.mpf(gamma), mp.mpf(0), mp.mpf(0))
-                got = omega_generator(alg, _right(1), w).dense()
+                got = [_mpf(c) for c in
+                       omega_generator(alg, _right(1), (gamma, 0, 0), prec=mp.prec).dense()]
                 assert abs(got[1] - mp.cos(gamma)) < 1e-12
                 assert abs(got[2] + mp.sin(gamma)) < 1e-12
                 assert abs(got[0]) < 1e-12
@@ -180,12 +185,13 @@ class TestOmegaRight:
     def test_no_room_under_the_term_cap_passes_only_vanishing_series(self):
         # a min_order at the cap leaves the stop rule no room: a converging
         # series is refused after n terms, a nilpotent one is summed as usual
-        w = (mp.mpf(1), mp.mpf(0), mp.mpf(0))
+        w = (1, 0, 0)
         with pytest.raises(kf.SeriesCapError):
-            omega_generator(AlmostAbelianAlgebra(DIAG), _right(1), w, min_order=kf._MAX_TERMS)
+            omega_generator(AlmostAbelianAlgebra(DIAG), _right(1), w, min_order=kf._MAX_TERMS,
+                            prec=53)
         alg = AlmostAbelianAlgebra(NILP)
-        assert (omega_generator(alg, _right(2), w, min_order=kf._MAX_TERMS)
-                == omega_generator(alg, _right(2), w))
+        assert (omega_generator(alg, _right(2), w, min_order=kf._MAX_TERMS, prec=53)
+                == omega_generator(alg, _right(2), w, prec=53))
 
     def test_matches_exp_action_on_ideal_vectors(self):
         # along pure b directions the value is the exponentiated derivation,
@@ -241,9 +247,10 @@ class TestOmegaDerivation:
                 alg = AlmostAbelianAlgebra(d)
                 for t in skew_derivations(alg):
                     for _ in range(3):
-                        w = tuple(mp.mpf(rng.uniform(-2, 2)) for _ in range(alg.dim))
+                        w = tuple(rng.uniform(-2, 2) for _ in range(alg.dim))
                         closed = omega_derivation(alg, t, w)
-                        series = omega_generator(alg, DerivationField(t), w).dense()
+                        series = [_mpf(c) for c in omega_generator(
+                            alg, DerivationField(t), w, prec=mp.prec).dense()]
                         dev = max(abs(a - b) for a, b in zip(closed, series))
                         assert dev < mp.mpf(10) ** (-30)
 
@@ -283,8 +290,7 @@ class TestOmegaTensor:
                                   RightInvariant(basis_vec(3, 2)))),))
         with mp.workdps(40):
             for gamma in (0.7, -1.9):
-                w = (mp.mpf(gamma), mp.mpf(0), mp.mpf(0))
-                val = omega_tensor(alg, cert, w)
+                val = omega_tensor(alg, cert, (gamma, 0, 0), prec=mp.prec)
                 assert abs(val.terms[(1, 2)] - 1) < 1e-25
                 assert all(abs(c) < 1e-25 for m, c in val.terms.items() if m != (1, 2))
 
@@ -565,37 +571,40 @@ class TestExplicitOrderPastTheCap:
     ORDER = kf._MAX_TERMS + 1000
     ROT = AlmostAbelianAlgebra(J2)
 
-    @pytest.mark.parametrize("w", [(mp.mpf(10) ** 30, 1.0, 0.0), (Fraction(10 ** 30), 1, 0),
-                                   (Fraction(1), 1, 0)], ids=["1e30", "exact 1e30", "exact 1"])
-    def test_series_still_nonzero_raises_at_once(self, w):
+    @pytest.mark.parametrize("w, prec", [((10 ** 30, 1.0, 0.0), 53),
+                                         ((Fraction(10 ** 30), 1, 0), None),
+                                         ((Fraction(1), 1, 0), None)],
+                             ids=["1e30", "exact 1e30", "exact 1"])
+    def test_series_still_nonzero_raises_at_once(self, w, prec):
         start = time.perf_counter()
         with pytest.raises(kf.SeriesCapError, match="5000-term cap"):
-            omega_generator(self.ROT, _right(1), w, order=self.ORDER)
+            omega_generator(self.ROT, _right(1), w, order=self.ORDER, prec=prec)
         with pytest.raises(kf.SeriesCapError, match="5000-term cap"):
             omega_generator(self.ROT, DerivationField(skew_derivations(self.ROT)[0]), w,
-                            order=self.ORDER)
+                            order=self.ORDER, prec=prec)
         assert time.perf_counter() - start < 1
 
-    @pytest.mark.parametrize("alg, w", [
-        (AlmostAbelianAlgebra(NILP), (mp.mpf(3), mp.mpf(1), mp.mpf(-2))),
-        (AlmostAbelianAlgebra(NILP), (Fraction(3), Fraction(1), Fraction(-2))),
-        (ROT, (mp.mpf(0),) * 3),
-        (ROT, (Fraction(0),) * 3),
+    @pytest.mark.parametrize("alg, w, prec", [
+        (AlmostAbelianAlgebra(NILP), (3, 1, -2), 53),
+        (AlmostAbelianAlgebra(NILP), (Fraction(3), Fraction(1), Fraction(-2)), None),
+        (ROT, (0,) * 3, 53),
+        (ROT, (Fraction(0),) * 3, None),
     ], ids=["nilpotent", "exact nilpotent", "zero", "exact zero"])
-    def test_vanishing_series_keeps_its_value(self, alg, w):
+    def test_vanishing_series_keeps_its_value(self, alg, w, prec):
         for i in range(3):
-            assert (omega_generator(alg, _right(i), w, order=self.ORDER)
-                    == omega_generator(alg, _right(i), w))
+            assert (omega_generator(alg, _right(i), w, order=self.ORDER, prec=prec)
+                    == omega_generator(alg, _right(i), w, prec=prec))
 
     def test_series_that_rounds_to_zero_keeps_its_value(self):
         with mp.workdps(30):
-            w = (mp.mpf(1), mp.mpf(0), mp.mpf(0))
-            got = omega_generator(self.ROT, _right(1), w, order=self.ORDER).dense()
-            assert abs(got[1] - mp.cos(1)) < 1e-25 and abs(got[2] + mp.sin(1)) < 1e-25
+            got = omega_generator(self.ROT, _right(1), (1, 0, 0), order=self.ORDER,
+                                  prec=mp.prec).dense()
+            assert (abs(_mpf(got[1]) - mp.cos(1)) < 1e-25
+                    and abs(_mpf(got[2]) + mp.sin(1)) < 1e-25)
 
     def test_order_within_the_cap_does_not_raise(self):
-        w = (mp.mpf(10) ** 30, mp.mpf(0), mp.mpf(0))
-        assert omega_generator(self.ROT, _right(1), w, order=20).degree == 1
+        w = (10 ** 30, 0, 0)
+        assert omega_generator(self.ROT, _right(1), w, order=20, prec=53).degree == 1
 
 
 class TestEvaluationCap:
@@ -803,12 +812,11 @@ class TestHornerAgainstTermByTerm:
         coords = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
         w = data.draw(st.tuples(*[coords] * alg.dim))
         with mp.workdps(50):
-            wm = tuple(mp.mpf(x) for x in w)
-            got = omega_tensor(alg, cert, wm)
-            want = omega_tensor_oracle(alg, cert, wm)
+            got = omega_tensor(alg, cert, w, prec=mp.prec)
+            want = omega_tensor_oracle(alg, cert, w, prec=mp.prec)
             scale = max([mp.mpf(1)] + [abs(c) for c in want.terms.values()])
             for mono in set(got.terms) | set(want.terms):
-                diff = got.terms.get(mono, 0) - want.terms.get(mono, 0)
+                diff = _mpf(got.terms.get(mono, 0)) - want.terms.get(mono, 0)
                 assert abs(diff) <= mp.mpf("1e-40") * scale
 
     def test_merges_terms_with_reordered_factors(self):
@@ -833,7 +841,7 @@ class TestHornerLanes:
         ws = sample_points(alg.dim, lanes, seed)
         # the origin in one lane, where a derivation field is 0 and others not
         ws[seed % lanes] = (0.0,) * alg.dim
-        points = [kf._point(alg, w, shift) for w in ws]
+        points = [kf._point(alg, kf._scaled(w, shift), shift) for w in ws]
         columns = [kf._generator_values(alg, g, shift, points, None, 0)
                    for g in compiled.generators]
         coeffs = compiled.fixed_coefficients(shift)
@@ -935,33 +943,96 @@ class TestPointWalk:
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(range(len(_WALK_ALGEBRAS))), st.integers(50, 90),
-           st.sampled_from(["float", "mpf", "rational"]), _WALK_FLOATS, _WALK_RATIONALS)
+           st.sampled_from(["float", "fixed", "rational"]), _WALK_FLOATS, _WALK_RATIONALS)
     # two products with fractional parts 1/2 and 2/3 in one entry of the
     # 40-digit almost abelian algebra: flooring their sum gains 1
     @example(len(_WALK_ALGEBRAS) - 1, 50, "rational", (0.0,) * 4,
              (Fraction(0), Fraction(-4, 3), Fraction(-2, 7), Fraction(0)))
     def test_walk_matches_the_dense_oracle(self, which, dps, kind, floats, rationals):
         alg = _WALK_ALGEBRAS[which]
-        with mp.workdps(dps):
-            # the mpf entries carry the full working precision
-            w = {"float": floats, "mpf": tuple(mp.mpf(c) / 3 for c in floats),
-                 "rational": rationals}[kind][:alg.dim]
-            shift = kf._fixed_shift(alg.dim, mp.prec)
-            point = kf._point(alg, w, shift)
-        wv = tuple(kf._to_fixed(c, shift) for c in w)
+        prec = kf._dps_to_prec(dps)
+        shift = kf._fixed_shift(alg.dim, prec)
+        w = (rationals if kind == "rational" else floats)[:alg.dim]
+        # the entries of an omega_tensor point carry the full working precision
+        wv = tuple(kf._fixed_entry(Fraction(c) / 3, prec, shift) if kind == "fixed"
+                   else kf._to_fixed(c, shift) for c in w)
+        point = kf._point(alg, wv, shift)
         rows, norm = point_oracle(alg, wv)
         assert point.w == wv
         assert point.rows == tuple((r, tuple(j for j, a in enumerate(row) if a),
                                     tuple(a for a in row if a))
                                    for r, row in enumerate(rows) if any(row))
         assert point.norm == norm
-        if kind != "mpf":  # sample points are floats
+        if kind != "fixed":  # sample points are floats
             exact = point_oracle(alg, tuple(map(Fraction, w)), floor=False)[1]
             want = (-math.inf, 0.0) if not exact else (
                 math.log(exact.numerator) - math.log(exact.denominator),
                 kf._series_log10_gain(exact, alg.dim))
             got = kf._series_bounds(alg, w)
             assert [float.hex(x) for x in got] == [float.hex(x) for x in want]
+
+
+def _mpf_to_fixed(x, shift):
+    """An mpf ``x`` times ``2**shift`` truncated toward zero: how points
+    were converted when they were summed through mpmath."""
+    sign, man, exp, _ = x._mpf_
+    exp += shift
+    man = man << exp if exp >= 0 else man >> -exp
+    return -man if sign else man
+
+
+_TINY_NEGATIVE = st.one_of(
+    st.builds(lambda m, e: Fraction(-m, 10 ** e), st.integers(1, 10 ** 20), st.integers(60, 120)),
+    st.floats(-1e-60, -1e-100))
+_LARGE_RATIONAL = st.builds(Fraction, st.integers(-10 ** 80, 10 ** 80), st.integers(1, 10 ** 80))
+
+
+def _halfway(prec):
+    """Ints halfway between two of ``prec`` significant bits, either sign:
+    the ties that round to the even one."""
+    return st.builds(lambda m, z, sign: sign * ((2 * m + 1) << z),
+                     st.integers(2 ** (prec - 1), 2 ** prec - 1), st.integers(0, 40),
+                     st.sampled_from([1, -1]))
+
+
+class TestRoundingAgainstMpmath:
+    """The fixed-point values come in and go out at ``prec`` bits as mpmath
+    rounded them: ``_fixed_entry`` as ``mpf(numerator) / denominator``
+    truncated at the scale, ``_nearest`` as ``from_man_exp`` with
+    ``round_nearest``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 700), st.integers(1, 16), st.data())
+    def test_point_entries(self, prec, dim, data):
+        x = data.draw(st.one_of(
+            _TINY_NEGATIVE, _LARGE_RATIONAL, st.floats(-4, 4), st.integers(-99, 99),
+            st.builds(Fraction, _halfway(prec), st.sampled_from([1, 3, 2 ** 70, 10 ** 30]))))
+        shift = kf._fixed_shift(dim, prec)
+        with mp.workprec(prec):
+            want = _mpf_to_fixed(_mpf(x), shift)
+        assert kf._fixed_entry(x, prec, shift) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 700), st.integers(0, 300), st.data())
+    def test_values(self, prec, shift, data):
+        from mpmath.libmp import from_man_exp, round_nearest
+
+        v = data.draw(st.one_of(st.integers(-2 ** 1100, 2 ** 1100), st.integers(-2 ** 80, 2 ** 80),
+                                st.integers(-300, 300), _halfway(prec)))
+        got = kf._nearest(v, 1 << shift, prec)
+        want = mp.make_mpf(from_man_exp(v, -shift, prec, round_nearest))
+        sign, man, exp, _ = want._mpf_
+        assert got == (-1) ** sign * man * Fraction(2) ** exp
+        assert ff._json_float(got) == ff._json_float(want)
+        if not isinstance(ff._json_float(got), str):
+            assert float(got).hex() == float(want).hex()
+
+    def test_precision_formulas(self):
+        from mpmath.libmp import dps_to_prec, prec_to_dps
+
+        for n in range(1, 10 ** 4 + 1):
+            assert kf._dps_to_prec(n) == dps_to_prec(n)
+            assert kf._prec_to_dps(n) == prec_to_dps(n)
 
 
 class TestSampledValueMemo:
@@ -1187,10 +1258,6 @@ def kernel_bound(alg, w, x):
     return u * e * (n * MAX_TERMS + n * n * (1 + e * xn)) + 2.0 ** -mp.prec * e * xn
 
 
-def _mpf(c):
-    return mp.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mp.mpf(c)
-
-
 def _expm_reference(alg, w, x, phi):
     """``exp(-ad_w) x`` by ``mp.expm``, or ``phi(-ad_w) x`` as the top right
     block of ``exp([[-ad_w, I], [0, 0]])`` (Van Loan 1978)."""
@@ -1217,7 +1284,7 @@ def _expm_reference(alg, w, x, phi):
 
 def _assert_within(got, want, bound):
     assert len(got) == len(want)
-    worst = max(abs(g - r) for g, r in zip(got, want))
+    worst = max(abs(_mpf(g) - r) for g, r in zip(got, want))
     assert worst <= bound, f"deviation {mp.nstr(worst, 5)} exceeds the bound {bound:.3e}"
 
 
@@ -1225,15 +1292,20 @@ def _tw(t, w):
     return tuple(sum(c * v for c, v in zip(row, w)) for row in t.entries)
 
 
-def _phi(alg, t, w, order=None, min_order=0):
+def _phi(alg, t, w, order=None, min_order=0, prec=None):
     """``phi(-ad_w) T w`` for any matrix ``T``, skew or not, from the series
-    kernel; a ``DerivationField`` reaches it only with a skew ``T``."""
-    shift = kf._fixed_shift(alg.dim, mp.prec) if kf._numeric_seq(w) else None
-    point = kf._point(alg, w, shift)
+    kernel, exact or at ``prec`` bits as ``omega_tensor`` sums it; a
+    ``DerivationField`` reaches it only with a skew ``T``."""
+    if prec is None:
+        shift, point = None, kf._point(alg, tuple(map(Fraction, w)), None)
+    else:
+        shift = kf._fixed_shift(alg.dim, prec)
+        point = kf._point(alg, [kf._fixed_entry(c, prec, shift) for c in w], shift)
     tw = [sum(kf._rational_times(c, v, shift) for c, v in zip(row, point.w)) for row in t.entries]
-    value = (kf._exact_series(point, tw, 1, order) if shift is None
-             else kf._fixed_series(point, tw, 1, order, min_order))
-    return kf._unscaled(value, shift)
+    if shift is None:
+        return tuple(kf._exact_series(point, tw, 1, order))
+    value = kf._fixed_series(point, tw, 1, order, min_order)
+    return tuple(kf._nearest(v, 1 << shift, prec) for v in value)
 
 
 _COORD = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
@@ -1274,7 +1346,8 @@ def _same_fixed_series(alg, w, x, s, order, min_order):
     shift = kf._fixed_shift(alg.dim, mp.prec)
     wv, xv = kf._scaled(w, shift), kf._scaled(x, shift)
     rows, norm = point_oracle(alg, wv)
-    return _same_series(kf._point(alg, w, shift), xv, s, order, min_order, dense_rows(rows), norm)
+    return _same_series(kf._point(alg, wv, shift), xv, s, order, min_order, dense_rows(rows),
+                        norm)
 
 
 def _synthetic_point(n, rows, shift):
@@ -1334,7 +1407,7 @@ class TestSeriesKernel:
         alg = AlmostAbelianAlgebra(Endomorphism.zero(2))
         x = (Fraction(1, 3), Fraction(-2), Fraction(5, 7))
         with mp.workdps(15):
-            assert kf._point(alg, (1.5, -0.25, 2.0), 60).rows == ()
+            assert kf._point(alg, kf._scaled((1.5, -0.25, 2.0), 60), 60).rows == ()
             for s in (0, 1):
                 for min_order in (0, MAX_TERMS):
                     got = _same_fixed_series(alg, (1.5, -0.25, 2.0), x, s, order, min_order)
@@ -1360,7 +1433,7 @@ class TestSeriesKernel:
         with mp.workdps(15):
             for w in sample_points(AA16.dim, 2, 16):
                 shift = kf._fixed_shift(AA16.dim, mp.prec)
-                lengths = [len(c) for _, c, _ in kf._point(AA16, w, shift).rows]
+                lengths = [len(c) for _, c, _ in kf._point(AA16, kf._scaled(w, shift), shift).rows]
                 assert len(lengths) == 15 and max(lengths) == 16 and sum(lengths) == 200
                 for s in (0, 1):
                     _same_fixed_series(AA16, w, x, s, order, 0)
@@ -1418,7 +1491,8 @@ class TestSeriesKernel:
         got = []
 
         def run():
-            got.append(kf._fixed_series(kf._point(alg, w, shift), xv, 1, None, 0))
+            got.append(kf._fixed_series(kf._point(alg, kf._scaled(w, shift), shift), xv, 1, None,
+                                        0))
 
         threads = [threading.Thread(target=run) for _ in range(8)]
         interval = sys.getswitchinterval()
@@ -1466,9 +1540,10 @@ class TestSeriesKernel:
     def test_exp_against_mpf_series_and_expm(self, case):
         alg, w, x, _ = case
         with mp.workdps(50):
-            # an mpf point: a rational one is summed in fixed point as well
+            # a rational point is rounded to the working precision, as a float one
+            got = omega_generator(alg, RightInvariant(x), w, min_order=KERNEL_ORDER,
+                                  prec=mp.prec).dense()
             w = tuple(_mpf(c) for c in w)
-            got = omega_generator(alg, RightInvariant(x), w, min_order=KERNEL_ORDER).dense()
             bound = kernel_bound(alg, w, x)
             with mp.workdps(70):
                 series = omega_series_oracle(alg, x, w, min_order=KERNEL_ORDER)
@@ -1482,7 +1557,7 @@ class TestSeriesKernel:
         alg, w, _, t = case
         w = tuple(float(c) for c in w)
         with mp.workdps(50):
-            got = _phi(alg, t, w, min_order=KERNEL_ORDER)
+            got = _phi(alg, t, w, min_order=KERNEL_ORDER, prec=mp.prec)
             tw = _tw(t, tuple(Fraction(c) for c in w))
             bound = kernel_bound(alg, w, tw)
             with mp.workdps(70):
@@ -1500,7 +1575,8 @@ class TestSeriesKernel:
         t = data.draw(st.sampled_from(skew_derivations(alg)))
         w = data.draw(st.tuples(*[_COORD] * alg.dim))
         with mp.workdps(50):
-            got = omega_generator(alg, DerivationField(t), w, min_order=KERNEL_ORDER)
+            got = omega_generator(alg, DerivationField(t), w, min_order=KERNEL_ORDER,
+                                  prec=mp.prec)
             bound = kernel_bound(alg, w, _tw(t.full_matrix(), tuple(Fraction(c) for c in w)))
             with mp.workdps(70):
                 closed = omega_derivation(alg, t, tuple(mp.mpf(c) for c in w),
@@ -1513,7 +1589,8 @@ class TestSeriesKernel:
         w = (7.5, -6.25, 5.0, -4.5)[:alg.dim]
         x = tuple(Fraction(1, i + 1) for i in range(alg.dim))
         with mp.workdps(50):
-            got = omega_generator(alg, RightInvariant(x), w, min_order=KERNEL_ORDER).dense()
+            got = omega_generator(alg, RightInvariant(x), w, min_order=KERNEL_ORDER,
+                                  prec=mp.prec).dense()
             bound = kernel_bound(alg, w, x)
             with mp.workdps(70):
                 expm = _expm_reference(alg, w, x, phi=False)
@@ -1522,13 +1599,12 @@ class TestSeriesKernel:
     def test_term_cap(self):
         # ||ad_w||_1 = 6000 puts the hump past the 5000-term cap
         alg = AlmostAbelianAlgebra(Endomorphism.diagonal([2, 2]))
-        with mp.workdps(20), pytest.raises(RuntimeError, match="converge"):
-            omega_generator(alg, _right(1), (3000.0, 0.0, 0.0))
+        with pytest.raises(RuntimeError, match="converge"):
+            omega_generator(alg, _right(1), (3000.0, 0.0, 0.0), prec=kf._dps_to_prec(20))
 
     def test_nilpotent_series_past_the_cap_terminates(self):
         # ||ad_w||_1 = 6000 puts the hump past the cap, but ad_w^2 = 0: the
         # series is x - ad_w x
         alg = AlmostAbelianAlgebra(NILP)
-        with mp.workdps(20):
-            got = omega_generator(alg, _right(2), (6000.0, 0.0, 0.0))
+        got = omega_generator(alg, _right(2), (6000.0, 0.0, 0.0), prec=kf._dps_to_prec(20))
         assert got == SymTensor.from_vector(3, (0, -6000, 1))

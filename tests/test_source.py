@@ -1,5 +1,8 @@
 import ast
 import doctest
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -97,3 +100,17 @@ def test_every_public_route_has_a_user_outside_the_unit_tests():
             if uses[node.name] <= Counter(_names(node))[node.name]:
                 unused.append(f"{path.stem}.{qualified}")
     assert sorted(unused) == []
+
+
+def test_no_cache_without_a_bound():
+    # a process-wide cache keeps what it holds for the life of the process
+    assert [p.name for p in SRC.glob("*.py") if "maxsize=None" in p.read_text()] == []
+
+
+def test_importing_the_cli_loads_no_mpmath():
+    # mpmath is the tests' oracle, not a dependency of the package
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", "import sys, killingtensors.cli; "
+                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

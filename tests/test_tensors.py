@@ -66,14 +66,16 @@ def _flow(d, gamma, k, order=None):
     """``exp(-gamma*d)`` acting on ``k`` as the package sums it: the pullback
     at ``(gamma, 0, ..., 0)`` of ``k`` written in right-invariant fields of
     the almost abelian algebra of ``d``, whose ideal carries ``k``'s indices
-    shifted by one.  Exact at a point of rationals, mpf at a float point."""
+    shifted by one.  Exact at a point of rationals, at 53 bits at a float
+    point."""
     n = d.dim
     fields = [RightInvariant(tuple(Fraction(int(j == i + 1)) for j in range(n + 1)))
               for i in range(n)]
     lifted = SymTensor(n + 1, k.degree, {tuple(i + 1 for i in m): c for m, c in k.terms.items()})
     cert = Certificate(lifted, tuple((c, tuple(fields[i] for i in m))
                                      for m, c in k.terms.items()))
-    value = omega_tensor(AlmostAbelianAlgebra(d), cert, (gamma,) + (0,) * n, order)
+    value = omega_tensor(AlmostAbelianAlgebra(d), cert, (gamma,) + (0,) * n, order,
+                         prec=53 if isinstance(gamma, float) else None)
     assert all(0 not in m for m in value.terms)  # the ideal is invariant
     return SymTensor(n, k.degree, {tuple(i - 1 for i in m): c for m, c in value.terms.items()})
 
