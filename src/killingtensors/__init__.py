@@ -20,8 +20,9 @@ from .tensors import (
 from .limits import (LimitError, DimensionCapError, MAX_DIMENSION, SolverCapError,
                      BRUTE_FORCE_MAX_DEGREE, BRUTE_FORCE_MAX_DIM, StructuredCapError,
                      MAX_STRUCTURED_MONOMIALS, DerivationCapError, DERIVATION_DIM_CAP,
-                     EvaluationCapError, MAX_EVALUATION_INDICES, SampleCapError, MAX_SAMPLES,
-                     SeriesCapError)
+                     EvaluationCapError, MAX_EVALUATION_INDICES, LevelCapError,
+                     MAX_LEVEL_INDICES, SampleCapError, MAX_SAMPLES, SampleCoordinateCapError,
+                     MAX_SAMPLE_COORDINATES, SeriesCapError)
 from .liealgebra import MetricLieAlgebra, KillingSpace
 from .almostabelian import AlmostAbelianAlgebra, LayeredDecomposition, KillingDiagnosis
 from .killingfields import (
@@ -66,7 +67,8 @@ __all__ = [
     "LimitError", "DimensionCapError", "MAX_DIMENSION", "SolverCapError",
     "BRUTE_FORCE_MAX_DEGREE", "BRUTE_FORCE_MAX_DIM", "StructuredCapError",
     "MAX_STRUCTURED_MONOMIALS", "DerivationCapError", "DERIVATION_DIM_CAP",
-    "EvaluationCapError", "MAX_EVALUATION_INDICES", "SampleCapError", "MAX_SAMPLES",
+    "EvaluationCapError", "MAX_EVALUATION_INDICES", "LevelCapError", "MAX_LEVEL_INDICES",
+    "SampleCapError", "MAX_SAMPLES", "SampleCoordinateCapError", "MAX_SAMPLE_COORDINATES",
     "SeriesCapError",
     "MetricLieAlgebra", "KillingSpace",
     "AlmostAbelianAlgebra", "LayeredDecomposition", "KillingDiagnosis",

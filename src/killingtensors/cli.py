@@ -5,8 +5,9 @@ the effective parameters and the results; identical inputs and parameters
 produce byte-identical reports.  Exit codes: 0 success, 2 parse/validation
 error or a request past a size limit (any ``limits.LimitError``: the algebra
 dimension, the brute-force and structured solvers, the series term cap, the
-skew-derivation solve, the certificate size and the sample count), 3 method
-or algebra-kind mismatch, 4 tensor not Killing.
+skew-derivation solve, the certificate size and depth, and the sample
+count and coordinates), 3 method or algebra-kind mismatch, 4 tensor not
+Killing.
 """
 from __future__ import annotations
 
@@ -98,17 +99,17 @@ def _params(args) -> dict:
     }
 
 
-def _report(args, command: str, inputs: dict, result) -> dict:
-    return {
-        "command": command,
+def _emit(args, result) -> int:
+    """Print the one report of a command's ``result``: its input files are
+    whichever of ``--algebra``, ``--tensor`` and ``--certificate`` it has."""
+    report = {
+        "command": args.command,
         "inputs": {name: {"path": path, "sha256": _sha256(path)}
-                   for name, path in inputs.items()},
+                   for name, path in vars(args).items()
+                   if name in ("algebra", "tensor", "certificate")},
         "parameters": _params(args),
         "result": result,
     }
-
-
-def _emit(args, report: dict) -> int:
     if args.pretty:
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     else:
@@ -121,7 +122,7 @@ def _emit(args, report: dict) -> int:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_killing_basis(args) -> int:
+def cmd_killing_basis(args) -> dict:
     alg = _load_algebra(args.algebra)
     almost = isinstance(alg, AlmostAbelianAlgebra)
     method = args.method or ("both" if almost else "brute")
@@ -138,10 +139,10 @@ def cmd_killing_basis(args) -> int:
         result["basis"] = ff.killing_space_to_dict(structured)["basis"]
     if method == "both":
         result["agree"] = structured.basis == brute.basis
-    return _emit(args, _report(args, "killing-basis", {"algebra": args.algebra}, result))
+    return result
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> dict:
     alg = _require_almost_abelian(_load_algebra(args.algebra), "decompose")
     tensor = ff.tensor_from_dict(_load_json(args.tensor), alg.dim)
     cert = decompose(alg, tensor)
@@ -157,21 +158,18 @@ def cmd_decompose(args) -> int:
         "certificate_path": out_path,
         "verification": ff.check_to_dict(check),
     }
-    return _emit(args, _report(args, "decompose",
-                               {"algebra": args.algebra, "tensor": args.tensor}, result))
+    return result
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     alg = _load_algebra(args.algebra)
     cert = ff.certificate_from_dict(_load_json(args.certificate), alg.dim)
     check = verify_certificate(alg, cert, **_params(args))
     result = {"verification": ff.check_to_dict(check), "passed": check.passed}
-    return _emit(args, _report(args, "verify",
-                               {"algebra": args.algebra, "certificate": args.certificate},
-                               result))
+    return result
 
 
-def cmd_curvature(args) -> int:
+def cmd_curvature(args) -> dict:
     alg = _require_almost_abelian(_load_algebra(args.algebra), "curvature")
     cls = classify(alg)
     if cls.kind == "flat":
@@ -203,10 +201,10 @@ def cmd_curvature(args) -> int:
         }
     else:
         result = {"class": "not_constant"}
-    return _emit(args, _report(args, "curvature", {"algebra": args.algebra}, result))
+    return result
 
 
-def cmd_derivations(args) -> int:
+def cmd_derivations(args) -> dict:
     alg = _load_algebra(args.algebra)
     if isinstance(alg, AlmostAbelianAlgebra):
         items = [ff.skew_derivation_to_dict(t) for t in skew_derivations(alg)]
@@ -216,7 +214,7 @@ def cmd_derivations(args) -> int:
             for m in skew_derivation_basis(alg)
         ]
     result = {"dimension": len(items), "basis": items}
-    return _emit(args, _report(args, "derivations", {"algebra": args.algebra}, result))
+    return result
 
 
 def _parse_point(text: str, dim: int):
@@ -251,7 +249,7 @@ def _generator_index(text: str, count: int, what: str) -> int:
     return i
 
 
-def cmd_omega_sample(args) -> int:
+def cmd_omega_sample(args) -> dict:
     alg = _load_algebra(args.algebra)
     w = _parse_point(args.at, alg.dim)
     spec = args.generator.strip()
@@ -271,7 +269,7 @@ def cmd_omega_sample(args) -> int:
     value = omega_generator(alg, gen, w, order=args.order, prec=REPORT_PREC)
     doc = ff.numeric_tensor_to_dict(value)
     result = {"generator": spec, "at": [float(x) for x in w], "value": doc}
-    return _emit(args, _report(args, "omega-sample", {"algebra": args.algebra}, result))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +300,7 @@ def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept: ``parse_args``
     does not change it."""
     common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--algebra", required=True)
     common.add_argument("--seed", type=_typed(int, lambda value: True, "an integer"),
                         default=DEFAULT_SEED)
     common.add_argument("--tol", default=DEFAULT_TOL, type=_typed(
@@ -320,36 +319,30 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("killing-basis", parents=[common],
                        help="basis of the Killing space of one degree")
-    p.add_argument("--algebra", required=True)
     p.add_argument("--degree", type=_int_at_least(0), required=True)
     p.add_argument("--method", choices=["structured", "brute", "both"])
     p.set_defaults(func=cmd_killing_basis)
 
     p = sub.add_parser("decompose", parents=[common],
                        help="decompose a Killing tensor into a certificate")
-    p.add_argument("--algebra", required=True)
     p.add_argument("--tensor", required=True)
     p.add_argument("--certificate-out", dest="certificate_out")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", parents=[common], help="verify a certificate file")
-    p.add_argument("--algebra", required=True)
     p.add_argument("--certificate", required=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("curvature", parents=[common],
                        help="constant-curvature classification and consequences")
-    p.add_argument("--algebra", required=True)
     p.set_defaults(func=cmd_curvature)
 
     p = sub.add_parser("derivations", parents=[common],
                        help="basis of the skew-symmetric derivations")
-    p.add_argument("--algebra", required=True)
     p.set_defaults(func=cmd_derivations)
 
     p = sub.add_parser("omega-sample", parents=[common],
                        help="evaluate one generator's pullback value at a point")
-    p.add_argument("--algebra", required=True)
     p.add_argument("--generator", required=True,
                    help="metric | left:I | right:I | deriv:I")
     p.add_argument("--at", required=True, help="comma-separated coordinates")
@@ -369,7 +362,7 @@ def _fail(code: int, kind: str, detail: str, diagnosis=None) -> int:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _emit(args, args.func(args))
     except (ff.ParseError, GeneratorError) as exc:
         return _fail(EXIT_PARSE, "parse error", str(exc))
     except LimitError as exc:

@@ -46,8 +46,9 @@ from typing import NamedTuple
 from .almostabelian import AlmostAbelianAlgebra
 from .exactlinalg import basis_vec, dot, nullspace
 from .liealgebra import MetricLieAlgebra
-from .limits import (_MAX_TERMS, DERIVATION_DIM_CAP, MAX_EVALUATION_INDICES, MAX_SAMPLES,
-                     DerivationCapError, EvaluationCapError, SampleCapError, SeriesCapError)
+from .limits import (_MAX_TERMS, DERIVATION_DIM_CAP, MAX_EVALUATION_INDICES, MAX_LEVEL_INDICES,
+                     MAX_SAMPLE_COORDINATES, MAX_SAMPLES, DerivationCapError, EvaluationCapError,
+                     LevelCapError, SampleCapError, SampleCoordinateCapError, SeriesCapError)
 from .tensors import (SymTensor, Endomorphism, monomial_positions, product_positions,
                       sym_dimension)
 
@@ -537,12 +538,17 @@ class CompiledCertificate:
     than the degree of a whole term (Pena and Sauer, "On the multivariate
     Horner scheme", SIAM J. Numer. Anal. 37, 2000).
 
-    A trie node is ``(size, edges)`` with one ``(generator index, product
-    table, child)`` edge per distinct next factor; a leaf is the index of its
+    The trie is one list, ``nodes``, appended to as the terms are inserted:
+    the root first, so every child comes after its parent.  A node is
+    ``(size, edges)`` with one ``(generator index, product table, child
+    position)`` edge per distinct next factor; a leaf is the index of its
     coefficient.  Values are dense, indexed by monomial position, so a
     certificate past ``MAX_EVALUATION_INDICES`` raises ``EvaluationCapError``.
-    ``_horner_lanes`` walks the trie at a block of points at once, one lane
-    per point.
+    Each level of the trie (a degree left below a node with edges) holds
+    the position map and product tables of its degree; past
+    ``MAX_LEVEL_INDICES`` indices over all levels it raises
+    ``LevelCapError``, before any table is built.  ``_horner_lanes`` walks
+    ``nodes`` backwards at a block of points at once, one lane per point.
     """
 
     def __init__(self, cert: Certificate):
@@ -559,73 +565,72 @@ class CompiledCertificate:
         # most frequent first shares the longest prefixes; ties keep first appearance
         order = sorted(gens, key=lambda g: -gens[g])
         index = {g: i for i, g in enumerate(order)}
-        trie = {}
+        degrees = [generator_degree(g) for g in order]
+        # while terms are inserted, a node is (degree left, edges), an edge
+        # (generator index, child position), and ``child`` maps a node's
+        # position and a generator index to the child's position; once the
+        # levels pass the bound, each node gets its size and each edge its table
+        nodes = [(degree, [])]
+        child = {}
         coeffs = []
         for coeff, factors in cert.terms:
-            node = trie
+            at = 0
             for i in sorted(index[g] for g in factors):
-                node = node.setdefault(i, {})
-            if None in node:
-                coeffs[node[None]] += coeff
+                if (at, i) not in child:
+                    child[at, i] = len(nodes)
+                    nodes[at][1].append((i, len(nodes)))
+                    nodes.append((nodes[at][0] - degrees[i], []))
+                at = child[at, i]
+            if isinstance(nodes[at], int):
+                coeffs[nodes[at]] += coeff
             else:
-                node[None] = len(coeffs)
+                nodes[at] = len(coeffs)
                 coeffs.append(Fraction(coeff) if isinstance(coeff, int) else coeff)
-        self.dim = dim
-        self.degree = degree
+        levels = {node[0] for node in nodes if not isinstance(node, int) and node[1]}
+        if (indices := sum(r * sym_dimension(dim, r) for r in levels)) > MAX_LEVEL_INDICES:
+            raise LevelCapError(dim, degree, len(levels), indices)
+        self.dim, self.degree = dim, degree
         self.generators = tuple(order)
         self.coefficients = tuple(coeffs)
-        self._fixed_coefficients = {}
-        degrees = [generator_degree(g) for g in order]
-        self.root = self._freeze(trie, degree, degrees)
-
-    def _freeze(self, node, r, degrees):
-        if None in node:
-            return node[None]
-        return sym_dimension(self.dim, r), tuple(
-            (i, product_positions(self.dim, degrees[i], r - degrees[i]),
-             self._freeze(child, r - degrees[i], degrees))
-            for i, child in node.items())
-
-    def fixed_coefficients(self, shift: int) -> tuple:
-        """The coefficients as fixed-point ints at ``shift``, converted once
-        per shift."""
-        coeffs = self._fixed_coefficients.get(shift)
-        if coeffs is None:
-            coeffs = self._fixed_coefficients[shift] = tuple(
-                _to_fixed(c, shift) for c in self.coefficients)
-        return coeffs
+        self.nodes = [node if isinstance(node, int) else (sym_dimension(dim, node[0]), tuple(
+            (i, product_positions(dim, degrees[i], node[0] - degrees[i]), c)
+            for i, c in node[1])) for node in nodes]
 
 
-def _horner_lanes(node, values, coeffs, shift, lanes: int) -> list:
-    """Dense value ``N(node)`` of a trie node at ``lanes`` points at once,
-    from the leaves up.  Each position holds a tuple of values, one per lane
-    (point), or None when it is zero in every lane; ``values[g]`` holds the
-    generator's in that layout, and zero positions are skipped.  Each
-    product is lane-wise, a node sums its products exactly on each lane, and
-    in fixed point shifts each sum once: lane by lane, the same ints as one
-    point at a time."""
-    if isinstance(node, int):
-        c = coeffs[node]
-        return [(c,) * lanes if c else None]
-    size, edges = node
-    out = [None] * size
-    for g, table, child in edges:
-        below = [(j, b) for j, b in enumerate(_horner_lanes(child, values, coeffs, shift, lanes))
-                 if b is not None]
-        for a, row in zip(values[g], table):
-            if a is not None:
-                for j, b in below:
-                    k = row[j]
-                    acc = out[k]
-                    out[k] = (tuple(map(mul, a, b)) if acc is None
-                              else tuple(map(add, acc, map(mul, a, b))))
-    for k, v in enumerate(out):
-        if v is not None:
-            if shift is not None:
-                v = out[k] = tuple(map(rshift, v, repeat(shift)))
-            if not any(v):
-                out[k] = None
-    return out
+def _horner_lanes(nodes, values, coeffs, shift, lanes: int) -> list:
+    """Dense value ``N(root)`` of a ``CompiledCertificate``'s ``nodes`` at
+    ``lanes`` points at once, from the leaves up: the list is walked
+    backwards, so each child is summed before its parent, and each value is
+    dropped once its parent has read it.  Each position holds a tuple of
+    values, one per lane (point), or None when it is zero in every lane;
+    ``values[g]`` holds the generator's in that layout, and zero positions
+    are skipped.  Each product is lane-wise, a node sums its products
+    exactly on each lane, and in fixed point shifts each sum once: lane by
+    lane, the same ints as one point at a time."""
+    done = {}
+    for at, node in reversed(list(enumerate(nodes))):
+        if isinstance(node, int):
+            done[at] = [(coeffs[node],) * lanes if coeffs[node] else None]
+            continue
+        size, edges = node
+        out = [None] * size
+        for g, table, child in edges:
+            below = [(j, b) for j, b in enumerate(done.pop(child)) if b is not None]
+            for a, row in zip(values[g], table):
+                if a is not None:
+                    for j, b in below:
+                        k = row[j]
+                        acc = out[k]
+                        out[k] = (tuple(map(mul, a, b)) if acc is None
+                                  else tuple(map(add, acc, map(mul, a, b))))
+        for k, v in enumerate(out):
+            if v is not None:
+                if shift is not None:
+                    v = out[k] = tuple(map(rshift, v, repeat(shift)))
+                if not any(v):
+                    out[k] = None
+        done[at] = out
+    return done[0]
 
 
 def _lanes(columns) -> list:
@@ -634,9 +639,9 @@ def _lanes(columns) -> list:
     return [[v if any(v) else None for v in zip(*column)] for column in columns]
 
 
-def _one_lane(node, values, coeffs, shift) -> list:
+def _one_lane(nodes, values, coeffs, shift) -> list:
     """``_horner_lanes`` at one point, from and to dense lists of values."""
-    out = _horner_lanes(node, _lanes((v,) for v in values), coeffs, shift, 1)
+    out = _horner_lanes(nodes, _lanes((v,) for v in values), coeffs, shift, 1)
     return [0 if v is None else v[0] for v in out]
 
 
@@ -668,8 +673,7 @@ def omega_tensor(alg: MetricLieAlgebra, cert, w, order=None, min_order: int = 0,
     points = (_point(alg, w, shift) if series else None,)
     values = [_generator_values(alg, gen, shift, points, order, min_order)[0]
               for gen in compiled.generators]
-    coeffs = compiled.coefficients if shift is None else compiled.fixed_coefficients(shift)
-    out = _one_lane(compiled.root, values, coeffs, shift)
+    out = _one_lane(compiled.nodes, values, _scaled(compiled.coefficients, shift), shift)
     if shift is not None:
         out = [_nearest(v, 1 << shift, prec) for v in out]
     return SymTensor.from_dense(compiled.dim, compiled.degree, out)
@@ -1007,7 +1011,7 @@ def _exact_at_zero(compiled: CompiledCertificate, target: SymTensor) -> bool:
             values.append([c.numerator * (s // c.denominator) for c in g.vector])
     den = math.lcm(*(c.denominator for c in compiled.coefficients))
     coeffs = [c.numerator * (den // c.denominator) for c in compiled.coefficients]
-    got = _one_lane(compiled.root, values, coeffs, None)
+    got = _one_lane(compiled.nodes, values, coeffs, None)
     scale = den * s ** compiled.degree
     return all(v * t.denominator == t.numerator * scale for v, t in zip(got, target.dense()))
 
@@ -1040,9 +1044,10 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     """Check a certificate: exact equality at the origin plus sampled
     constancy of the pullback within ``tol`` at ``samples`` points, from 1
     to ``MAX_SAMPLES`` (past it ``SampleCapError``, before any point is
-    drawn).  Every factor must be a Killing field: a left-invariant field of
-    a vector with skew ``ad``, or the field of a skew derivation, else
-    ``GeneratorError``.
+    drawn) and at most ``MAX_SAMPLE_COORDINATES`` coordinates over them (past
+    it ``SampleCoordinateCapError``).  Every factor must be a Killing field:
+    a left-invariant field of a vector with skew ``ad``, or the field of a
+    skew derivation, else ``GeneratorError``.
 
     The certificate is compiled once (``CompiledCertificate``) and evaluated
     on ints at the origin (``_exact_at_zero``) and in fixed point at the
@@ -1063,6 +1068,8 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
         raise ValueError(f"samples must be at least 1, got {samples}")
     if samples > MAX_SAMPLES:
         raise SampleCapError(samples)
+    if samples * alg.dim > MAX_SAMPLE_COORDINATES:
+        raise SampleCoordinateCapError(samples, alg.dim)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if order_floor < 0:
@@ -1079,11 +1086,11 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     min_order = max(order_floor, _order_for_bound(log_norm, tol / 10.0))
     shift = _fixed_shift(dim, _dps_to_prec(digits))
     target = _scaled(cert.target.dense(), shift)
-    coeffs = compiled.fixed_coefficients(shift)
+    coeffs = _scaled(compiled.coefficients, shift)
     worst = 0
     for n, columns in _MEMO.blocks(alg, compiled.generators, samples, seed, points, shift,
                                    min_order):
-        out = _horner_lanes(compiled.root, _lanes(columns), coeffs, shift, n)
+        out = _horner_lanes(compiled.nodes, _lanes(columns), coeffs, shift, n)
         for lanes, t in zip(out, target):
             worst = max(worst, abs(t) if lanes is None
                         else max(map(abs, map(sub, lanes, repeat(t)))))

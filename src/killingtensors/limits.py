@@ -44,6 +44,18 @@ DERIVATION_DIM_CAP = 24
 # degree 3000 on three dimensions, 1.4e10 indices, ends in a MemoryError.
 MAX_EVALUATION_INDICES = 10 ** 6
 
+# Each level of a compiled certificate's trie, a degree r left below a node
+# with edges, holds the position map of degree r and a product table into
+# it: r C(n+r-1, r) indices, so n C(n+p, p-1) over a chain of p degree-1
+# factors.  Building and walking those levels is what a deep certificate's
+# check costs, whatever its top degree allows: one term of 900 right-invariant
+# factors on a dimension-2 algebra needs 2.4e8 indices and took 23 s, 120 on
+# the rotation algebra 2.7e7 and 4.6 s.  At default samples on algebras of
+# unit structure constants the deepest chains within 2e6 indices took 0.2 to
+# 0.9 s (dimension 2 at 180 factors, 3 at 65, 6 at 17, 10 at 10), on one core
+# of a shared 2-core machine.
+MAX_LEVEL_INDICES = 2 * 10 ** 6
+
 # The position maps and product tables over those monomials are kept per
 # shape, (n, p) and (n, d, e).  Unbounded, a long-lived process kept every
 # shape it met, each up to 18 MiB within the bound above (degree 10 on ten
@@ -59,6 +71,14 @@ MAX_POSITION_TABLES = 32
 # larger count adds little to a seeded check and could run for days.  The
 # bound also caps the point list a sample set of the memo draws.
 MAX_SAMPLES = 10 ** 4
+
+# The sample points are drawn in full, one float per coordinate, and each
+# is walked once to size the working precision, so samples times dimension
+# bounds that work, though each factor alone is within its bound: 10^4
+# points on the 40-byte abelian algebra of dimension 10^4, 10^8 floats, ran
+# for minutes and past 4 GB.  A zero certificate took 1.1 s to verify at 10^6
+# coordinates (10^4 points of dimension 100, or 100 of dimension 10^4).
+MAX_SAMPLE_COORDINATES = 10 ** 6
 
 # A pullback series at a = ||ad_w||_1 needs more than e·a terms, each a
 # product with ad_w at a precision that grows with a: past 5000 it is refused.
@@ -112,11 +132,29 @@ class EvaluationCapError(LimitError):
                          f"(cap {MAX_EVALUATION_INDICES})")
 
 
+class LevelCapError(LimitError):
+    """A certificate whose trie levels hold more than ``MAX_LEVEL_INDICES``
+    monomial indices."""
+
+    def __init__(self, dim: int, degree: int, levels: int, indices: int):
+        super().__init__(f"degree {degree} in dimension {dim} needs {indices} monomial indices "
+                         f"over {levels} trie levels (cap {MAX_LEVEL_INDICES})")
+
+
 class SampleCapError(LimitError):
     """A sampled check asked for more than ``MAX_SAMPLES`` points."""
 
     def __init__(self, samples: int):
         super().__init__(f"{samples} samples exceed the sampled-check cap ({MAX_SAMPLES})")
+
+
+class SampleCoordinateCapError(LimitError):
+    """A sampled check whose points have more than ``MAX_SAMPLE_COORDINATES``
+    coordinates in all."""
+
+    def __init__(self, samples: int, dim: int):
+        super().__init__(f"{samples} samples of dimension {dim} have {samples * dim} coordinates "
+                         f"(sampled-check cap {MAX_SAMPLE_COORDINATES})")
 
 
 class SeriesCapError(LimitError, RuntimeError):

@@ -145,17 +145,18 @@ def listed_layers(lay, e):
                  for i in range(p // 2 + 1))
 
 
-def horner_oracle(node, values, coeffs, shift):
-    """Dense value ``N(node)`` of a ``CompiledCertificate`` trie node at one
-    point, from the leaves up: the per-point Horner pass the lane-wise one
-    replaced.  Fixed-point products accumulate unshifted and each node
-    shifts once."""
+def horner_oracle(nodes, values, coeffs, shift, at=0):
+    """Dense value ``N(node)`` of the node at position ``at`` of a
+    ``CompiledCertificate``'s ``nodes`` at one point, by recursion from the
+    leaves up: the per-point Horner pass the lane-wise one replaced.
+    Fixed-point products accumulate unshifted and each node shifts once."""
+    node = nodes[at]
     if isinstance(node, int):
         return (coeffs[node],)
     size, edges = node
     out = [0] * size
     for g, table, child in edges:
-        below = horner_oracle(child, values, coeffs, shift)
+        below = horner_oracle(nodes, values, coeffs, shift, child)
         for a, row in zip(values[g], table):
             if a:
                 for k, b in zip(row, below):

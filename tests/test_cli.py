@@ -936,6 +936,49 @@ class TestEvaluationCap:
         assert json.loads(err) == {"error": "limit exceeded", "detail": self.DETAIL}
 
 
+class TestDeepCertificates:
+    """One term of 900 right-invariant factors on a dimension-2 algebra (a
+    37 KB file), and the decomposition of ``e0^1000`` on the one-dimensional
+    algebra (2 KB), passed every size bound and ended in a RecursionError
+    traceback.  In a fresh interpreter each now finishes within 2 s with one
+    JSON line: the first is refused past ``MAX_LEVEL_INDICES``, the second
+    decomposes into 2^500 times the 500th power of the metric and verifies."""
+
+    @staticmethod
+    def _cli(argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(killingtensors.__file__).resolve().parents[1]))
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "killingtensors.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert time.perf_counter() - start < 2
+        assert "Traceback" not in done.stderr
+        lines = (done.stdout + done.stderr).splitlines()
+        assert len(lines) == 1
+        return done.returncode, json.loads(lines[0])
+
+    def test_900_factors_exit_2(self, tmp_path):
+        factors = [{"kind": "right", "vector": ["0", "1"]}] * 900
+        cert = {"target": {"degree": 900, "terms": []},
+                "terms": [{"coeff": "1", "factors": factors}]}
+        code, doc = self._cli(["verify",
+                               "--algebra", write(tmp_path, "a.json", {"n": 1, "D": [["1"]]}),
+                               "--certificate", write(tmp_path, "c.json", cert)])
+        assert code == 2 and doc == {"error": "limit exceeded", "detail": (
+            "degree 900 in dimension 2 needs 243810600 monomial indices over 900 trie levels "
+            "(cap 2000000)")}
+
+    def test_e0_to_the_1000_decomposes_and_verifies(self, tmp_path):
+        tensor = {"degree": 1000, "terms": [{"coeff": "1", "monomial": [0] * 1000}]}
+        out = tmp_path / "t.cert.json"
+        code, doc = self._cli(["decompose",
+                               "--algebra", write(tmp_path, "a.json", {"n": 0, "D": []}),
+                               "--tensor", write(tmp_path, "t.json", tensor),
+                               "--certificate-out", str(out)])
+        assert code == 0 and doc["result"]["verification"]["passed"] is True
+        assert json.loads(out.read_text())["terms"] == [
+            {"coeff": str(2 ** 500), "factors": [{"kind": "metric"}] * 500}]
+
+
 class TestSampleAndSolverCaps:
     """``--samples`` past ``MAX_SAMPLES`` and a structured solve past
     ``MAX_STRUCTURED_MONOMIALS`` exit 2 at once, "limit exceeded"."""
@@ -952,6 +995,23 @@ class TestSampleAndSolverCaps:
         assert code == 2 and out == ""
         assert json.loads(err) == {"error": "limit exceeded", "detail": (
             f"{samples} samples exceed the sampled-check cap ({killingtensors.MAX_SAMPLES})")}
+
+    @pytest.mark.parametrize("samples, code", [(100, 0), (101, 2), (10 ** 4, 2)])
+    def test_samples_times_dimension_at_and_past_the_cap(self, tmp_path, capsys, samples, code):
+        # 10^4 points on the abelian algebra of dimension 10^4 would draw
+        # 10^8 floats; 100 of them draw 10^6
+        wide = write(tmp_path, "wide.json", {"dim": 10 ** 4, "structure": []})
+        argv = ["verify", "--algebra", wide, "--certificate",
+                write(tmp_path, "c.json", self.ZERO_CERT), "--samples", str(samples)]
+        start = time.perf_counter()
+        got, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 2 and got == code
+        if code:
+            assert json.loads(err) == {"error": "limit exceeded", "detail": (
+                f"{samples} samples of dimension 10000 have {samples * 10 ** 4} coordinates "
+                f"(sampled-check cap {killingtensors.MAX_SAMPLE_COORDINATES})")}
+        else:
+            assert json.loads(out)["result"]["passed"]
 
     def test_samples_at_the_cap(self, tmp_path, capsys):
         argv = ["verify", "--algebra", write(tmp_path, "rot.json", ROT), "--certificate",
@@ -982,7 +1042,9 @@ LIMIT_EXAMPLES = {
     killingtensors.StructuredCapError: (3, 3000, 4504501),
     killingtensors.DerivationCapError: (25,),
     killingtensors.EvaluationCapError: (3, 3000, 3000 * 4504501),
+    killingtensors.LevelCapError: (2, 900, 900, 243810600),
     killingtensors.SampleCapError: (10 ** 9,),
+    killingtensors.SampleCoordinateCapError: (10 ** 4, 10 ** 4),
     killingtensors.SeriesCapError: (Fraction(6000),),
 }
 

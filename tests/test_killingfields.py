@@ -16,7 +16,7 @@ from mpmath import mp
 
 import killingtensors.fileformats as ff
 import killingtensors.killingfields as kf
-from killingtensors.tensors import basis_monomials, monomial_positions
+from killingtensors.tensors import basis_monomials, monomial_positions, product_positions
 
 from killingtensors import (
     AlmostAbelianAlgebra,
@@ -26,7 +26,9 @@ from killingtensors import (
     Endomorphism,
     EvaluationCapError,
     LeftInvariant,
+    LevelCapError,
     MAX_EVALUATION_INDICES,
+    MAX_LEVEL_INDICES,
     Metric,
     MAX_SAMPLES,
     MetricLieAlgebra,
@@ -642,6 +644,70 @@ class TestEvaluationCap:
             decompose(self.ALG, SymTensor.monomial(3, (1,) * 125))
 
 
+class TestLevelCap:
+    """A certificate whose trie levels, each a degree r left below a node
+    with edges, hold more than ``MAX_LEVEL_INDICES`` monomial indices, r
+    C(n+r-1, r) per level, is refused before any position map or product
+    table is built, though its top degree passes ``MAX_EVALUATION_INDICES``."""
+
+    ONE = AlmostAbelianAlgebra(Endomorphism.from_rows([[1]]))
+    ROT = AlmostAbelianAlgebra(J2)
+
+    @staticmethod
+    def _chain(dim, p):
+        """One term of ``p`` right-invariant fields of ``e_1``."""
+        return Certificate(SymTensor.zero(dim, p),
+                           ((Fraction(1), (RightInvariant(basis_vec(dim, 1)),) * p),))
+
+    def test_a_chain_of_p_fields_holds_n_binomial_n_plus_p_p_minus_1_indices(self):
+        for n, p in [(1, 5), (2, 900), (3, 62), (10, 10)]:
+            assert sum(r * sym_dimension(n, r) for r in range(p + 1)) == n * math.comb(n + p, p - 1)
+
+    def test_the_bound_falls_between_61_and_62_fields_on_the_rotation(self):
+        assert 3 * math.comb(64, 60) <= MAX_LEVEL_INDICES < 3 * math.comb(65, 61)
+
+    @pytest.mark.parametrize("alg, p, levels, indices", [(ONE, 900, 900, 243810600),
+                                                         (ROT, 62, 62, 2031120),
+                                                         (ROT, 120, 120, 27235890)],
+                             ids=["one-900", "rotation-62", "rotation-120"])
+    def test_past_the_bound_raises_before_any_table_is_built(self, alg, p, levels, indices):
+        cert = self._chain(alg.dim, p)
+        assert p * sym_dimension(alg.dim, p) <= MAX_EVALUATION_INDICES
+        listed = monomial_positions.cache_info().misses, product_positions.cache_info().misses
+        start = time.perf_counter()
+        message = (f"^degree {p} in dimension {alg.dim} needs {indices} monomial indices over "
+                   f"{levels} trie levels \\(cap {MAX_LEVEL_INDICES}\\)$")
+        with pytest.raises(LevelCapError, match=message):
+            CompiledCertificate(cert)
+        with pytest.raises(LevelCapError, match=message):
+            verify_certificate(alg, cert)
+        with pytest.raises(LevelCapError, match=message):
+            omega_tensor(alg, cert, (0.5,) * alg.dim)
+        assert time.perf_counter() - start < 1
+        assert (monomial_positions.cache_info().misses,
+                product_positions.cache_info().misses) == listed
+
+    def test_just_under_the_bound_verifies(self):
+        check = verify_certificate(self.ROT, self._chain(3, 61))
+        assert check.exact_at_zero is False and check.passed is False
+
+    def test_every_node_but_the_root_is_one_child_after_its_parent(self):
+        # e1^4 + m^2 + e1^2 m: the third term shares e1^2 with the first
+        e1, m = RightInvariant(basis_vec(2, 1)), Metric()
+        cert = Certificate(SymTensor.zero(2, 4), ((Fraction(1), (e1,) * 4),
+                                                  (Fraction(2), (m, m)), (Fraction(3), (m, e1, e1))))
+        compiled = CompiledCertificate(cert)
+        nodes = compiled.nodes
+        edges = [(at, child) for at, node in enumerate(nodes) if not isinstance(node, int)
+                 for _, _, child in node[1]]
+        assert len(nodes) == 8 and all(at < child for at, child in edges)
+        assert sorted(child for _, child in edges) == list(range(1, 8))
+        assert sorted(n for n in nodes if isinstance(n, int)) == [0, 1, 2]
+        assert compiled.coefficients == (1, 2, 3)
+        # the empty certificate is its root, with no edge and so no level
+        assert CompiledCertificate(Certificate(SymTensor.zero(1, 999999), ())).nodes == [(1, ())]
+
+
 class TestMatrixIsNotAGenerator:
     """A derivation field is always a ``DerivationField``: a bare matrix is
     refused wherever a generator is expected, so no certificate carries a
@@ -844,12 +910,12 @@ class TestHornerLanes:
         points = [kf._point(alg, kf._scaled(w, shift), shift) for w in ws]
         columns = [kf._generator_values(alg, g, shift, points, None, 0)
                    for g in compiled.generators]
-        coeffs = compiled.fixed_coefficients(shift)
+        coeffs = kf._scaled(compiled.coefficients, shift)
         values = kf._lanes(columns)
-        got = kf._horner_lanes(compiled.root, values, coeffs, shift, lanes)
+        got = kf._horner_lanes(compiled.nodes, values, coeffs, shift, lanes)
         assert all(v is None or (len(v) == lanes and any(v)) for v in got)
         for i in range(lanes):
-            want = horner_oracle(compiled.root, [c[i] for c in columns], coeffs, shift)
+            want = horner_oracle(compiled.nodes, [c[i] for c in columns], coeffs, shift)
             assert [0 if v is None else v[i] for v in got] == list(want)
         return values, got
 

@@ -114,3 +114,40 @@ def test_importing_the_cli_loads_no_mpmath():
                            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))"],
                           env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def _self_calls(tree):
+    """``module.function`` or ``Class.method`` of each function whose body
+    calls it again: by its name, or as ``self.<method>`` / ``cls.<method>``
+    within its class."""
+    def walk(scope, body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from walk(f"{scope}.{node.name}", node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(node):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    f = call.func
+                    if (isinstance(f, ast.Name) and f.id == node.name and owner is None
+                            or isinstance(f, ast.Attribute) and f.attr == node.name
+                            and isinstance(f.value, ast.Name)
+                            and f.value.id in ("self", "cls", owner)):
+                        yield f"{scope}.{node.name}"
+                        break
+                yield from walk(f"{scope}.{node.name}", node.body, None)
+
+    yield from walk("", tree.body, None)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_calls_itself(path):
+    # a walk by recursion ends in a RecursionError on a deep enough input
+    assert [path.stem + name for name in _self_calls(ast.parse(path.read_text()))] == []
+
+
+def test_the_recursion_check_sees_both_forms():
+    tree = ast.parse("def f(n):\n    return f(n - 1)\n"
+                     "class C:\n    def g(self):\n        return self.g()\n"
+                     "    def h(self):\n        return h()\n")
+    assert list(_self_calls(tree)) == [".f", ".C.g"]
