@@ -22,7 +22,8 @@ from .limits import (LimitError, DimensionCapError, MAX_DIMENSION, SolverCapErro
                      MAX_STRUCTURED_MONOMIALS, DerivationCapError, DERIVATION_DIM_CAP,
                      EvaluationCapError, MAX_EVALUATION_INDICES, LevelCapError,
                      MAX_LEVEL_INDICES, SampleCapError, MAX_SAMPLES, SampleCoordinateCapError,
-                     MAX_SAMPLE_COORDINATES, SeriesCapError)
+                     MAX_SAMPLE_COORDINATES, SampledLevelCapError, MAX_SAMPLED_LEVEL_INDICES,
+                     PrecisionCapError, MAX_WORKING_DIGITS, SeriesCapError)
 from .liealgebra import MetricLieAlgebra, KillingSpace
 from .almostabelian import AlmostAbelianAlgebra, LayeredDecomposition, KillingDiagnosis
 from .killingfields import (
@@ -69,7 +70,8 @@ __all__ = [
     "MAX_STRUCTURED_MONOMIALS", "DerivationCapError", "DERIVATION_DIM_CAP",
     "EvaluationCapError", "MAX_EVALUATION_INDICES", "LevelCapError", "MAX_LEVEL_INDICES",
     "SampleCapError", "MAX_SAMPLES", "SampleCoordinateCapError", "MAX_SAMPLE_COORDINATES",
-    "SeriesCapError",
+    "SampledLevelCapError", "MAX_SAMPLED_LEVEL_INDICES", "PrecisionCapError",
+    "MAX_WORKING_DIGITS", "SeriesCapError",
     "MetricLieAlgebra", "KillingSpace",
     "AlmostAbelianAlgebra", "LayeredDecomposition", "KillingDiagnosis",
     "Metric", "LeftInvariant", "RightInvariant", "SkewDerivation",

@@ -5,9 +5,9 @@ the effective parameters and the results; identical inputs and parameters
 produce byte-identical reports.  Exit codes: 0 success, 2 parse/validation
 error or a request past a size limit (any ``limits.LimitError``: the algebra
 dimension, the brute-force and structured solvers, the series term cap, the
-skew-derivation solve, the certificate size and depth, and the sample
-count and coordinates), 3 method or algebra-kind mismatch, 4 tensor not
-Killing.
+skew-derivation solve, the certificate size and depth, the sample count
+and coordinates, the sampled work and the working digits), 3 method or
+algebra-kind mismatch, 4 tensor not Killing.
 """
 from __future__ import annotations
 

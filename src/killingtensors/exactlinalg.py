@@ -3,8 +3,8 @@
 The solvers hand in sparse vectors: ``{key: value}`` dicts of ``Fraction``s
 or ints that name only their nonzero entries.  ``nullspace`` takes the image
 of each unknown as one such column and ``rref_span`` takes the spanning
-vectors themselves; each reduces once in ``_sparse_rref``, a sparse
-fraction-free elimination, and matrix arithmetic lives in
+vectors themselves; each reduces once in ``_reduce``, a sparse
+fraction-free elimination on integer rows, and matrix arithmetic lives in
 ``tensors.Endomorphism``.  The reduced row echelon form
 of a matrix is unique, so the canonical basis of a row space or nullspace
 depends neither on how it is eliminated nor on the choice of pivot rows.
@@ -45,7 +45,7 @@ def _eliminate(r: dict, p: dict, c: int) -> dict:
     made coprime: column ``c`` of ``r`` cleared, content divided out."""
     g = gcd(p[c], r[c])
     a, b = p[c] // g, r[c] // g
-    out = {j: a * x for j, x in r.items()} if a != 1 else dict(r)
+    out = {j: a * x for j, x in r.items()} if a != 1 else r.copy()
     for j, y in p.items():
         v = out.get(j, 0) - b * y
         if v:
@@ -55,51 +55,54 @@ def _eliminate(r: dict, p: dict, c: int) -> dict:
     return _primitive(out)
 
 
-def _sparse_rref(rows, keys: list):
-    """RREF of sparse rows over the columns ``keys``, in that order: the
-    nonzero reduced rows as sparse dicts, and the pivot keys.
+def _integer_row(row: dict) -> dict:
+    """A nonzero ``{column: value}`` row of ints and ``Fraction``s as a
+    primitive integer row: an int row as it is, any other cleared of
+    denominators; content divided out."""
+    if any(type(x) is not int for x in row.values()):
+        scale = lcm(*(x.denominator for x in row.values()))
+        row = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+    return _primitive(row)
 
-    Fraction-free, in the spirit of Bareiss (Math. Comp. 22, 1968): each row
-    is cleared of denominators once and kept as a sparse ``{column: int}``
-    dict, and rows are combined by integer cross-multiplication with their
-    content divided out.  Forward elimination takes the columns in order,
-    pivots on the sparsest active row that carries the column and clears it
-    from the other active rows, so every active row starts past the columns
-    done.  Back-substitution runs from the last pivot up and clears each
-    pivot row at the later pivot columns with the rows already reduced.
-    Only then does each row become ``Fraction``s, divided by its pivot.
+
+def _reduce(rows, n: int) -> dict:
+    """Reduced integer rows of the nonzero primitive rows ``rows`` over the
+    columns ``0 .. n-1``: ``{pivot column: row}`` in pivot order, each row
+    led by its pivot and 0 at every other pivot column.
+
+    Fraction-free, in the spirit of Bareiss (Math. Comp. 22, 1968): rows are
+    sparse ``{column: int}`` dicts combined by integer cross-multiplication
+    with their content divided out.  The rows wait in buckets keyed by their
+    leading column; forward elimination takes the columns in order, pivots on
+    the sparsest row of the column's bucket and clears the column from the
+    bucket's other rows, whose new leads are later columns.
+    Back-substitution runs from the last pivot up and clears each pivot row
+    at the later pivot columns with the rows already reduced.
     """
-    position = {k: c for c, k in enumerate(keys)}
-    active = []
+    buckets = {}
     for row in rows:
-        if any(row.values()):
-            scale = lcm(*(x.denominator for x in row.values()))
-            active.append(_primitive({position[k]: x.numerator * (scale // x.denominator)
-                                      for k, x in row.items() if x}))
-    pivots, reduced = [], {}
-    for c in range(len(keys)):
-        if not active:
+        buckets.setdefault(min(row), []).append(row)
+    reduced = {}
+    for c in range(n):
+        if not buckets:
             break
-        hits = [r for r in active if c in r]
-        if not hits:
+        hits = buckets.pop(c, None)
+        if hits is None:
             continue
         p = min(hits, key=len)
-        active = [r for r in active if c not in r]
-        active.extend(row for row in (_eliminate(r, p, c) for r in hits if r is not p) if row)
-        pivots.append(c)
+        for r in hits:
+            if r is not p:
+                r = _eliminate(r, p, c)
+                if r:
+                    buckets.setdefault(min(r), []).append(r)
         reduced[c] = p
     # a pivot row starts at its own column, so its other pivot columns are later ones
-    for c in reversed(pivots):
+    for c in reversed(reduced):
         p = reduced[c]
-        for j in sorted(j for j in p if j in reduced and j != c):
+        for j in [j for j in p if j in reduced and j != c]:
             p = _eliminate(p, reduced[j], j)
         reduced[c] = p
-    out = []
-    for c in pivots:
-        row = reduced.pop(c)
-        lead = row[c]
-        out.append({keys[j]: Fraction(v, lead) for j, v in sorted(row.items())})
-    return out, [keys[c] for c in pivots]
+    return reduced
 
 
 def nullspace(columns: dict) -> list:
@@ -107,29 +110,31 @@ def nullspace(columns: dict) -> list:
     ``{unknown: value}`` dicts, in one elimination.
 
     ``columns`` maps each unknown, in echelon order, to its image as a sparse
-    ``{row key: value}`` dict.  The rows are reduced with the unknowns in
-    reverse order, so a reduced row holds, beside its pivot, only free
-    unknowns that come before the pivot.  The vector of a free unknown ``f``
-    (1 at ``f``, minus the pivot rows' entries at ``f``) thus leads at ``f``
-    and is 0 at every other free unknown: these vectors, in the order of
-    their free unknowns, are already the RREF basis of the kernel.
+    ``{row key: value}`` dict.  The equations are reduced with the unknowns
+    in reverse order, unknown ``i`` of ``n`` at column ``n-1-i``, so a
+    reduced row holds, beside its pivot, only free unknowns that come before
+    the pivot.  The vector of a free unknown ``f`` (1 at ``f``, minus the
+    pivot rows' entries at ``f`` over their leads) thus leads at ``f`` and is
+    0 at every other free unknown: these vectors, in the order of their free
+    unknowns, are already the RREF basis of the kernel.  Only their entries
+    become ``Fraction``s.
     """
-    unknowns = list(columns)
+    n = len(columns)
+    unknowns = list(columns)[::-1]  # the unknown of each column
     rows = {}
-    for u, image in columns.items():
+    for c, image in zip(reversed(range(n)), columns.values()):
         for r, x in image.items():
-            rows.setdefault(r, {})[u] = x
-    red, pivots = _sparse_rref(list(rows.values()), unknowns[::-1])
-    pivot_set = set(pivots)
-    kernel = []
-    for f in unknowns:
-        if f not in pivot_set:
-            v = {f: _ONE}
-            for p, row in zip(reversed(pivots), reversed(red)):  # in echelon order
-                if f in row:
-                    v[p] = -row[f]
-            kernel.append(v)
-    return kernel
+            if x:
+                rows.setdefault(r, {})[c] = x
+    reduced = _reduce([_integer_row(row) for row in rows.values()], n)
+    kernel = {c: {unknowns[c]: _ONE} for c in reversed(range(n)) if c not in reduced}
+    for c in reversed(reduced):  # in echelon order
+        p = reduced[c]
+        lead, u = p[c], unknowns[c]
+        for j, x in p.items():
+            if j != c:
+                kernel[j][u] = Fraction(-x, lead)
+    return list(kernel.values())
 
 
 def rref_span(vectors) -> list:
@@ -137,4 +142,11 @@ def rref_span(vectors) -> list:
     with the columns in sorted key order (monomial tuples sort
     lexicographically)."""
     keys = sorted({k for v in vectors for k in v})
-    return _sparse_rref(vectors, keys)[0]
+    position = {k: c for c, k in enumerate(keys)}
+    rows = [_integer_row({position[k]: x for k, x in v.items() if x})
+            for v in vectors if any(v.values())]
+    out = []
+    for c, row in _reduce(rows, len(keys)).items():
+        lead = row[c]
+        out.append({keys[j]: Fraction(v, lead) for j, v in sorted(row.items())})
+    return out

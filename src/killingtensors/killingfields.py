@@ -47,8 +47,10 @@ from .almostabelian import AlmostAbelianAlgebra
 from .exactlinalg import basis_vec, dot, nullspace
 from .liealgebra import MetricLieAlgebra
 from .limits import (_MAX_TERMS, DERIVATION_DIM_CAP, MAX_EVALUATION_INDICES, MAX_LEVEL_INDICES,
-                     MAX_SAMPLE_COORDINATES, MAX_SAMPLES, DerivationCapError, EvaluationCapError,
-                     LevelCapError, SampleCapError, SampleCoordinateCapError, SeriesCapError)
+                     MAX_SAMPLE_COORDINATES, MAX_SAMPLED_LEVEL_INDICES, MAX_SAMPLES,
+                     MAX_WORKING_DIGITS, DerivationCapError, EvaluationCapError, LevelCapError,
+                     PrecisionCapError, SampleCapError, SampleCoordinateCapError,
+                     SampledLevelCapError, SeriesCapError)
 from .tensors import (SymTensor, Endomorphism, monomial_positions, product_positions,
                       sym_dimension)
 
@@ -526,6 +528,20 @@ def _check_evaluation_size(dim: int, degree: int):
         raise EvaluationCapError(dim, degree, indices)
 
 
+def _check_level_size(dim: int, degree: int):
+    """``LevelCapError`` for a nonzero tensor of ``degree`` on ``dim``
+    dimensions whose certificate's trie levels must pass
+    ``MAX_LEVEL_INDICES``, before its Killing test.  Every term descends
+    from ``degree`` in steps of 1 or 2 (a field or the metric) to 1 or 2, so
+    its levels hold at least the indices of the cheapest such chain,
+    ``degree, degree - 2, ...`` down to 1 or 2: that chain is what is
+    counted and reported."""
+    levels = range(degree, 0, -2)
+    indices = sum(r * sym_dimension(dim, r) for r in levels)
+    if indices > MAX_LEVEL_INDICES:
+        raise LevelCapError(dim, degree, len(levels), indices)
+
+
 class CompiledCertificate:
     """A certificate arranged for evaluation by Horner's rule over its factors.
 
@@ -546,9 +562,10 @@ class CompiledCertificate:
     certificate past ``MAX_EVALUATION_INDICES`` raises ``EvaluationCapError``.
     Each level of the trie (a degree left below a node with edges) holds
     the position map and product tables of its degree; past
-    ``MAX_LEVEL_INDICES`` indices over all levels it raises
-    ``LevelCapError``, before any table is built.  ``_horner_lanes`` walks
-    ``nodes`` backwards at a block of points at once, one lane per point.
+    ``MAX_LEVEL_INDICES`` indices over all levels, ``level_indices``, it
+    raises ``LevelCapError``, before any table is built.  ``_horner_lanes``
+    walks ``nodes`` backwards at a block of points at once, one lane per
+    point.
     """
 
     def __init__(self, cert: Certificate):
@@ -589,7 +606,7 @@ class CompiledCertificate:
         levels = {node[0] for node in nodes if not isinstance(node, int) and node[1]}
         if (indices := sum(r * sym_dimension(dim, r) for r in levels)) > MAX_LEVEL_INDICES:
             raise LevelCapError(dim, degree, len(levels), indices)
-        self.dim, self.degree = dim, degree
+        self.dim, self.degree, self.level_indices = dim, degree, indices
         self.generators = tuple(order)
         self.coefficients = tuple(coeffs)
         self.nodes = [node if isinstance(node, int) else (sym_dimension(dim, node[0]), tuple(
@@ -757,9 +774,13 @@ def decompose(alg: AlmostAbelianAlgebra, k: SymTensor) -> Certificate:
     layers passed ``is_killing_structured``, so each is rewritten by
     ``_ideal_terms`` without a check of its own.  A target too large to
     evaluate raises ``EvaluationCapError`` before the layers are built, as
-    its certificate could never be verified.
+    its certificate could never be verified, and so does one whose
+    certificate's trie levels must pass ``MAX_LEVEL_INDICES``
+    (``LevelCapError``).
     """
     _check_evaluation_size(k.dim, k.degree)
+    if k.terms:
+        _check_level_size(k.dim, k.degree)
     diag = alg.is_killing_structured(k)
     if not diag.is_killing:
         raise NotKillingError("; ".join(diag.failures), diagnosis=diag)
@@ -835,7 +856,8 @@ def _factor_log10_bound(gen, gain: float, dim: int) -> float:
 def _working_digits(cert: Certificate, gain: float, dim: int, tol: float) -> int:
     """Working digits for sampling ``cert``: 35 past the log10 of its
     amplification bound and 10 past that of the bound over ``tol``, at least
-    50, rounded up to a multiple of 10.  ``tol`` decides only below 1e-25."""
+    50, rounded up to a multiple of 10.  ``tol`` decides only below 1e-25.
+    Past ``MAX_WORKING_DIGITS`` it raises ``PrecisionCapError``."""
     worst = 0.0
     # keyed by object: the terms share their generator objects, and an id
     # costs less than hashing a tuple of Fractions
@@ -850,7 +872,10 @@ def _working_digits(cert: Certificate, gain: float, dim: int, tol: float) -> int
         worst = max(worst, t)
     worst = math.ceil(worst + math.log10(len(cert.terms) + 1))
     digits = max(50, 35 + worst, worst + math.ceil(-math.log10(tol)) + 10)
-    return 10 * int(math.ceil(digits / 10))
+    digits = 10 * int(math.ceil(digits / 10))
+    if digits > MAX_WORKING_DIGITS:
+        raise PrecisionCapError(digits)
+    return digits
 
 
 def sample_points(dim: int, samples: int, seed: int):
@@ -1044,10 +1069,14 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     """Check a certificate: exact equality at the origin plus sampled
     constancy of the pullback within ``tol`` at ``samples`` points, from 1
     to ``MAX_SAMPLES`` (past it ``SampleCapError``, before any point is
-    drawn) and at most ``MAX_SAMPLE_COORDINATES`` coordinates over them (past
-    it ``SampleCoordinateCapError``).  Every factor must be a Killing field:
-    a left-invariant field of a vector with skew ``ad``, or the field of a
-    skew derivation, else ``GeneratorError``.
+    drawn), at most ``MAX_SAMPLE_COORDINATES`` coordinates over them (past
+    it ``SampleCoordinateCapError``) and at most ``MAX_SAMPLED_LEVEL_INDICES``
+    samples times the compiled certificate's level indices (past it
+    ``SampledLevelCapError``, before the origin check).  A certificate that
+    needs more than ``MAX_WORKING_DIGITS`` digits raises
+    ``PrecisionCapError`` before any series is summed.  Every factor must
+    be a Killing field: a left-invariant field of a vector with skew ``ad``,
+    or the field of a skew derivation, else ``GeneratorError``.
 
     The certificate is compiled once (``CompiledCertificate``) and evaluated
     on ints at the origin (``_exact_at_zero``) and in fixed point at the
@@ -1075,6 +1104,8 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     if order_floor < 0:
         raise ValueError(f"order_floor must be at least 0, got {order_floor}")
     compiled = CompiledCertificate(cert)
+    if samples * compiled.level_indices > MAX_SAMPLED_LEVEL_INDICES:
+        raise SampledLevelCapError(samples, compiled.level_indices)
     dim = alg.dim
     if compiled.dim != dim:
         raise ValueError("dimension mismatch")

@@ -56,6 +56,26 @@ MAX_EVALUATION_INDICES = 10 ** 6
 # of a shared 2-core machine.
 MAX_LEVEL_INDICES = 2 * 10 ** 6
 
+# The sampled check walks every level of the trie once per point, so its
+# work grows as the samples times those level indices, though each is within
+# its own bound.  One term of 61 right-invariant fields on the rotation
+# algebra (1.9e6 level indices) took 0.4 s to verify at 20 samples, 0.9 s at
+# 200, 2.9 s at 1000 and 5.3 s at 2000 (whole CLI processes, on one core of
+# a shared 2-core machine), about 1.3 ns per sample and index.  4e8 keeps
+# that walk near half a second: ten times the default 20 samples of a
+# certificate at MAX_LEVEL_INDICES, and MAX_SAMPLES points of one with 4e4.
+MAX_SAMPLED_LEVEL_INDICES = 4 * 10 ** 8
+
+# The sampled check sums the series and the trie at a working precision
+# that grows with the factors of a term times the series gain of each: one
+# term of k right-invariant fields of (1, 1) on {"n": 1, "D": [["100"]]}
+# needs about 66 k digits, and took 1.2 s at 30 factors (2020 digits), 9.5 s
+# at 61 (4060) and 17 s at 80 (5310), at 20 samples.  The highest precision
+# a pinned report or a test asks for is 4070 digits (D = diag(2000, -2000),
+# whose series then stop at the term cap within n + 1 terms), so the cap
+# sits just past it.
+MAX_WORKING_DIGITS = 4100
+
 # The position maps and product tables over those monomials are kept per
 # shape, (n, p) and (n, d, e).  Unbounded, a long-lived process kept every
 # shape it met, each up to 18 MiB within the bound above (degree 10 on ten
@@ -139,6 +159,23 @@ class LevelCapError(LimitError):
     def __init__(self, dim: int, degree: int, levels: int, indices: int):
         super().__init__(f"degree {degree} in dimension {dim} needs {indices} monomial indices "
                          f"over {levels} trie levels (cap {MAX_LEVEL_INDICES})")
+
+
+class SampledLevelCapError(LimitError):
+    """A sampled check whose samples times trie-level indices pass
+    ``MAX_SAMPLED_LEVEL_INDICES``."""
+
+    def __init__(self, samples: int, indices: int):
+        super().__init__(f"{samples} samples of {indices} trie-level indices need "
+                         f"{samples * indices} (sampled-check cap {MAX_SAMPLED_LEVEL_INDICES})")
+
+
+class PrecisionCapError(LimitError):
+    """A sampled check that needs more than ``MAX_WORKING_DIGITS`` digits."""
+
+    def __init__(self, digits: int):
+        super().__init__(f"the sampled check needs {digits} working digits "
+                         f"(cap {MAX_WORKING_DIGITS})")
 
 
 class SampleCapError(LimitError):

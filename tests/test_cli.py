@@ -556,7 +556,7 @@ class TestDerivationsCommand:
         def no_elimination(*args):
             raise AssertionError("elimination ran past the cap")
 
-        monkeypatch.setattr(exactlinalg, "_sparse_rref", no_elimination)
+        monkeypatch.setattr(exactlinalg, "_reduce", no_elimination)
         code, out, err = run(capsys, ["derivations", "--algebra", write(tmp_path, "a.json", doc)])
         assert code == 2 and out == ""
         error = json.loads(err)
@@ -979,6 +979,57 @@ class TestDeepCertificates:
             {"coeff": str(2 ** 500), "factors": [{"kind": "metric"}] * 500}]
 
 
+class TestDeepWork:
+    """Three requests within every other bound that ran for seconds before
+    exiting 2 or passing: ``decompose`` of ``e0^124`` on the rotation
+    algebra built its layers for 1 s before its certificate was refused;
+    one term of 61 right-invariant factors on the rotation algebra verified
+    in 8 s at 2000 samples; one of 80 right-invariant fields of ``(1, 1)``
+    on ``{"n": 1, "D": [["100"]]}`` needed 5310 working digits and 17 s.
+    Each now exits 2 at once, in a fresh interpreter as in process."""
+
+    RIGHT_1 = {"kind": "right", "vector": ["0", "1", "0"]}
+    RIGHT_11 = {"kind": "right", "vector": ["1", "1"]}
+
+    @staticmethod
+    def _chain(factor, p):
+        return {"target": {"degree": p, "terms": []},
+                "terms": [{"coeff": "1", "factors": [factor] * p}]}
+
+    def _requests(self, tmp_path):
+        tensor = {"degree": 124, "terms": [{"coeff": "1", "monomial": [0] * 124}]}
+        rot = write(tmp_path, "rot.json", ROT)
+        return {
+            "decompose": (["decompose", "--algebra", rot,
+                           "--tensor", write(tmp_path, "t.json", tensor),
+                           "--certificate-out", str(tmp_path / "t.cert.json")],
+                          "degree 124 in dimension 3 needs 15748992 monomial indices over "
+                          "62 trie levels (cap 2000000)"),
+            "samples": (["verify", "--algebra", rot, "--samples", "2000", "--certificate",
+                         write(tmp_path, "c61.json", self._chain(self.RIGHT_1, 61))],
+                        "2000 samples of 1906128 trie-level indices need 3812256000 "
+                        "(sampled-check cap 400000000)"),
+            "digits": (["verify", "--algebra", write(tmp_path, "d.json", {"n": 1, "D": [["100"]]}),
+                        "--certificate", write(tmp_path, "c80.json",
+                                               self._chain(self.RIGHT_11, 80))],
+                       "the sampled check needs 5310 working digits (cap 4100)")}
+
+    @pytest.mark.parametrize("name", ["decompose", "samples", "digits"])
+    def test_exits_2_in_a_fresh_interpreter(self, tmp_path, name):
+        argv, detail = self._requests(tmp_path)[name]
+        code, doc = TestDeepCertificates._cli(argv)
+        assert code == 2 and doc == {"error": "limit exceeded", "detail": detail}
+
+    @pytest.mark.parametrize("name, budget", [("decompose", 0.3), ("samples", 2), ("digits", 2)])
+    def test_exits_2_in_process(self, tmp_path, capsys, name, budget):
+        argv, detail = self._requests(tmp_path)[name]
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < budget
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "limit exceeded", "detail": detail}
+
+
 class TestSampleAndSolverCaps:
     """``--samples`` past ``MAX_SAMPLES`` and a structured solve past
     ``MAX_STRUCTURED_MONOMIALS`` exit 2 at once, "limit exceeded"."""
@@ -1045,6 +1096,8 @@ LIMIT_EXAMPLES = {
     killingtensors.LevelCapError: (2, 900, 900, 243810600),
     killingtensors.SampleCapError: (10 ** 9,),
     killingtensors.SampleCoordinateCapError: (10 ** 4, 10 ** 4),
+    killingtensors.SampledLevelCapError: (2000, 1906128),
+    killingtensors.PrecisionCapError: (5310,),
     killingtensors.SeriesCapError: (Fraction(6000),),
 }
 
@@ -1386,6 +1439,21 @@ class TestRecordedReports:
         code, out, _ = run(capsys, [name, "--algebra", "tests/data/cneg4.json", *argv])
         assert code == 0
         assert out == (root / f"tests/data/cneg4.{name}.out").read_text()
+
+
+    @pytest.mark.parametrize("name, argv", [
+        ("aa6.killing-basis6", ["killing-basis", "--algebra", "tests/data/aa6.json",
+                                "--degree", "6", "--method", "both"]),
+        ("aa16.derivations", ["derivations", "--algebra", "tests/data/aa16.json"])])
+    def test_solver_reports(self, monkeypatch, capsys, name, argv):
+        # both exact solvers at the brute-force cap, and the skew derivations
+        # of a dimension-16 algebra: the canonical bases, recorded before the
+        # elimination queued its rows by leading column, keep every byte
+        root = Path(__file__).parents[1]
+        monkeypatch.chdir(root)
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out == (root / f"tests/data/{name}.out").read_text()
 
 
 class TestReportDigest:

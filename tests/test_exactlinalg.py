@@ -53,17 +53,17 @@ class TestAgainstDenseOracle:
     def test_nullspace_eliminates_once(self, monkeypatch):
         # a 2 x 4 map of rank 2: its two free unknowns span the kernel
         calls = []
-        rref = el._sparse_rref
+        reduce = el._reduce
 
-        def counting(rows, keys):
-            calls.append(keys)
-            return rref(rows, keys)
+        def counting(rows, n):
+            calls.append(n)
+            return reduce(rows, n)
 
-        monkeypatch.setattr(el, "_sparse_rref", counting)
+        monkeypatch.setattr(el, "_reduce", counting)
         rows = [[Fraction(1), Fraction(2), Fraction(0), Fraction(-1)],
                 [Fraction(0), Fraction(1), Fraction(3), Fraction(1, 2)]]
         got = nullspace(_columns(rows, 4, lambda j: j))
-        assert len(calls) == 1
+        assert calls == [4]
         assert [tuple(v.get(j, 0) for j in range(4)) for v in got] == nullspace_oracle(rows, 4)
 
     @settings(max_examples=300, deadline=None)
@@ -149,3 +149,43 @@ class TestFractionFreeElimination:
         rows, n = matrix
         assert (len(rref_span([{j: a for j, a in enumerate(row) if a} for row in rows]))
                 == len(gauss_jordan_oracle(rows, n)[1]))
+
+
+# the solvers hand in int columns (``replace_factor`` images) and Fraction
+# ones; a row of ints passes through uncleared, a row that mixes both is
+# cleared of the Fractions' denominators, and big ints must survive both
+_INT_ENTRY = st.one_of(st.sampled_from([0] * 6 + [1, -1, 2, -3]),
+                       st.integers(-10**40, 10**40))
+_MIXED_ENTRY = st.one_of(_INT_ENTRY, _BIG_ENTRY, _ENTRY)
+
+
+@st.composite
+def typed_matrices(draw, entry):
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    return draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows)), ncols
+
+
+class TestIntAndMixedColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(typed_matrices(_INT_ENTRY))
+    @example(([[2, 4], [3, 6]], 2))
+    @example(([[10**40, 0, -10**40]], 3))
+    def test_int_columns(self, matrix):
+        _check(*matrix)
+
+    @settings(max_examples=200, deadline=None)
+    @given(typed_matrices(_MIXED_ENTRY))
+    @example(([[1, Fraction(1, 2)], [Fraction(2, 3), 10**40]], 2))
+    @example(([[Fraction(4), 2], [0, Fraction(-6, 3)]], 2))
+    def test_mixed_columns(self, matrix):
+        _check(*matrix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(typed_matrices(_MIXED_ENTRY))
+    def test_kernel_entries_are_fractions_keyed_in_echelon_order(self, matrix):
+        rows, ncols = matrix
+        for v in nullspace(_columns(rows, ncols, lambda j: j)):
+            assert all(type(x) is Fraction for x in v.values())
+            lead, *rest = v
+            assert v[lead] == 1 and rest == sorted(rest) and all(j > lead for j in rest)

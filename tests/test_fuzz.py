@@ -109,9 +109,9 @@ def _term(draw, dim, degree):
     return {"coeff": draw(st.sampled_from(ENTRIES)), "factors": factors}
 
 
-def _chain(dim, p):
-    """One term of ``p`` right-invariant fields of ``e_1``."""
-    factor = {"kind": "right", "vector": _vector(dim, 1)}
+def _chain(dim, p, vector=None):
+    """One term of ``p`` right-invariant fields of ``vector``, by default ``e_1``."""
+    factor = {"kind": "right", "vector": vector or _vector(dim, 1)}
     return {"target": {"degree": p, "terms": []},
             "terms": [{"coeff": "1", "factors": [factor] * p}]}
 
@@ -161,7 +161,8 @@ def _verify(draw, algebra):
                          for p in (0, 124, 125)]),
         # chains within and past the trie-level cap on the rotation algebra
         st.sampled_from([_chain(3, 61), _chain(3, 62)])))
-    samples = [1, 2, 20]
+    # 210 samples of the 61-field chain are just past the sampled-check cap
+    samples = [1, 2, 20, 210]
     if not cert["terms"]:
         samples += [MAX_SAMPLES, MAX_SAMPLES + 1]
     argv = ["--certificate", "{certificate}", "--samples", str(draw(st.sampled_from(samples)))]
@@ -226,6 +227,14 @@ def _call(files, argv):
 @example(({"algebra": LINE, "tensor": _power_of_e0(1000)},
           ["decompose", "--algebra", "{algebra}", "--tensor", "{tensor}",
            "--certificate-out", "{dir}/out.cert.json"]))
+# the 61-field chain at 2000 samples, and 80 right-invariant fields on an
+# algebra of series gain 66 digits per field, 5310 digits: past the
+# sampled-check and working-digit caps, they took 5 s and 17 s
+@example(({"algebra": ROT, "certificate": _chain(3, 61)},
+          ["verify", "--algebra", "{algebra}", "--certificate", "{certificate}",
+           "--samples", "2000"]))
+@example(({"algebra": {"n": 1, "D": [["100"]]}, "certificate": _chain(2, 80, ["1", "1"])},
+          ["verify", "--algebra", "{algebra}", "--certificate", "{certificate}"]))
 def test_every_call_exits_with_one_json_line(call):
     code, out, err, seconds = _call(*call)
     assert code in (0, 2, 3, 4)

@@ -30,11 +30,15 @@ from killingtensors import (
     MAX_EVALUATION_INDICES,
     MAX_LEVEL_INDICES,
     Metric,
+    MAX_SAMPLED_LEVEL_INDICES,
     MAX_SAMPLES,
+    MAX_WORKING_DIGITS,
     MetricLieAlgebra,
     NotKillingError,
+    PrecisionCapError,
     RightInvariant,
     SampleCapError,
+    SampledLevelCapError,
     SkewDerivation,
     SymTensor,
     decompose,
@@ -706,6 +710,107 @@ class TestLevelCap:
         assert compiled.coefficients == (1, 2, 3)
         # the empty certificate is its root, with no edge and so no level
         assert CompiledCertificate(Certificate(SymTensor.zero(1, 999999), ())).nodes == [(1, ())]
+
+
+class TestDecomposeLevelBound:
+    """``decompose`` refuses a nonzero tensor whose certificate's trie levels
+    must pass ``MAX_LEVEL_INDICES`` before its Killing test and layers: every
+    term descends from the degree in steps of 1 or 2, so the levels hold at
+    least the chain ``p, p - 2, ...`` down to 1 or 2."""
+
+    LINE = AlmostAbelianAlgebra(Endomorphism.from_rows([]))
+    ROT = AlmostAbelianAlgebra(J2)
+
+    @staticmethod
+    def _power_of_b(dim, p):
+        return SymTensor.monomial(dim, (0,) * p)
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 8, 40])
+    def test_the_chain_is_the_levels_of_a_power_of_the_metric(self, p):
+        # on the line algebra b^p is 2^(p // 2) m^(p // 2) b^(p % 2): the chain itself
+        levels = range(p, 0, -2)
+        cert = decompose(self.LINE, self._power_of_b(1, p))
+        assert CompiledCertificate(cert).level_indices == sum(levels)
+
+    @pytest.mark.parametrize("alg, dim, p, levels, indices", [
+        (LINE, 1, 2828, 1414, 2000810), (ROT, 3, 124, 62, 15748992), (ROT, 3, 74, 37, 2083692)],
+        ids=["line-2828", "rotation-124", "rotation-74"])
+    def test_past_the_bound_refuses_before_the_killing_test(self, monkeypatch, alg, dim, p,
+                                                            levels, indices):
+        assert sum(r * sym_dimension(dim, r) for r in range(p, 0, -2)) == indices
+        monkeypatch.setattr(AlmostAbelianAlgebra, "is_killing_structured",
+                            lambda *args: pytest.fail("Killing test ran"))
+        start = time.perf_counter()
+        with pytest.raises(LevelCapError, match=f"^degree {p} in dimension {dim} needs {indices} "
+                                                f"monomial indices over {levels} trie levels"):
+            decompose(alg, self._power_of_b(dim, p))
+        assert time.perf_counter() - start < 0.3
+
+    def test_under_the_bound_the_compiled_levels_decide(self):
+        # b^73 on the rotation passes the chain bound; its certificate has
+        # more levels than the chain and is refused when compiled
+        assert sum(r * sym_dimension(3, r) for r in range(73, 0, -2)) <= MAX_LEVEL_INDICES
+        cert = decompose(self.ROT, self._power_of_b(3, 73))
+        with pytest.raises(LevelCapError, match="needs 3848925 monomial indices over 73 trie"):
+            CompiledCertificate(cert)
+
+    def test_the_zero_tensor_has_no_levels(self):
+        cert = decompose(self.ROT, SymTensor.zero(3, 124))
+        assert cert.terms == () and CompiledCertificate(cert).level_indices == 0
+
+
+class TestSampledLevelCap:
+    """The sampled check walks every trie level once per point: samples
+    times the compiled certificate's level indices past
+    ``MAX_SAMPLED_LEVEL_INDICES`` are refused before any point is drawn."""
+
+    ROT = AlmostAbelianAlgebra(J2)
+    CHAIN = TestLevelCap._chain(3, 61)
+
+    def test_past_the_bound_refuses_before_any_point_is_drawn(self, monkeypatch):
+        indices = CompiledCertificate(self.CHAIN).level_indices
+        samples = MAX_SAMPLED_LEVEL_INDICES // indices + 1
+        assert (indices, samples) == (1906128, 210)
+        monkeypatch.setattr(kf, "sample_points", lambda *args: pytest.fail("points drawn"))
+        monkeypatch.setattr(kf, "_exact_at_zero", lambda *args: pytest.fail("origin checked"))
+        start = time.perf_counter()
+        with pytest.raises(SampledLevelCapError,
+                           match=f"^210 samples of 1906128 trie-level indices need 400286880 "
+                                 f"\\(sampled-check cap {MAX_SAMPLED_LEVEL_INDICES}\\)$"):
+            verify_certificate(self.ROT, self.CHAIN, samples=samples)
+        assert time.perf_counter() - start < 2
+
+
+class TestPrecisionCap:
+    """The working digits grow with the factors of a term times the series
+    gain of each; past ``MAX_WORKING_DIGITS`` the check is refused before
+    any series is summed."""
+
+    ALG = AlmostAbelianAlgebra(Endomorphism.from_rows([[100]]))
+
+    @staticmethod
+    def _chain(p):
+        field = RightInvariant((Fraction(0), Fraction(1), Fraction(1)))
+        return Certificate(SymTensor.zero(2, p), ((Fraction(1), (field,) * p),))
+
+    @pytest.mark.parametrize("p, digits", [(30, 2020), (61, 4060), (62, 4130), (80, 5310)])
+    def test_digits_grow_with_the_factors(self, p, digits):
+        points = sample_points(2, 20, kf.DEFAULT_SEED)
+        gain = max(kf._series_bounds(self.ALG, w)[1] for w in points)
+        if digits > MAX_WORKING_DIGITS:
+            message = (f"^the sampled check needs {digits} working digits "
+                       f"\\(cap {MAX_WORKING_DIGITS}\\)$")
+            with pytest.raises(PrecisionCapError, match=message):
+                kf._working_digits(self._chain(p), gain, 2, kf.DEFAULT_TOL)
+        else:
+            assert kf._working_digits(self._chain(p), gain, 2, kf.DEFAULT_TOL) == digits
+
+    def test_past_the_cap_refuses_before_any_series(self, monkeypatch):
+        monkeypatch.setattr(kf, "_fixed_series", lambda *args: pytest.fail("series summed"))
+        start = time.perf_counter()
+        with pytest.raises(PrecisionCapError, match="needs 5310 working digits"):
+            verify_certificate(self.ALG, self._chain(80))
+        assert time.perf_counter() - start < 2
 
 
 class TestMatrixIsNotAGenerator:
