@@ -23,7 +23,8 @@ from .limits import (LimitError, DimensionCapError, MAX_DIMENSION, SolverCapErro
                      EvaluationCapError, MAX_EVALUATION_INDICES, LevelCapError,
                      MAX_LEVEL_INDICES, SampleCapError, MAX_SAMPLES, SampleCoordinateCapError,
                      MAX_SAMPLE_COORDINATES, SampledLevelCapError, MAX_SAMPLED_LEVEL_INDICES,
-                     PrecisionCapError, MAX_WORKING_DIGITS, SeriesCapError)
+                     PrecisionCapError, MAX_WORKING_DIGITS, SampledWorkCapError,
+                     MAX_SAMPLED_FACTOR_DIGITS, SeriesCapError)
 from .liealgebra import MetricLieAlgebra, KillingSpace
 from .almostabelian import AlmostAbelianAlgebra, LayeredDecomposition, KillingDiagnosis
 from .killingfields import (
@@ -40,7 +41,6 @@ from .killingfields import (
     generator_degree,
     skew_derivation_basis,
     skew_derivations,
-    validate_skew_derivation,
     omega_generator,
     omega_tensor,
     decompose,
@@ -71,13 +71,13 @@ __all__ = [
     "EvaluationCapError", "MAX_EVALUATION_INDICES", "LevelCapError", "MAX_LEVEL_INDICES",
     "SampleCapError", "MAX_SAMPLES", "SampleCoordinateCapError", "MAX_SAMPLE_COORDINATES",
     "SampledLevelCapError", "MAX_SAMPLED_LEVEL_INDICES", "PrecisionCapError",
-    "MAX_WORKING_DIGITS", "SeriesCapError",
+    "MAX_WORKING_DIGITS", "SampledWorkCapError", "MAX_SAMPLED_FACTOR_DIGITS", "SeriesCapError",
     "MetricLieAlgebra", "KillingSpace",
     "AlmostAbelianAlgebra", "LayeredDecomposition", "KillingDiagnosis",
     "Metric", "LeftInvariant", "RightInvariant", "SkewDerivation",
     "DerivationField", "Certificate", "CertificateCheck", "CompiledCertificate",
     "NotKillingError", "GeneratorError", "generator_degree",
-    "skew_derivation_basis", "skew_derivations", "validate_skew_derivation",
+    "skew_derivation_basis", "skew_derivations",
     "omega_generator", "omega_tensor", "decompose", "verify_certificate", "sample_points",
     "DEFAULT_SEED", "DEFAULT_TOL", "DEFAULT_SAMPLES", "DEFAULT_ORDER_FLOOR",
     "CurvatureClass", "ObstructionReport", "classify",

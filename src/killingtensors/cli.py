@@ -6,8 +6,9 @@ produce byte-identical reports.  Exit codes: 0 success, 2 parse/validation
 error or a request past a size limit (any ``limits.LimitError``: the algebra
 dimension, the brute-force and structured solvers, the series term cap, the
 skew-derivation solve, the certificate size and depth, the sample count
-and coordinates, the sampled work and the working digits), 3 method or
-algebra-kind mismatch, 4 tensor not Killing.
+and coordinates, the sampled work over the trie levels and over the
+working digits, and the working digits), 3 method or algebra-kind
+mismatch, 4 tensor not Killing.  An input file is read once, as UTF-8.
 """
 from __future__ import annotations
 
@@ -55,15 +56,20 @@ class WrongAlgebraKind(ValueError):
     pass
 
 
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _load_json(path: str):
+def _load_json(args, name: str):
+    """The document of the input file ``args.<name>``, read once and decoded
+    as UTF-8; the sha256 of those bytes goes to ``args.sha256`` for the
+    report."""
+    path = getattr(args, name)
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ff.ParseError(f"{path}: {exc}") from exc
+    args.sha256[name] = hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ff.ParseError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
     try:
         return json.loads(text, parse_int=_int_or_digits)
     except json.JSONDecodeError as exc:
@@ -80,8 +86,8 @@ def _int_or_digits(text: str):
         return text
 
 
-def _load_algebra(path: str):
-    return ff.algebra_from_dict(_load_json(path))
+def _load_algebra(args):
+    return ff.algebra_from_dict(_load_json(args, "algebra"))
 
 
 def _require_almost_abelian(alg, what: str) -> AlmostAbelianAlgebra:
@@ -101,12 +107,11 @@ def _params(args) -> dict:
 
 def _emit(args, result) -> int:
     """Print the one report of a command's ``result``: its input files are
-    whichever of ``--algebra``, ``--tensor`` and ``--certificate`` it has."""
+    those it read, each with the sha256 of the bytes it parsed."""
     report = {
         "command": args.command,
-        "inputs": {name: {"path": path, "sha256": _sha256(path)}
-                   for name, path in vars(args).items()
-                   if name in ("algebra", "tensor", "certificate")},
+        "inputs": {name: {"path": getattr(args, name), "sha256": digest}
+                   for name, digest in args.sha256.items()},
         "parameters": _params(args),
         "result": result,
     }
@@ -123,7 +128,7 @@ def _emit(args, result) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_killing_basis(args) -> dict:
-    alg = _load_algebra(args.algebra)
+    alg = _load_algebra(args)
     almost = isinstance(alg, AlmostAbelianAlgebra)
     method = args.method or ("both" if almost else "brute")
     if method in ("structured", "both") and not almost:
@@ -143,8 +148,8 @@ def cmd_killing_basis(args) -> dict:
 
 
 def cmd_decompose(args) -> dict:
-    alg = _require_almost_abelian(_load_algebra(args.algebra), "decompose")
-    tensor = ff.tensor_from_dict(_load_json(args.tensor), alg.dim)
+    alg = _require_almost_abelian(_load_algebra(args), "decompose")
+    tensor = ff.tensor_from_dict(_load_json(args, "tensor"), alg.dim)
     cert = decompose(alg, tensor)
     check = verify_certificate(alg, cert, **_params(args))
     cert_doc = ff.certificate_to_dict(cert)
@@ -162,15 +167,15 @@ def cmd_decompose(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    alg = _load_algebra(args.algebra)
-    cert = ff.certificate_from_dict(_load_json(args.certificate), alg.dim)
+    alg = _load_algebra(args)
+    cert = ff.certificate_from_dict(_load_json(args, "certificate"), alg.dim)
     check = verify_certificate(alg, cert, **_params(args))
     result = {"verification": ff.check_to_dict(check), "passed": check.passed}
     return result
 
 
 def cmd_curvature(args) -> dict:
-    alg = _require_almost_abelian(_load_algebra(args.algebra), "curvature")
+    alg = _require_almost_abelian(_load_algebra(args), "curvature")
     cls = classify(alg)
     if cls.kind == "flat":
         cert = flat_metric_certificate(alg)
@@ -205,7 +210,7 @@ def cmd_curvature(args) -> dict:
 
 
 def cmd_derivations(args) -> dict:
-    alg = _load_algebra(args.algebra)
+    alg = _load_algebra(args)
     if isinstance(alg, AlmostAbelianAlgebra):
         items = [ff.skew_derivation_to_dict(t) for t in skew_derivations(alg)]
     else:
@@ -250,7 +255,7 @@ def _generator_index(text: str, count: int, what: str) -> int:
 
 
 def cmd_omega_sample(args) -> dict:
-    alg = _load_algebra(args.algebra)
+    alg = _load_algebra(args)
     w = _parse_point(args.at, alg.dim)
     spec = args.generator.strip()
     kind, _, index = spec.partition(":")
@@ -361,6 +366,7 @@ def _fail(code: int, kind: str, detail: str, diagnosis=None) -> int:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    args.sha256 = {}
     try:
         return _emit(args, args.func(args))
     except (ff.ParseError, GeneratorError) as exc:

@@ -30,7 +30,6 @@ class CurvatureClass:
 
     kind: str  # "flat" | "constant_negative" | "not_constant"
     curvature_scale: Fraction | None
-    skew_part: Endomorphism | None
 
 
 def classify(alg: AlmostAbelianAlgebra) -> CurvatureClass:
@@ -39,10 +38,8 @@ def classify(alg: AlmostAbelianAlgebra) -> CurvatureClass:
     s = d.symmetric_part()
     lam = s.entries[0][0] if n else _ZERO
     if s == lam * Endomorphism.identity(n):
-        if lam == 0:
-            return CurvatureClass("flat", _ZERO, d)
-        return CurvatureClass("constant_negative", lam, d.skew_part())
-    return CurvatureClass("not_constant", None, None)
+        return CurvatureClass("flat" if lam == 0 else "constant_negative", lam)
+    return CurvatureClass("not_constant", None)
 
 
 def flat_metric_certificate(alg: AlmostAbelianAlgebra) -> Certificate:
@@ -72,7 +69,6 @@ class ObstructionReport:
     curvature_scale: Fraction
     eigen_scalar: Fraction
     derivative_of_ideal_squares: SymTensor
-    candidate: Certificate
     residual_coefficients: dict
     residual_max: float
     obstructed: bool
@@ -80,7 +76,8 @@ class ObstructionReport:
 
 def metric_obstruction(alg: AlmostAbelianAlgebra) -> ObstructionReport:
     """The obstruction of a constant-negative algebra.  ``D`` acts on the
-    ideal squares through ``int_ad_b``, divided once by ``denominator``."""
+    ideal squares through ``int_ad_b``, divided once by ``denominator``:
+    ``D = lambda I + S`` with ``S`` skew, so it scales them by ``2 lambda``."""
     cls = classify(alg)
     if cls.kind != "constant_negative":
         raise ValueError("obstruction report applies to constant nonzero curvature only")
@@ -88,9 +85,6 @@ def metric_obstruction(alg: AlmostAbelianAlgebra) -> ObstructionReport:
     ideal2 = alg.ideal_twice_metric
     derived = SymTensor(alg.dim, 2, replace_factor(ideal2.terms, alg.int_ad_b))
     derived = derived.scale(Fraction(1, alg.denominator))
-    eigen = 2 * lam
-    if derived != ideal2 * eigen:
-        raise AssertionError("ideal squares are not an eigenvector of the derivation action")
     candidate = Certificate(target=ideal2, terms=_ideal_terms(alg.dim, ideal2))
     w = [1] + [0] * (alg.dim - 1)
     residual = {}
@@ -102,9 +96,8 @@ def metric_obstruction(alg: AlmostAbelianAlgebra) -> ObstructionReport:
     residual_max = max((abs(x) for x in residual.values()), default=0.0)
     return ObstructionReport(
         curvature_scale=lam,
-        eigen_scalar=eigen,
+        eigen_scalar=2 * lam,
         derivative_of_ideal_squares=derived,
-        candidate=candidate,
         residual_coefficients=residual,
         residual_max=residual_max,
         obstructed=residual_max > 0,

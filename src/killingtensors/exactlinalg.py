@@ -30,10 +30,6 @@ def basis_vec(n: int, i: int) -> tuple:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
-def dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
 def _primitive(row: dict) -> dict:
     """An integer row divided by its content, the gcd of its entries."""
     g = gcd(*row.values())

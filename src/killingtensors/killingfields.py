@@ -25,7 +25,8 @@ value is an exact ``Fraction`` or a fixed-point int, and no code reads or
 writes process-wide numeric state.
 ``verify_certificate`` works a block of sample points at a time: each
 series generator gets one column of values over the block from a bounded
-memo (``_SampleMemo``) that certificates on one algebra share, the constant
+memo (``_SampleMemo``) that certificates on one algebra share, the points of
+a block are prepared once per check for its series generators, the constant
 metric and left-invariant fields are valued once, and the certificate is
 summed once per block with one lane per point (``_horner_lanes``), which
 every evaluation shares.
@@ -44,13 +45,13 @@ from operator import add, mul, rshift, sub
 from typing import NamedTuple
 
 from .almostabelian import AlmostAbelianAlgebra
-from .exactlinalg import basis_vec, dot, nullspace
+from .exactlinalg import basis_vec, nullspace
 from .liealgebra import MetricLieAlgebra
 from .limits import (_MAX_TERMS, DERIVATION_DIM_CAP, MAX_EVALUATION_INDICES, MAX_LEVEL_INDICES,
-                     MAX_SAMPLE_COORDINATES, MAX_SAMPLED_LEVEL_INDICES, MAX_SAMPLES,
-                     MAX_WORKING_DIGITS, DerivationCapError, EvaluationCapError, LevelCapError,
-                     PrecisionCapError, SampleCapError, SampleCoordinateCapError,
-                     SampledLevelCapError, SeriesCapError)
+                     MAX_SAMPLE_COORDINATES, MAX_SAMPLED_FACTOR_DIGITS, MAX_SAMPLED_LEVEL_INDICES,
+                     MAX_SAMPLES, MAX_WORKING_DIGITS, DerivationCapError, EvaluationCapError,
+                     LevelCapError, PrecisionCapError, SampleCapError, SampleCoordinateCapError,
+                     SampledLevelCapError, SampledWorkCapError, SeriesCapError)
 from .tensors import (SymTensor, Endomorphism, monomial_positions, product_positions,
                       sym_dimension)
 
@@ -493,12 +494,10 @@ def _generator_values(alg: MetricLieAlgebra, gen, shift, points, order, min_orde
     if isinstance(gen, RightInvariant):
         x = _scaled(gen.vector, shift)
         starts = ((point, x, 0) for point in points)
-    elif isinstance(gen, DerivationField):
+    else:  # a derivation field: every other generator fails generator_degree
         rows = gen.derivation.full_matrix().entries
         starts = ((point, [sum(_rational_times(c, v, shift) for c, v in zip(row, point.w)
                                if c and v) for row in rows], 1) for point in points)
-    else:
-        raise TypeError(f"unknown generator {gen!r}")
     if shift is None:
         return [_exact_series(point, x, s, order) for point, x, s in starts]
     return [_fixed_series(point, x, s, order, min_order) for point, x, s in starts]
@@ -662,22 +661,20 @@ def _one_lane(nodes, values, coeffs, shift) -> list:
     return [0 if v is None else v[0] for v in out]
 
 
-def omega_tensor(alg: MetricLieAlgebra, cert, w, order=None, min_order: int = 0,
+def omega_tensor(alg: MetricLieAlgebra, cert: Certificate, w, order=None, min_order: int = 0,
                  prec=None) -> SymTensor:
     """Pullback value of a certificate at ``w``, a point of ints, floats or
     ``Fraction``s: the polynomial in its generators, evaluated by Horner's
-    rule over the factor trie.
-
-    ``cert`` is a ``Certificate`` or, to evaluate one certificate at many
-    points, its ``CompiledCertificate``.  Each distinct generator is
-    evaluated once.  With ``prec`` None the value is exact, and a series
-    must terminate (as for a nilpotent ``ad_w``) unless ``order`` truncates
-    it.  With ``prec`` bits each entry of ``w`` is rounded to ``prec`` bits
-    and truncated toward zero at the fixed-point scale, the series is summed
-    adaptively in fixed point, and each coefficient is rounded to ``prec``
-    bits: an exact dyadic ``Fraction``, as an mpf at ``prec`` bits would be.
+    rule over the factor trie (``CompiledCertificate``).  Each distinct
+    generator is evaluated once.  With ``prec`` None the value is exact,
+    and a series must terminate (as for a nilpotent ``ad_w``) unless
+    ``order`` truncates it.  With ``prec`` bits each entry of ``w`` is
+    rounded to ``prec`` bits and truncated toward zero at the fixed-point
+    scale, the series is summed adaptively in fixed point, and each
+    coefficient is rounded to ``prec`` bits: an exact dyadic ``Fraction``,
+    as an mpf at ``prec`` bits would be.
     """
-    compiled = cert if isinstance(cert, CompiledCertificate) else CompiledCertificate(cert)
+    compiled = CompiledCertificate(cert)
     if compiled.dim != alg.dim:
         raise ValueError("dimension mismatch")
     if prec is None:
@@ -697,7 +694,7 @@ def omega_tensor(alg: MetricLieAlgebra, cert, w, order=None, min_order: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# skew derivations: solver and validation
+# skew derivations
 # ---------------------------------------------------------------------------
 
 def skew_derivation_basis(lie: MetricLieAlgebra):
@@ -716,38 +713,9 @@ def skew_derivation_basis(lie: MetricLieAlgebra):
         for r in range(n))) for w in kernel)
 
 
-def validate_skew_derivation(alg: AlmostAbelianAlgebra, t: SkewDerivation):
-    """Exact re-validation: skewness, the derivation identity on all basis
-    pairs, and the structured conditions on the split pieces."""
-    full = t.full_matrix()
-    if not full.is_skew():
-        raise ValueError("derivation matrix is not skew")
-    residual = alg.derivation_residual(full.sparse())
-    if residual:
-        a, b, _ = min(residual)
-        raise ValueError(f"derivation identity fails on basis pair ({a},{b})")
-    d = alg.derivation
-    th = t.ideal_part
-    if th @ d != d @ th:
-        raise ValueError("ideal block does not commute with the defining derivation")
-    v = t.b_image
-    for j in range(alg.ideal_dim):
-        if sum((vi * ci for vi, ci in zip(v, d.column(j))), _ZERO) != 0:
-            raise ValueError("image of the derivation not orthogonal to b-image")
-    # D vanishes on the complement of v exactly when D = (D v) v^T / <v, v>
-    vv, dv = dot(v, v), d.apply(v)
-    if vv and any(a * vv != dv[i] * v[j] for i, row in enumerate(d.entries)
-                  for j, a in enumerate(row)):
-        raise ValueError("derivation does not vanish on the orthogonal complement "
-                         "of the b-image")
-
-
 def skew_derivations(alg: AlmostAbelianAlgebra):
     """Skew derivations of an almost abelian algebra, as split pieces."""
-    out = tuple(SkewDerivation.from_matrix(m) for m in skew_derivation_basis(alg))
-    for t in out:
-        validate_skew_derivation(alg, t)
-    return out
+    return tuple(SkewDerivation.from_matrix(m) for m in skew_derivation_basis(alg))
 
 
 # ---------------------------------------------------------------------------
@@ -936,17 +904,18 @@ class _LRU:
 # * per sample set ``(algebra, samples, seed)``, the largest ``ln ||ad_w||_1``
 #   and series gain over its points, which size the working precision; 64
 #   sets, and no points: those are drawn again on a miss;
-# * per block of at most ``_BLOCK`` of a set's points and per scale, the
-#   points prepared by ``_point``, which every generator's series shares; 64
-#   prepared points hold the 20 default samples at three working precisions;
-# * per block, generator, scale and series order floor, one column: the
-#   generator's values at the block's points.  256 values hold one algebra's
-#   batch (at most 200 on the certify-batch benchmark) while bounding the
-#   memory of the big fixed-point ints.
+# * per block of at most ``_BLOCK`` of a set's points, generator, scale and
+#   series order floor, one column: the generator's values at the block's
+#   points.  256 values hold one algebra's batch (at most 200 on the
+#   certify-batch benchmark) while bounding the memory of the big
+#   fixed-point ints.
 #
-# A column or a prepared block holds at most ``_BLOCK`` points, so the memo
-# keeps no more than 256 values and 64 prepared points whatever ``samples``
-# is.  The metric and left-invariant fields are constant and are not kept.
+# A column holds at most ``_BLOCK`` points, so the memo keeps no more than
+# 256 values whatever ``samples`` is.  The metric and left-invariant fields
+# are constant and are not kept.  The points of a block are prepared by
+# ``_point`` once per check, on its first column miss, and shared by the
+# check's series generators: kept across checks, they saved 8 of 67 block
+# preparations over two certify-batch rounds.
 #
 # Beside them, keyed by sparsity pattern and shared by every algebra, the
 # compiled series kernels (``_series_kernel``).  A kernel takes about 2 KB
@@ -957,7 +926,6 @@ class _LRU:
 # certify-batch benchmark make 14.
 _BLOCK = 32
 _MEMO_SETS = 64
-_MEMO_POINTS = 64
 _MEMO_VALUES = 256
 _MEMO_KERNELS = 1 << 13
 
@@ -968,12 +936,11 @@ class _SampleMemo:
 
     def __init__(self):
         self.sets = _LRU(_MEMO_SETS, lambda bounds: 1)
-        self.prepared = _LRU(_MEMO_POINTS, len)
         self.columns = _LRU(_MEMO_VALUES, len)
         self.kernels = _LRU(_MEMO_KERNELS, lambda kernel: kernel.nonzeros + 16)
 
     def clear(self):
-        for table in (self.sets, self.prepared, self.columns, self.kernels):
+        for table in (self.sets, self.columns, self.kernels):
             table.clear()
 
     def bounds(self, alg: MetricLieAlgebra, samples: int, seed: int, points) -> tuple:
@@ -996,10 +963,13 @@ class _SampleMemo:
         for start in range(0, samples, _BLOCK):
             n = min(samples - start, _BLOCK)
             block = (alg, samples, seed, start)
+            prepared = []  # the block's points at this scale, shared by the check's series
 
-            def prepare():  # the block's points at this scale, shared by its series
-                return self.prepared.get(block + (shift,), lambda: tuple(
-                    _point(alg, _scaled(w, shift), shift) for w in points()[start:start + n]))
+            def prepare():
+                if not prepared:
+                    prepared.extend(_point(alg, _scaled(w, shift), shift)
+                                    for w in points()[start:start + n])
+                return prepared
 
             def column(g):
                 if g in constant:
@@ -1074,7 +1044,10 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     samples times the compiled certificate's level indices (past it
     ``SampledLevelCapError``, before the origin check).  A certificate that
     needs more than ``MAX_WORKING_DIGITS`` digits raises
-    ``PrecisionCapError`` before any series is summed.  Every factor must
+    ``PrecisionCapError``, and one whose samples times those digits times
+    the factors of its longest term and its series generators pass
+    ``MAX_SAMPLED_FACTOR_DIGITS`` raises ``SampledWorkCapError``, both
+    before any series is summed.  Every factor must
     be a Killing field: a left-invariant field of a vector with skew ``ad``,
     or the field of a skew derivation, else ``GeneratorError``.
 
@@ -1114,6 +1087,10 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     points = cache(partial(sample_points, dim, samples, seed))  # drawn on a memo miss only
     log_norm, gain = _MEMO.bounds(alg, samples, seed, points)
     digits = _working_digits(cert, gain, dim, tol)
+    factors = max((len(fs) for _, fs in cert.terms), default=0) + sum(
+        isinstance(g, (RightInvariant, DerivationField)) for g in compiled.generators)
+    if samples * digits * factors > MAX_SAMPLED_FACTOR_DIGITS:
+        raise SampledWorkCapError(samples, digits, factors)
     min_order = max(order_floor, _order_for_bound(log_norm, tol / 10.0))
     shift = _fixed_shift(dim, _dps_to_prec(digits))
     target = _scaled(cert.target.dense(), shift)

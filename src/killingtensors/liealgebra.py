@@ -100,10 +100,6 @@ class MetricLieAlgebra:
                 a, b, _ = min(residual)
                 raise ValueError(f"Jacobi identity fails on basis triple ({i},{a},{b})")
 
-    @classmethod
-    def abelian(cls, dim: int) -> "MetricLieAlgebra":
-        return cls(dim, {})
-
     @cached_property
     def structure(self) -> tuple:
         """Dense view ``structure[i][j][k] = c_ijk``, built on first access."""

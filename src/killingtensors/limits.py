@@ -76,6 +76,17 @@ MAX_SAMPLED_LEVEL_INDICES = 4 * 10 ** 8
 # sits just past it.
 MAX_WORKING_DIGITS = 4100
 
+# Within those bounds the sampled check's time follows its samples times the
+# working digits times the factors of its longest term and its series
+# generators: on {"n": 1, "D": [["100"]]} one term of p fields right:(1, 1)
+# took 1.1 to 2.1 us per unit (in process, on one core of a shared 2-core
+# machine): 1.4 s at p = 30 and 20 samples (2020 digits, 1.25e6 units),
+# 2.8 s at p = 40 (2680), 4.1 to 5.4 s at p = 1 and 10^4 samples (130).
+# 3e6 refuses p = 30 at 100 samples (8.1e6, 9.5 s) and p = 61 at 20 (5.0e6,
+# 10 s); the tests ask for at most 2e6 (MAX_SAMPLES of two series fields at
+# 50 digits).
+MAX_SAMPLED_FACTOR_DIGITS = 3 * 10 ** 6
+
 # The position maps and product tables over those monomials are kept per
 # shape, (n, p) and (n, d, e).  Unbounded, a long-lived process kept every
 # shape it met, each up to 18 MiB within the bound above (degree 10 on ten
@@ -176,6 +187,16 @@ class PrecisionCapError(LimitError):
     def __init__(self, digits: int):
         super().__init__(f"the sampled check needs {digits} working digits "
                          f"(cap {MAX_WORKING_DIGITS})")
+
+
+class SampledWorkCapError(LimitError):
+    """A sampled check whose samples times working digits times factors
+    and series generators pass ``MAX_SAMPLED_FACTOR_DIGITS``."""
+
+    def __init__(self, samples: int, digits: int, factors: int):
+        super().__init__(f"{samples} samples at {digits} digits of {factors} factors and series "
+                         f"need {samples * digits * factors} (sampled-check cap "
+                         f"{MAX_SAMPLED_FACTOR_DIGITS})")
 
 
 class SampleCapError(LimitError):

@@ -134,20 +134,11 @@ class SymTensor:
             out[positions[m]] = c
         return out
 
-    def coeff(self, indices):
-        return self.terms.get(tuple(sorted(indices)), _ZERO)
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def vector(self):
-        """Components of a degree-1 tensor."""
-        if self.degree != 1:
-            raise ValueError("vector() requires degree 1")
-        return tuple(self.terms.get((i,), _ZERO) for i in range(self.dim))
 
     def __add__(self, other):
         if not isinstance(other, SymTensor):
@@ -267,16 +258,8 @@ class Endomorphism:
         return Endomorphism(tuple(tuple((a + b) / 2 for a, b in zip(r, s))
                                   for r, s in zip(self.entries, t.entries)))
 
-    def skew_part(self) -> "Endomorphism":
-        t = self.transpose()
-        return Endomorphism(tuple(tuple((a - b) / 2 for a, b in zip(r, s))
-                                  for r, s in zip(self.entries, t.entries)))
-
     def is_skew(self) -> bool:
         return self == -self.transpose()
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for r in self.entries for a in r)
 
     def sparse(self) -> dict:
         """The nonzero entries, keyed ``(row, column)``."""

@@ -8,7 +8,7 @@ from mpmath import mp
 
 from killingtensors import (AlmostAbelianAlgebra, Endomorphism, MetricLieAlgebra, SymTensor,
                             basis_monomials, omega_generator)
-from killingtensors.exactlinalg import basis_vec, dot
+from killingtensors.exactlinalg import basis_vec
 from killingtensors.killingfields import SeriesCapError
 
 SERIES_TERM_CAP = 5000
@@ -79,6 +79,10 @@ def random_tensor(rng, dim, degree, nterms=4, span=3):
     items = [(rng.choice(monos), Fraction(rng.randint(-span, span), rng.choice((1, 2))))
              for _ in range(nterms)]
     return SymTensor.build(dim, degree, items)
+
+
+def dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def random_vector(rng, dim, span=3):

@@ -570,6 +570,41 @@ class TestDerivationsCommand:
         assert json.loads(out)["result"]["dimension"] == math.comb(DERIVATION_DIM_CAP, 2)
 
 
+class TestInputBytes:
+    """Each input file is read once, as bytes: decoded as UTF-8, where a
+    file that is not exits 2 naming the byte, and hashed for the report."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("derivations", "--algebra"), ("decompose", "--tensor"), ("verify", "--certificate")])
+    def test_file_not_utf8_exits_2_naming_the_byte(self, tmp_path, capsys, command, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"n": 1, "D": [["1\xff"]]}')
+        argv = [command, "--algebra", write(tmp_path, "rot.json", ROT), flag, str(bad)]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "parse error",
+                                   "detail": f"{bad}: not UTF-8 at byte 18: invalid start byte"}
+
+    def test_report_hashes_the_bytes_it_parsed(self, tmp_path, capsys, monkeypatch):
+        alg = write(tmp_path, "rot.json", ROT)
+        tensor = write(tmp_path, "t.json", {"degree": 2, "terms": [
+            {"coeff": "1", "monomial": [1, 1]}, {"coeff": "1", "monomial": [2, 2]}]})
+        real, reads = Path.read_bytes, []
+
+        def counting(path):
+            reads.append(str(path))
+            return real(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        code, out, _ = run(capsys, ["decompose", "--algebra", alg, "--tensor", tensor,
+                                    "--certificate-out", str(tmp_path / "t.cert.json")])
+        assert code == 0 and sorted(reads) == sorted([alg, tensor])
+        inputs = json.loads(out)["inputs"]
+        assert inputs == {name: {"path": path,
+                                 "sha256": hashlib.sha256(real(Path(path))).hexdigest()}
+                          for name, path in (("algebra", alg), ("tensor", tensor))}
+
+
 class TestOmegaSampleCommand:
     def test_rotation_cosine(self, tmp_path, capsys):
         import math
@@ -980,13 +1015,15 @@ class TestDeepCertificates:
 
 
 class TestDeepWork:
-    """Three requests within every other bound that ran for seconds before
+    """Requests within every other bound that ran for seconds before
     exiting 2 or passing: ``decompose`` of ``e0^124`` on the rotation
     algebra built its layers for 1 s before its certificate was refused;
     one term of 61 right-invariant factors on the rotation algebra verified
     in 8 s at 2000 samples; one of 80 right-invariant fields of ``(1, 1)``
-    on ``{"n": 1, "D": [["100"]]}`` needed 5310 working digits and 17 s.
-    Each now exits 2 at once, in a fresh interpreter as in process."""
+    on ``{"n": 1, "D": [["100"]]}`` needed 5310 working digits and 17 s,
+    one of 30 such fields verified in 21 s at 200 samples (2640 digits) and
+    one of 61 in 10 s at 20 samples (4060 digits).  Each now exits 2 at
+    once, in a fresh interpreter as in process."""
 
     RIGHT_1 = {"kind": "right", "vector": ["0", "1", "0"]}
     RIGHT_11 = {"kind": "right", "vector": ["1", "1"]}
@@ -999,6 +1036,7 @@ class TestDeepWork:
     def _requests(self, tmp_path):
         tensor = {"degree": 124, "terms": [{"coeff": "1", "monomial": [0] * 124}]}
         rot = write(tmp_path, "rot.json", ROT)
+        steep = write(tmp_path, "d.json", {"n": 1, "D": [["100"]]})
         return {
             "decompose": (["decompose", "--algebra", rot,
                            "--tensor", write(tmp_path, "t.json", tensor),
@@ -1009,18 +1047,26 @@ class TestDeepWork:
                          write(tmp_path, "c61.json", self._chain(self.RIGHT_1, 61))],
                         "2000 samples of 1906128 trie-level indices need 3812256000 "
                         "(sampled-check cap 400000000)"),
-            "digits": (["verify", "--algebra", write(tmp_path, "d.json", {"n": 1, "D": [["100"]]}),
-                        "--certificate", write(tmp_path, "c80.json",
-                                               self._chain(self.RIGHT_11, 80))],
-                       "the sampled check needs 5310 working digits (cap 4100)")}
+            "digits": (["verify", "--algebra", steep, "--certificate",
+                        write(tmp_path, "c80.json", self._chain(self.RIGHT_11, 80))],
+                       "the sampled check needs 5310 working digits (cap 4100)"),
+            "work": (["verify", "--algebra", steep, "--samples", "200", "--certificate",
+                      write(tmp_path, "c30.json", self._chain(self.RIGHT_11, 30))],
+                     "200 samples at 2640 digits of 31 factors and series need 16368000 "
+                     "(sampled-check cap 3000000)"),
+            "work61": (["verify", "--algebra", steep, "--certificate",
+                        write(tmp_path, "steep61.json", self._chain(self.RIGHT_11, 61))],
+                       "20 samples at 4060 digits of 62 factors and series need 5034400 "
+                       "(sampled-check cap 3000000)")}
 
-    @pytest.mark.parametrize("name", ["decompose", "samples", "digits"])
+    @pytest.mark.parametrize("name", ["decompose", "samples", "digits", "work", "work61"])
     def test_exits_2_in_a_fresh_interpreter(self, tmp_path, name):
         argv, detail = self._requests(tmp_path)[name]
         code, doc = TestDeepCertificates._cli(argv)
         assert code == 2 and doc == {"error": "limit exceeded", "detail": detail}
 
-    @pytest.mark.parametrize("name, budget", [("decompose", 0.3), ("samples", 2), ("digits", 2)])
+    @pytest.mark.parametrize("name, budget", [("decompose", 0.3), ("samples", 2), ("digits", 2),
+                                              ("work", 2), ("work61", 2)])
     def test_exits_2_in_process(self, tmp_path, capsys, name, budget):
         argv, detail = self._requests(tmp_path)[name]
         start = time.perf_counter()
@@ -1098,6 +1144,7 @@ LIMIT_EXAMPLES = {
     killingtensors.SampleCoordinateCapError: (10 ** 4, 10 ** 4),
     killingtensors.SampledLevelCapError: (2000, 1906128),
     killingtensors.PrecisionCapError: (5310,),
+    killingtensors.SampledWorkCapError: (200, 2640, 31),
     killingtensors.SeriesCapError: (Fraction(6000),),
 }
 

@@ -25,17 +25,19 @@ class TestClassify:
         assert classify(AlmostAbelianAlgebra(J2)).kind == "flat"
 
     def test_identity_is_constant_negative(self):
-        cls = classify(AlmostAbelianAlgebra(Endomorphism.identity(2)))
+        d = Endomorphism.identity(2)
+        cls = classify(AlmostAbelianAlgebra(d))
         assert cls.kind == "constant_negative"
         assert cls.curvature_scale == 1
-        assert cls.skew_part.is_zero()
+        # D = lambda I + S, with skew part S = 0
+        assert d - cls.curvature_scale * Endomorphism.identity(2) == Endomorphism.zero(2)
 
     def test_identity_plus_rotation(self):
         d = Endomorphism.identity(2) + J2
         cls = classify(AlmostAbelianAlgebra(d))
         assert cls.kind == "constant_negative"
         assert cls.curvature_scale == 1
-        assert cls.skew_part == J2
+        assert d - cls.curvature_scale * Endomorphism.identity(2) == J2
 
     def test_negative_scale(self):
         cls = classify(AlmostAbelianAlgebra(Endomorphism.diagonal([-2, -2, -2])))

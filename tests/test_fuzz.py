@@ -209,7 +209,10 @@ def _call(files, argv):
         paths = {"dir": folder}
         for name, doc in files.items():
             path = Path(folder) / f"{name}.json"
-            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+            if isinstance(doc, bytes):
+                path.write_bytes(doc)
+            else:
+                path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             paths[name] = str(path)
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
@@ -235,6 +238,15 @@ def _call(files, argv):
            "--samples", "2000"]))
 @example(({"algebra": {"n": 1, "D": [["100"]]}, "certificate": _chain(2, 80, ["1", "1"])},
           ["verify", "--algebra", "{algebra}", "--certificate", "{certificate}"]))
+# 30 such fields at 200 samples (2640 digits) and 61 at 20 (4060 digits),
+# within those caps and past the sampled-work cap: they took 21 s and 10 s
+@example(({"algebra": {"n": 1, "D": [["100"]]}, "certificate": _chain(2, 30, ["1", "1"])},
+          ["verify", "--algebra", "{algebra}", "--certificate", "{certificate}",
+           "--samples", "200"]))
+@example(({"algebra": {"n": 1, "D": [["100"]]}, "certificate": _chain(2, 61, ["1", "1"])},
+          ["verify", "--algebra", "{algebra}", "--certificate", "{certificate}"]))
+# a file that is not UTF-8, which ended in a UnicodeDecodeError traceback
+@example(({"algebra": b'{"n": 1, "D": [["1\xff"]]}'}, ["derivations", "--algebra", "{algebra}"]))
 def test_every_call_exits_with_one_json_line(call):
     code, out, err, seconds = _call(*call)
     assert code in (0, 2, 3, 4)

@@ -25,11 +25,13 @@ from killingtensors import (
     DerivationField,
     Endomorphism,
     EvaluationCapError,
+    GeneratorError,
     LeftInvariant,
     LevelCapError,
     MAX_EVALUATION_INDICES,
     MAX_LEVEL_INDICES,
     Metric,
+    MAX_SAMPLED_FACTOR_DIGITS,
     MAX_SAMPLED_LEVEL_INDICES,
     MAX_SAMPLES,
     MAX_WORKING_DIGITS,
@@ -39,6 +41,7 @@ from killingtensors import (
     RightInvariant,
     SampleCapError,
     SampledLevelCapError,
+    SampledWorkCapError,
     SkewDerivation,
     SymTensor,
     decompose,
@@ -51,10 +54,9 @@ from killingtensors import (
     skew_derivations,
     sum_of_squares,
     sym_dimension,
-    validate_skew_derivation,
     verify_certificate,
 )
-from conftest import (DERIVATION_KINDS, dense_rows, derivation_suite, fixed_series_oracle,
+from conftest import (DERIVATION_KINDS, dense_rows, derivation_suite, dot, fixed_series_oracle,
                       horner_oracle, omega_derivation, omega_series_oracle, omega_tensor_oracle,
                       point_oracle, random_derivation, random_vector,
                       skew_derivation_basis_oracle, wide_algebras)
@@ -84,21 +86,30 @@ class TestSkewDerivations:
 
     def test_abelian_gives_full_rotation_algebra(self):
         assert len(skew_derivations(AlmostAbelianAlgebra(Endomorphism.zero(2)))) == 3
-        assert len(skew_derivation_basis(MetricLieAlgebra.abelian(4))) == 6
+        assert len(skew_derivation_basis(MetricLieAlgebra(4, {}))) == 6
 
     def test_nilpotent_allows_nonzero_b_image(self):
         ders = skew_derivations(AlmostAbelianAlgebra(NILP))
         assert any(any(x != 0 for x in t.b_image) for t in ders)
 
     def test_all_solutions_validate(self):
+        # the derivation identity on the pairs (b, h) forces theta D = D theta
+        # and D^T v = 0, on the pairs (h, k) D = (D v) v^T / |v|^2
         for d in derivation_suite(per_kind=2):
             alg = AlmostAbelianAlgebra(d)
             for t in skew_derivations(alg):
-                validate_skew_derivation(alg, t)  # raises on violation
+                full, theta, v = t.full_matrix(), t.ideal_part, t.b_image
+                assert full.is_skew()
+                assert alg.derivation_residual(full.sparse()) == {}
+                assert theta @ d == d @ theta
+                assert d.transpose().apply(v) == (0,) * len(v)
+                vv, dv = dot(v, v), d.apply(v)
+                assert all(a * vv == dv[i] * v[j] for i, row in enumerate(d.entries)
+                           for j, a in enumerate(row))
 
     def test_square_nonzero_forces_zero_b_image(self):
         for d in derivation_suite(per_kind=3):
-            if (d @ d).is_zero():
+            if d @ d == Endomorphism.zero(d.dim):
                 continue
             alg = AlmostAbelianAlgebra(d)
             for t in skew_derivations(alg):
@@ -106,12 +117,13 @@ class TestSkewDerivations:
 
     def test_validation_rejects_bad_candidates(self):
         alg = AlmostAbelianAlgebra(DIAG)
-        bad = SkewDerivation((Fraction(0), Fraction(0)), J2)
-        with pytest.raises(ValueError):
-            validate_skew_derivation(alg, bad)
+        bad = DerivationField(SkewDerivation((Fraction(0), Fraction(0)), J2))
+        cert = Certificate(SymTensor.zero(3, 1), ((Fraction(1), (bad,)),))
+        with pytest.raises(GeneratorError, match="not a derivation of the algebra"):
+            verify_certificate(alg, cert)
 
     def test_split_of_a_skew_matrix_round_trips(self):
-        algebras = [SO3, HEISENBERG, MetricLieAlgebra.abelian(4), AlmostAbelianAlgebra(NILP)]
+        algebras = [SO3, HEISENBERG, MetricLieAlgebra(4, {}), AlmostAbelianAlgebra(NILP)]
         for alg in algebras:
             for m in skew_derivation_basis(alg):
                 assert SkewDerivation.from_matrix(m).full_matrix() == m
@@ -131,7 +143,7 @@ HEISENBERG = MetricLieAlgebra(3, {(0, 1, 2): 1, (1, 0, 2): -1})
 class TestSkewDerivationBasisOracle:
     """The sparse residual solve against the dense wedge-by-wedge solve."""
 
-    @pytest.mark.parametrize("alg", [SO3, HEISENBERG, MetricLieAlgebra.abelian(4)]
+    @pytest.mark.parametrize("alg", [SO3, HEISENBERG, MetricLieAlgebra(4, {})]
                              + [AlmostAbelianAlgebra(Endomorphism.from_rows(d)) for d in GALLERY]
                              + [AlmostAbelianAlgebra(d)
                                 for d in derivation_suite(sizes=(1, 2, 3, 4))]
@@ -813,6 +825,43 @@ class TestPrecisionCap:
         assert time.perf_counter() - start < 2
 
 
+class TestSampledWorkCap:
+    """Samples times working digits times the factors of the longest term
+    and the series generators past ``MAX_SAMPLED_FACTOR_DIGITS`` are refused
+    before any series is summed."""
+
+    ALG = TestPrecisionCap.ALG
+
+    class Summed(Exception):
+        pass
+
+    @staticmethod
+    def _chain(p):
+        field = RightInvariant((Fraction(1), Fraction(1)))
+        return Certificate(SymTensor.zero(2, p), ((Fraction(1), (field,) * p),))
+
+    @pytest.mark.parametrize("p, samples, work", [
+        (30, 20, None),
+        (30, 100, "100 samples at 2620 digits of 31 factors and series need 8122000"),
+        (30, 200, "200 samples at 2640 digits of 31 factors and series need 16368000"),
+        (61, 20, "20 samples at 4060 digits of 62 factors and series need 5034400")])
+    def test_refused_before_any_series(self, monkeypatch, p, samples, work):
+        def summed(*args):
+            raise self.Summed
+
+        monkeypatch.setattr(kf, "_fixed_series", summed)
+        kf._MEMO.clear()
+        start = time.perf_counter()
+        if work is None:  # within the cap: the check goes on to its series
+            with pytest.raises(self.Summed):
+                verify_certificate(self.ALG, self._chain(p), samples=samples)
+            return
+        message = f"^{work} \\(sampled-check cap {MAX_SAMPLED_FACTOR_DIGITS}\\)$"
+        with pytest.raises(SampledWorkCapError, match=message):
+            verify_certificate(self.ALG, self._chain(p), samples=samples)
+        assert time.perf_counter() - start < 2
+
+
 class TestMatrixIsNotAGenerator:
     """A derivation field is always a ``DerivationField``: a bare matrix is
     refused wherever a generator is expected, so no certificate carries a
@@ -845,7 +894,7 @@ class TestStructureConstantsPastTheFloatRange:
                 norm = point_oracle(alg, tuple(map(Fraction, w)), floor=False)[1]
                 log_norm = math.log(norm.numerator) - math.log(norm.denominator)
                 assert kf._series_bounds(alg, w) == (log_norm, kf._series_log10_gain(norm, 3))
-        assert kf._series_bounds(MetricLieAlgebra.abelian(3), (1.5, 0.0, -2.0)) == (-math.inf, 0)
+        assert kf._series_bounds(MetricLieAlgebra(3, {}), (1.5, 0.0, -2.0)) == (-math.inf, 0)
 
     def test_cap_message(self):
         assert str(kf.SeriesCapError(Fraction(6000))).endswith("(||ad_w||_1 = 6000)")
@@ -998,7 +1047,7 @@ class TestHornerAgainstTermByTerm:
         compiled = CompiledCertificate(cert)
         assert compiled.coefficients == (Fraction(3),)
         w = (Fraction(1, 2), Fraction(1), Fraction(-1))
-        assert omega_tensor(alg, compiled, w, order=3) == omega_tensor_oracle(alg, cert, w, 3)
+        assert omega_tensor(alg, cert, w, order=3) == omega_tensor_oracle(alg, cert, w, 3)
 
 
 class TestHornerLanes:
@@ -1300,6 +1349,30 @@ class TestSampledValueMemo:
             assert verify_certificate(alg, cert, samples=samples).passed
             assert sorted(calls) == constant
 
+    def test_points_are_prepared_once_per_check(self, monkeypatch):
+        # right:1 and right:2 share each block's prepared points; a check
+        # whose columns are all kept prepares none
+        alg = AlmostAbelianAlgebra(J2)
+        r1, r2 = RightInvariant(basis_vec(3, 1)), RightInvariant(basis_vec(3, 2))
+        cert = Certificate(SymTensor.build(3, 2, [((1, 1), 1), ((2, 2), 1)]),
+                           ((Fraction(1), (r1, r1)), (Fraction(1), (r2, r2))))
+        real = kf._point
+        calls = []
+
+        def counting(alg, w, shift):
+            calls.append(w)
+            return real(alg, w, shift)
+
+        monkeypatch.setattr(kf, "_point", counting)
+        kf._MEMO.clear()
+        for samples in (1, 20, 100):
+            calls.clear()
+            assert verify_certificate(alg, cert, samples=samples).passed
+            assert len(calls) == samples
+            calls.clear()
+            assert verify_certificate(alg, cert, samples=samples).passed
+            assert calls == []
+
     def test_memo_stays_bounded_at_max_samples(self):
         # on the abelian algebra every series stops after one term, so a
         # check at the cap is quick
@@ -1309,12 +1382,13 @@ class TestSampledValueMemo:
         kf._MEMO.clear()
         assert verify_certificate(alg, cert, samples=MAX_SAMPLES).passed
         memo = kf._MEMO
-        columns, prepared = memo.columns.entries.values(), memo.prepared.entries.values()
+        columns = memo.columns.entries.values()
         assert memo.columns.size == sum(map(len, columns)) <= 256
-        assert memo.prepared.size == sum(map(len, prepared)) <= 64
-        assert max(map(len, columns)) == max(map(len, prepared)) == kf._BLOCK
+        assert max(map(len, columns)) == kf._BLOCK
         # a sample set keeps its two bounds, not its points
         assert list(memo.sets.entries.values()) == [(-math.inf, 0.0)]
+        # and ad_w = 0 at every point: one kernel, of no nonzeros
+        assert list(memo.kernels.entries) == [(3, ())] and memo.kernels.size == 16
 
     def test_two_tolerances_match_fresh_processes(self):
         # tol 1e-9 and 1e-40 need the series to orders 21 and 50
@@ -1752,7 +1826,7 @@ class TestSeriesKernel:
             with mp.workdps(70):
                 closed = omega_derivation(alg, t, tuple(mp.mpf(c) for c in w),
                                           min_order=KERNEL_ORDER)
-            _assert_within(tuple(_mpf(got.coeff((i,))) for i in range(alg.dim)), closed, bound)
+            _assert_within(tuple(map(_mpf, got.dense())), closed, bound)
 
     @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
     def test_large_norm_point(self, name):

@@ -18,10 +18,10 @@ from killingtensors import (
     sum_of_squares,
     sym2_from_endo,
 )
-from killingtensors.exactlinalg import basis_vec, dot
+from killingtensors.exactlinalg import basis_vec
 from killingtensors.tensors import basis_monomials
 from conftest import (_structure_bracket, derivation_action_oracle, derivation_residual_oracle,
-                      derivation_suite, jacobi_failure_oracle, killing_operator_oracle,
+                      derivation_suite, dot, jacobi_failure_oracle, killing_operator_oracle,
                       koszul_oracle, nullspace_oracle, random_derivation, random_tensor,
                       random_vector, wide_algebras)
 
@@ -81,7 +81,7 @@ class TestConstruction:
     def test_valid_algebras_accepted(self):
         heisenberg3()
         so3()
-        MetricLieAlgebra.abelian(4)
+        MetricLieAlgebra(4, {})
 
     @pytest.mark.parametrize("dim, constants, walked", [
         (4000, {}, []), (3, HEISENBERG, [0, 1]), (3, SO3, [0, 1, 2]),
@@ -142,7 +142,7 @@ class TestConstants:
                 (2, 0, 1): c, (0, 2, 1): -c}
 
     def _general(self):
-        return [(so3(), SO3), (heisenberg3(), HEISENBERG), (MetricLieAlgebra.abelian(3), {}),
+        return [(so3(), SO3), (heisenberg3(), HEISENBERG), (MetricLieAlgebra(3, {}), {}),
                 (wide_algebras()[0], self._rotation_type(*self.WIDE))]
 
     def test_view_of_a_general_algebra_is_its_constants(self):
@@ -184,7 +184,7 @@ class TestConstants:
     def test_zero_constants_are_dropped(self):
         alg = MetricLieAlgebra(3, {(0, 1, 2): 0, (1, 0, 2): "0", (2, 0, 1): Fraction(0)})
         assert alg.int_structure == ((), (), ()) and alg.denominator == 1
-        assert alg.structure == MetricLieAlgebra.abelian(3).structure
+        assert alg.structure == MetricLieAlgebra(3, {}).structure
 
     @pytest.mark.parametrize("key", [(0, 1, 3), (-1, 0, 1), (0, 1), (0, 1, 2, 0), "012",
                                      (0, 1, True), (0, 1.0, 2), 0])
@@ -196,8 +196,8 @@ class TestConstants:
 
 class TestAdjoint:
     def test_abelian_ad_is_zero(self):
-        alg = MetricLieAlgebra.abelian(3)
-        assert alg.ad((Fraction(1), Fraction(2), Fraction(-1))).is_zero()
+        alg = MetricLieAlgebra(3, {})
+        assert alg.ad((Fraction(1), Fraction(2), Fraction(-1))) == Endomorphism.zero(3)
 
     def test_almost_abelian_ad_of_b(self):
         alg = AlmostAbelianAlgebra(DIAG)
@@ -273,7 +273,7 @@ class TestIntStructureAgainstDenseOracle:
 
 class TestConnection:
     def test_abelian_connection_vanishes(self):
-        alg = MetricLieAlgebra.abelian(3)
+        alg = MetricLieAlgebra(3, {})
         rng = random.Random(5)
         assert alg.nabla(random_vector(rng, 3), random_vector(rng, 3)) == (Fraction(0),) * 3
 
@@ -399,7 +399,7 @@ class TestFactorReplacementOracles:
 
 class TestBruteForceSolver:
     def test_abelian_degree_one_is_everything(self):
-        space = MetricLieAlgebra.abelian(3).killing_space_bruteforce(1)
+        space = MetricLieAlgebra(3, {}).killing_space_bruteforce(1)
         assert space.dimension == 3
 
     def test_rotation_degree_one_is_spanned_by_b(self):
@@ -424,13 +424,13 @@ class TestBruteForceSolver:
                 assert alg.killing_operator(t).is_zero()
 
     def test_caps_enforced(self):
-        alg = MetricLieAlgebra.abelian(2)
+        alg = MetricLieAlgebra(2, {})
         with pytest.raises(ValueError):
             alg.killing_space_bruteforce(9)
         with pytest.raises(ValueError):
-            MetricLieAlgebra.abelian(7).killing_space_bruteforce(1)
+            MetricLieAlgebra(7, {}).killing_space_bruteforce(1)
 
     def test_cap_error_names_the_caps(self):
         with pytest.raises(SolverCapError, match=r"degree 9 / dimension 2 exceed the "
                                                  r"brute-force caps \(degree 8, dimension 6\)"):
-            MetricLieAlgebra.abelian(2).killing_space_bruteforce(9)
+            MetricLieAlgebra(2, {}).killing_space_bruteforce(9)

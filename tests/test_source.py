@@ -68,38 +68,65 @@ USERS = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbenc
          ROOT / "tests" / "test_acceptance.py"]
 
 
-def _names(tree):
-    """Every name and attribute a tree reads or writes, with repeats."""
+def _uses(tree):
+    """``(kind, name)`` of every name a tree reads or writes (``"name"``),
+    every attribute it reads (``"attribute"``) and every attribute it calls
+    (``"call"``), with repeats."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield "name", node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield "attribute", node.attr
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            yield "call", node.func.attr
+
+
+def _is_property(node):
+    return any((d.id if isinstance(d, ast.Name) else getattr(d, "attr", None))
+               in ("property", "cached_property") for d in node.decorator_list)
 
 
 def _public_routes(tree):
-    """``(qualified name, node)`` of each public module-level function and
-    class and of each public method of a public class."""
+    """``(qualified name, node, kinds)`` of each public module-level function
+    and class and of each public method of a public class, with the kinds of
+    use that count for it: a module-level name by its name or as an
+    attribute, a property read as an attribute, a method called as one."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node
+            yield node.name, node, ("name", "attribute")
             if isinstance(node, ast.ClassDef):
-                yield from ((f"{node.name}.{m.name}", m) for m in node.body
+                yield from ((f"{node.name}.{m.name}", m,
+                             ("attribute",) if _is_property(m) else ("call",))
+                            for m in node.body
                             if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
 
 
 def test_every_public_route_has_a_user_outside_the_unit_tests():
+    # a field or a variable of a method's name does not count as its use
     readme = doctest.DocTestParser().get_examples((ROOT / "README.md").read_text())
     trees = [ast.parse(p.read_text()) for p in USERS]
     trees += [ast.parse(example.source) for example in readme]
-    uses = Counter(name for tree in trees for name in _names(tree))
+    uses = Counter(use for tree in trees for use in _uses(tree))
     unused = []
     for path in MODULES:
-        for qualified, node in _public_routes(ast.parse(path.read_text())):
+        for qualified, node, kinds in _public_routes(ast.parse(path.read_text())):
             # a route's own body (a recursive call) does not count as a use
-            if uses[node.name] <= Counter(_names(node))[node.name]:
+            own = Counter(_uses(node))
+            if all(uses[kind, node.name] <= own[kind, node.name] for kind in kinds):
                 unused.append(f"{path.stem}.{qualified}")
     assert sorted(unused) == []
+
+
+def test_the_route_check_counts_calls_and_reads():
+    # a variable or a field of a method's name is no call of it
+    tree = ast.parse("coeff = 1\nx.vector = 2\nx.vector\nx.dim\nx.size()\n"
+                     "class C:\n    def vector(self): pass\n"
+                     "    @property\n    def dim(self): pass\n")
+    uses = Counter(_uses(tree))
+    assert (uses["call", "coeff"], uses["call", "vector"], uses["call", "size"]) == (0, 0, 1)
+    assert (uses["attribute", "vector"], uses["attribute", "dim"]) == (1, 1)
+    assert [(q, kinds) for q, _, kinds in _public_routes(tree)] == [
+        ("C", ("name", "attribute")), ("C.vector", ("call",)), ("C.dim", ("attribute",))]
 
 
 def test_no_cache_without_a_bound():
