@@ -33,6 +33,8 @@ from .killingfields import (
     RightInvariant,
     SkewDerivation,
     DerivationField,
+    BasisFields,
+    basis_fields,
     Certificate,
     CertificateCheck,
     CompiledCertificate,
@@ -75,7 +77,8 @@ __all__ = [
     "MetricLieAlgebra", "KillingSpace",
     "AlmostAbelianAlgebra", "LayeredDecomposition", "KillingDiagnosis",
     "Metric", "LeftInvariant", "RightInvariant", "SkewDerivation",
-    "DerivationField", "Certificate", "CertificateCheck", "CompiledCertificate",
+    "DerivationField", "BasisFields", "basis_fields", "Certificate", "CertificateCheck",
+    "CompiledCertificate",
     "NotKillingError", "GeneratorError", "generator_degree",
     "skew_derivation_basis", "skew_derivations",
     "omega_generator", "omega_tensor", "decompose", "verify_certificate", "sample_points",

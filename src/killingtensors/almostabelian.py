@@ -13,12 +13,14 @@ Killing test of a layer, the derivation kernel and every other exact caller:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb, lcm
 
-from .exactlinalg import basis_vec, nullspace, rref_span
+from .exactlinalg import basis_vec, frac, nullspace, rref_span
 from .liealgebra import KillingSpace, MetricLieAlgebra
-from .limits import MAX_STRUCTURED_MONOMIALS, StructuredCapError
+from .limits import MAX_DIMENSION, MAX_STRUCTURED_MONOMIALS, DimensionCapError, StructuredCapError
 from .tensors import (SymTensor, Endomorphism, multiply_terms, replace_factor, sum_of_squares,
                       sym_dimension)
 
@@ -26,20 +28,25 @@ from .tensors import (SymTensor, Endomorphism, multiply_terms, replace_factor, s
 @dataclass(frozen=True)
 class LayeredDecomposition:
     """Unique layers of a symmetric tensor relative to powers of the sum of
-    squares, all supported on the ideal.  Layer i is ``odd_i * b + even_i``,
-    with ``odd_i`` of degree p-2i-1 and ``even_i`` of degree p-2i; a
-    degree-p tensor has about p of them, and ``nonzero`` keeps only the
-    nonzero ones, ``odd_i`` at ``(1, i)`` and ``even_i`` at ``(0, i)``."""
+    squares, all supported on the ideal, on ints over one ``scale`` (the
+    lcm of the tensor's denominators).  Layer i is ``(odd_i * b + even_i) /
+    scale``, with ``odd_i`` of degree p-2i-1 and ``even_i`` of degree p-2i;
+    a degree-p tensor has about p of them, and ``nonzero`` keeps only the
+    nonzero ones as ``{monomial: int}`` maps, ``odd_i`` at ``(1, i)`` and
+    ``even_i`` at ``(0, i)``."""
 
     dim: int
     degree: int
+    scale: int
     nonzero: dict
 
     def reassemble(self) -> SymTensor:
         b = SymTensor.basis(self.dim, 0)
         total = SymTensor.zero(self.dim, self.degree)
         for (e, i), layer in self.nonzero.items():
-            total = total + sum_of_squares(self.dim) ** i * b ** e * layer
+            t = SymTensor(self.dim, self.degree - 2 * i - e,
+                          {m: Fraction(v, self.scale) for m, v in layer.items()})
+            total = total + sum_of_squares(self.dim) ** i * b ** e * t
         return total
 
 
@@ -60,19 +67,27 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
         if not isinstance(derivation, Endomorphism):
             derivation = Endomorphism.from_rows(derivation)
         n = derivation.dim
-        # only [b, h] = D h and [h, b] are nonzero: c_0jk = D_kj = -c_j0k
-        c = {}
-        for k, row in enumerate(derivation.entries, 1):
-            for j, x in enumerate(row, 1):
-                c[0, j, k] = x
-                c[j, 0, k] = -x
-        super().__init__(n + 1, c)
+        if n + 1 > MAX_DIMENSION:
+            raise DimensionCapError(n + 1)
+        self.dim = n + 1
+        # only [b, h] = D h and [h, b] are nonzero: c_0jk = D_kj = -c_j0k, in
+        # key order.  They are antisymmetric by construction, and the Jacobi
+        # identity holds for every D (the ideal is abelian), so neither is
+        # checked.
+        nonzero = [(j, k, frac(x)) for j, column in enumerate(zip(*derivation.entries), 1)
+                   for k, x in enumerate(column, 1) if x]
+        self._keep_constants([(0, j, k, x) for j, k, x in nonzero] + [(j, 0, k, -x) for j, k, x in nonzero])
         self.derivation = derivation
         self.ideal_dim = n
         # int_ad_b[j] lists ((k,), L·c_0jk), the int_structure entries with
         # i = 0: replace_factor over them is L times the action of ad_b
         self.int_ad_b = tuple(tuple(((k,), x) for (i, k), x in pairs if i == 0)
                               for pairs in self.int_structure)
+
+    @cached_property
+    def skew(self) -> bool:
+        """Whether the derivation is skew."""
+        return self.derivation.is_skew()
 
     @property
     def derivation_full(self) -> Endomorphism:
@@ -99,8 +114,10 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
 
     def layer_decomposition(self, k: SymTensor) -> LayeredDecomposition:
         """Unique layers with ``k = sum_i L^i * (odd_i*b + even_i)``, in one
-        pass over the components ``b^m * c`` of ``k`` (``c`` on the ideal).
-        With ``b^2 = L - L_h`` (``L_h`` the ideal squares) and ``m = 2j + e``,
+        pass over the components ``b^m * c`` of ``k`` (``c`` on the ideal),
+        on ints: the coefficients of ``k`` times the lcm ``s`` of their
+        denominators.  With ``b^2 = L - L_h`` (``L_h`` the ideal squares) and
+        ``m = 2j + e``,
 
             ``b^m * c = sum_i C(j, i) * L^i * b^e * (-L_h)^(j-i) * c``,
 
@@ -108,23 +125,25 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
         1``) or even (``e = 0``) layer ``i`` for each ``i <= j``."""
         if k.dim != self.dim:
             raise ValueError("dimension mismatch")
-        p = k.degree
+        s = lcm(*(c.denominator for c in k.terms.values()))
         components = {}
         for mono, c in k.terms.items():
             m = mono.count(0)  # monomials are sorted: the factors b lead
-            components.setdefault(m, {})[mono[m:]] = c
+            components.setdefault(m, {})[mono[m:]] = c.numerator * (s // c.denominator)
         minus_lh = {(h, h): -1 for h in range(1, self.dim)}
         layers = {}
         for m, c in components.items():
             j, e = divmod(m, 2)
             for i in range(j, -1, -1):  # here c is (-L_h)^(j-i) times the component
                 layer = layers.setdefault((e, i), {})
+                f = comb(j, i)
                 for mono, x in c.items():
-                    layer[mono] = layer.get(mono, 0) + comb(j, i) * x
+                    layer[mono] = layer.get(mono, 0) + f * x
                 if i:
                     c = multiply_terms(c, minus_lh)
-        layers = {(e, i): SymTensor(self.dim, p - 2 * i - e, t) for (e, i), t in layers.items()}
-        return LayeredDecomposition(self.dim, p, {key: t for key, t in layers.items() if t})
+        nonzero = {key: t for key, layer in layers.items()
+                   if (t := {mono: x for mono, x in layer.items() if x})}
+        return LayeredDecomposition(self.dim, k.degree, s, nonzero)
 
     def split_odd_even(self, k: SymTensor):
         """Parts of the tensor with odd resp. even degree in ``b``."""
@@ -144,11 +163,10 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
         the derivation is skew, and must vanish outright otherwise.
         """
         lay = self.layer_decomposition(k)
-        skew = self.derivation.is_skew()
         failures = [f"{('even', 'odd')[e]} layer {i} not annihilated by the derivation"
                     for (e, i), t in sorted(lay.nonzero.items())
-                    if (skew or not e) and replace_factor(t.terms, self.int_ad_b)]
-        if not skew and any(e for e, _ in lay.nonzero):
+                    if (self.skew or not e) and replace_factor(t, self.int_ad_b)]
+        if not self.skew and any(e for e, _ in lay.nonzero):
             failures.append("odd part nonzero, derivation not skew")
         return KillingDiagnosis(not failures, tuple(failures), lay)
 
@@ -175,10 +193,9 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
         monomials = sym_dimension(self.dim, p)
         if monomials > MAX_STRUCTURED_MONOMIALS:
             raise StructuredCapError(self.dim, p, monomials)
-        skew = self.derivation.is_skew()
         for i in range(p // 2 + 1):
             yield i, False, self.derivation_kernel(p - 2 * i)
-            if skew and p - 2 * i - 1 >= 0:
+            if self.skew and p - 2 * i - 1 >= 0:
                 yield i, True, self.derivation_kernel(p - 2 * i - 1)
 
     def killing_space_structured(self, p: int) -> KillingSpace:

@@ -24,7 +24,6 @@ from . import fileformats as ff
 from .almostabelian import AlmostAbelianAlgebra
 from .curvature import classify, flat_metric_certificate, left_invariant_killing_vectors, \
     metric_obstruction
-from .exactlinalg import basis_vec
 from .killingfields import (
     DEFAULT_ORDER_FLOOR,
     DEFAULT_SAMPLES,
@@ -32,12 +31,10 @@ from .killingfields import (
     DEFAULT_TOL,
     DerivationField,
     GeneratorError,
-    LeftInvariant,
-    Metric,
     NotKillingError,
     REPORT_PREC,
-    RightInvariant,
     SkewDerivation,
+    basis_fields,
     omega_generator,
     skew_derivation_basis,
     skew_derivations,
@@ -259,12 +256,12 @@ def cmd_omega_sample(args) -> dict:
     w = _parse_point(args.at, alg.dim)
     spec = args.generator.strip()
     kind, _, index = spec.partition(":")
+    fields = basis_fields(alg)
     if spec == "metric":
-        gen = Metric()
+        gen = fields.metric
     elif kind in ("left", "right"):
         i = _generator_index(index, alg.dim, "basis index")
-        vec = basis_vec(alg.dim, i)
-        gen = LeftInvariant(vec) if kind == "left" else RightInvariant(vec)
+        gen = (fields.left if kind == "left" else fields.right)[i]
     elif kind == "deriv":
         basis = skew_derivation_basis(alg)
         i = _generator_index(index, len(basis), "derivation index")

@@ -8,15 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .almostabelian import AlmostAbelianAlgebra
-from .exactlinalg import basis_vec
-from .killingfields import (
-    Certificate,
-    LeftInvariant,
-    REPORT_PREC,
-    _ideal_terms,
-    _nearest,
-    omega_tensor,
-)
+from .killingfields import Certificate, REPORT_PREC, _nearest, basis_fields, omega_tensor
 from .liealgebra import KillingSpace
 from .tensors import Endomorphism, SymTensor, replace_factor
 
@@ -42,14 +34,22 @@ def classify(alg: AlmostAbelianAlgebra) -> CurvatureClass:
     return CurvatureClass("not_constant", None)
 
 
+def _ideal_terms(alg: AlmostAbelianAlgebra, k: SymTensor) -> tuple:
+    """The certificate terms of a tensor ``k`` supported on the ideal, as
+    ``decompose`` writes them: one right-invariant basis field per factor of
+    each monomial, in sorted monomial order."""
+    right = basis_fields(alg).right
+    return tuple((k.terms[mono], tuple([right[i] for i in mono])) for mono in sorted(k.terms))
+
+
 def flat_metric_certificate(alg: AlmostAbelianAlgebra) -> Certificate:
     """In the flat case the metric (times two) is the square of the
     left-invariant field of ``b`` plus the squares of the right-invariant
     fields of the ideal basis; no metric generator appears."""
     if classify(alg).kind != "flat":
         raise ValueError("algebra is not flat")
-    b_field = LeftInvariant(basis_vec(alg.dim, 0))
-    terms = ((Fraction(1), (b_field, b_field)),) + _ideal_terms(alg.dim, alg.ideal_twice_metric)
+    b_field = basis_fields(alg).left[0]
+    terms = ((Fraction(1), (b_field, b_field)),) + _ideal_terms(alg, alg.ideal_twice_metric)
     return Certificate(target=alg.twice_metric, terms=terms)
 
 
@@ -85,7 +85,7 @@ def metric_obstruction(alg: AlmostAbelianAlgebra) -> ObstructionReport:
     ideal2 = alg.ideal_twice_metric
     derived = SymTensor(alg.dim, 2, replace_factor(ideal2.terms, alg.int_ad_b))
     derived = derived.scale(Fraction(1, alg.denominator))
-    candidate = Certificate(target=ideal2, terms=_ideal_terms(alg.dim, ideal2))
+    candidate = Certificate(target=ideal2, terms=_ideal_terms(alg, ideal2))
     w = [1] + [0] * (alg.dim - 1)
     residual = {}
     value = omega_tensor(alg, candidate, w, order=None, min_order=30, prec=REPORT_PREC)

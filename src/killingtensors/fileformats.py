@@ -267,16 +267,24 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def certificate_from_dict(doc, dim, where="certificate") -> Certificate:
+    """A certificate document read into one object per distinct generator
+    document: each is parsed once, at its first factor, keyed by the
+    ``repr`` of its JSON values, which keeps their types (``[true]`` is not
+    ``[1]``, nor ``1.0`` ``1``)."""
     _object(doc, where)
     target = tensor_from_dict(doc.get("target"), dim, f"{where}.target")
     terms = []
+    parsed = {}
     for t, item in enumerate(_list(doc.get("terms", []), f"{where}.terms")):
         w = f"{where}.terms[{t}]"
         coeff = parse_rational(_object(item, w).get("coeff"), f"{w}.coeff")
-        factors = tuple(
-            _generator_from_dict(f, dim, f"{w}.factors[{s}]")
-            for s, f in enumerate(_list(item.get("factors", []), f"{w}.factors"))
-        )
+        factors = []
+        for s, f in enumerate(_list(item.get("factors", []), f"{w}.factors")):
+            gen = parsed.get(key := repr(f))
+            if gen is None:
+                gen = parsed[key] = _generator_from_dict(f, dim, f"{w}.factors[{s}]")
+            factors.append(gen)
+        factors = tuple(factors)
         degree = sum(generator_degree(g) for g in factors)
         if degree != target.degree:
             raise ParseError(f"{w}.factors: term has degree {degree} (metric 2, fields 1), "

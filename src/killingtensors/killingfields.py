@@ -56,7 +56,6 @@ from .tensors import (SymTensor, Endomorphism, monomial_positions, product_posit
                       sym_dimension)
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 DEFAULT_SEED = 0x5EED
 DEFAULT_TOL = 1e-9
@@ -163,6 +162,29 @@ class DerivationField:
     derivation: SkewDerivation
 
     __hash__ = _hash_once
+
+
+class BasisFields(NamedTuple):
+    """One generator object per basis field of an algebra: the metric, and
+    the left- and right-invariant fields of each basis vector."""
+
+    metric: Metric
+    left: tuple
+    right: tuple
+
+
+def basis_fields(alg: MetricLieAlgebra) -> BasisFields:
+    """The algebra's ``BasisFields``, built on first use and kept by it, as
+    its ``nabla_basis`` is.  Certificates built on one algebra then share
+    their generator objects: each hashes its vector once, and the trie, the
+    working-digit bounds and the sampled-value memo meet it as one object,
+    which compares by identity."""
+    fields = alg._basis_fields
+    if fields is None:
+        vectors = [basis_vec(alg.dim, i) for i in range(alg.dim)]
+        fields = alg._basis_fields = BasisFields(
+            Metric(), tuple(map(LeftInvariant, vectors)), tuple(map(RightInvariant, vectors)))
+    return fields
 
 
 @dataclass(frozen=True)
@@ -278,15 +300,24 @@ class _Point(NamedTuple):
     kernel: object = None
 
 
-def _point(alg: MetricLieAlgebra, w, shift) -> _Point:
-    """``w``, exact or fixed-point ints at ``shift``, prepared for the series."""
-    if shift is None:
-        scale, rows, norm = alg.ad_exact(w)
-        return _Point(None, scale, tuple(w), rows, norm)
-    rows, norm = alg.ad_walk(w, alg.denominator)
-    pattern = (alg.dim, tuple([(r, columns) for r, columns, _ in rows]))
-    return _Point(shift, 1 << shift, tuple(w), rows, norm,
-                  _MEMO.kernels.get(pattern, partial(_series_kernel, pattern)))
+def _points(alg: MetricLieAlgebra, ws, shift) -> list:
+    """The points ``ws``, exact or fixed-point ints at ``shift``, prepared
+    for the series.  The points of a block almost always share the sparsity
+    pattern of ``ad_w``, so a fixed-point point looks up its kernel only
+    where its pattern differs from that of the point before."""
+    out, shape, kernel = [], None, None
+    for w in ws:
+        if shift is None:
+            scale, rows, norm = alg.ad_exact(w)
+            out.append(_Point(None, scale, tuple(w), rows, norm))
+            continue
+        rows, norm = alg.ad_walk(w, alg.denominator)
+        columns = tuple([(r, c) for r, c, _ in rows])
+        if columns != shape:
+            shape, pattern = columns, (alg.dim, columns)
+            kernel = _MEMO.kernels.get(pattern, partial(_series_kernel, pattern))
+        out.append(_Point(shift, 1 << shift, tuple(w), rows, norm, kernel))
+    return out
 
 
 # Both series give the partial sum of ``sum_k (-ad_w)^k x / (k + s)!`` times
@@ -478,7 +509,7 @@ def _metric_value(dim: int, half) -> list:
 
 def _generator_values(alg: MetricLieAlgebra, gen, shift, points, order, min_order: int) -> list:
     """Dense pullback values of the generator ``gen`` at each of ``points``,
-    prepared by ``_point``: exact when ``shift`` is None, else fixed-point
+    prepared by ``_points``: exact when ``shift`` is None, else fixed-point
     ints at ``shift``.
 
     The metric is 1/2 on the squares and a left-invariant field its vector
@@ -684,7 +715,7 @@ def omega_tensor(alg: MetricLieAlgebra, cert: Certificate, w, order=None, min_or
         w = tuple(_fixed_entry(c, prec, shift) for c in w)
     # only a series reads the prepared point
     series = any(isinstance(g, (RightInvariant, DerivationField)) for g in compiled.generators)
-    points = (_point(alg, w, shift) if series else None,)
+    points = _points(alg, (w,), shift) if series else (None,)
     values = [_generator_values(alg, gen, shift, points, order, min_order)[0]
               for gen in compiled.generators]
     out = _one_lane(compiled.nodes, values, _scaled(compiled.coefficients, shift), shift)
@@ -705,7 +736,7 @@ def skew_derivation_basis(lie: MetricLieAlgebra):
     n = lie.dim
     if n > DERIVATION_DIM_CAP:
         raise DerivationCapError(n)
-    kernel = nullspace({(i, j): lie.derivation_residual({(j, i): _ONE, (i, j): -_ONE})
+    kernel = nullspace({(i, j): lie.derivation_residual({(j, i): 1, (i, j): -1})
                         for i in range(n) for j in range(i + 1, n)})
     # entry (r, s) of the sum of w_ij (E_ji - E_ij) is w_sr below the diagonal
     return tuple(Endomorphism(tuple(
@@ -722,25 +753,21 @@ def skew_derivations(alg: AlmostAbelianAlgebra):
 # decomposition
 # ---------------------------------------------------------------------------
 
-def _ideal_terms(dim: int, k: SymTensor) -> tuple:
-    """The certificate terms of a tensor ``k`` supported on the ideal: one
-    right-invariant field per factor of each monomial, in sorted monomial
-    order.  The multilinear components of ``k`` divided by p!, regrouped
-    over sorted monomials, reproduce exactly the monomial coefficients, so
-    the rewriting is coefficient-for-coefficient."""
-    fields = [RightInvariant(basis_vec(dim, i)) for i in range(dim)]
-    return tuple((k.terms[mono], tuple(fields[i] for i in mono)) for mono in sorted(k.terms))
-
-
 def decompose(alg: AlmostAbelianAlgebra, k: SymTensor) -> Certificate:
     """Certificate for any left-invariant Killing tensor.
 
-    Layers are rewritten on the ideal; each power of the basis-squares tensor
-    contributes metric generators (with a factor 2 each), and odd layers pick
-    up the left-invariant field of ``b``, which is Killing exactly when the
-    defining derivation is skew -- otherwise the odd part is zero.  The
-    layers passed ``is_killing_structured``, so each is rewritten by
-    ``_ideal_terms`` without a check of its own.  A target too large to
+    Layers are rewritten on the ideal, one right-invariant field per factor
+    of each monomial, in sorted monomial order: the multilinear components
+    of a layer divided by its degree's factorial, regrouped over sorted
+    monomials, reproduce exactly the monomial coefficients, so the rewriting
+    is coefficient-for-coefficient.  Each power of the basis-squares tensor
+    contributes metric generators (with a factor 2 each), and odd layers
+    pick up the left-invariant field of ``b``, which is Killing exactly when
+    the defining derivation is skew -- otherwise the odd part is zero.  The
+    layers passed ``is_killing_structured``, so each is rewritten without a
+    check of its own.  They are ints over the tensor's scale ``s``, so an
+    entry ``v`` of layer ``i`` becomes one ``Fraction(v * 2^i, s)``, and the
+    generators are the algebra's ``basis_fields``.  A target too large to
     evaluate raises ``EvaluationCapError`` before the layers are built, as
     its certificate could never be verified, and so does one whose
     certificate's trie levels must pass ``MAX_LEVEL_INDICES``
@@ -752,13 +779,13 @@ def decompose(alg: AlmostAbelianAlgebra, k: SymTensor) -> Certificate:
     diag = alg.is_killing_structured(k)
     if not diag.is_killing:
         raise NotKillingError("; ".join(diag.failures), diagnosis=diag)
-    dim = alg.dim
-    b_field = LeftInvariant(basis_vec(dim, 0))
+    fields = basis_fields(alg)
+    right, s = fields.right, diag.layers.scale
     terms = []
-    for (e, i), t in sorted(diag.layers.nonzero.items()):  # the even layers first
-        scale = Fraction(2) ** i
-        for c, fs in _ideal_terms(dim, t):
-            terms.append((c * scale, (Metric(),) * i + (b_field,) * e + fs))
+    for (e, i), layer in sorted(diag.layers.nonzero.items()):  # the even layers first
+        head = (fields.metric,) * i + (fields.left[0],) * e
+        terms += [(Fraction(layer[mono] << i, s), head + tuple([right[j] for j in mono]))
+                  for mono in sorted(layer)]
     return Certificate(target=k, terms=tuple(terms))
 
 
@@ -791,16 +818,18 @@ def _order_for_bound(log_norm: float, eps: float) -> int:
     return _MAX_TERMS
 
 
-def _series_log10_gain(norm: Fraction, dim: int) -> float:
+def _series_log10_gain(num: int, den: int, dim: int) -> float:
     """log10 of a bound on the gain of a pullback series at ``||ad_w||_1 =
-    norm``: ``e^norm`` below the term cap.  From ``norm >= _MAX_TERMS`` on the
-    hump is past the cap even after rounding, so ``_fixed_series`` raises unless
-    the series vanishes within ``dim`` terms, with gain at most
-    ``sum_(k<=dim) norm^k/k! <= (dim + 1) norm^dim``: the working precision
-    stays finite however large the structure constants are."""
-    if norm < _MAX_TERMS:
-        return norm * _LOG10_E
-    return math.log10(dim + 1) + dim * _log10_at_least_one(norm)
+    num/den`` (in lowest terms, positive): ``e^norm`` below the term cap.
+    From ``norm >= _MAX_TERMS`` on the hump is past the cap even after
+    rounding, so ``_fixed_series`` raises unless the series vanishes within
+    ``dim`` terms, with gain at most ``sum_(k<=dim) norm^k/k! <= (dim + 1)
+    norm^dim``: the working precision stays finite however large the
+    structure constants are.  The floats are those of the ``Fraction``
+    ``num/den``: ``float(norm)`` is ``num / den``."""
+    if num < _MAX_TERMS * den:
+        return num / den * _LOG10_E
+    return math.log10(dim + 1) + dim * (math.log10(num) - math.log10(den))
 
 
 def _log10_at_least_one(q) -> float:
@@ -810,13 +839,23 @@ def _log10_at_least_one(q) -> float:
     return math.log10(n) - math.log10(d) if n > d else 0.0
 
 
+def _vector_log10(gen) -> float:
+    """``_log10_at_least_one`` of the 1-norm of a field's vector, computed
+    on first use and kept beside the fields, as the hash is: one field
+    object recurs across the certificates of an algebra (``basis_fields``)."""
+    size = gen.__dict__.get("_log10")
+    if size is None:
+        size = gen.__dict__["_log10"] = _log10_at_least_one(sum(map(abs, gen.vector)))
+    return size
+
+
 def _factor_log10_bound(gen, gain: float, dim: int) -> float:
     if isinstance(gen, Metric):
         return 0.0
     if isinstance(gen, LeftInvariant):
-        return _log10_at_least_one(sum(map(abs, gen.vector)))
+        return _vector_log10(gen)
     if isinstance(gen, RightInvariant):
-        return gain + _log10_at_least_one(sum(map(abs, gen.vector)))
+        return gain + _vector_log10(gen)
     tnorm = sum(abs(x) for r in gen.derivation.full_matrix().entries for x in r)
     return gain + _log10_at_least_one(2 * dim * tnorm)
 
@@ -854,13 +893,15 @@ def sample_points(dim: int, samples: int, seed: int):
 
 def _series_bounds(alg: MetricLieAlgebra, w) -> tuple:
     """``ln ||ad_w||_1`` (``-inf`` at 0) and ``_series_log10_gain`` at a
-    sample point.  The norm is exact (``ad_exact``: floats are exact
-    rationals), so no float product can overflow."""
-    scale, _, norm = alg.ad_exact(w)
+    sample point.  The norm is exact (``ad_norm``: floats are exact
+    rationals), on ints, so no float product can overflow; each log is
+    taken of the numerator and denominator in lowest terms."""
+    scale, norm = alg.ad_norm(w)
     if not norm:
         return -math.inf, 0.0
-    norm = Fraction(norm, scale)
-    return math.log(norm.numerator) - math.log(norm.denominator), _series_log10_gain(norm, alg.dim)
+    g = math.gcd(norm, scale)
+    num, den = norm // g, scale // g
+    return math.log(num) - math.log(den), _series_log10_gain(num, den, alg.dim)
 
 
 class _LRU:
@@ -908,14 +949,18 @@ class _LRU:
 #   series order floor, one column: the generator's values at the block's
 #   points.  256 values hold one algebra's batch (at most 200 on the
 #   certify-batch benchmark) while bounding the memory of the big
-#   fixed-point ints.
+#   fixed-point ints.  Certificates on one algebra share their generator
+#   objects (``basis_fields``, and one object per distinct generator
+#   document of a parsed certificate), whose hash is kept, so a lookup
+#   hashes no vector and compares the generator by identity.
 #
 # A column holds at most ``_BLOCK`` points, so the memo keeps no more than
 # 256 values whatever ``samples`` is.  The metric and left-invariant fields
 # are constant and are not kept.  The points of a block are prepared by
-# ``_point`` once per check, on its first column miss, and shared by the
+# ``_points`` once per check, on its first column miss, and shared by the
 # check's series generators: kept across checks, they saved 8 of 67 block
-# preparations over two certify-batch rounds.
+# preparations over two certify-batch rounds.  A block looks up its kernel
+# once per run of points with one sparsity pattern, almost always once.
 #
 # Beside them, keyed by sparsity pattern and shared by every algebra, the
 # compiled series kernels (``_series_kernel``).  A kernel takes about 2 KB
@@ -967,8 +1012,8 @@ class _SampleMemo:
 
             def prepare():
                 if not prepared:
-                    prepared.extend(_point(alg, _scaled(w, shift), shift)
-                                    for w in points()[start:start + n])
+                    prepared.extend(_points(alg, [_scaled(w, shift)
+                                                  for w in points()[start:start + n]], shift))
                 return prepared
 
             def column(g):

@@ -41,6 +41,14 @@ class KillingSpace:
         return len(self.basis)
 
 
+def _integer_point(x) -> tuple:
+    """``(q, v)``: a point of exact rationals scaled to ints ``v`` by the lcm
+    ``q`` of their denominators."""
+    ratios = [c.as_integer_ratio() for c in x]
+    q = lcm(*(d for _, d in ratios))
+    return q, [a * (q // d) for a, d in ratios]
+
+
 class MetricLieAlgebra:
     """Lie algebra with structure constants in a declared orthonormal basis.
 
@@ -58,14 +66,20 @@ class MetricLieAlgebra:
                     and all(type(i) is int and 0 <= i < dim for i in key)):
                 raise ValueError(f"key {key!r} is not a triple of indices in range({dim})")
         self.dim = dim
-        nonzero = [(*key, x) for key, v in sorted(constants.items()) if (x := frac(v))]
-        # the constants as ints over their common denominator, keyed by the
-        # factor e_j they replace: int_structure[j] lists ((i, k), denominator * c_ijk)
+        self._keep_constants([(*key, x) for key, v in sorted(constants.items()) if (x := frac(v))])
+        self._validate()
+
+    def _keep_constants(self, nonzero: list):
+        """Keep the nonzero constants ``(i, j, k, c_ijk)``, given in key
+        order, as ints over their common denominator, by factor and by entry
+        of ``ad_w``, for the dimension ``self.dim``."""
+        # int_structure[j] lists ((i, k), denominator * c_ijk), keyed by the
+        # factor e_j they replace
         den = self.denominator = lcm(*(x.denominator for *_, x in nonzero))
         # entry (k, j) of L·ad_w is the integer linear form sum C·w_i over the
         # pairs (i, C = L·c_ijk): ad_forms lists, for each row k that has one,
         # (k, ((j, ((i, C), ...)), ...)) with the columns j in order
-        subs = [[] for _ in range(dim)]
+        subs = [[] for _ in range(self.dim)]
         forms = {}
         for i, j, k, x in nonzero:
             scaled = x.numerator * (den // x.denominator)
@@ -75,7 +89,9 @@ class MetricLieAlgebra:
         self.ad_forms = tuple((k, tuple((j, tuple(forms[k][j])) for j in sorted(forms[k])))
                               for k in sorted(forms))
         self._nabla_basis = None
-        self._validate()
+        # the generator objects of the basis fields, built on first use by
+        # killingfields.basis_fields
+        self._basis_fields = None
 
     def _validate(self):
         """Antisymmetry, then the Jacobi identity, exactly, on the ints of
@@ -111,25 +127,34 @@ class MetricLieAlgebra:
     def derivation_residual(self, t: dict) -> dict:
         """Nonzero entries of ``T[e_a,e_b] - [T e_a,e_b] - [e_a,T e_b]`` for
         ``a < b``, keyed ``(a, b, k)`` by the component ``k``: summed over the
-        ints of ``int_structure`` and divided once by ``denominator`` at the
-        end.  ``t`` maps ``(row, column)`` to the nonzero entries of ``T``;
-        ``T`` is a derivation exactly when the result is empty."""
+        ints of the structure constants and divided once by ``denominator``
+        at the end.  ``t`` maps ``(row, column)`` to the nonzero entries of
+        ``T``; ``T`` is a derivation exactly when the result is empty.
+
+        Only the constants ``c_ijk`` that meet an index ``t`` names are
+        walked: those whose ``k`` is a column of ``T`` (the rows ``k`` of
+        ``ad_forms``), and those whose ``i`` or ``j`` is a row of ``T``
+        (``int_structure[m]`` for a row ``m``, which lists ``c_imk`` and, by
+        antisymmetry, ``c_mik = -c_imk``)."""
         rows, cols = defaultdict(list), defaultdict(list)
         for (r, s), x in t.items():
             rows[r].append((s, x))
             cols[s].append((r, x))
         out = defaultdict(int)
-        for j, pairs in enumerate(self.int_structure):
-            for (i, k), c in pairs:
-                if i < j:  # T[e_i,e_j] takes c_ijk T e_k
-                    for r, x in cols[k]:
-                        out[i, j, r] += c * x
-                for a, x in rows[i]:  # [T e_a,e_j] takes T_ia c_ijk e_k
-                    if a < j:
-                        out[a, j, k] -= x * c
-                for b, x in rows[j]:  # [e_i,T e_b] takes T_jb c_ijk e_k
-                    if i < b:
-                        out[i, b, k] -= x * c
+        for k, entries in self.ad_forms:
+            if k in cols:
+                for j, form in entries:
+                    for i, c in form:
+                        if i < j:  # T[e_i,e_j] takes c_ijk T e_k
+                            for r, x in cols[k]:
+                                out[i, j, r] += c * x
+        for m, row in rows.items():
+            for (i, k), c in self.int_structure[m]:
+                for a, x in row:
+                    if i < a:  # [e_i,T e_a] takes T_ma c_imk e_k
+                        out[i, a, k] -= x * c
+                    elif a < i:  # [T e_a,e_i] takes T_ma c_mik e_k = -T_ma c_imk e_k
+                        out[a, i, k] += x * c
         return {key: Fraction(v, self.denominator) for key, v in out.items() if v}
 
     def ad_walk(self, v, den: int = 1) -> tuple:
@@ -155,9 +180,19 @@ class MetricLieAlgebra:
         ``den = 1`` over ``x`` scaled to ints by the lcm ``q`` of its
         denominators, so ``rows`` and ``norm`` are ``scale = L·q`` times
         those of ``ad_x``."""
-        ratios = [c.as_integer_ratio() for c in x]
-        q = lcm(*(d for _, d in ratios))
-        return (self.denominator * q, *self.ad_walk([a * (q // d) for a, d in ratios]))
+        q, v = _integer_point(x)
+        return (self.denominator * q, *self.ad_walk(v))
+
+    def ad_norm(self, x) -> tuple:
+        """``(scale, norm)`` of ``ad_exact`` without its rows: one pass over
+        ``ad_forms`` that sums each entry's absolute value into its
+        column."""
+        q, v = _integer_point(x)
+        norms = [0] * self.dim
+        for _, entries in self.ad_forms:
+            for j, form in entries:
+                norms[j] += abs(sum([c * v[i] for i, c in form]))
+        return self.denominator * q, max(norms, default=0)
 
     def ad(self, x) -> Endomorphism:
         """Adjoint map ``ad_x`` as a dense matrix, from ``ad_exact``."""

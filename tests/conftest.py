@@ -3,13 +3,15 @@ import math
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 from mpmath import mp
 
 from killingtensors import (AlmostAbelianAlgebra, Endomorphism, MetricLieAlgebra, SymTensor,
-                            basis_monomials, omega_generator)
+                            apply_derivation, basis_monomials, omega_generator)
 from killingtensors.exactlinalg import basis_vec
-from killingtensors.killingfields import SeriesCapError
+from killingtensors.killingfields import (Certificate, LeftInvariant, Metric, RightInvariant,
+                                          SeriesCapError)
 
 SERIES_TERM_CAP = 5000
 
@@ -140,13 +142,51 @@ def omega_tensor_oracle(alg, cert, w, order=None, prec=None):
 
 
 def listed_layers(lay, e):
-    """Every layer of a ``LayeredDecomposition`` by index, zero ones
-    included: the even ones (``e = 0``, degree p-2i) or the odd ones (``e =
-    1``, degree p-2i-1, None where that is negative)."""
+    """Every layer of a ``LayeredDecomposition`` by index as a ``SymTensor``,
+    its ints divided by the scale, zero ones included: the even ones (``e =
+    0``, degree p-2i) or the odd ones (``e = 1``, degree p-2i-1, None where
+    that is negative)."""
     p = lay.degree
     return tuple(None if p - 2 * i - e < 0
-                 else lay.nonzero.get((e, i), SymTensor.zero(lay.dim, p - 2 * i - e))
+                 else SymTensor(lay.dim, p - 2 * i - e, {
+                     m: Fraction(v, lay.scale) for m, v in lay.nonzero.get((e, i), {}).items()})
                  for i in range(p // 2 + 1))
+
+
+def decompose_oracle(alg, k):
+    """``(certificate, failures)`` of ``decompose`` by the ``Fraction``
+    route it replaced: the layers of ``k`` in ``SymTensor`` arithmetic, a
+    component ``b^m c`` (``m = 2j + e``) adding ``C(j, i) (-L_h)^(j-i) c`` to
+    layer ``(e, i)``; the Killing test of each layer by ``apply_derivation``
+    of the dense ``ad_b``; coefficients ``c 2^i`` as ``Fraction`` products,
+    and fresh generator objects.  The certificate is None where ``k`` is not
+    Killing, the failures empty where it is."""
+    n = alg.dim
+    minus_lh = -alg.ideal_twice_metric
+    layers = {}
+    for mono, c in k.terms.items():
+        m = mono.count(0)
+        j, e = divmod(m, 2)
+        part = SymTensor.monomial(n, mono[m:], c)
+        for i in range(j + 1):
+            term = minus_lh ** (j - i) * part * comb(j, i)
+            layers[e, i] = layers[e, i] + term if (e, i) in layers else term
+    layers = {key: t for key, t in layers.items() if t}
+    skew, ad_b = alg.derivation.is_skew(), alg.derivation_full
+    failures = [f"{('even', 'odd')[e]} layer {i} not annihilated by the derivation"
+                for (e, i), t in sorted(layers.items())
+                if (skew or not e) and apply_derivation(ad_b, t)]
+    if not skew and any(e for e, _ in layers):
+        failures.append("odd part nonzero, derivation not skew")
+    if failures:
+        return None, failures
+    terms = []
+    for (e, i), t in sorted(layers.items()):
+        head = (Metric(),) * i + (LeftInvariant(basis_vec(n, 0)),) * e
+        for mono in sorted(t.terms):
+            fields = tuple(RightInvariant(basis_vec(n, a)) for a in mono)
+            terms.append((t.terms[mono] * Fraction(2) ** i, head + fields))
+    return Certificate(k, tuple(terms)), []
 
 
 def horner_oracle(nodes, values, coeffs, shift, at=0):
@@ -236,6 +276,27 @@ def point_oracle(lie, v, floor=True):
                 product = lie.structure[i][j][k] * v[i]
                 rows[k][j] += math.floor(product) if floor else product
     return rows, max(sum(abs(row[j]) for row in rows) for j in range(n))
+
+
+_LOG10_E = math.log10(math.e)
+
+
+def series_bounds_oracle(lie, w):
+    """``ln ||ad_w||_1`` (``-inf`` at 0) and the log10 gain bound of a series
+    at a sample point, by the ``Fraction`` route: the exact norm from the
+    dense oracle as a ``Fraction``, its log from its numerator and
+    denominator, and the gain ``norm * log10(e)`` below the term cap,
+    ``log10(dim + 1) + dim * log10(norm)`` from it on."""
+    norm = point_oracle(lie, tuple(map(Fraction, w)), floor=False)[1]
+    if not norm:
+        return -math.inf, 0.0
+    norm = Fraction(norm)
+    n, d = norm.numerator, norm.denominator
+    if norm < SERIES_TERM_CAP:
+        gain = norm * _LOG10_E
+    else:
+        gain = math.log10(lie.dim + 1) + lie.dim * (math.log10(n) - math.log10(d))
+    return math.log(n) - math.log(d), gain
 
 
 def fixed_series_oracle(rows, norm, x, s, shift, order=None, min_order=0):

@@ -1,12 +1,16 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from killingtensors import (
+    MAX_DIMENSION,
     MAX_STRUCTURED_MONOMIALS,
     AlmostAbelianAlgebra,
+    DimensionCapError,
     Endomorphism,
     StructuredCapError,
     MetricLieAlgebra,
@@ -23,6 +27,11 @@ from conftest import (_structure_bracket, derivation_suite, listed_layers, rando
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
 DIAG = Endomorphism.diagonal([1, -1])
+# square matrices of sizes 0 to 4, mostly zero, with 30-digit numerators
+_MATRICES = st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([0, 0, 1, -2]) | st.builds(
+        Fraction, st.integers(-10 ** 30, 10 ** 30), st.sampled_from([1, 2, 3, 7])),
+        min_size=n, max_size=n), min_size=n, max_size=n).map(Endomorphism.from_rows))
 
 
 class TestBuild:
@@ -48,6 +57,29 @@ class TestBuild:
     def test_matrix_rows_accepted(self):
         alg = AlmostAbelianAlgebra([[0, 1], [0, 0]])
         assert alg.derivation.entries[0][1] == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.sampled_from(derivation_suite()), _MATRICES))
+    def test_built_as_from_all_structure_constants(self, d):
+        # built from the nonzero entries of D, unvalidated, as MetricLieAlgebra
+        # builds it from every constant c_0jk = D_kj = -c_j0k
+        alg = AlmostAbelianAlgebra(d)
+        c = {}
+        for k, row in enumerate(d.entries, 1):
+            for j, x in enumerate(row, 1):
+                c[0, j, k], c[j, 0, k] = x, -x
+        lie = MetricLieAlgebra(d.dim + 1, c)
+        assert (alg.dim, alg.denominator, alg.int_structure, alg.ad_forms) == (
+            lie.dim, lie.denominator, lie.int_structure, lie.ad_forms)
+        assert alg.int_ad_b == tuple(tuple(((k,), x) for (i, k), x in pairs if i == 0)
+                                     for pairs in lie.int_structure)
+
+    def test_past_the_dimension_bound_raises_before_the_entries_are_read(self):
+        row = (0,) * (MAX_DIMENSION + 1)
+        start = time.perf_counter()
+        with pytest.raises(DimensionCapError, match=f"^dimension {MAX_DIMENSION + 2} exceeds"):
+            AlmostAbelianAlgebra(Endomorphism((row,) * len(row)))
+        assert time.perf_counter() - start < 0.5
 
 
 class TestDOnIdeal:

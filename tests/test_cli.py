@@ -205,6 +205,25 @@ class TestFileFormats:
         doc = ff.certificate_to_dict(cert)
         assert ff.certificate_from_dict(doc, 3) == cert
 
+    def test_each_distinct_generator_document_is_read_once(self):
+        right = {"kind": "right", "vector": ["0", "1", "0"]}
+        cert = ff.certificate_from_dict({"target": {"degree": 2, "terms": []}, "terms": [
+            {"coeff": "1", "factors": [right, dict(right)]},
+            {"coeff": "2", "factors": [{"kind": "metric"}]},
+            {"coeff": "3", "factors": [{"kind": "metric"}]}]}, 3)
+        (_, (a, b)), (_, (m,)), (_, (n,)) = cert.terms
+        assert a is b and m is n
+
+    @pytest.mark.parametrize("other", [[True, 0, 0], [1.0, 0, 0]], ids=["bool", "float"])
+    def test_a_generator_document_is_matched_with_its_types(self, other):
+        # [1, 0, 0] is read, and a later factor equal to it in Python but not
+        # in JSON is still refused
+        doc = {"target": {"degree": 2, "terms": []}, "terms": [{"coeff": "1", "factors": [
+            {"kind": "right", "vector": [1, 0, 0]}, {"kind": "right", "vector": other}]}]}
+        with pytest.raises(ff.ParseError) as exc:
+            ff.certificate_from_dict(doc, 3)
+        assert str(exc.value).startswith("certificate.terms[0].factors[1].vector[0]: ")
+
 
 class TestKillingBasisCommand:
     def test_both_methods_agree(self, tmp_path, capsys):
@@ -455,12 +474,18 @@ class TestVerifyCommand:
     NOT_A_DERIVATION = {"kind": "deriv", "b_image": ["1", "0"],
                         "ideal_block": [["0", "0"], ["0", "0"]]}
     E0 = {"degree": 1, "terms": [{"monomial": [0], "coeff": "1"}]}
+    # on the abelian algebra of dimension 2 every matrix is a derivation:
+    # only the skewness check refuses this one
+    ZERO1 = {"n": 1, "D": [["0"]]}
+    NOT_SKEW = {"kind": "deriv", "b_image": ["0"], "ideal_block": [["1"]]}
 
     @pytest.mark.parametrize("algebra, target, factors, fault", [
         (DIAG12, None, [LEFT1, LEFT1], "ad is not skew"),
         (HEISENBERG, E0, [{"kind": "left", "vector": ["1", "0", "0"]}], "ad is not skew"),
         (DIAG12, {"degree": 1, "terms": []}, [NOT_A_DERIVATION], "not a derivation"),
-    ], ids=["left-e1-squared-diag12", "left-e0-heisenberg", "skew-non-derivation"])
+        (ZERO1, {"degree": 1, "terms": []}, [NOT_SKEW], "derivation matrix is not skew"),
+    ], ids=["left-e1-squared-diag12", "left-e0-heisenberg", "skew-non-derivation",
+            "derivation-not-skew"])
     def test_non_killing_generator_exits_2(self, tmp_path, capsys, algebra, target, factors,
                                            fault):
         target = target or {"degree": 2, "terms": [{"monomial": [1, 1], "coeff": "1"}]}
@@ -1501,6 +1526,20 @@ class TestRecordedReports:
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert out == (root / f"tests/data/{name}.out").read_text()
+
+
+    def test_decompose_report(self, tmp_path, monkeypatch, capsys):
+        # a degree-4 Killing tensor with 35 distinct denominators, its layers
+        # and its 126 certificate terms: recorded when decompose worked in
+        # Fraction arithmetic
+        data = Path(__file__).parent / "data"
+        for name in ("aa6.json", "aa6.k4.json"):
+            (tmp_path / name).write_bytes((data / name).read_bytes())
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, ["decompose", "--algebra", "aa6.json",
+                                    "--tensor", "aa6.k4.json"])
+        assert code == 0
+        assert out == (data / "aa6.decompose4.out").read_text()
 
 
 class TestReportDigest:

@@ -245,6 +245,12 @@ def _call(files, argv):
            "--samples", "200"]))
 @example(({"algebra": {"n": 1, "D": [["100"]]}, "certificate": _chain(2, 61, ["1", "1"])},
           ["verify", "--algebra", "{algebra}", "--certificate", "{certificate}"]))
+# a deriv factor whose block is not skew, on an algebra where every matrix is
+# a derivation: only the skewness check of the generator refuses it
+@example(({"algebra": {"n": 1, "D": [["0"]]}, "certificate": {
+    "target": {"degree": 1, "terms": []}, "terms": [{"coeff": "1", "factors": [
+        {"kind": "deriv", "b_image": ["0"], "ideal_block": [["1"]]}]}]}},
+          ["verify", "--algebra", "{algebra}", "--certificate", "{certificate}"]))
 # a file that is not UTF-8, which ended in a UnicodeDecodeError traceback
 @example(({"algebra": b'{"n": 1, "D": [["1\xff"]]}'}, ["derivations", "--algebra", "{algebra}"]))
 def test_every_call_exits_with_one_json_line(call):

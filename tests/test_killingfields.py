@@ -44,6 +44,7 @@ from killingtensors import (
     SampledWorkCapError,
     SkewDerivation,
     SymTensor,
+    basis_fields,
     decompose,
     flat_metric_certificate,
     generator_degree,
@@ -56,10 +57,10 @@ from killingtensors import (
     sym_dimension,
     verify_certificate,
 )
-from conftest import (DERIVATION_KINDS, dense_rows, derivation_suite, dot, fixed_series_oracle,
-                      horner_oracle, omega_derivation, omega_series_oracle, omega_tensor_oracle,
-                      point_oracle, random_derivation, random_vector,
-                      skew_derivation_basis_oracle, wide_algebras)
+from conftest import (DERIVATION_KINDS, decompose_oracle, dense_rows, derivation_suite, dot,
+                      fixed_series_oracle, horner_oracle, omega_derivation, omega_series_oracle,
+                      omega_tensor_oracle, point_oracle, random_derivation, random_vector,
+                      series_bounds_oracle, skew_derivation_basis_oracle, wide_algebras)
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
 DIAG = Endomorphism.diagonal([1, -1])
@@ -120,6 +121,17 @@ class TestSkewDerivations:
         bad = DerivationField(SkewDerivation((Fraction(0), Fraction(0)), J2))
         cert = Certificate(SymTensor.zero(3, 1), ((Fraction(1), (bad,)),))
         with pytest.raises(GeneratorError, match="not a derivation of the algebra"):
+            verify_certificate(alg, cert)
+
+    def test_a_derivation_that_is_not_skew_is_rejected(self):
+        # on the abelian algebra of dimension 2 every matrix is a derivation,
+        # so only the skewness check refuses the block [[1]]
+        alg = AlmostAbelianAlgebra(Endomorphism.zero(1))
+        bad = DerivationField(SkewDerivation((Fraction(0),), Endomorphism.from_rows([[1]])))
+        assert alg.derivation_residual(bad.derivation.full_matrix().sparse()) == {}
+        cert = Certificate(SymTensor.zero(2, 1), ((Fraction(1), (bad,)),))
+        where = r"^certificate\.terms\[0\]\.factors\[0\]: "
+        with pytest.raises(GeneratorError, match=where + "derivation matrix is not skew$"):
             verify_certificate(alg, cert)
 
     def test_split_of_a_skew_matrix_round_trips(self):
@@ -398,6 +410,49 @@ class TestDecompose:
                 cert = decompose(alg, k)
                 zero = (Fraction(0),) * alg.dim
                 assert omega_tensor(alg, cert, zero, order=0) == k
+
+
+_DECOMPOSE_ALGEBRAS = ([AlmostAbelianAlgebra(d) for d in derivation_suite(per_kind=2)]
+                       + [AlmostAbelianAlgebra(J2), wide_algebras()[1]])
+_COEFFICIENTS = st.builds(Fraction, st.integers(-10 ** 25, 10 ** 25),
+                          st.sampled_from([1, 2, 3, 7, 10 ** 20 + 1]))
+
+
+class TestDecomposeOnInts:
+    """``decompose`` on ints against ``decompose_oracle``, the ``Fraction``
+    route: the same certificate, term for term, each coefficient a
+    ``Fraction``, or the same failures; and one generator object per basis
+    field of the algebra."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(range(len(_DECOMPOSE_ALGEBRAS))), st.integers(0, 4), st.data())
+    def test_matches_the_fraction_route(self, which, p, data):
+        alg = _DECOMPOSE_ALGEBRAS[which]
+        k = SymTensor.zero(alg.dim, p)
+        for t in alg.killing_space_structured(p).basis:
+            k = k + t.scale(data.draw(_COEFFICIENTS))
+        if data.draw(st.booleans()):  # a term on one more monomial, Killing or not
+            mono = data.draw(st.sampled_from(basis_monomials(alg.dim, p)))
+            k = k + SymTensor.monomial(alg.dim, mono, data.draw(_COEFFICIENTS))
+        want, failures = decompose_oracle(alg, k)
+        if want is None:
+            with pytest.raises(NotKillingError) as err:
+                decompose(alg, k)
+            assert list(err.value.diagnosis.failures) == failures
+        else:
+            got = decompose(alg, k)
+            assert got == want
+            assert all(type(c) is Fraction for c, _ in got.terms)
+
+    def test_certificates_on_one_algebra_share_generator_objects(self):
+        alg = AlmostAbelianAlgebra(J2)
+        fields = basis_fields(alg)
+        assert basis_fields(alg) is fields
+        certs = [decompose(alg, k) for p in range(5) for k in alg.killing_space_structured(p).basis]
+        certs.append(flat_metric_certificate(alg))
+        used = {id(g) for cert in certs for _, factors in cert.terms for g in factors}
+        assert used == {id(fields.metric), id(fields.left[0]), id(fields.right[1]),
+                        id(fields.right[2])}
 
 
 class TestVerifyCertificate:
@@ -891,9 +946,7 @@ class TestStructureConstantsPastTheFloatRange:
     def test_point_norm_is_exact(self):
         for alg in (self.ALG, AlmostAbelianAlgebra(DIAG), SO3):
             for w in sample_points(3, 5, 1):
-                norm = point_oracle(alg, tuple(map(Fraction, w)), floor=False)[1]
-                log_norm = math.log(norm.numerator) - math.log(norm.denominator)
-                assert kf._series_bounds(alg, w) == (log_norm, kf._series_log10_gain(norm, 3))
+                assert kf._series_bounds(alg, w) == series_bounds_oracle(alg, w)
         assert kf._series_bounds(MetricLieAlgebra(3, {}), (1.5, 0.0, -2.0)) == (-math.inf, 0)
 
     def test_cap_message(self):
@@ -1061,7 +1114,7 @@ class TestHornerLanes:
         ws = sample_points(alg.dim, lanes, seed)
         # the origin in one lane, where a derivation field is 0 and others not
         ws[seed % lanes] = (0.0,) * alg.dim
-        points = [kf._point(alg, kf._scaled(w, shift), shift) for w in ws]
+        points = kf._points(alg, [kf._scaled(w, shift) for w in ws], shift)
         columns = [kf._generator_values(alg, g, shift, points, None, 0)
                    for g in compiled.generators]
         coeffs = kf._scaled(compiled.coefficients, shift)
@@ -1158,7 +1211,7 @@ _WALK_RATIONALS = st.tuples(*[st.builds(Fraction, st.integers(-40, 40),
 
 
 class TestPointWalk:
-    """``_point`` and ``_series_bounds`` walk ``ad_forms``; ``point_oracle``
+    """``_points`` and ``_series_bounds`` walk ``ad_forms``; ``point_oracle``
     reads the dense structure array and floors each product on its own."""
 
     @settings(max_examples=200, deadline=None)
@@ -1176,7 +1229,7 @@ class TestPointWalk:
         # the entries of an omega_tensor point carry the full working precision
         wv = tuple(kf._fixed_entry(Fraction(c) / 3, prec, shift) if kind == "fixed"
                    else kf._to_fixed(c, shift) for c in w)
-        point = kf._point(alg, wv, shift)
+        point, = kf._points(alg, [wv], shift)
         rows, norm = point_oracle(alg, wv)
         assert point.w == wv
         assert point.rows == tuple((r, tuple(j for j, a in enumerate(row) if a),
@@ -1184,12 +1237,24 @@ class TestPointWalk:
                                    for r, row in enumerate(rows) if any(row))
         assert point.norm == norm
         if kind != "fixed":  # sample points are floats
-            exact = point_oracle(alg, tuple(map(Fraction, w)), floor=False)[1]
-            want = (-math.inf, 0.0) if not exact else (
-                math.log(exact.numerator) - math.log(exact.denominator),
-                kf._series_log10_gain(exact, alg.dim))
+            want = series_bounds_oracle(alg, w)
             got = kf._series_bounds(alg, w)
             assert [float.hex(x) for x in got] == [float.hex(x) for x in want]
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(Fraction, st.integers(1, 40000), st.sampled_from([1, 2, 3, 7])),
+           _WALK_FLOATS)
+    # at w = 2 b the norm is 2 (c + 1): exactly the cap, and a quarter past it
+    @example(Fraction(2499), (2.0, 0.0, 0.0, 0.0))
+    @example(Fraction(19993, 8), (2.0, 0.0, 0.0, 0.0))
+    def test_bounds_across_the_term_cap(self, c, floats):
+        # ||ad_w||_1 near |c w_0| runs from 0 to 160000, across _MAX_TERMS,
+        # where the gain changes form
+        alg = AlmostAbelianAlgebra(Endomorphism.from_rows([[c, 0], [1, -c]]))
+        w = floats[:alg.dim]
+        got, want = kf._series_bounds(alg, w), series_bounds_oracle(alg, w)
+        assert [float.hex(x) for x in got] == [float.hex(x) for x in want]
 
 
 def _mpf_to_fixed(x, shift):
@@ -1356,14 +1421,14 @@ class TestSampledValueMemo:
         r1, r2 = RightInvariant(basis_vec(3, 1)), RightInvariant(basis_vec(3, 2))
         cert = Certificate(SymTensor.build(3, 2, [((1, 1), 1), ((2, 2), 1)]),
                            ((Fraction(1), (r1, r1)), (Fraction(1), (r2, r2))))
-        real = kf._point
+        real = kf._points
         calls = []
 
-        def counting(alg, w, shift):
-            calls.append(w)
-            return real(alg, w, shift)
+        def counting(alg, ws, shift):
+            calls.extend(ws)
+            return real(alg, ws, shift)
 
-        monkeypatch.setattr(kf, "_point", counting)
+        monkeypatch.setattr(kf, "_points", counting)
         kf._MEMO.clear()
         for samples in (1, 20, 100):
             calls.clear()
@@ -1372,6 +1437,29 @@ class TestSampledValueMemo:
             calls.clear()
             assert verify_certificate(alg, cert, samples=samples).passed
             assert calls == []
+
+    def test_a_block_looks_up_its_kernel_once(self, monkeypatch):
+        # the points of a block share one sparsity pattern of ad_w, so one
+        # lookup serves all of them; a point of another pattern (the origin,
+        # where ad_w is 0) looks up its own and hands the next point back
+        alg = AlmostAbelianAlgebra(J2)
+        shift = kf._fixed_shift(alg.dim, 100)
+        real = kf._MEMO.kernels.get
+        looked_up = []
+
+        def counting(key, make):
+            looked_up.append(key)
+            return real(key, make)
+
+        monkeypatch.setattr(kf._MEMO.kernels, "get", counting)
+        ws = sample_points(alg.dim, kf._BLOCK, 3)
+        points = kf._points(alg, [kf._scaled(w, shift) for w in ws], shift)
+        assert len(looked_up) == 1 and all(p.kernel is points[0].kernel for p in points)
+        looked_up.clear()
+        ws[5] = (0.0,) * alg.dim
+        points = kf._points(alg, [kf._scaled(w, shift) for w in ws], shift)
+        assert [len(shape) for _, shape in looked_up] == [2, 0, 2]
+        assert points[5].kernel is not points[4].kernel is points[6].kernel
 
     def test_memo_stays_bounded_at_max_samples(self):
         # on the abelian algebra every series stops after one term, so a
@@ -1542,10 +1630,10 @@ def _phi(alg, t, w, order=None, min_order=0, prec=None):
     kernel, exact or at ``prec`` bits as ``omega_tensor`` sums it; a
     ``DerivationField`` reaches it only with a skew ``T``."""
     if prec is None:
-        shift, point = None, kf._point(alg, tuple(map(Fraction, w)), None)
+        shift, (point,) = None, kf._points(alg, [tuple(map(Fraction, w))], None)
     else:
         shift = kf._fixed_shift(alg.dim, prec)
-        point = kf._point(alg, [kf._fixed_entry(c, prec, shift) for c in w], shift)
+        point, = kf._points(alg, [[kf._fixed_entry(c, prec, shift) for c in w]], shift)
     tw = [sum(kf._rational_times(c, v, shift) for c, v in zip(row, point.w)) for row in t.entries]
     if shift is None:
         return tuple(kf._exact_series(point, tw, 1, order))
@@ -1586,12 +1674,12 @@ def _same_series(point, x, s, order, min_order, rows, norm):
 
 
 def _same_fixed_series(alg, w, x, s, order, min_order):
-    """``_same_series`` at ``w`` prepared by ``_point``, the oracle on the
+    """``_same_series`` at ``w`` prepared by ``_points``, the oracle on the
     dense rows of ``point_oracle``."""
     shift = kf._fixed_shift(alg.dim, mp.prec)
     wv, xv = kf._scaled(w, shift), kf._scaled(x, shift)
     rows, norm = point_oracle(alg, wv)
-    return _same_series(kf._point(alg, wv, shift), xv, s, order, min_order, dense_rows(rows),
+    return _same_series(kf._points(alg, [wv], shift)[0], xv, s, order, min_order, dense_rows(rows),
                         norm)
 
 
@@ -1652,7 +1740,7 @@ class TestSeriesKernel:
         alg = AlmostAbelianAlgebra(Endomorphism.zero(2))
         x = (Fraction(1, 3), Fraction(-2), Fraction(5, 7))
         with mp.workdps(15):
-            assert kf._point(alg, kf._scaled((1.5, -0.25, 2.0), 60), 60).rows == ()
+            assert kf._points(alg, [kf._scaled((1.5, -0.25, 2.0), 60)], 60)[0].rows == ()
             for s in (0, 1):
                 for min_order in (0, MAX_TERMS):
                     got = _same_fixed_series(alg, (1.5, -0.25, 2.0), x, s, order, min_order)
@@ -1678,7 +1766,8 @@ class TestSeriesKernel:
         with mp.workdps(15):
             for w in sample_points(AA16.dim, 2, 16):
                 shift = kf._fixed_shift(AA16.dim, mp.prec)
-                lengths = [len(c) for _, c, _ in kf._point(AA16, kf._scaled(w, shift), shift).rows]
+                point, = kf._points(AA16, [kf._scaled(w, shift)], shift)
+                lengths = [len(c) for _, c, _ in point.rows]
                 assert len(lengths) == 15 and max(lengths) == 16 and sum(lengths) == 200
                 for s in (0, 1):
                     _same_fixed_series(AA16, w, x, s, order, 0)
@@ -1736,8 +1825,8 @@ class TestSeriesKernel:
         got = []
 
         def run():
-            got.append(kf._fixed_series(kf._point(alg, kf._scaled(w, shift), shift), xv, 1, None,
-                                        0))
+            point, = kf._points(alg, [kf._scaled(w, shift)], shift)
+            got.append(kf._fixed_series(point, xv, 1, None, 0))
 
         threads = [threading.Thread(target=run) for _ in range(8)]
         interval = sys.getswitchinterval()

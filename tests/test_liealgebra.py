@@ -244,6 +244,10 @@ class TestAdjoint:
                     _structure_bracket(alg.structure, basis_vec(alg.dim, i), y)
 
 
+_RESIDUAL_ALGEBRAS = ([AlmostAbelianAlgebra(d) for d in derivation_suite(per_kind=2)]
+                      + [so3(), heisenberg3(), MetricLieAlgebra(4, {})] + wide_algebras())
+
+
 class TestIntStructureAgainstDenseOracle:
     """``ad`` and ``derivation_residual`` sum over ``int_structure`` and
     divide once by ``denominator``; the dense oracles read ``structure``."""
@@ -269,6 +273,19 @@ class TestIntStructureAgainstDenseOracle:
             for m in (alg.ad(basis_vec(alg.dim, 0)), random_derivation(rng, alg.dim, "skew"),
                       random_derivation(rng, alg.dim, "generic")):
                 assert alg.derivation_residual(m.sparse()) == derivation_residual_oracle(alg, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_derivation_residual_of_a_sparse_matrix(self, data):
+        # T names a few rows and columns: only the constants that meet them
+        # are walked, and the residual is the dense oracle's
+        alg = _RESIDUAL_ALGEBRAS[data.draw(st.sampled_from(range(len(_RESIDUAL_ALGEBRAS))))]
+        index = st.integers(0, alg.dim - 1)
+        entries = data.draw(st.dictionaries(st.tuples(index, index), st.builds(
+            Fraction, st.integers(-5, 5).filter(bool), st.sampled_from([1, 2, 3])), max_size=3))
+        m = Endomorphism(tuple(tuple(entries.get((r, c), Fraction(0)) for c in range(alg.dim))
+                               for r in range(alg.dim)))
+        assert alg.derivation_residual(entries) == derivation_residual_oracle(alg, m)
 
 
 class TestConnection:
