@@ -266,11 +266,21 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
+def _document_key(doc):
+    """A key of a JSON document that keeps the types of its values
+    (``[true]`` is not ``[1]``, nor ``1.0`` ``1``): its ``repr``, or None
+    for an int past the int-string conversion limit, which the JSON reader
+    never makes and only a caller in Python can pass."""
+    try:
+        return repr(doc)
+    except ValueError:
+        return None
+
+
 def certificate_from_dict(doc, dim, where="certificate") -> Certificate:
     """A certificate document read into one object per distinct generator
-    document: each is parsed once, at its first factor, keyed by the
-    ``repr`` of its JSON values, which keeps their types (``[true]`` is not
-    ``[1]``, nor ``1.0`` ``1``)."""
+    document: each is parsed once, at its first factor, keyed by
+    ``_document_key``."""
     _object(doc, where)
     target = tensor_from_dict(doc.get("target"), dim, f"{where}.target")
     terms = []
@@ -280,9 +290,11 @@ def certificate_from_dict(doc, dim, where="certificate") -> Certificate:
         coeff = parse_rational(_object(item, w).get("coeff"), f"{w}.coeff")
         factors = []
         for s, f in enumerate(_list(item.get("factors", []), f"{w}.factors")):
-            gen = parsed.get(key := repr(f))
+            gen = parsed.get(key := _document_key(f))
             if gen is None:
-                gen = parsed[key] = _generator_from_dict(f, dim, f"{w}.factors[{s}]")
+                gen = _generator_from_dict(f, dim, f"{w}.factors[{s}]")
+                if key is not None:
+                    parsed[key] = gen
             factors.append(gen)
         factors = tuple(factors)
         degree = sum(generator_degree(g) for g in factors)

@@ -10,7 +10,8 @@ operator and both exact solvers read them (the solvers through
 if at all.  The same integers, grouped by entry of ``ad_w``
 (``ad_forms``), give ``ad_w`` in one integer pass per point, ``ad_walk``:
 exactly at a point scaled to ints (``ad_exact``, which serves ``ad`` and the
-exact pullback), and in the fixed point of the sampled pullback."""
+exact pullback), and in the fixed point of the sampled pullback; ``ad_norm``
+walks them for the 1-norm alone, which sizes the sampled check."""
 from __future__ import annotations
 
 from collections import defaultdict

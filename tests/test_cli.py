@@ -214,6 +214,14 @@ class TestFileFormats:
         (_, (a, b)), (_, (m,)), (_, (n,)) = cert.terms
         assert a is b and m is n
 
+    def test_an_int_past_the_string_conversion_limit_is_read(self):
+        # only a caller in Python can pass one; it has no repr to key it by
+        right = {"kind": "right", "vector": [10 ** 5000, 0, 0]}
+        cert = ff.certificate_from_dict({"target": {"degree": 2, "terms": []}, "terms": [
+            {"coeff": "1", "factors": [right, right]}]}, 3)
+        (_, (a, b)), = cert.terms
+        assert a == b and a.vector[0] == 10 ** 5000
+
     @pytest.mark.parametrize("other", [[True, 0, 0], [1.0, 0, 0]], ids=["bool", "float"])
     def test_a_generator_document_is_matched_with_its_types(self, other):
         # [1, 0, 0] is read, and a later factor equal to it in Python but not
