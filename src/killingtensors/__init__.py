@@ -25,7 +25,7 @@ from .limits import (LimitError, DimensionCapError, MAX_DIMENSION, SolverCapErro
                      MAX_SAMPLE_COORDINATES, SampledLevelCapError, MAX_SAMPLED_LEVEL_INDICES,
                      PrecisionCapError, MAX_WORKING_DIGITS, SampledWorkCapError,
                      MAX_SAMPLED_FACTOR_DIGITS, SeriesCapError)
-from .liealgebra import MetricLieAlgebra, KillingSpace
+from .liealgebra import MetricLieAlgebra, KillingSpace, skew_derivation_basis
 from .almostabelian import AlmostAbelianAlgebra, LayeredDecomposition, KillingDiagnosis
 from .killingfields import (
     Metric,
@@ -41,7 +41,6 @@ from .killingfields import (
     NotKillingError,
     GeneratorError,
     generator_degree,
-    skew_derivation_basis,
     skew_derivations,
     omega_generator,
     omega_tensor,

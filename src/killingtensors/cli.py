@@ -36,11 +36,11 @@ from .killingfields import (
     SkewDerivation,
     basis_fields,
     omega_generator,
-    skew_derivation_basis,
     skew_derivations,
     decompose,
     verify_certificate,
 )
+from .liealgebra import skew_derivation_basis
 from .limits import LimitError
 
 EXIT_OK = 0

@@ -45,12 +45,12 @@ from operator import add, mul, rshift, sub
 from typing import NamedTuple
 
 from .almostabelian import AlmostAbelianAlgebra
-from .exactlinalg import basis_vec, nullspace
-from .liealgebra import MetricLieAlgebra
-from .limits import (_MAX_TERMS, DERIVATION_DIM_CAP, MAX_EVALUATION_INDICES, MAX_LEVEL_INDICES,
+from .exactlinalg import basis_vec
+from .liealgebra import MetricLieAlgebra, skew_derivation_basis
+from .limits import (_MAX_TERMS, MAX_EVALUATION_INDICES, MAX_LEVEL_INDICES,
                      MAX_SAMPLE_COORDINATES, MAX_SAMPLED_FACTOR_DIGITS, MAX_SAMPLED_LEVEL_INDICES,
-                     MAX_SAMPLES, MAX_WORKING_DIGITS, DerivationCapError, EvaluationCapError,
-                     LevelCapError, PrecisionCapError, SampleCapError, SampleCoordinateCapError,
+                     MAX_SAMPLES, MAX_WORKING_DIGITS, EvaluationCapError, LevelCapError,
+                     PrecisionCapError, SampleCapError, SampleCoordinateCapError,
                      SampledLevelCapError, SampledWorkCapError, SeriesCapError)
 from .tensors import (SymTensor, Endomorphism, monomial_positions, product_positions,
                       sym_dimension)
@@ -164,6 +164,11 @@ class DerivationField:
     __hash__ = _hash_once
 
 
+# the generators whose pullback value is a series in ``ad_w``; the metric and
+# the left-invariant fields are constant
+_SERIES = (RightInvariant, DerivationField)
+
+
 class BasisFields(NamedTuple):
     """One generator object per basis field of an algebra: the metric, and
     the left- and right-invariant fields of each basis vector."""
@@ -174,12 +179,12 @@ class BasisFields(NamedTuple):
 
 
 def basis_fields(alg: MetricLieAlgebra) -> BasisFields:
-    """The algebra's ``BasisFields``, built on first use and kept by it, as
-    its ``nabla_basis`` is.  Certificates built on one algebra then share
-    their generator objects: each hashes its vector once, and the trie, the
-    working-digit bounds and the sampled-value memo meet it as one object,
-    which compares by identity."""
-    fields = alg._basis_fields
+    """The algebra's ``BasisFields``, built on first use and kept on it, as
+    a generator's hash is (``_hash_once``).  Certificates built on one
+    algebra then share their generator objects: each hashes its vector once,
+    and the trie, the working-digit bounds and the sampled-value memo meet
+    it as one object, which compares by identity."""
+    fields = alg.__dict__.get("_basis_fields")
     if fields is None:
         vectors = [basis_vec(alg.dim, i) for i in range(alg.dim)]
         fields = alg._basis_fields = BasisFields(
@@ -558,18 +563,14 @@ def _check_evaluation_size(dim: int, degree: int):
         raise EvaluationCapError(dim, degree, indices)
 
 
-def _check_level_size(dim: int, degree: int):
-    """``LevelCapError`` for a nonzero tensor of ``degree`` on ``dim``
-    dimensions whose certificate's trie levels must pass
-    ``MAX_LEVEL_INDICES``, before its Killing test.  Every term descends
-    from ``degree`` in steps of 1 or 2 (a field or the metric) to 1 or 2, so
-    its levels hold at least the indices of the cheapest such chain,
-    ``degree, degree - 2, ...`` down to 1 or 2: that chain is what is
-    counted and reported."""
-    levels = range(degree, 0, -2)
+def _check_level_size(dim: int, degree: int, levels) -> int:
+    """The indices ``sum r C(dim+r-1, r)`` that the trie ``levels`` (the
+    degrees left below a node with edges) of a certificate of ``degree``
+    hold, or ``LevelCapError`` past ``MAX_LEVEL_INDICES``."""
     indices = sum(r * sym_dimension(dim, r) for r in levels)
     if indices > MAX_LEVEL_INDICES:
         raise LevelCapError(dim, degree, len(levels), indices)
+    return indices
 
 
 class CompiledCertificate:
@@ -633,10 +634,9 @@ class CompiledCertificate:
             else:
                 nodes[at] = len(coeffs)
                 coeffs.append(Fraction(coeff) if isinstance(coeff, int) else coeff)
-        levels = {node[0] for node in nodes if not isinstance(node, int) and node[1]}
-        if (indices := sum(r * sym_dimension(dim, r) for r in levels)) > MAX_LEVEL_INDICES:
-            raise LevelCapError(dim, degree, len(levels), indices)
-        self.dim, self.degree, self.level_indices = dim, degree, indices
+        self.level_indices = _check_level_size(dim, degree, {
+            node[0] for node in nodes if not isinstance(node, int) and node[1]})
+        self.dim, self.degree = dim, degree
         self.generators = tuple(order)
         self.coefficients = tuple(coeffs)
         self.nodes = [node if isinstance(node, int) else (sym_dimension(dim, node[0]), tuple(
@@ -714,7 +714,7 @@ def omega_tensor(alg: MetricLieAlgebra, cert: Certificate, w, order=None, min_or
         shift = _fixed_shift(alg.dim, prec)
         w = tuple(_fixed_entry(c, prec, shift) for c in w)
     # only a series reads the prepared point
-    series = any(isinstance(g, (RightInvariant, DerivationField)) for g in compiled.generators)
+    series = any(isinstance(g, _SERIES) for g in compiled.generators)
     points = _points(alg, (w,), shift) if series else (None,)
     values = [_generator_values(alg, gen, shift, points, order, min_order)[0]
               for gen in compiled.generators]
@@ -728,24 +728,9 @@ def omega_tensor(alg: MetricLieAlgebra, cert: Certificate, w, order=None, min_or
 # skew derivations
 # ---------------------------------------------------------------------------
 
-def skew_derivation_basis(lie: MetricLieAlgebra):
-    """Canonical basis of the skew-symmetric derivations of the algebra: the
-    kernel of ``derivation_residual`` over the wedge coordinates, with
-    ``(i, j)`` for ``i < j`` standing for ``E_ji - E_ij``.  Past
-    ``DERIVATION_DIM_CAP`` it raises ``DerivationCapError`` before solving."""
-    n = lie.dim
-    if n > DERIVATION_DIM_CAP:
-        raise DerivationCapError(n)
-    kernel = nullspace({(i, j): lie.derivation_residual({(j, i): 1, (i, j): -1})
-                        for i in range(n) for j in range(i + 1, n)})
-    # entry (r, s) of the sum of w_ij (E_ji - E_ij) is w_sr below the diagonal
-    return tuple(Endomorphism(tuple(
-        tuple(w.get((s, r), _ZERO) if s < r else -w.get((r, s), _ZERO) for s in range(n))
-        for r in range(n))) for w in kernel)
-
-
 def skew_derivations(alg: AlmostAbelianAlgebra):
-    """Skew derivations of an almost abelian algebra, as split pieces."""
+    """Skew derivations of an almost abelian algebra, as split pieces of the
+    matrices of ``liealgebra.skew_derivation_basis``."""
     return tuple(SkewDerivation.from_matrix(m) for m in skew_derivation_basis(alg))
 
 
@@ -775,7 +760,10 @@ def decompose(alg: AlmostAbelianAlgebra, k: SymTensor) -> Certificate:
     """
     _check_evaluation_size(k.dim, k.degree)
     if k.terms:
-        _check_level_size(k.dim, k.degree)
+        # every term descends from the degree in steps of 1 or 2 (a field or
+        # the metric) to 1 or 2, so its levels hold at least the indices of
+        # the cheapest such chain: that chain is what is counted and reported
+        _check_level_size(k.dim, k.degree, range(k.degree, 0, -2))
     diag = alg.is_killing_structured(k)
     if not diag.is_killing:
         raise NotKillingError("; ".join(diag.failures), diagnosis=diag)
@@ -805,13 +793,15 @@ class CertificateCheck:
     precision_digits: int
 
 
-def _order_for_bound(log_norm: float, eps: float) -> int:
-    """Smallest N with ``m^(N+1)/(N+1)! < eps`` for ``log_norm = ln m``, else
-    ``_MAX_TERMS``, at which ``_fixed_series`` passes only a series that
-    vanishes within ``dim`` terms."""
+def _order_for_bound(log_norm: float, tol: float) -> int:
+    """Smallest N with ``m^(N+1)/(N+1)! < tol/10`` for ``log_norm = ln m``,
+    else ``_MAX_TERMS``, at which ``_fixed_series`` passes only a series
+    that vanishes within ``dim`` terms."""
     if log_norm == -math.inf:
         return 1
-    log_eps = math.log(eps)
+    eps = tol / 10.0
+    # at tol <= 2.5e-323 the quotient underflows to 0: its log is the difference
+    log_eps = math.log(eps) if eps else math.log(tol) - math.log(10.0)
     for n in range(1, _MAX_TERMS):
         if (n + 1) * log_norm - math.lgamma(n + 2) < log_eps:
             return n
@@ -932,11 +922,6 @@ class _LRU:
                     self.size -= self.weigh(self.entries.popitem(last=False)[1])
         return value
 
-    def clear(self):
-        with self._lock:
-            self.entries.clear()
-            self.size = 0
-
 
 # Certificates verified on one algebra with the same samples share their
 # sample points and generator values.  The memo keeps, with algebras compared
@@ -984,10 +969,6 @@ class _SampleMemo:
         self.columns = _LRU(_MEMO_VALUES, len)
         self.kernels = _LRU(_MEMO_KERNELS, lambda kernel: kernel.nonzeros + 16)
 
-    def clear(self):
-        for table in (self.sets, self.columns, self.kernels):
-            table.clear()
-
     def bounds(self, alg: MetricLieAlgebra, samples: int, seed: int, points) -> tuple:
         """The largest ``_series_bounds`` over the sample set; ``points()``
         draws its points."""
@@ -1004,7 +985,7 @@ class _SampleMemo:
         generator, its dense value at each of them.  ``points()`` draws the
         points, and is called only on a miss."""
         constant = {g: _generator_values(alg, g, shift, (None,), None, min_order)[0]
-                    for g in generators if isinstance(g, (Metric, LeftInvariant))}
+                    for g in generators if not isinstance(g, _SERIES)}
         for start in range(0, samples, _BLOCK):
             n = min(samples - start, _BLOCK)
             block = (alg, samples, seed, start)
@@ -1133,10 +1114,10 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     log_norm, gain = _MEMO.bounds(alg, samples, seed, points)
     digits = _working_digits(cert, gain, dim, tol)
     factors = max((len(fs) for _, fs in cert.terms), default=0) + sum(
-        isinstance(g, (RightInvariant, DerivationField)) for g in compiled.generators)
+        isinstance(g, _SERIES) for g in compiled.generators)
     if samples * digits * factors > MAX_SAMPLED_FACTOR_DIGITS:
         raise SampledWorkCapError(samples, digits, factors)
-    min_order = max(order_floor, _order_for_bound(log_norm, tol / 10.0))
+    min_order = max(order_floor, _order_for_bound(log_norm, tol))
     shift = _fixed_shift(dim, _dps_to_prec(digits))
     target = _scaled(cert.target.dense(), shift)
     coeffs = _scaled(compiled.coefficients, shift)

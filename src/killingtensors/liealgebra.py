@@ -1,11 +1,13 @@
 """Metric Lie algebras: structure constants, the Levi-Civita connection, the
-algebraic Killing operator, and the brute-force Killing-space solver that
-serves as the oracle for all structured computations.
+algebraic Killing operator, the skew derivations, and the brute-force
+Killing-space solver that serves as the oracle for all structured
+computations.
 
 The nonzero structure constants are kept once, as integers over their
 common denominator (``int_structure``, ``denominator``); ``structure`` is
-a dense view of them.  Validation, ``derivation_residual``, the Killing
-operator and both exact solvers read them (the solvers through
+a dense view of them.  Validation, ``derivation_residual`` (whose kernel
+over the skew matrices is ``skew_derivation_basis``), the Killing operator
+and both exact solvers read them (the solvers through
 ``tensors.replace_factor``) and divide by the denominator once at the end,
 if at all.  The same integers, grouped by entry of ``ad_w``
 (``ad_forms``), give ``ad_w`` in one integer pass per point, ``ad_walk``:
@@ -21,8 +23,8 @@ from fractions import Fraction
 from math import lcm
 
 from .exactlinalg import basis_vec, frac, nullspace
-from .limits import (BRUTE_FORCE_MAX_DEGREE, BRUTE_FORCE_MAX_DIM, MAX_DIMENSION,
-                     DimensionCapError, SolverCapError)
+from .limits import (BRUTE_FORCE_MAX_DEGREE, BRUTE_FORCE_MAX_DIM, DERIVATION_DIM_CAP,
+                     MAX_DIMENSION, DerivationCapError, DimensionCapError, SolverCapError)
 from .tensors import (SymTensor, Endomorphism, apply_derivation, basis_monomials,
                       replace_factor)
 
@@ -89,10 +91,6 @@ class MetricLieAlgebra:
         self.int_structure = tuple(map(tuple, subs))
         self.ad_forms = tuple((k, tuple((j, tuple(forms[k][j])) for j in sorted(forms[k])))
                               for k in sorted(forms))
-        self._nabla_basis = None
-        # the generator objects of the basis fields, built on first use by
-        # killingfields.basis_fields
-        self._basis_fields = None
 
     def _validate(self):
         """Antisymmetry, then the Jacobi identity, exactly, on the ints of
@@ -214,16 +212,15 @@ class MetricLieAlgebra:
         t3 = adx.transpose().apply(y)
         return tuple((a - b - c) / 2 for a, b, c in zip(t1, t2, t3))
 
+    @cached_property
+    def _nabla_basis(self) -> tuple:
+        """The matrices of ``nabla_basis``, built on first access: column
+        ``j`` of the ``t``-th is ``nabla_(e_t) e_j``."""
+        e = [basis_vec(self.dim, j) for j in range(self.dim)]
+        return tuple(Endomorphism(tuple(zip(*[self.nabla(et, ej) for ej in e]))) for et in e)
+
     def nabla_basis(self, i: int) -> Endomorphism:
         """Matrix of covariant differentiation in the i-th basis direction."""
-        if self._nabla_basis is None:
-            mats = []
-            for t in range(self.dim):
-                et = basis_vec(self.dim, t)
-                cols = [self.nabla(et, basis_vec(self.dim, j)) for j in range(self.dim)]
-                rows = tuple(tuple(cols[j][k] for j in range(self.dim)) for k in range(self.dim))
-                mats.append(Endomorphism(rows))
-            self._nabla_basis = tuple(mats)
         return self._nabla_basis[i]
 
     def killing_operator(self, k: SymTensor) -> SymTensor:
@@ -265,3 +262,19 @@ class MetricLieAlgebra:
         kernel = nullspace({m: replace_factor({m: 1}, self.int_structure)
                             for m in basis_monomials(self.dim, p)})
         return KillingSpace(p, tuple(SymTensor(self.dim, p, v) for v in kernel))
+
+
+def skew_derivation_basis(lie: MetricLieAlgebra) -> tuple:
+    """Canonical basis of the skew-symmetric derivations of the algebra: the
+    kernel of ``derivation_residual`` over the wedge coordinates, with
+    ``(i, j)`` for ``i < j`` standing for ``E_ji - E_ij``.  Past
+    ``DERIVATION_DIM_CAP`` it raises ``DerivationCapError`` before solving."""
+    n = lie.dim
+    if n > DERIVATION_DIM_CAP:
+        raise DerivationCapError(n)
+    kernel = nullspace({(i, j): lie.derivation_residual({(j, i): 1, (i, j): -1})
+                        for i in range(n) for j in range(i + 1, n)})
+    # entry (r, s) of the sum of w_ij (E_ji - E_ij) is w_sr below the diagonal
+    return tuple(Endomorphism(tuple(
+        tuple(w.get((s, r), _ZERO) if s < r else -w.get((r, s), _ZERO) for s in range(n))
+        for r in range(n))) for w in kernel)

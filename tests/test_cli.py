@@ -529,6 +529,21 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         assert flag[0] in capsys.readouterr().err
 
+    # subnormal tolerances at which tol / 10 underflows to 0
+    @pytest.mark.parametrize("tol", ["5e-324", "2.5e-323"])
+    @pytest.mark.parametrize("command", ["verify", "decompose"])
+    def test_subnormal_tolerances_get_one_report(self, tmp_path, capsys, command, tol):
+        if command == "verify":
+            argv = self._e1_squared(tmp_path, [self.RIGHT1, self.RIGHT1])
+        else:
+            argv = ["decompose", "--algebra", write(tmp_path, "diag.json", DIAG), "--tensor",
+                    write(tmp_path, "t.json", {"degree": 2, "terms": [
+                        {"monomial": [1, 2], "coeff": "1"}]}),
+                    "--certificate-out", str(tmp_path / "cert.json")]
+        code, out, err = run(capsys, argv + ["--tol", tol])
+        assert code == 0 and err == "" and len(out.splitlines()) == 1
+        assert json.loads(out)["parameters"]["tol"] == float(tol)
+
 
 class TestCurvatureCommand:
     def test_constant_negative_report(self, tmp_path, capsys):
@@ -1377,7 +1392,9 @@ class TestArgvFuzz:
                                         "derivations", "omega-sample"]))
         argv = [command, "--algebra", draw(st.sampled_from(sorted(argv_pool["algebra"].values()))),
                 "--samples", str(draw(st.integers(1, 3))), "--seed", str(draw(st.integers(0, 9))),
-                "--tol", draw(st.sampled_from(["1e-9", "1e-3"]))]
+                # subnormal tolerances too, and tolerances near the largest float
+                "--tol", draw(st.sampled_from(["1e-9", "1e-3", "5e-324", "2.5e-323", "3e-323",
+                                               "2.2e-308", "1.7e308", "1.79e308"]))]
         if command == "killing-basis":
             argv += ["--degree", str(draw(st.integers(0, 3)))]
             method = draw(st.sampled_from([None, "structured", "brute", "both"]))

@@ -16,6 +16,7 @@ from mpmath import mp
 
 import killingtensors.fileformats as ff
 import killingtensors.killingfields as kf
+import killingtensors.liealgebra
 from killingtensors.tensors import basis_monomials, monomial_positions, product_positions
 
 from killingtensors import (
@@ -71,6 +72,19 @@ def basis_vec(dim, i):
     return tuple(Fraction(1 if t == i else 0) for t in range(dim))
 
 
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty sampled-value memo in place of the module's for the test,
+    and a call that swaps in another and returns it."""
+    def swap():
+        memo = kf._SampleMemo()
+        monkeypatch.setattr(kf, "_MEMO", memo)
+        return memo
+
+    swap()
+    return swap
+
+
 class TestSkewDerivations:
     def test_rotation_gives_one_dimension(self):
         alg = AlmostAbelianAlgebra(J2)
@@ -84,6 +98,10 @@ class TestSkewDerivations:
 
     def test_diagonal_gives_none(self):
         assert skew_derivations(AlmostAbelianAlgebra(DIAG)) == ()
+
+    def test_one_solve_under_both_module_names(self):
+        # perfbench/workloads.py reads the solve as killingfields.skew_derivation_basis
+        assert kf.skew_derivation_basis is killingtensors.liealgebra.skew_derivation_basis
 
     def test_abelian_gives_full_rotation_algebra(self):
         assert len(skew_derivations(AlmostAbelianAlgebra(Endomorphism.zero(2)))) == 3
@@ -900,12 +918,11 @@ class TestSampledWorkCap:
         (30, 100, "100 samples at 2620 digits of 31 factors and series need 8122000"),
         (30, 200, "200 samples at 2640 digits of 31 factors and series need 16368000"),
         (61, 20, "20 samples at 4060 digits of 62 factors and series need 5034400")])
-    def test_refused_before_any_series(self, monkeypatch, p, samples, work):
+    def test_refused_before_any_series(self, monkeypatch, p, samples, work, fresh_memo):
         def summed(*args):
             raise self.Summed
 
         monkeypatch.setattr(kf, "_fixed_series", summed)
-        kf._MEMO.clear()
         start = time.perf_counter()
         if work is None:  # within the cap: the check goes on to its series
             with pytest.raises(self.Summed):
@@ -998,7 +1015,8 @@ class TestVerifyParameters:
         with pytest.raises(ValueError, match="degree"):
             omega_tensor(self.ALG, cert, (Fraction(0),) * 3, order=0)
 
-    @pytest.mark.parametrize("tol", [1e-60, 1e-200])
+    # down to subnormal tolerances, at which tol / 10 underflows to 0
+    @pytest.mark.parametrize("tol", [1e-60, 1e-200, 2.5e-323, 5e-324])
     def test_working_digits_cover_the_tolerance(self, tol):
         # e1^2 + e2^2 on the rotation is valid, but summed at 50 digits it
         # deviates by about 5e-58
@@ -1328,31 +1346,29 @@ class TestSampledValueMemo:
     # D = 0 accepts the certificate; D = diag(-1, -2) has the ad_w norms of
     # D = diag(1, 2), hence the same working digits and series order
     @pytest.mark.parametrize("first", [[0, 0], [-1, -2]])
-    def test_values_of_another_algebra_are_not_reused(self, first):
+    def test_values_of_another_algebra_are_not_reused(self, first, fresh_memo):
         other = AlmostAbelianAlgebra(Endomorphism.diagonal(first))
         stretched = AlmostAbelianAlgebra(Endomorphism.diagonal([1, 2]))
-        kf._MEMO.clear()
         alone = verify_certificate(stretched, self.CERT)
-        kf._MEMO.clear()
+        fresh_memo()
         assert verify_certificate(other, self.CERT).passed == (first == [0, 0])
         after = verify_certificate(stretched, self.CERT)
         assert not after.passed
         assert after.max_deviation == alone.max_deviation
         assert after == alone
 
-    def test_norms_of_another_algebra_are_not_reused(self):
+    def test_norms_of_another_algebra_are_not_reused(self, fresh_memo):
         # the same sample points: ||ad_w||_1 is 0 on D = 0, and on diag(20, -20)
         # it asks for more than the 50-digit floor
         wide = AlmostAbelianAlgebra(Endomorphism.diagonal([20, -20]))
-        kf._MEMO.clear()
         alone = verify_certificate(wide, self.CERT, samples=3)
-        kf._MEMO.clear()
+        fresh_memo()
         verify_certificate(AlmostAbelianAlgebra(Endomorphism.diagonal([0, 0])), self.CERT,
                            samples=3)
         after = verify_certificate(wide, self.CERT, samples=3)
         assert after.precision_digits == alone.precision_digits > 50
 
-    def test_shared_generators_are_summed_once(self, monkeypatch):
+    def test_shared_generators_are_summed_once(self, monkeypatch, fresh_memo):
         alg = AlmostAbelianAlgebra(Endomorphism.diagonal([1, 2]))
         r2 = RightInvariant(basis_vec(3, 2))
         other = Certificate(target=SymTensor.monomial(3, (1, 2)),
@@ -1365,25 +1381,23 @@ class TestSampledValueMemo:
             return series(point, x, s, order, min_order)
 
         monkeypatch.setattr(kf, "_fixed_series", counting)
-        kf._MEMO.clear()
         first = verify_certificate(alg, self.CERT, samples=5)
         second = verify_certificate(alg, other, samples=5)
         # same working precision and order, so right:1 repeats at every point
         assert first.precision_digits == second.precision_digits
         assert len(sampled) == len(set(sampled)) == 2 * 5
 
-    def test_columns_of_another_order_floor_are_not_reused(self):
+    def test_columns_of_another_order_floor_are_not_reused(self, fresh_memo):
         # summed to order 300, past where the stop rule ends the default
         # series, the low bits of the deviation differ
         alg = AlmostAbelianAlgebra(J2)
         cert = decompose(alg, alg.killing_space_structured(2).basis[1])
-        kf._MEMO.clear()
         alone = verify_certificate(alg, cert, order_floor=300)
-        kf._MEMO.clear()
+        fresh_memo()
         assert verify_certificate(alg, cert).max_deviation != alone.max_deviation
         assert verify_certificate(alg, cert, order_floor=300) == alone
 
-    def test_constant_generators_are_valued_once_per_call(self, monkeypatch):
+    def test_constant_generators_are_valued_once_per_call(self, monkeypatch, fresh_memo):
         # on the rotation the metric, left:0 and right:1, right:2 verify
         # 1/2 (e0^2 + e1^2 + e2^2) + e0^2 + e1^2 + e2^2
         alg = AlmostAbelianAlgebra(J2)
@@ -1401,7 +1415,6 @@ class TestSampledValueMemo:
             return real(alg, gen, shift, points, order, min_order)
 
         monkeypatch.setattr(kf, "_generator_values", counting)
-        kf._MEMO.clear()
         for samples in (1, 20, 100):
             calls.clear()
             assert verify_certificate(alg, cert, samples=samples).passed
@@ -1414,7 +1427,7 @@ class TestSampledValueMemo:
             assert verify_certificate(alg, cert, samples=samples).passed
             assert sorted(calls) == constant
 
-    def test_points_are_prepared_once_per_check(self, monkeypatch):
+    def test_points_are_prepared_once_per_check(self, monkeypatch, fresh_memo):
         # right:1 and right:2 share each block's prepared points; a check
         # whose columns are all kept prepares none
         alg = AlmostAbelianAlgebra(J2)
@@ -1429,7 +1442,6 @@ class TestSampledValueMemo:
             return real(alg, ws, shift)
 
         monkeypatch.setattr(kf, "_points", counting)
-        kf._MEMO.clear()
         for samples in (1, 20, 100):
             calls.clear()
             assert verify_certificate(alg, cert, samples=samples).passed
@@ -1461,13 +1473,12 @@ class TestSampledValueMemo:
         assert [len(shape) for _, shape in looked_up] == [2, 0, 2]
         assert points[5].kernel is not points[4].kernel is points[6].kernel
 
-    def test_memo_stays_bounded_at_max_samples(self):
+    def test_memo_stays_bounded_at_max_samples(self, fresh_memo):
         # on the abelian algebra every series stops after one term, so a
         # check at the cap is quick
         alg = AlmostAbelianAlgebra(Endomorphism.zero(2))
         r1, r2 = RightInvariant(basis_vec(3, 1)), RightInvariant(basis_vec(3, 2))
         cert = Certificate(SymTensor.monomial(3, (1, 2)), ((Fraction(1), (r1, r2)),))
-        kf._MEMO.clear()
         assert verify_certificate(alg, cert, samples=MAX_SAMPLES).passed
         memo = kf._MEMO
         columns = memo.columns.entries.values()
@@ -1478,13 +1489,12 @@ class TestSampledValueMemo:
         # and ad_w = 0 at every point: one kernel, of no nonzeros
         assert list(memo.kernels.entries) == [(3, ())] and memo.kernels.size == 16
 
-    def test_two_tolerances_match_fresh_processes(self):
+    def test_two_tolerances_match_fresh_processes(self, fresh_memo):
         # tol 1e-9 and 1e-40 need the series to orders 21 and 50
         alg = AlmostAbelianAlgebra(Endomorphism.from_rows([[0, -1], [1, 0]]))
         cert = decompose(alg, alg.killing_space_structured(2).basis[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(kf.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        kf._MEMO.clear()
         for tol in ("1e-9", "1e-40"):
             here = repr(verify_certificate(alg, cert, tol=float(tol)))
             fresh = subprocess.run([sys.executable, "-c", _FRESH_CHECK, tol], env=env,
@@ -1810,7 +1820,7 @@ class TestSeriesKernel:
                 else:
                     assert not any(raised)
 
-    def test_threads_compile_one_new_pattern(self):
+    def test_threads_compile_one_new_pattern(self, fresh_memo):
         # eight threads make the first use of one pattern at once: each gets
         # the oracle's ints, and the table keeps the sum of its weights
         alg = AlmostAbelianAlgebra(random_derivation(random.Random(8), 4, "generic"))
@@ -1821,7 +1831,6 @@ class TestSeriesKernel:
             xv = kf._scaled(x, shift)
             rows, norm = point_oracle(alg, kf._scaled(w, shift))
             want = fixed_series_oracle(dense_rows(rows), norm, xv, 1, shift)
-        kf._MEMO.kernels.clear()
         got = []
 
         def run():
