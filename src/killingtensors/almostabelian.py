@@ -8,21 +8,21 @@ where ``L`` is the sum of basis squares, in closed form from the powers of
 ``b``; the structured Killing test, the structured solver and the dimension
 formula work layer by layer.  ``ad_b`` is applied in one way, by the
 Killing test of a layer, the derivation kernel and every other exact caller:
-``replace_factor`` over its integer substitutions ``int_ad_b``.
+``replace_factor`` over its integer substitutions ``int_ad_b``, or for the
+kernel's columns ``replace_factor_columns`` over the same substitutions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement
 from math import comb, lcm
 
 from .exactlinalg import basis_vec, frac, nullspace, rref_span
 from .liealgebra import KillingSpace, MetricLieAlgebra
 from .limits import MAX_DIMENSION, MAX_STRUCTURED_MONOMIALS, DimensionCapError, StructuredCapError
-from .tensors import (SymTensor, Endomorphism, multiply_terms, replace_factor, sum_of_squares,
-                      sym_dimension)
+from .tensors import (SymTensor, Endomorphism, multiply_terms, replace_factor,
+                      replace_factor_columns, sum_of_squares, sym_dimension)
 
 
 @dataclass(frozen=True)
@@ -174,11 +174,11 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
         """Canonical basis of the kernel of the derivation action on the
         degree-q symmetric power of the ideal.  The columns are those of
         ``int_ad_b``: integers, ``denominator`` times the action, with the
-        same kernel."""
+        same kernel, keyed by position among the ideal's monomials
+        (``replace_factor_columns``)."""
         if q < 0:
             return []
-        kernel = nullspace({m: replace_factor({m: 1}, self.int_ad_b)
-                            for m in combinations_with_replacement(range(1, self.dim), q)})
+        kernel = nullspace(replace_factor_columns(self.int_ad_b, q, range(1, self.dim)))
         return [SymTensor(self.dim, q, v) for v in kernel]
 
     def _layer_kernels(self, p: int):

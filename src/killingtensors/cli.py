@@ -8,7 +8,9 @@ dimension, the brute-force and structured solvers, the series term cap, the
 skew-derivation solve, the certificate size and depth, the sample count
 and coordinates, the sampled work over the trie levels and over the
 working digits, and the working digits), 3 method or algebra-kind
-mismatch, 4 tensor not Killing.  An input file is read once, as UTF-8.
+mismatch, 4 tensor not Killing, 141 stdout closed before the whole report was
+written (128 + SIGPIPE, the status a shell shows for a writer that a closed
+pipe ends; nothing is printed).  An input file is read once, as UTF-8.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -47,6 +50,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_KIND = 3
 EXIT_NOT_KILLING = 4
+EXIT_CLOSED_STDOUT = 141
 
 
 class WrongAlgebraKind(ValueError):
@@ -116,7 +120,16 @@ def _emit(args, result) -> int:
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     else:
         text = json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the recipe of the signal module's docs: point stdout at devnull, so
+        # that the flush at exit writes the rest of the buffer there
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     return EXIT_OK
 
 

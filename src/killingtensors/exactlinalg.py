@@ -2,12 +2,14 @@
 
 The solvers hand in sparse vectors: ``{key: value}`` dicts of ``Fraction``s
 or ints that name only their nonzero entries.  ``nullspace`` takes the image
-of each unknown as one such column and ``rref_span`` takes the spanning
-vectors themselves; each reduces once in ``_reduce``, a sparse
-fraction-free elimination on integer rows, and matrix arithmetic lives in
-``tensors.Endomorphism``.  The reduced row echelon form
-of a matrix is unique, so the canonical basis of a row space or nullspace
-depends neither on how it is eliminated nor on the choice of pivot rows.
+of each unknown as one such column (the Killing solvers key it by monomial
+position, ``tensors.replace_factor_columns``) and ``rref_span`` takes the
+spanning vectors themselves; each reduces once in ``_reduce``, which first
+drops the forced unknowns (rows of one entry) without arithmetic and then
+runs a sparse fraction-free elimination on integer rows.  Matrix arithmetic
+lives in ``tensors.Endomorphism``.  The reduced row echelon form of a matrix
+is unique, so the canonical basis of a row space or nullspace depends
+neither on how it is eliminated nor on the choice of pivot rows.
 """
 from __future__ import annotations
 
@@ -66,15 +68,30 @@ def _reduce(rows, n: int) -> dict:
     columns ``0 .. n-1``: ``{pivot column: row}`` in pivot order, each row
     led by its pivot and 0 at every other pivot column.
 
-    Fraction-free, in the spirit of Bareiss (Math. Comp. 22, 1968): rows are
-    sparse ``{column: int}`` dicts combined by integer cross-multiplication
-    with their content divided out.  The rows wait in buckets keyed by their
-    leading column; forward elimination takes the columns in order, pivots on
-    the sparsest row of the column's bucket and clears the column from the
-    bucket's other rows, whose new leads are later columns.
-    Back-substitution runs from the last pivot up and clears each pivot row
-    at the later pivot columns with the rows already reduced.
+    First the forced unknowns, as in the structured Gaussian elimination of
+    LaMacchia and Odlyzko (CRYPTO 1990), before any row is combined: a row
+    of one entry, at column ``c``, becomes the pivot row ``{c: 1}``, and
+    ``c`` is deleted from every other row with no arithmetic, each changed
+    row divided by its new content.  The rows left with one entry are forced
+    in the next pass, the emptied ones dropped.  No remaining row holds a
+    forced column, so the elimination below never meets one.
+
+    Then fraction-free elimination, in the spirit of Bareiss (Math. Comp.
+    22, 1968): rows are sparse ``{column: int}`` dicts combined by integer
+    cross-multiplication with their content divided out.  The rows wait in
+    buckets keyed by their leading column; forward elimination takes the
+    columns in order, pivots on the sparsest row of the column's bucket and
+    clears the column from the bucket's other rows, whose new leads are
+    later columns.  Back-substitution runs from the last pivot up and clears
+    each pivot row at the later pivot columns with the rows already reduced.
     """
+    forced = {}
+    while new := {c for row in rows if len(row) == 1 for c in row}:
+        forced.update({c: {c: 1} for c in new})
+        rows = [row if row.keys().isdisjoint(new)
+                else _primitive({j: v for j, v in row.items() if j not in new})
+                for row in rows if len(row) > 1]
+        rows = [row for row in rows if row]
     buckets = {}
     for row in rows:
         buckets.setdefault(min(row), []).append(row)
@@ -98,7 +115,7 @@ def _reduce(rows, n: int) -> dict:
         for j in [j for j in p if j in reduced and j != c]:
             p = _eliminate(p, reduced[j], j)
         reduced[c] = p
-    return reduced
+    return dict(sorted({**forced, **reduced}.items())) if forced else reduced
 
 
 def nullspace(columns: dict) -> list:

@@ -8,8 +8,8 @@ common denominator (``int_structure``, ``denominator``); ``structure`` is
 a dense view of them.  Validation, ``derivation_residual`` (whose kernel
 over the skew matrices is ``skew_derivation_basis``), the Killing operator
 and both exact solvers read them (the solvers through
-``tensors.replace_factor``) and divide by the denominator once at the end,
-if at all.  The same integers, grouped by entry of ``ad_w``
+``tensors.replace_factor_columns``) and divide by the denominator once at
+the end, if at all.  The same integers, grouped by entry of ``ad_w``
 (``ad_forms``), give ``ad_w`` in one integer pass per point, ``ad_walk``:
 exactly at a point scaled to ints (``ad_exact``, which serves ``ad`` and the
 exact pullback), and in the fixed point of the sampled pullback; ``ad_norm``
@@ -25,8 +25,8 @@ from math import lcm
 from .exactlinalg import basis_vec, frac, nullspace
 from .limits import (BRUTE_FORCE_MAX_DEGREE, BRUTE_FORCE_MAX_DIM, DERIVATION_DIM_CAP,
                      MAX_DIMENSION, DerivationCapError, DimensionCapError, SolverCapError)
-from .tensors import (SymTensor, Endomorphism, apply_derivation, basis_monomials,
-                      replace_factor)
+from .tensors import (SymTensor, Endomorphism, apply_derivation, replace_factor,
+                      replace_factor_columns)
 
 _ZERO = Fraction(0)
 
@@ -252,15 +252,14 @@ class MetricLieAlgebra:
 
         The operator's image of each monomial, times ``denominator`` (which
         leaves the kernel alone), is one sparse integer column of the exact
-        solve.  Past ``BRUTE_FORCE_MAX_DEGREE`` or ``BRUTE_FORCE_MAX_DIM`` it
+        solve, keyed by monomial position (``replace_factor_columns``).  Past ``BRUTE_FORCE_MAX_DEGREE`` or ``BRUTE_FORCE_MAX_DIM`` it
         raises ``SolverCapError`` before building a column.
         """
         if p < 0:
             raise ValueError("degree must be nonnegative")
         if p > BRUTE_FORCE_MAX_DEGREE or self.dim > BRUTE_FORCE_MAX_DIM:
             raise SolverCapError(p, self.dim)
-        kernel = nullspace({m: replace_factor({m: 1}, self.int_structure)
-                            for m in basis_monomials(self.dim, p)})
+        kernel = nullspace(replace_factor_columns(self.int_structure, p))
         return KillingSpace(p, tuple(SymTensor(self.dim, p, v) for v in kernel))
 
 

@@ -23,11 +23,12 @@ BRUTE_FORCE_MAX_DIM = 6
 
 # The structured solver's time grows faster than the square of the C(n+p-1, p)
 # monomials of degree p in dimension n, and more steeply in higher
-# dimensions: the rotation algebra (n = 3) took 2.1 s at degree 100 (5151
-# monomials) and 8.9 s at degree 140 (10011), a random dimension-8 algebra
-# 9-42 s at degree 6 (1716).  Past 10^4 monomials a request is refused
-# before any layer is built; degree 3000 on three dimensions, 4.5e6
-# monomials, would otherwise run for days.
+# dimensions: the rotation algebra (n = 3) took 2.0 s at degree 100 (5151
+# monomials) and 8.3 s at degree 140 (10011), a random dimension-8 algebra
+# (entries randint(-2, 2)/choice(1, 2) from random.Random(8)) 44 s at degree
+# 6 (1716), in CPU time on a shared 2-core machine.  Past 10^4 monomials a
+# request is refused before any layer is built; degree 3000 on three
+# dimensions, 4.5e6 monomials, would otherwise run for days.
 MAX_STRUCTURED_MONOMIALS = 10 ** 4
 
 # ``skew_derivation_basis`` solves C(n,2) unknowns against about n^3/2
@@ -90,9 +91,19 @@ MAX_SAMPLED_FACTOR_DIGITS = 3 * 10 ** 6
 # The position maps and product tables over those monomials are kept per
 # shape, (n, p) and (n, d, e).  Unbounded, a long-lived process kept every
 # shape it met, each up to 18 MiB within the bound above (degree 10 on ten
-# dimensions).  32 of each, least recently used first, hold the 2p tables
-# and p + 1 maps of a certificate up to degree 16, and the 19 and 15 of a
-# whole certify-batch benchmark round.
+# dimensions).  The exact solvers read them too, for their columns
+# (``tensors.replace_factor_columns``): a derivation kernel of degree q on
+# an ideal of dimension r the map (r, q-1) and the table (r, q-1, 1), which
+# builds the maps (r, 1) and (r, q); a brute-force solve of degree p on n
+# dimensions the maps (n, p-1) and (n, 2) and the tables (n, p-1, 2) and
+# (n, p-1, 1), which build the maps (n, 1), (n, p) and (n, p+1).  Within
+# the solvers' own bounds these stay small: a brute-force map holds at most
+# 2002 monomials, (6, 9), and a derivation kernel's fewer than the
+# MAX_STRUCTURED_MONOMIALS of the whole algebra.  32 of each, least
+# recently used first, hold the 2p tables and p + 1 maps of a certificate
+# up to degree 16, and the tables and maps of a whole benchmark round: 29
+# and 20 for certify-batch (its set-up solves for the bases), 16 and 18 for
+# solve-exact, 21 and 17 for cli-session.
 MAX_POSITION_TABLES = 32
 
 # The sampled check sums every series generator at each of its points, and

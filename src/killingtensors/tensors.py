@@ -10,10 +10,12 @@ the extended inner product, where a monomial with index multiplicities
 
 Every derivation-type map is one loop, ``replace_factor``, on plain
 ``{monomial: coefficient}`` dicts: the action of a matrix
-(``apply_derivation``), the Killing operator and the columns of both exact
-solvers.  Every product is one loop too, ``multiply_terms`` on the same
-dicts: ``sym_mul`` and the integer products of the structured solver and of
-the layer decomposition.
+(``apply_derivation``) and the Killing operator.  The exact solvers'
+columns, its images of single monomials, come from
+``replace_factor_columns``, keyed by the position of each image monomial
+as the cached position tables give it.  Every product is one loop too,
+``multiply_terms`` on the same dicts: ``sym_mul`` and the integer products
+of the structured solver and of the layer decomposition.
 
 Coefficients are exact ``Fraction`` values throughout, sampled values
 included: a value summed in fixed point comes back as the dyadic
@@ -81,7 +83,7 @@ class SymTensor:
         for mono in self.terms:
             if len(mono) != self.degree:
                 raise ValueError(f"monomial {mono} has wrong degree, expected {self.degree}")
-            if any(not (0 <= i < self.dim) for i in mono):
+            if mono and (min(mono) < 0 or max(mono) >= self.dim):
                 raise ValueError(f"monomial {mono} out of range for dim {self.dim}")
             if tuple(sorted(mono)) != mono:
                 raise ValueError(f"monomial {mono} not sorted")
@@ -334,6 +336,47 @@ def replace_factor(terms: dict, subs) -> dict:
                 key = tuple(sorted(base + extra))
                 out[key] = out.get(key, 0) + cm * x
     return {m: v for m, v in out.items() if v}
+
+
+def replace_factor_columns(subs, degree: int, indices=None) -> dict:
+    """The exact solvers' columns: ``{m: replace_factor({m: 1}, subs)}`` over
+    the degree-``degree`` monomials ``m`` in the increasing ``indices`` (by
+    default all ``len(subs)`` of them), in lexicographic order, each image
+    keyed by the position of its monomial instead of by the monomial.  The
+    extras of ``subs`` at ``indices`` have one length ``e`` and their indices
+    among ``indices``.
+
+    The positions are those of ``monomial_positions(r, degree - 1 + e)``,
+    with the ``r`` indices numbered ``0 .. r-1``, and come from its cached
+    tables, so no image monomial is built or sorted.  Each monomial of
+    degree ``degree - 1`` (a rest) times a factor ``e_a`` is the monomial of
+    a column (``product_positions(r, degree - 1, 1)``), and the rest times an
+    extra of ``a`` is an image monomial of that column
+    (``product_positions(r, degree - 1, e)``), counted with the multiplicity
+    of ``a`` in the column's monomial."""
+    indices = range(len(subs)) if indices is None else indices
+    monomials = combinations_with_replacement(indices, degree)
+    lengths = {len(extra) for i in indices for extra, _ in subs[i]}
+    if not degree or not lengths:
+        return {m: {} for m in monomials}
+    (e,) = lengths
+    number = {i: t for t, i in enumerate(indices)}
+    r = len(number)
+    extra_at = monomial_positions(r, e)
+    local = [[(extra_at[tuple(sorted(number[t] for t in extra))], x) for extra, x in subs[i]]
+             for i in indices]
+    images = [{} for _ in range(sym_dimension(r, degree))]
+    table, times = product_positions(r, degree - 1, e), product_positions(r, degree - 1, 1)
+    for b, rest in enumerate(monomial_positions(r, degree - 1)):
+        row, at = table[b], times[b]
+        for a, pairs in enumerate(local):
+            if pairs:
+                image = images[at[a]]
+                cm = rest.count(a) + 1
+                for j, x in pairs:
+                    k = row[j]
+                    image[k] = image.get(k, 0) + cm * x
+    return {m: {k: v for k, v in image.items() if v} for m, image in zip(monomials, images)}
 
 
 def apply_derivation(e: Endomorphism, k: SymTensor) -> SymTensor:

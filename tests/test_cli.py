@@ -843,6 +843,31 @@ class TestEdgeCases:
         value = json.loads(out)["result"]["value"]
         assert value["terms"] == [{"monomial": [0], "coeff": 1.0}]
 
+    @pytest.mark.parametrize("degree, head", [(6, 10), (0, 0)], ids=["after-10-bytes", "before"])
+    def test_closed_stdout_exits_141_without_a_traceback(self, degree, head):
+        # the 159 KB degree-6 report overflows the pipe buffer, so a reader
+        # that closes the pipe after 10 bytes always meets an unfinished
+        # write; the short degree-0 report goes to a pipe closed before the
+        # command starts, so it meets a closed pipe at the flush (stdout
+        # block-buffered, as it is on a pipe unless PYTHONUNBUFFERED is set)
+        root = Path(__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(Path(killingtensors.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        argv = [sys.executable, "-W", "error", "-m", "killingtensors.cli", "killing-basis",
+                "--algebra", "tests/data/aa6.json", "--degree", str(degree), "--method", "both"]
+        read, write = os.pipe()
+        if not head:
+            os.close(read)
+        with subprocess.Popen(argv, cwd=root, env=env, stdout=write,
+                              stderr=subprocess.PIPE) as proc:
+            os.close(write)
+            if head:
+                with os.fdopen(read, "rb") as out:
+                    assert out.read(head) == b'{"command"'
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (cli.EXIT_CLOSED_STDOUT, b"") and code == 141
+
 
 BIG = {"n": 2, "D": [["2000", "0"], ["0", "-2000"]]}
 MIXED = {"degree": 2, "terms": [{"monomial": [1, 2], "coeff": "1"}]}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -189,3 +190,82 @@ class TestIntAndMixedColumns:
             assert all(type(x) is Fraction for x in v.values())
             lead, *rest = v
             assert v[lead] == 1 and rest == sorted(rest) and all(j > lead for j in rest)
+
+
+@st.composite
+def cascading_matrices(draw):
+    """Dense matrices with a planted chain of forced unknowns, spliced in at
+    random places: the chain's k-th row holds its own column and only
+    earlier chain columns, so it is left with one entry once those are
+    forced.  Multiples of chain rows give two singletons on one column and
+    rows that the deletions empty.  Other rows may have their entries off
+    the chain multiplied by 2, 6 or 10^20 and small chain entries, so that
+    their content grows when the chain is deleted from them."""
+    rows, ncols = draw(dense_matrices())
+    ncols = max(ncols, 1)
+    rows = [row + [Fraction(0)] * (ncols - len(row)) for row in rows]
+    chain = draw(st.permutations(range(ncols)))[:draw(st.integers(1, ncols))]
+    planted = []
+    for k, c in enumerate(chain):
+        row = [Fraction(0)] * ncols
+        row[c] = draw(_BIG_ENTRY.filter(bool))
+        for j in chain[:k]:
+            row[j] = draw(_ENTRY)
+        planted.append(row)
+    for row in list(planted):
+        if draw(st.booleans()):
+            planted.append([draw(_BIG_ENTRY) * x for x in row])
+    for row in rows:
+        if draw(st.booleans()):
+            factor = draw(st.sampled_from([2, 6, 10**20]))
+            for j in range(ncols):
+                row[j] = row[j] * factor if j not in chain else draw(_ENTRY)
+    for row in planted:
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows, ncols
+
+
+def _rows(pattern):
+    return [[Fraction(x) for x in row] for row in pattern]
+
+
+class TestForcedUnknowns:
+    @settings(max_examples=300, deadline=None)
+    @given(cascading_matrices())
+    # a chain: x0 forced, then x1, then x2
+    @example((_rows([[0, 0, 5, 3], [2, 0, 0, 0], [0, 7, 0, 4], [1, -3, 0, 0]]), 4))
+    # rows emptied by the deletions: the last holds forced columns only
+    @example((_rows([[1, 0, 0], [0, -2, 0], [4, 6, 0]]), 3))
+    # content grows: 3 x0 + 2 x1 + 4 x2 becomes x1 + 2 x2 once x0 is forced
+    @example((_rows([[1, 0, 0, 0], [3, 2, 4, 0], [0, 1, 1, 1]]), 4))
+    # two singletons on one column, one of them negative
+    @example((_rows([[0, 3, 0], [0, -1, 0], [1, 1, 1]]), 3))
+    def test_against_the_oracles(self, matrix):
+        rows, ncols = matrix
+        _check(rows, ncols)
+        # _reduce's own contract: primitive rows in pivot order, each led by
+        # its pivot and 0 at every other pivot column
+        reduced = el._reduce([el._integer_row({j: x for j, x in enumerate(row) if x})
+                              for row in rows if any(row)], ncols)
+        assert list(reduced) == sorted(reduced)
+        for c, row in reduced.items():
+            assert min(row) == c and gcd(*row.values()) == 1
+            assert [j for j in row if j in reduced] == [c]
+
+    def test_a_cascade_is_solved_without_arithmetic(self, monkeypatch):
+        # each row is left with one entry once the columns before it in the
+        # chain are forced: no row is ever combined with another
+        calls = []
+        eliminate = el._eliminate
+
+        def counting(r, p, c):
+            calls.append(c)
+            return eliminate(r, p, c)
+
+        monkeypatch.setattr(el, "_eliminate", counting)
+        rows = _rows([[0, 0, 5, 3, 0], [2, 0, 0, 0, 0], [0, 7, 0, 4, 0], [1, -3, 0, 0, 0],
+                      [0, 9, 0, 0, 0], [6, 4, 8, 0, 0]])
+        reduced = el._reduce([el._integer_row({j: x for j, x in enumerate(row) if x})
+                              for row in rows], 5)
+        assert reduced == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}, 3: {3: 1}} and calls == []
+        _check(rows, 5)

@@ -1,10 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from killingtensors import (
@@ -21,7 +22,7 @@ from killingtensors import (
     sym_mul,
     basis_monomials,
 )
-from killingtensors.tensors import replace_factor
+from killingtensors.tensors import monomial_positions, replace_factor, replace_factor_columns
 from conftest import inner_oracle
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
@@ -48,6 +49,18 @@ def endo_and_tensor(draw, max_dim=3, max_degree=3):
     dim = draw(st.integers(1, max_dim))
     rows = [[draw(rationals) for _ in range(dim)] for _ in range(dim)]
     return Endomorphism.from_rows(rows), draw(tensors(dim, draw(st.integers(0, max_degree))))
+
+
+@st.composite
+def int_subs(draw):
+    """``(dim, degree, first, e, subs)``: int substitutions whose extras all
+    have ``e`` indices in ``first .. dim-1``, unsorted and repeated, with
+    zero coefficients and factors left unreplaced."""
+    dim, e = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2]))
+    first = draw(st.integers(0, dim - 1))
+    extra = st.tuples(*[st.integers(first, dim - 1)] * e)
+    subs = [draw(st.lists(st.tuples(extra, st.integers(-3, 3)), max_size=3)) for _ in range(dim)]
+    return dim, draw(st.integers(0, 5)), first, e, subs
 
 
 def endos(dim):
@@ -170,6 +183,28 @@ class TestDerivation:
             {(0, 0, 1, 1, 2): 30}
         # the rotation e0 -> e1, e1 -> -e0 on e0^2 + e1^2: 2 e0*e1 - 2 e0*e1
         assert replace_factor({(0, 0): 1, (1, 1): 1}, [[((1,), 1)], [((0,), -1)]]) == {}
+
+    @settings(deadline=None, max_examples=200)
+    @given(int_subs())
+    # degree 0; an index left unreplaced; the substitutions of an index
+    # outside first .. dim-1, never read; nothing replaced at all
+    @example((3, 0, 0, 2, [[((1, 2), 2)], [], [((0, 0), -1), ((2, 0), 1)]]))
+    @example((3, 3, 1, 1, [[], [((2,), 1)], []]))
+    @example((4, 2, 2, 2, [[((0, 1), 5)], [], [((3, 2), 1)], [((2, 2), -1), ((3, 3), 1)]]))
+    @example((2, 2, 0, 1, [[], []]))
+    def test_position_columns_are_replace_factor_images(self, drawn):
+        # the solvers' columns: each image of replace_factor({m: 1}, subs)
+        # over the monomials in first .. dim-1, re-keyed through
+        # monomial_positions of those indices numbered from 0
+        dim, degree, first, e, subs = drawn
+        positions = monomial_positions(dim - first, degree - 1 + e)
+        expected = {m: {positions[tuple(i - first for i in k)]: v
+                        for k, v in replace_factor({m: 1}, subs).items()}
+                    for m in combinations_with_replacement(range(first, dim), degree)}
+        got = replace_factor_columns(subs, degree, range(first, dim))
+        assert got == expected and list(got) == list(expected)
+        if first == 0:
+            assert replace_factor_columns(subs, degree) == expected
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(1, 3), st.data())
@@ -336,6 +371,21 @@ class TestContainers:
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError):
             SymTensor(2, 1, {(5,): Fraction(1)})
+
+    @pytest.mark.parametrize("degree, mono, message", [
+        # a wrong length is reported first, then an index out of range,
+        # then an unsorted monomial
+        (1, (5, 1), "monomial (5, 1) has wrong degree, expected 1"),
+        (3, (-1, 0), "monomial (-1, 0) has wrong degree, expected 3"),
+        (2, (5, 1), "monomial (5, 1) out of range for dim 3"),
+        (2, (-1, 0), "monomial (-1, 0) out of range for dim 3"),
+        (2, (0, 3), "monomial (0, 3) out of range for dim 3"),
+        (2, (1, 0), "monomial (1, 0) not sorted"),
+    ])
+    def test_validation_order_and_messages(self, degree, mono, message):
+        with pytest.raises(ValueError) as exc:
+            SymTensor(3, degree, {mono: Fraction(1)})
+        assert str(exc.value) == message
 
     def test_degree_zero_monomial(self):
         five = SymTensor.monomial(3, (), 5)
