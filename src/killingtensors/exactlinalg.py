@@ -4,19 +4,22 @@ The solvers hand in sparse vectors: ``{key: value}`` dicts of ``Fraction``s
 or ints that name only their nonzero entries.  ``nullspace`` takes the image
 of each unknown as one such column (the Killing solvers key it by monomial
 position, ``tensors.replace_factor_columns``) and ``rref_span`` takes the
-spanning vectors themselves; each reduces once in ``_reduce``, which first
-drops the forced unknowns (rows of one entry) without arithmetic and then
-runs a sparse fraction-free elimination on integer rows.  Matrix arithmetic
-lives in ``tensors.Endomorphism``.  The reduced row echelon form of a matrix
-is unique, so the canonical basis of a row space or nullspace depends
-neither on how it is eliminated nor on the choice of pivot rows.
+spanning vectors themselves.  Both eliminate once, forward, in ``_echelon``,
+which first drops the forced unknowns (rows of one entry) without
+arithmetic and then runs a sparse fraction-free elimination on integer
+rows.  ``rref_span`` then back-substitutes to the reduced row echelon form
+(RREF), its output; ``nullspace`` needs no RREF: it returns ``[]`` when every
+column is a pivot or forced, and otherwise solves each free unknown's vector
+from the echelon rows.  Matrix arithmetic lives in ``tensors.Endomorphism``.
+The RREF of a matrix is unique, and so is the RREF basis of a kernel, so the
+canonical basis of a row space or nullspace depends neither on how it is
+eliminated nor on the choice of pivot rows.
 """
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
-
-_ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -56,38 +59,39 @@ def _eliminate(r: dict, p: dict, c: int) -> dict:
 def _integer_row(row: dict) -> dict:
     """A nonzero ``{column: value}`` row of ints and ``Fraction``s as a
     primitive integer row: an int row as it is, any other cleared of
-    denominators; content divided out."""
-    if any(type(x) is not int for x in row.values()):
+    denominators; content divided out.  ``gcd`` takes ints only, so its
+    refusal is what finds a ``Fraction``: an int row is not scanned."""
+    try:
+        g = gcd(*row.values())
+    except TypeError:
         scale = lcm(*(x.denominator for x in row.values()))
-        row = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
-    return _primitive(row)
+        return _primitive({j: x.numerator * (scale // x.denominator) for j, x in row.items()})
+    return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
-def _reduce(rows, n: int) -> dict:
-    """Reduced integer rows of the nonzero primitive rows ``rows`` over the
-    columns ``0 .. n-1``: ``{pivot column: row}`` in pivot order, each row
-    led by its pivot and 0 at every other pivot column.
+def _echelon(rows, n: int):
+    """The forward phase on the nonzero primitive rows ``rows`` over the
+    columns ``0 .. n-1``: ``(forced, echelon)``, the set of forced columns
+    and the echelon rows ``{pivot column: row}`` in pivot order, each row
+    led by its pivot.  No echelon row holds a forced column.
 
     First the forced unknowns, as in the structured Gaussian elimination of
     LaMacchia and Odlyzko (CRYPTO 1990), before any row is combined: a row
-    of one entry, at column ``c``, becomes the pivot row ``{c: 1}``, and
-    ``c`` is deleted from every other row with no arithmetic, each changed
-    row divided by its new content.  The rows left with one entry are forced
-    in the next pass, the emptied ones dropped.  No remaining row holds a
-    forced column, so the elimination below never meets one.
+    of one entry, at column ``c``, says that ``e_c`` is in the row space,
+    and ``c`` is deleted from every other row with no arithmetic, each
+    changed row divided by its new content.  The rows left with one entry
+    are forced in the next pass, the emptied ones dropped.
 
     Then fraction-free elimination, in the spirit of Bareiss (Math. Comp.
     22, 1968): rows are sparse ``{column: int}`` dicts combined by integer
     cross-multiplication with their content divided out.  The rows wait in
-    buckets keyed by their leading column; forward elimination takes the
-    columns in order, pivots on the sparsest row of the column's bucket and
-    clears the column from the bucket's other rows, whose new leads are
-    later columns.  Back-substitution runs from the last pivot up and clears
-    each pivot row at the later pivot columns with the rows already reduced.
+    buckets keyed by their leading column; the columns are taken in order,
+    each pivots on the sparsest row of the column's bucket and clears the
+    column from the bucket's other rows, whose new leads are later columns.
     """
-    forced = {}
+    forced = set()
     while new := {c for row in rows if len(row) == 1 for c in row}:
-        forced.update({c: {c: 1} for c in new})
+        forced |= new
         rows = [row if row.keys().isdisjoint(new)
                 else _primitive({j: v for j, v in row.items() if j not in new})
                 for row in rows if len(row) > 1]
@@ -95,7 +99,7 @@ def _reduce(rows, n: int) -> dict:
     buckets = {}
     for row in rows:
         buckets.setdefault(min(row), []).append(row)
-    reduced = {}
+    echelon = {}
     for c in range(n):
         if not buckets:
             break
@@ -108,58 +112,87 @@ def _reduce(rows, n: int) -> dict:
                 r = _eliminate(r, p, c)
                 if r:
                     buckets.setdefault(min(r), []).append(r)
-        reduced[c] = p
+        echelon[c] = p
+    return forced, echelon
+
+
+def _back_substitute(echelon: dict) -> dict:
+    """The back phase: the echelon rows reduced, from the last pivot up,
+    each cleared at the later pivot columns with the rows already reduced,
+    so that every row is 0 at every other pivot column."""
     # a pivot row starts at its own column, so its other pivot columns are later ones
-    for c in reversed(reduced):
-        p = reduced[c]
-        for j in [j for j in p if j in reduced and j != c]:
-            p = _eliminate(p, reduced[j], j)
-        reduced[c] = p
-    return dict(sorted({**forced, **reduced}.items())) if forced else reduced
+    for c in reversed(echelon):
+        p = echelon[c]
+        for j in [j for j in p if j in echelon and j != c]:
+            p = _eliminate(p, echelon[j], j)
+        echelon[c] = p
+    return echelon
 
 
 def nullspace(columns: dict) -> list:
     """Canonical (RREF) basis of the kernel of a linear map, as sparse
-    ``{unknown: value}`` dicts, in one elimination.
+    ``{unknown: value}`` dicts, from one forward elimination.
 
     ``columns`` maps each unknown, in echelon order, to its image as a sparse
-    ``{row key: value}`` dict.  The equations are reduced with the unknowns
-    in reverse order, unknown ``i`` of ``n`` at column ``n-1-i``, so a
-    reduced row holds, beside its pivot, only free unknowns that come before
-    the pivot.  The vector of a free unknown ``f`` (1 at ``f``, minus the
-    pivot rows' entries at ``f`` over their leads) thus leads at ``f`` and is
-    0 at every other free unknown: these vectors, in the order of their free
-    unknowns, are already the RREF basis of the kernel.  Only their entries
-    become ``Fraction``s.
+    ``{row key: value}`` dict.  The equations are eliminated with the
+    unknowns in reverse order, unknown ``i`` of ``n`` at column ``n-1-i``.
+    A free column is neither a pivot nor forced; with none, the rank is
+    ``n`` and the kernel ``{0}``.  The vector of a free column ``f`` is 1 at
+    ``f``, 0 at the other free and the forced columns, and solved from the
+    echelon rows for the pivots, from the last one up.  A pivot after ``f``
+    sees only zeros, so the vector leads at ``f``'s unknown and is 0 at every
+    other free unknown: these vectors, in the order of their free unknowns,
+    are the RREF basis of the kernel, which is unique.  A vector is solved on
+    ints over one common denominator, which grows, and rescales the entries
+    already solved, only when a lead does not divide; only the finished
+    entries become ``Fraction``s.
     """
     n = len(columns)
-    unknowns = list(columns)[::-1]  # the unknown of each column
     rows = {}
     for c, image in zip(reversed(range(n)), columns.values()):
         for r, x in image.items():
             if x:
                 rows.setdefault(r, {})[c] = x
-    reduced = _reduce([_integer_row(row) for row in rows.values()], n)
-    kernel = {c: {unknowns[c]: _ONE} for c in reversed(range(n)) if c not in reduced}
-    for c in reversed(reduced):  # in echelon order
-        p = reduced[c]
-        lead, u = p[c], unknowns[c]
-        for j, x in p.items():
-            if j != c:
-                kernel[j][u] = Fraction(-x, lead)
-    return list(kernel.values())
+    forced, echelon = _echelon([_integer_row(row) for row in rows.values()], n)
+    free = [c for c in reversed(range(n)) if c not in echelon and c not in forced]
+    if not free:
+        return []
+    unknowns = list(columns)[::-1]  # the unknown of each column
+    pivots = list(echelon)
+    kernel = []
+    for f in free:  # in echelon order
+        v, d = {f: 1}, 1  # the vector is v / d
+        for c in reversed(pivots[:bisect(pivots, f)]):
+            p = echelon[c]
+            s = sum(x * v[j] for j, x in p.items() if j in v)
+            if s:
+                a = p[c]
+                if a < 0:
+                    a, s = -a, -s
+                g = gcd(s, a)
+                if g != a:
+                    m = a // g
+                    v = {j: x * m for j, x in v.items()}
+                    d *= m
+                v[c] = -s // g
+        kernel.append({unknowns[j]: Fraction(x, d) for j, x in v.items()})
+    return kernel
 
 
 def rref_span(vectors) -> list:
     """Canonical (RREF) basis of the span of sparse ``{key: value}`` vectors,
     with the columns in sorted key order (monomial tuples sort
-    lexicographically)."""
+    lexicographically): both phases of the elimination, each reduced row
+    divided by its pivot."""
     keys = sorted({k for v in vectors for k in v})
     position = {k: c for c, k in enumerate(keys)}
     rows = [_integer_row({position[k]: x for k, x in v.items() if x})
             for v in vectors if any(v.values())]
+    forced, echelon = _echelon(rows, len(keys))
+    reduced = _back_substitute(echelon) | {c: {c: 1} for c in forced}
     out = []
-    for c, row in _reduce(rows, len(keys)).items():
+    for c in sorted(reduced):
+        row = reduced[c]
         lead = row[c]
         out.append({keys[j]: Fraction(v, lead) for j, v in sorted(row.items())})
     return out

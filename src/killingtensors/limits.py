@@ -23,12 +23,12 @@ BRUTE_FORCE_MAX_DIM = 6
 
 # The structured solver's time grows faster than the square of the C(n+p-1, p)
 # monomials of degree p in dimension n, and more steeply in higher
-# dimensions: the rotation algebra (n = 3) took 2.0 s at degree 100 (5151
-# monomials) and 8.3 s at degree 140 (10011), a random dimension-8 algebra
-# (entries randint(-2, 2)/choice(1, 2) from random.Random(8)) 44 s at degree
-# 6 (1716), in CPU time on a shared 2-core machine.  Past 10^4 monomials a
-# request is refused before any layer is built; degree 3000 on three
-# dimensions, 4.5e6 monomials, would otherwise run for days.
+# dimensions: the rotation algebra (n = 3) took 1.5 s at degree 100 (5151
+# monomials) and 6.5 s at degree 140 (10011), a random dimension-8 algebra
+# (entries randint(-2, 2)/choice(1, 2) from random.Random(8)) 35 s at degree
+# 6 (1716), in CPU time on a shared 2-core machine (the least of three).
+# Past 10^4 monomials a request is refused before any layer is built; degree
+# 3000 on three dimensions, 4.5e6 monomials, would otherwise run for days.
 MAX_STRUCTURED_MONOMIALS = 10 ** 4
 
 # ``skew_derivation_basis`` solves C(n,2) unknowns against about n^3/2

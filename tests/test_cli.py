@@ -604,7 +604,7 @@ class TestDerivationsCommand:
         def no_elimination(*args):
             raise AssertionError("elimination ran past the cap")
 
-        monkeypatch.setattr(exactlinalg, "_reduce", no_elimination)
+        monkeypatch.setattr(exactlinalg, "_echelon", no_elimination)
         code, out, err = run(capsys, ["derivations", "--algebra", write(tmp_path, "a.json", doc)])
         assert code == 2 and out == ""
         error = json.loads(err)
@@ -1566,11 +1566,16 @@ class TestRecordedReports:
     @pytest.mark.parametrize("name, argv", [
         ("aa6.killing-basis6", ["killing-basis", "--algebra", "tests/data/aa6.json",
                                 "--degree", "6", "--method", "both"]),
-        ("aa16.derivations", ["derivations", "--algebra", "tests/data/aa16.json"])])
+        ("aa16.derivations", ["derivations", "--algebra", "tests/data/aa16.json"]),
+        ("gen6.killing-basis5", ["killing-basis", "--algebra", "tests/data/gen6.json",
+                                 "--degree", "5", "--method", "both"])])
     def test_solver_reports(self, monkeypatch, capsys, name, argv):
-        # both exact solvers at the brute-force cap, and the skew derivations
-        # of a dimension-16 algebra: the canonical bases, recorded before the
-        # elimination queued its rows by leading column, keep every byte
+        # both exact solvers at the brute-force cap, the skew derivations of
+        # a dimension-16 algebra, and both solvers on a generic dimension-6
+        # algebra whose every kernel at degree 5 is {0}: the canonical bases,
+        # recorded before the elimination queued its rows by leading column
+        # (gen6: before nullspace stopped at the forward phase), keep every
+        # byte
         root = Path(__file__).parents[1]
         monkeypatch.chdir(root)
         code, out, _ = run(capsys, argv)

@@ -52,15 +52,20 @@ class TestAgainstDenseOracle:
                 == nullspace_oracle(rows, ncols))
 
     def test_nullspace_eliminates_once(self, monkeypatch):
-        # a 2 x 4 map of rank 2: its two free unknowns span the kernel
+        # a 2 x 4 map of rank 2: its two free unknowns span the kernel, read
+        # off one forward elimination with no back-substitution
         calls = []
-        reduce = el._reduce
+        echelon = el._echelon
 
         def counting(rows, n):
             calls.append(n)
-            return reduce(rows, n)
+            return echelon(rows, n)
 
-        monkeypatch.setattr(el, "_reduce", counting)
+        def no_back_phase(reduced):
+            raise AssertionError("nullspace back-substituted")
+
+        monkeypatch.setattr(el, "_echelon", counting)
+        monkeypatch.setattr(el, "_back_substitute", no_back_phase)
         rows = [[Fraction(1), Fraction(2), Fraction(0), Fraction(-1)],
                 [Fraction(0), Fraction(1), Fraction(3), Fraction(1, 2)]]
         got = nullspace(_columns(rows, 4, lambda j: j))
@@ -243,14 +248,18 @@ class TestForcedUnknowns:
     def test_against_the_oracles(self, matrix):
         rows, ncols = matrix
         _check(rows, ncols)
-        # _reduce's own contract: primitive rows in pivot order, each led by
-        # its pivot and 0 at every other pivot column
-        reduced = el._reduce([el._integer_row({j: x for j, x in enumerate(row) if x})
-                              for row in rows if any(row)], ncols)
-        assert list(reduced) == sorted(reduced)
-        for c, row in reduced.items():
+        # the phases' own contract: primitive echelon rows in pivot order,
+        # each led by its pivot, none at a forced column, and after the back
+        # phase 0 at every other pivot column
+        forced, echelon = el._echelon([el._integer_row({j: x for j, x in enumerate(row) if x})
+                                       for row in rows if any(row)], ncols)
+        assert list(echelon) == sorted(echelon)
+        for c, row in echelon.items():
             assert min(row) == c and gcd(*row.values()) == 1
-            assert [j for j in row if j in reduced] == [c]
+            assert forced.isdisjoint(row)
+        for c, row in el._back_substitute(echelon).items():
+            assert min(row) == c and gcd(*row.values()) == 1
+            assert [j for j in row if j in echelon] == [c]
 
     def test_a_cascade_is_solved_without_arithmetic(self, monkeypatch):
         # each row is left with one entry once the columns before it in the
@@ -265,7 +274,99 @@ class TestForcedUnknowns:
         monkeypatch.setattr(el, "_eliminate", counting)
         rows = _rows([[0, 0, 5, 3, 0], [2, 0, 0, 0, 0], [0, 7, 0, 4, 0], [1, -3, 0, 0, 0],
                       [0, 9, 0, 0, 0], [6, 4, 8, 0, 0]])
-        reduced = el._reduce([el._integer_row({j: x for j, x in enumerate(row) if x})
-                              for row in rows], 5)
-        assert reduced == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}, 3: {3: 1}} and calls == []
+        forced, echelon = el._echelon([el._integer_row({j: x for j, x in enumerate(row) if x})
+                                       for row in rows], 5)
+        assert (forced, echelon, calls) == ({0, 1, 2, 3}, {}, [])
         _check(rows, 5)
+
+
+@st.composite
+def planted_systems(draw):
+    """Rows of a planted rank: an echelon system in the elimination's column
+    order (unknown ``i`` of ``n`` at column ``n-1-i``), with leads of either
+    sign that need not divide the entries after them, rows of one entry
+    (forced unknowns) mixed in among the others, and optionally the rows
+    mixed by integer combinations, scaled into ``Fraction``s and shuffled.
+    Returns ``(rows, ncols, rank)``; every added row lies in the echelon
+    rows' span, so ``rank`` is the rank of the system."""
+    ncols = draw(st.integers(1, 7))
+    rank = draw(st.integers(0, ncols))
+    leads = sorted(draw(st.permutations(range(ncols)))[:rank])  # elimination columns
+    forced = {c for c in leads if draw(st.integers(0, 3)) == 0}
+    lead_value = st.sampled_from([2, -2, 3, -3, 5, -1, 1, -6])
+    entry = st.sampled_from([0, 0, 1, -1, 2, 3, -5, 7])
+    echelon = []
+    for c in leads:
+        row = [0] * ncols
+        row[c] = draw(lead_value)
+        if c not in forced:
+            for j in range(c + 1, ncols):
+                if j not in forced:
+                    row[j] = draw(entry)
+        echelon.append(row)
+    rows = [r[:] for r in echelon]
+    if rows and draw(st.booleans()):  # mixed: each row plus multiples of later ones
+        for k in range(len(rows)):
+            for later in echelon[k + 1:]:
+                factor = draw(st.sampled_from([0, 0, 1, -2, 3]))
+                rows[k] = [x + factor * y for x, y in zip(rows[k], later)]
+        for _ in range(draw(st.integers(0, 2))):
+            factor = draw(st.sampled_from([1, -1, 2]))
+            rows.append([factor * x for x in draw(st.sampled_from(echelon))])
+    rows = [[Fraction(x, scale) for x in row] if (scale := draw(st.sampled_from([0, 0, 2, -3])))
+            else row for row in rows]
+    rows = draw(st.permutations(rows))
+    # the unknowns are the elimination columns in reverse order
+    return [row[::-1] for row in rows], ncols, rank
+
+
+def _dense(rows, ncols):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+class TestBackSolve:
+    @settings(max_examples=400, deadline=None)
+    @given(planted_systems())
+    # x0 + 2 x1 = 0: the lead 2 does not divide 1, so x0 is rescaled to 2 / 2
+    @example(([[1, 2]], 2, 1))
+    # x0 - 2 x1 = 0: a negative lead, x1 = 1/2
+    @example(([[1, -2]], 2, 1))
+    # x1 forced, x0 - 3 x2 = 0 with x2 the pivot: one free unknown, x0
+    @example(([[0, 4, 0], [1, 0, -3]], 3, 2))
+    # full rank from a forced column and a pivot: the kernel is {0}
+    @example(([[0, -2], [3, 5]], 2, 2))
+    # leads 3 at x1 and x2, neither dividing: the vector of x0 is rescaled
+    # twice, to (1, -1/3, -2/9)
+    @example(([[1, 1, 3], [1, 3, 0]], 3, 2))
+    def test_against_the_oracle(self, system):
+        rows, ncols, rank = system
+        expected = nullspace_oracle(_dense(rows, ncols), ncols)
+        got = nullspace(_columns(rows, ncols, lambda j: j))
+        assert [tuple(v.get(j, 0) for j in range(ncols)) for v in got] == expected
+        assert all(type(x) is Fraction and x for v in got for x in v.values())
+        assert len(got) == ncols - rank
+
+    def test_an_empty_kernel_runs_no_back_phase(self, monkeypatch):
+        # an invertible 4 x 4 map with no row of one entry: the kernel is
+        # read off the forward elimination alone, as nullspace runs it (the
+        # unknowns in reverse order), and no elimination follows it
+        rows = [[1, 2, 0, -1], [0, 1, 3, 1], [2, 0, 1, 1], [1, 1, 1, 2]]
+        ints = [{3 - j: x for j, x in enumerate(row) if x} for row in rows]
+        calls = []
+        eliminate = el._eliminate
+
+        def counting(r, p, c):
+            calls.append(c)
+            return eliminate(r, p, c)
+
+        def no_back_phase(reduced):
+            raise AssertionError("nullspace back-substituted")
+
+        monkeypatch.setattr(el, "_eliminate", counting)
+        monkeypatch.setattr(el, "_back_substitute", no_back_phase)
+        forced, echelon = el._echelon([el._integer_row(row) for row in ints], 4)
+        assert not forced and len(echelon) == 4 and calls
+        forward = len(calls)
+        calls.clear()
+        assert nullspace(_columns(_dense(rows, 4), 4, lambda j: j)) == []
+        assert len(calls) == forward
