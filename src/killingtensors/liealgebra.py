@@ -13,7 +13,8 @@ the end, if at all.  The same integers, grouped by entry of ``ad_w``
 (``ad_forms``), give ``ad_w`` in one integer pass per point, ``ad_walk``:
 exactly at a point scaled to ints (``ad_exact``, which serves ``ad`` and the
 exact pullback), and in the fixed point of the sampled pullback; ``ad_norm``
-walks them for the 1-norm alone, which sizes the sampled check."""
+walks them for the 1-norm alone, which sizes the sampled check, and the
+columns they never list are ``central_columns``."""
 from __future__ import annotations
 
 from collections import defaultdict
@@ -114,6 +115,14 @@ class MetricLieAlgebra:
             if residual:
                 a, b, _ = min(residual)
                 raise ValueError(f"Jacobi identity fails on basis triple ({i},{a},{b})")
+
+    @cached_property
+    def central_columns(self) -> frozenset:
+        """The basis vectors ``e_j`` that no structure constant moves, the
+        columns ``j`` that no row of ``ad_forms`` lists: column ``j`` of
+        ``ad_w`` is 0 at every ``w``, so ``e_j`` is central."""
+        return frozenset(range(self.dim)).difference(
+            j for _, entries in self.ad_forms for j, _ in entries)
 
     @cached_property
     def structure(self) -> tuple:

@@ -335,6 +335,36 @@ def fixed_series_oracle(rows, norm, x, s, shift, order=None, min_order=0):
     return acc
 
 
+def series_kernel_oracle(rows, x, s, shift, one, eps, stop_from, cap, last):
+    """A reference for a compiled series kernel, with its arguments: the
+    terms of ``fixed_series_oracle``, each entry a row sum shifted and then
+    divided by ``k + s`` toward zero, and the stop comparison ``max|u| <<
+    shift < eps * max(one, |partial sum|)`` made in full at every term from
+    ``stop_from`` on, with no pre-check.  Ends on a zero term, then by the
+    stop rule, then with None past ``cap``, and before a term past
+    ``last``."""
+    acc = list(x)
+    term = list(x)
+    k = 1
+    while True:
+        m = k + s
+        sums = {r: sum(a * term[c] for c, a in zip(columns, entries))
+                for r, columns, entries in rows}
+        term = [0] * len(x)
+        for r, v in sums.items():
+            term[r] = -((v >> shift) // m) if v > 0 else (-v >> shift) // m
+        if not any(term):
+            return acc
+        acc = [p + q for p, q in zip(acc, term)]
+        if k >= stop_from and max(map(abs, term)) << shift < eps * max(one, *map(abs, acc)):
+            return acc
+        if k > cap:
+            return None
+        k += 1
+        if k > last:
+            return acc
+
+
 def dense_rows(rows):
     """Dense rows, as ``point_oracle`` returns them, in the layout of
     ``fixed_series_oracle``: every entry, zero or not."""

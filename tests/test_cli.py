@@ -1583,6 +1583,26 @@ class TestRecordedReports:
         assert out == (root / f"tests/data/{name}.out").read_text()
 
 
+    @pytest.mark.parametrize("name, argv", [
+        ("heis.central.verify", ["--algebra", "tests/data/heis.json",
+                                 "--certificate", "tests/data/heis.central.cert.json"]),
+        ("heis.mixed.verify", ["--algebra", "tests/data/heis.json",
+                               "--certificate", "tests/data/heis.mixed.cert.json"]),
+        ("aa6.series-free.verify100", ["--algebra", "tests/data/aa6.json",
+                                       "--certificate", "tests/data/aa6.series-free.cert.json",
+                                       "--samples", "100"])])
+    def test_verify_routes(self, monkeypatch, capsys, name, argv):
+        # on the Heisenberg algebra e2 is central, so right:2 is constant:
+        # alone it passes, beside right:0 and right:1 (series) it fails; on
+        # the dimension-6 algebra the metric and left:0 with coefficients
+        # near 1e30 need no series and 70 digits.  Recorded when every
+        # right-invariant field was summed as a series at every sample point
+        root = Path(__file__).parents[1]
+        monkeypatch.chdir(root)
+        code, out, _ = run(capsys, ["verify", *argv])
+        assert code == 0
+        assert out == (root / f"tests/data/{name}.out").read_text()
+
     def test_decompose_report(self, tmp_path, monkeypatch, capsys):
         # a degree-4 Killing tensor with 35 distinct denominators, its layers
         # and its 126 certificate terms: recorded when decompose worked in

@@ -61,7 +61,8 @@ from killingtensors import (
 from conftest import (DERIVATION_KINDS, decompose_oracle, dense_rows, derivation_suite, dot,
                       fixed_series_oracle, horner_oracle, omega_derivation, omega_series_oracle,
                       omega_tensor_oracle, point_oracle, random_derivation, random_vector,
-                      series_bounds_oracle, skew_derivation_basis_oracle, wide_algebras)
+                      series_bounds_oracle, series_kernel_oracle, skew_derivation_basis_oracle,
+                      wide_algebras)
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
 DIAG = Endomorphism.diagonal([1, -1])
@@ -1474,20 +1475,24 @@ class TestSampledValueMemo:
         assert points[5].kernel is not points[4].kernel is points[6].kernel
 
     def test_memo_stays_bounded_at_max_samples(self, fresh_memo):
-        # on the abelian algebra every series stops after one term, so a
-        # check at the cap is quick
-        alg = AlmostAbelianAlgebra(Endomorphism.zero(2))
+        # on the shear [e0, e2] = e1 the series of right:2 stops after two
+        # terms, so a check at the cap is quick; right:1 is central, hence
+        # constant, and right:2 enters two terms that cancel, so the
+        # certificate e1^2 passes while right:2 fills the columns
+        alg = AlmostAbelianAlgebra(Endomorphism.from_rows([[0, 1], [0, 0]]))
         r1, r2 = RightInvariant(basis_vec(3, 1)), RightInvariant(basis_vec(3, 2))
-        cert = Certificate(SymTensor.monomial(3, (1, 2)), ((Fraction(1), (r1, r2)),))
+        cert = Certificate(SymTensor.monomial(3, (1, 1)), (
+            (Fraction(1), (r1, r1)), (Fraction(1), (r1, r2)), (Fraction(-1), (r2, r1))))
         assert verify_certificate(alg, cert, samples=MAX_SAMPLES).passed
         memo = kf._MEMO
         columns = memo.columns.entries.values()
         assert memo.columns.size == sum(map(len, columns)) <= 256
         assert max(map(len, columns)) == kf._BLOCK
         # a sample set keeps its two bounds, not its points
-        assert list(memo.sets.entries.values()) == [(-math.inf, 0.0)]
-        # and ad_w = 0 at every point: one kernel, of no nonzeros
-        assert list(memo.kernels.entries) == [(3, ())] and memo.kernels.size == 16
+        (bounds,) = memo.sets.entries.values()
+        assert len(bounds) == 2 and bounds[0] > -math.inf
+        # and ad_w has row 1 over columns 0 and 2 at every point: one kernel
+        assert list(memo.kernels.entries) == [(3, ((1, (0, 2)),))] and memo.kernels.size == 18
 
     def test_two_tolerances_match_fresh_processes(self, fresh_memo):
         # tol 1e-9 and 1e-40 need the series to orders 21 and 50
@@ -1951,3 +1956,233 @@ class TestSeriesKernel:
         alg = AlmostAbelianAlgebra(NILP)
         got = omega_generator(alg, _right(2), (6000.0, 0.0, 0.0), prec=kf._dps_to_prec(20))
         assert got == SymTensor.from_vector(3, (0, -6000, 1))
+
+
+# ---------------------------------------------------------------------------
+# the sampled check reads only what varies: central right fields, bounds
+# drawn only for series on a bracketed algebra, the kernel's stop pre-check
+# ---------------------------------------------------------------------------
+
+_SMALL_RATIONAL = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def central_algebras(draw):
+    """``(algebra, central indices)``, the indices read off the constants the
+    algebra was built from: an almost abelian algebra whose ``D`` has zero
+    columns (``e_(j+1)`` is central when column ``j`` is zero, ``b`` when
+    ``D = 0``), or a two-step nilpotent one whose brackets all land in a
+    chosen set of central indices."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        zero = draw(st.sets(st.integers(0, n - 1)))
+        rows = [[Fraction(0) if j in zero else draw(_SMALL_RATIONAL) for j in range(n)]
+                for _ in range(n)]
+        moved = {j for j in range(n) if any(row[j] for row in rows)}
+        central = {j + 1 for j in range(n) if j not in moved} | ({0} if not moved else set())
+        return AlmostAbelianAlgebra(Endomorphism.from_rows(rows)), central
+    n = draw(st.integers(2, 6))
+    z = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    v = [i for i in range(n) if i not in z]
+    constants = {}
+    for a in v:
+        for b in v:
+            if a < b:
+                for k in sorted(z):
+                    c = draw(_SMALL_RATIONAL)
+                    if c:
+                        constants[a, b, k], constants[b, a, k] = c, -c
+    central = {j for j in range(n) if not any(constants.get((i, j, k))
+                                              for i in range(n) for k in range(n))}
+    return MetricLieAlgebra(n, constants), central
+
+
+def _outcome(f):
+    """``f()``, or the type and message of the error it raises."""
+    try:
+        return f()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestCentralRightFields:
+    @settings(max_examples=300, deadline=None)
+    @given(central_algebras(), st.data())
+    def test_constant_equals_the_series(self, case, data):
+        # a right-invariant field of a vector on the central columns is
+        # valued as its vector: bit for bit the series summed directly, in
+        # fixed point and over the rationals; a vector with one entry off
+        # them is summed as a series
+        alg, central = case
+        n = alg.dim
+        assert alg.central_columns == central
+        support = data.draw(st.sets(st.sampled_from(sorted(central)))) if central else set()
+        moved = sorted(set(range(n)) - central)
+        if moved and data.draw(st.booleans()):
+            support.add(data.draw(st.sampled_from(moved)))
+        vector = tuple(data.draw(_SMALL_RATIONAL.filter(bool)) if i in support else Fraction(0)
+                       for i in range(n))
+        gen = RightInvariant(vector)
+        assert kf._varies(alg, gen) == bool(support - central)
+        w = data.draw(st.tuples(*[st.one_of(_SMALL_RATIONAL, st.floats(-2, 2))] * n))
+        shift = data.draw(st.sampled_from([None, kf._fixed_shift(n, 8),
+                                           kf._fixed_shift(n, 53), kf._fixed_shift(n, 200)]))
+        order = data.draw(st.sampled_from([None, 0, 1, 2, 5]))
+        min_order = data.draw(st.sampled_from([0, 3, 12]))
+        point, = kf._points(alg, [kf._scaled(w, shift) if shift else tuple(map(Fraction, w))],
+                            shift)
+        x = kf._scaled(vector, shift)
+        if shift is None:
+            direct = _outcome(lambda: kf._exact_series(point, x, 0, order))
+        else:
+            direct = _outcome(lambda: kf._fixed_series(point, x, 0, order, min_order))
+        got = _outcome(lambda: kf._generator_values(alg, gen, shift, [point], order,
+                                                    min_order)[0])
+        assert got == direct
+        if not support - central:
+            assert got == x
+
+    def test_a_central_right_field_prepares_no_point(self, monkeypatch, fresh_memo):
+        # right:2 on the Heisenberg algebra: no point is prepared and no
+        # series summed, by verify_certificate or by omega_tensor
+        alg = _heisenberg()
+        r2 = RightInvariant(basis_vec(3, 2))
+        cert = Certificate(SymTensor.monomial(3, (2, 2)), ((Fraction(1), (r2, r2)),))
+
+        def refused(*args):
+            raise AssertionError("prepared or summed")
+
+        for name in ("_points", "_fixed_series", "_exact_series"):
+            monkeypatch.setattr(kf, name, refused)
+        check = verify_certificate(alg, cert)
+        assert check.passed and check.max_deviation == 0.0 and check.precision_digits == 50
+        assert omega_tensor(alg, cert, (1.5, -2, Fraction(1, 3))) == cert.target
+        assert omega_tensor(alg, cert, (1.5, -2, Fraction(1, 3)), prec=53) == cert.target
+
+
+class TestSamplePointsOnlyForSeries:
+    J = LeftInvariant(basis_vec(3, 0))
+    R1, R2 = RightInvariant(basis_vec(3, 1)), RightInvariant(basis_vec(3, 2))
+    C = Fraction(10 ** 30 + 1, 3)
+
+    @staticmethod
+    def _squares(diagonal):
+        return SymTensor.build(3, 2, [((i, i), v) for i, v in enumerate(diagonal) if v])
+
+    # each CertificateCheck as the sampled check returned it when every
+    # check drew its points for the bounds (defaults, then 100 samples at
+    # tol 1e-40): (passed, exact_at_zero, max_deviation, precision_digits)
+    @pytest.mark.parametrize("name, want", [
+        ("series-free, bracketed", [(True, True, 0.0, 70), (True, True, 0.0, 80)]),
+        ("series-free, bracketed, off target", [(False, False, 1 / 6, 50),
+                                                (False, False, 1 / 6, 60)]),
+        ("right fields, bracket-free", [(True, True, 0.0, 50), (True, True, 0.0, 60)]),
+        ("every constant kind, bracket-free, off target", [(False, False, 1.0, 70),
+                                                           (False, False, 1.0, 90)])])
+    def test_no_point_is_drawn(self, monkeypatch, fresh_memo, name, want):
+        rotation = AlmostAbelianAlgebra(J2)
+        flat = AlmostAbelianAlgebra(Endomorphism.zero(2))
+        j, r1, r2, c, squares = self.J, self.R1, self.R2, self.C, self._squares
+        alg, cert = {
+            "series-free, bracketed": (rotation, Certificate(
+                squares([c / 2 + 1, c / 2, c / 2]), ((c, (Metric(),)), (Fraction(1), (j, j))))),
+            "series-free, bracketed, off target": (rotation, Certificate(
+                squares([Fraction(3, 2), Fraction(1, 2), Fraction(1, 3)]),
+                ((Fraction(1), (Metric(),)), (Fraction(1), (j, j))))),
+            "right fields, bracket-free": (flat, Certificate(
+                SymTensor.build(3, 2, [((1, 2), 1)]), ((Fraction(1), (r1, r2)),))),
+            "every constant kind, bracket-free, off target": (flat, Certificate(
+                squares([c, 1, 0]), ((c, (j, j)), (Fraction(-1, 7), (r1, r2)),
+                                     (Fraction(2), (Metric(),))))),
+        }[name]
+
+        def drawn(*args):
+            raise AssertionError("a sample point was drawn")
+
+        monkeypatch.setattr(kf, "sample_points", drawn)
+        for kwargs, (passed, exact0, deviation, digits) in zip(
+                ({}, {"samples": 100, "tol": 1e-40}), want):
+            check = verify_certificate(alg, cert, **kwargs)
+            assert check == kf.CertificateCheck(
+                passed=passed, exact_at_zero=exact0, max_deviation=deviation,
+                samples=kwargs.get("samples", 20), tol=kwargs.get("tol", 1e-9),
+                seed=kf.DEFAULT_SEED, order_floor=kf.DEFAULT_ORDER_FLOOR,
+                precision_digits=digits)
+        assert not kf._MEMO.sets.entries
+
+    def test_series_on_a_bracketed_algebra_draws_its_points(self, monkeypatch, fresh_memo):
+        # a central right field is still a series factor: the bounds, and
+        # with them the working digits, are those of the drawn points
+        alg = _heisenberg()
+        r2 = RightInvariant(basis_vec(3, 2))
+        cert = Certificate(SymTensor.monomial(3, (2, 2)), ((Fraction(1), (r2, r2)),))
+        drawn = []
+        real = kf.sample_points
+
+        def counting(*args):
+            drawn.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kf, "sample_points", counting)
+        assert verify_certificate(alg, cert).passed
+        assert drawn == [(3, 20, kf.DEFAULT_SEED)]
+        assert [b > -math.inf for b, _ in kf._MEMO.sets.entries.values()] == [True]
+
+
+@st.composite
+def kernel_patterns(draw):
+    """``(n, rows)``: sorted rows of sorted columns with int entries, as a
+    prepared point holds them; now and then one row wider than
+    ``_KERNEL_WIDTH``."""
+    if draw(st.integers(0, 9)) == 0:
+        n = draw(st.integers(kf._KERNEL_WIDTH + 1, kf._KERNEL_WIDTH + 12))
+        wide = draw(st.integers(0, n - 1))
+        others = draw(st.sets(st.integers(0, n - 1), max_size=2)) - {wide}
+        rows = [(r, tuple(range(n)) if r == wide else
+                 tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)))))
+                for r in sorted(others | {wide})]
+    else:
+        n = draw(st.integers(1, 5))
+        rows = [(r, tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))))
+                for r in sorted(draw(st.sets(st.integers(0, n - 1))))]
+    entry = st.integers(-40, 40).filter(bool)
+    return n, tuple((r, columns, tuple(draw(entry) for _ in columns)) for r, columns in rows)
+
+
+class TestStopPreCheck:
+    @settings(max_examples=400, deadline=None)
+    @given(kernel_patterns(), st.data())
+    def test_kernel_matches_the_full_comparison(self, pattern, data):
+        # every compiled kernel against series_kernel_oracle, which makes
+        # the exact stop comparison at every term: the same partial sums,
+        # and None at the cap; eps runs from 0 past one, so the stop rule
+        # fires early and late, while the partial sums grow and shrink
+        n, rows = pattern
+        kernel = kf._series_kernel((n, tuple((r, columns) for r, columns, _ in rows)))
+        shift = data.draw(st.integers(0, 12))
+        one = 1 << shift
+        x = data.draw(st.lists(st.integers(-8 * one, 8 * one), min_size=n, max_size=n))
+        s = data.draw(st.sampled_from([0, 1, 3]))
+        eps = data.draw(st.one_of(st.just(0), st.integers(0, 4 * one), st.integers(0, 1 << 40)))
+        stop_from = data.draw(st.integers(0, 8))
+        cap = data.draw(st.integers(0, 40))
+        last = data.draw(st.integers(0, 45))
+        args = (rows, x, s, shift, one, eps, stop_from, cap, last)
+        assert kernel(*args) == series_kernel_oracle(*args)
+
+    def test_one_entry_sweep(self):
+        # one diagonal entry, so each term is the last one times e/(k + s):
+        # over small shifts, thresholds and start values, the partial sum
+        # grows by up to hi before a term drops under the threshold, and
+        # 2 eps hi / 2^shift is often not an integer, where the pre-check
+        # bound must round up
+        kernel = kf._series_kernel((1, ((0, (0,)),)))
+        for shift in range(4):
+            one = 1 << shift
+            for s in (0, 1):
+                for e in range(-16, 17):
+                    rows = ((0, (0,), (e,)),)
+                    for x in (1, 2, 3, 19, 23):
+                        for eps in range(1, 2 * one + 1):
+                            args = (rows, [x], s, shift, one, eps, 0, 30, 30)
+                            assert kernel(*args) == series_kernel_oracle(*args)
