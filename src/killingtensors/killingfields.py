@@ -304,13 +304,16 @@ def _rational_times(c, v, shift):
 class _Point(NamedTuple):
     """A point ``w`` prepared once for every pullback series at it: ``rows``
     are the nonzero rows of ``scale·ad_w`` as ``(row, columns, entries)`` int
-    tuples and ``norm`` their 1-norm, from ``MetricLieAlgebra.ad_walk``.
+    tuples, divided by ``2**strip``, and ``norm`` the 1-norm of the undivided
+    rows, from ``MetricLieAlgebra.ad_walk``.
 
-    Exact (``shift`` None): ``w`` as given and ``rows`` exact
-    (``ad_exact``).  Fixed point: ``w`` as ints at ``shift``, ``scale =
-    2**shift``, each product of ``rows`` floored on its own, and
+    Exact (``shift`` None): ``w`` as given, ``rows`` exact (``ad_exact``)
+    and ``strip`` 0.  Fixed point: ``w`` as ints at ``shift``, ``scale =
+    2**shift``, each product of ``rows`` floored on its own, ``strip`` the
+    largest power of two common to those products, at most ``shift``, and
     ``kernel`` the series compiled for the sparsity pattern of ``rows``
-    (``_series_kernel``), which takes ``rows`` as its entries."""
+    (``_series_kernel``), which takes ``rows`` as its entries and rounds each
+    row sum with a shift by ``shift - strip``."""
 
     shift: int | None
     scale: int
@@ -318,13 +321,25 @@ class _Point(NamedTuple):
     rows: tuple
     norm: int
     kernel: object = None
+    strip: int = 0
 
 
 def _points(alg: MetricLieAlgebra, ws, shift) -> list:
     """The points ``ws``, exact or fixed-point ints at ``shift``, prepared
     for the series.  The points of a block almost always share the sparsity
     pattern of ``ad_w``, so a fixed-point point looks up its kernel only
-    where its pattern differs from that of the point before."""
+    where its pattern differs from that of the point before.
+
+    A fixed-point point's entries are divided by ``2**strip``, the largest
+    power of two that divides all of them, capped at ``shift`` (0 when there
+    is no row).  A float sample entry has at most 53 significant bits, so at
+    the fixed-point scale it ends in a long run of zero bits (at least 141
+    at 50 digits), and with integer structure constants so do the products,
+    which no series product then multiplies; a constant with an odd
+    denominator floors each product and leaves little or nothing to
+    strip.  Each row sum is then ``2**-strip``
+    times the undivided one exactly, and ``v >> (shift - strip)`` is the
+    same floor as the undivided ``v >> shift``."""
     out, shape, kernel = [], None, None
     for w in ws:
         if shift is None:
@@ -332,11 +347,19 @@ def _points(alg: MetricLieAlgebra, ws, shift) -> list:
             out.append(_Point(None, scale, tuple(w), rows, norm))
             continue
         rows, norm = alg.ad_walk(w, alg.denominator)
+        common = 0
+        for _, _, entries in rows:
+            for a in entries:
+                common |= a
+        strip = min(shift, (common & -common).bit_length() - 1) if common else 0
+        if strip:
+            rows = tuple([(r, c, tuple([a >> strip for a in entries]))
+                          for r, c, entries in rows])
         columns = tuple([(r, c) for r, c, _ in rows])
         if columns != shape:
             shape, pattern = columns, (alg.dim, columns)
             kernel = _MEMO.kernels.get(pattern, partial(_series_kernel, pattern))
-        out.append(_Point(shift, 1 << shift, tuple(w), rows, norm, kernel))
+        out.append(_Point(shift, 1 << shift, tuple(w), rows, norm, kernel, strip))
     return out
 
 
@@ -393,7 +416,10 @@ def _fixed_series(point: _Point, x, s: int, order, min_order: int) -> list:
     ``_fixed_shift``).  The terms are summed by the point's kernel, one
     compiled function per sparsity pattern of ``ad_w`` (``_series_kernel``);
     here the stop rule and the cap become the term numbers it compares
-    ``k`` with.
+    ``k`` with, and each row sum is rounded by a shift by ``shift -
+    point.strip`` (``_points``), the same floor as a shift of the undivided
+    sum by ``shift``.  ``eps`` is an int at every working precision, also
+    below 5 digits, so the stop rule never compares a float.
     """
     shift, norm = point.shift, point.norm
     n = len(x)
@@ -401,7 +427,8 @@ def _fixed_series(point: _Point, x, s: int, order, min_order: int) -> list:
     hump = (norm >> shift) + 2
     cap = _MAX_TERMS if hump <= _MAX_TERMS and min_order < _MAX_TERMS else n
     if order is None:  # the stop rule or the cap ends the series
-        eps = one // 10 ** (_prec_to_dps(shift - _fixed_shift(n, 0)) - 5)
+        digits = _prec_to_dps(shift - _fixed_shift(n, 0)) - 5
+        eps = one // 10 ** digits if digits >= 0 else one * 10 ** -digits
         stop_from, last = max(min_order, hump), cap + 1
     elif order:  # truncated: no stop rule, and within the cap no cap either
         eps, stop_from, last = 0, order + 1, order
@@ -409,7 +436,7 @@ def _fixed_series(point: _Point, x, s: int, order, min_order: int) -> list:
             cap = order
     else:
         return list(x)
-    acc = point.kernel(point.rows, x, s, shift, one, eps, stop_from, cap, last)
+    acc = point.kernel(point.rows, x, s, shift - point.strip, one, eps, stop_from, cap, last)
     if acc is None:
         raise SeriesCapError(Fraction(norm, one))
     return acc
@@ -426,7 +453,10 @@ def _series_kernel(pattern):
     ((row, columns), ...))`` of ``ad_w``, generated as straight-line Python
     and compiled once: ``series(rows, x, s, shift, one, eps, stop_from, cap,
     last)`` returns the partial sum after the last term, or None at the cap,
-    where ``_fixed_series`` raises ``SeriesCapError``.
+    where ``_fixed_series`` raises ``SeriesCapError``.  ``shift`` is the row
+    shift, which rounds each row sum (``shift - strip`` of a prepared
+    point), and ``one`` is ``2**P`` at the full fixed-point scale ``P``,
+    which the stop rule compares with.
 
     The source is built from the pattern's indices alone: the ``(row,
     columns, entries)`` rows of the pattern, whose entries it unpacks, and
@@ -441,13 +471,13 @@ def _series_kernel(pattern):
     kernel ends on a zero term, then at ``k >= stop_from`` by the stop rule
     at ``eps``, then at ``k > cap`` with None, and before term ``k > last``.
 
-    The stop rule ``t << shift < eps * H``, for the largest entry ``t`` of
-    the term and ``H`` of ``b`` and the partial sums, is pre-checked: the
-    kernel keeps ``hi``, the ``H`` it last took, and ``grown``, the sum of
-    the ``t`` since then, and takes ``hi`` again once ``grown > hi``.  So
-    ``H <= hi + grown <= 2 hi``, and a term with ``t >= ceil(2 eps hi /
-    2^shift)`` cannot stop the series: only a term under that bound makes
-    the comparison, which then stops exactly where it would at every term.
+    The stop rule ``t * one < eps * H``, for the largest entry ``t`` of the
+    term and ``H`` of ``b`` and the partial sums, is pre-checked: the kernel
+    keeps ``hi``, the ``H`` it last took, and ``grown``, the sum of the
+    ``t`` since then, and takes ``hi`` again once ``grown > hi``.  So ``H <=
+    hi + grown <= 2 hi``, and a term with ``t >= ceil(2 eps hi / one)``
+    cannot stop the series: only a term under that bound makes the
+    comparison, which then stops exactly where it would at every term.
 
     Compiling takes about 0.7 ms at 12 nonzeros, 1.2 ms at 30 and 6 ms at
     289 (CPython 3.11, one core of a shared 2-core machine).  ``_MEMO``
@@ -499,7 +529,7 @@ def _series_kernel(pattern):
              "            if grown > hi:",
              f"                hi, grown = {high}, 0",
              "                floor = -(-2 * eps * hi // one)",
-             f"            if t < floor and t << shift < eps * {high}:",
+             f"            if t < floor and t * one < eps * {high}:",
              "                break",
              "        if k > cap:",
              "            return None",
@@ -675,52 +705,77 @@ class CompiledCertificate:
             for i, c in node[1])) for node in nodes]
 
 
-def _horner_lanes(nodes, values, coeffs, shift, lanes: int) -> list:
-    """Dense value ``N(root)`` of a ``CompiledCertificate``'s ``nodes`` at
-    ``lanes`` points at once, from the leaves up: the list is walked
-    backwards, so each child is summed before its parent, and each value is
-    dropped once its parent has read it.  Each position holds a tuple of
-    values, one per lane (point), or None when it is zero in every lane;
-    ``values[g]`` holds the generator's in that layout, and zero positions
-    are skipped.  Each product is lane-wise, a node sums its products
-    exactly on each lane, and in fixed point shifts each sum once: lane by
-    lane, the same ints as one point at a time."""
+def _horner_lanes(nodes, values, coeffs, shift) -> list:
+    """Dense value ``N(root)`` of a ``CompiledCertificate``'s ``nodes`` at a
+    block of points at once, one lane per point, from the leaves up: the
+    list is walked backwards, so each child is summed before its parent, and
+    each value is dropped once its parent has read it.  A position holds
+    None when it is zero in every lane, one value (an int, or a ``Fraction``
+    when exact) when it is the same in every lane, or a tuple of one value
+    per lane; ``values[g]`` holds the generator's in that layout, and the
+    coefficients are one value each.  A node sums the products of two
+    single values once, and the lane-wise products, where a single value
+    meets a tuple, spread over its lanes; it adds the single sum to each
+    lane only where a position has both, and in fixed point shifts each sum
+    once.  Every sum is exact, so lane by lane these are the same ints as
+    one point at a time."""
     done = {}
     for at, node in reversed(list(enumerate(nodes))):
         if isinstance(node, int):
-            done[at] = [(coeffs[node],) * lanes if coeffs[node] else None]
+            done[at] = [coeffs[node] or None]
             continue
         size, edges = node
-        out = [None] * size
+        same, apart = [0] * size, [None] * size  # the single sums, the lane-wise ones
         for g, table, child in edges:
-            below = [(j, b) for j, b in enumerate(done.pop(child)) if b is not None]
+            below = done.pop(child)
+            single = [(j, b) for j, b in enumerate(below) if b is not None and type(b) is not tuple]
+            lanes = [(j, b) for j, b in enumerate(below) if type(b) is tuple]
             for a, row in zip(values[g], table):
-                if a is not None:
-                    for j, b in below:
-                        k = row[j]
-                        acc = out[k]
-                        out[k] = (tuple(map(mul, a, b)) if acc is None
-                                  else tuple(map(add, acc, map(mul, a, b))))
-        for k, v in enumerate(out):
-            if v is not None:
-                if shift is not None:
-                    v = out[k] = tuple(map(rshift, v, repeat(shift)))
-                if not any(v):
-                    out[k] = None
+                if a is None:
+                    continue
+                if type(a) is tuple:
+                    products = [(row[j], map(mul, a, repeat(b))) for j, b in single]
+                    products += [(row[j], map(mul, a, b)) for j, b in lanes]
+                else:
+                    for j, b in single:
+                        same[row[j]] += a * b
+                    products = [(row[j], map(mul, b, repeat(a))) for j, b in lanes]
+                for k, p in products:
+                    acc = apart[k]
+                    apart[k] = tuple(p) if acc is None else tuple(map(add, acc, p))
+        out = [None] * size
+        for k, v in enumerate(apart):
+            u = same[k]
+            if v is None:
+                if u and shift is not None:
+                    u >>= shift
+                out[k] = u or None
+                continue
+            if u:
+                v = map(add, v, repeat(u))
+            if shift is not None:
+                v = map(rshift, v, repeat(shift))
+            v = tuple(v)
+            out[k] = v if any(v) else None
         done[at] = out
     return done[0]
 
 
-def _lanes(columns) -> list:
+def _lanes(columns, varies) -> list:
     """Generator values in the layout of ``_horner_lanes``, from one column
-    per generator: its dense value at each point of a block."""
-    return [[v if any(v) else None for v in zip(*column)] for column in columns]
+    per generator, its dense value at each point of a block, and whether it
+    varies with the point (``_varies``): a varying one's positions become
+    tuples, one entry per point, and a constant one's its value at the
+    first point, with no scan over the lanes."""
+    return [[v if any(v) else None for v in zip(*column)] if vary
+            else [v or None for v in column[0]] for column, vary in zip(columns, varies)]
 
 
 def _one_lane(nodes, values, coeffs, shift) -> list:
-    """``_horner_lanes`` at one point, from and to dense lists of values."""
-    out = _horner_lanes(nodes, _lanes((v,) for v in values), coeffs, shift, 1)
-    return [0 if v is None else v[0] for v in out]
+    """``_horner_lanes`` at one point, from and to dense lists of values:
+    every position is one value."""
+    out = _horner_lanes(nodes, [[v or None for v in value] for value in values], coeffs, shift)
+    return [v or 0 for v in out]
 
 
 def omega_tensor(alg: MetricLieAlgebra, cert: Certificate, w, order=None, min_order: int = 0,
@@ -1149,6 +1204,7 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     if compiled.dim != dim:
         raise ValueError("dimension mismatch")
     exact0 = _exact_at_zero(compiled, cert.target)
+    varies = [_varies(alg, g) for g in compiled.generators]
     _check_generators(alg, cert, compiled.generators)
     points = cache(partial(sample_points, dim, samples, seed))  # drawn on a memo miss only
     series = sum(isinstance(g, _SERIES) for g in compiled.generators)
@@ -1165,12 +1221,12 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     target = _scaled(cert.target.dense(), shift)
     coeffs = _scaled(compiled.coefficients, shift)
     worst = 0
-    for n, columns in _MEMO.blocks(alg, compiled.generators, samples, seed, points, shift,
+    for _, columns in _MEMO.blocks(alg, compiled.generators, samples, seed, points, shift,
                                    min_order):
-        out = _horner_lanes(compiled.nodes, _lanes(columns), coeffs, shift, n)
-        for lanes, t in zip(out, target):
-            worst = max(worst, abs(t) if lanes is None
-                        else max(map(abs, map(sub, lanes, repeat(t)))))
+        out = _horner_lanes(compiled.nodes, _lanes(columns, varies), coeffs, shift)
+        for v, t in zip(out, target):
+            worst = max(worst, max(map(abs, map(sub, v, repeat(t)))) if type(v) is tuple
+                        else abs((v or 0) - t))
     try:
         max_dev = worst / (1 << shift)
     except OverflowError:  # a deviation past the float range

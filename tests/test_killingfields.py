@@ -1122,6 +1122,12 @@ class TestHornerAgainstTermByTerm:
         assert omega_tensor(alg, cert, w, order=3) == omega_tensor_oracle(alg, cert, w, 3)
 
 
+def lane(v, i):
+    """Lane ``i`` of a position in the layout of ``_horner_lanes``: None,
+    one int for every lane, or a tuple of one int per lane."""
+    return 0 if v is None else v[i] if type(v) is tuple else v
+
+
 class TestHornerLanes:
     """``_horner_lanes`` over a block of fixed-point points against
     ``horner_oracle`` at each point alone, int for int."""
@@ -1137,12 +1143,18 @@ class TestHornerLanes:
         columns = [kf._generator_values(alg, g, shift, points, None, 0)
                    for g in compiled.generators]
         coeffs = kf._scaled(compiled.coefficients, shift)
-        values = kf._lanes(columns)
-        got = kf._horner_lanes(compiled.nodes, values, coeffs, shift, lanes)
-        assert all(v is None or (len(v) == lanes and any(v)) for v in got)
+        varies = [kf._varies(alg, g) for g in compiled.generators]
+        values = kf._lanes(columns, varies)
+        # a constant generator's positions are single ints, a varying one's
+        # tuples of one int per lane
+        assert all(type(v) is (tuple if vary else int)
+                   for value, vary in zip(values, varies) for v in value if v is not None)
+        got = kf._horner_lanes(compiled.nodes, values, coeffs, shift)
+        assert all(v is None or (type(v) is int and v) or (len(v) == lanes and any(v))
+                   for v in got)
         for i in range(lanes):
             want = horner_oracle(compiled.nodes, [c[i] for c in columns], coeffs, shift)
-            assert [0 if v is None else v[i] for v in got] == list(want)
+            assert [lane(v, i) for v in got] == list(want)
         return values, got
 
     @settings(max_examples=150, deadline=None)
@@ -1229,6 +1241,23 @@ _WALK_RATIONALS = st.tuples(*[st.builds(Fraction, st.integers(-40, 40),
                                         st.sampled_from([1, 2, 3, 7, 10 ** 20 + 1]))] * 4)
 
 
+def unstripped(point):
+    """A prepared point's rows with the strip undone: ``2^strip`` times each
+    entry, the rows ``ad_walk`` gave."""
+    return tuple((r, c, tuple(a << point.strip for a in e)) for r, c, e in point.rows)
+
+
+def assert_strip_is_largest(point):
+    """``strip`` is at most ``shift``, and below it some entry is odd after
+    the division: no larger power of two divides every entry."""
+    entries = [a for _, _, e in point.rows for a in e]
+    assert 0 <= point.strip <= point.shift
+    if entries and point.strip < point.shift:
+        assert any(a & 1 for a in entries)
+    if not entries:
+        assert point.strip == 0
+
+
 class TestPointWalk:
     """``_points`` and ``_series_bounds`` walk ``ad_forms``; ``point_oracle``
     reads the dense structure array and floors each product on its own."""
@@ -1251,9 +1280,12 @@ class TestPointWalk:
         point, = kf._points(alg, [wv], shift)
         rows, norm = point_oracle(alg, wv)
         assert point.w == wv
-        assert point.rows == tuple((r, tuple(j for j, a in enumerate(row) if a),
-                                    tuple(a for a in row if a))
-                                   for r, row in enumerate(rows) if any(row))
+        # the rows divided by 2^strip, the largest power of two common to
+        # all their entries, at most 2^shift: undone, they are the oracle's
+        assert unstripped(point) == tuple((r, tuple(j for j, a in enumerate(row) if a),
+                                           tuple(a for a in row if a))
+                                          for r, row in enumerate(rows) if any(row))
+        assert_strip_is_largest(point)
         assert point.norm == norm
         if kind != "fixed":  # sample points are floats
             want = series_bounds_oracle(alg, w)
