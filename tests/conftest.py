@@ -310,7 +310,8 @@ def fixed_series_oracle(rows, norm, x, s, shift, order=None, min_order=0):
     ``SeriesCapError``."""
     n = len(x)
     one = 1 << shift
-    eps = one // 10 ** (mp.dps - 5)
+    # on ints below 5 digits too, where 10 ** (dps - 5) is a float
+    eps = one * 10 ** (5 - mp.dps) if mp.dps < 5 else one // 10 ** (mp.dps - 5)
     hump = (norm >> shift) + 2
     stop_from = max(min_order, hump)
     cap = SERIES_TERM_CAP if hump <= SERIES_TERM_CAP and min_order < SERIES_TERM_CAP else n
@@ -337,12 +338,12 @@ def fixed_series_oracle(rows, norm, x, s, shift, order=None, min_order=0):
 
 def series_kernel_oracle(rows, x, s, shift, one, eps, stop_from, cap, last):
     """A reference for a compiled series kernel, with its arguments: the
-    terms of ``fixed_series_oracle``, each entry a row sum shifted and then
-    divided by ``k + s`` toward zero, and the stop comparison ``max|u| <<
-    shift < eps * max(one, |partial sum|)`` made in full at every term from
-    ``stop_from`` on, with no pre-check.  Ends on a zero term, then by the
-    stop rule, then with None past ``cap``, and before a term past
-    ``last``."""
+    terms of ``fixed_series_oracle``, each entry a row sum shifted by the
+    row shift ``shift`` and then divided by ``k + s`` toward zero, and the
+    stop comparison ``max|u| * one < eps * max(one, |partial sum|)``, at the
+    full scale ``one``, made in full at every term from ``stop_from`` on,
+    with no pre-check.  Ends on a zero term, then by the stop rule, then
+    with None past ``cap``, and before a term past ``last``."""
     acc = list(x)
     term = list(x)
     k = 1
@@ -356,7 +357,7 @@ def series_kernel_oracle(rows, x, s, shift, one, eps, stop_from, cap, last):
         if not any(term):
             return acc
         acc = [p + q for p, q in zip(acc, term)]
-        if k >= stop_from and max(map(abs, term)) << shift < eps * max(one, *map(abs, acc)):
+        if k >= stop_from and max(map(abs, term)) * one < eps * max(one, *map(abs, acc)):
             return acc
         if k > cap:
             return None

@@ -1590,13 +1590,20 @@ class TestRecordedReports:
                                "--certificate", "tests/data/heis.mixed.cert.json"]),
         ("aa6.series-free.verify100", ["--algebra", "tests/data/aa6.json",
                                        "--certificate", "tests/data/aa6.series-free.cert.json",
-                                       "--samples", "100"])])
+                                       "--samples", "100"]),
+        ("skew3.verify100", ["--algebra", "tests/data/skew3.json",
+                             "--certificate", "tests/data/skew3.cert.json", "--samples", "100"])])
     def test_verify_routes(self, monkeypatch, capsys, name, argv):
         # on the Heisenberg algebra e2 is central, so right:2 is constant:
         # alone it passes, beside right:0 and right:1 (series) it fails; on
         # the dimension-6 algebra the metric and left:0 with coefficients
         # near 1e30 need no series and 70 digits.  Recorded when every
-        # right-invariant field was summed as a series at every sample point
+        # right-invariant field was summed as a series at every sample
+        # point.  skew3: the certificate of test_decompose_report_thirds,
+        # whose right fields all vary, on a skew D of thirds, where each
+        # entry of ad_w is floored and the points strip little or nothing;
+        # recorded before the points were stripped and before Horner's rule
+        # summed lane-uniform values once
         root = Path(__file__).parents[1]
         monkeypatch.chdir(root)
         code, out, _ = run(capsys, ["verify", *argv])
@@ -1615,6 +1622,22 @@ class TestRecordedReports:
                                     "--tensor", "aa6.k4.json"])
         assert code == 0
         assert out == (data / "aa6.decompose4.out").read_text()
+
+    def test_decompose_report_thirds(self, tmp_path, monkeypatch, capsys):
+        # a degree-3 Killing tensor on the dimension-5 algebra of a skew D
+        # with denominators 3, decomposed into the metric, left:0 and right
+        # fields and verified: recorded before the points were stripped and
+        # before Horner's rule summed lane-uniform values once
+        data = Path(__file__).parent / "data"
+        for name in ("skew3.json", "skew3.k3.json"):
+            (tmp_path / name).write_bytes((data / name).read_bytes())
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, ["decompose", "--algebra", "skew3.json",
+                                    "--tensor", "skew3.k3.json"])
+        assert code == 0
+        assert out == (data / "skew3.decompose3.out").read_text()
+        assert (tmp_path / "skew3.k3.cert.json").read_bytes() == (
+            data / "skew3.cert.json").read_bytes()
 
 
 class TestReportDigest:

@@ -2188,10 +2188,13 @@ class TestStopPreCheck:
         # every compiled kernel against series_kernel_oracle, which makes
         # the exact stop comparison at every term: the same partial sums,
         # and None at the cap; eps runs from 0 past one, so the stop rule
-        # fires early and late, while the partial sums grow and shrink
+        # fires early and late, while the partial sums grow and shrink.  The
+        # row shift runs from 0 to the full shift, as a stripped point's
+        # does, while the stop rule compares at the full scale
         n, rows = pattern
         kernel = kf._series_kernel((n, tuple((r, columns) for r, columns, _ in rows)))
         shift = data.draw(st.integers(0, 12))
+        row_shift = data.draw(st.one_of(st.just(shift), st.integers(0, shift)))
         one = 1 << shift
         x = data.draw(st.lists(st.integers(-8 * one, 8 * one), min_size=n, max_size=n))
         s = data.draw(st.sampled_from([0, 1, 3]))
@@ -2199,7 +2202,7 @@ class TestStopPreCheck:
         stop_from = data.draw(st.integers(0, 8))
         cap = data.draw(st.integers(0, 40))
         last = data.draw(st.integers(0, 45))
-        args = (rows, x, s, shift, one, eps, stop_from, cap, last)
+        args = (rows, x, s, row_shift, one, eps, stop_from, cap, last)
         assert kernel(*args) == series_kernel_oracle(*args)
 
     def test_one_entry_sweep(self):
@@ -2216,5 +2219,175 @@ class TestStopPreCheck:
                     rows = ((0, (0,), (e,)),)
                     for x in (1, 2, 3, 19, 23):
                         for eps in range(1, 2 * one + 1):
-                            args = (rows, [x], s, shift, one, eps, 0, 30, 30)
-                            assert kernel(*args) == series_kernel_oracle(*args)
+                            for row_shift in {0, shift}:
+                                args = (rows, [x], s, row_shift, one, eps, 0, 30, 30)
+                                assert kernel(*args) == series_kernel_oracle(*args)
+
+
+# ---------------------------------------------------------------------------
+# stripped points, lane-uniform Horner positions, and the stop rule below
+# 5 working digits
+# ---------------------------------------------------------------------------
+
+def _thirds():
+    """Algebras whose structure constants have denominator 3, where
+    ``ad_walk`` floors each product and little or no power of two is
+    common to the entries: the skew ``D`` of ``tests/data/skew3.json``, a
+    generic ``D``, and a Heisenberg bracket of 1/3."""
+    skew = ff.algebra_from_dict(json.loads(
+        (Path(__file__).parent / "data" / "skew3.json").read_text()))
+    generic = AlmostAbelianAlgebra(Endomorphism.from_rows(
+        [[Fraction(1, 3), Fraction(-2, 3)], [Fraction(4, 3), Fraction(5, 3)]]))
+    return [skew, generic, MetricLieAlgebra(3, {(0, 1, 2): Fraction(1, 3),
+                                                (1, 0, 2): Fraction(-1, 3)})]
+
+
+_STRIP_ALGEBRAS = ([KERNEL_CASES[name] for name in sorted(KERNEL_CASES)] + _thirds()
+                   + [AlmostAbelianAlgebra(Endomorphism.zero(2))])
+_STRIP_POINTS = {
+    # sample points: floats in [-2, 2], at most 53 significant bits each
+    "float": st.floats(-2, 2, allow_nan=False),
+    # integer entries: over integer constants every product has at least
+    # shift trailing zero bits, where the strip is capped
+    "integer": st.integers(-3, 3).map(float),
+    # odd denominators: each entry is floored at the scale
+    "rational": st.builds(Fraction, st.integers(-40, 40), st.sampled_from([3, 5, 7, 9, 15])),
+    # the origin: no row at all
+    "origin": st.just(0.0),
+}
+
+
+def _series_outcome(point, x, s, order, min_order):
+    """``_fixed_series`` at ``point``, or the type and message it raises."""
+    try:
+        return kf._fixed_series(point, x, s, order, min_order)
+    except (ValueError, kf.SeriesCapError) as exc:
+        return type(exc), str(exc)
+
+
+class TestRowShift:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(range(len(_STRIP_ALGEBRAS))), st.sampled_from(sorted(_STRIP_POINTS)),
+           st.data())
+    # 2 b on an integer algebra: every product a multiple of 2^(shift + 1);
+    # a float point on the skew algebra with thirds
+    @example(len(_STRIP_ALGEBRAS) - 4, "integer", None)
+    @example(len(_STRIP_ALGEBRAS) - 3, "float", None)
+    def test_stripped_series_equals_the_unstripped(self, which, kind, data):
+        # a prepared point keeps its rows divided by 2^strip, the largest
+        # power of two common to them, capped at the shift, and rounds each
+        # row sum by shift - strip: every series is the one of the undivided
+        # rows, bit for bit, or raises the same error
+        alg = _STRIP_ALGEBRAS[which]
+        if data is None:  # the explicit examples
+            w, prec, s, order, min_order = (2.0,) + (0.0,) * (alg.dim - 1), 53, 1, None, 0
+            if kind == "float":
+                w = (0.75, -1.5, 1e-3, 1.25, -0.3)[:alg.dim]
+            x = [Fraction(i + 1, 3) for i in range(alg.dim)]
+        else:
+            w = data.draw(st.tuples(*[_STRIP_POINTS[kind]] * alg.dim))
+            prec = data.draw(st.sampled_from([8, 53, 170]))
+            s = data.draw(st.sampled_from([0, 1]))
+            order = data.draw(st.one_of(st.none(), st.integers(0, 9)))
+            min_order = data.draw(st.integers(0, 30))
+            x = data.draw(st.tuples(*[_KERNEL_RATIONAL] * alg.dim))
+        shift = kf._fixed_shift(alg.dim, prec)
+        wv = tuple(kf._to_fixed(c, shift) for c in w)
+        point, = kf._points(alg, [wv], shift)
+        rows, norm = alg.ad_walk(wv, alg.denominator)
+        assert unstripped(point) == rows and point.norm == norm
+        assert_strip_is_largest(point)
+        if kind == "integer" and alg.denominator == 1 and rows:
+            assert point.strip == shift
+        whole = point._replace(rows=rows, strip=0)
+        xv = kf._scaled(x, shift)
+        assert (_series_outcome(point, xv, s, order, min_order)
+                == _series_outcome(whole, xv, s, order, min_order))
+
+    def test_sample_points_strip_over_a_hundred_bits(self):
+        # the sampled check's own points on integer constants: far more
+        # zero bits than significant ones, each point its own strip
+        alg = KERNEL_CASES["generic dim 4"]
+        shift = kf._fixed_shift(alg.dim, kf._dps_to_prec(50))
+        ws = sample_points(alg.dim, 20, kf.DEFAULT_SEED)
+        points = kf._points(alg, [kf._scaled(w, shift) for w in ws], shift)
+        assert all(p.strip >= 100 for p in points)
+        assert len({p.strip for p in points}) > 1
+        for p in points:
+            assert_strip_is_largest(p)
+
+    def test_thirds_leave_little_to_strip(self):
+        alg = _thirds()[0]
+        shift = kf._fixed_shift(alg.dim, kf._dps_to_prec(50))
+        ws = sample_points(alg.dim, 20, kf.DEFAULT_SEED)
+        points = kf._points(alg, [kf._scaled(w, shift) for w in ws], shift)
+        assert all(p.strip <= 2 for p in points)
+
+
+class TestMixedLanes:
+    @settings(max_examples=200, deadline=None)
+    @given(certificates(), st.sampled_from([1, 31, 32, 33, 70]),
+           st.sampled_from(["constant", "mixed"]), st.data())
+    def test_each_lane_matches_the_oracle(self, case, lanes, kind, data):
+        # each position of a generator's value drawn on its own: None, one
+        # int for every lane, or a tuple of one int per lane, with one lane
+        # zero in every tuple (the origin, where a derivation field is 0);
+        # all-constant values make no tuple at all
+        alg, cert = case
+        compiled = CompiledCertificate(cert)
+        shift = data.draw(st.sampled_from([0, 3, 64]))
+        entry = st.integers(-(1 << (shift + 8)), 1 << (shift + 8))
+        origin = data.draw(st.integers(0, lanes - 1))
+        varying = st.lists(entry, min_size=lanes, max_size=lanes).map(
+            lambda v: tuple(v[:origin] + [0] + v[origin + 1:]))
+        position = st.one_of(st.none(), entry.filter(bool),
+                             *([varying] if kind == "mixed" else []))
+        values = [[data.draw(position) for _ in range(sym_dimension(alg.dim, generator_degree(g)))]
+                  for g in compiled.generators]
+        coeffs = kf._scaled(compiled.coefficients, shift)
+        got = kf._horner_lanes(compiled.nodes, values, coeffs, shift)
+        assert all(v is None or (type(v) is int and v) or (type(v) is tuple and len(v) == lanes)
+                   for v in got)
+        if kind == "constant":
+            assert not any(type(v) is tuple for v in got)
+        for i in range(lanes):
+            want = horner_oracle(compiled.nodes, [[lane(v, i) for v in value] for value in values],
+                                 coeffs, shift)
+            assert [lane(v, i) for v in got] == list(want)
+
+    def test_constant_certificate_sums_single_ints(self):
+        # the metric and left:0 on the rotation algebra: every position is
+        # one int, the node shifts included, equal to the oracle
+        alg = ORACLE_CASES["rotation"][0]
+        left = LeftInvariant(basis_vec(3, 0))
+        cert = Certificate(SymTensor.zero(3, 3), ((Fraction(5, 3), (Metric(), left)),
+                                                  (Fraction(-7), (left, left, left))))
+        compiled = CompiledCertificate(cert)
+        shift = kf._fixed_shift(3, 170)
+        columns = [kf._generator_values(alg, g, shift, (None,) * 20, None, 0)
+                   for g in compiled.generators]
+        values = kf._lanes(columns, [False] * len(columns))
+        coeffs = kf._scaled(compiled.coefficients, shift)
+        got = kf._horner_lanes(compiled.nodes, values, coeffs, shift)
+        want = horner_oracle(compiled.nodes, [c[0] for c in columns], coeffs, shift)
+        assert all(type(v) is int for v in got if v is not None)
+        assert [v or 0 for v in got] == list(want)
+
+
+class TestStopRuleBelowFiveDigits:
+    @pytest.mark.parametrize("prec", range(1, 20))
+    def test_eps_is_an_int(self, prec):
+        # below 19 working bits the digits are under 5, where one // 10 **
+        # (dps - 5) made eps a float and its product with a partial sum of
+        # 1000 bits overflowed: the series is the oracle's, on ints
+        alg = AlmostAbelianAlgebra(Endomorphism.diagonal([1, 1]))
+        gen = RightInvariant((0, 1, 0))
+        w = (700.0, 0.0, 0.0)
+        value = omega_generator(alg, gen, w, prec=prec)
+        shift = kf._fixed_shift(alg.dim, prec)
+        point, = kf._points(alg, [[kf._fixed_entry(c, prec, shift) for c in w]], shift)
+        with mp.workprec(prec):
+            want = fixed_series_oracle(unstripped(point), point.norm,
+                                       kf._scaled(gen.vector, shift), 0, shift)
+        assert value == SymTensor.from_dense(alg.dim, 1, [kf._nearest(v, 1 << shift, prec)
+                                                          for v in want])
