@@ -30,7 +30,8 @@ one algebra share, the points of a block are prepared once per check for
 those generators, the constant ones (the metric, left-invariant fields and
 right-invariant fields of central vectors) are valued once, and the
 certificate is summed once per block with one lane per point
-(``_horner_lanes``), which every evaluation shares.
+(``_horner_lanes``), which every evaluation shares: a value the same in
+every lane is one int, multiplied and shifted once for the block.
 """
 from __future__ import annotations
 
@@ -727,22 +728,32 @@ def _horner_lanes(nodes, values, coeffs, shift) -> list:
         size, edges = node
         same, apart = [0] * size, [None] * size  # the single sums, the lane-wise ones
         for g, table, child in edges:
-            below = done.pop(child)
-            single = [(j, b) for j, b in enumerate(below) if b is not None and type(b) is not tuple]
-            lanes = [(j, b) for j, b in enumerate(below) if type(b) is tuple]
+            single, lanes = [], []
+            for j, b in enumerate(done.pop(child)):
+                if b is not None:
+                    (lanes if type(b) is tuple else single).append((j, b))
             for a, row in zip(values[g], table):
                 if a is None:
                     continue
                 if type(a) is tuple:
-                    products = [(row[j], map(mul, a, repeat(b))) for j, b in single]
-                    products += [(row[j], map(mul, a, b)) for j, b in lanes]
+                    for j, b in single:
+                        k = row[j]
+                        acc = apart[k]
+                        apart[k] = (tuple(map(mul, a, repeat(b))) if acc is None
+                                    else tuple(map(add, acc, map(mul, a, repeat(b)))))
+                    for j, b in lanes:
+                        k = row[j]
+                        acc = apart[k]
+                        apart[k] = (tuple(map(mul, a, b)) if acc is None
+                                    else tuple(map(add, acc, map(mul, a, b))))
                 else:
                     for j, b in single:
                         same[row[j]] += a * b
-                    products = [(row[j], map(mul, b, repeat(a))) for j, b in lanes]
-                for k, p in products:
-                    acc = apart[k]
-                    apart[k] = tuple(p) if acc is None else tuple(map(add, acc, p))
+                    for j, b in lanes:
+                        k = row[j]
+                        acc = apart[k]
+                        apart[k] = (tuple(map(mul, b, repeat(a))) if acc is None
+                                    else tuple(map(add, acc, map(mul, b, repeat(a)))))
         out = [None] * size
         for k, v in enumerate(apart):
             u = same[k]
@@ -1028,11 +1039,13 @@ class _LRU:
 # A column holds at most ``_BLOCK`` points, so the memo keeps no more than
 # 256 values whatever ``samples`` is.  The metric, left-invariant fields and
 # right-invariant fields of central vectors are constant (``_varies``) and
-# are not kept, and a sample set's bounds are read only for a certificate
+# are not kept: valued once per check, they enter Horner's rule as one int
+# per position for every point of a block (``_lanes``), and a sample set's bounds are read only for a certificate
 # with a series factor on an algebra with a bracket, so a check of constant
 # generators alone draws no point.  On an abelian algebra only derivation
 # fields are columns.  The points of a block are prepared by
-# ``_points`` once per check, on its first column miss, and shared by the
+# ``_points`` once per check, on its first column miss, with the common
+# power of two of its entries divided out (``strip``), and shared by the
 # check's series generators: kept across checks, they saved 8 of 67 block
 # preparations over two certify-batch rounds.  A block looks up its kernel
 # once per run of points with one sparsity pattern, almost always once.
@@ -1171,15 +1184,16 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     on ints at the origin (``_exact_at_zero``) and in fixed point at the
     sample points, a block of at most ``_BLOCK`` at a time: the generator
     columns of the block, memoized across calls (``_SampleMemo``), are
-    turned into lanes, one per point, and the trie is walked once for the
-    block (``_horner_lanes``).  Only a generator that varies with the point
+    turned into lanes, one per point, with a constant generator one int per
+    position, and the trie is walked once for the block
+    (``_horner_lanes``).  Only a generator that varies with the point
     (``_varies``) reads the points, and the largest ``||ad_w||_1`` and gain
     over them are read only for a certificate with a series factor on an
     algebra with a bracket; otherwise they are those of ``w = 0``, which
     every point gives when ``ad_w = 0`` and which nothing reads without a
     series factor.  Each value is compared with the target,
-    converted once, lane by lane; only the largest deviation becomes a
-    float.
+    converted once, lane by lane, or once for a position that is one int
+    for the block; only the largest deviation becomes a float.
 
     The series order at each sample is at least ``order_floor >= 0`` and at
     least the order making the crude tail bound ``||ad_w||^(N+1)/(N+1)!``
