@@ -337,10 +337,10 @@ def _points(alg: MetricLieAlgebra, ws, shift) -> list:
     the fixed-point scale it ends in a long run of zero bits (at least 141
     at 50 digits), and with integer structure constants so do the products,
     which no series product then multiplies; a constant with an odd
-    denominator floors each product and leaves little or nothing to
-    strip.  Each row sum is then ``2**-strip``
-    times the undivided one exactly, and ``v >> (shift - strip)`` is the
-    same floor as the undivided ``v >> shift``."""
+    denominator floors each product and leaves little or nothing to strip.
+    Each row sum is then exactly ``2**-strip`` times the undivided one, so
+    ``v >> (shift - strip)`` is the same floor as the undivided ``v >>
+    shift``."""
     out, shape, kernel = [], None, None
     for w in ws:
         if shift is None:
@@ -1040,9 +1040,9 @@ class _LRU:
 # 256 values whatever ``samples`` is.  The metric, left-invariant fields and
 # right-invariant fields of central vectors are constant (``_varies``) and
 # are not kept: valued once per check, they enter Horner's rule as one int
-# per position for every point of a block (``_lanes``), and a sample set's bounds are read only for a certificate
-# with a series factor on an algebra with a bracket, so a check of constant
-# generators alone draws no point.  On an abelian algebra only derivation
+# per position for every point of a block (``_lanes``).  A sample set's
+# bounds are read only for a certificate with a series factor on an algebra
+# with a bracket, so a check of constant generators alone draws no point.  On an abelian algebra only derivation
 # fields are columns.  The points of a block are prepared by
 # ``_points`` once per check, on its first column miss, with the common
 # power of two of its entries divided out (``strip``), and shared by the
@@ -1084,9 +1084,9 @@ class _SampleMemo:
     def blocks(self, alg: MetricLieAlgebra, generators, samples: int, seed: int, points,
                shift: int, min_order: int):
         """The fixed-point values of ``generators`` at the sample points, one
-        block after another: the block's number of points and one column per
-        generator, its dense value at each of them.  ``points()`` draws the
-        points, and is called only on a miss."""
+        block after another: one column per generator, its dense value at
+        each point of the block.  ``points()`` draws the points, and is
+        called only on a miss."""
         constant = {g: _generator_values(alg, g, shift, (None,), None, min_order)[0]
                     for g in generators if not _varies(alg, g)}
         for start in range(0, samples, _BLOCK):
@@ -1106,7 +1106,7 @@ class _SampleMemo:
                 return self.columns.get(block + (g, shift, min_order), lambda: tuple(
                     map(tuple, _generator_values(alg, g, shift, prepare(), None, min_order))))
 
-            yield n, [column(g) for g in generators]
+            yield [column(g) for g in generators]
 
 
 _MEMO = _SampleMemo()
@@ -1218,8 +1218,8 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     if compiled.dim != dim:
         raise ValueError("dimension mismatch")
     exact0 = _exact_at_zero(compiled, cert.target)
-    varies = [_varies(alg, g) for g in compiled.generators]
     _check_generators(alg, cert, compiled.generators)
+    varies = [_varies(alg, g) for g in compiled.generators]
     points = cache(partial(sample_points, dim, samples, seed))  # drawn on a memo miss only
     series = sum(isinstance(g, _SERIES) for g in compiled.generators)
     # ad_w = 0 at every point of a bracket-free algebra, and without a series
@@ -1235,8 +1235,8 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     target = _scaled(cert.target.dense(), shift)
     coeffs = _scaled(compiled.coefficients, shift)
     worst = 0
-    for _, columns in _MEMO.blocks(alg, compiled.generators, samples, seed, points, shift,
-                                   min_order):
+    for columns in _MEMO.blocks(alg, compiled.generators, samples, seed, points, shift,
+                                min_order):
         out = _horner_lanes(compiled.nodes, _lanes(columns, varies), coeffs, shift)
         for v, t in zip(out, target):
             worst = max(worst, max(map(abs, map(sub, v, repeat(t)))) if type(v) is tuple
