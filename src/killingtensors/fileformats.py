@@ -253,7 +253,7 @@ def _generator_from_dict(doc, dim, where) -> object:
         v = _rational_vector(doc.get("b_image"), n, f"{where}.b_image")
         block = Endomorphism(_rational_matrix(doc.get("ideal_block"), n, f"{where}.ideal_block"))
         return DerivationField(SkewDerivation(v, block))
-    raise ParseError(f"{where}.kind: expected metric|left|right|deriv, got {kind!r}")
+    raise ParseError(f"{where}.kind: expected metric|left|right|deriv, got {shown(kind)}")
 
 
 def certificate_to_dict(cert: Certificate) -> dict:

@@ -12,10 +12,11 @@ when the assembled value is constant equal to its target.  ``omega_generator``
 (one generator) and ``omega_tensor`` (a certificate) are the two entry
 points: exact values by default, or values in fixed point at ``prec`` bits.
 
-Constancy is checked exactly at ``w = 0``, on ints (``_exact_at_zero``), and
-numerically at seeded sample points.  Sampling runs in extended precision:
-the factor values grow like ``exp(|gamma| * ||D||)`` and cancel additively
-across monomials, which double precision cannot survive at the 1e-9 gate.
+Constancy is checked exactly at ``w = 0`` by the one exact evaluator
+(``_exact_sum``, on ints), and numerically at seeded sample points.
+Sampling runs in extended precision: the factor values grow like
+``exp(|gamma| * ||D||)`` and cancel additively across monomials, which
+double precision cannot survive at the 1e-9 gate.
 The series and the certificate polynomial are summed on Python ints scaled
 by ``2**shift``, guard bits over a working precision that
 ``verify_certificate`` sizes per certificate and ``omega_tensor`` takes as
@@ -178,10 +179,14 @@ def _varies(alg: MetricLieAlgebra, gen) -> bool:
     a series generator, except a right-invariant field of a vector on the
     central columns (``MetricLieAlgebra.central_columns``).  That field is
     also left-invariant: its first series term is 0, exactly and in fixed
-    point, so its value is its vector at every point."""
+    point, so its value is its vector at every point.  A right-invariant
+    field keeps its support, the indices of its nonzero entries, beside its
+    fields, as it keeps its hash: a check asks three or four times per field."""
     if isinstance(gen, RightInvariant):
-        central = alg.central_columns
-        return any(v and i not in central for i, v in enumerate(gen.vector))
+        support = gen.__dict__.get("_support")
+        if support is None:
+            support = gen.__dict__["_support"] = frozenset(i for i, v in enumerate(gen.vector) if v)
+        return not support <= alg.central_columns
     return isinstance(gen, DerivationField)
 
 
@@ -563,16 +568,6 @@ def _scaled(seq, shift) -> list:
 # Omega evaluation
 # ---------------------------------------------------------------------------
 
-def _metric_value(dim: int, half) -> list:
-    """Dense value of the metric, ``half`` on each square ``e_i e_i``: 1/2,
-    or 1/2 at a scale."""
-    out = [0] * sym_dimension(dim, 2)
-    positions = monomial_positions(dim, 2)
-    for i in range(dim):
-        out[positions[i, i]] = half
-    return out
-
-
 def _generator_values(alg: MetricLieAlgebra, gen, shift, points, order, min_order: int) -> list:
     """Dense pullback values of the generator ``gen`` at each of ``points``,
     prepared by ``_points``: exact when ``shift`` is None, else fixed-point
@@ -586,7 +581,11 @@ def _generator_values(alg: MetricLieAlgebra, gen, shift, points, order, min_orde
     """
     if isinstance(gen, Metric):
         half = Fraction(1, 2) if shift is None else 1 << (shift - 1)
-        return [_metric_value(alg.dim, half)] * len(points)
+        value = [0] * sym_dimension(alg.dim, 2)
+        positions = monomial_positions(alg.dim, 2)
+        for i in range(alg.dim):
+            value[positions[i, i]] = half
+        return [value] * len(points)
     if not _varies(alg, gen):
         return [_scaled(gen.vector, shift)] * len(points)
     if isinstance(gen, RightInvariant):
@@ -710,16 +709,17 @@ def _horner_lanes(nodes, values, coeffs, shift) -> list:
     """Dense value ``N(root)`` of a ``CompiledCertificate``'s ``nodes`` at a
     block of points at once, one lane per point, from the leaves up: the
     list is walked backwards, so each child is summed before its parent, and
-    each value is dropped once its parent has read it.  A position holds
-    None when it is zero in every lane, one value (an int, or a ``Fraction``
-    when exact) when it is the same in every lane, or a tuple of one value
-    per lane; ``values[g]`` holds the generator's in that layout, and the
-    coefficients are one value each.  A node sums the products of two
-    single values once, and the lane-wise products, where a single value
-    meets a tuple, spread over its lanes; it adds the single sum to each
-    lane only where a position has both, and in fixed point shifts each sum
-    once.  Every sum is exact, so lane by lane these are the same ints as
-    one point at a time."""
+    each value is dropped once its parent has read it.  Every value is an
+    int: fixed point at ``shift``, or scaled exact values (``_exact_sum``,
+    ``shift`` None).  A position holds None when it is zero in every lane,
+    one int when it is the same in every lane, or a tuple of one int per
+    lane; ``values[g]`` holds the generator's in that layout, and the
+    coefficients are one int each.  A node sums the products of two single
+    values once, and the lane-wise products, where a single value meets a
+    tuple, spread over its lanes; it adds the single sum to each lane only
+    where a position has both, and in fixed point shifts each sum once.
+    Every sum is exact, so lane by lane these are the same ints as one point
+    at a time."""
     done = {}
     for at, node in reversed(list(enumerate(nodes))):
         if isinstance(node, int):
@@ -782,11 +782,25 @@ def _lanes(columns, varies) -> list:
             else [v or None for v in column[0]] for column, vary in zip(columns, varies)]
 
 
-def _one_lane(nodes, values, coeffs, shift) -> list:
-    """``_horner_lanes`` at one point, from and to dense lists of values:
-    every position is one value."""
-    out = _horner_lanes(nodes, [[v or None for v in value] for value in values], coeffs, shift)
-    return [v or 0 for v in out]
+def _exact_sum(alg: MetricLieAlgebra, compiled: CompiledCertificate, point, order) -> tuple:
+    """The exact value of ``compiled`` at an exact ``point`` (``_points``;
+    None when no generator varies) as ints over one scale, ``(ints,
+    scale)``.  Each generator's value (``_generator_values``) is scaled to
+    ints: a field's by ``S``, the lcm of every denominator among the values,
+    and the metric's (1/2 on the squares, so 2 divides ``S``) by ``S^2``;
+    the coefficients by their common denominator ``C``.  One Horner pass, a
+    single lane, then gives ``C S^p`` times the value, for the degree ``p``."""
+    values = [_generator_values(alg, g, None, (point,), order, 0)[0]
+              for g in compiled.generators]
+    s = math.lcm(*(v.denominator for value in values for v in value))
+    lanes = []
+    for g, value in zip(compiled.generators, values):
+        m = s ** generator_degree(g)
+        lanes.append([v.numerator * (m // v.denominator) or None for v in value])
+    den = math.lcm(*(c.denominator for c in compiled.coefficients))
+    coeffs = [c.numerator * (den // c.denominator) for c in compiled.coefficients]
+    out = _horner_lanes(compiled.nodes, lanes, coeffs, None)
+    return [v or 0 for v in out], den * s ** compiled.degree
 
 
 def omega_tensor(alg: MetricLieAlgebra, cert: Certificate, w, order=None, min_order: int = 0,
@@ -813,11 +827,14 @@ def omega_tensor(alg: MetricLieAlgebra, cert: Certificate, w, order=None, min_or
     # only a generator that varies reads the prepared point
     varies = any(_varies(alg, g) for g in compiled.generators)
     points = _points(alg, (w,), shift) if varies else (None,)
-    values = [_generator_values(alg, gen, shift, points, order, min_order)[0]
-              for gen in compiled.generators]
-    out = _one_lane(compiled.nodes, values, _scaled(compiled.coefficients, shift), shift)
-    if shift is not None:
-        out = [_nearest(v, 1 << shift, prec) for v in out]
+    if shift is None:
+        ints, scale = _exact_sum(alg, compiled, points[0], order)
+        out = [Fraction(v, scale) for v in ints]
+    else:  # a block of one point, where every value is the same in every lane
+        values = _lanes([_generator_values(alg, gen, shift, points, order, min_order)
+                         for gen in compiled.generators], repeat(False))
+        out = _horner_lanes(compiled.nodes, values, _scaled(compiled.coefficients, shift), shift)
+        out = [_nearest(v or 0, 1 << shift, prec) for v in out]
     return SymTensor.from_dense(compiled.dim, compiled.degree, out)
 
 
@@ -1112,34 +1129,6 @@ class _SampleMemo:
 _MEMO = _SampleMemo()
 
 
-def _exact_at_zero(compiled: CompiledCertificate, target: SymTensor) -> bool:
-    """Whether the certificate equals ``target`` at ``w = 0``, on ints:
-    ``omega_tensor(alg, cert, 0, order=0) == target``.
-
-    At 0 a left- or right-invariant field is its vector, a derivation field
-    0 and the metric 1/2 on the squares.  With ``S = lcm(2, vector
-    denominators)`` each field is scaled by ``S`` and the metric by ``S^2``,
-    and the coefficients by their common denominator ``C``: one Horner pass
-    over ints, a single lane, gives ``C S^p`` times the value, for the
-    degree ``p``."""
-    dim = compiled.dim
-    s = math.lcm(2, *(c.denominator for g in compiled.generators
-                      if isinstance(g, (LeftInvariant, RightInvariant)) for c in g.vector))
-    values = []
-    for g in compiled.generators:
-        if isinstance(g, Metric):
-            values.append(_metric_value(dim, s * s // 2))
-        elif isinstance(g, DerivationField):
-            values.append([0] * dim)
-        else:
-            values.append([c.numerator * (s // c.denominator) for c in g.vector])
-    den = math.lcm(*(c.denominator for c in compiled.coefficients))
-    coeffs = [c.numerator * (den // c.denominator) for c in compiled.coefficients]
-    got = _one_lane(compiled.nodes, values, coeffs, None)
-    scale = den * s ** compiled.degree
-    return all(v * t.denominator == t.numerator * scale for v, t in zip(got, target.dense()))
-
-
 def _check_generators(alg: MetricLieAlgebra, cert: Certificate, generators):
     """Raise ``GeneratorError``, naming the first factor that uses it, at a
     generator that is not a Killing field of ``alg``: a left-invariant field
@@ -1181,7 +1170,7 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     or the field of a skew derivation, else ``GeneratorError``.
 
     The certificate is compiled once (``CompiledCertificate``) and evaluated
-    on ints at the origin (``_exact_at_zero``) and in fixed point at the
+    exactly at the origin (``_exact_sum``, order 0) and in fixed point at the
     sample points, a block of at most ``_BLOCK`` at a time: the generator
     columns of the block, memoized across calls (``_SampleMemo``), are
     turned into lanes, one per point, with a constant generator one int per
@@ -1217,7 +1206,10 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     dim = alg.dim
     if compiled.dim != dim:
         raise ValueError("dimension mismatch")
-    exact0 = _exact_at_zero(compiled, cert.target)
+    # at the origin the series end before their first term, and ad_0 = 0
+    ints, scale = _exact_sum(alg, compiled, _Point(None, 1, (0,) * dim, (), 0), 0)
+    exact0 = all(v * t.denominator == t.numerator * scale
+                 for v, t in zip(ints, cert.target.dense()))
     _check_generators(alg, cert, compiled.generators)
     varies = [_varies(alg, g) for g in compiled.generators]
     points = cache(partial(sample_points, dim, samples, seed))  # drawn on a memo miss only

@@ -33,8 +33,6 @@ from math import comb
 from .exactlinalg import basis_vec, frac
 from .limits import MAX_POSITION_TABLES
 
-Monomial = tuple
-
 _ZERO = Fraction(0)
 
 

@@ -653,6 +653,47 @@ class TestInputBytes:
                           for name, path in (("algebra", alg), ("tensor", tensor))}
 
 
+class TestInputErrors:
+    """An unknown generator kind, however long, and an algebra path that
+    cannot be read each exit 2 with one short parse-error line."""
+
+    @pytest.mark.parametrize("case", ["kind-up", "kind-100000", "missing", "directory"])
+    def test_exits_2_with_one_short_line(self, tmp_path, capsys, case):
+        kind = {"kind-up": "up", "kind-100000": "x" * 100000}.get(case, "metric")
+        cert = write(tmp_path, "cert.json", {
+            "target": {"degree": 2, "terms": []},
+            "terms": [{"coeff": "1", "factors": [{"kind": kind}]}]})
+        alg = {"missing": str(tmp_path / "missing.json"),
+               "directory": str(tmp_path)}.get(case) or write(tmp_path, "rot.json", ROT)
+        code, out, err = run(capsys, ["verify", "--algebra", alg, "--certificate", cert])
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and len(err) < 300 and "Traceback" not in err
+        doc = json.loads(err)
+        assert doc["error"] == "parse error"
+        if case == "kind-up":
+            assert doc["detail"] == ("certificate.terms[0].factors[0].kind: "
+                                     "expected metric|left|right|deriv, got 'up'")
+        elif case == "kind-100000":
+            assert doc["detail"] == ("certificate.terms[0].factors[0].kind: "
+                                     f"expected metric|left|right|deriv, got '{'x' * 40}'...")
+        else:
+            assert doc["detail"].startswith(f"{alg}: [Errno ")
+
+
+def test_main_calls_a_command_wrapped_after_the_parser_is_built(tmp_path, capsys, monkeypatch):
+    # a tracer wraps cli.cmd_* once the parser exists; the wrapper must run
+    argv = ["derivations", "--algebra", write(tmp_path, "rot.json", ROT)]
+    assert run(capsys, argv)[0] == 0 and cli._parser.cache_info().currsize == 1
+    real, calls = cli.cmd_derivations, []
+
+    def wrapper(args):
+        calls.append(args.command)
+        return real(args)
+
+    monkeypatch.setattr(cli, "cmd_derivations", wrapper)
+    assert run(capsys, argv)[0] == 0 and calls == ["derivations"]
+
+
 class TestOmegaSampleCommand:
     def test_rotation_cosine(self, tmp_path, capsys):
         import math

@@ -858,7 +858,7 @@ class TestSampledLevelCap:
         samples = MAX_SAMPLED_LEVEL_INDICES // indices + 1
         assert (indices, samples) == (1906128, 210)
         monkeypatch.setattr(kf, "sample_points", lambda *args: pytest.fail("points drawn"))
-        monkeypatch.setattr(kf, "_exact_at_zero", lambda *args: pytest.fail("origin checked"))
+        monkeypatch.setattr(kf, "_exact_sum", lambda *args: pytest.fail("origin checked"))
         start = time.perf_counter()
         with pytest.raises(SampledLevelCapError,
                            match=f"^210 samples of 1906128 trie-level indices need 400286880 "
@@ -1184,15 +1184,34 @@ class TestHornerLanes:
         assert got[:3] == [None] * 3 and None not in got[3:]
 
 
+def _value_at_zero(alg, cert):
+    """A certificate's value at ``w = 0``, term by term in ``SymTensor``
+    arithmetic: the metric is 1/2 on the squares, a left- or right-invariant
+    field its vector, and a derivation field 0."""
+    total = SymTensor.zero(alg.dim, cert.target.degree)
+    for coeff, factors in cert.terms:
+        acc = SymTensor.monomial(alg.dim, (), coeff)
+        for g in factors:
+            if isinstance(g, Metric):
+                acc = acc * sum_of_squares(alg.dim).scale(Fraction(1, 2))
+            elif isinstance(g, DerivationField):
+                acc = acc * SymTensor.zero(alg.dim, 1)
+            else:
+                acc = acc * SymTensor.from_vector(alg.dim, g.vector)
+        total = total + acc
+    return total
+
+
 class TestExactAtZeroOnInts:
     @settings(max_examples=200, deadline=None)
     @given(certificates(), st.data())
     def test_matches_the_fraction_route(self, case, data):
         # the target is the value at 0, or that value moved at one monomial
-        # by a drawn rational, down to 1e-30
+        # by a drawn rational, down to 1e-30; both the origin check's call
+        # and omega_tensor meet it exactly when it is not moved
         alg, cert = case
         zero = (Fraction(0),) * alg.dim
-        value = omega_tensor(alg, cert, zero, order=0)
+        value = _value_at_zero(alg, cert)
         items = list(value.terms.items())
         moved = data.draw(st.booleans())
         if moved:
@@ -1200,9 +1219,10 @@ class TestExactAtZeroOnInts:
             items.append((mono, data.draw(st.one_of(
                 _RATIONAL.filter(bool), st.just(Fraction(1, 10 ** 30))))))
         cert = Certificate(SymTensor.build(alg.dim, value.degree, items), cert.terms)
-        want = omega_tensor(alg, cert, zero, order=0) == cert.target
-        assert want is not moved
-        assert kf._exact_at_zero(CompiledCertificate(cert), cert.target) is want
+        ints, scale = kf._exact_sum(alg, CompiledCertificate(cert),
+                                    kf._Point(None, 1, zero, (), 0), 0)
+        assert ([Fraction(v, scale) for v in ints] == cert.target.dense()) is not moved
+        assert (omega_tensor(alg, cert, zero, order=0) == cert.target) is not moved
 
     def test_target_listing_a_zero_coefficient(self):
         # the direct constructor drops the zero, so both routes read it as 0
@@ -1219,6 +1239,28 @@ class TestExactAtZeroOnInts:
             cert = Certificate(SymTensor.monomial(3, (1, 1)), ((coeff, (r1, r1)),))
             check = verify_certificate(alg, cert, samples=2)
             assert check.exact_at_zero is exact and check.passed is exact
+
+
+class TestSampledBlindSpot:
+    """The sampled check cannot tell a certificate that is exact at the
+    origin but not left-invariant from a valid one while its deviation stays
+    below ``tol``: ``(1 - c) left:e0 + c right:e0`` against ``e0`` on the
+    rotation deviates by ``c`` times the variation of ``right:e0``.  An exact
+    check of left-invariance would refuse all three."""
+
+    @pytest.mark.parametrize("c, passed, deviation", [
+        (Fraction(1, 10 ** 10), True, 2.034934828698478e-10),
+        (Fraction(1, 10 ** 30), True, 2.034934828698478e-30),
+        (Fraction(1, 10 ** 9), False, 2.034934828698478e-09),
+    ])
+    def test_pinned_verdicts(self, c, passed, deviation):
+        alg = AlmostAbelianAlgebra(J2)
+        e0 = basis_vec(3, 0)
+        cert = Certificate(SymTensor.basis(3, 0), ((1 - c, (LeftInvariant(e0),)),
+                                                   (c, (RightInvariant(e0),))))
+        check = verify_certificate(alg, cert)
+        assert (check.passed, check.exact_at_zero) == (passed, True)
+        assert (check.max_deviation, check.precision_digits) == (deviation, 50)
 
 
 # ---------------------------------------------------------------------------
@@ -1444,7 +1486,8 @@ class TestSampledValueMemo:
         calls = []
 
         def counting(alg, gen, shift, points, order, min_order):
-            calls.append((type(gen).__name__, len(points)))
+            if shift is not None:  # the sampled path, not the exact origin check
+                calls.append((type(gen).__name__, len(points)))
             return real(alg, gen, shift, points, order, min_order)
 
         monkeypatch.setattr(kf, "_generator_values", counting)

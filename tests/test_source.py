@@ -87,11 +87,15 @@ def _is_property(node):
 
 
 def _public_routes(tree):
-    """``(qualified name, node, kinds)`` of each public module-level function
-    and class and of each public method of a public class, with the kinds of
-    use that count for it: a module-level name by its name or as an
-    attribute, a property read as an attribute, a method called as one."""
+    """``(qualified name, node, kinds)`` of each public module-level function,
+    class and assigned name and of each public method of a public class,
+    with the kinds of use that count for it: a module-level name by its name
+    or as an attribute, a property read as an attribute, a method called as
+    one."""
     for node in tree.body:
+        if isinstance(node, ast.Assign):
+            yield from ((t.id, t, ("name", "attribute")) for t in node.targets
+                        if isinstance(t, ast.Name) and not t.id.startswith("_"))
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, node, ("name", "attribute")
             if isinstance(node, ast.ClassDef):
@@ -111,8 +115,8 @@ def test_every_public_route_has_a_user_outside_the_unit_tests():
     for path in MODULES:
         for qualified, node, kinds in _public_routes(ast.parse(path.read_text())):
             # a route's own body (a recursive call) does not count as a use
-            own = Counter(_uses(node))
-            if all(uses[kind, node.name] <= own[kind, node.name] for kind in kinds):
+            own, name = Counter(_uses(node)), qualified.split(".")[-1]
+            if all(uses[kind, name] <= own[kind, name] for kind in kinds):
                 unused.append(f"{path.stem}.{qualified}")
     assert sorted(unused) == []
 
@@ -126,7 +130,8 @@ def test_the_route_check_counts_calls_and_reads():
     assert (uses["call", "coeff"], uses["call", "vector"], uses["call", "size"]) == (0, 0, 1)
     assert (uses["attribute", "vector"], uses["attribute", "dim"]) == (1, 1)
     assert [(q, kinds) for q, _, kinds in _public_routes(tree)] == [
-        ("C", ("name", "attribute")), ("C.vector", ("call",)), ("C.dim", ("attribute",))]
+        ("coeff", ("name", "attribute")), ("C", ("name", "attribute")),
+        ("C.vector", ("call",)), ("C.dim", ("attribute",))]
 
 
 def test_no_cache_without_a_bound():
