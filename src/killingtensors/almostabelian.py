@@ -9,20 +9,23 @@ where ``L`` is the sum of basis squares, in closed form from the powers of
 formula work layer by layer.  ``ad_b`` is applied in one way, by the
 Killing test of a layer, the derivation kernel and every other exact caller:
 ``replace_factor`` over its integer substitutions ``int_ad_b``, or for the
-kernel's columns ``replace_factor_columns`` over the same substitutions.
+kernel's equations ``replace_factor_rows`` over the same substitutions.
+The structured solver stays on ints from those equations to the span of
+its layer products; its basis is the first ``Fraction`` it makes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations_with_replacement
 from math import comb, lcm
 
-from .exactlinalg import basis_vec, frac, nullspace, rref_span
+from .exactlinalg import basis_vec, frac, integer_kernel, rref_span
 from .liealgebra import KillingSpace, MetricLieAlgebra
 from .limits import MAX_DIMENSION, MAX_STRUCTURED_MONOMIALS, DimensionCapError, StructuredCapError
 from .tensors import (SymTensor, Endomorphism, multiply_terms, replace_factor,
-                      replace_factor_columns, sum_of_squares, sym_dimension)
+                      replace_factor_rows, sum_of_squares, sym_dimension)
 
 
 @dataclass(frozen=True)
@@ -170,16 +173,19 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
             failures.append("odd part nonzero, derivation not skew")
         return KillingDiagnosis(not failures, tuple(failures), lay)
 
-    def derivation_kernel(self, q: int):
-        """Canonical basis of the kernel of the derivation action on the
-        degree-q symmetric power of the ideal.  The columns are those of
-        ``int_ad_b``: integers, ``denominator`` times the action, with the
-        same kernel, keyed by position among the ideal's monomials
-        (``replace_factor_columns``)."""
+    def derivation_kernel(self, q: int) -> list:
+        """Kernel of the derivation action on the degree-q symmetric power
+        of the ideal, as primitive integer vectors ``{ideal monomial: int}``,
+        each positive at its lead: divided by the lead, the canonical (RREF)
+        basis.  The equations are those of ``int_ad_b``: integers,
+        ``denominator`` times the action, with the same kernel, keyed by
+        position among the ideal's monomials (``replace_factor_rows``)."""
         if q < 0:
             return []
-        kernel = nullspace(replace_factor_columns(self.int_ad_b, q, range(1, self.dim)))
-        return [SymTensor(self.dim, q, v) for v in kernel]
+        ideal = range(1, self.dim)
+        monomials = list(combinations_with_replacement(ideal, q))
+        kernel = integer_kernel(replace_factor_rows(self.int_ad_b, q, ideal), len(monomials))
+        return [{monomials[j]: x for j, x in v.items()} for v in kernel]
 
     def _layer_kernels(self, p: int):
         """``(i, odd, kernel)`` for each layer of a degree-p Killing tensor: the
@@ -200,11 +206,11 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
 
     def killing_space_structured(self, p: int) -> KillingSpace:
         """Killing space assembled from the layer kernels (``_layer_kernels``),
-        on ints.  Each layer factor ``L^i * b^odd`` has int coefficients, each
-        kernel vector is scaled to ints (which leaves the span alone), and
-        their product runs over the nonzero terms keyed by monomial, so no
-        ``SymTensor`` product and no ``Fraction`` product is formed before
-        ``rref_span``."""
+        on ints.  Each layer factor ``L^i * b^odd`` has int coefficients, and
+        its product with each primitive int kernel vector runs over the
+        nonzero terms keyed by monomial, so no ``SymTensor`` and no
+        ``Fraction`` is formed before ``rref_span``; the basis is built from
+        its monomials, which the products sorted, unchecked."""
         squares = {(i, i): 1 for i in range(self.dim)}
         b = {(0,): 1}
         powers = [{(): 1}]
@@ -213,11 +219,9 @@ class AlmostAbelianAlgebra(MetricLieAlgebra):
             if i == len(powers):
                 powers.append(multiply_terms(powers[-1], squares))
             factor = multiply_terms(powers[i], b) if odd else powers[i]
-            for t in kernel:
-                scale = lcm(*(x.denominator for x in t.terms.values()))
-                generated.append(multiply_terms(factor, {
-                    m: x.numerator * (scale // x.denominator) for m, x in t.terms.items()}))
-        return KillingSpace(p, tuple(SymTensor(self.dim, p, v) for v in rref_span(generated)))
+            generated += [multiply_terms(factor, v) for v in kernel]
+        return KillingSpace(p, tuple(SymTensor._unchecked(self.dim, p, t)
+                                     for t in rref_span(generated)))
 
     def killing_dimension(self, p: int) -> int:
         """Dimension of the degree-p Killing space from the layer kernels."""

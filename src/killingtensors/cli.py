@@ -65,7 +65,7 @@ def _load_json(args, name: str):
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise ff.ParseError(f"{path}: {exc}") from exc
+        raise ff.ParseError(f"{path}: {exc.strerror}") from exc
     args.sha256[name] = hashlib.sha256(data).hexdigest()
     try:
         text = data.decode("utf-8")

@@ -1,19 +1,27 @@
 """Exact elimination over the rationals.
 
-The solvers hand in sparse vectors: ``{key: value}`` dicts of ``Fraction``s
-or ints that name only their nonzero entries.  ``nullspace`` takes the image
-of each unknown as one such column (the Killing solvers key it by monomial
-position, ``tensors.replace_factor_columns``) and ``rref_span`` takes the
-spanning vectors themselves.  Both eliminate once, forward, in ``_echelon``,
-which first drops the forced unknowns (rows of one entry) without
-arithmetic and then runs a sparse fraction-free elimination on integer
-rows.  ``rref_span`` then back-substitutes to the reduced row echelon form
-(RREF), its output; ``nullspace`` needs no RREF: it returns ``[]`` when every
-column is a pivot or forced, and otherwise solves each free unknown's vector
-from the echelon rows.  Matrix arithmetic lives in ``tensors.Endomorphism``.
-The RREF of a matrix is unique, and so is the RREF basis of a kernel, so the
-canonical basis of a row space or nullspace depends neither on how it is
-eliminated nor on the choice of pivot rows.
+The exact solvers work on integers from their equations to their kernels.
+They hand ``integer_kernel`` sparse integer rows, ``{unknown: int}`` dicts
+keyed by unknown position that name only their nonzero entries (the Killing
+solvers build them with ``tensors.replace_factor_rows``), and get back the
+kernel as primitive integer vectors: content 1, positive at the free
+unknown they lead at.  A vector divided by its lead is the reduced row
+echelon form (RREF) basis vector, and that division, into ``Fraction``s, is
+the first one made: ``nullspace``, which takes the image of each unknown as
+a column of ``Fraction``s or ints keyed by any row key, is that view, and
+the brute-force solver divides its vectors once as it keys them by
+monomial.  ``rref_span`` takes spanning vectors, ints or ``Fraction``s, and
+returns the RREF basis of their span as ``Fraction``s.
+
+All of them eliminate once, forward, in ``_echelon``, which first drops the
+forced unknowns (rows of one entry) without arithmetic and then runs a
+sparse fraction-free elimination on integer rows.  ``rref_span`` then
+back-substitutes to the RREF, its output; the kernel needs no RREF: it is
+``[]`` when every column is a pivot or forced, and otherwise each free
+unknown's vector is solved from the echelon rows.  Matrix arithmetic lives
+in ``tensors.Endomorphism``.  The RREF of a matrix is unique, and so is the
+RREF basis of a kernel, so the canonical basis of a row space or nullspace
+depends neither on how it is eliminated nor on the choice of pivot rows.
 """
 from __future__ import annotations
 
@@ -71,9 +79,12 @@ def _integer_row(row: dict) -> dict:
 
 def _echelon(rows, n: int):
     """The forward phase on the nonzero primitive rows ``rows`` over the
-    columns ``0 .. n-1``: ``(forced, echelon)``, the set of forced columns
-    and the echelon rows ``{pivot column: row}`` in pivot order, each row
-    led by its pivot.  No echelon row holds a forced column.
+    columns ``0 .. n-1``, taken from the last one down: ``(forced,
+    echelon)``, the set of forced columns and the echelon rows ``{pivot
+    column: row}`` in pivot order, each row led by its pivot, its largest
+    column.  No echelon row holds a forced column.  The kernel's RREF leads
+    at the first unknowns it can, so its pivots are the last ones; the span
+    numbers its columns from the last key down for the same reason.
 
     First the forced unknowns, as in the structured Gaussian elimination of
     LaMacchia and Odlyzko (CRYPTO 1990), before any row is combined: a row
@@ -85,8 +96,8 @@ def _echelon(rows, n: int):
     Then fraction-free elimination, in the spirit of Bareiss (Math. Comp.
     22, 1968): rows are sparse ``{column: int}`` dicts combined by integer
     cross-multiplication with their content divided out.  The rows wait in
-    buckets keyed by their leading column; the columns are taken in order,
-    each pivots on the sparsest row of the column's bucket and clears the
+    buckets keyed by their leading column; the columns are taken in that
+    order, each pivots on the sparsest row of the column's bucket and clears the
     column from the bucket's other rows, whose new leads are later columns.
     """
     forced = set()
@@ -98,9 +109,9 @@ def _echelon(rows, n: int):
         rows = [row for row in rows if row]
     buckets = {}
     for row in rows:
-        buckets.setdefault(min(row), []).append(row)
+        buckets.setdefault(max(row), []).append(row)
     echelon = {}
-    for c in range(n):
+    for c in reversed(range(n)):
         if not buckets:
             break
         hits = buckets.pop(c, None)
@@ -111,7 +122,7 @@ def _echelon(rows, n: int):
             if r is not p:
                 r = _eliminate(r, p, c)
                 if r:
-                    buckets.setdefault(min(r), []).append(r)
+                    buckets.setdefault(max(r), []).append(r)
         echelon[c] = p
     return forced, echelon
 
@@ -120,7 +131,7 @@ def _back_substitute(echelon: dict) -> dict:
     """The back phase: the echelon rows reduced, from the last pivot up,
     each cleared at the later pivot columns with the rows already reduced,
     so that every row is 0 at every other pivot column."""
-    # a pivot row starts at its own column, so its other pivot columns are later ones
+    # a pivot row leads at its own column, so its other pivot columns are later ones
     for c in reversed(echelon):
         p = echelon[c]
         for j in [j for j in p if j in echelon and j != c]:
@@ -129,40 +140,33 @@ def _back_substitute(echelon: dict) -> dict:
     return echelon
 
 
-def nullspace(columns: dict) -> list:
-    """Canonical (RREF) basis of the kernel of a linear map, as sparse
-    ``{unknown: value}`` dicts, from one forward elimination.
+def integer_kernel(rows, n: int) -> list:
+    """Canonical basis of the kernel of the nonzero integer rows ``rows``,
+    ``{unknown: int}`` dicts over the unknowns ``0 .. n-1``, as primitive
+    integer vectors, from one forward elimination.
 
-    ``columns`` maps each unknown, in echelon order, to its image as a sparse
-    ``{row key: value}`` dict.  The equations are eliminated with the
-    unknowns in reverse order, unknown ``i`` of ``n`` at column ``n-1-i``.
-    A free column is neither a pivot nor forced; with none, the rank is
-    ``n`` and the kernel ``{0}``.  The vector of a free column ``f`` is 1 at
-    ``f``, 0 at the other free and the forced columns, and solved from the
-    echelon rows for the pivots, from the last one up.  A pivot after ``f``
-    sees only zeros, so the vector leads at ``f``'s unknown and is 0 at every
-    other free unknown: these vectors, in the order of their free unknowns,
-    are the RREF basis of the kernel, which is unique.  A vector is solved on
-    ints over one common denominator, which grows, and rescales the entries
-    already solved, only when a lead does not divide; only the finished
-    entries become ``Fraction``s.
+    A free unknown is neither a pivot nor forced; with none, the rank is
+    ``n`` and the kernel ``{0}``.  The vector of a free unknown ``f`` is
+    ``d`` at ``f`` (``d > 0``), 0 at the other free and the forced unknowns,
+    and solved from the echelon rows for the pivots after ``f``, from the
+    first one on: a pivot before ``f`` sees only zeros.  So the vector leads
+    at ``f`` and is 0 at every other free unknown: divided by ``d``, these
+    vectors, in the order of their free unknowns, are the RREF basis of the
+    kernel, which is unique.  ``d`` starts at 1 and grows, rescaling the
+    entries already solved, only when a lead ``a`` does not divide the sum
+    ``s`` that solves a pivot: by ``a / g`` for ``g = gcd(s, a)``, and the
+    new entry ``-s / g`` is coprime to that factor.  So each vector stays
+    primitive, the primitive multiple of its RREF vector.
     """
-    n = len(columns)
-    rows = {}
-    for c, image in zip(reversed(range(n)), columns.values()):
-        for r, x in image.items():
-            if x:
-                rows.setdefault(r, {})[c] = x
-    forced, echelon = _echelon([_integer_row(row) for row in rows.values()], n)
-    free = [c for c in reversed(range(n)) if c not in echelon and c not in forced]
+    forced, echelon = _echelon([_primitive(row) for row in rows], n)
+    free = [f for f in range(n) if f not in echelon and f not in forced]
     if not free:
         return []
-    unknowns = list(columns)[::-1]  # the unknown of each column
-    pivots = list(echelon)
+    pivots = sorted(echelon)
     kernel = []
-    for f in free:  # in echelon order
-        v, d = {f: 1}, 1  # the vector is v / d
-        for c in reversed(pivots[:bisect(pivots, f)]):
+    for f in free:
+        v = {f: 1}
+        for c in pivots[bisect(pivots, f):]:
             p = echelon[c]
             s = sum(x * v[j] for j, x in p.items() if j in v)
             if s:
@@ -173,26 +177,48 @@ def nullspace(columns: dict) -> list:
                 if g != a:
                     m = a // g
                     v = {j: x * m for j, x in v.items()}
-                    d *= m
                 v[c] = -s // g
-        kernel.append({unknowns[j]: Fraction(x, d) for j, x in v.items()})
+        kernel.append(v)
     return kernel
+
+
+def nullspace(columns: dict) -> list:
+    """Canonical (RREF) basis of the kernel of a linear map, as sparse
+    ``{unknown: Fraction}`` dicts: ``integer_kernel`` of the equations,
+    each vector divided by its lead.
+
+    ``columns`` maps each unknown, in echelon order, to its image as a sparse
+    ``{row key: value}`` dict of ints or ``Fraction``s; the equations are its
+    rows, cleared of denominators.  Each vector leads at its unknown, and
+    its other unknowns follow in echelon order."""
+    unknowns = list(columns)
+    rows = {}
+    for u, image in enumerate(columns.values()):
+        for r, x in image.items():
+            if x:
+                rows.setdefault(r, {})[u] = x
+    out = []
+    for v in integer_kernel([_integer_row(row) for row in rows.values()], len(unknowns)):
+        lead = v[min(v)]
+        out.append({unknowns[j]: Fraction(x, lead) for j, x in v.items()})
+    return out
 
 
 def rref_span(vectors) -> list:
     """Canonical (RREF) basis of the span of sparse ``{key: value}`` vectors,
     with the columns in sorted key order (monomial tuples sort
     lexicographically): both phases of the elimination, each reduced row
-    divided by its pivot."""
-    keys = sorted({k for v in vectors for k in v})
+    divided by its pivot.  The elimination takes the last column first, so
+    the first key is the last column."""
+    keys = sorted({k for v in vectors for k in v}, reverse=True)
     position = {k: c for c, k in enumerate(keys)}
     rows = [_integer_row({position[k]: x for k, x in v.items() if x})
             for v in vectors if any(v.values())]
     forced, echelon = _echelon(rows, len(keys))
     reduced = _back_substitute(echelon) | {c: {c: 1} for c in forced}
     out = []
-    for c in sorted(reduced):
+    for c in sorted(reduced, reverse=True):
         row = reduced[c]
         lead = row[c]
-        out.append({keys[j]: Fraction(v, lead) for j, v in sorted(row.items())})
+        out.append({keys[j]: Fraction(v, lead) for j, v in sorted(row.items(), reverse=True)})
     return out

@@ -8,13 +8,14 @@ common denominator (``int_structure``, ``denominator``); ``structure`` is
 a dense view of them.  Validation, ``derivation_residual`` (whose kernel
 over the skew matrices is ``skew_derivation_basis``), the Killing operator
 and both exact solvers read them (the solvers through
-``tensors.replace_factor_columns``) and divide by the denominator once at
-the end, if at all.  The same integers, grouped by entry of ``ad_w``
-(``ad_forms``), give ``ad_w`` in one integer pass per point, ``ad_walk``:
-exactly at a point scaled to ints (``ad_exact``, which serves ``ad`` and the
-exact pullback), and in the fixed point of the sampled pullback; ``ad_norm``
-walks them for the 1-norm alone, which sizes the sampled check, and the
-columns they never list are ``central_columns``."""
+``tensors.replace_factor_rows``, whose integer equations keep the
+kernel) and divide by the denominator once at the end, if at all.  The
+same integers, grouped by entry of ``ad_w`` (``ad_forms``), give ``ad_w``
+in one integer pass per point, ``ad_walk``: exactly at a point scaled to
+ints (``ad_exact``, which serves ``ad`` and the exact pullback), and in
+the fixed point of the sampled pullback; ``ad_norm`` walks them for the
+1-norm alone, which sizes the sampled check, and the columns they never
+list are ``central_columns``."""
 from __future__ import annotations
 
 from collections import defaultdict
@@ -23,11 +24,11 @@ from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
-from .exactlinalg import basis_vec, frac, nullspace
+from .exactlinalg import basis_vec, frac, integer_kernel, nullspace
 from .limits import (BRUTE_FORCE_MAX_DEGREE, BRUTE_FORCE_MAX_DIM, DERIVATION_DIM_CAP,
                      MAX_DIMENSION, DerivationCapError, DimensionCapError, SolverCapError)
-from .tensors import (SymTensor, Endomorphism, apply_derivation, replace_factor,
-                      replace_factor_columns)
+from .tensors import (SymTensor, Endomorphism, apply_derivation, monomial_positions,
+                      replace_factor, replace_factor_rows)
 
 _ZERO = Fraction(0)
 
@@ -259,17 +260,26 @@ class MetricLieAlgebra:
     def killing_space_bruteforce(self, p: int) -> KillingSpace:
         """Exact nullspace of the Killing operator on the full symmetric power.
 
-        The operator's image of each monomial, times ``denominator`` (which
-        leaves the kernel alone), is one sparse integer column of the exact
-        solve, keyed by monomial position (``replace_factor_columns``).  Past ``BRUTE_FORCE_MAX_DEGREE`` or ``BRUTE_FORCE_MAX_DIM`` it
-        raises ``SolverCapError`` before building a column.
+        The operator times ``denominator`` (which leaves the kernel alone)
+        gives the integer equations, keyed by monomial position
+        (``replace_factor_rows``); each primitive kernel vector
+        (``integer_kernel``) is divided by its lead into ``Fraction``s as it
+        is keyed by monomial.  Past ``BRUTE_FORCE_MAX_DEGREE`` or
+        ``BRUTE_FORCE_MAX_DIM`` it raises ``SolverCapError`` before building
+        an equation.
         """
         if p < 0:
             raise ValueError("degree must be nonnegative")
         if p > BRUTE_FORCE_MAX_DEGREE or self.dim > BRUTE_FORCE_MAX_DIM:
             raise SolverCapError(p, self.dim)
-        kernel = nullspace(replace_factor_columns(self.int_structure, p))
-        return KillingSpace(p, tuple(SymTensor(self.dim, p, v) for v in kernel))
+        monomials = list(monomial_positions(self.dim, p))
+        kernel = integer_kernel(replace_factor_rows(self.int_structure, p), len(monomials))
+        basis = []
+        for v in kernel:
+            lead = v[min(v)]
+            basis.append(SymTensor._unchecked(
+                self.dim, p, {monomials[j]: Fraction(x, lead) for j, x in v.items()}))
+        return KillingSpace(p, tuple(basis))
 
 
 def skew_derivation_basis(lie: MetricLieAlgebra) -> tuple:

@@ -91,8 +91,8 @@ MAX_SAMPLED_FACTOR_DIGITS = 3 * 10 ** 6
 # The position maps and product tables over those monomials are kept per
 # shape, (n, p) and (n, d, e).  Unbounded, a long-lived process kept every
 # shape it met, each up to 18 MiB within the bound above (degree 10 on ten
-# dimensions).  The exact solvers read them too, for their columns
-# (``tensors.replace_factor_columns``): a derivation kernel of degree q on
+# dimensions).  The exact solvers read them too, for their equations
+# (``tensors.replace_factor_rows``): a derivation kernel of degree q on
 # an ideal of dimension r the map (r, q-1) and the table (r, q-1, 1), which
 # builds the maps (r, 1) and (r, q); a brute-force solve of degree p on n
 # dimensions the maps (n, p-1) and (n, 2) and the tables (n, p-1, 2) and

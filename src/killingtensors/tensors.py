@@ -11,9 +11,14 @@ the extended inner product, where a monomial with index multiplicities
 Every derivation-type map is one loop, ``replace_factor``, on plain
 ``{monomial: coefficient}`` dicts: the action of a matrix
 (``apply_derivation``) and the Killing operator.  The exact solvers'
-columns, its images of single monomials, come from
-``replace_factor_columns``, keyed by the position of each image monomial
-as the cached position tables give it.  Every product is one loop too,
+equations, its images of single monomials, come from
+``replace_factor_rows`` as integer rows, one per image monomial, keyed by
+the position of each unknown's monomial as the cached position tables give
+it: the ints that ``exactlinalg.integer_kernel`` eliminates, with no
+monomial built.  The solvers key only their results by monomial, and
+build their bases with ``SymTensor._unchecked``, which trusts the
+monomials of those tables; ``SymTensor(...)`` checks every monomial a
+caller supplies.  Every product is one loop too,
 ``multiply_terms`` on the same dicts: ``sym_mul`` and the integer products
 of the structured solver and of the layer decomposition.
 
@@ -87,6 +92,15 @@ class SymTensor:
                 raise ValueError(f"monomial {mono} not sorted")
         if not all(self.terms.values()):
             object.__setattr__(self, "terms", {m: c for m, c in self.terms.items() if c})
+
+    @classmethod
+    def _unchecked(cls, dim, degree, terms) -> "SymTensor":
+        """The tensor of ``terms`` that a solver keyed by the monomials of
+        its own position tables, sorted, in range and of the degree, with
+        nonzero coefficients: built without checking each monomial again."""
+        t = object.__new__(cls)
+        vars(t).update(dim=dim, degree=degree, terms=terms)
+        return t
 
     @classmethod
     def build(cls, dim, degree, items) -> "SymTensor":
@@ -336,45 +350,46 @@ def replace_factor(terms: dict, subs) -> dict:
     return {m: v for m, v in out.items() if v}
 
 
-def replace_factor_columns(subs, degree: int, indices=None) -> dict:
-    """The exact solvers' columns: ``{m: replace_factor({m: 1}, subs)}`` over
-    the degree-``degree`` monomials ``m`` in the increasing ``indices`` (by
-    default all ``len(subs)`` of them), in lexicographic order, each image
-    keyed by the position of its monomial instead of by the monomial.  The
-    extras of ``subs`` at ``indices`` have one length ``e`` and their indices
-    among ``indices``.
+def replace_factor_rows(subs, degree: int, indices=None) -> list:
+    """The exact solvers' equations: the nonzero rows of the matrix whose
+    column ``u`` is ``replace_factor({m_u: 1}, subs)``, for ``m_u`` the
+    monomial at position ``u`` among the degree-``degree`` monomials in the
+    increasing ``indices`` (by default all ``len(subs)`` of them), in
+    lexicographic order.  Each row, one per image monomial, is a ``{u:
+    coefficient}`` dict of its nonzero entries, in the order of the image
+    monomials' positions.  The extras of ``subs`` at ``indices`` have one
+    length ``e`` and their indices among ``indices``.
 
-    The positions are those of ``monomial_positions(r, degree - 1 + e)``,
-    with the ``r`` indices numbered ``0 .. r-1``, and come from its cached
-    tables, so no image monomial is built or sorted.  Each monomial of
-    degree ``degree - 1`` (a rest) times a factor ``e_a`` is the monomial of
-    a column (``product_positions(r, degree - 1, 1)``), and the rest times an
-    extra of ``a`` is an image monomial of that column
+    The positions come from the cached tables of ``monomial_positions(r,
+    degree - 1 + e)``, with the ``r`` indices numbered ``0 .. r-1``, so no
+    monomial is built or sorted.  Each monomial of degree ``degree - 1`` (a
+    rest) times a factor ``e_a`` is the monomial of an unknown
+    (``product_positions(r, degree - 1, 1)``), and the rest times an extra
+    of ``a`` is an image monomial of that unknown, the row it enters
     (``product_positions(r, degree - 1, e)``), counted with the multiplicity
-    of ``a`` in the column's monomial."""
+    of ``a`` in the unknown's monomial."""
     indices = range(len(subs)) if indices is None else indices
-    monomials = combinations_with_replacement(indices, degree)
     lengths = {len(extra) for i in indices for extra, _ in subs[i]}
     if not degree or not lengths:
-        return {m: {} for m in monomials}
+        return []
     (e,) = lengths
     number = {i: t for t, i in enumerate(indices)}
     r = len(number)
     extra_at = monomial_positions(r, e)
     local = [[(extra_at[tuple(sorted(number[t] for t in extra))], x) for extra, x in subs[i]]
              for i in indices]
-    images = [{} for _ in range(sym_dimension(r, degree))]
+    rows = [{} for _ in range(sym_dimension(r, degree - 1 + e))]
     table, times = product_positions(r, degree - 1, e), product_positions(r, degree - 1, 1)
     for b, rest in enumerate(monomial_positions(r, degree - 1)):
-        row, at = table[b], times[b]
+        images, at = table[b], times[b]
         for a, pairs in enumerate(local):
             if pairs:
-                image = images[at[a]]
+                u = at[a]
                 cm = rest.count(a) + 1
                 for j, x in pairs:
-                    k = row[j]
-                    image[k] = image.get(k, 0) + cm * x
-    return {m: {k: v for k, v in image.items() if v} for m, image in zip(monomials, images)}
+                    row = rows[images[j]]
+                    row[u] = row.get(u, 0) + cm * x
+    return [nonzero for row in rows if (nonzero := {u: v for u, v in row.items() if v})]
 
 
 def apply_derivation(e: Endomorphism, k: SymTensor) -> SymTensor:

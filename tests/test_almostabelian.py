@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +23,9 @@ from killingtensors import (
     sym_dimension,
 )
 from killingtensors import tensors
-from conftest import (_structure_bracket, derivation_suite, listed_layers, random_derivation,
-                      random_tensor, random_vector, wide_algebras)
+from killingtensors.tensors import replace_factor
+from conftest import (_structure_bracket, derivation_suite, listed_layers, nullspace_oracle,
+                      random_derivation, random_tensor, random_vector, wide_algebras)
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
 DIAG = Endomorphism.diagonal([1, -1])
@@ -372,6 +374,36 @@ class TestStructuredSpace:
                 for p in degrees:
                     assert alg.killing_space_structured(p).basis == \
                         alg.killing_space_bruteforce(p).basis
+
+    def test_bases_pass_the_checking_constructor(self):
+        # both solvers build their bases without checking the monomials of
+        # their own tables: each tensor must come out of SymTensor(...)
+        # unchanged, every coefficient a Fraction
+        for d in derivation_suite():
+            alg = AlmostAbelianAlgebra(d)
+            for p in range(5):
+                for space in (alg.killing_space_structured(p), alg.killing_space_bruteforce(p)):
+                    for t in space.basis:
+                        assert SymTensor(t.dim, t.degree, dict(t.terms)) == t
+                        assert all(type(c) is Fraction for c in t.terms.values())
+
+    def test_derivation_kernel_is_the_primitive_rref_kernel(self):
+        # int vectors keyed by ideal monomial, primitive and positive at
+        # their leads: divided by the lead, the RREF kernel of the dense
+        # derivation action, in the order of the leads
+        for d in derivation_suite(per_kind=2):
+            alg = AlmostAbelianAlgebra(d)
+            for q in range(5):
+                monomials = list(combinations_with_replacement(range(1, alg.dim), q))
+                images = [replace_factor({m: 1}, alg.int_ad_b) for m in monomials]
+                keys = sorted({k for image in images for k in image})
+                dense = [[image.get(k, 0) for image in images] for k in keys]
+                got = alg.derivation_kernel(q)
+                assert ([tuple(Fraction(v.get(m, 0), v[min(v)]) for m in monomials) for v in got]
+                        == nullspace_oracle(dense, len(monomials)))
+                for v in got:
+                    assert all(type(x) is int and x for x in v.values())
+                    assert gcd(*v.values()) == 1 and v[min(v)] > 0
 
     def test_assembly_makes_no_symtensor_product(self, monkeypatch):
         # the layers are assembled on int vectors over monomial positions

@@ -4,7 +4,7 @@ from math import gcd
 from hypothesis import example, given, settings, strategies as st
 
 import killingtensors.exactlinalg as el
-from killingtensors.exactlinalg import nullspace, rref_span
+from killingtensors.exactlinalg import integer_kernel, nullspace, rref_span
 from conftest import gauss_jordan_oracle, nullspace_oracle
 
 # mostly zeros, so that sparse rows, empty columns and zero matrices all occur
@@ -187,6 +187,25 @@ class TestIntAndMixedColumns:
     def test_mixed_columns(self, matrix):
         _check(*matrix)
 
+    @settings(max_examples=200, deadline=None)
+    @given(typed_matrices(_INT_ENTRY))
+    @example(([[2, 4], [3, 6]], 2))
+    @example(([[0, 6, -4, 0]], 4))
+    def test_integer_kernel_is_the_primitive_nullspace(self, matrix):
+        # each int kernel vector is primitive, 0 nowhere it is keyed and
+        # positive at its lead, and divided by that lead it is the Fraction
+        # vector of nullspace
+        rows, ncols = matrix
+        got = integer_kernel([{j: x for j, x in enumerate(row) if x} for row in rows if any(row)],
+                             ncols)
+        expected = nullspace(_columns(rows, ncols, lambda j: j))
+        assert len(got) == len(expected)
+        for v, w in zip(got, expected):
+            lead = v[min(v)]
+            assert all(type(x) is int and x for x in v.values())
+            assert gcd(*v.values()) == 1 and lead > 0
+            assert {j: Fraction(x, lead) for j, x in v.items()} == w
+
     @settings(max_examples=100, deadline=None)
     @given(typed_matrices(_MIXED_ENTRY))
     def test_kernel_entries_are_fractions_keyed_in_echelon_order(self, matrix):
@@ -249,16 +268,17 @@ class TestForcedUnknowns:
         rows, ncols = matrix
         _check(rows, ncols)
         # the phases' own contract: primitive echelon rows in pivot order,
-        # each led by its pivot, none at a forced column, and after the back
-        # phase 0 at every other pivot column
+        # from the last column down, each led by its pivot (its largest
+        # column), none at a forced column, and after the back phase 0 at
+        # every other pivot column
         forced, echelon = el._echelon([el._integer_row({j: x for j, x in enumerate(row) if x})
                                        for row in rows if any(row)], ncols)
-        assert list(echelon) == sorted(echelon)
+        assert list(echelon) == sorted(echelon, reverse=True)
         for c, row in echelon.items():
-            assert min(row) == c and gcd(*row.values()) == 1
+            assert max(row) == c and gcd(*row.values()) == 1
             assert forced.isdisjoint(row)
         for c, row in el._back_substitute(echelon).items():
-            assert min(row) == c and gcd(*row.values()) == 1
+            assert max(row) == c and gcd(*row.values()) == 1
             assert [j for j in row if j in echelon] == [c]
 
     def test_a_cascade_is_solved_without_arithmetic(self, monkeypatch):
@@ -348,10 +368,10 @@ class TestBackSolve:
 
     def test_an_empty_kernel_runs_no_back_phase(self, monkeypatch):
         # an invertible 4 x 4 map with no row of one entry: the kernel is
-        # read off the forward elimination alone, as nullspace runs it (the
-        # unknowns in reverse order), and no elimination follows it
+        # read off the forward elimination alone, as nullspace runs it, and
+        # no elimination follows it
         rows = [[1, 2, 0, -1], [0, 1, 3, 1], [2, 0, 1, 1], [1, 1, 1, 2]]
-        ints = [{3 - j: x for j, x in enumerate(row) if x} for row in rows]
+        ints = [{j: x for j, x in enumerate(row) if x} for row in rows]
         calls = []
         eliminate = el._eliminate
 

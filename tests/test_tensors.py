@@ -22,7 +22,7 @@ from killingtensors import (
     sym_mul,
     basis_monomials,
 )
-from killingtensors.tensors import monomial_positions, replace_factor, replace_factor_columns
+from killingtensors.tensors import monomial_positions, replace_factor, replace_factor_rows
 from conftest import inner_oracle
 
 J2 = Endomorphism.from_rows([[0, -1], [1, 0]])
@@ -192,19 +192,23 @@ class TestDerivation:
     @example((3, 3, 1, 1, [[], [((2,), 1)], []]))
     @example((4, 2, 2, 2, [[((0, 1), 5)], [], [((3, 2), 1)], [((2, 2), -1), ((3, 3), 1)]]))
     @example((2, 2, 0, 1, [[], []]))
-    def test_position_columns_are_replace_factor_images(self, drawn):
-        # the solvers' columns: each image of replace_factor({m: 1}, subs)
-        # over the monomials in first .. dim-1, re-keyed through
-        # monomial_positions of those indices numbered from 0
+    def test_position_rows_are_transposed_replace_factor_images(self, drawn):
+        # the solvers' equations: the images of replace_factor({m: 1}, subs)
+        # over the monomials m in first .. dim-1, transposed into one row per
+        # image monomial keyed by the position of m, the rows in the order
+        # of monomial_positions of those indices numbered from 0
         dim, degree, first, e, subs = drawn
+        transposed = {}
+        for u, m in enumerate(combinations_with_replacement(range(first, dim), degree)):
+            for k, v in replace_factor({m: 1}, subs).items():
+                transposed.setdefault(k, {})[u] = v
         positions = monomial_positions(dim - first, degree - 1 + e)
-        expected = {m: {positions[tuple(i - first for i in k)]: v
-                        for k, v in replace_factor({m: 1}, subs).items()}
-                    for m in combinations_with_replacement(range(first, dim), degree)}
-        got = replace_factor_columns(subs, degree, range(first, dim))
-        assert got == expected and list(got) == list(expected)
+        expected = [transposed[k] for k in
+                    sorted(transposed, key=lambda k: positions[tuple(i - first for i in k)])]
+        got = replace_factor_rows(subs, degree, range(first, dim))
+        assert got == expected
         if first == 0:
-            assert replace_factor_columns(subs, degree) == expected
+            assert replace_factor_rows(subs, degree) == expected
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(1, 3), st.data())
