@@ -33,16 +33,22 @@ right-invariant fields of central vectors) are valued once, and the
 certificate is summed once per block with one lane per point
 (``_horner_lanes``), which every evaluation shares: a value the same in
 every lane is one int, multiplied and shifted once for the block.
+What a check finds out about a generator is kept for the next one: whether
+it is a Killing field, which depends on the algebra, on the algebra object
+(``_generator_fault``), and its exact value at the origin and a constant
+one's fixed-point value, which do not, beside the generator
+(``_origin_value``, ``_constant_value``).
 """
 from __future__ import annotations
 
 import math
 import random
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from itertools import repeat
 from operator import add, mul, rshift, sub
 from typing import NamedTuple
@@ -106,6 +112,16 @@ def _hash_once(gen) -> int:
     if h is None:
         h = gen.__dict__["_hash"] = hash(tuple(getattr(gen, f.name) for f in fields(gen)))
     return h
+
+
+def _kept(gen, name: str, key, make):
+    """A fact of ``gen`` that also depends on ``key``, kept beside its
+    fields under ``name`` as its hash is (``_hash_once``), for the last
+    ``key`` asked: ``make()`` is called for another ``key``."""
+    kept = gen.__dict__.get(name)
+    if kept is None or kept[0] != key:
+        kept = gen.__dict__[name] = (key, make())
+    return kept[1]
 
 
 @dataclass(frozen=True)
@@ -600,6 +616,36 @@ def _generator_values(alg: MetricLieAlgebra, gen, shift, points, order, min_orde
     return [_fixed_series(point, x, s, order, min_order) for point, x, s in starts]
 
 
+def _on_ints(value) -> tuple:
+    """An exact value as ``(ints, den)``: ints over the lcm ``den`` of its
+    denominators."""
+    den = math.lcm(*(v.denominator for v in value))
+    return tuple([v.numerator * (den // v.denominator) for v in value]), den
+
+
+def _origin_value(alg: MetricLieAlgebra, gen) -> tuple:
+    """The exact value of ``gen`` at the origin as ``(ints, den)``, ints
+    over the lcm ``den`` of its denominators: a field's vector (0 for a
+    derivation field) and the metric's 1/2 on the squares.  It depends on
+    the dimension alone, not on the algebra, so it is kept beside the
+    generator (``_kept``) for the dimension last asked.  There the series
+    end before their first term, and ``ad_0 = 0``."""
+    def make():
+        origin = _Point(None, 1, (0,) * alg.dim, (), 0)
+        return _on_ints(_generator_values(alg, gen, None, (origin,), 0, 0)[0])
+
+    return _kept(gen, "_origin", alg.dim, make)
+
+
+def _constant_value(alg: MetricLieAlgebra, gen, shift: int) -> tuple:
+    """The fixed-point value at ``shift`` of a generator that does not vary
+    (``_varies``), the same at every point: kept beside the generator
+    (``_kept``) for the dimension and the shift last asked, as it depends on
+    nothing else."""
+    return _kept(gen, "_fixed", (alg.dim, shift), lambda: tuple(
+        _generator_values(alg, gen, shift, (None,), None, 0)[0]))
+
+
 def omega_generator(alg: MetricLieAlgebra, gen, w, order=None, min_order: int = 0,
                     prec=None) -> SymTensor:
     """Pullback value of ``gen`` at ``w``: ``omega_tensor`` of ``1 * gen``."""
@@ -663,18 +709,35 @@ class CompiledCertificate:
     def __init__(self, cert: Certificate):
         dim, degree = cert.target.dim, cert.target.degree
         _check_evaluation_size(dim, degree)
-        gens = {}
+        # each factor object is hashed once, then met by its id: ``seen``
+        # maps it to its generator's slot, the first appearance of an equal
+        # one in ``gens``, and ``counts`` holds the terms each slot is a factor of
+        seen, first, gens, degs, counts, rows = {}, {}, [], [], [], []
         for t, (_, factors) in enumerate(cert.terms):
-            d = sum(generator_degree(g) for g in factors)
+            row, d = [], 0
+            for f in factors:
+                k = seen.get(id(f))
+                if k is None:
+                    e = generator_degree(f)
+                    k = seen[id(f)] = first.setdefault(f, len(gens))
+                    if k == len(gens):
+                        gens.append(f)
+                        degs.append(e)
+                        counts.append(0)
+                row.append(k)
+                d += degs[k]
             if d != degree:
                 raise ValueError(f"certificate term {t} has degree {d}, "
                                  f"the target has degree {degree}")
-            for g in dict.fromkeys(factors):
-                gens[g] = gens.get(g, 0) + 1
+            for k in set(row):
+                counts[k] += 1
+            rows.append(row)
         # most frequent first shares the longest prefixes; ties keep first appearance
-        order = sorted(gens, key=lambda g: -gens[g])
-        index = {g: i for i, g in enumerate(order)}
-        degrees = [generator_degree(g) for g in order]
+        order = sorted(range(len(gens)), key=lambda k: -counts[k])
+        rank = [0] * len(order)
+        for i, k in enumerate(order):
+            rank[k] = i
+        degrees = [degs[k] for k in order]
         # while terms are inserted, a node is (degree left, edges), an edge
         # (generator index, child position), and ``child`` maps a node's
         # position and a generator index to the child's position; once the
@@ -682,27 +745,30 @@ class CompiledCertificate:
         nodes = [(degree, [])]
         child = {}
         coeffs = []
-        for coeff, factors in cert.terms:
+        levels = set()
+        for (coeff, _), row in zip(cert.terms, rows):
             at = 0
-            for i in sorted(index[g] for g in factors):
-                if (at, i) not in child:
-                    child[at, i] = len(nodes)
-                    nodes[at][1].append((i, len(nodes)))
-                    nodes.append((nodes[at][0] - degrees[i], []))
-                at = child[at, i]
+            for i in sorted([rank[k] for k in row]):
+                below = child.get((at, i))
+                if below is None:
+                    below = child[at, i] = len(nodes)
+                    left, edges = nodes[at]
+                    levels.add(left)
+                    edges.append((i, below))
+                    nodes.append((left - degrees[i], []))
+                at = below
             if isinstance(nodes[at], int):
                 coeffs[nodes[at]] += coeff
             else:
                 nodes[at] = len(coeffs)
                 coeffs.append(Fraction(coeff) if isinstance(coeff, int) else coeff)
-        self.level_indices = _check_level_size(dim, degree, {
-            node[0] for node in nodes if not isinstance(node, int) and node[1]})
+        self.level_indices = _check_level_size(dim, degree, levels)
         self.dim, self.degree = dim, degree
-        self.generators = tuple(order)
+        self.generators = tuple([gens[k] for k in order])
         self.coefficients = tuple(coeffs)
-        self.nodes = [node if isinstance(node, int) else (sym_dimension(dim, node[0]), tuple(
+        self.nodes = [node if isinstance(node, int) else (sym_dimension(dim, node[0]), tuple([
             (i, product_positions(dim, degrees[i], node[0] - degrees[i]), c)
-            for i, c in node[1])) for node in nodes]
+            for i, c in node[1]])) for node in nodes]
 
 
 def _horner_lanes(nodes, values, coeffs, shift) -> list:
@@ -783,20 +849,25 @@ def _lanes(columns, varies) -> list:
 
 
 def _exact_sum(alg: MetricLieAlgebra, compiled: CompiledCertificate, point, order) -> tuple:
-    """The exact value of ``compiled`` at an exact ``point`` (``_points``;
-    None when no generator varies) as ints over one scale, ``(ints,
-    scale)``.  Each generator's value (``_generator_values``) is scaled to
-    ints: a field's by ``S``, the lcm of every denominator among the values,
-    and the metric's (1/2 on the squares, so 2 divides ``S``) by ``S^2``;
-    the coefficients by their common denominator ``C``.  One Horner pass, a
-    single lane, then gives ``C S^p`` times the value, for the degree ``p``."""
-    values = [_generator_values(alg, g, None, (point,), order, 0)[0]
-              for g in compiled.generators]
-    s = math.lcm(*(v.denominator for value in values for v in value))
+    """The exact value of ``compiled`` at an exact ``point`` (``_points``)
+    as ints over one scale, ``(ints, scale)``.  ``point`` None is the
+    origin, or any point when no generator varies: there each generator's
+    value is the one kept for the origin (``_origin_value``), elsewhere it
+    is ``_generator_values``.  Each value is scaled to ints: a field's by
+    ``S``, the lcm of every denominator among the values, and the metric's
+    (1/2 on the squares, so 2 divides ``S``) by ``S^2``; the coefficients by
+    their common denominator ``C``.  One Horner pass, a single lane, then
+    gives ``C S^p`` times the value, for the degree ``p``."""
+    if point is None:
+        values = [_origin_value(alg, g) for g in compiled.generators]
+    else:
+        values = [_on_ints(_generator_values(alg, g, None, (point,), order, 0)[0])
+                  for g in compiled.generators]
+    s = math.lcm(*(den for _, den in values))
     lanes = []
-    for g, value in zip(compiled.generators, values):
-        m = s ** generator_degree(g)
-        lanes.append([v.numerator * (m // v.denominator) or None for v in value])
+    for g, (value, den) in zip(compiled.generators, values):
+        m = s ** generator_degree(g) // den
+        lanes.append([v * m or None for v in value])
     den = math.lcm(*(c.denominator for c in compiled.coefficients))
     coeffs = [c.numerator * (den // c.denominator) for c in compiled.coefficients]
     out = _horner_lanes(compiled.nodes, lanes, coeffs, None)
@@ -1056,8 +1127,9 @@ class _LRU:
 # A column holds at most ``_BLOCK`` points, so the memo keeps no more than
 # 256 values whatever ``samples`` is.  The metric, left-invariant fields and
 # right-invariant fields of central vectors are constant (``_varies``) and
-# are not kept: valued once per check, they enter Horner's rule as one int
-# per position for every point of a block (``_lanes``).  A sample set's
+# are not kept here: their value at the check's scale is kept beside the
+# generator (``_constant_value``), and enters Horner's rule as one int per
+# position for every point of a block (``_lanes``).  A sample set's
 # bounds are read only for a certificate with a series factor on an algebra
 # with a bracket, so a check of constant generators alone draws no point.  On an abelian algebra only derivation
 # fields are columns.  The points of a block are prepared by
@@ -1104,8 +1176,7 @@ class _SampleMemo:
         block after another: one column per generator, its dense value at
         each point of the block.  ``points()`` draws the points, and is
         called only on a miss."""
-        constant = {g: _generator_values(alg, g, shift, (None,), None, min_order)[0]
-                    for g in generators if not _varies(alg, g)}
+        constant = {g: _constant_value(alg, g, shift) for g in generators if not _varies(alg, g)}
         for start in range(0, samples, _BLOCK):
             n = min(samples - start, _BLOCK)
             block = (alg, samples, seed, start)
@@ -1129,21 +1200,40 @@ class _SampleMemo:
 _MEMO = _SampleMemo()
 
 
-def _check_generators(alg: MetricLieAlgebra, cert: Certificate, generators):
-    """Raise ``GeneratorError``, naming the first factor that uses it, at a
-    generator that is not a Killing field of ``alg``: a left-invariant field
-    needs a vector ``x`` with skew ``ad_x``, a derivation field a skew
-    derivation.  ``generators`` are the certificate's distinct ones."""
-    for gen in generators:
+def _generator_fault(alg: MetricLieAlgebra, gen):
+    """Why ``gen`` is not a Killing field of ``alg``, or None: a
+    left-invariant field needs a vector ``x`` with skew ``ad_x``, a
+    derivation field a skew derivation.  The metric and a right-invariant
+    field always are one.  The answer depends on the algebra, so it is kept
+    on the algebra, as ``basis_fields`` are, keyed weakly by the generator:
+    it lives no longer than either of them."""
+    if not isinstance(gen, (LeftInvariant, DerivationField)):
+        return None
+    faults = alg.__dict__.get("_generator_faults")
+    if faults is None:
+        faults = alg.__dict__.setdefault("_generator_faults", weakref.WeakKeyDictionary())
+    fault = faults.get(gen, False)
+    if fault is False:
         fault = None
-        if isinstance(gen, LeftInvariant) and not alg.ad(gen.vector).is_skew():
-            fault = "left-invariant field of a vector whose ad is not skew"
-        elif isinstance(gen, DerivationField):
+        if isinstance(gen, LeftInvariant):
+            if not alg.ad(gen.vector).is_skew():
+                fault = "left-invariant field of a vector whose ad is not skew"
+        else:
             full = gen.derivation.full_matrix()
             if not full.is_skew():
                 fault = "derivation matrix is not skew"
             elif alg.derivation_residual(full.sparse()):
                 fault = "matrix is not a derivation of the algebra"
+        faults[gen] = fault
+    return fault
+
+
+def _check_generators(alg: MetricLieAlgebra, cert: Certificate, generators):
+    """Raise ``GeneratorError``, naming the first factor that uses it, at a
+    generator that is not a Killing field of ``alg`` (``_generator_fault``).
+    ``generators`` are the certificate's distinct ones."""
+    for gen in generators:
+        fault = _generator_fault(alg, gen)
         if fault:
             t, s = next((t, s) for t, (_, factors) in enumerate(cert.terms)
                         for s, g in enumerate(factors) if g == gen)
@@ -1167,22 +1257,25 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     ``MAX_SAMPLED_FACTOR_DIGITS`` raises ``SampledWorkCapError``, both
     before any series is summed.  Every factor must
     be a Killing field: a left-invariant field of a vector with skew ``ad``,
-    or the field of a skew derivation, else ``GeneratorError``.
+    or the field of a skew derivation, else ``GeneratorError``; the answer
+    is kept on the algebra for the next check (``_generator_fault``).
 
     The certificate is compiled once (``CompiledCertificate``) and evaluated
-    exactly at the origin (``_exact_sum``, order 0) and in fixed point at the
-    sample points, a block of at most ``_BLOCK`` at a time: the generator
-    columns of the block, memoized across calls (``_SampleMemo``), are
-    turned into lanes, one per point, with a constant generator one int per
-    position, and the trie is walked once for the block
+    exactly at the origin (``_exact_sum``, from each generator's value kept
+    there, ``_origin_value``) and in fixed point at the sample points, a
+    block of at most ``_BLOCK`` at a time: the generator columns of the
+    block, memoized across calls (``_SampleMemo``), are turned into lanes,
+    one per point, with a constant generator one int per position (its value
+    kept at the check's scale, ``_constant_value``), and the trie is walked
+    once for the block
     (``_horner_lanes``).  Only a generator that varies with the point
     (``_varies``) reads the points, and the largest ``||ad_w||_1`` and gain
     over them are read only for a certificate with a series factor on an
     algebra with a bracket; otherwise they are those of ``w = 0``, which
     every point gives when ``ad_w = 0`` and which nothing reads without a
-    series factor.  Each value is compared with the target,
-    converted once, lane by lane, or once for a position that is one int
-    for the block; only the largest deviation becomes a float.
+    series factor.  Each value is compared with the target, whose nonzero
+    entries are converted once, lane by lane, or once for a position that
+    is one int for the block; only the largest deviation becomes a float.
 
     The series order at each sample is at least ``order_floor >= 0`` and at
     least the order making the crude tail bound ``||ad_w||^(N+1)/(N+1)!``
@@ -1206,13 +1299,18 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
     dim = alg.dim
     if compiled.dim != dim:
         raise ValueError("dimension mismatch")
-    # at the origin the series end before their first term, and ad_0 = 0
-    ints, scale = _exact_sum(alg, compiled, _Point(None, 1, (0,) * dim, (), 0), 0)
-    exact0 = all(v * t.denominator == t.numerator * scale
-                 for v, t in zip(ints, cert.target.dense()))
+    ints, scale = _exact_sum(alg, compiled, None, 0)  # at the origin
+    dense = cert.target.dense()
+    exact0 = all(v * t.denominator == t.numerator * scale for v, t in zip(ints, dense) if v or t)
     _check_generators(alg, cert, compiled.generators)
     varies = [_varies(alg, g) for g in compiled.generators]
-    points = cache(partial(sample_points, dim, samples, seed))  # drawn on a memo miss only
+    drawn = []
+
+    def points():  # drawn on a memo miss only, and then once
+        if not drawn:
+            drawn.append(sample_points(dim, samples, seed))
+        return drawn[0]
+
     series = sum(isinstance(g, _SERIES) for g in compiled.generators)
     # ad_w = 0 at every point of a bracket-free algebra, and without a series
     # the bounds are not read: either way they are those of w = 0
@@ -1224,15 +1322,17 @@ def verify_certificate(alg: MetricLieAlgebra, cert: Certificate, *,
         raise SampledWorkCapError(samples, digits, factors)
     min_order = max(order_floor, _order_for_bound(log_norm, tol))
     shift = _fixed_shift(dim, _dps_to_prec(digits))
-    target = _scaled(cert.target.dense(), shift)
+    target = [t and _to_fixed(t, shift) for t in dense]
     coeffs = _scaled(compiled.coefficients, shift)
     worst = 0
     for columns in _MEMO.blocks(alg, compiled.generators, samples, seed, points, shift,
                                 min_order):
         out = _horner_lanes(compiled.nodes, _lanes(columns, varies), coeffs, shift)
         for v, t in zip(out, target):
-            worst = max(worst, max(map(abs, map(sub, v, repeat(t)))) if type(v) is tuple
-                        else abs((v or 0) - t))
+            if type(v) is tuple:
+                worst = max(worst, max(map(abs, map(sub, v, repeat(t)))))
+            elif v is not None or t:
+                worst = max(worst, abs((v or 0) - t))
     try:
         max_dev = worst / (1 << shift)
     except OverflowError:  # a deviation past the float range

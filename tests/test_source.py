@@ -134,9 +134,54 @@ def test_the_route_check_counts_calls_and_reads():
         ("C.vector", ("call",)), ("C.dim", ("attribute",))]
 
 
+def _unbounded_caches(tree):
+    """The names of the functions that ``tree`` caches without a size bound:
+    decorated with ``cache`` (``functools.cache``) while taking arguments,
+    or with ``lru_cache(maxsize=None)``; and ``"lru_cache"`` for each call
+    ``lru_cache(maxsize=None)`` elsewhere.  A cache on a function of no
+    arguments holds one value."""
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    def no_maxsize(call):
+        size = call.args[0] if call.args else next(
+            (k.value for k in call.keywords if k.arg == "maxsize"), None)
+        return isinstance(size, ast.Constant) and size.value is None
+
+    lru = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+           and name(node.func) == "lru_cache" and no_maxsize(node)]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            takes = any([a.posonlyargs, a.args, a.vararg, a.kwonlyargs, a.kwarg])
+            for d in node.decorator_list:
+                if d in lru or takes and name(d) == "cache":
+                    found.append(node.name)
+    decorators = {id(d) for node in ast.walk(tree) if hasattr(node, "decorator_list")
+                  for d in node.decorator_list}
+    return found + ["lru_cache" for node in lru if id(node) not in decorators]
+
+
 def test_no_cache_without_a_bound():
     # a process-wide cache keeps what it holds for the life of the process
-    assert [p.name for p in SRC.glob("*.py") if "maxsize=None" in p.read_text()] == []
+    assert [(p.name, f) for p in SRC.glob("*.py")
+            for f in _unbounded_caches(ast.parse(p.read_text()))] == []
+
+
+def test_the_cache_check_flags_what_it_should():
+    tree = ast.parse("from functools import cache, lru_cache\nimport functools\n"
+                     "@cache\ndef table(n): pass\n"
+                     "@functools.cache\ndef keyed(*, k): pass\n"
+                     "@cache\ndef parser(): pass\n"
+                     "@lru_cache(maxsize=None)\ndef wide(): pass\n"
+                     "@functools.lru_cache(None)\ndef wider(n): pass\n"
+                     "@lru_cache(maxsize=32)\ndef bounded(n): pass\n"
+                     "@lru_cache\ndef default(n): pass\n"
+                     "class C:\n    @cache\n    def method(self): pass\n"
+                     "f = lru_cache(maxsize=None)(len)\n")
+    assert _unbounded_caches(tree) == ["table", "keyed", "wide", "wider", "method",
+                                       "lru_cache"]
 
 
 def test_importing_the_cli_loads_no_mpmath():
